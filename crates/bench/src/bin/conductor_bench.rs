@@ -1,17 +1,16 @@
 //! Harness-cost benchmark for the virtual-time conductor.
 //!
 //! Unlike the figure binaries, this benchmark measures the *simulator
-//! itself*: the same workload is run under all three conductors — the
-//! reference baton loop ("slow"), the fiber lookahead loop ("fast"), and
-//! the parallel ticketed pipeline ("par", `--workers` worker threads) —
-//! wall-clock time is compared, and the virtual results are asserted
-//! bit-identical (makespan, per-thread clocks, steal counts — the conductor
-//! must be invisible in everything but real time; see `docs/conductor.md`).
+//! itself*: the same workload is run with the lookahead fast path enabled
+//! and disabled, wall-clock time is compared, and the virtual results are
+//! asserted bit-identical (makespan, per-thread clocks, steal counts — the
+//! fast path must be invisible in everything but real time; see
+//! `docs/conductor.md`).
 //!
 //! Usage:
 //!   cargo run --release -p uts-bench --bin conductor_bench
 //!     [--tree m] [--threads 256] [--machine kittyhawk] [--alg distmem]
-//!     [--chunk 8] [--repeats 3] [--workers 8] [--out BENCH_conductor.json]
+//!     [--chunk 8] [--repeats 3] [--out BENCH_conductor.json]
 //!     [--smoke] [--baseline scripts/conductor_baseline.json]
 //!
 //! The default point is the Figure-4 configuration (T-M, 256 threads,
@@ -19,9 +18,7 @@
 //! configuration (T-S, 64 threads) for CI. With `--baseline`, the measured
 //! fast/slow speedup ratio is compared against the committed baseline and
 //! the process exits non-zero if it regressed by more than 20% — the ratio
-//! is machine-portable, absolute wall-clock is not. The parallel column is
-//! reported and recorded but never gated: its wall-clock only beats the
-//! fiber loop when the host has cores to spare.
+//! is machine-portable, absolute wall-clock is not.
 
 use std::time::Instant;
 
@@ -43,25 +40,15 @@ fn alg_by_name(name: &str) -> Algorithm {
     }
 }
 
-/// One conductor configuration: display label + the two knobs that select it.
-#[derive(Clone, Copy)]
-struct Mode {
-    label: &'static str,
-    lookahead: bool,
-    workers: usize,
-}
-
 fn run_once(
     machine: &MachineModel,
     threads: usize,
     gen: &UtsGen,
     cfg: &RunConfig,
-    mode: Mode,
+    lookahead: bool,
 ) -> (f64, SimReport<ThreadResult>) {
     let cluster: SimCluster<<UtsGen as TaskGen>::Task> =
-        SimCluster::new(machine.clone(), threads, vars::space_config())
-            .with_lookahead(mode.lookahead)
-            .with_workers(mode.workers);
+        SimCluster::new(machine.clone(), threads, vars::space_config()).with_lookahead(lookahead);
     let t0 = Instant::now();
     let report = cluster.run(|c| worker(c, gen, cfg));
     (t0.elapsed().as_secs_f64(), report)
@@ -74,15 +61,15 @@ fn best_of(
     threads: usize,
     gen: &UtsGen,
     cfg: &RunConfig,
-    mode: Mode,
+    lookahead: bool,
     repeats: usize,
 ) -> (f64, SimReport<ThreadResult>) {
-    let label = mode.label;
-    let (mut best_t, mut best_r) = run_once(machine, threads, gen, cfg, mode);
-    eprintln!("  {label} run 1/{repeats}: {best_t:.2}s");
+    let mode = if lookahead { "fast" } else { "slow" };
+    let (mut best_t, mut best_r) = run_once(machine, threads, gen, cfg, lookahead);
+    eprintln!("  {mode} run 1/{repeats}: {best_t:.2}s");
     for i in 1..repeats {
-        let (t, r) = run_once(machine, threads, gen, cfg, mode);
-        eprintln!("  {label} run {}/{repeats}: {t:.2}s", i + 1);
+        let (t, r) = run_once(machine, threads, gen, cfg, lookahead);
+        eprintln!("  {mode} run {}/{repeats}: {t:.2}s", i + 1);
         if t < best_t {
             best_t = t;
             best_r = r;
@@ -110,7 +97,6 @@ fn main() {
     let machine_name: String = arg("--machine", "kittyhawk".to_string());
     let alg_name: String = arg("--alg", "distmem".to_string());
     let chunk: usize = arg("--chunk", 8);
-    let workers: usize = arg("--workers", 8);
     let repeats: usize = arg("--repeats", if smoke { 3 } else { 1 });
     let out: String = arg("--out", "BENCH_conductor.json".to_string());
     let baseline: String = arg("--baseline", String::new());
@@ -132,27 +118,19 @@ fn main() {
         repeats
     );
 
-    let fast_mode = Mode { label: "fast", lookahead: true, workers: 0 };
-    let slow_mode = Mode { label: "slow", lookahead: false, workers: 0 };
-    let par_mode = Mode { label: "par", lookahead: true, workers };
-    let (t_fast, fast) = best_of(&machine, threads, &gen, &cfg, fast_mode, repeats);
-    let (t_slow, slow) = best_of(&machine, threads, &gen, &cfg, slow_mode, repeats);
-    let (t_par, par) = best_of(&machine, threads, &gen, &cfg, par_mode, repeats);
+    let (t_fast, fast) = best_of(&machine, threads, &gen, &cfg, true, repeats);
+    let (t_slow, slow) = best_of(&machine, threads, &gen, &cfg, false, repeats);
 
-    // The whole contract: the conductor must change real time only.
-    for (other, mode) in [(&slow, "reference"), (&par, "parallel")] {
-        assert_eq!(
-            fast.makespan_ns, other.makespan_ns,
-            "virtual makespan diverged between fiber and {mode} conductors"
-        );
-        assert_eq!(fast.clocks, other.clocks, "virtual clocks diverged ({mode})");
-        assert_eq!(fast.stats, other.stats, "comm stats diverged ({mode})");
-    }
+    // The whole contract: lookahead must change real time only.
+    assert_eq!(
+        fast.makespan_ns, slow.makespan_ns,
+        "virtual makespan diverged between conductor modes"
+    );
+    assert_eq!(fast.clocks, slow.clocks, "virtual clocks diverged");
+    assert_eq!(fast.stats, slow.stats, "comm stats diverged");
     let steals: u64 = fast.results.iter().map(|r| r.steals_ok).sum();
-    for (other, mode) in [(&slow, "reference"), (&par, "parallel")] {
-        let steals_other: u64 = other.results.iter().map(|r| r.steals_ok).sum();
-        assert_eq!(steals, steals_other, "steal counts diverged ({mode})");
-    }
+    let steals_slow: u64 = slow.results.iter().map(|r| r.steals_ok).sum();
+    assert_eq!(steals, steals_slow, "steal counts diverged");
     let nodes: u64 = fast.results.iter().map(|r| r.nodes).sum();
     assert_eq!(nodes, preset.expected.nodes, "node conservation violated");
 
@@ -169,10 +147,8 @@ fn main() {
         total.msgs_sent + total.msgs_received,
     );
     let speedup = t_slow / t_fast;
-    let par_speedup = t_fast / t_par;
     println!(
-        "  wall-clock: fast {t_fast:.2}s, slow {t_slow:.2}s, par({workers}w) {t_par:.2}s \
-         -> fast/slow {speedup:.2}x, par/fast {par_speedup:.2}x"
+        "  wall-clock: fast {t_fast:.2}s, slow {t_slow:.2}s -> speedup {speedup:.2}x"
     );
     println!(
         "  conductor: {} ops, {:.1}% on the fast path, {} baton handoffs",
@@ -180,16 +156,9 @@ fn main() {
         100.0 * cond.fast_fraction(),
         cond.handoffs,
     );
-    let pcond = par.total_conductor();
-    println!(
-        "  parallel conductor: {:.1}% blind/validated tickets, {} parked, {} spec conflicts",
-        100.0 * pcond.fast_fraction(),
-        pcond.handoffs,
-        pcond.spec_conflicts,
-    );
 
     let json = format!(
-        "{{\n  \"machine\": \"{}\",\n  \"tree\": \"{}\",\n  \"threads\": {},\n  \"algorithm\": \"{}\",\n  \"chunk\": {},\n  \"nodes\": {},\n  \"t_virtual_s\": {},\n  \"steals\": {},\n  \"t_fast_s\": {},\n  \"t_slow_s\": {},\n  \"speedup_fast_over_slow\": {},\n  \"sim_workers\": {},\n  \"t_par_s\": {},\n  \"speedup_par_over_fast\": {},\n  \"par_spec_conflicts\": {},\n  \"conductor_ops\": {},\n  \"fast_fraction\": {}\n}}\n",
+        "{{\n  \"machine\": \"{}\",\n  \"tree\": \"{}\",\n  \"threads\": {},\n  \"algorithm\": \"{}\",\n  \"chunk\": {},\n  \"nodes\": {},\n  \"t_virtual_s\": {},\n  \"steals\": {},\n  \"t_fast_s\": {},\n  \"t_slow_s\": {},\n  \"speedup_fast_over_slow\": {},\n  \"conductor_ops\": {},\n  \"fast_fraction\": {}\n}}\n",
         machine.name,
         preset.name,
         threads,
@@ -201,10 +170,6 @@ fn main() {
         t_fast,
         t_slow,
         speedup,
-        workers,
-        t_par,
-        par_speedup,
-        pcond.spec_conflicts,
         cond.total_ops(),
         cond.fast_fraction(),
     );

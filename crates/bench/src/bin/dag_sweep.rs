@@ -14,7 +14,8 @@
 //!
 //! `--smoke` shrinks every workload and runs p=8 only, for CI
 //! (`scripts/chaos_smoke.sh`); smoke runs never overwrite
-//! `results/dag_sweep.csv`.
+//! `results/dag_sweep.csv`. `--smoke --p8192` appends the by-hand p=8192
+//! scale cell (EXPERIMENTS.md E19).
 
 use std::fs;
 use std::io::Write;
@@ -220,16 +221,14 @@ fn main() {
     );
 
     if smoke {
-        // Scale smoke: one p=8192 cell proving the ceiling the parallel
-        // conductor unlocked (EXPERIMENTS.md E19). It runs automatically
-        // when UTS_SIM_WORKERS selects the ticketed pipeline, or under any
-        // conductor with `--p8192`. T-S + distmem + k=8 keeps the cell
-        // minutes-scale: binomial fan-out (≤ 2 children) diffuses through
-        // steal-half exponentially, where a single wide-fan-out DAG source
-        // serialises its whole frontier through one victim (see E19).
-        let w = pgas::sim::env_workers();
-        if w > 0 || flag("--p8192") {
-            println!("p=8192 smoke cell ({w} sim workers):");
+        // Scale smoke, by hand only (2.5–3.5 min of wall-clock, ≈2.2 GB
+        // resident): one p=8192 cell (EXPERIMENTS.md E19). T-S + distmem +
+        // k=8 keeps it minutes-scale: binomial fan-out (≤ 2 children)
+        // diffuses through steal-half exponentially, where a single
+        // wide-fan-out DAG source serialises its whole frontier through one
+        // victim (see E19).
+        if flag("--p8192") {
+            println!("p=8192 smoke cell:");
             let pr = preset_by_name("s");
             let g = UtsGen::new(pr.spec);
             let pt = Point {
@@ -239,7 +238,7 @@ fn main() {
             };
             sweep(&machine, 8192, &g, Algorithm::DistMem, 8, &pt, &mut csv);
         } else {
-            println!("p=8192 smoke cell skipped (set UTS_SIM_WORKERS or pass --p8192)");
+            println!("p=8192 smoke cell skipped (pass --p8192)");
         }
         println!("smoke run: results/dag_sweep.csv left untouched");
         return;

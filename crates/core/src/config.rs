@@ -92,14 +92,6 @@ pub struct RunConfig {
     /// Purely a harness-speed knob: virtual-time results are bit-identical
     /// either way (see `docs/conductor.md`). Ignored by the native backend.
     pub sim_lookahead: bool,
-    /// Worker OS threads for the simulator's parallel conductor (see
-    /// `docs/conductor.md` §Parallel conductor). Another pure harness-speed
-    /// knob: virtual-time results are bit-identical at any worker count.
-    /// `0` (the default) defers to the `UTS_SIM_WORKERS` environment
-    /// variable (unset/0 = serial conductors); `> 0` forces that many
-    /// workers. Ignored by the native backend and when `sim_lookahead` is
-    /// off.
-    pub sim_workers: usize,
     /// Deterministic fault schedule injected into the simulator's cost
     /// accounting (see `docs/faults.md`). [`FaultPlan::none()`] by default:
     /// fault-free runs pay zero cost and stay bit-identical. Ignored by the
@@ -177,7 +169,6 @@ impl RunConfig {
             seed: 0x5EED_CAFE,
             trace: false,
             sim_lookahead: true,
-            sim_workers: 0,
             faults: FaultPlan::none(),
             steal_timeout_ns: None,
             victim_policy: None,

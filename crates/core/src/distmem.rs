@@ -484,7 +484,7 @@ mod tests {
         )
     }
 
-    /// The acceptance-criterion test: sweeping the victim's stall across the
+    /// The acceptance test: sweeping the victim's stall across the
     /// timeout boundary drives every interleaving of retract vs. late grant,
     /// and in every single one the chunk is neither duplicated nor lost,
     /// the request cell ends clean, and both retract outcomes are observed.

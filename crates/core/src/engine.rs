@@ -142,14 +142,10 @@ where
 {
     check_crash_fingerprints(gen, cfg)?;
     let machine_name = machine.name;
-    let mut cluster: SimCluster<G::Task> =
+    let cluster: SimCluster<G::Task> =
         SimCluster::new(machine, nthreads, vars::space_config_for(gen, nthreads))
             .with_lookahead(cfg.sim_lookahead)
             .with_faults(cfg.faults);
-    if cfg.sim_workers > 0 {
-        // 0 keeps the builder's default: inherit UTS_SIM_WORKERS.
-        cluster = cluster.with_workers(cfg.sim_workers);
-    }
     let report = cluster.run(|comm| worker(comm, gen, cfg));
     Ok(assemble(
         cfg,

@@ -828,14 +828,10 @@ where
     let schedule = arrivals.schedule();
     let schedule = &schedule[..];
     let spec = cfg.bundle();
-    let mut cluster: SimCluster<Stamped<G::Task>> =
+    let cluster: SimCluster<Stamped<G::Task>> =
         SimCluster::new(machine, nthreads, vars::space_config_for(gen, nthreads))
             .with_lookahead(cfg.sim_lookahead)
             .with_faults(cfg.faults);
-    if cfg.sim_workers > 0 {
-        // 0 keeps the builder's default: inherit UTS_SIM_WORKERS.
-        cluster = cluster.with_workers(cfg.sim_workers);
-    }
     let report = cluster.run(|comm| {
         let me = comm.my_id();
         let n = comm.n_threads();

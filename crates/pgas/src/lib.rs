@@ -56,8 +56,6 @@ pub mod machine;
 pub mod msg;
 pub mod native;
 pub mod sim;
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod sim_par;
 pub mod stats;
 
 pub use arrival::{ArrivalProcess, ArrivalSpec};

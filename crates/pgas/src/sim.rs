@@ -15,10 +15,10 @@
 //! pays for scheduling, mirroring how only communication pays latency on a
 //! real cluster.
 //!
-//! # Three conductors, one schedule
+//! # Two conductors, one schedule
 //!
 //! The scheduling decision — "pop the least `(clock, tid)` key" — is shared
-//! by three interchangeable execution substrates (see `docs/conductor.md`):
+//! by two interchangeable execution substrates (see `docs/conductor.md`):
 //!
 //! - **Slow / reference mode** ([`SimCluster::with_lookahead`]`(false)`):
 //!   every simulated thread is an OS thread parked on its own [`Condvar`];
@@ -33,17 +33,6 @@
 //!   condvar + scheduler round-trip (microseconds) to a ~15-instruction
 //!   stack switch (nanoseconds). On other architectures fast mode falls back
 //!   to the OS-thread conductor with the lookahead window below.
-//! - **Parallel mode** ([`SimCluster::with_workers`]`(n)` with `n > 0`, or
-//!   `UTS_SIM_WORKERS=n` in the environment): the fibers are sharded over a
-//!   pool of `n` worker OS threads and a conductor thread runs a
-//!   sequencer/committer pipeline over *tickets* — serialized operation
-//!   records keyed `(clock, tid)`. Fibers run ahead speculatively: blind
-//!   operations (writes, sends, polls) are ticketed without waiting,
-//!   value-returning operations either validate a speculative read against
-//!   the committed image or park until the committer replays them serially
-//!   in ticket order. The commit order is forced to equal the serial
-//!   conductors' baton order, so every modelled quantity is bit-identical;
-//!   see `crate::sim_par` and `docs/conductor.md` §6.
 //!
 //! # Lookahead fast path
 //!
@@ -70,7 +59,6 @@
 use std::cell::UnsafeCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::comm::{Comm, Item, OpClass, SpaceConfig};
@@ -79,14 +67,11 @@ use crate::machine::MachineModel;
 use crate::msg::Msg;
 use crate::stats::{CommStats, ConductorStats};
 
-#[cfg(target_arch = "x86_64")]
-use crate::sim_par;
-
 /// Stack size for each simulated thread (OS thread or fiber). Workers use
 /// explicit DFS stacks, so half a megabyte is plenty even for panic
 /// formatting. Fiber stacks have no guard page; overflowing one is UB, which
 /// is why this matches the generous size the OS-thread mode always used.
-pub(crate) const SIM_STACK_SIZE: usize = 512 * 1024;
+const SIM_STACK_SIZE: usize = 512 * 1024;
 
 /// Everything a run produces.
 #[derive(Debug)]
@@ -134,20 +119,13 @@ impl<R> SimReport<R> {
 
 /// The global memory image.
 ///
-/// Mutated only by whoever currently holds the commit right: the baton
-/// holder in the serial conductors, the unique committer thread in the
-/// parallel conductor. Scalar cells are atomics so the parallel conductor's
-/// *speculative read* path may load them concurrently (a data race on plain
-/// `i64` would be UB; relaxed atomic loads cost nothing on the serial
-/// paths). Everything else — locks, areas, mailboxes — sits behind an
-/// [`UnsafeCell`] and is only ever touched by the unique committer, which is
-/// why the manual `Sync` below is sound.
-pub(crate) struct Mem<T> {
-    pub(crate) scalars: Vec<Vec<AtomicI64>>,
-    inner: UnsafeCell<MemInner<T>>,
-}
-
-pub(crate) struct MemInner<T> {
+/// Only ever touched by the thread currently holding the baton. In fiber
+/// mode that is trivially single-threaded; in OS-thread mode it lives in an
+/// [`UnsafeCell`] next to (not inside) the conductor mutex, and handoffs
+/// through the mutex provide the happens-before edges that publish one
+/// holder's writes to the next.
+struct Mem<T> {
+    scalars: Vec<Vec<i64>>,
     locks: Vec<Vec<bool>>,
     areas: Vec<Vec<T>>,
     /// Per-destination mailbox ordered by (arrival time, send sequence).
@@ -155,240 +133,14 @@ pub(crate) struct MemInner<T> {
     send_seq: u64,
 }
 
-// SAFETY: `scalars` is atomics; `inner` is only ever accessed through
-// `inner_mut`, whose callers guarantee they hold the unique commit right
-// (baton holder / committer thread), with happens-before between successive
-// holders established by the conductor's own synchronization.
-unsafe impl<T: Item + Send> Sync for Mem<T> {}
-
 impl<T: Item> Mem<T> {
-    pub(crate) fn new(nthreads: usize, cfg: &SpaceConfig) -> Self {
+    fn new(nthreads: usize, cfg: &SpaceConfig) -> Self {
         Mem {
-            scalars: (0..nthreads)
-                .map(|_| (0..cfg.scalars).map(|_| AtomicI64::new(0)).collect())
-                .collect(),
-            inner: UnsafeCell::new(MemInner {
-                locks: vec![vec![false; cfg.locks]; nthreads],
-                areas: (0..nthreads).map(|_| Vec::new()).collect(),
-                mailboxes: (0..nthreads).map(|_| BTreeMap::new()).collect(),
-                send_seq: 0,
-            }),
-        }
-    }
-
-    /// The non-scalar image, for the unique commit-right holder.
-    ///
-    /// # Safety
-    /// The caller must be the sole thread applying effects right now (baton
-    /// holder or committer), with the conductor's synchronization providing
-    /// happens-before to the next holder.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn inner_mut(&self) -> &mut MemInner<T> {
-        &mut *self.inner.get()
-    }
-
-    /// Snapshot the scalar cells into plain integers (end-of-run report).
-    pub(crate) fn scalars_snapshot(&self) -> Vec<Vec<i64>> {
-        self.scalars
-            .iter()
-            .map(|row| row.iter().map(|c| c.load(Ordering::Relaxed)).collect())
-            .collect()
-    }
-}
-
-/// One ticketed operation: the serialized record of a [`Comm`] call's memory
-/// effect. All three conductors funnel through [`ParOp::apply`], so the
-/// *semantics* of every operation exist in exactly one place — the parallel
-/// conductor cannot drift from the serial ones without the equivalence
-/// matrix catching a shared bug, and a divergence would require two
-/// implementations to exist at all.
-///
-/// `Send` carries its fault fate and flight time precomputed on the issuing
-/// fiber: both are pure functions of `(src, dst, issue clock)` under the
-/// [`FaultPlan`], so they are identical whichever conductor runs them, and
-/// computing them at issue keeps `apply` free of fault-plan state.
-pub(crate) enum ParOp<T> {
-    Poll,
-    Get { thread: usize, var: usize },
-    Put { thread: usize, var: usize, val: i64 },
-    Cas { thread: usize, var: usize, expected: i64, new: i64 },
-    Add { thread: usize, var: usize, delta: i64 },
-    TryLock { thread: usize, lock: usize },
-    Unlock { thread: usize, lock: usize },
-    AreaLen { thread: usize },
-    AreaRead { thread: usize, offset: usize, len: usize },
-    AreaWrite { thread: usize, offset: usize, src: Vec<T> },
-    AreaTruncate { thread: usize, len: usize },
-    Send { dst: usize, fate: MsgFate, flight: u64, msg: Msg<T> },
-    HasMsg { tag: Option<i64> },
-    TryRecv { tag: Option<i64> },
-}
-
-/// Result of applying a [`ParOp`]; the issuing `Comm` method unwraps the
-/// variant it knows it produced.
-pub(crate) enum Answer<T> {
-    Unit,
-    Int(i64),
-    Bool(bool),
-    Len(usize),
-    Items(Vec<T>),
-    Received(Option<Msg<T>>),
-}
-
-impl<T> Answer<T> {
-    fn int(self) -> i64 {
-        match self {
-            Answer::Int(v) => v,
-            _ => unreachable!("op answered with the wrong variant"),
-        }
-    }
-
-    fn bool(self) -> bool {
-        match self {
-            Answer::Bool(v) => v,
-            _ => unreachable!("op answered with the wrong variant"),
-        }
-    }
-
-    fn len(self) -> usize {
-        match self {
-            Answer::Len(v) => v,
-            _ => unreachable!("op answered with the wrong variant"),
-        }
-    }
-
-    fn items(self) -> Vec<T> {
-        match self {
-            Answer::Items(v) => v,
-            _ => unreachable!("op answered with the wrong variant"),
-        }
-    }
-
-    fn received(self) -> Option<Msg<T>> {
-        match self {
-            Answer::Received(v) => v,
-            _ => unreachable!("op answered with the wrong variant"),
-        }
-    }
-}
-
-impl<T: Item> ParOp<T> {
-    /// Blind operations return no value: the issuing fiber may ticket them
-    /// and run ahead without waiting for the committer (its own later reads
-    /// are ordered after them by the per-fiber FIFO).
-    pub(crate) fn is_blind(&self) -> bool {
-        matches!(
-            self,
-            ParOp::Poll
-                | ParOp::Put { .. }
-                | ParOp::Unlock { .. }
-                | ParOp::AreaWrite { .. }
-                | ParOp::AreaTruncate { .. }
-                | ParOp::Send { .. }
-        )
-    }
-
-    /// Apply the effect at virtual time `now` on behalf of thread `me`.
-    ///
-    /// # Safety
-    /// Caller must hold the unique commit right (see [`Mem::inner_mut`]).
-    pub(crate) unsafe fn apply(self, mem: &Mem<T>, me: usize, now: u64) -> Answer<T> {
-        match self {
-            ParOp::Poll => Answer::Unit,
-            ParOp::Get { thread, var } => {
-                Answer::Int(mem.scalars[thread][var].load(Ordering::Relaxed))
-            }
-            ParOp::Put { thread, var, val } => {
-                mem.scalars[thread][var].store(val, Ordering::Relaxed);
-                Answer::Unit
-            }
-            ParOp::Cas { thread, var, expected, new } => {
-                let cell = &mem.scalars[thread][var];
-                let observed = cell.load(Ordering::Relaxed);
-                if observed == expected {
-                    cell.store(new, Ordering::Relaxed);
-                }
-                Answer::Int(observed)
-            }
-            ParOp::Add { thread, var, delta } => {
-                let cell = &mem.scalars[thread][var];
-                let old = cell.load(Ordering::Relaxed);
-                cell.store(old + delta, Ordering::Relaxed);
-                Answer::Int(old)
-            }
-            ParOp::TryLock { thread, lock } => {
-                let held = &mut mem.inner_mut().locks[thread][lock];
-                Answer::Bool(if *held {
-                    false
-                } else {
-                    *held = true;
-                    true
-                })
-            }
-            ParOp::Unlock { thread, lock } => {
-                let held = &mut mem.inner_mut().locks[thread][lock];
-                assert!(*held, "unlock of a free lock");
-                *held = false;
-                Answer::Unit
-            }
-            ParOp::AreaLen { thread } => Answer::Len(mem.inner_mut().areas[thread].len()),
-            ParOp::AreaRead { thread, offset, len } => {
-                let area = &mem.inner_mut().areas[thread];
-                assert!(
-                    offset + len <= area.len(),
-                    "area_read out of range: {}..{} of {}",
-                    offset,
-                    offset + len,
-                    area.len()
-                );
-                Answer::Items(area[offset..offset + len].to_vec())
-            }
-            ParOp::AreaWrite { thread, offset, src } => {
-                let area = &mut mem.inner_mut().areas[thread];
-                if area.len() < offset + src.len() {
-                    area.resize(offset + src.len(), T::default());
-                }
-                area[offset..offset + src.len()].copy_from_slice(&src);
-                Answer::Unit
-            }
-            ParOp::AreaTruncate { thread, len } => {
-                let area = &mut mem.inner_mut().areas[thread];
-                assert!(len <= area.len(), "truncate beyond area length");
-                area.truncate(len);
-                Answer::Unit
-            }
-            ParOp::Send { dst, fate, flight, msg } => {
-                let inner = mem.inner_mut();
-                if fate != MsgFate::Lost {
-                    let seq = inner.send_seq;
-                    inner.send_seq += 1;
-                    inner.mailboxes[dst].insert((now + flight, seq), msg.clone());
-                    if fate == MsgFate::Duplicated {
-                        let seq2 = inner.send_seq;
-                        inner.send_seq += 1;
-                        inner.mailboxes[dst].insert((now + 2 * flight, seq2), msg);
-                    }
-                }
-                Answer::Unit
-            }
-            ParOp::HasMsg { tag } => {
-                let inner = mem.inner_mut();
-                Answer::Bool(
-                    inner.mailboxes[me]
-                        .iter()
-                        .take_while(|((arrival, _), _)| *arrival <= now)
-                        .any(|(_, msg)| tag.is_none_or(|t| msg.tag == t)),
-                )
-            }
-            ParOp::TryRecv { tag } => {
-                let inner = mem.inner_mut();
-                let key = inner.mailboxes[me]
-                    .iter()
-                    .take_while(|((arrival, _), _)| *arrival <= now)
-                    .find(|(_, msg)| tag.is_none_or(|t| msg.tag == t))
-                    .map(|(k, _)| *k);
-                Answer::Received(key.and_then(|k| inner.mailboxes[me].remove(&k)))
-            }
+            scalars: vec![vec![0i64; cfg.scalars]; nthreads],
+            locks: vec![vec![false; cfg.locks]; nthreads],
+            areas: (0..nthreads).map(|_| Vec::new()).collect(),
+            mailboxes: (0..nthreads).map(|_| BTreeMap::new()).collect(),
+            send_seq: 0,
         }
     }
 }
@@ -414,21 +166,22 @@ struct Inner {
 }
 
 /// Shared state of the OS-thread conductor.
-///
-/// `mem` carries its own interior mutability (see [`Mem`]); here it is only
-/// ever touched by the baton holder — the conductor admits exactly one at a
-/// time (every other thread is parked on its condvar inside
-/// `op()`/`register()`), and baton transfer happens through `mx`, whose
-/// lock/unlock establishes happens-before between consecutive holders.
 struct Shared<T> {
     mx: Mutex<Inner>,
     cvs: Vec<Condvar>,
-    mem: Mem<T>,
+    mem: UnsafeCell<Mem<T>>,
     nthreads: usize,
     machine: MachineModel,
     lookahead: bool,
     faults: FaultPlan,
 }
+
+// SAFETY: `mem` is only accessed by the baton holder. The conductor admits
+// exactly one holder at a time (every other thread is parked on its condvar
+// inside `op()`/`register()`), and baton transfer happens through `mx`, whose
+// lock/unlock establishes happens-before between consecutive holders'
+// accesses. All other fields are `Sync` on their own.
+unsafe impl<T: Item> Sync for Shared<T> {}
 
 /// User-level context switching for the fiber conductor: x86-64 System V.
 ///
@@ -444,7 +197,7 @@ struct Shared<T> {
 /// are callee-saved too but never modified by this crate or its workers, so
 /// they are deliberately not saved on this hot path.
 #[cfg(target_arch = "x86_64")]
-pub(crate) mod fiber {
+mod fiber {
     use std::arch::global_asm;
 
     global_asm!(
@@ -565,8 +318,6 @@ where
         next_min: unsafe { (*hub).queue.peek().map(|r| r.0) },
         stats: CommStats::default(),
         conductor: ConductorStats::default(),
-        par_issued: 0,
-        par_ticks: 0,
     };
     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let f = unsafe { &*ctx.f };
@@ -599,28 +350,12 @@ where
 /// A virtual cluster: construct, then [`SimCluster::run`] a worker closure on
 /// every simulated thread.
 pub struct SimCluster<T: Item> {
-    pub(crate) machine: MachineModel,
-    pub(crate) nthreads: usize,
-    pub(crate) cfg: SpaceConfig,
-    pub(crate) lookahead: bool,
-    pub(crate) faults: FaultPlan,
-    /// `None` = inherit `UTS_SIM_WORKERS` from the environment; `Some(0)` =
-    /// parallel conductor explicitly off; `Some(n)` = n worker threads.
-    workers: Option<usize>,
+    machine: MachineModel,
+    nthreads: usize,
+    cfg: SpaceConfig,
+    lookahead: bool,
+    faults: FaultPlan,
     _marker: std::marker::PhantomData<T>,
-}
-
-/// Parse `UTS_SIM_WORKERS` (the parallel-conductor worker count; `0` or
-/// unset = serial conductors). Malformed values panic rather than silently
-/// running a different simulation than the user asked for — the same strict
-/// policy `RunConfig::with_env_chaos` applies to the chaos knobs.
-pub fn env_workers() -> usize {
-    match std::env::var("UTS_SIM_WORKERS") {
-        Ok(s) => s.trim().parse().unwrap_or_else(|_| {
-            panic!("UTS_SIM_WORKERS must be a non-negative integer, got {s:?}")
-        }),
-        Err(_) => 0,
-    }
 }
 
 impl<T: Item> SimCluster<T> {
@@ -636,7 +371,6 @@ impl<T: Item> SimCluster<T> {
             cfg,
             lookahead: true,
             faults: FaultPlan::none(),
-            workers: None,
             _marker: std::marker::PhantomData,
         }
     }
@@ -665,18 +399,6 @@ impl<T: Item> SimCluster<T> {
         self
     }
 
-    /// Select the parallel conductor with `n` worker OS threads (`n = 0`
-    /// turns it off explicitly). Without this call the count is inherited
-    /// from `UTS_SIM_WORKERS` (unset = serial). The parallel conductor
-    /// produces bit-identical modelled results — only the harness-side
-    /// [`ConductorStats`] split may differ — and requires the fast conductor
-    /// (x86-64 with lookahead on); [`SimCluster::with_lookahead`]`(false)`
-    /// keeps forcing the reference conductor regardless.
-    pub fn with_workers(mut self, n: usize) -> Self {
-        self.workers = Some(n);
-        self
-    }
-
     /// Run `f` on every simulated thread and collect the report.
     ///
     /// `f` receives a mutable [`SimComm`] handle; its return values are
@@ -688,10 +410,6 @@ impl<T: Item> SimCluster<T> {
     {
         #[cfg(target_arch = "x86_64")]
         if self.lookahead {
-            let w = self.workers.unwrap_or_else(env_workers);
-            if w > 0 {
-                return sim_par::run(self, w, &f);
-            }
             return self.run_fibers(&f);
         }
         self.run_threads(&f)
@@ -774,7 +492,7 @@ impl<T: Item> SimCluster<T> {
                 .into_iter()
                 .map(|s| s.expect("retired conductor stats"))
                 .collect(),
-            scalars: hub.mem.scalars_snapshot(),
+            scalars: hub.mem.scalars,
         }
     }
 
@@ -796,7 +514,7 @@ impl<T: Item> SimCluster<T> {
                 final_conductor: vec![None; n],
             }),
             cvs: (0..n).map(|_| Condvar::new()).collect(),
-            mem: Mem::new(n, &self.cfg),
+            mem: UnsafeCell::new(Mem::new(n, &self.cfg)),
             nthreads: n,
             machine: self.machine,
             lookahead: self.lookahead,
@@ -837,6 +555,9 @@ impl<T: Item> SimCluster<T> {
         });
 
         let inner = shared.mx.lock().unwrap();
+        // SAFETY: every simulated thread has been joined; this is the only
+        // live access to the memory image.
+        let mem = unsafe { &*shared.mem.get() };
         let makespan_ns = inner.clocks.iter().copied().max().unwrap_or(0);
         SimReport {
             results: results.into_iter().map(|r| r.expect("thread result")).collect(),
@@ -852,7 +573,7 @@ impl<T: Item> SimCluster<T> {
                 .iter()
                 .map(|s| s.clone().expect("retired conductor stats"))
                 .collect(),
-            scalars: shared.mem.scalars_snapshot(),
+            scalars: mem.scalars.clone(),
         }
     }
 }
@@ -865,33 +586,28 @@ enum Backend<T: Item> {
     /// which outlives every fiber.
     #[cfg(target_arch = "x86_64")]
     Fiber(*mut FiberHub<T>),
-    /// Parallel conductor: shared pointer to the ticket hub (see
-    /// [`crate::sim_par`]), which outlives every fiber and worker.
-    #[cfg(target_arch = "x86_64")]
-    Par(*const sim_par::ParHub<T>),
 }
 
 // SAFETY: required by the `Comm: Send` supertrait. In threaded mode the
-// handle is ordinary `Send` data. In fiber and parallel mode it holds a raw
-// hub pointer, but the handle is created, used, and abandoned on the OS
-// thread hosting its fiber (fibers never migrate between workers): workers
-// only ever receive `&mut SimComm` and cannot move the handle out (fields
-// are crate-private and there is no public constructor), so it never
-// actually crosses threads mid-use.
+// handle is ordinary `Send` data. In fiber mode it holds a raw hub pointer,
+// but the handle is created, used, and abandoned on the single OS thread
+// that owns the hub: workers only ever receive `&mut SimComm` and cannot
+// move the handle out (fields are private and there is no constructor), so
+// it never actually crosses threads.
 unsafe impl<T: Item> Send for SimComm<T> {}
 
 /// Per-thread handle for the simulated cluster. Implements [`Comm`].
 pub struct SimComm<T: Item> {
     backend: Backend<T>,
-    pub(crate) tid: usize,
+    tid: usize,
     nthreads: usize,
     lookahead: bool,
     /// This thread's virtual clock as of its last operation. Authoritative;
     /// the conductor's `clocks[tid]` is only a published (possibly lagging)
     /// copy.
-    pub(crate) local_clock: u64,
+    local_clock: u64,
     /// Accumulated `work()` nanoseconds not yet folded into the clock.
-    pub(crate) pending_work: u64,
+    pending_work: u64,
     /// Smallest `(clock, tid)` key waiting in the conductor queue, cached at
     /// the moment we last acquired the baton. Exact while we hold the baton:
     /// only baton-holders push, and we are the unique holder. `None` means
@@ -899,18 +615,8 @@ pub struct SimComm<T: Item> {
     next_min: Option<(u64, usize)>,
     /// The active fault schedule (inert by default; see [`FaultPlan`]).
     faults: FaultPlan,
-    pub(crate) stats: CommStats,
-    pub(crate) conductor: ConductorStats,
-    /// Parallel conductor only: tickets submitted so far (blind + parked).
-    /// Compared against the hub's per-fiber committed counter to decide
-    /// whether this fiber's own writes are all visible in the committed
-    /// image (precondition for a speculative read). Unused by the serial
-    /// conductors.
-    pub(crate) par_issued: u64,
-    /// Parallel conductor only: fast-path operations since the fiber last
-    /// yielded its worker voluntarily (fairness tick, no virtual-time
-    /// effect).
-    pub(crate) par_ticks: u32,
+    stats: CommStats,
+    conductor: ConductorStats,
 }
 
 impl<T: Item> SimComm<T> {
@@ -929,33 +635,6 @@ impl<T: Item> SimComm<T> {
             next_min: None,
             stats: CommStats::default(),
             conductor: ConductorStats::default(),
-            par_issued: 0,
-            par_ticks: 0,
-        }
-    }
-
-    /// Build a handle for one parallel-conductor fiber (see
-    /// [`crate::sim_par`]).
-    ///
-    /// # Safety
-    /// `hub` must outlive the handle and the fiber must stay pinned to one
-    /// worker OS thread for the handle's whole life.
-    #[cfg(target_arch = "x86_64")]
-    pub(crate) unsafe fn new_par(hub: *const sim_par::ParHub<T>, tid: usize) -> Self {
-        let h = &*hub;
-        SimComm {
-            backend: Backend::Par(hub),
-            tid,
-            nthreads: h.nthreads,
-            lookahead: true,
-            faults: h.faults,
-            local_clock: 0,
-            pending_work: 0,
-            next_min: None,
-            stats: CommStats::default(),
-            conductor: ConductorStats::default(),
-            par_issued: 0,
-            par_ticks: 0,
         }
     }
 
@@ -1001,7 +680,13 @@ impl<T: Item> SimComm<T> {
     /// fault plan never shrinks a cost), so a thread cannot fast-path
     /// forever: its clock strictly grows and eventually crosses `next_min`,
     /// forcing a real handoff (no starvation).
-    fn op(&mut self, class: OpClass, peer: usize, mut cost: u64, par: ParOp<T>) -> Answer<T> {
+    fn op<R>(
+        &mut self,
+        class: OpClass,
+        peer: usize,
+        mut cost: u64,
+        eff: impl FnOnce(&mut Mem<T>, u64) -> R,
+    ) -> R {
         if self.faults.is_active() {
             // Fault decisions key on the *issue* time (before this op's own
             // cost is added) — a pure function of state both conductors
@@ -1022,31 +707,20 @@ impl<T: Item> SimComm<T> {
         let t = self.local_clock + self.pending_work + cost;
         self.pending_work = 0;
         self.local_clock = t;
-        // The parallel conductor has its own fast/park decision (blind
-        // tickets and speculative reads); `next_min` gating is meaningless
-        // there because other fibers run concurrently.
-        #[cfg(target_arch = "x86_64")]
-        if let Backend::Par(hub) = self.backend {
-            // SAFETY: hub outlives the fiber (see `new_par`).
-            return unsafe { sim_par::submit(&*hub, self, class, t, par) };
-        }
         if self.lookahead && self.next_min.is_none_or(|min| (t, self.tid) < min) {
             self.conductor.fast_ops += 1;
             self.conductor.fast_by_class[class.index()] += 1;
             let mem = match &self.backend {
-                Backend::Threads(s) => &s.mem,
-                // SAFETY: single OS thread; we are the only live fiber and
-                // the hub outlives us.
+                // SAFETY: we hold the baton and stay its holder (we are
+                // still strictly earliest), so this is the unique live
+                // access; the preceding holder's writes are visible via the
+                // mutex handoff that granted us the baton.
+                Backend::Threads(s) => unsafe { &mut *s.mem.get() },
+                // SAFETY: single OS thread; we are the only live fiber.
                 #[cfg(target_arch = "x86_64")]
-                Backend::Fiber(h) => unsafe { &(**h).mem },
-                #[cfg(target_arch = "x86_64")]
-                Backend::Par(_) => unreachable!("handled above"),
+                Backend::Fiber(h) => unsafe { &mut (**h).mem },
             };
-            // SAFETY: we hold the baton and stay its holder (we are still
-            // strictly earliest), so we are the unique commit-right holder;
-            // the preceding holder's writes are visible via the handoff that
-            // granted us the baton.
-            return unsafe { par.apply(mem, self.tid, t) };
+            return eff(mem, t);
         }
         self.conductor.handoffs += 1;
         match self.backend {
@@ -1060,10 +734,10 @@ impl<T: Item> SimComm<T> {
                 }
                 self.next_min = g.queue.peek().map(|r| r.0);
                 drop(g);
-                // SAFETY: `chosen == tid` again — unique commit right,
-                // published by the mutex release of whichever thread
-                // dispatched to us.
-                unsafe { par.apply(&shared.mem, self.tid, t) }
+                // SAFETY: `chosen == tid` again — unique access, published by
+                // the mutex release of whichever thread dispatched to us.
+                let mem = unsafe { &mut *shared.mem.get() };
+                eff(mem, t)
             }
             #[cfg(target_arch = "x86_64")]
             Backend::Fiber(hub) => unsafe {
@@ -1089,11 +763,8 @@ impl<T: Item> SimComm<T> {
                 }
                 let h = &mut *hub;
                 self.next_min = h.queue.peek().map(|r| r.0);
-                // SAFETY: we are the sole live fiber on this OS thread.
-                par.apply(&h.mem, self.tid, t)
+                eff(&mut h.mem, t)
             },
-            #[cfg(target_arch = "x86_64")]
-            Backend::Par(_) => unreachable!("handled above"),
         }
     }
 
@@ -1134,8 +805,6 @@ impl<T: Item> Comm<T> for SimComm<T> {
             // only before the first fiber starts.
             #[cfg(target_arch = "x86_64")]
             Backend::Fiber(h) => unsafe { &(**h).machine },
-            #[cfg(target_arch = "x86_64")]
-            Backend::Par(h) => unsafe { &(**h).machine },
         }
     }
 
@@ -1156,64 +825,67 @@ impl<T: Item> Comm<T> for SimComm<T> {
         };
         self.pending_work += adj;
         self.stats.work_ns += ns;
-        // Advertise the raised clock lower bound so the parallel committer
-        // can commit other fibers' tickets past our old position without
-        // waiting for our next operation.
-        #[cfg(target_arch = "x86_64")]
-        if let Backend::Par(hub) = self.backend {
-            // SAFETY: hub outlives the fiber.
-            unsafe { sim_par::advertise(&*hub, self.tid, self.local_clock + self.pending_work) };
-        }
     }
 
     fn advance_idle(&mut self, ns: u64) {
         self.pending_work += ns;
         self.stats.comm_ns += ns;
-        #[cfg(target_arch = "x86_64")]
-        if let Backend::Par(hub) = self.backend {
-            // SAFETY: hub outlives the fiber.
-            unsafe { sim_par::advertise(&*hub, self.tid, self.local_clock + self.pending_work) };
-        }
     }
 
     fn poll(&mut self) {
         self.stats.polls += 1;
         let c = self.machine().poll_ns;
         let me = self.tid;
-        self.op(OpClass::Poll, me, c, ParOp::Poll);
+        self.op(OpClass::Poll, me, c, |_, _| ());
     }
 
     fn get(&mut self, thread: usize, var: usize) -> i64 {
         self.stats.gets += 1;
         let c = self.machine().ref_cost(self.tid, thread);
-        self.op(OpClass::Scalar, thread, c, ParOp::Get { thread, var }).int()
+        self.op(OpClass::Scalar, thread, c, |m, _| m.scalars[thread][var])
     }
 
     fn put(&mut self, thread: usize, var: usize, val: i64) {
         self.stats.puts += 1;
         let c = self.machine().ref_cost(self.tid, thread);
-        self.op(OpClass::Scalar, thread, c, ParOp::Put { thread, var, val });
+        self.op(OpClass::Scalar, thread, c, |m, _| m.scalars[thread][var] = val)
     }
 
     fn cas(&mut self, thread: usize, var: usize, expected: i64, new: i64) -> i64 {
         self.stats.atomics += 1;
         let c = self.machine().atomic_cost(self.tid, thread);
-        self.op(OpClass::Atomic, thread, c, ParOp::Cas { thread, var, expected, new })
-            .int()
+        self.op(OpClass::Atomic, thread, c, |m, _| {
+            let cell = &mut m.scalars[thread][var];
+            let observed = *cell;
+            if observed == expected {
+                *cell = new;
+            }
+            observed
+        })
     }
 
     fn add(&mut self, thread: usize, var: usize, delta: i64) -> i64 {
         self.stats.atomics += 1;
         let c = self.machine().atomic_cost(self.tid, thread);
-        self.op(OpClass::Atomic, thread, c, ParOp::Add { thread, var, delta })
-            .int()
+        self.op(OpClass::Atomic, thread, c, |m, _| {
+            let cell = &mut m.scalars[thread][var];
+            let old = *cell;
+            *cell = old + delta;
+            old
+        })
     }
 
     fn try_lock(&mut self, thread: usize, lock: usize) -> bool {
         let c = self.machine().lock_cost(self.tid, thread);
-        let ok = self
-            .op(OpClass::Lock, thread, c, ParOp::TryLock { thread, lock })
-            .bool();
+        let ok = self.op(OpClass::Lock, thread, c, |m, _| {
+            let held = &mut m.locks[thread][lock];
+            if *held {
+                false
+            } else {
+                *held = true;
+                true
+            }
+        });
         if ok {
             self.stats.lock_acquires += 1;
         } else {
@@ -1225,13 +897,16 @@ impl<T: Item> Comm<T> for SimComm<T> {
     fn unlock(&mut self, thread: usize, lock: usize) {
         self.stats.unlocks += 1;
         let c = self.machine().unlock_cost(self.tid, thread);
-        self.op(OpClass::Lock, thread, c, ParOp::Unlock { thread, lock });
+        self.op(OpClass::Lock, thread, c, |m, _| {
+            assert!(m.locks[thread][lock], "unlock of a free lock");
+            m.locks[thread][lock] = false;
+        })
     }
 
     fn area_len(&mut self, thread: usize) -> usize {
         self.stats.gets += 1;
         let c = self.machine().ref_cost(self.tid, thread);
-        self.op(OpClass::Scalar, thread, c, ParOp::AreaLen { thread }).len()
+        self.op(OpClass::Scalar, thread, c, |m, _| m.areas[thread].len())
     }
 
     fn area_read(&mut self, thread: usize, offset: usize, len: usize, dst: &mut Vec<T>) {
@@ -1240,10 +915,17 @@ impl<T: Item> Comm<T> for SimComm<T> {
         let c = self
             .machine()
             .bulk_cost(self.tid, thread, Self::size_of_items(len));
-        let items = self
-            .op(OpClass::Bulk, thread, c, ParOp::AreaRead { thread, offset, len })
-            .items();
-        dst.extend_from_slice(&items);
+        self.op(OpClass::Bulk, thread, c, |m, _| {
+            let area = &m.areas[thread];
+            assert!(
+                offset + len <= area.len(),
+                "area_read out of range: {}..{} of {}",
+                offset,
+                offset + len,
+                area.len()
+            );
+            dst.extend_from_slice(&area[offset..offset + len]);
+        })
     }
 
     fn area_write(&mut self, thread: usize, offset: usize, src: &[T]) {
@@ -1252,18 +934,22 @@ impl<T: Item> Comm<T> for SimComm<T> {
         let c = self
             .machine()
             .bulk_cost(self.tid, thread, Self::size_of_items(src.len()));
-        self.op(
-            OpClass::Bulk,
-            thread,
-            c,
-            ParOp::AreaWrite { thread, offset, src: src.to_vec() },
-        );
+        self.op(OpClass::Bulk, thread, c, |m, _| {
+            let area = &mut m.areas[thread];
+            if area.len() < offset + src.len() {
+                area.resize(offset + src.len(), T::default());
+            }
+            area[offset..offset + src.len()].copy_from_slice(src);
+        })
     }
 
     fn area_truncate(&mut self, thread: usize, len: usize) {
         self.stats.puts += 1;
         let c = self.machine().ref_cost(self.tid, thread);
-        self.op(OpClass::Scalar, thread, c, ParOp::AreaTruncate { thread, len });
+        self.op(OpClass::Scalar, thread, c, |m, _| {
+            assert!(len <= m.areas[thread].len(), "truncate beyond area length");
+            m.areas[thread].truncate(len);
+        })
     }
 
     fn send(&mut self, dst: usize, tag: i64, meta: [i64; 4], payload: &[T]) {
@@ -1303,27 +989,48 @@ impl<T: Item> Comm<T> for SimComm<T> {
             }
         }
         let overhead = self.machine().msg_overhead_ns;
-        self.op(
-            OpClass::Message,
-            dst,
-            overhead,
-            ParOp::Send { dst, fate, flight, msg },
-        );
+        self.op(OpClass::Message, dst, overhead, move |m, now| {
+            if fate == MsgFate::Lost {
+                return;
+            }
+            let seq = m.send_seq;
+            m.send_seq += 1;
+            m.mailboxes[dst].insert((now + flight, seq), msg);
+            if fate == MsgFate::Duplicated {
+                let dup = m.mailboxes[dst]
+                    .get(&(now + flight, seq))
+                    .cloned()
+                    .expect("just inserted");
+                let seq2 = m.send_seq;
+                m.send_seq += 1;
+                m.mailboxes[dst].insert((now + 2 * flight, seq2), dup);
+            }
+        })
     }
 
     fn has_msg(&mut self, tag: Option<i64>) -> bool {
         self.stats.gets += 1;
         let c = self.machine().local_ref_ns;
         let me = self.tid;
-        self.op(OpClass::Message, me, c, ParOp::HasMsg { tag }).bool()
+        self.op(OpClass::Message, me, c, |m, now| {
+            m.mailboxes[me]
+                .iter()
+                .take_while(|((arrival, _), _)| *arrival <= now)
+                .any(|(_, msg)| tag.is_none_or(|t| msg.tag == t))
+        })
     }
 
     fn try_recv(&mut self, tag: Option<i64>) -> Option<Msg<T>> {
         let c = self.machine().local_ref_ns;
         let me = self.tid;
-        let got = self
-            .op(OpClass::Message, me, c, ParOp::TryRecv { tag })
-            .received();
+        let got = self.op(OpClass::Message, me, c, |m, now| {
+            let key = m.mailboxes[me]
+                .iter()
+                .take_while(|((arrival, _), _)| *arrival <= now)
+                .find(|(_, msg)| tag.is_none_or(|t| msg.tag == t))
+                .map(|(k, _)| *k)?;
+            m.mailboxes[me].remove(&key)
+        });
         if got.is_some() {
             self.stats.msgs_received += 1;
         }
@@ -1345,10 +1052,7 @@ mod tests {
 
     #[test]
     fn single_thread_runs() {
-        // `with_workers(0)`: the fast-path assertions below are about the
-        // serial lookahead conductor; the parallel conductor's fast/park
-        // split is racy (see `ConductorStats`).
-        let report = smp_cluster(1).with_workers(0).run(|c| {
+        let report = smp_cluster(1).run(|c| {
             c.put(0, 0, 42);
             c.get(0, 0)
         });
@@ -1422,11 +1126,7 @@ mod tests {
         assert_eq!(a.makespan_ns, b.makespan_ns);
         assert_eq!(a.scalars, b.scalars);
         assert_eq!(a.stats, b.stats);
-        // Harness counters are only repeatable on the serial conductors; the
-        // parallel conductor's fast/park split depends on real-time races.
-        if env_workers() == 0 {
-            assert_eq!(a.conductor, b.conductor);
-        }
+        assert_eq!(a.conductor, b.conductor);
     }
 
     /// The fast conductor must be invisible in every modelled quantity:
@@ -1482,8 +1182,7 @@ mod tests {
     /// The fast-path histogram attributes operations to the right class.
     #[test]
     fn conductor_histogram_tracks_classes() {
-        // Serial lookahead conductor only: exact fast-path counts.
-        let report = smp_cluster(1).with_workers(0).run(|c| {
+        let report = smp_cluster(1).run(|c| {
             c.put(0, 0, 1); // scalar
             c.add(0, 0, 1); // atomic
             c.poll(); // poll
@@ -1647,11 +1346,7 @@ mod tests {
     #[test]
     fn spin_probes_batch_on_fast_path() {
         let m = MachineModel::kittyhawk();
-        // Serial lookahead conductor only: the parallel conductor parks a
-        // spinner that is *ahead* in virtual time (another fiber could still
-        // write at an earlier instant), so its probes are handoffs there.
-        let cluster: SimCluster<u64> =
-            SimCluster::new(m, 2, SpaceConfig::default()).with_workers(0);
+        let cluster: SimCluster<u64> = SimCluster::new(m, 2, SpaceConfig::default());
         let report = cluster.run(|c| {
             if c.my_id() == 0 {
                 c.work(50_000); // push thread 0 far ahead before sending
@@ -1665,77 +1360,6 @@ mod tests {
             probe_thread.fast_ops > probe_thread.handoffs,
             "probes should mostly stay on the fast path: {probe_thread:?}"
         );
-    }
-
-    /// The parallel conductor must agree with the serial conductors on every
-    /// modelled quantity (and conduct the same number of operations), for a
-    /// contended workload exercising every operation class.
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn parallel_conductor_bit_identical() {
-        let run = |workers: usize| {
-            SimCluster::<u64>::new(MachineModel::kittyhawk(), 8, SpaceConfig::default())
-                .with_workers(workers)
-                .run(chaos_workload)
-        };
-        let serial = run(0);
-        for workers in [1, 3] {
-            let par = run(workers);
-            assert_eq!(par.results, serial.results);
-            assert_eq!(par.makespan_ns, serial.makespan_ns);
-            assert_eq!(par.clocks, serial.clocks);
-            assert_eq!(par.scalars, serial.scalars);
-            assert_eq!(par.stats, serial.stats);
-            assert_eq!(
-                par.total_conductor().total_ops(),
-                serial.total_conductor().total_ops(),
-                "all conductors must conduct the same operation stream"
-            );
-        }
-    }
-
-    /// Worker-closure panics surface from `run` under the parallel conductor
-    /// just as they do on the serial ones.
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    #[should_panic(expected = "simulated thread 3 exploded")]
-    fn parallel_conductor_propagates_fiber_panics() {
-        SimCluster::<u64>::new(MachineModel::smp(), 8, SpaceConfig::default())
-            .with_workers(2)
-            .run(|c| {
-                let me = c.my_id();
-                c.add(0, 0, 1);
-                if me == 3 {
-                    panic!("simulated thread {me} exploded");
-                }
-                // Everyone else keeps issuing ops so the cluster only drains
-                // once the poison/retirement machinery works end to end.
-                for i in 0..50 {
-                    c.add((me + i) % 8, 1, 1);
-                }
-            });
-    }
-
-    /// Effect-apply panics (raised on the committer thread) poison the hub
-    /// and re-surface from `run` with the original message.
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    #[should_panic(expected = "unlock of a free lock")]
-    fn parallel_conductor_propagates_commit_panics() {
-        SimCluster::<u64>::new(MachineModel::smp(), 4, SpaceConfig::default())
-            .with_workers(2)
-            .run(|c| {
-                let me = c.my_id();
-                for i in 0..20 {
-                    c.add((me + i) % 4, 0, 1);
-                }
-                if me == 1 {
-                    c.unlock(0, 0); // never locked: apply panics at commit
-                }
-                for i in 0..20 {
-                    c.add((me + i) % 4, 1, 1);
-                }
-            });
     }
 
     /// A contended workload exercising every fault class, for the
@@ -1787,10 +1411,7 @@ mod tests {
         assert_eq!(plain.clocks, none.clocks);
         assert_eq!(plain.scalars, none.scalars);
         assert_eq!(plain.stats, none.stats);
-        // Racy under the parallel conductor (see `ConductorStats`).
-        if env_workers() == 0 {
-            assert_eq!(plain.conductor, none.conductor);
-        }
+        assert_eq!(plain.conductor, none.conductor);
         assert_eq!(none.total_stats().fault_ns, 0);
     }
 

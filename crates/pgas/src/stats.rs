@@ -111,26 +111,14 @@ impl CommStats {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ConductorStats {
     /// Operations applied on the lock-free lookahead fast path (the issuing
-    /// thread kept the baton: no mutex, no condvar, no handoff). Under the
-    /// parallel conductor this also counts blind tickets the fiber issued
-    /// without waiting and speculative reads validated against the committed
-    /// image.
+    /// thread kept the baton: no mutex, no condvar, no handoff).
     pub fast_ops: u64,
     /// Operations that went through a full baton handoff (mutex + schedule +
-    /// condvar wait), or — under the parallel conductor — parked until the
-    /// committer replayed them serially in ticket order.
+    /// condvar wait).
     pub handoffs: u64,
     /// Fast-path operations by [`OpClass`] histogram index
     /// ([`OpClass::index`]).
     pub fast_by_class: [u64; OpClass::COUNT],
-    /// Parallel conductor only: speculative reads whose validation against
-    /// the committed image failed (own window uncommitted, commit floor too
-    /// low, or a concurrent commit batch) and which therefore fell back to
-    /// the serial replay path. Always zero on the serial conductors. Like
-    /// the other fields this is a harness counter: its value depends on
-    /// real-time races and is *not* deterministic run-to-run in parallel
-    /// mode, which is exactly why it lives outside [`CommStats`].
-    pub spec_conflicts: u64,
 }
 
 impl ConductorStats {
@@ -157,7 +145,6 @@ impl ConductorStats {
         for (a, b) in self.fast_by_class.iter_mut().zip(other.fast_by_class) {
             *a += b;
         }
-        self.spec_conflicts += other.spec_conflicts;
     }
 }
 
@@ -171,18 +158,15 @@ mod tests {
             fast_ops: 3,
             handoffs: 1,
             fast_by_class: [3, 0, 0, 0, 0, 0],
-            spec_conflicts: 0,
         };
         let b = ConductorStats {
             fast_ops: 1,
             handoffs: 1,
             fast_by_class: [0, 1, 0, 0, 0, 0],
-            spec_conflicts: 2,
         };
         a.merge(&b);
         assert_eq!(a.total_ops(), 6);
         assert_eq!(a.fast_by_class, [3, 1, 0, 0, 0, 0]);
-        assert_eq!(a.spec_conflicts, 2);
         assert!((a.fast_fraction() - 4.0 / 6.0).abs() < 1e-12);
         assert_eq!(ConductorStats::default().fast_fraction(), 0.0);
         for (i, c) in OpClass::all().into_iter().enumerate() {

@@ -2,7 +2,7 @@
 //!
 //! The paper's §4.1 notes that in its sample problem "over 99.9% of the work
 //! is contained in just one of the 2000 subtrees below the root". The preset
-//! trees in this repo are validated against the same kind of criterion: these
+//! trees in this repo are validated against the same kind of yardstick: these
 //! helpers measure how concentrated the work is.
 
 use crate::seq::dfs_count_subtree;

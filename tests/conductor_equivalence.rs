@@ -1,21 +1,20 @@
 //! Conductor equivalence: every conductor must be invisible in every
 //! modelled quantity.
 //!
-//! The simulator has three conductors (see `docs/conductor.md`): the
-//! **reference** OS-thread/baton loop, the single-core **fiber** loop with
-//! the lookahead fast path, and the **parallel** ticketed
-//! sequencer/worker/committer pipeline. For each algorithm, workload, and
-//! thread count, the same run is executed under all three and the reports
-//! are required to be *bit-identical*: virtual makespan, every per-thread
-//! virtual clock, every per-thread worker result (nodes, steals, releases,
-//! state times, comm counters), and the final memory image. Only the
-//! conductors' own harness counters may differ — that is the whole point of
-//! keeping them out of `CommStats`.
+//! The simulator has two conductors (see `docs/conductor.md`): the
+//! **reference** OS-thread/baton loop and the single-core **fiber** loop
+//! with the lookahead fast path. For each algorithm, workload, and thread
+//! count, the same run is executed under both (`lookahead = false` selects
+//! the reference, `true` the fiber loop) and the reports are required to be
+//! *bit-identical*: virtual makespan, every per-thread virtual clock, every
+//! per-thread worker result (nodes, steals, releases, state times, comm
+//! counters), and the final memory image. Only the conductors' own harness
+//! counters may differ — that is the whole point of keeping them out of
+//! `CommStats`.
 //!
 //! The matrix covers batch (UTS trees), service mode, crash faults,
 //! membership faults, all three DAG families, and a conflict-storm stress
-//! case built to defeat the parallel conductor's speculative reads and force
-//! its serial-replay fallback.
+//! case of raw cross-thread put/get chains.
 
 use pgas::sim::{SimCluster, SimReport};
 use pgas::{ArrivalSpec, Comm, FaultPlan, MachineModel};
@@ -25,43 +24,6 @@ use worksteal::{
     run_service_sim, run_sim, vars, worker, Algorithm, DagWorkload, ForkJoin, RandomLayered,
     RunConfig, RunReport, TaskGen, ThreadResult, UtsGen, Wavefront,
 };
-
-/// Which conductor drives the run. `Parallel` carries the worker count;
-/// every mode pins the choice explicitly so the matrix stays a genuine
-/// 3-way comparison even when `UTS_SIM_WORKERS` is set in the environment.
-#[derive(Clone, Copy, Debug)]
-enum Mode {
-    Reference,
-    Fiber,
-    Parallel(usize),
-}
-
-impl Mode {
-    fn cluster<T: pgas::comm::Item>(self, c: SimCluster<T>) -> SimCluster<T> {
-        match self {
-            Mode::Reference => c.with_lookahead(false).with_workers(0),
-            Mode::Fiber => c.with_lookahead(true).with_workers(0),
-            Mode::Parallel(w) => c.with_lookahead(true).with_workers(w),
-        }
-    }
-
-    /// The same selection through the `RunConfig` knobs, for runs that go
-    /// through the engine/service entry points. `Fiber` leaves
-    /// `sim_workers = 0`, which inherits `UTS_SIM_WORKERS` — under the CI
-    /// pass that sets it, the "fiber" leg simply becomes a second parallel
-    /// configuration, which must *still* be bit-identical.
-    fn config(self, mut cfg: RunConfig) -> RunConfig {
-        match self {
-            Mode::Reference => cfg.sim_lookahead = false,
-            Mode::Fiber => cfg.sim_lookahead = true,
-            Mode::Parallel(w) => {
-                cfg.sim_lookahead = true;
-                cfg.sim_workers = w;
-            }
-        }
-        cfg
-    }
-}
 
 fn assert_sim_identical(
     a: &SimReport<ThreadResult>,
@@ -82,24 +44,20 @@ fn assert_sim_identical(
     );
 }
 
-fn run_mode(preset: &Preset, alg: Algorithm, threads: usize, mode: Mode) -> SimReport<ThreadResult> {
+fn run_mode(preset: &Preset, alg: Algorithm, threads: usize, lookahead: bool) -> SimReport<ThreadResult> {
     let gen = UtsGen::new(preset.spec);
     let cfg = RunConfig::new(alg, 4);
-    let cluster: SimCluster<<UtsGen as TaskGen>::Task> = mode.cluster(SimCluster::new(
-        MachineModel::kittyhawk(),
-        threads,
-        vars::space_config(),
-    ));
+    let cluster: SimCluster<<UtsGen as TaskGen>::Task> =
+        SimCluster::new(MachineModel::kittyhawk(), threads, vars::space_config())
+            .with_lookahead(lookahead);
     cluster.run(move |c| worker(c, &gen, &cfg))
 }
 
 fn assert_equivalent(preset: &Preset, alg: Algorithm, threads: usize) {
-    let reference = run_mode(preset, alg, threads, Mode::Reference);
-    let fiber = run_mode(preset, alg, threads, Mode::Fiber);
-    let parallel = run_mode(preset, alg, threads, Mode::Parallel(3));
+    let reference = run_mode(preset, alg, threads, false);
+    let fiber = run_mode(preset, alg, threads, true);
     let label = format!("{} x {} threads x {}", alg.label(), threads, preset.name);
-    assert_sim_identical(&fiber, &reference, &format!("{label} [fiber vs reference]"));
-    assert_sim_identical(&parallel, &fiber, &format!("{label} [parallel vs fiber]"));
+    assert_sim_identical(&fiber, &reference, &label);
 
     // Sanity on the knobs themselves: the reference mode never uses a fast
     // path, the fiber mode must actually exercise its lookahead.
@@ -122,7 +80,7 @@ fn matrix_over(preset: &Preset, threads: usize) {
 
 /// DAG workloads route every dependency decrement through `Comm::add`, so
 /// "which predecessor's add crossed the in-degree" must conduct identically
-/// in all three modes — bit-identical reports *including* the count-up cells
+/// in both modes — bit-identical reports *including* the count-up cells
 /// in the final memory image.
 fn assert_dag_equivalent<G: worksteal::DagGen>(
     gen: &DagWorkload<G>,
@@ -130,21 +88,20 @@ fn assert_dag_equivalent<G: worksteal::DagGen>(
     alg: Algorithm,
     threads: usize,
 ) {
-    let run = |mode: Mode| -> SimReport<ThreadResult> {
+    let run = |lookahead: bool| -> SimReport<ThreadResult> {
         let cfg = RunConfig::new(alg, 2);
-        let cluster: SimCluster<u64> = mode.cluster(SimCluster::new(
+        let cluster: SimCluster<u64> = SimCluster::new(
             MachineModel::kittyhawk(),
             threads,
             vars::space_config_for(gen, threads),
-        ));
+        )
+        .with_lookahead(lookahead);
         cluster.run(|c| worker(c, gen, &cfg))
     };
-    let reference = run(Mode::Reference);
-    let fiber = run(Mode::Fiber);
-    let parallel = run(Mode::Parallel(3));
+    let reference = run(false);
+    let fiber = run(true);
     let label = format!("{name} x {} x {threads} threads", alg.label());
-    assert_sim_identical(&fiber, &reference, &format!("{label} [fiber vs reference]"));
-    assert_sim_identical(&parallel, &fiber, &format!("{label} [parallel vs fiber]"));
+    assert_sim_identical(&fiber, &reference, &label);
     let total: u64 = fiber.results.iter().map(|r| r.nodes).sum();
     assert_eq!(total, gen.n_tasks(), "{label}: tasks lost or duplicated");
 }
@@ -189,6 +146,13 @@ fn all_algorithms_small_64_threads() {
     matrix_over(&presets::t_s(), 64);
 }
 
+/// The Fig. 4 thread count, which otherwise only the off-CI
+/// `conductor_bench` compares across conductors.
+#[test]
+fn all_algorithms_small_256_threads() {
+    matrix_over(&presets::t_s(), 256);
+}
+
 // ---------------------------------------------------------------- RunReport
 // Service / crash / membership legs go through the engine entry points, so
 // equality is asserted on the assembled `RunReport`.
@@ -208,24 +172,22 @@ fn assert_report_identical(a: &RunReport, b: &RunReport, label: &str) {
     assert_eq!(a.per_thread, b.per_thread, "{label}: per-thread results diverged");
 }
 
-fn assert_three_way<F: Fn(Mode) -> RunReport>(run: F, label: &str) {
-    let reference = run(Mode::Reference);
-    let fiber = run(Mode::Fiber);
-    let parallel = run(Mode::Parallel(3));
-    assert_report_identical(&fiber, &reference, &format!("{label} [fiber vs reference]"));
-    assert_report_identical(&parallel, &fiber, &format!("{label} [parallel vs fiber]"));
+/// `run` takes the `sim_lookahead` setting: fiber (`true`) vs reference.
+fn assert_two_way<F: Fn(bool) -> RunReport>(run: F, label: &str) {
+    assert_report_identical(&run(true), &run(false), label);
 }
 
 /// Service mode: open-loop arrivals, epoch quiescence, per-request
-/// latencies, tail histograms — identical across all three conductors.
+/// latencies, tail histograms — identical across both conductors.
 #[test]
-fn service_mode_identical_across_three_conductors() {
+fn service_mode_identical_across_conductors() {
     let gen = UtsGen::new(TreeSpec::binomial(23, 4, 2, 0.4));
     let arrivals = ArrivalSpec::poisson(41, 8, 25_000.0);
     for alg in [Algorithm::DistMem, Algorithm::MpiWs] {
-        assert_three_way(
-            |mode| {
-                let cfg = mode.config(RunConfig::new(alg, 2));
+        assert_two_way(
+            |lookahead| {
+                let mut cfg = RunConfig::new(alg, 2);
+                cfg.sim_lookahead = lookahead;
                 run_service_sim(MachineModel::smp(), 4, &gen, &cfg, &arrivals)
             },
             &format!("service x {}", alg.label()),
@@ -234,10 +196,10 @@ fn service_mode_identical_across_three_conductors() {
 }
 
 /// Crash faults: lost/duplicated grants and a guaranteed rank death replay
-/// identically — same deaths, same recovery, same multiplicity — in all
-/// three modes.
+/// identically — same deaths, same recovery, same multiplicity — in both
+/// modes.
 #[test]
-fn crash_faults_identical_across_three_conductors() {
+fn crash_faults_identical_across_conductors() {
     let p = presets::t_tiny();
     let gen = UtsGen::new(p.spec);
     let plan = FaultPlan {
@@ -249,9 +211,10 @@ fn crash_faults_identical_across_three_conductors() {
         ..FaultPlan::crashy(0xC0_FFEE)
     };
     for alg in [Algorithm::Term, Algorithm::DistMem] {
-        assert_three_way(
-            |mode| {
-                let mut cfg = mode.config(RunConfig::new(alg, 4));
+        assert_two_way(
+            |lookahead| {
+                let mut cfg = RunConfig::new(alg, 4);
+                cfg.sim_lookahead = lookahead;
                 cfg.faults = plan;
                 cfg.steal_timeout_ns = Some(30_000);
                 run_sim(MachineModel::kittyhawk(), 8, &gen, &cfg)
@@ -262,9 +225,9 @@ fn crash_faults_identical_across_three_conductors() {
 }
 
 /// Membership faults: healing partitions, gray stalls, kills with restart —
-/// the fenced-membership protocol replays identically in all three modes.
+/// the fenced-membership protocol replays identically in both modes.
 #[test]
-fn membership_faults_identical_across_three_conductors() {
+fn membership_faults_identical_across_conductors() {
     let p = presets::t_tiny();
     let gen = UtsGen::new(p.spec);
     let mut plan = FaultPlan {
@@ -278,9 +241,10 @@ fn membership_faults_identical_across_three_conductors() {
     plan.partition_min_ns = 40_000;
     plan.gray_per_mille = 1000;
     for alg in [Algorithm::DistMem, Algorithm::MpiWs] {
-        assert_three_way(
-            |mode| {
-                let mut cfg = mode.config(RunConfig::new(alg, 4));
+        assert_two_way(
+            |lookahead| {
+                let mut cfg = RunConfig::new(alg, 4);
+                cfg.sim_lookahead = lookahead;
                 cfg.faults = plan;
                 cfg.steal_timeout_ns = Some(30_000);
                 run_sim(MachineModel::kittyhawk(), 8, &gen, &cfg)
@@ -292,12 +256,11 @@ fn membership_faults_identical_across_three_conductors() {
 
 /// Conflict storm: 16 threads hammer put-then-get chains through a shared
 /// set of cells, so almost every read races a virtually-earlier write from
-/// another thread. The parallel conductor's speculative reads must fail
-/// validation (`spec_conflicts`) and fall back to the committer's serial
-/// replay — and the result must *still* be bit-identical to the serial
-/// conductors.
+/// another thread — raw scalar interleaving with no scheduler protocol on
+/// top, which no other case covers. Both conductors must resolve every race
+/// the same way.
 #[test]
-fn conflict_storm_forces_serial_replay_and_stays_bit_identical() {
+fn conflict_storm_stays_bit_identical() {
     let storm = |c: &mut pgas::sim::SimComm<u64>| {
         let me = c.my_id();
         let n = c.n_threads();
@@ -313,34 +276,20 @@ fn conflict_storm_forces_serial_replay_and_stays_bit_identical() {
         }
         acc
     };
-    let run = |mode: Mode| -> SimReport<i64> {
-        mode.cluster(SimCluster::<u64>::new(
-            MachineModel::kittyhawk(),
-            16,
-            pgas::SpaceConfig::default(),
-        ))
-        .run(storm)
+    let run = |lookahead: bool| -> SimReport<i64> {
+        SimCluster::<u64>::new(MachineModel::kittyhawk(), 16, pgas::SpaceConfig::default())
+            .with_lookahead(lookahead)
+            .run(storm)
     };
-    let reference = run(Mode::Reference);
-    let fiber = run(Mode::Fiber);
-    let parallel = run(Mode::Parallel(4));
-    for (a, b, label) in [
-        (&fiber, &reference, "storm [fiber vs reference]"),
-        (&parallel, &fiber, "storm [parallel vs fiber]"),
-    ] {
-        assert_eq!(a.makespan_ns, b.makespan_ns, "{label}: makespan diverged");
-        assert_eq!(a.clocks, b.clocks, "{label}: clocks diverged");
-        assert_eq!(a.scalars, b.scalars, "{label}: memory diverged");
-        assert_eq!(a.stats, b.stats, "{label}: comm stats diverged");
-        assert_eq!(a.results, b.results, "{label}: results diverged");
-    }
-    let pc = parallel.total_conductor();
+    let reference = run(false);
+    let fiber = run(true);
+    assert_eq!(fiber.makespan_ns, reference.makespan_ns, "storm: makespan diverged");
+    assert_eq!(fiber.clocks, reference.clocks, "storm: clocks diverged");
+    assert_eq!(fiber.scalars, reference.scalars, "storm: memory diverged");
+    assert_eq!(fiber.stats, reference.stats, "storm: comm stats diverged");
+    assert_eq!(fiber.results, reference.results, "storm: results diverged");
     assert!(
-        pc.spec_conflicts > 0,
-        "storm never forced the serial-replay fallback: {pc:?}"
-    );
-    assert!(
-        pc.handoffs > 0,
-        "storm never parked an operation: {pc:?}"
+        fiber.total_conductor().handoffs > 0,
+        "storm never forced a baton handoff"
     );
 }
