@@ -1,15 +1,19 @@
-//! The SHA-1 compression function and streaming state (RFC 3174 §6.1).
+//! The streaming SHA-1 state (RFC 3174 §6.1) over the block function in
+//! `kernel.rs`.
+
+use crate::kernel::{kernel, INIT};
 
 /// Streaming SHA-1 hasher.
 ///
 /// Feed arbitrary byte slices with [`Sha1::update`] and obtain the digest with
-/// [`Sha1::finalize`]. The implementation processes 512-bit blocks with the
-/// standard 80-round compression function.
+/// [`Sha1::finalize`]. Every 512-bit block goes through the same kernel as
+/// [`crate::compress`].
 #[derive(Clone)]
 pub struct Sha1 {
     /// Working hash state H0..H4.
     h: [u32; 5],
-    /// Partially filled input block.
+    /// Partially filled input block; bytes from `block_len` on are zero, so
+    /// padding has only the terminator and the length to write.
     block: [u8; 64],
     /// Number of valid bytes in `block` (< 64 between calls).
     block_len: usize,
@@ -27,7 +31,7 @@ impl Sha1 {
     /// Initial hash values from RFC 3174 §6.1.
     pub fn new() -> Self {
         Sha1 {
-            h: [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0],
+            h: INIT,
             block: [0u8; 64],
             block_len: 0,
             total_len: 0,
@@ -36,133 +40,45 @@ impl Sha1 {
 
     /// Absorb `data` into the hash state.
     pub fn update(&mut self, mut data: &[u8]) {
+        let compress = kernel().one;
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         // Top up a partial block first.
         if self.block_len > 0 {
-            let need = 64 - self.block_len;
-            let take = need.min(data.len());
+            let take = (64 - self.block_len).min(data.len());
             self.block[self.block_len..self.block_len + take].copy_from_slice(&data[..take]);
             self.block_len += take;
             data = &data[take..];
-            if self.block_len == 64 {
-                let block = self.block;
-                self.compress(&block);
-                self.block_len = 0;
-            } else {
+            if self.block_len < 64 {
                 // Input exhausted without completing the block.
                 return;
             }
+            compress(&mut self.h, &self.block);
+            self.block = [0; 64];
         }
         // Whole blocks straight from the input.
-        let mut chunks = data.chunks_exact(64);
-        for chunk in &mut chunks {
-            // chunks_exact guarantees 64 bytes.
-            let mut block = [0u8; 64];
-            block.copy_from_slice(chunk);
-            self.compress(&block);
+        let (blocks, rem) = data.as_chunks::<64>();
+        for block in blocks {
+            compress(&mut self.h, block);
         }
         // Stash the tail.
-        let rem = chunks.remainder();
         self.block[..rem.len()].copy_from_slice(rem);
         self.block_len = rem.len();
     }
 
     /// Apply RFC 3174 padding and return the 160-bit digest.
     pub fn finalize(mut self) -> [u8; 20] {
-        let bit_len = self.total_len.wrapping_mul(8);
+        let compress = kernel().one;
         // 0x80 terminator, then zeros, then 8-byte big-endian bit length.
-        self.update_padding_byte();
-        while self.block_len != 56 {
-            self.update_padding_zero();
-        }
-        let mut len_bytes = [0u8; 8];
-        len_bytes.copy_from_slice(&bit_len.to_be_bytes());
-        self.block[56..64].copy_from_slice(&len_bytes);
-        let block = self.block;
-        self.compress(&block);
-
-        let mut out = [0u8; 20];
-        for (i, word) in self.h.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
-    }
-
-    fn update_padding_byte(&mut self) {
         self.block[self.block_len] = 0x80;
-        self.block_len += 1;
-        if self.block_len == 64 {
-            let block = self.block;
-            self.compress(&block);
-            self.block_len = 0;
+        if self.block_len >= 56 {
+            // No room for the length: it goes in a block of its own.
+            compress(&mut self.h, &self.block);
+            self.block = [0; 64];
         }
-    }
-
-    fn update_padding_zero(&mut self) {
-        self.block[self.block_len] = 0;
-        self.block_len += 1;
-        if self.block_len == 64 {
-            let block = self.block;
-            self.compress(&block);
-            self.block_len = 0;
-        }
-    }
-
-    /// The 80-round compression function on one 512-bit block.
-    // Indexing `w[t]` mirrors the RFC 3174 pseudocode; an iterator form
-    // would obscure the round structure.
-    #[allow(clippy::needless_range_loop)]
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 80];
-        for (t, wt) in w.iter_mut().take(16).enumerate() {
-            *wt = u32::from_be_bytes([
-                block[t * 4],
-                block[t * 4 + 1],
-                block[t * 4 + 2],
-                block[t * 4 + 3],
-            ]);
-        }
-        for t in 16..80 {
-            w[t] = (w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16]).rotate_left(1);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e] = self.h;
-
-        // Four stages of 20 rounds, each with its f() and constant K.
-        macro_rules! round {
-            ($f:expr, $k:expr, $t:expr) => {{
-                let temp = a
-                    .rotate_left(5)
-                    .wrapping_add($f)
-                    .wrapping_add(e)
-                    .wrapping_add(w[$t])
-                    .wrapping_add($k);
-                e = d;
-                d = c;
-                c = b.rotate_left(30);
-                b = a;
-                a = temp;
-            }};
-        }
-
-        for t in 0..20 {
-            round!((b & c) | ((!b) & d), 0x5A827999, t);
-        }
-        for t in 20..40 {
-            round!(b ^ c ^ d, 0x6ED9EBA1, t);
-        }
-        for t in 40..60 {
-            round!((b & c) | (b & d) | (c & d), 0x8F1BBCDC, t);
-        }
-        for t in 60..80 {
-            round!(b ^ c ^ d, 0xCA62C1D6, t);
-        }
-
-        self.h[0] = self.h[0].wrapping_add(a);
-        self.h[1] = self.h[1].wrapping_add(b);
-        self.h[2] = self.h[2].wrapping_add(c);
-        self.h[3] = self.h[3].wrapping_add(d);
-        self.h[4] = self.h[4].wrapping_add(e);
+        let bit_len = self.total_len.wrapping_mul(8);
+        self.block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.h, &self.block);
+        crate::digest_bytes(&self.h)
     }
 }
 

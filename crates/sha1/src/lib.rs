@@ -3,7 +3,13 @@
 //! The UTS benchmark ([Olivier et al., LCPC 2006]) defines its implicit search
 //! trees through repeated SHA-1 evaluation: the 20-byte digest of a parent
 //! node's state concatenated with a child index *is* the child's state. This
-//! crate provides the streaming digest used by [`uts-tree`] for that purpose.
+//! crate provides that hash to [`uts-tree`] in two forms: the block function
+//! itself ([`compress`], [`compress_pair`]) for callers whose message is
+//! always exactly one padded block, and the streaming [`Sha1`] built on it.
+//!
+//! Two kernels implement the block function — a portable one and one on the
+//! x86 SHA extensions — and the host's CPU decides which runs
+//! ([`selected_kernel`]); digests are bit-identical.
 //!
 //! SHA-1 is cryptographically broken for collision resistance, but UTS only
 //! needs it as a high-quality deterministic pseudo-random function, exactly as
@@ -18,10 +24,15 @@
 //! );
 //! ```
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 mod engine;
+mod kernel;
+#[cfg(target_arch = "x86_64")]
+mod shani;
 
 pub use engine::Sha1;
+pub use kernel::{compress, compress_pair, selected_kernel, INIT};
 
 /// A 20-byte SHA-1 digest.
 pub type Digest = [u8; 20];
@@ -31,6 +42,15 @@ pub fn sha1(data: &[u8]) -> Digest {
     let mut h = Sha1::new();
     h.update(data);
     h.finalize()
+}
+
+/// The digest a hash state stands for: H0..H4, big-endian.
+pub fn digest_bytes(state: &[u32; 5]) -> Digest {
+    let mut out = [0u8; 20];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
 }
 
 /// Render a digest (or any byte slice) as lowercase hex.

@@ -152,7 +152,10 @@ mod tests {
     use crate::seq::dfs_count;
 
     /// The cheap presets' frozen sizes must match a fresh traversal exactly.
-    /// (T-L and T-XL are covered by `--release` integration tests.)
+    /// T-M is checked by `tests/tree_properties.rs`. No test traverses T-L,
+    /// T-XL or T-XXL: the benchmark under `bench/` checks T-L and T-XL node
+    /// counts on every run, and the figure harnesses check whichever preset
+    /// they are given.
     #[test]
     fn small_presets_sizes_frozen() {
         for p in [t_tiny(), t_s()] {

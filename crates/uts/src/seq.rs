@@ -33,19 +33,15 @@ pub fn dfs_count_bounded(spec: &TreeSpec, limit: u64) -> Option<SeqResult> {
         max_stack: 1,
         ..SeqResult::default()
     };
-    let mut scratch = Vec::new();
     while let Some(node) = stack.pop() {
         res.nodes += 1;
         if res.nodes > limit {
             return None;
         }
         res.max_depth = res.max_depth.max(node.height);
-        scratch.clear();
-        let n = spec.expand_into(&node, &mut scratch);
-        if n == 0 {
+        // `node` is a copy, so its children go straight onto the stack.
+        if spec.expand_into(&node, &mut stack) == 0 {
             res.leaves += 1;
-        } else {
-            stack.extend_from_slice(&scratch);
         }
         res.max_stack = res.max_stack.max(stack.len());
     }
@@ -57,12 +53,9 @@ pub fn dfs_count_bounded(spec: &TreeSpec, limit: u64) -> Option<SeqResult> {
 pub fn dfs_count_subtree(spec: &TreeSpec, node: Node) -> u64 {
     let mut stack = vec![node];
     let mut count = 0u64;
-    let mut scratch = Vec::new();
     while let Some(n) = stack.pop() {
         count += 1;
-        scratch.clear();
-        spec.expand_into(&n, &mut scratch);
-        stack.extend_from_slice(&scratch);
+        spec.expand_into(&n, &mut stack);
     }
     count
 }
@@ -157,7 +150,6 @@ mod tests {
 pub struct DfsIter<'a> {
     spec: &'a TreeSpec,
     stack: Vec<Node>,
-    scratch: Vec<Node>,
 }
 
 impl<'a> DfsIter<'a> {
@@ -166,7 +158,6 @@ impl<'a> DfsIter<'a> {
         DfsIter {
             spec,
             stack: vec![spec.root()],
-            scratch: Vec::new(),
         }
     }
 
@@ -181,9 +172,7 @@ impl Iterator for DfsIter<'_> {
 
     fn next(&mut self) -> Option<Node> {
         let node = self.stack.pop()?;
-        self.scratch.clear();
-        self.spec.expand_into(&node, &mut self.scratch);
-        self.stack.extend_from_slice(&self.scratch);
+        self.spec.expand_into(&node, &mut self.stack);
         Some(node)
     }
 }

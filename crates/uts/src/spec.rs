@@ -147,10 +147,7 @@ impl TreeSpec {
     /// Returns the number of children produced.
     pub fn expand_into(&self, node: &Node, out: &mut Vec<Node>) -> u32 {
         let n = self.num_children(node);
-        out.reserve(n as usize);
-        for i in 0..n {
-            out.push(node.child(i));
-        }
+        node.children(0..n, out);
         n
     }
 

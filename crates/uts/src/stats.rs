@@ -163,9 +163,10 @@ impl DepthProfile {
 /// Measure the depth profile with one sequential traversal.
 pub fn depth_profile(spec: &TreeSpec) -> DepthProfile {
     let mut stack = vec![spec.root()];
-    let mut prof = DepthProfile::default();
-    let mut scratch = Vec::new();
-    prof.max_stack = 1;
+    let mut prof = DepthProfile {
+        max_stack: 1,
+        ..DepthProfile::default()
+    };
     while let Some(node) = stack.pop() {
         let d = node.height as usize;
         if prof.histogram.len() <= d {
@@ -173,9 +174,7 @@ pub fn depth_profile(spec: &TreeSpec) -> DepthProfile {
         }
         prof.histogram[d] += 1;
         prof.total += 1;
-        scratch.clear();
-        spec.expand_into(&node, &mut scratch);
-        stack.extend_from_slice(&scratch);
+        spec.expand_into(&node, &mut stack);
         prof.max_stack = prof.max_stack.max(stack.len());
     }
     prof

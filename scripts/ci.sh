@@ -13,6 +13,16 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
+echo "== SHA-1 kernels =="
+# The root package's tests above do not include the member crates' own: run
+# the ones that call each SHA-1 kernel directly and check `Node::child` /
+# `Node::children` against the streaming definition.
+cargo test -q -p uts-sha1 -p uts-tree
+# Then print which kernel this log's numbers came from, beside the host's
+# `sha` detection; the test fails if the dispatch fell back to the portable
+# kernel on a host that has the SHA extensions.
+cargo test -q -p uts-sha1 -- --nocapture selected_kernel
+
 echo "== bench/ build + tests =="
 # The benchmark is a package of its own, outside the workspace, reaching the
 # crates through their public API only: build and test it here so an API

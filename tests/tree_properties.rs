@@ -35,6 +35,16 @@ fn tiny_preset_frozen() {
     assert_eq!(dfs_count(&p.spec), p.expected);
 }
 
+/// T-M (1,328,225 nodes) is the tree of the paper's Fig. 4 point here; its
+/// frozen size, leaf count, depth and stack high-water mark are checked on
+/// every test run. T-L and T-XL are left to `bench/`.
+#[test]
+fn t_m_frozen() {
+    let p = presets::t_m();
+    assert_eq!(p.expected.nodes, 1_328_225);
+    assert_eq!(dfs_count(&p.spec), p.expected, "T-M drifted");
+}
+
 /// Scale-free property: the subtree-size law is the same at every node, so
 /// deep subtrees exhibit the same kind of variation as the root's children.
 #[test]
