@@ -156,6 +156,10 @@ fn main() {
         100.0 * cond.fast_fraction(),
         cond.handoffs,
     );
+    println!(
+        "  fiber stacks: deepest high-water mark {} bytes (measured, page granular; 0 = no fibers on this target)",
+        cond.stack_peak_bytes,
+    );
 
     let json = format!(
         "{{\n  \"machine\": \"{}\",\n  \"tree\": \"{}\",\n  \"threads\": {},\n  \"algorithm\": \"{}\",\n  \"chunk\": {},\n  \"nodes\": {},\n  \"t_virtual_s\": {},\n  \"steals\": {},\n  \"t_fast_s\": {},\n  \"t_slow_s\": {},\n  \"speedup_fast_over_slow\": {},\n  \"conductor_ops\": {},\n  \"fast_fraction\": {}\n}}\n",

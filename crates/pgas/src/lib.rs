@@ -12,7 +12,8 @@
 //!   This is the paper's *shared memory* setting (§4.3): communication is as
 //!   fast as the machine's cache coherence.
 //! - [`sim`]: a deterministic **virtual-time** executor. Every simulated UPC
-//!   thread is an OS thread, but exactly one runs at a time and threads are
+//!   thread is a fiber (or, under the reference conductor, an OS thread), but
+//!   exactly one runs at a time and threads are
 //!   scheduled in global virtual-clock order, so execution is sequentially
 //!   consistent in virtual time and fully deterministic. Each operation
 //!   advances the issuing thread's clock by a cost taken from a
@@ -52,6 +53,8 @@ pub mod arrival;
 pub mod collectives;
 pub mod comm;
 pub mod fault;
+#[cfg(pgas_fiber)]
+mod fiber;
 pub mod machine;
 pub mod msg;
 pub mod native;

@@ -26,13 +26,15 @@
 //!   hands the baton with a condvar signal. One kernel wake per operation —
 //!   simple, obviously correct, and the baseline the equivalence tests and
 //!   `conductor_bench` diff against.
-//! - **Fast mode** (the default, on x86-64): every simulated thread is a
-//!   *fiber* — a user-level stack on a single OS thread. Since the conductor
-//!   admits exactly one thread at a time anyway, nothing is lost by giving
-//!   up kernel parallelism, and a baton handoff shrinks from a mutex +
-//!   condvar + scheduler round-trip (microseconds) to a ~15-instruction
-//!   stack switch (nanoseconds). On other architectures fast mode falls back
-//!   to the OS-thread conductor with the lookahead window below.
+//! - **Fast mode** (the default, on x86-64 Linux): every simulated thread
+//!   is a *fiber* — a user-level stack on a single OS thread. Since the
+//!   conductor admits exactly one thread at a time anyway, nothing is lost
+//!   by giving up kernel parallelism, and a baton handoff shrinks from a
+//!   mutex + condvar + scheduler round-trip (microseconds) to a
+//!   ~15-instruction stack switch (nanoseconds). The context switch and the
+//!   stack arena live in `fiber.rs`; on every other target (`build.rs` holds
+//!   the rule) fast mode falls back to the OS-thread conductor with the
+//!   lookahead window below.
 //!
 //! # Lookahead fast path
 //!
@@ -63,15 +65,20 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use crate::comm::{Comm, Item, OpClass, SpaceConfig};
 use crate::fault::{FaultPlan, MsgFate};
+#[cfg(pgas_fiber)]
+use crate::fiber::{self, StackArena};
 use crate::machine::MachineModel;
 use crate::msg::Msg;
 use crate::stats::{CommStats, ConductorStats};
 
 /// Stack size for each simulated thread (OS thread or fiber). Workers use
-/// explicit DFS stacks, so half a megabyte is plenty even for panic
-/// formatting. Fiber stacks have no guard page; overflowing one is UB, which
-/// is why this matches the generous size the OS-thread mode always used.
-const SIM_STACK_SIZE: usize = 512 * 1024;
+/// explicit DFS stacks, so half a megabyte is a wide margin over the measured
+/// high-water mark ([`ConductorStats::stack_peak_bytes`]; EXPERIMENTS.md
+/// records it per workload family). For fibers it is *reserved address space*
+/// in the run's `fiber::StackArena` — free until touched — with a guard page
+/// below each stack, so overflowing one is a SIGSEGV, never a neighbour's
+/// corrupted frames.
+pub const SIM_STACK_SIZE: usize = 512 * 1024;
 
 /// Everything a run produces.
 #[derive(Debug)]
@@ -183,93 +190,10 @@ struct Shared<T> {
 // accesses. All other fields are `Sync` on their own.
 unsafe impl<T: Item> Sync for Shared<T> {}
 
-/// User-level context switching for the fiber conductor: x86-64 System V.
-///
-/// `__pgas_fiber_switch(save, load)` stores the callee-saved register state
-/// on the current stack, records the resulting stack pointer at `*save`,
-/// installs `load` as the stack pointer, and restores the state found there —
-/// either a frame a previous `__pgas_fiber_switch` call saved, or the
-/// synthetic initial frame built by [`fiber::init_stack`], whose "return
-/// address" is `__pgas_fiber_start`. The start shim moves the planted
-/// argument (r12) into place and calls the planted entry function (r13).
-///
-/// Only the SysV callee-saved GPRs are switched. The x87/SSE control words
-/// are callee-saved too but never modified by this crate or its workers, so
-/// they are deliberately not saved on this hot path.
-#[cfg(target_arch = "x86_64")]
-mod fiber {
-    use std::arch::global_asm;
-
-    global_asm!(
-        ".global __pgas_fiber_switch",
-        "__pgas_fiber_switch:",
-        "push rbp",
-        "push rbx",
-        "push r12",
-        "push r13",
-        "push r14",
-        "push r15",
-        "mov [rdi], rsp",
-        "mov rsp, rsi",
-        "pop r15",
-        "pop r14",
-        "pop r13",
-        "pop r12",
-        "pop rbx",
-        "pop rbp",
-        "ret",
-        ".global __pgas_fiber_start",
-        "__pgas_fiber_start:",
-        "mov rdi, r12",
-        "call r13",
-        "ud2",
-    );
-
-    extern "C" {
-        fn __pgas_fiber_switch(save: *mut usize, load: usize);
-        fn __pgas_fiber_start();
-    }
-
-    /// Suspend the current context into `*save` and resume the context whose
-    /// stack pointer is `load`.
-    ///
-    /// # Safety
-    /// `load` must be a stack pointer previously produced by [`init_stack`]
-    /// or stored through the `save` argument of an earlier `switch`, on a
-    /// stack that is still allocated, and each saved context may be resumed
-    /// at most once.
-    pub unsafe fn switch(save: *mut usize, load: usize) {
-        __pgas_fiber_switch(save, load);
-    }
-
-    /// Build the initial context frame for a fiber on `stack`, so that the
-    /// first [`switch`] into it calls `entry(arg)`. `entry` must never
-    /// return (it must `switch` away for the last time instead).
-    pub unsafe fn init_stack(stack: &mut [u8], entry: extern "C" fn(usize) -> !, arg: usize) -> usize {
-        // 16-align the top, then plant (low → high): r15 r14 r13 r12 rbx rbp
-        // retaddr pad pad. After six pops and the `ret`, execution is at
-        // `__pgas_fiber_start` with rsp ≡ 0 (mod 16), so its `call` leaves
-        // the entry function with the ABI-required rsp ≡ 8 (mod 16).
-        let top = (stack.as_mut_ptr() as usize + stack.len()) & !15;
-        let rsp = top - 72;
-        let p = rsp as *mut usize;
-        p.add(0).write(0); // r15
-        p.add(1).write(0); // r14
-        p.add(2).write(entry as usize); // r13: entry function
-        p.add(3).write(arg); // r12: entry argument
-        p.add(4).write(0); // rbx
-        p.add(5).write(0); // rbp
-        p.add(6).write(__pgas_fiber_start as *const () as usize); // return address
-        p.add(7).write(0); // fake caller frame
-        p.add(8).write(0);
-        rsp
-    }
-}
-
 /// Shared state of the fiber conductor. Everything runs on one OS thread, so
 /// no synchronization exists at all: fibers reach it through a raw pointer
 /// and exactly one fiber (or the host) is live at any instant.
-#[cfg(target_arch = "x86_64")]
+#[cfg(pgas_fiber)]
 struct FiberHub<T: Item> {
     machine: MachineModel,
     nthreads: usize,
@@ -286,7 +210,7 @@ struct FiberHub<T: Item> {
 }
 
 /// Per-fiber launch record; lives in a host-owned Vec with a stable address.
-#[cfg(target_arch = "x86_64")]
+#[cfg(pgas_fiber)]
 struct LaunchCtx<T: Item, R, F> {
     hub: *mut FiberHub<T>,
     tid: usize,
@@ -296,38 +220,49 @@ struct LaunchCtx<T: Item, R, F> {
 }
 
 /// Fiber body: run the worker, deposit results, hand the baton on, vanish.
-#[cfg(target_arch = "x86_64")]
+#[cfg(pgas_fiber)]
 extern "C" fn fiber_entry<T, R, F>(arg: usize) -> !
 where
     T: Item,
     F: Fn(&mut SimComm<T>) -> R,
 {
+    // SAFETY: `arg` is the address `run_fibers` planted for this fiber: its
+    // `LaunchCtx`, alive and unmodified in a host-owned Vec for the whole run.
     let ctx = unsafe { &*(arg as *const LaunchCtx<T, R, F>) };
     let hub = ctx.hub;
     // Being switched to for the first time *is* the first baton grant (the
     // host queued every fiber at (0, tid) before starting the earliest), so
     // cache the queue minimum exactly as the OS-thread register() does.
+    // SAFETY: the hub outlives every fiber and this fiber is the only live
+    // context, so the borrow is unique; it ends with this statement.
+    let (nthreads, faults, next_min) = unsafe {
+        let h = &*hub;
+        (h.nthreads, h.faults, h.queue.peek().map(|r| r.0))
+    };
     let mut comm = SimComm {
         backend: Backend::Fiber(hub),
         tid: ctx.tid,
-        nthreads: unsafe { (*hub).nthreads },
-        faults: unsafe { (*hub).faults },
+        nthreads,
+        faults,
         lookahead: true,
         local_clock: 0,
         pending_work: 0,
-        next_min: unsafe { (*hub).queue.peek().map(|r| r.0) },
+        next_min,
         stats: CommStats::default(),
         conductor: ConductorStats::default(),
     };
-    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let f = unsafe { &*ctx.f };
-        f(&mut comm)
-    }));
+    // SAFETY: `ctx.f` points at the worker closure `run_fibers` borrows for
+    // the whole run.
+    let f = unsafe { &*ctx.f };
+    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
     // Retire: fold trailing work, publish, and hand the baton on even if the
     // worker panicked, so the other simulated threads are not left suspended.
     comm.local_clock += comm.pending_work;
     let save;
     let load;
+    // SAFETY: only live context, so `&mut *hub` is unique; `ctx.result` and
+    // `ctx.panic` point at this fiber's own slots in host-owned Vecs that
+    // nothing else touches until the host is resumed.
     unsafe {
         let h = &mut *hub;
         h.clocks[ctx.tid] = comm.local_clock;
@@ -343,6 +278,9 @@ where
             None => h.host_rsp, // last one out resumes the host
         };
     }
+    // SAFETY: `load` is a suspended fiber's saved context (or the host's),
+    // taken from the queue entry just popped and so resumed exactly once; our
+    // own context saved at `save` is never loaded again (we left the queue).
     unsafe { fiber::switch(save, load) };
     unreachable!("retired simulated thread resumed");
 }
@@ -408,7 +346,7 @@ impl<T: Item> SimCluster<T> {
         R: Send,
         F: Fn(&mut SimComm<T>) -> R + Sync,
     {
-        #[cfg(target_arch = "x86_64")]
+        #[cfg(pgas_fiber)]
         if self.lookahead {
             return self.run_fibers(&f);
         }
@@ -418,7 +356,7 @@ impl<T: Item> SimCluster<T> {
     /// Fast mode: all simulated threads as fibers on this OS thread. A
     /// handoff is a user-level stack switch; the lookahead window skips even
     /// that when the runner stays globally earliest.
-    #[cfg(target_arch = "x86_64")]
+    #[cfg(pgas_fiber)]
     fn run_fibers<R, F>(self, f: &F) -> SimReport<R>
     where
         R: Send,
@@ -441,9 +379,9 @@ impl<T: Item> SimCluster<T> {
 
         let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
         let mut panics: Vec<Option<Box<dyn std::any::Any + Send>>> = (0..n).map(|_| None).collect();
-        // Zeroed so fresh pages come from the kernel lazily; fibers only
-        // touch what they use.
-        let mut stacks: Vec<Vec<u8>> = (0..n).map(|_| vec![0u8; SIM_STACK_SIZE]).collect();
+        // One reservation for the whole run: pages are committed only where
+        // a fiber touches them and all of it is unmapped when `stacks` drops.
+        let mut stacks = StackArena::new(n, SIM_STACK_SIZE);
 
         let ctxs: Vec<LaunchCtx<T, R, F>> = (0..n)
             .map(|tid| LaunchCtx {
@@ -454,14 +392,15 @@ impl<T: Item> SimCluster<T> {
                 panic: &mut panics[tid],
             })
             .collect();
-        for (tid, stack) in stacks.iter_mut().enumerate() {
-            // SAFETY: fresh stack, entry never returns (it switches away for
-            // good at retirement), ctxs outlives every fiber.
+        for (tid, ctx) in ctxs.iter().enumerate() {
+            // SAFETY: fresh stack in an arena dropped only after the run,
+            // entry never returns (it switches away for good at retirement),
+            // ctxs outlives every fiber.
             hub.rsps[tid] = unsafe {
                 fiber::init_stack(
-                    stack,
+                    stacks.stack(tid),
                     fiber_entry::<T, R, F>,
-                    &ctxs[tid] as *const _ as usize,
+                    ctx as *const _ as usize,
                 )
             };
         }
@@ -474,6 +413,11 @@ impl<T: Item> SimCluster<T> {
         // the retirement chain resumes `save` exactly once.
         unsafe { fiber::switch(save, load) };
 
+        // Every fiber has retired; read how deep each stack got while the
+        // arena still holds its pages.
+        for (conductor, peak) in hub.final_conductor.iter_mut().zip(stacks.peak_bytes()) {
+            conductor.as_mut().expect("retired conductor stats").stack_peak_bytes = peak as u64;
+        }
         if let Some(p) = panics.into_iter().flatten().next() {
             std::panic::resume_unwind(p);
         }
@@ -584,7 +528,7 @@ enum Backend<T: Item> {
     Threads(Arc<Shared<T>>),
     /// Fiber conductor: raw pointer to the hub on the host's stack frame,
     /// which outlives every fiber.
-    #[cfg(target_arch = "x86_64")]
+    #[cfg(pgas_fiber)]
     Fiber(*mut FiberHub<T>),
 }
 
@@ -717,7 +661,7 @@ impl<T: Item> SimComm<T> {
                 // mutex handoff that granted us the baton.
                 Backend::Threads(s) => unsafe { &mut *s.mem.get() },
                 // SAFETY: single OS thread; we are the only live fiber.
-                #[cfg(target_arch = "x86_64")]
+                #[cfg(pgas_fiber)]
                 Backend::Fiber(h) => unsafe { &mut (**h).mem },
             };
             return eff(mem, t);
@@ -739,32 +683,35 @@ impl<T: Item> SimComm<T> {
                 let mem = unsafe { &mut *shared.mem.get() };
                 eff(mem, t)
             }
-            #[cfg(target_arch = "x86_64")]
-            Backend::Fiber(hub) => unsafe {
-                // Requeue ourselves, pick the globally earliest thread, and
-                // switch to it unless that is us again. Exactly one fiber is
-                // live at a time, so each `&mut *hub` below is unique.
-                let next = {
+            #[cfg(pgas_fiber)]
+            Backend::Fiber(hub) => {
+                // The failed lookahead test has just proved that the queue
+                // minimum precedes `(t, tid)` (fibers always run with
+                // lookahead, and `next_min` is exact while we hold the
+                // baton), so "push ourselves, pop the minimum" is "replace
+                // the root by ourselves": one sift-down. Keys are unique, so
+                // the pop order does not depend on the heap's layout.
+                // SAFETY: exactly one fiber is live at a time, so this
+                // `&mut *hub` is unique; it ends before the switch.
+                let (save, load) = unsafe {
                     let h = &mut *hub;
                     h.clocks[self.tid] = t;
-                    h.queue.push(Reverse((t, self.tid)));
-                    let Reverse((_, next)) = h.queue.pop().expect("queue contains us");
-                    next
+                    let mut root = h.queue.peek_mut().expect("lookahead failed against an empty queue");
+                    let Reverse((_, next)) = std::mem::replace(&mut *root, Reverse((t, self.tid)));
+                    drop(root);
+                    assert_ne!(next, self.tid, "a running fiber was queued");
+                    (&mut h.rsps[self.tid] as *mut usize, h.rsps[next])
                 };
-                if next != self.tid {
-                    let (save, load) = {
-                        let h = &mut *hub;
-                        (&mut h.rsps[self.tid] as *mut usize, h.rsps[next])
-                    };
-                    // SAFETY: `load` was saved by the suspended fiber `next`
-                    // (or is its initial context); `save` is resumed exactly
-                    // once, by whichever fiber later pops our queue entry.
-                    fiber::switch(save, load);
-                }
-                let h = &mut *hub;
+                // SAFETY: `load` was saved by the suspended fiber `next`
+                // (or is its initial context); `save` is resumed exactly
+                // once, by whichever fiber later pops our queue entry.
+                unsafe { fiber::switch(save, load) };
+                // SAFETY: we were resumed, so we are the one live fiber again
+                // and the borrow is unique until `eff` returns.
+                let h = unsafe { &mut *hub };
                 self.next_min = h.queue.peek().map(|r| r.0);
                 eff(&mut h.mem, t)
-            },
+            }
         }
     }
 
@@ -803,7 +750,7 @@ impl<T: Item> Comm<T> for SimComm<T> {
             Backend::Threads(s) => &s.machine,
             // SAFETY: the hub outlives every fiber, and `machine` is written
             // only before the first fiber starts.
-            #[cfg(target_arch = "x86_64")]
+            #[cfg(pgas_fiber)]
             Backend::Fiber(h) => unsafe { &(**h).machine },
         }
     }
@@ -1177,6 +1124,30 @@ mod tests {
             slow.total_conductor().total_ops(),
             "both modes must conduct the same operation stream"
         );
+    }
+
+    /// The platform rule of `build.rs`: fast mode runs on fibers exactly on
+    /// x86-64 Linux — where it reports a measured, comfortably small stack
+    /// high-water mark — and on OS threads, which measure none, elsewhere.
+    #[test]
+    fn fast_mode_substrate_follows_the_platform_rule() {
+        assert_eq!(
+            cfg!(pgas_fiber),
+            cfg!(all(target_arch = "x86_64", target_os = "linux"))
+        );
+        let peak = |lookahead: bool| {
+            smp_cluster(4)
+                .with_lookahead(lookahead)
+                .run(|c| c.add(0, 0, 1))
+                .total_conductor()
+                .stack_peak_bytes
+        };
+        assert_eq!(peak(false), 0, "the reference conductor measures no stack");
+        if cfg!(pgas_fiber) {
+            assert!((1..SIM_STACK_SIZE as u64 / 2).contains(&peak(true)));
+        } else {
+            assert_eq!(peak(true), 0, "fast mode must fall back to OS threads");
+        }
     }
 
     /// The fast-path histogram attributes operations to the right class.

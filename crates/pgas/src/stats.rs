@@ -119,6 +119,10 @@ pub struct ConductorStats {
     /// Fast-path operations by [`OpClass`] histogram index
     /// ([`OpClass::index`]).
     pub fast_by_class: [u64; OpClass::COUNT],
+    /// Measured high-water mark of this thread's fiber stack, in bytes (page
+    /// granular: its top down to the lowest page the kernel committed for
+    /// it). 0 under the OS-thread conductor, whose stacks are not measured.
+    pub stack_peak_bytes: u64,
 }
 
 impl ConductorStats {
@@ -138,13 +142,15 @@ impl ConductorStats {
         }
     }
 
-    /// Merge another thread's counters into this one (for aggregate reports).
+    /// Merge another thread's counters into this one (for aggregate reports):
+    /// counts add, the stack high-water mark is the deepest thread's.
     pub fn merge(&mut self, other: &ConductorStats) {
         self.fast_ops += other.fast_ops;
         self.handoffs += other.handoffs;
         for (a, b) in self.fast_by_class.iter_mut().zip(other.fast_by_class) {
             *a += b;
         }
+        self.stack_peak_bytes = self.stack_peak_bytes.max(other.stack_peak_bytes);
     }
 }
 
@@ -158,14 +164,17 @@ mod tests {
             fast_ops: 3,
             handoffs: 1,
             fast_by_class: [3, 0, 0, 0, 0, 0],
+            stack_peak_bytes: 8192,
         };
         let b = ConductorStats {
             fast_ops: 1,
             handoffs: 1,
             fast_by_class: [0, 1, 0, 0, 0, 0],
+            stack_peak_bytes: 12288,
         };
         a.merge(&b);
         assert_eq!(a.total_ops(), 6);
+        assert_eq!(a.stack_peak_bytes, 12288, "the deepest thread's, not a sum");
         assert_eq!(a.fast_by_class, [3, 1, 0, 0, 0, 0]);
         assert!((a.fast_fraction() - 4.0 / 6.0).abs() < 1e-12);
         assert_eq!(ConductorStats::default().fast_fraction(), 0.0);

@@ -23,6 +23,30 @@ cargo test -q -p uts-sha1 -p uts-tree
 # kernel on a host that has the SHA extensions.
 cargo test -q -p uts-sha1 -- --nocapture selected_kernel
 
+echo "== pgas unit tests (fiber arena, conductors) =="
+# Same reason: the stack-arena, guard-page and conductor unit tests live in
+# the member crate.
+cargo test -q -p pgas
+
+echo "== SAFETY comments (crates/pgas/src) =="
+# Every `unsafe {` block and `unsafe impl` in the crate that owns the fiber
+# runtime must have a `// SAFETY:` comment directly above it (attribute lines
+# in between are skipped).
+awk '
+  FNR == 1 { n = 0 }
+  { line[++n] = $0 }
+  /unsafe \{|unsafe impl/ && $0 !~ /^[[:space:]]*\/\// {
+    ok = 0
+    for (j = n - 1; j >= 1; j--) {
+      if (line[j] ~ /^[[:space:]]*#\[/) continue
+      if (line[j] !~ /^[[:space:]]*\/\//) break
+      if (line[j] ~ /SAFETY/) { ok = 1; break }
+    }
+    if (!ok) { printf "%s:%d: unsafe without a SAFETY comment directly above\n", FILENAME, FNR; bad = 1 }
+  }
+  END { exit bad }
+' crates/pgas/src/*.rs
+
 echo "== bench/ build + tests =="
 # The benchmark is a package of its own, outside the workspace, reaching the
 # crates through their public API only: build and test it here so an API

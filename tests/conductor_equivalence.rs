@@ -16,7 +16,7 @@
 //! membership faults, all three DAG families, and a conflict-storm stress
 //! case of raw cross-thread put/get chains.
 
-use pgas::sim::{SimCluster, SimReport};
+use pgas::sim::{SimCluster, SimReport, SIM_STACK_SIZE};
 use pgas::{ArrivalSpec, Comm, FaultPlan, MachineModel};
 use uts_tree::presets::{self, Preset};
 use uts_tree::TreeSpec;
@@ -41,6 +41,18 @@ fn assert_sim_identical(
         a.total_conductor().total_ops(),
         b.total_conductor().total_ops(),
         "{label}: operation streams differ in length"
+    );
+    assert_stack_margin(a.total_conductor().stack_peak_bytes, label);
+    assert_stack_margin(b.total_conductor().stack_peak_bytes, label);
+}
+
+/// The stack a simulated thread reserves is a margin over a measurement: the
+/// deepest fiber of any run in this matrix must stay in its upper half. The
+/// reference conductor measures nothing and reports 0.
+fn assert_stack_margin(stack_peak_bytes: u64, label: &str) {
+    assert!(
+        stack_peak_bytes < SIM_STACK_SIZE as u64 / 2,
+        "{label}: a fiber stack reached {stack_peak_bytes} bytes of {SIM_STACK_SIZE}"
     );
 }
 
@@ -292,4 +304,5 @@ fn conflict_storm_stays_bit_identical() {
         fiber.total_conductor().handoffs > 0,
         "storm never forced a baton handoff"
     );
+    assert_stack_margin(fiber.total_conductor().stack_peak_bytes, "storm");
 }
