@@ -92,6 +92,7 @@ impl DistMemTransport {
 
 impl<T: Item, C: Comm<T>> StealTransport<T, C> for DistMemTransport {
     const NAME: &'static str = "distmem";
+    const PROBES: bool = true;
     const BARRIER_WATCHDOG: &'static str = "distmem termination barrier";
 
     fn init(&mut self, comm: &mut C, _cx: &mut Cx) {

@@ -1,13 +1,13 @@
 //! Run harness: dispatch an [`Algorithm`] onto a backend and assemble the
 //! [`RunReport`].
 
+use std::collections::HashMap;
 use std::time::Instant;
 
+use pgas::comm::Item;
 use pgas::native::NativeCluster;
 use pgas::sim::SimCluster;
-use pgas::{Comm, MachineModel};
-
-use pgas::Collectives;
+use pgas::{Collectives, Comm, MachineModel};
 
 use crate::config::{ConfigError, RunConfig};
 use crate::report::{RunReport, ThreadResult};
@@ -26,17 +26,25 @@ where
     C: Comm<G::Task>,
 {
     let cfg = &clamp_release_to_frontier(comm, gen, cfg);
-    let mut res = crate::sched::run_bundle(comm, gen, cfg);
-    if cfg.faults.crash_active() {
-        // A dead rank can never join the collective; the host-side
-        // aggregation does the conservation accounting instead.
-        res.reduced_total = 0;
+    let res = crate::sched::run_bundle(comm, gen, cfg);
+    finish_worker(comm, cfg, res)
+}
+
+/// The end of every worker, batch or service: the in-band final count, as
+/// the original UTS does with `upc_all_reduce` after termination — every
+/// thread learns the global total. Crash runs skip it: a dead rank can never
+/// join the collective, and the host-side aggregation does the conservation
+/// accounting instead.
+pub(crate) fn finish_worker<T: Item, C: Comm<T>>(
+    comm: &mut C,
+    cfg: &RunConfig,
+    mut res: ThreadResult,
+) -> ThreadResult {
+    res.reduced_total = if cfg.faults.crash_active() {
+        0
     } else {
-        // In-band final count, as the original UTS does with upc_all_reduce
-        // after termination. Every thread learns the global total.
-        let mut coll = Collectives::new(vars::COLL_BASE);
-        res.reduced_total = coll.all_reduce_sum(comm, res.nodes as i64) as u64;
-    }
+        Collectives::new(vars::COLL_BASE).all_reduce_sum(comm, res.nodes as i64) as u64
+    };
     res
 }
 
@@ -147,14 +155,7 @@ where
             .with_lookahead(cfg.sim_lookahead)
             .with_faults(cfg.faults);
     let report = cluster.run(|comm| worker(comm, gen, cfg));
-    Ok(assemble(
-        cfg,
-        machine_name,
-        nthreads,
-        gen.critical_path_len().unwrap_or(0),
-        report.makespan_ns,
-        report.results,
-    ))
+    Ok(assemble(cfg, machine_name, nthreads, gen, report.makespan_ns, report.results))
 }
 
 /// Run on real OS threads (the shared-memory setting). The makespan is
@@ -190,46 +191,74 @@ where
     let cluster: NativeCluster<G::Task> =
         NativeCluster::new(machine, nthreads, vars::space_config_for(gen, nthreads));
     let report = cluster.run(|comm| worker(comm, gen, cfg));
-    Ok(assemble(
-        cfg,
-        machine_name,
-        nthreads,
-        gen.critical_path_len().unwrap_or(0),
-        report.makespan_ns,
-        report.results,
-    ))
+    Ok(assemble(cfg, machine_name, nthreads, gen, report.makespan_ns, report.results))
 }
 
 /// Sequential reference traversal of the same task tree; returns
 /// (nodes, wall-clock ns). Used for baselines and conservation checks.
 pub fn seq_run<G: TaskGen>(gen: &G) -> (u64, u64) {
     let t0 = Instant::now();
-    let mut stack = vec![gen.root()];
-    let mut nodes = 0u64;
-    let mut scratch = Vec::new();
-    while let Some(n) = stack.pop() {
-        nodes += 1;
-        scratch.clear();
-        gen.expand(&n, &mut scratch);
-        stack.extend_from_slice(&scratch);
-    }
+    let nodes = seq_count(gen, gen.root(), None);
     (nodes, t0.elapsed().as_nanos() as u64)
 }
 
-fn assemble(
+/// The sequential oracle: expand the tree below `root` depth-first; returns
+/// the node count and, when `fps` is given, pushes every node's fingerprint.
+pub(crate) fn seq_count<G: TaskGen>(
+    gen: &G,
+    root: G::Task,
+    mut fps: Option<&mut Vec<u64>>,
+) -> u64 {
+    let mut stack = vec![root];
+    let mut scratch = Vec::new();
+    let mut nodes = 0u64;
+    while let Some(t) = stack.pop() {
+        nodes += 1;
+        if let Some(f) = fps.as_deref_mut() {
+            f.push(gen.fingerprint(&t));
+        }
+        scratch.clear();
+        gen.expand(&t, &mut scratch);
+        stack.extend_from_slice(&scratch);
+    }
+    nodes
+}
+
+/// Batch assembly: fold the fingerprints crash runs record (none otherwise)
+/// into the conservation-with-multiplicity counters, then the common report.
+fn assemble<G: TaskGen>(
+    cfg: &RunConfig,
+    machine: &'static str,
+    threads: usize,
+    gen: &G,
+    makespan_ns: u64,
+    per_thread: Vec<ThreadResult>,
+) -> RunReport {
+    let mut mult: HashMap<u64, u64> = HashMap::new();
+    for &fp in per_thread.iter().flat_map(|t| &t.explored) {
+        *mult.entry(fp).or_insert(0) += 1;
+    }
+    let dup = mult.values().map(|&m| m - 1).sum();
+    let max = mult.values().copied().max().unwrap_or(1);
+    let depth = gen.critical_path_len().unwrap_or(0);
+    build_report(cfg, machine, threads, depth, makespan_ns, per_thread, (dup, max))
+}
+
+/// The fields every [`RunReport`] shares, batch or service, and the check
+/// every run makes: the in-band reduction must agree with the host-side sum
+/// on every thread. (Crash runs skip the collective: a dead rank cannot join
+/// it.) `multiplicity` is `(duplicate_nodes, max_multiplicity)`.
+pub(crate) fn build_report(
     cfg: &RunConfig,
     machine: &'static str,
     threads: usize,
     critical_path_len: u64,
     makespan_ns: u64,
     per_thread: Vec<ThreadResult>,
+    (duplicate_nodes, max_multiplicity): (u64, u64),
 ) -> RunReport {
     let total_nodes: u64 = per_thread.iter().map(|t| t.nodes).sum();
-    let crash = cfg.faults.crash_active();
-    if !crash {
-        // The in-band reduction must agree with the host-side sum on every
-        // thread — a run-time conservation check in every single run. (Crash
-        // runs skip the collective: a dead rank cannot join it.)
+    if !cfg.faults.crash_active() {
         for (t, r) in per_thread.iter().enumerate() {
             assert_eq!(
                 r.reduced_total, total_nodes,
@@ -237,20 +266,6 @@ fn assemble(
             );
         }
     }
-    let (recovered_nodes, duplicate_nodes, max_multiplicity) = if crash {
-        let recovered = per_thread.iter().map(|t| t.recovered_nodes).sum();
-        let mut mult: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-        for t in &per_thread {
-            for &fp in &t.explored {
-                *mult.entry(fp).or_insert(0) += 1;
-            }
-        }
-        let dup = mult.values().map(|&m| m - 1).sum();
-        let max = mult.values().copied().max().unwrap_or(1).max(1);
-        (recovered, dup, max)
-    } else {
-        (0, 0, 1)
-    };
     RunReport {
         label: cfg.algorithm.label(),
         machine,
@@ -258,7 +273,7 @@ fn assemble(
         chunk_size: cfg.chunk_size,
         total_nodes,
         makespan_ns,
-        recovered_nodes,
+        recovered_nodes: per_thread.iter().map(|t| t.recovered_nodes).sum(),
         duplicate_nodes,
         max_multiplicity,
         deaths: per_thread.iter().filter(|t| t.died).count(),

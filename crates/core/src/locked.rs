@@ -43,6 +43,7 @@ impl LockedTransport {
 
 impl<T: Item, C: Comm<T>> StealTransport<T, C> for LockedTransport {
     const NAME: &'static str = "locked";
+    const PROBES: bool = true;
     const BARRIER_WATCHDOG: &'static str = "streamlined termination barrier";
 
     fn refill(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx) -> bool {

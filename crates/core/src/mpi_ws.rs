@@ -106,40 +106,6 @@ impl<T: Item> MpiTransport<T> {
         }
     }
 
-    /// Crash mode: close acknowledged grants and re-inject overdue ones.
-    fn crash_lineage_service<C: Comm<T>>(
-        &mut self,
-        comm: &mut C,
-        stack: &mut DfsStack<T>,
-        cx: &mut Cx,
-    ) {
-        if !self.crash {
-            return;
-        }
-        while let Some(m) = comm.try_recv(Some(TAG_ACK)) {
-            if !cx.recovery.admit(m.src, m.meta[3]) {
-                // An evicted incarnation's ACK: ignore it, the grant stays
-                // open and re-injects (duplicates are multiplicity-safe).
-                cx.res.fenced_drops += 1;
-                continue;
-            }
-            if let Some(grant) = self.lineage.ack(comm, m.meta[0] as u64) {
-                // The thief published its +items before this ACK could be
-                // sent, so closing the donor side now can only overcount,
-                // never undercount (service mode only).
-                if let Some(ep) = self.epoch_of {
-                    cx.svc.bump_items(comm, grant.payload(), ep, -1);
-                }
-            }
-        }
-        let items = self.lineage.reinject_due(comm, stack, &mut cx.recovery);
-        if items > 0 {
-            cx.res.recovered_nodes += items;
-            let now = comm.now();
-            cx.log.reinject(items, now);
-        }
-    }
-
     /// Crash mode: mark ourselves working (and, in service mode, put the
     /// absorbed items on our per-epoch books), then acknowledge grant `m`
     /// so the donor can close its lineage entry. Working/absorb-before-ACK
@@ -170,7 +136,7 @@ impl<T: Item> MpiTransport<T> {
     where
         C: Comm<T>,
     {
-        self.crash_lineage_service(comm, stack, cx);
+        self.lineage.service(comm, stack, cx, self.epoch_of);
         while let Some(req) = comm.try_recv(Some(TAG_REQ)) {
             if self.crash {
                 if !cx.recovery.admit(req.src, req.meta[3]) {

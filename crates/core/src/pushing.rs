@@ -76,37 +76,6 @@ impl<T: Item> PushTransport<T> {
         }
     }
 
-    /// Crash mode: close acknowledged pushes and re-inject overdue ones.
-    fn crash_lineage_service<C: Comm<T>>(
-        &mut self,
-        comm: &mut C,
-        stack: &mut DfsStack<T>,
-        cx: &mut Cx,
-    ) {
-        if !self.crash {
-            return;
-        }
-        while let Some(m) = comm.try_recv(Some(TAG_ACK)) {
-            if !cx.recovery.admit(m.src, m.meta[3]) {
-                cx.res.fenced_drops += 1;
-                continue; // fenced ACK: leave the push open to re-inject
-            }
-            if let Some(grant) = self.lineage.ack(comm, m.meta[0] as u64) {
-                // Receiver's +items preceded this ACK, so the −items close
-                // can only overcount in between (service mode only).
-                if let Some(ep) = self.epoch_of {
-                    cx.svc.bump_items(comm, grant.payload(), ep, -1);
-                }
-            }
-        }
-        let items = self.lineage.reinject_due(comm, stack, &mut cx.recovery);
-        if items > 0 {
-            cx.res.recovered_nodes += items;
-            let now = comm.now();
-            cx.log.reinject(items, now);
-        }
-    }
-
     /// Pull every pushed chunk out of the mailbox onto the stack; returns
     /// how many chunks arrived. In crash mode each chunk is acknowledged
     /// after the working marker is published (working-before-ACK).
@@ -161,7 +130,7 @@ impl<T: Item, C: Comm<T>> StealTransport<T, C> for PushTransport<T> {
             self.since_poll = 0;
             let got = self.absorb(comm, stack, cx);
             self.recv += got;
-            self.crash_lineage_service(comm, stack, cx);
+            self.lineage.service(comm, stack, cx, self.epoch_of);
         }
     }
 
@@ -197,7 +166,7 @@ impl<T: Item, C: Comm<T>> StealTransport<T, C> for PushTransport<T> {
     }
 
     fn idle_service(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx) {
-        self.crash_lineage_service(comm, stack, cx);
+        self.lineage.service(comm, stack, cx, self.epoch_of);
     }
 
     fn absorb_pending(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx) -> bool {

@@ -6,8 +6,8 @@
 //! message duplication, rank death — [`pgas::FaultPlan::crash_active`]), the
 //! paper's termination detectors are unsound: the token ring's sent/recv
 //! counts never balance under loss, and the barriers would wait forever for
-//! a dead rank. The scheduler then routes every detector through the
-//! crash-mode discovery loops in [`crate::sched::termination`], which drive
+//! a dead rank. The scheduler then runs the recovery-aware idle loop of
+//! [`crate::sched::termination`] in every detector's place, which drives
 //! the machinery in this module:
 //!
 //! - **Leases/heartbeats**: every live rank periodically writes `now` into
@@ -45,6 +45,7 @@
 use pgas::comm::Item;
 use pgas::{Comm, FaultPlan};
 
+use crate::sched::Cx;
 use crate::stack::DfsStack;
 use crate::vars;
 
@@ -126,7 +127,7 @@ pub struct Recovery {
     /// Incarnation we last voted to evict, per rank (-1 = no open vote).
     voted_inc: Vec<i64>,
     /// Evictions this rank executed whose shared cells still await the
-    /// transport's scavenge pass (drained by the discovery loops).
+    /// transport's scavenge pass (drained by the idle loop).
     pending_scavenge: Vec<usize>,
     /// This rank's scheduled post-kill restart, if the plan revives it.
     restart_at: Option<u64>,
@@ -717,6 +718,43 @@ impl<T: Item> Lineage<T> {
             }
         }
         recovered
+    }
+
+    /// The donor's periodic duty on a message transport (no-op outside
+    /// crash mode): close every grant whose [`TAG_ACK`] arrived — ignoring
+    /// ACKs from a fenced incarnation, whose grant stays open and
+    /// re-injects (duplicates are multiplicity-safe) — then re-inject the
+    /// overdue ones. `epoch_of` is service mode's task→epoch extractor: the
+    /// thief published its `+items` before its ACK could be sent, so
+    /// settling the donor's `−items` at the close can only overcount in
+    /// between, never undercount.
+    pub fn service<C: Comm<T>>(
+        &mut self,
+        comm: &mut C,
+        stack: &mut DfsStack<T>,
+        cx: &mut Cx,
+        epoch_of: Option<fn(&T) -> u32>,
+    ) {
+        if !cx.recovery.active {
+            return;
+        }
+        while let Some(m) = comm.try_recv(Some(TAG_ACK)) {
+            if !cx.recovery.admit(m.src, m.meta[3]) {
+                cx.res.fenced_drops += 1;
+                continue;
+            }
+            if let Some(grant) = self.ack(comm, m.meta[0] as u64) {
+                if let Some(ep) = epoch_of {
+                    cx.svc.bump_items(comm, grant.payload(), ep, -1);
+                }
+            }
+        }
+        let items = self.reinject_due(comm, stack, &mut cx.recovery);
+        if items > 0 {
+            cx.res.recovered_nodes += items;
+            let now = comm.now();
+            cx.log.reinject(items, now);
+        }
     }
 
     /// Deathbed: fold every open payload back into the local deque (it will

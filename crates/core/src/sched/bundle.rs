@@ -28,7 +28,7 @@ use crate::report::ThreadResult;
 use crate::taskgen::TaskGen;
 
 use super::policy::{StealPolicyKind, VictimPolicy};
-use super::termination::{CancelableTerm, RingTerm, StreamlinedTerm};
+use super::termination::{CancelableTerm, RingTerm, StreamlinedTerm, TerminationDetector};
 use super::drive;
 
 /// Which termination detector a bundle uses.
@@ -148,6 +148,31 @@ impl RunConfig {
 /// paper's wait-forever default would hang.
 pub const CRASH_STEAL_TIMEOUT_NS: u64 = 50_000;
 
+/// The one place the four transports are constructed: run the generic
+/// driver with detector `td` over the transport (and with the victim order)
+/// `cfg`'s bundle names. Batch mode passes the bundle's paper detector
+/// ([`run_bundle`]), service mode its epoch detector ([`crate::service`]).
+pub(crate) fn drive_over<G, C, TD>(comm: &mut C, gen: &G, cfg: &RunConfig, td: TD) -> ThreadResult
+where
+    G: TaskGen,
+    C: Comm<G::Task>,
+    TD: TerminationDetector<G::Task, C>,
+{
+    let spec = cfg.bundle();
+    let me = comm.my_id();
+    let n = comm.n_threads();
+    let victims = spec.victims.build(me, n, cfg.seed, comm.machine());
+    let sp = spec.steal;
+    match spec.transport {
+        TransportKind::Locked => drive(comm, gen, cfg, LockedTransport::new(sp), td, victims),
+        TransportKind::DistMem => drive(comm, gen, cfg, DistMemTransport::new(sp), td, victims),
+        TransportKind::MpiMsg => drive(comm, gen, cfg, MpiTransport::new(sp), td, victims),
+        TransportKind::PushMsg => {
+            drive(comm, gen, cfg, PushTransport::new(me, n, cfg.seed), td, victims)
+        }
+    }
+}
+
 /// Resolve `cfg`'s policy bundle and run the generic driver with it.
 ///
 /// Under a crash-fault plan ([`pgas::FaultPlan::crash_active`]) an unset
@@ -170,40 +195,20 @@ where
     }
     let cfg = &armed;
     let spec = cfg.bundle();
-    let me = comm.my_id();
-    let n = comm.n_threads();
-    let victims = spec.victims.build(me, n, cfg.seed, comm.machine());
-    let sp = spec.steal;
-    match (spec.transport, spec.termination) {
-        (TransportKind::Locked, TerminationKind::Cancelable) => {
-            drive(comm, gen, cfg, LockedTransport::new(sp), CancelableTerm, victims)
+    let messages = matches!(spec.transport, TransportKind::MpiMsg | TransportKind::PushMsg);
+    assert!(
+        messages == (spec.termination == TerminationKind::TokenRing),
+        "unsupported policy bundle: {:?} termination cannot run over the {:?} transport",
+        spec.termination,
+        spec.transport
+    );
+    match spec.termination {
+        TerminationKind::Cancelable => drive_over(comm, gen, cfg, CancelableTerm),
+        TerminationKind::Streamlined => drive_over(comm, gen, cfg, StreamlinedTerm),
+        TerminationKind::TokenRing => {
+            let ring = RingTerm::new(comm.my_id(), comm.n_threads());
+            drive_over(comm, gen, cfg, ring)
         }
-        (TransportKind::Locked, TerminationKind::Streamlined) => {
-            drive(comm, gen, cfg, LockedTransport::new(sp), StreamlinedTerm, victims)
-        }
-        (TransportKind::DistMem, TerminationKind::Cancelable) => {
-            drive(comm, gen, cfg, DistMemTransport::new(sp), CancelableTerm, victims)
-        }
-        (TransportKind::DistMem, TerminationKind::Streamlined) => {
-            drive(comm, gen, cfg, DistMemTransport::new(sp), StreamlinedTerm, victims)
-        }
-        (TransportKind::MpiMsg, TerminationKind::TokenRing) => {
-            drive(comm, gen, cfg, MpiTransport::new(sp), RingTerm::new(me, n), victims)
-        }
-        (TransportKind::PushMsg, TerminationKind::TokenRing) => {
-            drive(
-                comm,
-                gen,
-                cfg,
-                PushTransport::new(me, n, cfg.seed),
-                RingTerm::new(me, n),
-                victims,
-            )
-        }
-        (transport, termination) => panic!(
-            "unsupported policy bundle: {termination:?} termination cannot run over the \
-             {transport:?} transport"
-        ),
     }
 }
 

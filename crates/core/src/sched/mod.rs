@@ -15,19 +15,21 @@
 //! [`drive`] is the single generic worker: the Figure-1 state machine,
 //! per-state time accounting, trace emission, and the working loop
 //! (pop/expand/push, periodic polling, release checks) live here **once**,
-//! parameterized by the four policies. Each of the seven [`Algorithm`]
-//! variants is now a named policy bundle ([`bundle`]), resolved by
-//! [`bundle::run_bundle`] — and because the axes are independent, non-paper
-//! combinations (hierarchical victims on the locked transport, adaptive
-//! steal amounts on distmem) are one-line configurations instead of new
-//! algorithm modules.
+//! parameterized by the four policies — it is the only function that enters
+//! [`State::Working`]. Each of the seven [`Algorithm`] variants is a named
+//! policy bundle ([`bundle`]), resolved by [`bundle::run_bundle`] — and
+//! because the axes are independent, non-paper combinations (hierarchical
+//! victims on the locked transport, adaptive steal amounts on distmem) are
+//! one-line configurations instead of new algorithm modules. Service mode
+//! ([`crate::service`]) is a detector swap on the same driver.
 //!
 //! **Bit-identity contract**: for the seven seed bundles, the sequence of
 //! [`Comm`] operations issued by `drive` is identical, call for call, to the
 //! pre-refactor monolithic loops. On the virtual-time simulator every comm
 //! op advances the clock, so this is checked end-to-end by regenerating the
-//! committed result CSVs — any stray operation shifts every subsequent
-//! timestamp.
+//! committed result CSVs and, on every test run, by the exact numbers in
+//! `tests/frozen_schedules.rs` — any stray operation shifts every
+//! subsequent timestamp.
 //!
 //! [`Algorithm`]: crate::config::Algorithm
 
@@ -51,6 +53,7 @@ use crate::trace::TraceLog;
 pub use bundle::{run_bundle, BundleSpec, TerminationKind, TransportKind};
 pub use policy::{StealPolicy, StealPolicyKind, VictimPolicy};
 pub use termination::{CancelableTerm, RingTerm, StreamlinedTerm, TerminationDetector};
+use termination::idle_discover;
 
 /// Per-worker bookkeeping threaded through every policy hook: configuration,
 /// result counters, the Figure-1 state clock, and the trace log.
@@ -156,6 +159,11 @@ pub trait StealTransport<T: Item, C: Comm<T>> {
     /// where idle threads park in termination detection and wait for chunks
     /// to land in their mailbox.
     const STEALS: bool = true;
+    /// Whether a thief reads the victim's advertised work level
+    /// ([`StealTransport::probe`]) before committing to a steal. `true` for
+    /// the shared-region transports, which the barrier detectors need;
+    /// `false` for the message transports, whose thieves can only ask.
+    const PROBES: bool = false;
     /// Backoff charged between idle termination-protocol iterations
     /// (token-ring transports).
     const IDLE_BACKOFF_NS: u64 = 0;
@@ -166,7 +174,7 @@ pub trait StealTransport<T: Item, C: Comm<T>> {
     /// the distmem request cell).
     fn init(&mut self, _comm: &mut C, _cx: &mut Cx) {}
 
-    /// Service mode is starting: the driver hands the transport an extractor
+    /// Service mode is starting: its detector hands the transport an extractor
     /// mapping a task to its submission epoch, so crash-mode transfer
     /// accounting (grant absorption, ACK-closed lineage) can attribute moved
     /// items to epochs (see `docs/service.md`). Default no-op: the
@@ -200,7 +208,7 @@ pub trait StealTransport<T: Item, C: Comm<T>> {
 
     /// Read `victim`'s advertised work level (§3.3.1 tri-state: positive =
     /// stealable surplus, 0 = working without surplus, negative = out of
-    /// work). Only called by probing termination detectors.
+    /// work). Only called on [`StealTransport::PROBES`] transports.
     fn probe(&mut self, _comm: &mut C, _victim: usize) -> i64 {
         unimplemented!("transport `{}` does not probe victims", Self::NAME)
     }
@@ -288,7 +296,8 @@ pub trait StealTransport<T: Item, C: Comm<T>> {
 /// happens).
 ///
 /// Custom harnesses can call this directly with hand-built policies; the
-/// seven paper/extension algorithms go through [`bundle::run_bundle`].
+/// seven paper/extension algorithms go through [`bundle::run_bundle`], and
+/// service mode through [`crate::service::run_service_sim`].
 pub fn drive<G, C, ST, TD, VS>(
     comm: &mut C,
     gen: &G,
@@ -311,9 +320,9 @@ where
     let crash = cx.recovery.active;
     let mut scratch: Vec<G::Task> = Vec::new();
 
+    let seed_root = td.start(comm, &mut transport, &mut cx);
     transport.init(comm, &mut cx);
-
-    if me == 0 {
+    if seed_root && me == 0 {
         stack.push(gen.root());
     }
 
@@ -334,6 +343,7 @@ where
                     continue 'outer;
                 }
             }
+            td.tick(comm, &mut stack, &mut cx);
             if stack.is_local_empty() {
                 if transport.refill(comm, &mut stack, &mut cx) {
                     continue;
@@ -351,6 +361,7 @@ where
             // before maybe_release can migrate them — tree workloads expand
             // purely, leaving the comm-op stream bit-identical.
             gen.expand_in(comm, &node, &mut scratch);
+            td.on_expand(comm, &node, scratch.len(), &mut cx);
             stack.push_all(&scratch);
             comm.work(gen.work_units(&node));
             transport.poll(comm, &mut stack, &mut cx);
@@ -362,7 +373,17 @@ where
         if !died {
             transport.on_out_of_work(comm, &mut stack, &mut cx);
             // --------------- Work Discovery / Stealing / Termination (Fig. 1)
-            match td.discover(comm, &mut stack, &mut transport, &mut victims, &mut cx) {
+            // Under a crash plan none of the paper's protocols can end the
+            // search — a dead rank parks either barrier forever, and the
+            // ring's transfer counts never balance under message loss or
+            // duplication — so every detector falls back on the
+            // recovery-aware idle loop.
+            let found = if crash {
+                idle_discover(comm, &mut stack, &mut transport, &mut victims, &mut cx, &mut td)
+            } else {
+                td.discover(comm, &mut stack, &mut transport, &mut victims, &mut cx)
+            };
+            match found {
                 Discovery::GotWork => continue 'outer,
                 Discovery::Terminated => break 'outer,
                 Discovery::Died => {} // fall through to the deathbed
@@ -400,7 +421,7 @@ where
 /// A rank observed its own eviction fence: fold everything the old
 /// incarnation still holds (the transport deathbed hook covers shared
 /// chunks and open lineage), then re-enter as a new incarnation. Shared by
-/// [`drive`] and the crash-mode discovery loops.
+/// [`drive`] and the recovery-aware idle loop.
 pub(crate) fn refence<T, C, ST>(
     comm: &mut C,
     stack: &mut DfsStack<T>,

@@ -15,6 +15,11 @@
 //! Each detector drives the transport through the same narrow hook set
 //! ([`StealTransport`]), so any probing detector composes with any
 //! shared-region transport and the ring with any message transport.
+//!
+//! None of the three survives a missing rank or a lost message, and none
+//! can end a run that keeps receiving work. Those modes — crash-fault batch
+//! runs and service mode — share [`idle_discover`], the recovery-aware idle
+//! loop, and differ only in the detector's idle hooks.
 
 use pgas::comm::Item;
 use pgas::Comm;
@@ -32,30 +37,27 @@ use crate::watchdog::Watchdog;
 
 use super::{Cx, Discovery, StealOutcome, StealTransport};
 
-/// One iteration of the crash-mode recovery protocol an idle rank must run:
-/// heartbeat (with the piggybacked self-fence check), membership scan
-/// (death confirmation, quorum eviction, re-admission), eviction scavenge,
-/// orphan adoption, and the quiescence check (rank 0 scans and broadcasts;
-/// everyone else watches its `TERM` cell). Returns a verdict when the
-/// iteration acquired work or proved termination.
-fn crash_tick<T, C, ST>(
+/// The crash-recovery duties of an idle rank (no-op without a crash plan):
+/// heartbeat (with the piggybacked self-fence check), membership scan (death
+/// confirmation, quorum eviction, re-admission), eviction scavenge, orphan
+/// adoption. Returns `true` when it left work on `stack`.
+fn recover<T: Item, C: Comm<T>, ST: StealTransport<T, C>>(
     comm: &mut C,
     stack: &mut DfsStack<T>,
     transport: &mut ST,
     cx: &mut Cx,
-) -> Option<Discovery>
-where
-    T: Item,
-    C: Comm<T>,
-    ST: StealTransport<T, C>,
-{
+) -> bool {
+    if !cx.recovery.active {
+        return false;
+    }
     cx.recovery.heartbeat(comm);
     if cx.recovery.is_fenced() {
-        // Our tenancy was revoked while we were stalled: fold what the old
-        // incarnation held and re-enter as a new one.
+        // Our tenancy was revoked while we were stalled (partition or gray
+        // freeze): fold what the old incarnation held and re-enter as a new
+        // one.
         super::refence(comm, stack, transport, cx);
         if !stack.is_local_empty() {
-            return Some(Discovery::GotWork);
+            return true;
         }
     }
     cx.recovery.scan(comm);
@@ -74,7 +76,7 @@ where
         cx.recovery.guard_end(comm);
         if items > 0 {
             transport.got_work(comm);
-            return Some(Discovery::GotWork);
+            return true;
         }
     }
     if let Some((dead, items)) = cx.recovery.try_adopt(comm, stack) {
@@ -82,131 +84,103 @@ where
         let now = comm.now();
         cx.log.adopt(dead, items, now);
         transport.got_work(comm);
-        return Some(Discovery::GotWork);
+        return true;
     }
-    let done = if comm.my_id() == 0 {
-        cx.recovery.quiescence_check(comm)
+    false
+}
+
+/// The recovery-aware idle loop (see the module docs): an idle rank keeps
+/// stealing, stays responsive to requests and interleaves the crash-recovery
+/// duties; `td`'s idle hooks say when it may stop, what else it owes each
+/// iteration and how it paces itself.
+pub(crate) fn idle_discover<T, C, ST, VS, TD>(
+    comm: &mut C,
+    stack: &mut DfsStack<T>,
+    transport: &mut ST,
+    victims: &mut VS,
+    cx: &mut Cx,
+    td: &mut TD,
+) -> Discovery
+where
+    T: Item,
+    C: Comm<T>,
+    ST: StealTransport<T, C>,
+    VS: VictimSelector,
+    TD: TerminationDetector<T, C> + ?Sized,
+{
+    cx.enter(comm, State::Searching);
+    cx.recovery.publish_out(comm);
+    let mut dog = Watchdog::new("recovery-aware work discovery");
+    let (base, cap) = td.idle_backoff(comm.my_id(), ST::IDLE_BACKOFF_NS);
+    let mut backoff = base;
+    // Message transports ask one victim per iteration, walking a cycle that
+    // outlives the iteration.
+    let blind = ST::STEALS && !ST::PROBES;
+    let mut cycle = if blind && TD::EAGER_CYCLE {
+        victims.cycle()
     } else {
-        cx.recovery.term_seen(comm)
+        Vec::new()
     };
-    // A rank may not exit while it alone holds open lineage payloads (a
-    // fenced zombie's pushes to already-exited ranks land in mailboxes no
-    // one drains); the periodic lineage service re-injects them within
-    // REINJECT_TIMEOUT_NS and the next iteration finds the work.
-    (done && transport.inflight() == 0).then_some(Discovery::Terminated)
-}
-
-/// Crash-mode work discovery for the probing detectors (§3.1 and §3.3.1
-/// both): the barriers are unusable with a rank missing, so the idle loop
-/// probes live victims for work — each steal wrapped in a `LIN_OUT` guard so
-/// quiescence can never slip between the victim's counter update and the
-/// thief's working marker — and interleaves the recovery protocol.
-fn discover_probing_crash<T, C, ST, VS>(
-    comm: &mut C,
-    stack: &mut DfsStack<T>,
-    transport: &mut ST,
-    victims: &mut VS,
-    cx: &mut Cx,
-) -> Discovery
-where
-    T: Item,
-    C: Comm<T>,
-    ST: StealTransport<T, C>,
-    VS: VictimSelector,
-{
-    cx.enter(comm, State::Searching);
-    cx.recovery.publish_out(comm);
-    let mut dog = Watchdog::new("crash-mode work discovery");
-    loop {
-        dog.tick();
-        if cx.recovery.kill_due(comm.now()) {
-            return Discovery::Died;
-        }
-        transport.idle_service(comm, stack, cx);
-        if transport.absorb_pending(comm, stack, cx) || !stack.is_local_empty() {
-            cx.recovery.publish_working(comm);
-            transport.got_work(comm);
-            return Discovery::GotWork;
-        }
-        for v in victims.cycle() {
-            if cx.recovery.is_gone(v) {
-                continue;
-            }
-            cx.res.probes += 1;
-            if transport.probe(comm, v) > 0 {
-                cx.enter(comm, State::Stealing);
-                cx.recovery.guard_begin(comm);
-                let outcome = transport.steal(comm, stack, v, cx);
-                if outcome == StealOutcome::Got {
-                    // Working-before-unguard (see crate::recovery).
-                    cx.recovery.publish_working(comm);
-                }
-                cx.recovery.guard_end(comm);
-                cx.enter(comm, State::Searching);
-                match outcome {
-                    StealOutcome::Got => {
-                        transport.got_work(comm);
-                        return Discovery::GotWork;
-                    }
-                    StealOutcome::TimedOut => transport.after_timeout(comm, cx),
-                    StealOutcome::Denied | StealOutcome::TermRaced => {}
-                }
-                dog.reset();
-            }
-            transport.idle_service(comm, stack, cx);
-        }
-        if let Some(v) = crash_tick(comm, stack, transport, cx) {
-            return v;
-        }
-        comm.advance_idle(CRASH_IDLE_BACKOFF_NS);
-    }
-}
-
-/// Crash-mode work discovery for the message transports: the counting token
-/// ring is unsound under loss/duplication (its transfer counts can never
-/// balance), so crash runs bypass the ring entirely. Stealing transports
-/// probe one live victim per iteration (the transport itself publishes the
-/// working marker and ACKs before any counter clears); the pushing transport
-/// parks, absorbing and acknowledging pushed chunks. Both interleave the
-/// recovery protocol.
-fn discover_message_crash<T, C, ST, VS>(
-    comm: &mut C,
-    stack: &mut DfsStack<T>,
-    transport: &mut ST,
-    victims: &mut VS,
-    cx: &mut Cx,
-) -> Discovery
-where
-    T: Item,
-    C: Comm<T>,
-    ST: StealTransport<T, C>,
-    VS: VictimSelector,
-{
-    cx.enter(comm, State::Searching);
-    cx.recovery.publish_out(comm);
-    let mut dog = Watchdog::new("crash-mode work discovery (message)");
-    let mut cycle = victims.cycle();
     let mut next = 0usize;
     loop {
         dog.tick();
         if cx.recovery.kill_due(comm.now()) {
             return Discovery::Died;
         }
+        td.tick(comm, stack, cx);
         transport.idle_service(comm, stack, cx);
         if transport.absorb_pending(comm, stack, cx) || !stack.is_local_empty() {
             cx.recovery.publish_working(comm);
             transport.got_work(comm);
             return Discovery::GotWork;
         }
-        if ST::STEALS {
+        if td.done_before_steal(comm) {
+            return Discovery::Terminated;
+        }
+        let mut saw_work = false;
+        if ST::PROBES {
+            // Sweep the live victims, stealing where surplus shows — each
+            // steal wrapped in a `LIN_OUT` guard so quiescence can never
+            // slip between the victim's counter update and the thief's
+            // working marker.
+            for v in victims.cycle() {
+                if cx.recovery.is_gone(v) {
+                    continue;
+                }
+                cx.res.probes += 1;
+                if transport.probe(comm, v) > 0 {
+                    saw_work = true;
+                    cx.enter(comm, State::Stealing);
+                    cx.recovery.guard_begin(comm);
+                    let outcome = transport.steal(comm, stack, v, cx);
+                    if outcome == StealOutcome::Got {
+                        // Working-before-unguard (see crate::recovery).
+                        cx.recovery.publish_working(comm);
+                    }
+                    cx.recovery.guard_end(comm);
+                    cx.enter(comm, State::Searching);
+                    match outcome {
+                        StealOutcome::Got => {
+                            transport.got_work(comm);
+                            return Discovery::GotWork;
+                        }
+                        StealOutcome::TimedOut => transport.after_timeout(comm, cx),
+                        StealOutcome::Denied | StealOutcome::TermRaced => {}
+                    }
+                    dog.reset();
+                }
+                transport.idle_service(comm, stack, cx);
+            }
+        } else if blind {
             if next >= cycle.len() {
                 cycle = victims.cycle();
                 next = 0;
             }
-            if !cycle.is_empty() {
-                let v = cycle[next];
+            if let Some(&v) = cycle.get(next) {
                 next += 1;
                 if !cx.recovery.is_gone(v) {
+                    // The transport itself publishes the working marker and
+                    // ACKs before any counter clears.
                     cx.res.probes += 1;
                     cx.enter(comm, State::Stealing);
                     let outcome = transport.steal(comm, stack, v, cx);
@@ -217,31 +191,103 @@ where
                             transport.got_work(comm);
                             return Discovery::GotWork;
                         }
-                        StealOutcome::TimedOut => transport.after_timeout(comm, cx),
+                        StealOutcome::TimedOut => {
+                            // Someone was too busy to answer: work sighted.
+                            saw_work = true;
+                            transport.after_timeout(comm, cx);
+                        }
                         StealOutcome::Denied | StealOutcome::TermRaced => {}
                     }
                     dog.reset();
                 }
             }
         }
-        if let Some(v) = crash_tick(comm, stack, transport, cx) {
-            return v;
+        if recover(comm, stack, transport, cx) {
+            return Discovery::GotWork;
         }
-        comm.advance_idle(CRASH_IDLE_BACKOFF_NS);
+        if td.done_after_recovery(comm, transport.inflight(), cx) {
+            return Discovery::Terminated;
+        }
+        backoff = if saw_work { base } else { (backoff * 2).min(cap) };
+        comm.advance_idle(backoff);
     }
 }
 
 /// How an idle worker finds more work or detects global termination — the
 /// §3.1 → §3.3.1 → §3.2 policy axis.
+///
+/// The paper's detectors implement `discover` (and §3.1 `on_release`); every
+/// other hook defaults to a no-op that issues no [`Comm`] operation, or to
+/// the crash-mode batch answer. Service mode's epoch detector
+/// ([`crate::service`]) is the one that overrides them.
 pub trait TerminationDetector<T: Item, C: Comm<T>> {
+    /// [`idle_discover`], message transports: draw the first victim cycle on
+    /// entry, or only once a steal needs it. (The draw advances the victim
+    /// RNG, so the two are different schedules.)
+    const EAGER_CYCLE: bool = true;
+
+    /// Called once, before [`StealTransport::init`]. Returns whether rank 0
+    /// starts with the workload's root — the batch rule; a detector that
+    /// injects its own work says no.
+    fn start<ST: StealTransport<T, C>>(
+        &mut self,
+        _comm: &mut C,
+        _transport: &mut ST,
+        _cx: &mut Cx,
+    ) -> bool {
+        true
+    }
+
+    /// Top of every working-loop iteration (after the crash checks, before
+    /// the next node is popped) and of every [`idle_discover`] iteration.
+    fn tick(&mut self, _comm: &mut C, _stack: &mut DfsStack<T>, _cx: &mut Cx) {}
+
+    /// `node` was just expanded into `kids` children, none of which is on
+    /// the stack — so none can have migrated — yet.
+    fn on_expand(&mut self, _comm: &mut C, _node: &T, _kids: usize, _cx: &mut Cx) {}
+
     /// The owner released a chunk; detectors whose protocol must observe
     /// releases (the cancelable barrier) react here.
     fn on_release(&mut self, _comm: &mut C) {}
 
+    /// [`idle_discover`]'s backoff for rank `me`, as `(base, cap)`: `base`
+    /// after an iteration that sighted work, doubling up to `cap` otherwise
+    /// (so `cap == base` is constant). `floor` is the transport's own
+    /// [`StealTransport::IDLE_BACKOFF_NS`].
+    fn idle_backoff(&self, _me: usize, _floor: u64) -> (u64, u64) {
+        (CRASH_IDLE_BACKOFF_NS, CRASH_IDLE_BACKOFF_NS)
+    }
+
+    /// [`idle_discover`]'s exit check once no work is in hand, before the
+    /// steal step.
+    fn done_before_steal(&mut self, _comm: &mut C) -> bool {
+        false
+    }
+
+    /// [`idle_discover`]'s exit check after the recovery duties found
+    /// nothing to take over; `inflight` is [`StealTransport::inflight`]. The
+    /// default is crash-mode batch termination, the same for all three paper
+    /// detectors: rank 0 runs the double scan and broadcasts, everyone else
+    /// watches its `TERM` cell.
+    fn done_after_recovery(&mut self, comm: &mut C, inflight: usize, cx: &mut Cx) -> bool {
+        let done = if comm.my_id() == 0 {
+            cx.recovery.quiescence_check(comm)
+        } else {
+            cx.recovery.term_seen(comm)
+        };
+        // A rank may not exit while it alone holds open lineage payloads (a
+        // fenced zombie's pushes to already-exited ranks land in mailboxes no
+        // one drains); the periodic lineage service re-injects them within
+        // REINJECT_TIMEOUT_NS and the next iteration finds the work.
+        done && inflight == 0
+    }
+
     /// The worker is out of local and shared work: probe, steal, or park
     /// until either work is in hand or termination is proven. On
     /// [`Discovery::GotWork`] the transport has already placed work on
-    /// `stack`.
+    /// `stack`. The paper's detectors each run their own protocol here; the
+    /// default is [`idle_discover`], which is also what [`super::drive`]
+    /// runs in their place under a crash plan.
     fn discover<ST, VS>(
         &mut self,
         comm: &mut C,
@@ -252,7 +298,10 @@ pub trait TerminationDetector<T: Item, C: Comm<T>> {
     ) -> Discovery
     where
         ST: StealTransport<T, C>,
-        VS: VictimSelector;
+        VS: VictimSelector,
+    {
+        idle_discover(comm, stack, transport, victims, cx, self)
+    }
 }
 
 /// Result of one full probe sweep over a victim cycle.
@@ -376,11 +425,6 @@ impl<T: Item, C: Comm<T>> TerminationDetector<T, C> for CancelableTerm {
         ST: StealTransport<T, C>,
         VS: VictimSelector,
     {
-        if cx.recovery.active {
-            // Crash faults: a dead rank would park the cancelable barrier
-            // forever; route through the recovery-aware discovery loop.
-            return discover_probing_crash(comm, stack, transport, victims, cx);
-        }
         cx.enter(comm, State::Searching);
         loop {
             if let Sweep::Stole = sweep(comm, stack, transport, victims, cx) {
@@ -417,11 +461,6 @@ impl<T: Item, C: Comm<T>> TerminationDetector<T, C> for StreamlinedTerm {
         ST: StealTransport<T, C>,
         VS: VictimSelector,
     {
-        if cx.recovery.active {
-            // Crash faults: the termination barrier cannot fill with a rank
-            // missing; route through the recovery-aware discovery loop.
-            return discover_probing_crash(comm, stack, transport, victims, cx);
-        }
         cx.enter(comm, State::Searching);
         loop {
             match sweep(comm, stack, transport, victims, cx) {
@@ -480,12 +519,6 @@ impl<T: Item, C: Comm<T>> TerminationDetector<T, C> for RingTerm {
         ST: StealTransport<T, C>,
         VS: VictimSelector,
     {
-        if cx.recovery.active {
-            // Crash faults: the counting token ring is unsound under message
-            // loss/duplication (transfer counts never balance) and a dead
-            // rank breaks the ring; bypass it entirely.
-            return discover_message_crash(comm, stack, transport, victims, cx);
-        }
         if !ST::STEALS {
             // Work pushing: idle threads have no initiative — park in
             // Terminating, absorbing pushed chunks between ring steps.

@@ -39,12 +39,24 @@
 //!   guarantees at most one live epoch per residue class, so a zero sum
 //!   always refers to the newest epoch of the class.
 //!
+//! # One driver, a different detector
+//!
+//! A service worker is [`crate::sched::drive`] — the batch worker, over the
+//! same four transports — with a different termination detector. The
+//! private `EpochTerm` owns rank 0's pump and this rank's scanner and runs
+//! them from the driver's detector hooks: `start` (no root; activate the
+//! deficit cells), `tick` (pump and scanner, every working- and idle-loop
+//! iteration), `on_expand` (the fused `kids − 1` bump). Idle ranks run the
+//! recovery-aware idle loop crash-mode batch runs use
+//! ([`crate::sched::termination`]). `docs/service.md` §4 has the diagram.
+//!
 //! # Termination and the exit race
 //!
 //! When every request has been injected and declared quiescent, rank 0
-//! broadcasts [`vars::SVC_TERM`]; workers poll their own copy locally and
-//! exit. A thief's steal request can still be in flight toward a rank that
-//! exits on the same tick, so service runs always arm a steal timeout
+//! broadcasts [`vars::SVC_TERM`]; workers poll their own copy locally — the
+//! idle loop's only exit in service mode — and leave. A thief's steal
+//! request can still be in flight toward a rank that exits on the same
+//! tick, so service runs always arm a steal timeout
 //! ([`SVC_STEAL_TIMEOUT_NS`]) even without crash faults: the thief times
 //! out, rechecks its `SVC_TERM` cell, and exits instead of waiting forever.
 
@@ -52,24 +64,18 @@ use std::collections::{HashMap, HashSet};
 
 use pgas::comm::Item;
 use pgas::sim::SimCluster;
-use pgas::{ArrivalSpec, Collectives, Comm, MachineModel};
+use pgas::{ArrivalSpec, Comm, MachineModel};
 
 use crate::config::RunConfig;
-use crate::distmem::DistMemTransport;
+use crate::engine::{build_report, finish_worker, seq_count};
 use crate::hist::LatencyHistogram;
-use crate::locked::LockedTransport;
-use crate::mpi_ws::MpiTransport;
-use crate::probe::VictimSelector;
-use crate::pushing::PushTransport;
 use crate::recovery::Recovery;
 use crate::report::{RunReport, ThreadResult};
-use crate::sched::bundle::CRASH_STEAL_TIMEOUT_NS;
-use crate::sched::{Cx, Discovery, StealOutcome, StealTransport, TransportKind};
+use crate::sched::bundle::{drive_over, CRASH_STEAL_TIMEOUT_NS};
+use crate::sched::{Cx, StealTransport, TerminationDetector};
 use crate::stack::DfsStack;
-use crate::state::State;
 use crate::taskgen::{SyntheticGen, TaskGen, UtsGen};
 use crate::vars;
-use crate::watchdog::Watchdog;
 
 /// Virtual-time interval between a scanner's passes over its assigned
 /// slots. Two identical passes this far apart declare an epoch quiescent,
@@ -104,12 +110,6 @@ pub struct Stamped<T> {
     pub task: T,
     /// Submission epoch (index of the request in arrival order).
     pub epoch: u32,
-}
-
-/// The epoch extractor handed to message transports via
-/// [`StealTransport::arm_service`].
-fn stamp_epoch<T: Item>(t: &Stamped<T>) -> u32 {
-    t.epoch
 }
 
 /// A workload that can mint a fresh root task per request.
@@ -445,300 +445,108 @@ impl Scanner {
     }
 }
 
-/// Service-mode work discovery: replaces the batch termination detectors.
-/// Idle ranks keep stealing (probing transports probe-then-steal under
-/// `LIN_OUT` guards, message transports blind-steal one victim per
-/// iteration), stay responsive to requests, interleave the crash-recovery
-/// protocol, run their pump/scanner duties, and exit only on the rank-0
-/// [`vars::SVC_TERM`] broadcast — with an escalating idle backoff so quiet
-/// arrival gaps don't spin.
-#[allow(clippy::too_many_arguments)]
-fn svc_discover<G, C, ST, VS>(
-    comm: &mut C,
-    stack: &mut DfsStack<Stamped<G::Task>>,
-    transport: &mut ST,
-    victims: &mut VS,
-    cx: &mut Cx,
-    pump: &mut Option<SvcPump<'_>>,
-    scanner: &mut Scanner,
-    gen: &G,
-    probing: bool,
-) -> Discovery
-where
-    G: ServiceWorkload,
-    C: Comm<Stamped<G::Task>>,
-    ST: StealTransport<Stamped<G::Task>, C>,
-    VS: VictimSelector,
-{
-    cx.enter(comm, State::Searching);
-    cx.recovery.publish_out(comm);
-    let mut dog = Watchdog::new("service work discovery");
-    let crash = cx.recovery.active;
-    let me = comm.my_id();
-    // Rank 0 caps its backoff at the pump interval so injections stay on
-    // schedule; everyone else may back off up to the scan interval bound.
-    let cap = if me == 0 {
-        SVC_PUMP_INTERVAL_NS
-    } else {
-        SVC_IDLE_BACKOFF_MAX_NS
-    };
-    let mut backoff = SVC_IDLE_BACKOFF_NS.max(ST::IDLE_BACKOFF_NS);
-    let mut cycle: Vec<usize> = Vec::new();
-    let mut next = 0usize;
-    loop {
-        dog.tick();
-        if crash && cx.recovery.kill_due(comm.now()) {
-            return Discovery::Died;
-        }
-        if let Some(p) = pump.as_mut() {
-            p.tick(comm, gen, stack, cx);
-        }
-        scanner.tick(comm, cx);
-        transport.idle_service(comm, stack, cx);
-        if transport.absorb_pending(comm, stack, cx) || !stack.is_local_empty() {
-            cx.recovery.publish_working(comm);
-            transport.got_work(comm);
-            return Discovery::GotWork;
-        }
-        if comm.get(me, vars::SVC_TERM) == 1 {
-            return Discovery::Terminated;
-        }
-        let mut saw_work = false;
-        if ST::STEALS {
-            if probing {
-                for v in victims.cycle() {
-                    if cx.recovery.is_gone(v) {
-                        continue;
-                    }
-                    cx.res.probes += 1;
-                    if transport.probe(comm, v) > 0 {
-                        saw_work = true;
-                        cx.enter(comm, State::Stealing);
-                        cx.recovery.guard_begin(comm);
-                        let outcome = transport.steal(comm, stack, v, cx);
-                        if outcome == StealOutcome::Got {
-                            // Working-before-unguard (see crate::recovery).
-                            cx.recovery.publish_working(comm);
-                        }
-                        cx.recovery.guard_end(comm);
-                        cx.enter(comm, State::Searching);
-                        match outcome {
-                            StealOutcome::Got => {
-                                transport.got_work(comm);
-                                return Discovery::GotWork;
-                            }
-                            StealOutcome::TimedOut => transport.after_timeout(comm, cx),
-                            StealOutcome::Denied | StealOutcome::TermRaced => {}
-                        }
-                        dog.reset();
-                    }
-                    transport.idle_service(comm, stack, cx);
-                }
-            } else {
-                if next >= cycle.len() {
-                    cycle = victims.cycle();
-                    next = 0;
-                }
-                if !cycle.is_empty() {
-                    let v = cycle[next];
-                    next += 1;
-                    if !cx.recovery.is_gone(v) {
-                        cx.res.probes += 1;
-                        cx.enter(comm, State::Stealing);
-                        let outcome = transport.steal(comm, stack, v, cx);
-                        cx.enter(comm, State::Searching);
-                        match outcome {
-                            StealOutcome::Got => {
-                                cx.recovery.publish_working(comm);
-                                transport.got_work(comm);
-                                return Discovery::GotWork;
-                            }
-                            StealOutcome::TimedOut => {
-                                saw_work = true;
-                                transport.after_timeout(comm, cx);
-                            }
-                            StealOutcome::Denied | StealOutcome::TermRaced => {}
-                        }
-                        dog.reset();
-                    }
-                }
-            }
-        }
-        if crash {
-            cx.recovery.heartbeat(comm);
-            if cx.recovery.is_fenced() {
-                // Evicted while stalled (partition/gray freeze): fold the
-                // old incarnation's holdings and re-enter as a new one.
-                crate::sched::refence(comm, stack, transport, cx);
-                if !stack.is_local_empty() {
-                    return Discovery::GotWork;
-                }
-            }
-            cx.recovery.scan(comm);
-            // Evictions this rank just executed by quorum: reclaim what the
-            // transport can take over race-free, then release the scavenge
-            // guard opened at the quorum vote.
-            while let Some(victim) = cx.recovery.take_scavenge() {
-                let items = transport.scavenge(comm, stack, victim, cx);
-                cx.res.scavenged_nodes += items;
-                let now = comm.now();
-                cx.log.evict(victim, items, now);
-                if items > 0 {
-                    cx.recovery.publish_working(comm);
-                }
-                cx.recovery.guard_end(comm);
-                if items > 0 {
-                    transport.got_work(comm);
-                    return Discovery::GotWork;
-                }
-            }
-            if let Some((dead, items)) = cx.recovery.try_adopt(comm, stack) {
-                cx.res.recovered_nodes += items;
-                let now = comm.now();
-                cx.log.adopt(dead, items, now);
-                transport.got_work(comm);
-                return Discovery::GotWork;
-            }
-        }
-        backoff = if saw_work {
-            SVC_IDLE_BACKOFF_NS.max(ST::IDLE_BACKOFF_NS)
-        } else {
-            (backoff * 2).min(cap)
-        };
-        comm.advance_idle(backoff);
+/// The workload as the service cluster sees it: `gen`'s tasks, each tagged
+/// with the epoch of the request it descends from. Children inherit the
+/// parent's epoch.
+struct StampedGen<'g, G>(&'g G);
+
+impl<G: ServiceWorkload> TaskGen for StampedGen<'_, G> {
+    type Task = Stamped<G::Task>;
+
+    fn root(&self) -> Self::Task {
+        Stamped { task: self.0.root(), epoch: 0 }
+    }
+
+    fn expand(&self, t: &Self::Task, out: &mut Vec<Self::Task>) -> u32 {
+        let mut kids = Vec::new();
+        let n = self.0.expand(&t.task, &mut kids);
+        out.extend(kids.into_iter().map(|task| Stamped {
+            task,
+            epoch: t.epoch,
+        }));
+        n
+    }
+
+    fn work_units(&self, t: &Self::Task) -> u64 {
+        self.0.work_units(&t.task)
+    }
+
+    fn fingerprint(&self, t: &Self::Task) -> u64 {
+        self.0.fingerprint(&t.task)
     }
 }
 
-/// The service-mode worker driver: [`crate::sched::drive`]'s working loop
-/// with epoch-stamped tasks, fused per-expansion deficit publication, the
-/// rank-0 pump, and per-rank scanners; work discovery goes through
-/// [`svc_discover`] instead of a [`crate::sched::TerminationDetector`].
-fn drive_service<G, C, ST, VS>(
-    comm: &mut C,
-    gen: &G,
-    cfg: &RunConfig,
-    schedule: &[u64],
-    mut transport: ST,
-    mut victims: VS,
-    probing: bool,
-) -> ThreadResult
+/// Service mode's termination detector (see the module docs): "done" is a
+/// stream of per-epoch completion events, then one shutdown broadcast.
+struct EpochTerm<'a, G> {
+    gen: &'a G,
+    /// Rank 0 only.
+    pump: Option<SvcPump<'a>>,
+    scanner: Scanner,
+}
+
+impl<G, C> TerminationDetector<Stamped<G::Task>, C> for EpochTerm<'_, G>
 where
     G: ServiceWorkload,
     C: Comm<Stamped<G::Task>>,
-    ST: StealTransport<Stamped<G::Task>, C>,
-    VS: VictimSelector,
 {
-    let me = comm.my_id();
-    let n = comm.n_threads();
-    let mut stack: DfsStack<Stamped<G::Task>> = DfsStack::new(cfg.chunk_size);
-    let mut cx = Cx::new(cfg, comm.now());
-    cx.recovery = Recovery::new(me, n, &cfg.faults);
-    let crash = cx.recovery.active;
-    cx.svc.activate(comm);
-    transport.init(comm, &mut cx);
-    transport.arm_service(stamp_epoch::<G::Task>);
+    const EAGER_CYCLE: bool = false;
 
-    let mut pump = (me == 0).then(|| SvcPump::new(schedule, n));
-    let mut scanner = Scanner::new(n);
-    let mut kids: Vec<G::Task> = Vec::new();
-    let mut scratch: Vec<Stamped<G::Task>> = Vec::new();
-
-    'outer: loop {
-        // ------------------------------------------------- Working (Fig. 1)
-        cx.enter(comm, State::Working);
-        transport.on_enter_working();
-        let mut died = false;
-        loop {
-            if crash {
-                if cx.recovery.kill_due(comm.now()) {
-                    died = true;
-                    break;
-                }
-                cx.recovery.heartbeat(comm);
-                if cx.recovery.is_fenced() {
-                    crate::sched::refence(comm, &mut stack, &mut transport, &mut cx);
-                    continue 'outer;
-                }
-            }
-            if let Some(p) = pump.as_mut() {
-                p.tick(comm, gen, &mut stack, &mut cx);
-            }
-            scanner.tick(comm, &mut cx);
-            if stack.is_local_empty() {
-                if transport.refill(comm, &mut stack, &mut cx) {
-                    continue;
-                }
-                break; // truly out of local work
-            }
-            let node = stack.pop().expect("nonempty local region");
-            cx.res.nodes += 1;
-            let e = node.epoch as usize;
-            if cx.res.svc_epoch_nodes.len() <= e {
-                cx.res.svc_epoch_nodes.resize(e + 1, 0);
-            }
-            cx.res.svc_epoch_nodes[e] += 1;
-            if crash {
-                cx.res.explored.push(gen.fingerprint(&node.task));
-                cx.res.explored_epoch.push(node.epoch);
-            }
-            kids.clear();
-            gen.expand(&node.task, &mut kids);
-            // Publish-before-migration: one fused bump (−1 consumed parent,
-            // +kids created children, all the same epoch) must be on this
-            // rank's cell before any child can be stolen away.
-            cx.svc.bump(comm, node.epoch, kids.len() as i64 - 1);
-            scratch.clear();
-            scratch.extend(kids.iter().map(|t| Stamped {
-                task: *t,
-                epoch: node.epoch,
-            }));
-            stack.push_all(&scratch);
-            comm.work(gen.work_units(&node.task));
-            transport.poll(comm, &mut stack, &mut cx);
-            transport.maybe_release(comm, &mut stack, &mut cx);
-        }
-        if !died {
-            transport.on_out_of_work(comm, &mut stack, &mut cx);
-            // ------------------------------ Work discovery / service shutdown
-            match svc_discover(
-                comm,
-                &mut stack,
-                &mut transport,
-                &mut victims,
-                &mut cx,
-                &mut pump,
-                &mut scanner,
-                gen,
-                probing,
-            ) {
-                Discovery::GotWork => continue 'outer,
-                Discovery::Terminated => break 'outer,
-                Discovery::Died => {} // fall through to the deathbed
-            }
-        }
-
-        // Deathbed, then (if the plan revives us) sit out the restart delay
-        // and rejoin as a new incarnation — same shape as the batch driver.
-        transport.deathbed(comm, &mut stack, &mut cx);
-        let spilled = cx.recovery.spill_and_die(comm, &mut stack);
-        cx.res.died = true;
-        let now = comm.now();
-        cx.log.death(spilled, now);
-        let Some(at) = cx.recovery.restart_at() else {
-            return cx.into_result(comm);
-        };
-        let now = comm.now();
-        if at > now {
-            comm.advance_idle(at - now);
-        }
-        let items = cx.recovery.restart(comm, &mut stack);
-        cx.res.recovered_nodes += items;
-        let now = comm.now();
-        cx.log.rejoin(cx.recovery.incarnation(), items, now);
+    /// No root: requests arrive through the pump. Publishes this rank's
+    /// zero-deficit cells and hands the transport the epoch extractor.
+    fn start<ST: StealTransport<Stamped<G::Task>, C>>(
+        &mut self,
+        comm: &mut C,
+        transport: &mut ST,
+        cx: &mut Cx,
+    ) -> bool {
+        cx.svc.activate(comm);
+        transport.arm_service(|t| t.epoch);
+        false
     }
 
-    transport.finish(comm, &mut stack, &mut cx);
-    cx.into_result(comm)
+    fn tick(&mut self, comm: &mut C, stack: &mut DfsStack<Stamped<G::Task>>, cx: &mut Cx) {
+        if let Some(p) = self.pump.as_mut() {
+            p.tick(comm, self.gen, stack, cx);
+        }
+        self.scanner.tick(comm, cx);
+    }
+
+    fn on_expand(&mut self, comm: &mut C, node: &Stamped<G::Task>, kids: usize, cx: &mut Cx) {
+        let e = node.epoch as usize;
+        if cx.res.svc_epoch_nodes.len() <= e {
+            cx.res.svc_epoch_nodes.resize(e + 1, 0);
+        }
+        cx.res.svc_epoch_nodes[e] += 1;
+        if cx.recovery.active {
+            cx.res.explored_epoch.push(node.epoch);
+        }
+        // Publish-before-migration: one fused bump (−1 consumed parent,
+        // +kids created children, all the same epoch) must be on this
+        // rank's cell before any child can be stolen away.
+        cx.svc.bump(comm, node.epoch, kids as i64 - 1);
+    }
+
+    /// Escalating, so quiet arrival gaps don't spin. Rank 0 caps at the pump
+    /// interval so injections stay on schedule; everyone else may back off
+    /// up to the scan interval bound.
+    fn idle_backoff(&self, me: usize, floor: u64) -> (u64, u64) {
+        let cap = if me == 0 {
+            SVC_PUMP_INTERVAL_NS
+        } else {
+            SVC_IDLE_BACKOFF_MAX_NS
+        };
+        (SVC_IDLE_BACKOFF_NS.max(floor), cap)
+    }
+
+    fn done_before_steal(&mut self, comm: &mut C) -> bool {
+        comm.get(comm.my_id(), vars::SVC_TERM) == 1
+    }
+
+    /// Only the broadcast ends a service run.
+    fn done_after_recovery(&mut self, _comm: &mut C, _inflight: usize, _cx: &mut Cx) -> bool {
+        false
+    }
 }
 
 /// One completed request's statistics in a [`ServiceReport`].
@@ -779,24 +587,6 @@ pub struct ServiceReport {
     pub hist: LatencyHistogram,
 }
 
-/// Sequentially expand request `epoch`'s tree; returns the node count and,
-/// when `fps` is given, pushes every node's fingerprint.
-fn seq_request<G: ServiceWorkload>(gen: &G, epoch: u32, mut fps: Option<&mut Vec<u64>>) -> u64 {
-    let mut stack = vec![gen.request_root(epoch)];
-    let mut scratch = Vec::new();
-    let mut nodes = 0u64;
-    while let Some(t) = stack.pop() {
-        nodes += 1;
-        if let Some(f) = fps.as_deref_mut() {
-            f.push(gen.fingerprint(&t));
-        }
-        scratch.clear();
-        gen.expand(&t, &mut scratch);
-        stack.extend_from_slice(&scratch);
-    }
-    nodes
-}
-
 /// Run a service-mode workload on the virtual-time simulator: `nthreads`
 /// simulated ranks over `machine`'s cost model, with root tasks injected
 /// per `arrivals` (see [`pgas::ArrivalSpec`]). Deterministic for a fixed
@@ -827,85 +617,45 @@ where
     }
     let schedule = arrivals.schedule();
     let schedule = &schedule[..];
-    let spec = cfg.bundle();
     let cluster: SimCluster<Stamped<G::Task>> =
         SimCluster::new(machine, nthreads, vars::space_config_for(gen, nthreads))
             .with_lookahead(cfg.sim_lookahead)
             .with_faults(cfg.faults);
     let report = cluster.run(|comm| {
-        let me = comm.my_id();
         let n = comm.n_threads();
-        let victims = spec.victims.build(me, n, cfg.seed, comm.machine());
-        let sp = spec.steal;
-        let mut res = match spec.transport {
-            TransportKind::Locked => {
-                drive_service(comm, gen, cfg, schedule, LockedTransport::new(sp), victims, true)
-            }
-            TransportKind::DistMem => {
-                drive_service(comm, gen, cfg, schedule, DistMemTransport::new(sp), victims, true)
-            }
-            TransportKind::MpiMsg => {
-                drive_service(comm, gen, cfg, schedule, MpiTransport::new(sp), victims, false)
-            }
-            TransportKind::PushMsg => drive_service(
-                comm,
-                gen,
-                cfg,
-                schedule,
-                PushTransport::new(me, n, cfg.seed),
-                victims,
-                false,
-            ),
+        let td = EpochTerm {
+            gen,
+            pump: (comm.my_id() == 0).then(|| SvcPump::new(schedule, n)),
+            scanner: Scanner::new(n),
         };
-        if cfg.faults.crash_active() {
-            // A dead rank can never join the collective (as in batch mode).
-            res.reduced_total = 0;
-        } else {
-            let mut coll = Collectives::new(vars::COLL_BASE);
-            res.reduced_total = coll.all_reduce_sum(comm, res.nodes as i64) as u64;
-        }
-        res
+        let res = drive_over(comm, &StampedGen(gen), cfg, td);
+        finish_worker(comm, cfg, res)
     });
-    assemble_service(
-        cfg,
-        machine_name,
-        nthreads,
-        gen,
-        schedule,
-        report.makespan_ns,
-        report.results,
-    )
+    let (service, mult) = service_report(cfg, gen, schedule, &report.results);
+    let depth = gen.critical_path_len().unwrap_or(0);
+    let mut run =
+        build_report(cfg, machine_name, nthreads, depth, report.makespan_ns, report.results, mult);
+    run.service = Some(service);
+    run
 }
 
-/// Host-side assembly and conservation checking for a service run: dedup
-/// scanner declarations, pair injections with completions, verify every
-/// epoch's node count against a sequential re-expansion (with
-/// conservation-with-multiplicity under crash plans), and build the
-/// latency histogram.
-fn assemble_service<G: ServiceWorkload>(
+/// The service half of the host-side assembly: dedup scanner declarations,
+/// pair injections with completions, verify every epoch's node count
+/// against a sequential re-expansion (with conservation-with-multiplicity
+/// under crash plans), and build the latency histogram. Returns the report
+/// with the run's `(duplicate_nodes, max_multiplicity)`.
+fn service_report<G: ServiceWorkload>(
     cfg: &RunConfig,
-    machine: &'static str,
-    threads: usize,
     gen: &G,
     schedule: &[u64],
-    makespan_ns: u64,
-    per_thread: Vec<ThreadResult>,
-) -> RunReport {
+    per_thread: &[ThreadResult],
+) -> (ServiceReport, (u64, u64)) {
     let crash = cfg.faults.crash_active();
     let n_requests = schedule.len();
-    let total_nodes: u64 = per_thread.iter().map(|t| t.nodes).sum();
-    if !crash {
-        for (t, r) in per_thread.iter().enumerate() {
-            assert_eq!(
-                r.reduced_total, total_nodes,
-                "thread {t}: in-band reduced total disagrees with host-side sum"
-            );
-        }
-    }
 
     // Injections come from rank 0's pump, already in epoch order.
     let mut injections: Vec<(u32, u64, u64)> = Vec::with_capacity(n_requests);
-    for t in &per_thread {
+    for t in per_thread {
         injections.extend(t.svc_injections.iter().copied());
     }
     injections.sort_unstable();
@@ -914,7 +664,7 @@ fn assemble_service<G: ServiceWorkload>(
     // Completions: keep the earliest declaration per epoch (a reassigned
     // scan can declare twice after a scanner death).
     let mut completion: Vec<Option<u64>> = vec![None; n_requests];
-    for t in &per_thread {
+    for t in per_thread {
         for &(e, at) in &t.svc_completions {
             let c = &mut completion[e as usize];
             *c = Some(c.map_or(at, |prev| prev.min(at)));
@@ -923,7 +673,7 @@ fn assemble_service<G: ServiceWorkload>(
 
     // Per-epoch explored-node counts across ranks.
     let mut epoch_nodes = vec![0u64; n_requests];
-    for t in &per_thread {
+    for t in per_thread {
         for (e, &v) in t.svc_epoch_nodes.iter().enumerate() {
             epoch_nodes[e] += v;
         }
@@ -936,7 +686,7 @@ fn assemble_service<G: ServiceWorkload>(
     if crash {
         let mut mult_by_epoch: Vec<HashMap<u64, u64>> =
             (0..n_requests).map(|_| HashMap::new()).collect();
-        for t in &per_thread {
+        for t in per_thread {
             assert_eq!(t.explored.len(), t.explored_epoch.len());
             for (fp, &e) in t.explored.iter().zip(&t.explored_epoch) {
                 *mult_by_epoch[e as usize].entry(*fp).or_insert(0) += 1;
@@ -944,7 +694,7 @@ fn assemble_service<G: ServiceWorkload>(
         }
         for e in 0..n_requests {
             let mut fps = Vec::new();
-            let seq = seq_request(gen, e as u32, Some(&mut fps));
+            let seq = seq_count(gen, gen.request_root(e as u32), Some(&mut fps));
             let mult = &mult_by_epoch[e];
             let dup: u64 = mult.values().map(|&m| m - 1).sum();
             dup_per_epoch[e] = dup;
@@ -971,7 +721,7 @@ fn assemble_service<G: ServiceWorkload>(
         }
     } else {
         for (e, &counted) in epoch_nodes.iter().enumerate() {
-            let seq = seq_request(gen, e as u32, None);
+            let seq = seq_count(gen, gen.request_root(e as u32), None);
             assert_eq!(
                 counted, seq,
                 "epoch {e}: explored {counted} nodes, sequential tree has {seq}"
@@ -999,33 +749,13 @@ fn assemble_service<G: ServiceWorkload>(
         });
     }
 
-    RunReport {
-        label: cfg.algorithm.label(),
-        machine,
-        threads,
-        chunk_size: cfg.chunk_size,
-        total_nodes,
-        makespan_ns,
-        recovered_nodes: per_thread.iter().map(|t| t.recovered_nodes).sum(),
-        duplicate_nodes: dup_per_epoch.iter().sum(),
-        max_multiplicity,
-        deaths: per_thread.iter().filter(|t| t.died).count(),
-        evictions: per_thread.iter().map(|t| t.evictions).sum(),
-        rejoins: per_thread.iter().map(|t| t.rejoins).sum(),
-        steal_attempts: per_thread
-            .iter()
-            .map(|t| t.steals_ok + t.steals_failed)
-            .sum(),
-        successful_steals: per_thread.iter().map(|t| t.steals_ok).sum(),
-        critical_path_len: gen.critical_path_len().unwrap_or(0),
-        service: Some(ServiceReport {
-            requests: n_requests,
-            deferred_injections: per_thread.iter().map(|t| t.svc_deferred).sum(),
-            per_request,
-            hist,
-        }),
-        per_thread,
-    }
+    let report = ServiceReport {
+        requests: n_requests,
+        deferred_injections: per_thread.iter().map(|t| t.svc_deferred).sum(),
+        per_request,
+        hist,
+    };
+    (report, (dup_per_epoch.iter().sum(), max_multiplicity))
 }
 
 #[cfg(test)]
@@ -1060,30 +790,34 @@ mod tests {
         );
     }
 
+    /// Every bundle shares the one service path: per-epoch conservation,
+    /// every request completed, nothing explored twice.
     #[test]
     fn service_conserves_and_completes_every_request() {
         let gen = SyntheticGen {
             branch: 2,
             depth: 5,
         };
-        let cfg = RunConfig::new(Algorithm::DistMem, 2);
         // 20 requests > SVC_WINDOW exercises slot reuse across classes.
         let arrivals = ArrivalSpec::poisson(7, 20, 20_000.0);
-        let report = run_service_sim(MachineModel::smp(), 4, &gen, &cfg, &arrivals);
-        let svc = report.service.as_ref().expect("service report attached");
-        assert_eq!(svc.requests, 20);
-        assert_eq!(svc.per_request.len(), 20);
-        assert_eq!(svc.hist.count(), 20);
-        for r in &svc.per_request {
-            assert_eq!(r.nodes, gen.size(), "epoch {}", r.epoch);
-            assert_eq!(r.dup_nodes, 0);
-            assert!(r.injected_ns >= r.scheduled_ns, "epoch {}", r.epoch);
-            assert!(r.completed_ns > r.injected_ns, "epoch {}", r.epoch);
-            assert_eq!(r.latency_ns, r.completed_ns - r.scheduled_ns);
+        for alg in Algorithm::all() {
+            let cfg = RunConfig::new(alg, 2);
+            let report = run_service_sim(MachineModel::smp(), 4, &gen, &cfg, &arrivals);
+            let svc = report.service.as_ref().expect("service report attached");
+            assert_eq!(svc.requests, 20, "{}", alg.label());
+            assert_eq!(svc.per_request.len(), 20, "{}", alg.label());
+            assert_eq!(svc.hist.count(), 20, "{}", alg.label());
+            for r in &svc.per_request {
+                assert_eq!(r.nodes, gen.size(), "{} epoch {}", alg.label(), r.epoch);
+                assert_eq!(r.dup_nodes, 0, "{} epoch {}", alg.label(), r.epoch);
+                assert!(r.injected_ns >= r.scheduled_ns, "{} epoch {}", alg.label(), r.epoch);
+                assert!(r.completed_ns > r.injected_ns, "{} epoch {}", alg.label(), r.epoch);
+                assert_eq!(r.latency_ns, r.completed_ns - r.scheduled_ns);
+            }
+            assert_eq!(report.total_nodes, gen.size() * 20, "{}", alg.label());
+            assert!(svc.hist.p50() > 0);
+            assert!(svc.hist.p999() >= svc.hist.p50());
         }
-        assert_eq!(report.total_nodes, gen.size() * 20);
-        assert!(svc.hist.p50() > 0);
-        assert!(svc.hist.p999() >= svc.hist.p50());
     }
 
     #[test]

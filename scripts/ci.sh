@@ -28,6 +28,14 @@ echo "== pgas unit tests (fiber arena, conductors) =="
 # the member crate.
 cargo test -q -p pgas
 
+echo "== scheduler core + mpisim unit and integration tests =="
+# Same again: worksteal's unit tests, crates/core/tests/*.rs and mpisim's
+# run nowhere else.
+cargo test -q -p worksteal -p mpisim
+# One worker driver: sched::drive is the only function that enters Working.
+[ "$(grep -rF 'cx.enter(comm, State::Working)' crates/core/src | wc -l)" -eq 1 ] ||
+  { echo "more than one function enters State::Working under crates/core/src" >&2; exit 1; }
+
 echo "== SAFETY comments (crates/pgas/src) =="
 # Every `unsafe {` block and `unsafe impl` in the crate that owns the fiber
 # runtime must have a `// SAFETY:` comment directly above it (attribute lines
