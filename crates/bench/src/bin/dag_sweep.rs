@@ -221,7 +221,7 @@ fn main() {
     );
 
     if smoke {
-        // Scale smoke, by hand only (2.5–3.5 min of wall-clock, ≈1.15 GB
+        // Scale smoke, by hand only (≈50 s of wall-clock, ≈0.37 GB
         // resident): one p=8192 cell (EXPERIMENTS.md E19). T-S + distmem +
         // k=8 keeps it minutes-scale: binomial fan-out (≤ 2 children)
         // diffuses through steal-half exponentially, where a single

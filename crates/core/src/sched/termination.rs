@@ -114,14 +114,15 @@ where
     let (base, cap) = td.idle_backoff(comm.my_id(), ST::IDLE_BACKOFF_NS);
     let mut backoff = base;
     // Message transports ask one victim per iteration, walking a cycle that
-    // outlives the iteration.
+    // outlives the iteration but not this idle episode.
     let blind = ST::STEALS && !ST::PROBES;
-    let mut cycle = if blind && TD::EAGER_CYCLE {
-        victims.cycle()
-    } else {
-        Vec::new()
-    };
-    let mut next = 0usize;
+    if blind {
+        if TD::EAGER_CYCLE {
+            victims.cycle();
+        } else {
+            victims.abandon();
+        }
+    }
     loop {
         dog.tick();
         if cx.recovery.kill_due(comm.now()) {
@@ -143,7 +144,8 @@ where
             // steal wrapped in a `LIN_OUT` guard so quiescence can never
             // slip between the victim's counter update and the thief's
             // working marker.
-            for v in victims.cycle() {
+            for &v in victims.cycle() {
+                let v = v as usize;
                 if cx.recovery.is_gone(v) {
                     continue;
                 }
@@ -172,12 +174,7 @@ where
                 transport.idle_service(comm, stack, cx);
             }
         } else if blind {
-            if next >= cycle.len() {
-                cycle = victims.cycle();
-                next = 0;
-            }
-            if let Some(&v) = cycle.get(next) {
-                next += 1;
+            if let Some(v) = victims.next() {
                 if !cx.recovery.is_gone(v) {
                     // The transport itself publishes the working marker and
                     // ACKs before any counter clears.
@@ -332,7 +329,8 @@ where
     VS: VictimSelector,
 {
     let mut all_out = true;
-    for v in victims.cycle() {
+    for &v in victims.cycle() {
+        let v = v as usize;
         cx.res.probes += 1;
         let avail = transport.probe(comm, v);
         if avail > 0 {
@@ -540,8 +538,7 @@ impl<T: Item, C: Comm<T>> TerminationDetector<T, C> for RingTerm {
         // at large thread counts a full probe sweep between token steps
         // would park the token for thousands of messages.
         cx.enter(comm, State::Searching);
-        let mut cycle = victims.cycle();
-        let mut next = 0usize;
+        victims.cycle();
         loop {
             // Deny whatever arrived while we were idle.
             transport.idle_service(comm, stack, cx);
@@ -549,11 +546,7 @@ impl<T: Item, C: Comm<T>> TerminationDetector<T, C> for RingTerm {
             if transport.absorb_pending(comm, stack, cx) {
                 return Discovery::GotWork;
             }
-            if next >= cycle.len() {
-                cycle = victims.cycle();
-                next = 0;
-            }
-            if cycle.is_empty() {
+            let Some(v) = victims.next() else {
                 // Solo rank: nothing to steal from; go straight to the ring.
                 cx.enter(comm, State::Terminating);
                 let (sent, recv) = transport.ring_counts();
@@ -562,9 +555,7 @@ impl<T: Item, C: Comm<T>> TerminationDetector<T, C> for RingTerm {
                 }
                 cx.enter(comm, State::Searching);
                 continue;
-            }
-            let v = cycle[next];
-            next += 1;
+            };
             cx.res.probes += 1;
             cx.enter(comm, State::Stealing);
             let outcome = transport.steal(comm, stack, v, cx);

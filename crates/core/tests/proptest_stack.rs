@@ -113,9 +113,9 @@ proptest! {
         let n = me + extra + 1;
         let mut p = ProbeOrder::flat(me, n, seed);
         for _ in 0..3 {
-            let mut c = p.cycle();
+            let mut c = p.cycle().to_vec();
             c.sort_unstable();
-            let want: Vec<usize> = (0..n).filter(|&t| t != me).collect();
+            let want: Vec<u32> = (0..n as u32).filter(|&t| t != me as u32).collect();
             prop_assert_eq!(c, want);
         }
     }

@@ -180,16 +180,16 @@ impl ArrivalSpec {
 
 /// SplitMix64 counter-hash stream: `i`-th output is a pure function of
 /// `(seed, i)`, so the schedule needs no mutable RNG state to reproduce.
-struct HashStream {
+pub(crate) struct HashStream {
     state: u64,
 }
 
 impl HashStream {
-    fn new(seed: u64) -> HashStream {
+    pub(crate) fn new(seed: u64) -> HashStream {
         HashStream { state: seed }
     }
 
-    fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -236,6 +236,29 @@ impl MachineModel {
         }
     }
 
+    /// The least this model charges for any operation on *another* thread's
+    /// partition, at either distance: a reference, atomic, lock acquire or
+    /// release, an empty bulk transfer, or the sender overhead of a message.
+    /// The sim conductor's reach window rests on it (`docs/conductor.md`
+    /// §3.1): a thread resuming at virtual time `t` cannot commit anything on
+    /// a foreign partition before `t + min_foreign_cost()`.
+    pub fn min_foreign_cost(&self) -> u64 {
+        // Same-node atomics, locks and bulk transfers are multiples of, or
+        // add to, `same_node_ref_ns`.
+        [
+            self.same_node_ref_ns,
+            self.remote_ref_ns,
+            self.remote_atomic_ns,
+            self.remote_lock_ns,
+            self.remote_unlock_ns,
+            self.bulk_startup_ns,
+            self.msg_overhead_ns,
+        ]
+        .into_iter()
+        .min()
+        .expect("nonempty")
+    }
+
     /// Sequential exploration rate implied by `node_ns`, in nodes/second.
     pub fn seq_rate(&self) -> f64 {
         1e9 / self.node_ns as f64
@@ -289,6 +312,43 @@ mod tests {
         let kh = MachineModel::kittyhawk();
         assert!(altix.remote_ref_ns * 5 <= kh.remote_ref_ns);
         assert!(altix.remote_lock_ns * 5 <= kh.remote_lock_ns);
+    }
+
+    /// No cost function undercuts `min_foreign_cost` at any foreign distance:
+    /// a new preset or a changed cost function that broke this would let the
+    /// sim conductor's reach window reorder operations.
+    #[test]
+    fn min_foreign_cost_is_a_lower_bound_on_every_preset() {
+        let presets = [
+            MachineModel::kittyhawk(),
+            MachineModel::topsail(),
+            MachineModel::altix(),
+            MachineModel::smp(),
+        ];
+        for (m, want) in presets.iter().zip([250, 220, 300, 20]) {
+            let floor = m.min_foreign_cost();
+            assert_eq!(floor, want, "{}", m.name);
+            // Thread 1 is same-node to thread 0 on every preset, thread 1000
+            // remote on all but smp (one node).
+            for to in [1, 1000] {
+                assert_ne!(m.distance(0, to), Distance::Local);
+                let costs = [
+                    m.ref_cost(0, to),
+                    m.atomic_cost(0, to),
+                    m.lock_cost(0, to),
+                    m.unlock_cost(0, to),
+                    m.bulk_cost(0, to, 0),
+                    m.msg_overhead_ns, // what `send` charges, whatever the distance
+                ];
+                assert!(
+                    costs.iter().all(|&c| c >= floor),
+                    "{} -> thread {to}: {costs:?} undercuts {floor}",
+                    m.name
+                );
+            }
+            assert_eq!(m.distance(0, 1), Distance::SameNode);
+            assert_eq!(m.distance(0, 1000) == Distance::Remote, m.name != "smp");
+        }
     }
 
     #[test]

@@ -31,10 +31,11 @@
 //!   conductor admits exactly one thread at a time anyway, nothing is lost
 //!   by giving up kernel parallelism, and a baton handoff shrinks from a
 //!   mutex + condvar + scheduler round-trip (microseconds) to a
-//!   ~15-instruction stack switch (nanoseconds). The context switch and the
-//!   stack arena live in `fiber.rs`; on every other target (`build.rs` holds
-//!   the rule) fast mode falls back to the OS-thread conductor with the
-//!   lookahead window below.
+//!   ~15-instruction stack switch (nanoseconds), and its ready queue holds
+//!   one packed `u64` per parked fiber instead of a `(clock, tid)` tuple. The
+//!   context switch and the stack arena live in `fiber.rs`; on every other
+//!   target (`build.rs` holds the rule) fast mode falls back to the OS-thread
+//!   conductor with the two windows below.
 //!
 //! # Lookahead fast path
 //!
@@ -53,6 +54,31 @@
 //! state, is bit-for-bit identical either way; only the real-time cost of
 //! *computing* the schedule changes. See `docs/conductor.md` for the
 //! invariant argument; the equivalence tests diff the two modes.
+//!
+//! # Reach window
+//!
+//! At hundreds of threads clocks are dense and almost nothing is globally
+//! earliest for two operations in a row — but half or more of all operations
+//! touch only the issuer's *own* partition (a lock-less worker polls its own
+//! request cell between two probes, a message worker its own mailbox), and
+//! only the order of operations *per partition* is observable. An operation
+//! on the caller's own partition therefore keeps the baton, although it
+//! completes at `t` later than the queue minimum, when nothing can still
+//! precede it there:
+//!
+//! - no thread is *parked* on an operation on this partition that conflicts
+//!   with it (`Mem::inbound` counts them: a parked write conflicts with
+//!   everything, a parked read with writes), and
+//! - `t < next_min.clock + reach`, strictly, where `reach` is
+//!   [`MachineModel::min_foreign_cost`]: every other thread resumes no
+//!   earlier than the queue minimum and then pays at least `reach` for
+//!   whatever it issues on a partition not its own, so nothing it has not
+//!   already parked can land here before `t`, nor at `t` with a smaller
+//!   thread id.
+//!
+//! `send` never qualifies: it draws from the one global send sequence, so
+//! sends are ordered against each other, not per partition. The reference
+//! conductor takes neither window.
 //!
 //! This is how the paper's 256-1024-thread cluster experiments (§4.2) run on
 //! a single host: the virtual makespan plays the role of measured wall-clock
@@ -138,6 +164,45 @@ struct Mem<T> {
     /// Per-destination mailbox ordered by (arrival time, send sequence).
     mailboxes: Vec<BTreeMap<(u64, u64), Msg<T>>>,
     send_seq: u64,
+    /// Per partition: the operations *other* threads have parked on it (see
+    /// "Reach window" in the module docs). Scheduling state, not memory — it
+    /// lives here because, like the image, only the baton holder touches it.
+    inbound: Vec<Inbound>,
+}
+
+/// What an operation does to the partition it names.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Access {
+    /// Observes the partition and changes nothing (`poll` counts as one).
+    Read,
+    /// May change the partition.
+    Write,
+    /// `send`: a write to the destination's mailbox that also draws from the
+    /// global send sequence, so it is ordered against every other send.
+    Send,
+}
+
+/// Operations that threads other than the owner have issued on one partition
+/// and that are parked in the ready queue, not yet applied.
+#[derive(Clone, Default)]
+struct Inbound {
+    reads: u32,
+    writes: u32,
+}
+
+impl Inbound {
+    fn count(&mut self, access: Access) -> &mut u32 {
+        match access {
+            Access::Read => &mut self.reads,
+            Access::Write | Access::Send => &mut self.writes,
+        }
+    }
+
+    /// Whether an operation of the partition's owner conflicts with none of
+    /// them, i.e. commutes with all: reads with reads.
+    fn admits(&self, own: Access) -> bool {
+        self.writes == 0 && (own == Access::Read || self.reads == 0)
+    }
 }
 
 impl<T: Item> Mem<T> {
@@ -148,6 +213,7 @@ impl<T: Item> Mem<T> {
             areas: (0..nthreads).map(|_| Vec::new()).collect(),
             mailboxes: (0..nthreads).map(|_| BTreeMap::new()).collect(),
             send_seq: 0,
+            inbound: vec![Inbound::default(); nthreads],
         }
     }
 }
@@ -199,7 +265,9 @@ struct FiberHub<T: Item> {
     nthreads: usize,
     faults: FaultPlan,
     clocks: Vec<u64>,
-    queue: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Fibers waiting for the baton, one packed key each.
+    queue: BinaryHeap<Reverse<u64>>,
+    keys: KeyFormat,
     /// Saved stack pointer of each suspended fiber.
     rsps: Vec<usize>,
     /// Saved stack pointer of the host (resumed when the last fiber retires).
@@ -207,6 +275,42 @@ struct FiberHub<T: Item> {
     mem: Mem<T>,
     final_stats: Vec<Option<CommStats>>,
     final_conductor: Vec<Option<ConductorStats>>,
+}
+
+/// The fiber ready queue's entry for `(clock, tid)`: `clock << tid_bits | tid`
+/// with `tid_bits = bits(p - 1)`, so that integer order *is* the
+/// lexicographic `(clock, tid)` order — half the bytes of the tuple and one
+/// compare per heap level.
+#[cfg(pgas_fiber)]
+#[derive(Clone, Copy)]
+struct KeyFormat {
+    nthreads: usize,
+    tid_bits: u32,
+}
+
+#[cfg(pgas_fiber)]
+impl KeyFormat {
+    fn new(nthreads: usize) -> Self {
+        KeyFormat {
+            nthreads,
+            tid_bits: usize::BITS - (nthreads - 1).leading_zeros(),
+        }
+    }
+
+    /// A clock too large for the bits left to it panics; it never wraps.
+    fn pack(self, clock: u64, tid: usize) -> Reverse<u64> {
+        assert!(
+            clock.leading_zeros() >= self.tid_bits,
+            "virtual time {clock} ns does not fit the ready queue's {}-bit clock at p = {}",
+            u64::BITS - self.tid_bits,
+            self.nthreads
+        );
+        Reverse(clock << self.tid_bits | tid as u64)
+    }
+
+    fn unpack(self, Reverse(key): Reverse<u64>) -> (u64, usize) {
+        (key >> self.tid_bits, (key & ((1 << self.tid_bits) - 1)) as usize)
+    }
 }
 
 /// Per-fiber launch record; lives in a host-owned Vec with a stable address.
@@ -235,9 +339,14 @@ where
     // cache the queue minimum exactly as the OS-thread register() does.
     // SAFETY: the hub outlives every fiber and this fiber is the only live
     // context, so the borrow is unique; it ends with this statement.
-    let (nthreads, faults, next_min) = unsafe {
+    let (nthreads, faults, reach_ns, next_min) = unsafe {
         let h = &*hub;
-        (h.nthreads, h.faults, h.queue.peek().map(|r| r.0))
+        (
+            h.nthreads,
+            h.faults,
+            h.machine.min_foreign_cost(),
+            h.queue.peek().map(|&k| h.keys.unpack(k)),
+        )
     };
     let mut comm = SimComm {
         backend: Backend::Fiber(hub),
@@ -245,6 +354,7 @@ where
         nthreads,
         faults,
         lookahead: true,
+        reach_ns,
         local_clock: 0,
         pending_work: 0,
         next_min,
@@ -274,7 +384,7 @@ where
         }
         save = &mut h.rsps[ctx.tid] as *mut usize;
         load = match h.queue.pop() {
-            Some(Reverse((_, next))) => h.rsps[next],
+            Some(key) => h.rsps[h.keys.unpack(key).1],
             None => h.host_rsp, // last one out resumes the host
         };
     }
@@ -354,8 +464,8 @@ impl<T: Item> SimCluster<T> {
     }
 
     /// Fast mode: all simulated threads as fibers on this OS thread. A
-    /// handoff is a user-level stack switch; the lookahead window skips even
-    /// that when the runner stays globally earliest.
+    /// handoff is a user-level stack switch; the lookahead and reach windows
+    /// skip even that.
     #[cfg(pgas_fiber)]
     fn run_fibers<R, F>(self, f: &F) -> SimReport<R>
     where
@@ -368,13 +478,15 @@ impl<T: Item> SimCluster<T> {
             nthreads: n,
             faults: self.faults,
             clocks: vec![0; n],
-            queue: (0..n).map(|tid| Reverse((0u64, tid))).collect(),
+            queue: BinaryHeap::with_capacity(n),
+            keys: KeyFormat::new(n),
             rsps: vec![0; n],
             host_rsp: 0,
             mem: Mem::new(n, &self.cfg),
             final_stats: vec![None; n],
             final_conductor: vec![None; n],
         };
+        hub.queue.extend((0..n).map(|tid| hub.keys.pack(0, tid)));
         let hub_ptr: *mut FiberHub<T> = &mut hub;
 
         let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
@@ -406,7 +518,7 @@ impl<T: Item> SimCluster<T> {
         }
 
         // Start the earliest fiber; we are resumed when the last one retires.
-        let Reverse((_, first)) = hub.queue.pop().expect("nonempty cluster");
+        let (_, first) = hub.keys.unpack(hub.queue.pop().expect("nonempty cluster"));
         let save: *mut usize = &mut hub.host_rsp;
         let load = hub.rsps[first];
         // SAFETY: `load` is fiber `first`'s freshly initialized context, and
@@ -546,6 +658,8 @@ pub struct SimComm<T: Item> {
     tid: usize,
     nthreads: usize,
     lookahead: bool,
+    /// Width of the reach window: the run's [`MachineModel::min_foreign_cost`].
+    reach_ns: u64,
     /// This thread's virtual clock as of its last operation. Authoritative;
     /// the conductor's `clocks[tid]` is only a published (possibly lagging)
     /// copy.
@@ -568,11 +682,13 @@ impl<T: Item> SimComm<T> {
         let nthreads = shared.nthreads;
         let lookahead = shared.lookahead;
         let faults = shared.faults;
+        let reach_ns = shared.machine.min_foreign_cost();
         SimComm {
             backend: Backend::Threads(shared),
             tid,
             nthreads,
             lookahead,
+            reach_ns,
             faults,
             local_clock: 0,
             pending_work: 0,
@@ -611,22 +727,59 @@ impl<T: Item> SimComm<T> {
         self.next_min = g.queue.peek().map(|r| r.0);
     }
 
+    /// The memory image.
+    ///
+    /// # Safety
+    /// The caller holds the baton, and drops the borrow before it hands the
+    /// baton on.
+    unsafe fn mem(&mut self) -> &mut Mem<T> {
+        match &self.backend {
+            // SAFETY: the baton holder's is the unique live access, and the
+            // preceding holder's writes are visible via the mutex handoff
+            // that granted us the baton.
+            Backend::Threads(s) => unsafe { &mut *s.mem.get() },
+            // SAFETY: single OS thread; the baton holder is the only live
+            // fiber, and the hub outlives every fiber.
+            #[cfg(pgas_fiber)]
+            Backend::Fiber(h) => unsafe { &mut (**h).mem },
+        }
+    }
+
+    /// The reach window (module docs): may this operation, which completes
+    /// at `t` — not before the queue minimum — be applied now all the same?
+    fn reaches(&mut self, access: Access, peer: usize, t: u64) -> bool {
+        let Some((min_clock, _)) = self.next_min else {
+            return false;
+        };
+        // Strictly: at `min_clock + reach_ns` a thread with a smaller id
+        // could commit on our partition first.
+        if peer != self.tid || access == Access::Send || t >= min_clock + self.reach_ns {
+            return false;
+        }
+        let me = self.tid;
+        // SAFETY: `op` runs with the baton held; the borrow ends here.
+        unsafe { self.mem() }.inbound[me].admits(access)
+    }
+
     /// Advance our clock by `cost` (plus pending work) and apply `eff` to the
-    /// global memory once we are the globally earliest thread. `peer` is the
-    /// thread whose partition the operation touches (`tid` itself for local
-    /// operations) — the active [`FaultPlan`], if any, prices link faults
-    /// against it.
+    /// global memory once no operation that could precede it on the partition
+    /// it touches is outstanding. `peer` is the thread whose partition that is
+    /// (`tid` itself for local operations) — the active [`FaultPlan`], if
+    /// any, prices link faults against it — and `access` what the operation
+    /// does there.
     ///
     /// Fast path: if even after the advance we still precede the cached
     /// queue minimum, the conductor would hand the baton straight back to
-    /// us — skip the scheduler entirely and apply `eff` in place. Ops of
+    /// us, and inside the reach window nobody can get to our own partition
+    /// first — skip the scheduler entirely and apply `eff` in place. Ops of
     /// every class have positive cost under all machine models (and the
     /// fault plan never shrinks a cost), so a thread cannot fast-path
-    /// forever: its clock strictly grows and eventually crosses `next_min`,
+    /// forever: its clock strictly grows and eventually leaves both windows,
     /// forcing a real handoff (no starvation).
     fn op<R>(
         &mut self,
         class: OpClass,
+        access: Access,
         peer: usize,
         mut cost: u64,
         eff: impl FnOnce(&mut Mem<T>, u64) -> R,
@@ -651,23 +804,25 @@ impl<T: Item> SimComm<T> {
         let t = self.local_clock + self.pending_work + cost;
         self.pending_work = 0;
         self.local_clock = t;
-        if self.lookahead && self.next_min.is_none_or(|min| (t, self.tid) < min) {
-            self.conductor.fast_ops += 1;
-            self.conductor.fast_by_class[class.index()] += 1;
-            let mem = match &self.backend {
-                // SAFETY: we hold the baton and stay its holder (we are
-                // still strictly earliest), so this is the unique live
-                // access; the preceding holder's writes are visible via the
-                // mutex handoff that granted us the baton.
-                Backend::Threads(s) => unsafe { &mut *s.mem.get() },
-                // SAFETY: single OS thread; we are the only live fiber.
-                #[cfg(pgas_fiber)]
-                Backend::Fiber(h) => unsafe { &mut (**h).mem },
-            };
-            return eff(mem, t);
+        if self.lookahead {
+            let earliest = self.next_min.is_none_or(|min| (t, self.tid) < min);
+            if earliest || self.reaches(access, peer, t) {
+                self.conductor.fast_ops += 1;
+                self.conductor.reach_ops += u64::from(!earliest);
+                self.conductor.fast_by_class[class.index()] += 1;
+                // SAFETY: we hold the baton and keep it.
+                return eff(unsafe { self.mem() }, t);
+            }
         }
         self.conductor.handoffs += 1;
-        match self.backend {
+        // While we are parked on another thread's partition, its owner's
+        // reach window must know (the reference conductor has no window).
+        let inbound = self.lookahead && peer != self.tid;
+        if inbound {
+            // SAFETY: we hold the baton until the handoff below.
+            *unsafe { self.mem() }.inbound[peer].count(access) += 1;
+        }
+        let mem = match self.backend {
             Backend::Threads(ref shared) => {
                 let mut g = shared.mx.lock().unwrap();
                 g.clocks[self.tid] = t;
@@ -680,8 +835,7 @@ impl<T: Item> SimComm<T> {
                 drop(g);
                 // SAFETY: `chosen == tid` again — unique access, published by
                 // the mutex release of whichever thread dispatched to us.
-                let mem = unsafe { &mut *shared.mem.get() };
-                eff(mem, t)
+                unsafe { &mut *shared.mem.get() }
             }
             #[cfg(pgas_fiber)]
             Backend::Fiber(hub) => {
@@ -697,8 +851,9 @@ impl<T: Item> SimComm<T> {
                     let h = &mut *hub;
                     h.clocks[self.tid] = t;
                     let mut root = h.queue.peek_mut().expect("lookahead failed against an empty queue");
-                    let Reverse((_, next)) = std::mem::replace(&mut *root, Reverse((t, self.tid)));
+                    let min = std::mem::replace(&mut *root, h.keys.pack(t, self.tid));
                     drop(root);
+                    let (_, next) = h.keys.unpack(min);
                     assert_ne!(next, self.tid, "a running fiber was queued");
                     (&mut h.rsps[self.tid] as *mut usize, h.rsps[next])
                 };
@@ -709,10 +864,14 @@ impl<T: Item> SimComm<T> {
                 // SAFETY: we were resumed, so we are the one live fiber again
                 // and the borrow is unique until `eff` returns.
                 let h = unsafe { &mut *hub };
-                self.next_min = h.queue.peek().map(|r| r.0);
-                eff(&mut h.mem, t)
+                self.next_min = h.queue.peek().map(|&k| h.keys.unpack(k));
+                &mut h.mem
             }
+        };
+        if inbound {
+            *mem.inbound[peer].count(access) -= 1;
         }
+        eff(mem, t)
     }
 
     /// Leave the pool for good, folding in trailing work and publishing the
@@ -783,25 +942,27 @@ impl<T: Item> Comm<T> for SimComm<T> {
         self.stats.polls += 1;
         let c = self.machine().poll_ns;
         let me = self.tid;
-        self.op(OpClass::Poll, me, c, |_, _| ());
+        self.op(OpClass::Poll, Access::Read, me, c, |_, _| ());
     }
 
     fn get(&mut self, thread: usize, var: usize) -> i64 {
         self.stats.gets += 1;
         let c = self.machine().ref_cost(self.tid, thread);
-        self.op(OpClass::Scalar, thread, c, |m, _| m.scalars[thread][var])
+        self.op(OpClass::Scalar, Access::Read, thread, c, |m, _| m.scalars[thread][var])
     }
 
     fn put(&mut self, thread: usize, var: usize, val: i64) {
         self.stats.puts += 1;
         let c = self.machine().ref_cost(self.tid, thread);
-        self.op(OpClass::Scalar, thread, c, |m, _| m.scalars[thread][var] = val)
+        self.op(OpClass::Scalar, Access::Write, thread, c, |m, _| {
+            m.scalars[thread][var] = val
+        })
     }
 
     fn cas(&mut self, thread: usize, var: usize, expected: i64, new: i64) -> i64 {
         self.stats.atomics += 1;
         let c = self.machine().atomic_cost(self.tid, thread);
-        self.op(OpClass::Atomic, thread, c, |m, _| {
+        self.op(OpClass::Atomic, Access::Write, thread, c, |m, _| {
             let cell = &mut m.scalars[thread][var];
             let observed = *cell;
             if observed == expected {
@@ -814,7 +975,7 @@ impl<T: Item> Comm<T> for SimComm<T> {
     fn add(&mut self, thread: usize, var: usize, delta: i64) -> i64 {
         self.stats.atomics += 1;
         let c = self.machine().atomic_cost(self.tid, thread);
-        self.op(OpClass::Atomic, thread, c, |m, _| {
+        self.op(OpClass::Atomic, Access::Write, thread, c, |m, _| {
             let cell = &mut m.scalars[thread][var];
             let old = *cell;
             *cell = old + delta;
@@ -824,7 +985,7 @@ impl<T: Item> Comm<T> for SimComm<T> {
 
     fn try_lock(&mut self, thread: usize, lock: usize) -> bool {
         let c = self.machine().lock_cost(self.tid, thread);
-        let ok = self.op(OpClass::Lock, thread, c, |m, _| {
+        let ok = self.op(OpClass::Lock, Access::Write, thread, c, |m, _| {
             let held = &mut m.locks[thread][lock];
             if *held {
                 false
@@ -844,7 +1005,7 @@ impl<T: Item> Comm<T> for SimComm<T> {
     fn unlock(&mut self, thread: usize, lock: usize) {
         self.stats.unlocks += 1;
         let c = self.machine().unlock_cost(self.tid, thread);
-        self.op(OpClass::Lock, thread, c, |m, _| {
+        self.op(OpClass::Lock, Access::Write, thread, c, |m, _| {
             assert!(m.locks[thread][lock], "unlock of a free lock");
             m.locks[thread][lock] = false;
         })
@@ -853,7 +1014,7 @@ impl<T: Item> Comm<T> for SimComm<T> {
     fn area_len(&mut self, thread: usize) -> usize {
         self.stats.gets += 1;
         let c = self.machine().ref_cost(self.tid, thread);
-        self.op(OpClass::Scalar, thread, c, |m, _| m.areas[thread].len())
+        self.op(OpClass::Scalar, Access::Read, thread, c, |m, _| m.areas[thread].len())
     }
 
     fn area_read(&mut self, thread: usize, offset: usize, len: usize, dst: &mut Vec<T>) {
@@ -862,7 +1023,7 @@ impl<T: Item> Comm<T> for SimComm<T> {
         let c = self
             .machine()
             .bulk_cost(self.tid, thread, Self::size_of_items(len));
-        self.op(OpClass::Bulk, thread, c, |m, _| {
+        self.op(OpClass::Bulk, Access::Read, thread, c, |m, _| {
             let area = &m.areas[thread];
             assert!(
                 offset + len <= area.len(),
@@ -881,7 +1042,7 @@ impl<T: Item> Comm<T> for SimComm<T> {
         let c = self
             .machine()
             .bulk_cost(self.tid, thread, Self::size_of_items(src.len()));
-        self.op(OpClass::Bulk, thread, c, |m, _| {
+        self.op(OpClass::Bulk, Access::Write, thread, c, |m, _| {
             let area = &mut m.areas[thread];
             if area.len() < offset + src.len() {
                 area.resize(offset + src.len(), T::default());
@@ -893,7 +1054,7 @@ impl<T: Item> Comm<T> for SimComm<T> {
     fn area_truncate(&mut self, thread: usize, len: usize) {
         self.stats.puts += 1;
         let c = self.machine().ref_cost(self.tid, thread);
-        self.op(OpClass::Scalar, thread, c, |m, _| {
+        self.op(OpClass::Scalar, Access::Write, thread, c, |m, _| {
             assert!(len <= m.areas[thread].len(), "truncate beyond area length");
             m.areas[thread].truncate(len);
         })
@@ -936,7 +1097,7 @@ impl<T: Item> Comm<T> for SimComm<T> {
             }
         }
         let overhead = self.machine().msg_overhead_ns;
-        self.op(OpClass::Message, dst, overhead, move |m, now| {
+        self.op(OpClass::Message, Access::Send, dst, overhead, move |m, now| {
             if fate == MsgFate::Lost {
                 return;
             }
@@ -959,7 +1120,7 @@ impl<T: Item> Comm<T> for SimComm<T> {
         self.stats.gets += 1;
         let c = self.machine().local_ref_ns;
         let me = self.tid;
-        self.op(OpClass::Message, me, c, |m, now| {
+        self.op(OpClass::Message, Access::Read, me, c, |m, now| {
             m.mailboxes[me]
                 .iter()
                 .take_while(|((arrival, _), _)| *arrival <= now)
@@ -970,7 +1131,7 @@ impl<T: Item> Comm<T> for SimComm<T> {
     fn try_recv(&mut self, tag: Option<i64>) -> Option<Msg<T>> {
         let c = self.machine().local_ref_ns;
         let me = self.tid;
-        let got = self.op(OpClass::Message, me, c, |m, now| {
+        let got = self.op(OpClass::Message, Access::Write, me, c, |m, now| {
             let key = m.mailboxes[me]
                 .iter()
                 .take_while(|((arrival, _), _)| *arrival <= now)
@@ -1487,6 +1648,9 @@ mod tests {
         assert!(report.clocks[0] >= 4 * base);
     }
 }
+
+#[cfg(test)]
+mod reach_tests;
 
 #[cfg(test)]
 mod failure_tests {

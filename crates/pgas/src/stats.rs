@@ -6,8 +6,9 @@
 //! those reports.
 //!
 //! [`ConductorStats`] is simulator-side only: it measures the *harness*
-//! (how many operations the virtual-time conductor applied on its lock-free
-//! lookahead fast path vs. via a baton handoff), never the modelled machine.
+//! (how many operations the virtual-time conductor applied on its fast path —
+//! the lookahead window or the reach window — vs. via a baton handoff), never
+//! the modelled machine.
 //! It is deliberately kept out of [`CommStats`] so the fast path cannot
 //! perturb any equality check on modelled results (see `docs/conductor.md`).
 
@@ -105,16 +106,21 @@ impl CommStats {
 ///
 /// `fast_ops + handoffs` equals the number of priced operations the thread
 /// issued; the split tells you how much real-machine synchronization the
-/// simulation needed. These counters describe the simulator itself — they are
+/// simulation needed, and `reach_ops` how much of the fast path is owed to the
+/// reach window. These counters describe the simulator itself — they are
 /// identical in *meaning* but not in *value* across lookahead on/off runs,
 /// which is why they live outside [`CommStats`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ConductorStats {
-    /// Operations applied on the lock-free lookahead fast path (the issuing
-    /// thread kept the baton: no mutex, no condvar, no handoff).
+    /// Operations applied on the fast path (the issuing thread kept the
+    /// baton: no queue entry, no switch, no handoff), by either window.
     pub fast_ops: u64,
-    /// Operations that went through a full baton handoff (mutex + schedule +
-    /// condvar wait).
+    /// The subset of `fast_ops` that only the reach window admitted:
+    /// operations on the issuer's own partition that were no longer globally
+    /// earliest but that no other thread could precede *there*.
+    pub reach_ops: u64,
+    /// Operations that went through a full baton handoff (a fiber switch, or
+    /// mutex + schedule + condvar wait under the OS-thread conductor).
     pub handoffs: u64,
     /// Fast-path operations by [`OpClass`] histogram index
     /// ([`OpClass::index`]).
@@ -146,6 +152,7 @@ impl ConductorStats {
     /// counts add, the stack high-water mark is the deepest thread's.
     pub fn merge(&mut self, other: &ConductorStats) {
         self.fast_ops += other.fast_ops;
+        self.reach_ops += other.reach_ops;
         self.handoffs += other.handoffs;
         for (a, b) in self.fast_by_class.iter_mut().zip(other.fast_by_class) {
             *a += b;
@@ -162,18 +169,21 @@ mod tests {
     fn conductor_merge_and_fraction() {
         let mut a = ConductorStats {
             fast_ops: 3,
+            reach_ops: 2,
             handoffs: 1,
             fast_by_class: [3, 0, 0, 0, 0, 0],
             stack_peak_bytes: 8192,
         };
         let b = ConductorStats {
             fast_ops: 1,
+            reach_ops: 1,
             handoffs: 1,
             fast_by_class: [0, 1, 0, 0, 0, 0],
             stack_peak_bytes: 12288,
         };
         a.merge(&b);
         assert_eq!(a.total_ops(), 6);
+        assert_eq!(a.reach_ops, 3);
         assert_eq!(a.stack_peak_bytes, 12288, "the deepest thread's, not a sum");
         assert_eq!(a.fast_by_class, [3, 1, 0, 0, 0, 0]);
         assert!((a.fast_fraction() - 4.0 / 6.0).abs() < 1e-12);

@@ -76,7 +76,7 @@ for doc in docs/*.md; do
 done
 docs="docs/*.md README.md DESIGN.md EXPERIMENTS.md"
 # Generated outputs that are legitimately absent from a clean tree.
-generated="BENCH_conductor.json results/logs/BENCH_conductor_smoke.json"
+generated="BENCH_conductor.json"
 # Paths under a source directory, plus back-ticked root-level files.
 paths=$(
   grep -hoE '(crates|tests|scripts|examples|src|docs|results)/[A-Za-z0-9_/.-]+\.(rs|sh|csv|md|toml|svg|json|log)' $docs

@@ -3,7 +3,7 @@
 //!
 //! The simulator has two conductors (see `docs/conductor.md`): the
 //! **reference** OS-thread/baton loop and the single-core **fiber** loop
-//! with the lookahead fast path. For each algorithm, workload, and thread
+//! with the lookahead and reach windows. For each algorithm, workload, and thread
 //! count, the same run is executed under both (`lookahead = false` selects
 //! the reference, `true` the fiber loop) and the reports are required to be
 //! *bit-identical*: virtual makespan, every per-thread virtual clock, every
@@ -12,9 +12,13 @@
 //! counters may differ — that is the whole point of keeping them out of
 //! `CommStats`.
 //!
-//! The matrix covers batch (UTS trees), service mode, crash faults,
-//! membership faults, all three DAG families, and a conflict-storm stress
-//! case of raw cross-thread put/get chains.
+//! The matrix covers batch (UTS trees, on every machine preset — the reach
+//! window's width is a cost ratio), service mode, crash faults, membership
+//! faults, all three DAG families, and a conflict-storm stress case of raw
+//! cross-thread put/get chains. The reference conductor pays a kernel round
+//! trip per operation, so the big legs are sized by what it can finish; the
+//! random programs of `crates/pgas/src/sim/reach_tests.rs` are the sharper
+//! oracle per second spent.
 
 use pgas::sim::{SimCluster, SimReport, SIM_STACK_SIZE};
 use pgas::{ArrivalSpec, Comm, FaultPlan, MachineModel};
@@ -56,37 +60,51 @@ fn assert_stack_margin(stack_peak_bytes: u64, label: &str) {
     );
 }
 
-fn run_mode(preset: &Preset, alg: Algorithm, threads: usize, lookahead: bool) -> SimReport<ThreadResult> {
+fn run_mode(
+    machine: &MachineModel,
+    preset: &Preset,
+    alg: Algorithm,
+    threads: usize,
+    lookahead: bool,
+) -> SimReport<ThreadResult> {
     let gen = UtsGen::new(preset.spec);
     let cfg = RunConfig::new(alg, 4);
     let cluster: SimCluster<<UtsGen as TaskGen>::Task> =
-        SimCluster::new(MachineModel::kittyhawk(), threads, vars::space_config())
-            .with_lookahead(lookahead);
+        SimCluster::new(machine.clone(), threads, vars::space_config()).with_lookahead(lookahead);
     cluster.run(move |c| worker(c, &gen, &cfg))
 }
 
-fn assert_equivalent(preset: &Preset, alg: Algorithm, threads: usize) {
-    let reference = run_mode(preset, alg, threads, false);
-    let fiber = run_mode(preset, alg, threads, true);
-    let label = format!("{} x {} threads x {}", alg.label(), threads, preset.name);
+fn assert_equivalent(machine: &MachineModel, preset: &Preset, alg: Algorithm, threads: usize) {
+    let reference = run_mode(machine, preset, alg, threads, false);
+    let fiber = run_mode(machine, preset, alg, threads, true);
+    let label = format!(
+        "{} x {} threads x {} on {}",
+        alg.label(),
+        threads,
+        preset.name,
+        machine.name
+    );
     assert_sim_identical(&fiber, &reference, &label);
 
-    // Sanity on the knobs themselves: the reference mode never uses a fast
-    // path, the fiber mode must actually exercise its lookahead.
+    // Sanity on the knobs themselves: the reference mode never takes either
+    // window, the fiber mode must actually exercise its fast path — and the
+    // two protocols built on polling one's own partition (the lock-less
+    // request cell, the mailbox) its reach window.
+    let (reference, fiber) = (reference.total_conductor(), fiber.total_conductor());
     assert_eq!(
-        reference.total_conductor().fast_ops,
-        0,
+        (reference.fast_ops, reference.reach_ops),
+        (0, 0),
         "{label}: reference mode still fast-pathed"
     );
-    assert!(
-        fiber.total_conductor().fast_ops > 0,
-        "{label}: fiber lookahead never engaged"
-    );
+    assert!(fiber.fast_ops > 0, "{label}: fiber fast path never engaged");
+    if matches!(alg, Algorithm::DistMem | Algorithm::MpiWs) {
+        assert!(fiber.reach_ops > 0, "{label}: reach window never engaged");
+    }
 }
 
-fn matrix_over(preset: &Preset, threads: usize) {
+fn matrix_over(machine: &MachineModel, preset: &Preset, threads: usize) {
     for alg in Algorithm::all() {
-        assert_equivalent(preset, alg, threads);
+        assert_equivalent(machine, preset, alg, threads);
     }
 }
 
@@ -140,29 +158,49 @@ fn all_algorithms_dag_workloads_16_threads() {
 
 #[test]
 fn all_algorithms_tiny_16_threads() {
-    matrix_over(&presets::t_tiny(), 16);
+    matrix_over(&MachineModel::kittyhawk(), &presets::t_tiny(), 16);
+}
+
+/// The same leg at the other presets' cost ratios: the reach window is 250 ns
+/// wide on kittyhawk, 220 on topsail, 300 on altix (where a remote reference
+/// is only 3x a same-node one) and 20 on smp (one node, everything cheap).
+#[test]
+fn all_algorithms_tiny_16_threads_on_every_machine() {
+    for machine in [MachineModel::topsail(), MachineModel::altix(), MachineModel::smp()] {
+        matrix_over(&machine, &presets::t_tiny(), 16);
+    }
 }
 
 #[test]
 fn all_algorithms_tiny_64_threads() {
-    matrix_over(&presets::t_tiny(), 64);
+    matrix_over(&MachineModel::kittyhawk(), &presets::t_tiny(), 64);
 }
 
 #[test]
 fn all_algorithms_small_16_threads() {
-    matrix_over(&presets::t_s(), 16);
+    matrix_over(&MachineModel::kittyhawk(), &presets::t_s(), 16);
 }
 
 #[test]
 fn all_algorithms_small_64_threads() {
-    matrix_over(&presets::t_s(), 64);
+    matrix_over(&MachineModel::kittyhawk(), &presets::t_s(), 64);
 }
 
 /// The Fig. 4 thread count, which otherwise only the off-CI
-/// `conductor_bench` compares across conductors.
+/// `conductor_bench` compares across conductors — for the one-sided bundles.
+/// The message bundles stop at `all_algorithms_small_64_threads`: at 256
+/// threads mpi-ws alone keeps the reference conductor, at a kernel round trip
+/// per operation, busy for 106 s (4.7 M operations) and push-random for 8 s,
+/// of 257 s for all seven (`conductor_bench --tree s --threads 256 --chunk 4`
+/// per bundle). What remains is upc-sharedmem's 97 s (5.2 M operations) and
+/// 4–16 s for each of the other four.
 #[test]
-fn all_algorithms_small_256_threads() {
-    matrix_over(&presets::t_s(), 256);
+fn one_sided_algorithms_small_256_threads() {
+    for alg in Algorithm::all() {
+        if !matches!(alg, Algorithm::MpiWs | Algorithm::Pushing) {
+            assert_equivalent(&MachineModel::kittyhawk(), &presets::t_s(), alg, 256);
+        }
+    }
 }
 
 // ---------------------------------------------------------------- RunReport

@@ -10,6 +10,10 @@
 //! the benchmark's p = 256 workloads peaked at 134 MB = p × 512 KiB). The
 //! stack arena of `crates/pgas/src/fiber.rs` maps and unmaps its own
 //! reservation per run.
+//!
+//! The same process then makes one p = 1024 run, where per-rank scheduler
+//! state — O(p) per rank, so O(p²) per run — is what a run costs, and holds
+//! its growth to a budget (`WIDE_BUDGET_KB`).
 
 use pgas::MachineModel;
 use uts_tree::presets;
@@ -27,6 +31,15 @@ fn peak_rss_kb() -> u64 {
         .and_then(|kb| kb.parse().ok())
         .expect("VmHWM value in KiB")
 }
+
+/// Budget for what one topsail p = 1024 T-S run may add to `VmHWM`, KiB,
+/// in the debug profile tier-1 runs this test in. When every rank kept its
+/// victim list as a `Vec<usize>` and cloned it per probe cycle (16 B per
+/// victim per rank, 16.8 MB per run) this read 33,388 KiB, three runs alike;
+/// with one `u32` per victim it reads 22,840–22,844 KiB, most of it the 1024
+/// fiber stacks' touched pages (release, whole process, via the benchmark's
+/// `sim_wide`: 32.4 → 21.2 MB).
+const WIDE_BUDGET_KB: u64 = 29 * 1024;
 
 #[test]
 fn repeated_sims_do_not_pay_for_untouched_stacks() {
@@ -53,5 +66,15 @@ fn repeated_sims_do_not_pay_for_untouched_stacks() {
     assert!(
         last < 48 * 1024,
         "VmHWM {last} KiB after four p=256 runs: {peaks:?} KiB"
+    );
+
+    // What one wide run adds to the mark the four above left behind.
+    let report = run_sim(MachineModel::topsail(), 1024, &gen, &cfg);
+    assert_eq!(report.total_nodes, preset.expected.nodes);
+    let wide = peak_rss_kb() - last;
+    println!("VmHWM growth of one p=1024 run: {wide} KiB");
+    assert!(
+        wide < WIDE_BUDGET_KB,
+        "one p=1024 run raised VmHWM by {wide} KiB (budget {WIDE_BUDGET_KB})"
     );
 }
