@@ -5,26 +5,40 @@
 //! Three blocks:
 //!
 //! 1. **Saturation sweep** — Poisson arrivals at increasing rates, p=64 and
-//!    p=256. Requests are small (~80-node binomial trees), so the knee is
-//!    *detection-bound*, not CPU-bound: past the point where arrivals
-//!    outpace the per-epoch quiescence pipeline (admission window / epoch
-//!    turnaround), injections defer and latency grows with queue depth.
+//!    p=256. Requests are small (~80-node binomial trees); past the point
+//!    where arrivals outpace the admission window (16 slots ÷ the time a
+//!    request holds one), injections defer and latency grows with queue
+//!    depth. The `exec` / `detect` columns say where a request's time goes.
 //! 2. **Burstiness** — MMPP arrivals alternating a quiet and a hot rate
-//!    with the same long-run mean as a mid-sweep Poisson row, isolating
-//!    what bursts alone do to p99/p999.
+//!    with (nearly) the long-run mean of the 30k/s Poisson rows, isolating
+//!    what bursts alone do to p99.
 //! 3. **Chaos under load** — the same mid-sweep point under a seeded
 //!    benign-fault plan and under a crash plan (message loss, duplication,
-//!    rank kills); conservation-with-multiplicity is asserted per epoch
-//!    inside `run_service_sim`, so every printed row is a verified run.
+//!    rank kills); conservation-with-multiplicity and declared-after-executed
+//!    are asserted per epoch inside `run_service_sim`, so every printed row
+//!    is a verified run.
 //!
 //! Run with: `cargo run --release -p uts-bench --bin service`
-//! (`--smoke` for the CI-sized subset; `--csv` off by `--no-csv`).
-//! Writes `results/service.csv`.
+//! (`--smoke` for the CI-sized subset; `--no-csv` to leave the file alone).
+//! Writes `results/service.csv`; `--check` recomputes the sweep and compares
+//! it with the committed file byte for byte instead (every column is
+//! virtual, so any difference is a schedule change or a stale file).
 
 use pgas::{ArrivalSpec, FaultPlan, MachineModel};
 use uts_bench::harness::flag;
 use uts_tree::TreeSpec;
-use worksteal::{run_service_sim, Algorithm, RunConfig, RunReport, ServiceReport, UtsGen};
+use worksteal::{
+    run_service_sim, Algorithm, LatencyHistogram, RunConfig, RunReport, ServiceReport, UtsGen,
+};
+
+const CSV_PATH: &str = "results/service.csv";
+
+/// Requests per fault-free or `seeded` row: the smallest count whose p99
+/// has ten samples beyond it.
+const REQUESTS: usize = 1000;
+/// Requests per `crashy` row: one death at p=64 still sets off an eviction
+/// storm (ROADMAP item 1) that makes longer streams impractical.
+const CRASHY_REQUESTS: usize = 48;
 
 /// One CSV/table row of a service run.
 struct SvcRow {
@@ -37,10 +51,14 @@ struct SvcRow {
     nodes: u64,
     dup_nodes: u64,
     deaths: usize,
+    evictions: u64,
     makespan_ms: f64,
     p50_us: f64,
     p99_us: f64,
-    p999_us: f64,
+    /// Injection → the request's tree executed in full.
+    exec_p99_us: f64,
+    /// Tree executed → a scanner declared the epoch quiescent.
+    detect_p99_us: f64,
     mean_us: f64,
     max_us: f64,
     faults: &'static str,
@@ -54,7 +72,6 @@ fn run_one(
     alg: Algorithm,
     threads: usize,
     arrivals: &ArrivalSpec,
-    rate_per_s: f64,
     process: &str,
     faults: FaultPlan,
     fault_label: &'static str,
@@ -65,20 +82,27 @@ fn run_one(
     cfg.faults = faults;
     let report: RunReport = run_service_sim(MachineModel::kittyhawk(), threads, &gen, &cfg, arrivals);
     let svc: &ServiceReport = report.service.as_ref().expect("service report");
+    let (mut exec, mut detect) = (LatencyHistogram::new(), LatencyHistogram::new());
+    for q in &svc.per_request {
+        exec.record(q.last_node_ns.saturating_sub(q.injected_ns));
+        detect.record(q.completed_ns - q.last_node_ns);
+    }
     SvcRow {
         bundle: alg.label(),
         process: process.to_string(),
-        rate_per_s,
+        rate_per_s: arrivals.process.mean_rate_per_sec(),
         threads,
         requests: svc.requests,
         deferred: svc.deferred_injections,
         nodes: report.total_nodes,
         dup_nodes: report.duplicate_nodes,
         deaths: report.deaths,
+        evictions: report.evictions,
         makespan_ms: report.makespan_ns as f64 / 1e6,
         p50_us: us(svc.hist.p50()),
         p99_us: us(svc.hist.p99()),
-        p999_us: us(svc.hist.p999()),
+        exec_p99_us: us(exec.p99()),
+        detect_p99_us: us(detect.p99()),
         mean_us: us(svc.hist.mean()),
         max_us: us(svc.hist.max()),
         faults: fault_label,
@@ -88,12 +112,13 @@ fn run_one(
 fn print_rows(title: &str, rows: &[SvcRow]) {
     println!("\n== {title} ==");
     println!(
-        "{:<12} {:>8} {:>5} {:>4} {:>5} {:>9} {:>9} {:>9} {:>9} {:>8} {:>4} {:>6}",
-        "bundle", "rate/s", "p", "req", "defer", "p50us", "p99us", "p999us", "maxus", "mkspn ms", "die", "faults"
+        "{:<12} {:>8} {:>5} {:>5} {:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>4} {:>5} {:>6}",
+        "bundle", "rate/s", "p", "req", "defer", "p50us", "p99us", "exec99", "detect99", "maxus",
+        "mkspn ms", "die", "evict", "faults"
     );
     for r in rows {
         println!(
-            "{:<12} {:>8.0} {:>5} {:>4} {:>5} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>8.2} {:>4} {:>6}",
+            "{:<12} {:>8.0} {:>5} {:>5} {:>5} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>8.2} {:>4} {:>5} {:>6}",
             r.bundle,
             r.rate_per_s,
             r.threads,
@@ -101,37 +126,27 @@ fn print_rows(title: &str, rows: &[SvcRow]) {
             r.deferred,
             r.p50_us,
             r.p99_us,
-            r.p999_us,
+            r.exec_p99_us,
+            r.detect_p99_us,
             r.max_us,
             r.makespan_ms,
             r.deaths,
+            r.evictions,
             r.faults
         );
     }
 }
 
-fn write_csv(rows: &[SvcRow]) {
-    use std::io::Write;
-    let dir = std::path::PathBuf::from("results");
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    let path = dir.join("service.csv");
-    let mut out = match std::fs::File::create(&path) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("warn: cannot write {}: {e}", path.display());
-            return;
-        }
-    };
-    let _ = writeln!(
-        out,
-        "bundle,process,rate_per_s,threads,requests,deferred,nodes,dup_nodes,deaths,makespan_ms,p50_us,p99_us,p999_us,mean_us,max_us,faults"
+fn csv(rows: &[SvcRow]) -> String {
+    use std::fmt::Write;
+    let mut out = String::from(
+        "bundle,process,rate_per_s,threads,requests,deferred,nodes,dup_nodes,deaths,evictions,\
+         makespan_ms,p50_us,p99_us,exec_p99_us,detect_p99_us,mean_us,max_us,faults\n",
     );
     for r in rows {
-        let _ = writeln!(
+        writeln!(
             out,
-            "{},{},{},{},{},{},{},{},{},{:.4},{:.2},{:.2},{:.2},{:.2},{:.2},{}",
+            "{},{},{},{},{},{},{},{},{},{},{:.4},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{}",
             r.bundle,
             r.process,
             r.rate_per_s,
@@ -141,16 +156,42 @@ fn write_csv(rows: &[SvcRow]) {
             r.nodes,
             r.dup_nodes,
             r.deaths,
+            r.evictions,
             r.makespan_ms,
             r.p50_us,
             r.p99_us,
-            r.p999_us,
+            r.exec_p99_us,
+            r.detect_p99_us,
             r.mean_us,
             r.max_us,
             r.faults
-        );
+        )
+        .expect("writing to a String");
     }
-    println!("\nwrote {}", path.display());
+    out
+}
+
+/// `--check`: the recomputed sweep must equal the committed CSV.
+fn check_csv(fresh: &str) {
+    let committed = std::fs::read_to_string(CSV_PATH)
+        .unwrap_or_else(|e| panic!("cannot read {CSV_PATH}: {e}"));
+    if committed == fresh {
+        println!("\n{CSV_PATH} is current ({} rows)", fresh.lines().count() - 1);
+        return;
+    }
+    let line = committed
+        .lines()
+        .zip(fresh.lines())
+        .position(|(a, b)| a != b)
+        .unwrap_or_else(|| committed.lines().count().min(fresh.lines().count()));
+    eprintln!(
+        "{CSV_PATH} is stale (first difference on line {}):\n  committed: {}\n  recomputed: {}\n\
+         regenerate it with `cargo run --release -p uts-bench --bin service`",
+        line + 1,
+        committed.lines().nth(line).unwrap_or("<end of file>"),
+        fresh.lines().nth(line).unwrap_or("<end of file>"),
+    );
+    std::process::exit(1);
 }
 
 fn main() {
@@ -163,8 +204,8 @@ fn main() {
         // locked + a message transport; minutes of margin on any box.
         let arrivals = ArrivalSpec::poisson(5, 6, 20_000.0);
         for alg in [Algorithm::Term, Algorithm::MpiWs] {
-            rows.push(run_one(alg, 8, &arrivals, 20_000.0, "poisson", FaultPlan::none(), "none"));
-            rows.push(run_one(alg, 8, &arrivals, 20_000.0, "poisson", FaultPlan::crashy(3), "crashy"));
+            rows.push(run_one(alg, 8, &arrivals, "poisson", FaultPlan::none(), "none"));
+            rows.push(run_one(alg, 8, &arrivals, "poisson", FaultPlan::crashy(3), "crashy"));
         }
         print_rows("service smoke", &rows);
         for r in &rows {
@@ -175,46 +216,54 @@ fn main() {
     }
 
     // Block 1: saturation sweep.
-    for &(threads, n_req, rates) in &[
-        (64usize, 48usize, &[2_000.0, 10_000.0, 30_000.0, 60_000.0][..]),
-        (256, 32, &[10_000.0, 60_000.0][..]),
+    for &(threads, rates) in &[
+        (64usize, &[2_000.0, 10_000.0, 30_000.0, 60_000.0][..]),
+        (256, &[10_000.0, 60_000.0][..]),
     ] {
         for &rate in rates {
-            let arrivals = ArrivalSpec::poisson(17, n_req, rate);
+            let arrivals = ArrivalSpec::poisson(17, REQUESTS, rate);
             for alg in bundles {
-                rows.push(run_one(alg, threads, &arrivals, rate, "poisson", FaultPlan::none(), "none"));
+                rows.push(run_one(alg, threads, &arrivals, "poisson", FaultPlan::none(), "none"));
             }
         }
     }
     print_rows("saturation sweep (poisson)", &rows);
 
-    // Block 2: burstiness at matched mean rate (~10k/s long-run).
+    // Block 2: burstiness. The two states dwell equally long, so the
+    // long-run mean is 31k/s: the 30k/s Poisson rows are the comparison.
     let mut mmpp_rows = Vec::new();
-    let mmpp = ArrivalSpec::mmpp(29, 48, 2_000.0, 60_000.0, 1_000_000);
+    let mmpp = ArrivalSpec::mmpp(29, REQUESTS, 2_000.0, 60_000.0, 1_000_000);
     for alg in bundles {
-        mmpp_rows.push(run_one(alg, 64, &mmpp, 10_000.0, "mmpp", FaultPlan::none(), "none"));
+        mmpp_rows.push(run_one(alg, 64, &mmpp, "mmpp", FaultPlan::none(), "none"));
     }
     print_rows("burstiness (mmpp 2k/60k, 1ms dwell)", &mmpp_rows);
     rows.extend(mmpp_rows);
 
     // Block 3: chaos under load at the mid-sweep point.
     let mut chaos_rows = Vec::new();
-    let arrivals = ArrivalSpec::poisson(17, 48, 10_000.0);
+    let arrivals = ArrivalSpec::poisson(17, REQUESTS, 10_000.0);
+    let crashy_arrivals = ArrivalSpec::poisson(17, CRASHY_REQUESTS, 10_000.0);
     // The stock crashy plan kills one rank with probability 0.35 hashed
     // from (seed, nthreads); pin it to 1000‰ so the crash row always shows
-    // a mid-run death (the interesting case for the p999 table).
+    // a mid-run death.
     let crash = FaultPlan {
         kill_per_mille: 1000,
         ..FaultPlan::crashy(11)
     };
     for alg in bundles {
-        chaos_rows.push(run_one(alg, 64, &arrivals, 10_000.0, "poisson", FaultPlan::seeded(11), "seeded"));
-        chaos_rows.push(run_one(alg, 64, &arrivals, 10_000.0, "poisson", crash, "crashy"));
+        chaos_rows.push(run_one(alg, 64, &arrivals, "poisson", FaultPlan::seeded(11), "seeded"));
+        chaos_rows.push(run_one(alg, 64, &crashy_arrivals, "poisson", crash, "crashy"));
     }
     print_rows("chaos under load (10k/s, p=64)", &chaos_rows);
     rows.extend(chaos_rows);
 
-    if !flag("--no-csv") {
-        write_csv(&rows);
+    let fresh = csv(&rows);
+    if flag("--check") {
+        check_csv(&fresh);
+    } else if !flag("--no-csv") {
+        match std::fs::create_dir_all("results").and_then(|()| std::fs::write(CSV_PATH, &fresh)) {
+            Ok(()) => println!("\nwrote {CSV_PATH}"),
+            Err(e) => eprintln!("warn: cannot write {CSV_PATH}: {e}"),
+        }
     }
 }

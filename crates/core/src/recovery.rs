@@ -512,6 +512,27 @@ impl Recovery {
     ) -> u64 {
         let me = self.me;
         let items = stack.drain_local();
+        // A rank that dies for good while evicted — frozen past its lease,
+        // voted out, killed before its first heartbeat back — is on every
+        // survivor's books as *evicted*, and a scan re-examines only an
+        // evicted rank's `INCARNATION`, never its `DEAD` flag: a spill
+        // would be orphaned. Announce a new incarnation first, so survivors
+        // re-admit the rank, find its lease stale and `DEAD` raised, and
+        // adopt. A rank whose last heartbeat is younger than lease +
+        // eviction timeout cannot have been evicted, one that restarts
+        // reclaims its own spill, and one that dies empty-handed leaves
+        // nothing to adopt: none of them pays for the fence read.
+        let last_beat = self.next_heartbeat.saturating_sub(HEARTBEAT_INTERVAL_NS);
+        if !items.is_empty()
+            && self.restart_at.is_none()
+            && comm.now() >= last_beat + LEASE_NS + EVICT_TIMEOUT_NS
+        {
+            let fence = comm.get(me, vars::EVICTED);
+            if fence > self.inc {
+                self.inc = fence;
+                comm.put(me, vars::INCARNATION, self.inc);
+            }
+        }
         let off = comm.area_len(me);
         if !items.is_empty() {
             comm.area_write(me, off, &items);
@@ -830,6 +851,51 @@ mod tests {
             .results;
         assert_eq!(results[0], [3, 1]);
         assert_eq!(results[1], [3, 0]);
+    }
+
+    /// A rank frozen past its lease is voted out, then dies for good before
+    /// its first heartbeat back (a kill that fell inside a partition, no
+    /// restart): survivors hold it as *evicted* and would never look at its
+    /// `DEAD` flag again. The deathbed's incarnation announcement gets it
+    /// re-admitted, confirmed dead and adopted — exactly once.
+    #[test]
+    fn evicted_rank_that_dies_is_still_adopted() {
+        let plan = FaultPlan::crashy(7);
+        let cluster: SimCluster<u64> =
+            SimCluster::new(MachineModel::smp(), 3, crate::vars::space_config());
+        let results = cluster
+            .run(|comm| {
+                let me = comm.my_id();
+                let mut rec = Recovery::new(me, 3, &plan);
+                let mut stack: DfsStack<u64> = DfsStack::new(2);
+                rec.heartbeat(comm);
+                if me == 1 {
+                    // Silent long enough for both survivors to suspect,
+                    // vote and fence; then the kill lands.
+                    comm.advance_idle(2 * (LEASE_NS + EVICT_TIMEOUT_NS));
+                    stack.push_all(&[10, 11]);
+                    rec.spill_and_die(comm, &mut stack);
+                    return [0, 0];
+                }
+                let (mut saw_evicted, mut adopted) = (0, 0);
+                for _ in 0..60 {
+                    rec.heartbeat(comm);
+                    rec.scan(comm);
+                    while rec.take_scavenge().is_some() {
+                        rec.guard_end(comm);
+                    }
+                    saw_evicted |= u64::from(rec.is_evicted(1));
+                    if let Some((rank, items)) = rec.try_adopt(comm, &mut stack) {
+                        assert_eq!(rank, 1);
+                        adopted += items;
+                    }
+                    comm.advance_idle(SCAN_INTERVAL_NS);
+                }
+                [saw_evicted, adopted]
+            })
+            .results;
+        assert_eq!([results[0][0], results[2][0]], [1, 1], "rank 1 was never evicted");
+        assert_eq!(results[0][1] + results[2][1], 2, "the spill was not adopted exactly once");
     }
 
     /// Lineage: an unacknowledged grant re-injects after the timeout; an

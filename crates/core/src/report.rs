@@ -76,15 +76,23 @@ pub struct ThreadResult {
     /// recorded only on crash-fault *service* runs, where conservation is
     /// checked per epoch (see [`crate::service`]).
     pub explored_epoch: Vec<u32>,
+    /// Virtual time each explored node's expansion was on the epoch's books,
+    /// parallel to `explored` — crash-fault *service* runs only, for the
+    /// multiplicity-aware declared-after-executed check.
+    pub explored_ns: Vec<u64>,
     /// Service mode: epochs this rank's scanner declared quiescent, as
     /// `(epoch, completion virtual time)`. Empty outside service runs.
     pub svc_completions: Vec<(u32, u64)>,
     /// Service mode, rank 0 only: every injected request as
     /// `(epoch, scheduled arrival ns, actual injection ns)`.
     pub svc_injections: Vec<(u32, u64, u64)>,
-    /// Service mode: nodes this rank explored per epoch (indexed by epoch;
-    /// ragged — only as long as the highest epoch seen).
-    pub svc_epoch_nodes: Vec<u64>,
+    /// Service mode: what this rank explored of each epoch it touched, as
+    /// `(epoch, nodes, virtual time of the last expansion)` in first-touch
+    /// order — a rank touches few epochs, so the list is sparse.
+    pub svc_epochs: Vec<(u32, u64, u64)>,
+    /// Service mode: deficit bumps dropped because their slot already
+    /// accounted for a newer epoch (see `service::SvcAccount::bump`).
+    pub svc_stale_bumps: u64,
     /// Service mode, rank 0 only: requests whose injection was deferred past
     /// their scheduled arrival because the admission window was full.
     pub svc_deferred: u64,
@@ -121,14 +129,11 @@ impl ThreadResult {
         self.fenced_drops += o.fenced_drops;
         self.explored.extend(o.explored.iter().copied());
         self.explored_epoch.extend(o.explored_epoch.iter().copied());
+        self.explored_ns.extend(o.explored_ns.iter().copied());
         self.svc_completions.extend(o.svc_completions.iter().copied());
         self.svc_injections.extend(o.svc_injections.iter().copied());
-        if self.svc_epoch_nodes.len() < o.svc_epoch_nodes.len() {
-            self.svc_epoch_nodes.resize(o.svc_epoch_nodes.len(), 0);
-        }
-        for (i, &v) in o.svc_epoch_nodes.iter().enumerate() {
-            self.svc_epoch_nodes[i] += v;
-        }
+        self.svc_epochs.extend(o.svc_epochs.iter().copied());
+        self.svc_stale_bumps += o.svc_stale_bumps;
         self.svc_deferred += o.svc_deferred;
     }
 }

@@ -111,6 +111,7 @@ impl<'a> Cx<'a> {
         res.events = self.log.into_events();
         res.evictions = self.recovery.evictions;
         res.rejoins = self.recovery.rejoins;
+        res.svc_stale_bumps = self.svc.stale_bumps;
         res
     }
 }

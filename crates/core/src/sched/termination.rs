@@ -19,7 +19,11 @@
 //! None of the three survives a missing rank or a lost message, and none
 //! can end a run that keeps receiving work. Those modes — crash-fault batch
 //! runs and service mode — share [`idle_discover`], the recovery-aware idle
-//! loop, and differ only in the detector's idle hooks.
+//! loop, and differ only in the detector's idle hooks. The loop calls the
+//! detector's `tick` after every probe, not once per sweep: a sweep is
+//! p − 1 remote reads (378 µs at p=64 on Kitty Hawk), and the paper's own
+//! rule for a thread with periodic duties is to look at one other thread at
+//! a time (§3.3.1's in-barrier probe, §3.3.3's poll between nodes).
 
 use pgas::comm::Item;
 use pgas::Comm;
@@ -172,6 +176,14 @@ where
                     dog.reset();
                 }
                 transport.idle_service(comm, stack, cx);
+                // The detector's periodic duties cannot wait out the sweep
+                // (module docs); a tick that injected work ends it.
+                td.tick(comm, stack, cx);
+                if !stack.is_local_empty() {
+                    cx.recovery.publish_working(comm);
+                    transport.got_work(comm);
+                    return Discovery::GotWork;
+                }
             }
         } else if blind {
             if let Some(v) = victims.next() {
@@ -236,7 +248,9 @@ pub trait TerminationDetector<T: Item, C: Comm<T>> {
     }
 
     /// Top of every working-loop iteration (after the crash checks, before
-    /// the next node is popped) and of every [`idle_discover`] iteration.
+    /// the next node is popped) and of every [`idle_discover`] iteration,
+    /// and after every probe of an [`idle_discover`] sweep. May push work
+    /// onto `stack` (service injection); batch detectors do nothing here.
     fn tick(&mut self, _comm: &mut C, _stack: &mut DfsStack<T>, _cx: &mut Cx) {}
 
     /// `node` was just expanded into `kids` children, none of which is on

@@ -6,7 +6,7 @@
 //! system: a seeded arrival process ([`pgas::ArrivalSpec`]) schedules root
 //! tasks ("requests") on a virtual-time clock, rank 0 injects each one
 //! tagged with its submission **epoch**, and the run reports per-request
-//! makespan and p50/p99/p999 tail latency ([`crate::hist`]) instead of a
+//! makespan and p50/p99 tail latency ([`crate::hist`]) instead of a
 //! single makespan.
 //!
 //! # Epoch quiescence
@@ -14,41 +14,58 @@
 //! Run-to-termination detectors (barriers, token rings, the crash-mode
 //! double scan) answer "is *everything* done" — useless mid-service, where
 //! new work keeps arriving. Service mode instead proves per-epoch
-//! quiescence with cumulative **packed deficit cells**:
+//! quiescence with per-epoch **packed deficit cells** and a **touch board**
+//! naming the ranks whose cells count:
 //!
 //! - Every rank owns [`vars::SVC_WINDOW`] cells, one per epoch residue
 //!   class `epoch % SVC_WINDOW`. A cell packs a 24-bit wrapping write count
-//!   and a biased 40-bit task deficit ([`SvcAccount`]).
+//!   and a signed 40-bit task deficit ([`SvcAccount`]). The admission window
+//!   (at most [`vars::SVC_WINDOW`] epochs in flight, enforced by rank 0's
+//!   pump) guarantees at most one live epoch per residue class.
 //! - **Publish-before-migration**: an item's `+1` is published before the
 //!   item can exist anywhere (injection bumps before pushing the root; each
 //!   expansion publishes one fused `kids − 1` bump before `push_all`; a
 //!   crash-mode message absorb bumps `+items` before sending the ACK that
-//!   lets the donor bump `−items`). At every real instant the global sum
-//!   for an epoch is ≥ the number of live tasks of that epoch.
-//! - A **scanner** rank (epoch `e` is scanned by rank `e % n`, reassigned
-//!   by rank 0 if that rank dies) reads all `n` cells of the slot twice,
-//!   one scan interval apart. If both passes return the *identical* packed
-//!   vector and the deficits sum to zero, the unchanged write counts prove
-//!   the reads form a consistent snapshot — the epoch had zero outstanding
-//!   tasks at every instant between the passes, and since only live tasks
-//!   create tasks, it is quiescent forever. This generalizes the rank-0
-//!   double scan of `crates/core/src/recovery.rs` from "one global
-//!   termination event" to "a stream of per-epoch completion events".
-//! - Cells are cumulative and never reset; the admission window (at most
-//!   [`vars::SVC_WINDOW`] epochs in flight, enforced by rank 0's pump)
-//!   guarantees at most one live epoch per residue class, so a zero sum
-//!   always refers to the newest epoch of the class.
+//!   lets the donor bump `−items`). At every real instant the sum over the
+//!   ranks that have published for an epoch is ≥ its number of live tasks.
+//! - **Touch board**: epoch `e`'s *home*, rank `e % n`, holds per window
+//!   slot one bit per rank (63 to a cell). Rank 0 *opens* the epoch — resets
+//!   its own cell, then overwrites the board with its own bit alone — before
+//!   the root's `+1`. Any other rank, on its first bump for `e`, resets its
+//!   cell to deficit 0 (write count + 1), **then** `add`s its bit on the
+//!   home, then publishes the bump: a set bit therefore always points at a
+//!   cell of *this* epoch. Only the injector ever zeroes a board,
+//!   registrants only add bits, scanners only read.
+//! - A **scanner** rank (epoch `e` is scanned by its home, reassigned by
+//!   rank 0 if that rank dies) reads the board words and then exactly the
+//!   registered ranks' cells, twice, one scan interval apart — O(ranks the
+//!   epoch touched), about two, not O(n). If both passes return the
+//!   *identical* (board ++ cells) vector and the deficits sum to zero, then
+//!   — bits being set-only within an epoch and write counts monotone — there
+//!   was an instant τ between the passes at which the board was exactly the
+//!   set read and its cells held exactly the values read. A rank not on the
+//!   board at τ had not finished registering, hence had published nothing
+//!   for `e`, hence had neither created nor consumed an `e`-task (the one it
+//!   may be holding is still `+1` on its creator's registered cell): the
+//!   zero sum over the board is the global deficit at τ, and since only live
+//!   tasks create tasks, the epoch is quiescent forever. This generalizes
+//!   the rank-0 double scan of `crates/core/src/recovery.rs` from "one
+//!   global termination event" to "a stream of per-epoch completion events".
+//! - `service_report` checks the safety half on every run: no epoch may be
+//!   declared before its tree had been executed
+//!   ([`RequestStat::last_node_ns`]).
 //!
 //! # One driver, a different detector
 //!
 //! A service worker is [`crate::sched::drive`] — the batch worker, over the
 //! same four transports — with a different termination detector. The
 //! private `EpochTerm` owns rank 0's pump and this rank's scanner and runs
-//! them from the driver's detector hooks: `start` (no root; activate the
-//! deficit cells), `tick` (pump and scanner, every working- and idle-loop
-//! iteration), `on_expand` (the fused `kids − 1` bump). Idle ranks run the
-//! recovery-aware idle loop crash-mode batch runs use
-//! ([`crate::sched::termination`]). `docs/service.md` §4 has the diagram.
+//! them from the driver's detector hooks: `start` (no root; arm the
+//! accounting), `tick` (pump and scanner: every working- and idle-loop
+//! iteration, and after every probe of an idle sweep), `on_expand` (the
+//! fused `kids − 1` bump). Idle ranks run the recovery-aware idle loop
+//! crash-mode batch runs use ([`crate::sched::termination`]).
+//! `docs/service.md` §4 has the diagram.
 //!
 //! # Termination and the exit race
 //!
@@ -79,7 +96,7 @@ use crate::vars;
 
 /// Virtual-time interval between a scanner's passes over its assigned
 /// slots. Two identical passes this far apart declare an epoch quiescent,
-/// so detection adds roughly two to three intervals to reported latency.
+/// so detection adds one to two intervals to reported latency.
 pub const SVC_SCAN_INTERVAL_NS: u64 = 100_000;
 
 /// Virtual-time interval between rank 0's pump checks (arrival injection,
@@ -139,29 +156,62 @@ impl ServiceWorkload for SyntheticGen {
     }
 }
 
-/// Additive bias applied to the 40-bit deficit field so an initialized
-/// zero-deficit cell is distinguishable from a raw (never written) zero
-/// cell: a rank's cells only enter a scanner's zero-sum once that rank has
-/// actually activated and published them.
-const DEFICIT_BIAS: i64 = 1 << 39;
-const DEFICIT_MASK: i64 = (1 << 40) - 1;
+const DEFICIT_BITS: u32 = 40;
+const DEFICIT_MASK: i64 = (1 << DEFICIT_BITS) - 1;
 const WCOUNT_MASK: u32 = 0x00FF_FFFF;
 
 /// Pack a (write count, deficit) pair into one shared cell. The write
-/// count occupies the top 24 bits and wraps; the biased deficit the low 40.
+/// count occupies the top 24 bits and wraps; the two's-complement deficit
+/// the low 40.
 fn pack(wcount: u32, deficit: i64) -> i64 {
-    debug_assert!(
-        deficit > -DEFICIT_BIAS && deficit < DEFICIT_BIAS,
-        "service deficit out of packable range: {deficit}"
+    debug_assert_eq!(
+        unpack_deficit(deficit & DEFICIT_MASK),
+        deficit,
+        "service deficit out of packable range"
     );
-    (((wcount & WCOUNT_MASK) as i64) << 40) | (deficit + DEFICIT_BIAS)
+    (((wcount & WCOUNT_MASK) as i64) << DEFICIT_BITS) | (deficit & DEFICIT_MASK)
 }
 
-/// The deficit half of a packed cell. A raw zero cell (rank not yet
-/// activated, or dead before activating) unpacks to `-DEFICIT_BIAS`, which
-/// can never contribute to a zero sum.
+/// The deficit half of a packed cell, sign-extended.
 fn unpack_deficit(cell: i64) -> i64 {
-    (cell & DEFICIT_MASK) - DEFICIT_BIAS
+    let shift = 64 - DEFICIT_BITS;
+    (cell << shift) >> shift
+}
+
+/// Participant bits per touch-board word. Bit 63 stays clear, so a word is
+/// never negative and registering with `add` cannot overflow.
+const BOARD_BITS: usize = 63;
+
+/// Where the touch boards live: every rank has one block of
+/// [`Board::words`] cells per window slot above `base`, and epoch `e` uses
+/// the block of its slot on its *home*, rank `e % n`.
+#[derive(Clone, Copy)]
+struct Board {
+    n: usize,
+    base: usize,
+}
+
+impl Board {
+    /// Words per window slot.
+    fn words(&self) -> usize {
+        self.n.div_ceil(BOARD_BITS)
+    }
+
+    /// Cells per rank.
+    fn cells(&self) -> usize {
+        vars::SVC_WINDOW * self.words()
+    }
+
+    /// Rank and cell of word `j` of `epoch`'s board.
+    fn cell(&self, epoch: u32, j: usize) -> (usize, usize) {
+        let w = epoch as usize % vars::SVC_WINDOW;
+        (epoch as usize % self.n, self.base + w * self.words() + j)
+    }
+
+    /// Word index and mask of `rank`'s participant bit.
+    fn bit(rank: usize) -> (usize, i64) {
+        (rank / BOARD_BITS, 1 << (rank % BOARD_BITS))
+    }
 }
 
 /// Per-rank service accounting state, threaded through [`Cx`] so transports
@@ -170,13 +220,20 @@ fn unpack_deficit(cell: i64) -> i64 {
 ///
 /// Each bump is a single put of the freshly packed cell to this rank's own
 /// partition — writers never contend (cells are rank-private), scanners
-/// only read.
+/// only read. The one remote operation is the `add` that registers this
+/// rank on an epoch's touch board, once per (rank, epoch).
 pub struct SvcAccount {
     /// Whether this run is a service run. All methods are no-ops when not.
     pub active: bool,
     me: usize,
+    board: Board,
     wcount: [u32; vars::SVC_WINDOW],
     deficit: [i64; vars::SVC_WINDOW],
+    /// The epoch each slot's cell currently accounts for.
+    slot_epoch: [Option<u32>; vars::SVC_WINDOW],
+    /// Bumps dropped because their epoch was older than the slot's (see
+    /// [`SvcAccount::bump`]).
+    pub stale_bumps: u64,
 }
 
 impl SvcAccount {
@@ -185,21 +242,44 @@ impl SvcAccount {
         SvcAccount {
             active: false,
             me: 0,
+            board: Board { n: 1, base: 0 },
             wcount: [0; vars::SVC_WINDOW],
             deficit: [0; vars::SVC_WINDOW],
+            slot_epoch: [None; vars::SVC_WINDOW],
+            stale_bumps: 0,
         }
     }
 
-    /// Arm service accounting and publish `pack(0, 0)` to every owned slot
-    /// cell, so scanners can tell "this rank is live with zero deficit"
-    /// (biased zero) from "this rank never wrote" (raw zero).
-    fn activate<T: Item, C: Comm<T>>(&mut self, comm: &mut C) {
-        self.active = true;
-        self.me = comm.my_id();
-        self.wcount = [0; vars::SVC_WINDOW];
-        self.deficit = [0; vars::SVC_WINDOW];
-        for w in 0..vars::SVC_WINDOW {
-            comm.put(self.me, vars::SVC_SLOT_BASE + w, pack(0, 0));
+    /// Arm service accounting. Issues no operation: a cell is first written
+    /// when its rank first touches an epoch, and never read before that.
+    fn activate(&mut self, me: usize, board: Board) {
+        *self = SvcAccount {
+            active: true,
+            me,
+            board,
+            ..SvcAccount::inactive()
+        };
+    }
+
+    /// Put `deficit` into slot `w`'s cell under the next write count.
+    fn publish<T: Item, C: Comm<T>>(&mut self, comm: &mut C, w: usize, deficit: i64) {
+        self.wcount[w] = self.wcount[w].wrapping_add(1);
+        self.deficit[w] = deficit;
+        comm.put(self.me, vars::SVC_SLOT_BASE + w, pack(self.wcount[w], deficit));
+    }
+
+    /// The injector opens `epoch`: reset this rank's cell, then overwrite
+    /// the home's board with this rank as the only participant. Nobody else
+    /// ever clears a board bit, so a scanner resuming from a gray stall
+    /// cannot erase a live epoch's registrations.
+    fn open<T: Item, C: Comm<T>>(&mut self, comm: &mut C, epoch: u32) {
+        let w = epoch as usize % vars::SVC_WINDOW;
+        self.slot_epoch[w] = Some(epoch);
+        self.publish(comm, w, 0);
+        let (mine, bit) = Board::bit(self.me);
+        for j in 0..self.board.words() {
+            let (home, cell) = self.board.cell(epoch, j);
+            comm.put(home, cell, if j == mine { bit } else { 0 });
         }
     }
 
@@ -207,16 +287,29 @@ impl SvcAccount {
     /// apply `delta`, and put the repacked cell (one comm op). The caller
     /// must issue this *before* the tasks it accounts for become visible to
     /// any other rank (publish-before-migration, see the module docs).
+    ///
+    /// This rank's first bump for `epoch` resets the cell *and then*
+    /// registers on the epoch's touch board, so a scanner that sees the bit
+    /// can only read a cell of this epoch.
     pub fn bump<T: Item, C: Comm<T>>(&mut self, comm: &mut C, epoch: u32, delta: i64) {
         debug_assert!(self.active, "SvcAccount::bump outside service mode");
         let w = epoch as usize % vars::SVC_WINDOW;
-        self.wcount[w] = self.wcount[w].wrapping_add(1);
-        self.deficit[w] += delta;
-        comm.put(
-            self.me,
-            vars::SVC_SLOT_BASE + w,
-            pack(self.wcount[w], self.deficit[w]),
-        );
+        if self.slot_epoch[w] != Some(epoch) {
+            if self.slot_epoch[w] > Some(epoch) {
+                // The cell already accounts for a newer epoch of this
+                // residue class; `epoch` was declared long ago (a zombie's
+                // duplicate), and its bump must not land on the newer books.
+                debug_assert!(false, "bump for epoch {epoch} after its slot moved on");
+                self.stale_bumps += 1;
+                return;
+            }
+            self.slot_epoch[w] = Some(epoch);
+            self.publish(comm, w, 0);
+            let (j, bit) = Board::bit(self.me);
+            let (home, cell) = self.board.cell(epoch, j);
+            comm.add(home, cell, bit);
+        }
+        self.publish(comm, w, self.deficit[w] + delta);
     }
 
     /// Attribute a moved payload to its epochs: one [`SvcAccount::bump`] of
@@ -322,11 +415,11 @@ impl<'s> SvcPump<'s> {
         // Crash mode: reassign scans owned by a rank that died — or was
         // evicted by quorum — before declaring. Duplicate declarations (the
         // gone rank's declare was already in flight) are harmless — assembly
-        // dedups per epoch. The replacement scanner still reads *every*
-        // rank's deficit cell, including evicted ones: an epoch whose tasks
-        // sit with a fenced zombie simply stays open until the zombie
-        // rejoins and drains them, which is exactly the zero-lost-requests
-        // guarantee.
+        // dedups per epoch. The replacement scanner reads the same board
+        // and cells, one-sidedly (a gone rank's memory stays readable),
+        // including evicted participants': an epoch whose tasks sit with a
+        // fenced zombie simply stays open until the zombie rejoins and
+        // drains them, which is exactly the zero-lost-requests guarantee.
         if cx.recovery.active {
             cx.recovery.scan(comm);
             for e in self.floor..self.next_arrival {
@@ -343,9 +436,9 @@ impl<'s> SvcPump<'s> {
         }
 
         // Inject every due arrival the admission window allows. Ordering
-        // per epoch: publish the +1 deficit, push the root, then hand the
-        // scan assignment out — a scanner can never observe the epoch
-        // before its deficit is on the books.
+        // per epoch: open the touch board, publish the +1 deficit, push the
+        // root, then hand the scan assignment out — a scanner can never
+        // observe the epoch before its board and deficit are on the books.
         while self.next_arrival < self.schedule.len() {
             let e = self.next_arrival;
             if self.schedule[e] > now {
@@ -359,6 +452,7 @@ impl<'s> SvcPump<'s> {
                 break;
             }
             let epoch = e as u32;
+            cx.svc.open(comm, epoch);
             cx.svc.bump(comm, epoch, 1);
             stack.push(Stamped {
                 task: gen.request_root(epoch),
@@ -385,20 +479,22 @@ impl<'s> SvcPump<'s> {
 }
 
 /// The per-rank quiescence scanner: for each slot this rank is assigned
-/// (via its [`vars::SVC_ASSIGN_BASE`] board), read all `n` packed cells;
-/// two identical zero-sum passes one interval apart declare the epoch
-/// complete (see the module docs for why this is a consistent snapshot).
+/// (via its [`vars::SVC_ASSIGN_BASE`] board), read the epoch's touch board
+/// from its home and the packed cells of the ranks registered there; two
+/// identical zero-sum passes one interval apart declare the epoch complete
+/// (see the module docs for why this is a consistent snapshot).
 struct Scanner {
-    n: usize,
+    board: Board,
     next_scan: u64,
-    /// Armed first pass per slot: the (assignment, packed vector) observed.
+    /// Armed first pass per slot: the assignment and the (board words ++
+    /// registered cells) observed.
     last: Vec<Option<(i64, Vec<i64>)>>,
 }
 
 impl Scanner {
-    fn new(n: usize) -> Scanner {
+    fn new(board: Board) -> Scanner {
         Scanner {
-            n,
+            board,
             next_scan: 0,
             last: (0..vars::SVC_WINDOW).map(|_| None).collect(),
         }
@@ -411,18 +507,30 @@ impl Scanner {
         }
         self.next_scan = now + SVC_SCAN_INTERVAL_NS;
         let me = comm.my_id();
+        let words = self.board.words();
         for w in 0..vars::SVC_WINDOW {
             let assign = comm.get(me, vars::SVC_ASSIGN_BASE + w);
             if assign <= 0 {
                 self.last[w] = None;
                 continue;
             }
-            let mut cur = Vec::with_capacity(self.n);
+            let epoch = (assign - 1) as u32;
+            // Two or three ranks touch a typical epoch.
+            let mut cur = Vec::with_capacity(words + 4);
+            for j in 0..words {
+                let (home, cell) = self.board.cell(epoch, j);
+                cur.push(comm.get(home, cell));
+            }
             let mut sum = 0i64;
-            for r in 0..self.n {
-                let cell = comm.get(r, vars::SVC_SLOT_BASE + w);
-                sum += unpack_deficit(cell);
-                cur.push(cell);
+            for j in 0..words {
+                let mut bits = cur[j];
+                while bits != 0 {
+                    let r = j * BOARD_BITS + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let cell = comm.get(r, vars::SVC_SLOT_BASE + w);
+                    sum += unpack_deficit(cell);
+                    cur.push(cell);
+                }
             }
             if sum != 0 {
                 self.last[w] = None;
@@ -431,8 +539,8 @@ impl Scanner {
             match &self.last[w] {
                 Some((a, prev)) if *a == assign && *prev == cur => {
                     // Second identical zero-sum pass: declare, clear the
-                    // assignment, and record the completion instant.
-                    let epoch = (assign - 1) as u32;
+                    // assignment, and record the completion instant. The
+                    // board is left as it is: only the injector zeroes it.
                     comm.put(0, vars::SVC_DONE_BASE + w, assign);
                     comm.put(me, vars::SVC_ASSIGN_BASE + w, 0);
                     let done = comm.now();
@@ -492,15 +600,15 @@ where
 {
     const EAGER_CYCLE: bool = false;
 
-    /// No root: requests arrive through the pump. Publishes this rank's
-    /// zero-deficit cells and hands the transport the epoch extractor.
+    /// No root: requests arrive through the pump. Arms this rank's
+    /// accounting and hands the transport the epoch extractor.
     fn start<ST: StealTransport<Stamped<G::Task>, C>>(
         &mut self,
         comm: &mut C,
         transport: &mut ST,
         cx: &mut Cx,
     ) -> bool {
-        cx.svc.activate(comm);
+        cx.svc.activate(comm.my_id(), self.scanner.board);
         transport.arm_service(|t| t.epoch);
         false
     }
@@ -513,18 +621,25 @@ where
     }
 
     fn on_expand(&mut self, comm: &mut C, node: &Stamped<G::Task>, kids: usize, cx: &mut Cx) {
-        let e = node.epoch as usize;
-        if cx.res.svc_epoch_nodes.len() <= e {
-            cx.res.svc_epoch_nodes.resize(e + 1, 0);
-        }
-        cx.res.svc_epoch_nodes[e] += 1;
-        if cx.recovery.active {
-            cx.res.explored_epoch.push(node.epoch);
-        }
         // Publish-before-migration: one fused bump (−1 consumed parent,
         // +kids created children, all the same epoch) must be on this
         // rank's cell before any child can be stolen away.
         cx.svc.bump(comm, node.epoch, kids as i64 - 1);
+        // The instant this expansion was on the books, for the
+        // declared-after-executed check of `service_report`.
+        let now = comm.now();
+        // Newest epochs sit at the end, and that is where a rank works.
+        let mine = &mut cx.res.svc_epochs;
+        let i = mine.iter().rposition(|s| s.0 == node.epoch).unwrap_or_else(|| {
+            mine.push((node.epoch, 0, 0));
+            mine.len() - 1
+        });
+        mine[i].1 += 1;
+        mine[i].2 = now;
+        if cx.recovery.active {
+            cx.res.explored_epoch.push(node.epoch);
+            cx.res.explored_ns.push(now);
+        }
     }
 
     /// Escalating, so quiet arrival gaps don't spin. Rank 0 caps at the pump
@@ -559,6 +674,11 @@ pub struct RequestStat {
     /// Instant rank 0 actually injected the root (≥ scheduled; later when
     /// the admission window deferred it).
     pub injected_ns: u64,
+    /// Instant the request's tree had been executed in full: the last
+    /// expansion on any rank (under a crash plan, the latest *first*
+    /// execution of a distinct node — duplicates may run later). Asserted
+    /// `< completed_ns` on every run.
+    pub last_node_ns: u64,
     /// Instant a scanner declared the epoch quiescent.
     pub completed_ns: u64,
     /// `completed_ns − scheduled_ns`: the client-visible latency, including
@@ -617,16 +737,20 @@ where
     }
     let schedule = arrivals.schedule();
     let schedule = &schedule[..];
-    let cluster: SimCluster<Stamped<G::Task>> =
-        SimCluster::new(machine, nthreads, vars::space_config_for(gen, nthreads))
-            .with_lookahead(cfg.sim_lookahead)
-            .with_faults(cfg.faults);
+    // The touch boards sit above everything a batch run allocates, so every
+    // batch layout stays as it is.
+    let mut space = vars::space_config_for(gen, nthreads);
+    let board = Board { n: nthreads, base: space.scalars };
+    space.scalars += board.cells();
+    let cluster: SimCluster<Stamped<G::Task>> = SimCluster::new(machine, nthreads, space)
+        .with_lookahead(cfg.sim_lookahead)
+        .with_faults(cfg.faults);
     let report = cluster.run(|comm| {
         let n = comm.n_threads();
         let td = EpochTerm {
             gen,
             pump: (comm.my_id() == 0).then(|| SvcPump::new(schedule, n)),
-            scanner: Scanner::new(n),
+            scanner: Scanner::new(board),
         };
         let res = drive_over(comm, &StampedGen(gen), cfg, td);
         finish_worker(comm, cfg, res)
@@ -671,12 +795,14 @@ fn service_report<G: ServiceWorkload>(
         }
     }
 
-    // Per-epoch explored-node counts across ranks.
+    // Per-epoch explored-node counts across ranks, and the instant each
+    // epoch's tree had been executed in full: every node runs exactly once
+    // without a crash class, so that is the last expansion anywhere.
     let mut epoch_nodes = vec![0u64; n_requests];
-    for t in per_thread {
-        for (e, &v) in t.svc_epoch_nodes.iter().enumerate() {
-            epoch_nodes[e] += v;
-        }
+    let mut last_node_ns = vec![0u64; n_requests];
+    for &(e, nodes, at) in per_thread.iter().flat_map(|t| &t.svc_epochs) {
+        epoch_nodes[e as usize] += nodes;
+        last_node_ns[e as usize] = last_node_ns[e as usize].max(at);
     }
 
     // Conservation per epoch, against a sequential re-expansion of each
@@ -684,21 +810,28 @@ fn service_report<G: ServiceWorkload>(
     let mut dup_per_epoch = vec![0u64; n_requests];
     let mut max_multiplicity = 1u64;
     if crash {
-        let mut mult_by_epoch: Vec<HashMap<u64, u64>> =
+        // Per epoch and fingerprint: (executions, earliest execution).
+        let mut mult_by_epoch: Vec<HashMap<u64, (u64, u64)>> =
             (0..n_requests).map(|_| HashMap::new()).collect();
         for t in per_thread {
             assert_eq!(t.explored.len(), t.explored_epoch.len());
-            for (fp, &e) in t.explored.iter().zip(&t.explored_epoch) {
-                *mult_by_epoch[e as usize].entry(*fp).or_insert(0) += 1;
+            assert_eq!(t.explored.len(), t.explored_ns.len());
+            for ((fp, &e), &at) in t.explored.iter().zip(&t.explored_epoch).zip(&t.explored_ns) {
+                let m = mult_by_epoch[e as usize].entry(*fp).or_insert((0, at));
+                m.0 += 1;
+                m.1 = m.1.min(at);
             }
         }
         for e in 0..n_requests {
             let mut fps = Vec::new();
             let seq = seq_count(gen, gen.request_root(e as u32), Some(&mut fps));
             let mult = &mult_by_epoch[e];
-            let dup: u64 = mult.values().map(|&m| m - 1).sum();
+            let dup: u64 = mult.values().map(|m| m.0 - 1).sum();
             dup_per_epoch[e] = dup;
-            max_multiplicity = max_multiplicity.max(mult.values().copied().max().unwrap_or(1));
+            max_multiplicity = max_multiplicity.max(mult.values().map(|m| m.0).max().unwrap_or(1));
+            // A fenced zombie may re-run a node after the declaration, so
+            // the tree counts as executed once every distinct node has run.
+            last_node_ns[e] = mult.values().map(|m| m.1).max().unwrap_or(0);
             let seq_set: HashSet<u64> = fps.iter().copied().collect();
             if seq_set.len() as u64 == seq {
                 // Fingerprints are collision-free for this request:
@@ -736,12 +869,21 @@ fn service_report<G: ServiceWorkload>(
         assert_eq!(e as usize, i, "injection epochs must be dense and ordered");
         let completed_ns = completion[i]
             .unwrap_or_else(|| panic!("epoch {i} was never declared quiescent"));
+        // The safety half of quiescence detection (conservation above only
+        // counts, after the run): no declaration over unexecuted work.
+        assert!(
+            completed_ns > last_node_ns[i],
+            "epoch {i} was declared quiescent at {completed_ns} ns, before its \
+             tree had been executed ({} ns)",
+            last_node_ns[i]
+        );
         let latency_ns = completed_ns.saturating_sub(scheduled_ns);
         hist.record(latency_ns);
         per_request.push(RequestStat {
             epoch: e,
             scheduled_ns,
             injected_ns,
+            last_node_ns: last_node_ns[i],
             completed_ns,
             latency_ns,
             nodes: epoch_nodes[i],
@@ -766,18 +908,24 @@ mod tests {
 
     #[test]
     fn packed_cells_roundtrip() {
+        let lim = 1i64 << (DEFICIT_BITS - 1);
         for wc in [0u32, 1, 7, WCOUNT_MASK, WCOUNT_MASK + 3] {
-            for d in [0i64, 1, -1, 12345, -9876, DEFICIT_BIAS - 1, 1 - DEFICIT_BIAS] {
-                let cell = pack(wc, d);
-                assert_eq!(unpack_deficit(cell), d, "wc={wc} d={d}");
-                // A raw zero cell is distinguishable from any packed cell.
-                assert_ne!(cell, 0, "pack({wc}, {d}) collides with the raw cell");
+            for d in [0i64, 1, -1, 12345, -9876, lim - 1, -lim] {
+                assert_eq!(unpack_deficit(pack(wc, d)), d, "wc={wc} d={d}");
             }
         }
-        assert_eq!(unpack_deficit(0), -DEFICIT_BIAS);
         // The write count wraps at 24 bits without touching the deficit.
         assert_eq!(pack(WCOUNT_MASK + 1, 5), pack(0, 5));
         assert_ne!(pack(1, 5), pack(2, 5));
+        assert_ne!(pack(1, -5), pack(2, -5));
+    }
+
+    #[test]
+    fn board_words_hold_63_ranks_each() {
+        let words = |n| Board { n, base: 0 }.words();
+        assert_eq!([1, 63, 64, 126, 127, 256].map(words), [1, 1, 2, 2, 3, 5]);
+        assert_eq!(Board::bit(62), (0, 1 << 62));
+        assert_eq!(Board::bit(63), (1, 1));
     }
 
     #[test]
@@ -843,5 +991,61 @@ mod tests {
         let svc = report.service.unwrap();
         assert_eq!(svc.per_request.len(), 4);
         assert_eq!(report.total_nodes, gen.size() * 4);
+    }
+
+    /// What a pass costs, by `CommStats::gets` net of the 16 assignment
+    /// reads every due tick makes: the board words plus one cell per rank
+    /// that touched the epoch — at p=64, 3 reads for a request nobody stole
+    /// from and 4 with one thief, not 64.
+    #[test]
+    fn a_pass_reads_the_board_and_the_registered_cells_only() {
+        const N: usize = 64;
+        const SCANNER: usize = 5;
+        for thieves in [0u64, 1] {
+            let epoch = SCANNER as u32; // home = scanner = rank 5
+            let mut space = vars::space_config();
+            let board = Board { n: N, base: space.scalars };
+            space.scalars += board.cells();
+            let cluster: SimCluster<u64> = SimCluster::new(MachineModel::kittyhawk(), N, space);
+            let report = cluster.run(|comm| {
+                let mut acct = SvcAccount::inactive();
+                acct.activate(comm.my_id(), board);
+                match comm.my_id() {
+                    // The injector: open, +1 for the root, assignment; then
+                    // the root's own expansion.
+                    0 => {
+                        acct.open(comm, epoch);
+                        acct.bump(comm, epoch, 1);
+                        let w = vars::SVC_ASSIGN_BASE + epoch as usize % vars::SVC_WINDOW;
+                        comm.put(SCANNER, w, epoch as i64 + 1);
+                        acct.bump(comm, epoch, thieves as i64 - 1);
+                        0
+                    }
+                    // A thief consuming the root's one child.
+                    9 if thieves == 1 => {
+                        comm.advance_idle(30_000);
+                        acct.bump(comm, epoch, -1);
+                        0
+                    }
+                    SCANNER => {
+                        let cfg = RunConfig::new(Algorithm::DistMem, 1);
+                        let mut cx = Cx::new(&cfg, comm.now());
+                        let mut scanner = Scanner::new(board);
+                        let mut ticks = 0;
+                        while cx.res.svc_completions.is_empty() {
+                            scanner.tick(comm, &mut cx);
+                            ticks += 1;
+                            comm.advance_idle(SVC_SCAN_INTERVAL_NS);
+                        }
+                        assert_eq!(cx.res.svc_completions[0].0, epoch);
+                        comm.stats().gets - ticks * vars::SVC_WINDOW as u64
+                    }
+                    _ => 0,
+                }
+            });
+            // Tick 1 finds no assignment; ticks 2 and 3 are the two passes.
+            let per_pass = board.words() as u64 + 1 + thieves;
+            assert_eq!(report.results[SCANNER], 2 * per_pass, "{thieves} thieves");
+        }
     }
 }

@@ -107,8 +107,14 @@ pub const SVC_DONE_BASE: usize = SVC_TERM + 1;
 pub const SVC_ASSIGN_BASE: usize = SVC_DONE_BASE + SVC_WINDOW;
 /// Per-rank per-epoch accounting cells, [`SVC_WINDOW`] slots: slot
 /// `epoch % SVC_WINDOW` holds this rank's packed
-/// `(write-count, biased task deficit)` for that epoch residue class — see
+/// `(write-count, task deficit)` for the one live epoch of that residue
+/// class, reset when the rank first touches the epoch — see
 /// `service::SvcAccount` for the packing and the snapshot argument.
+///
+/// The service layout's one variable-size block, the touch boards
+/// (`SVC_WINDOW × ⌈n/63⌉` cells per rank naming the ranks that touched each
+/// epoch), is not here: `run_service_sim` allocates it above [`DAG_BASE`]
+/// and the workload's extra cells, so batch layouts never see it.
 pub const SVC_SLOT_BASE: usize = SVC_ASSIGN_BASE + SVC_WINDOW;
 
 /// Base of the block of cells reserved for the end-of-run collective

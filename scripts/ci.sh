@@ -93,4 +93,10 @@ done
 echo "== chaos smoke (fault + crash sweeps) =="
 scripts/chaos_smoke.sh
 
+echo "== results/service.csv is current =="
+# Every column of the E17 sweep is virtual, so the committed CSV must equal a
+# recomputation byte for byte (three rows once sat stale for eight PRs).
+# chaos_smoke.sh has just built the binary; the sweep takes under 10 s.
+./target/release/service --check
+
 echo "CI OK"

@@ -60,18 +60,18 @@ const FROZEN: &[(&str, u64, u64, u64, u64, u64)] = &[
     ("batch-mid/partitioned8/upc-distmem", 1335434, 9835, 274, 5635, 0),
     ("batch-mid/partitioned8/mpi-ws", 1313054, 2139, 106, 5707, 0),
     ("batch/none/wavefront/upc-distmem", 166151, 4605, 216, 120, 0),
-    ("service/none/upc-term", 1369613, 8196, 37, 1644, 9211784693310932967),
-    ("service/none/upc-distmem", 1385845, 7029, 28, 1644, 10374195647085754504),
-    ("service/none/mpi-ws", 1420200, 5106, 126, 1644, 4031312659119938891),
-    ("service/none/push-random", 1495110, 4617, 0, 1644, 9117644113519811742),
-    ("service/seeded3/upc-term", 1356620, 8726, 74, 1644, 15487337996899913239),
-    ("service/seeded3/upc-distmem", 1341917, 7493, 60, 1644, 14593781282890018393),
-    ("service/seeded3/mpi-ws", 1366380, 4944, 140, 1644, 2520860511679467890),
-    ("service/seeded3/push-random", 1472720, 4668, 0, 1644, 215693333304291186),
-    ("service/crashy8/upc-term", 1354946, 9578, 53, 1644, 9329565398742873421),
-    ("service/crashy8/upc-distmem", 1394320, 7717, 18, 1644, 9730540185875592355),
-    ("service/crashy8/mpi-ws", 3111400, 6571, 122, 1644, 13743289614157039900),
-    ("service/crashy8/push-random", 2391090, 13237, 0, 2338, 9775098536119647274),
+    ("service/none/upc-term", 1370317, 8372, 53, 1644, 14135598511550185921),
+    ("service/none/upc-distmem", 1283810, 6141, 5, 1644, 1020831894268373066),
+    ("service/none/mpi-ws", 1588690, 5122, 125, 1644, 3085732314318750932),
+    ("service/none/push-random", 1407920, 4582, 0, 1644, 6962938281770954676),
+    ("service/seeded3/upc-term", 1322400, 7649, 33, 1644, 18371844445120437326),
+    ("service/seeded3/upc-distmem", 1405650, 6702, 22, 1644, 14117080263579104314),
+    ("service/seeded3/mpi-ws", 1391810, 4975, 146, 1644, 9465008896437851170),
+    ("service/seeded3/push-random", 1483930, 4572, 0, 1644, 15395488883702057754),
+    ("service/crashy8/upc-term", 1370983, 9174, 42, 1644, 15169365004599814720),
+    ("service/crashy8/upc-distmem", 1392060, 7631, 21, 1644, 17103885748649303481),
+    ("service/crashy8/mpi-ws", 1588860, 5722, 114, 1644, 1275873710790542083),
+    ("service/crashy8/push-random", 2723352, 12769, 0, 2174, 500444604780666763),
 ];
 
 const THREADS: usize = 6;

@@ -70,7 +70,9 @@ fn crash_chaos_service_conserves_every_epoch() {
     let arrivals = ArrivalSpec::poisson(7, 8, 10_000.0);
     let mut deaths = 0usize;
     let mut dups = 0u64;
-    for seed in 0..8u64 {
+    // 40 seeds: duplicates need a lost ACK on one of the few steals these
+    // short runs make (seeds 21, 35 and 39 have one; 39 also kills a rank).
+    for seed in 0..40u64 {
         // Stock crashy loss/dup rates (30‰) rarely hit on these short runs;
         // crank them so the lineage re-injection path actually fires.
         let plan = FaultPlan {
@@ -178,4 +180,24 @@ fn overload_defers_injections_but_loses_nothing() {
         last > first,
         "queueing delay missing from deferred epochs: first={first} last={last}"
     );
+}
+
+/// The E17 stream (Kitty Hawk, upc-distmem, k=4, ~80-node requests) at
+/// 8,000 req/s: quiescence detection costs what an epoch touched, not p, so
+/// the admission window never fills and the tail stays sub-millisecond — at
+/// p=256 as at p=64. (With a full n-cell scan the same stream defers 175
+/// injections at p=64 and its p99 is 268 ms.) Virtual numbers: exact.
+#[test]
+fn eight_thousand_per_second_is_served_without_deferral_at_p64_and_p256() {
+    let gen = UtsGen::new(TreeSpec::binomial(101, 8, 2, 0.45));
+    let arrivals = ArrivalSpec::poisson(17, 300, 8_000.0);
+    let cfg = RunConfig::new(Algorithm::DistMem, 4);
+    for p in [64, 256] {
+        let report = run_service_sim(MachineModel::kittyhawk(), p, &gen, &cfg, &arrivals);
+        let svc = report.service.as_ref().expect("service report");
+        assert_eq!(svc.per_request.len(), 300, "p={p}");
+        assert_eq!(svc.deferred_injections, 0, "p={p}: the window filled");
+        let p99 = svc.hist.p99();
+        assert!(p99 < 1_000_000, "p={p}: p99 {p99} ns");
+    }
 }

@@ -6,7 +6,8 @@
 
 use pgas::{FaultPlan, MachineModel};
 use uts_dlb::tree::TreeSpec;
-use uts_dlb::worksteal::{run_sim, seq_run, Algorithm, RunConfig, UtsGen};
+use uts_dlb::worksteal::service::SVC_SCAN_INTERVAL_NS;
+use uts_dlb::worksteal::{run_service_sim, run_sim, seq_run, Algorithm, RunConfig, UtsGen};
 
 fn stress(alg: Algorithm, machine: &MachineModel, cases: u64) {
     for i in 0..cases {
@@ -265,4 +266,50 @@ fn late_grant_crossing_epoch_boundary_service() {
     }
     assert!(late_grants > 0, "no steal ever timed out — grants never late");
     assert!(overlaps > 0, "epochs never overlapped — boundary never crossed");
+}
+
+/// Service mode, the touch board's weak point (`docs/service.md` §3): a
+/// thief's first bump for an epoch is three operations — reset its cell,
+/// `add` its bit on the epoch's home, put the bump — and the epoch's scanner
+/// reads only the cells of the bits it sees. Thread stalls three scan
+/// intervals long park thieves before, between and after those operations
+/// while scanners run pass after pass over the half-registered epoch; 40
+/// requests reuse every window slot, so a cell read too early holds the
+/// residue of an older epoch. The check is the one `run_service_sim` makes
+/// on every run: no epoch declared quiescent before its tree had been
+/// executed (and per-epoch conservation). Registering before resetting
+/// fails it ("epoch 35 was declared quiescent at 3130636 ns, before ...").
+#[test]
+fn stalled_registration_never_declares_an_epoch_early_service() {
+    const REQUESTS: usize = 40;
+    let arrivals = pgas::ArrivalSpec::poisson(23, REQUESTS, 40_000.0);
+    let gen = UtsGen::new(TreeSpec::binomial(31, 6, 2, 0.42));
+    let mut registrations = 0u64;
+    let mut stalled_ns = 0u64;
+    for i in 0..200u64 {
+        for alg in [Algorithm::Term, Algorithm::DistMem, Algorithm::MpiWs] {
+            let mut cfg = RunConfig::new(alg, 1);
+            cfg.faults = FaultPlan {
+                stall_per_mille: 300,
+                window_ns: 3 * SVC_SCAN_INTERVAL_NS,
+                spike_per_mille: 0,
+                straggler_per_mille: 0,
+                ..FaultPlan::seeded(0x70C4_B0A2Du64.wrapping_add(i))
+            };
+            let threads = 3 + (i % 6) as usize;
+            let report = run_service_sim(MachineModel::kittyhawk(), threads, &gen, &cfg, &arrivals);
+            let svc = report.service.as_ref().expect("service report");
+            assert_eq!(svc.per_request.len(), REQUESTS, "{} case {i}: lost a request", alg.label());
+            let t = report.totals();
+            // Each successful steal moves an epoch's work to a rank that
+            // then has to register for it.
+            registrations += t.steals_ok;
+            stalled_ns += t.comm.fault_ns;
+        }
+    }
+    assert!(registrations > 1000, "too few steals ({registrations}) to stress registration");
+    assert!(
+        stalled_ns > 600 * 3 * SVC_SCAN_INTERVAL_NS,
+        "the stall plan barely bit: {stalled_ns} ns over 600 runs"
+    );
 }
