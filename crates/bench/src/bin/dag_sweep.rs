@@ -10,20 +10,25 @@
 //!
 //! Usage:
 //!   cargo run --release -p uts-bench --bin dag_sweep
-//!     [--tree s] [--chunk 4] [--machine kittyhawk] [--smoke]
+//!     [--tree s] [--chunk 4] [--machine kittyhawk] [--smoke] [--check]
+//!
+//! Columns beyond the obvious: `edges` is the number of dependency-cell adds
+//! the workload publishes through `Comm` (the sum of its in-degrees; 0 for a
+//! tree, whose tasks are ready when created) and `bound_util` is
+//! `successful_steals / steal_bound`, the share of the O(p·D) bound the row
+//! used. `--check` recomputes the sweep and compares every column but the
+//! wall-clock `t_real_s` with the committed CSV instead of writing it
+//! (`scripts/ci.sh`).
 //!
 //! `--smoke` shrinks every workload and runs p=8 only, for CI
 //! (`scripts/chaos_smoke.sh`); smoke runs never overwrite
 //! `results/dag_sweep.csv`. `--smoke --p8192` appends the by-hand p=8192
 //! scale cell (EXPERIMENTS.md E19).
 
-use std::fs;
-use std::io::Write;
-use std::path::PathBuf;
 use std::time::Instant;
 
 use pgas::MachineModel;
-use uts_bench::harness::{arg, flag, machine_by_name, preset_by_name};
+use uts_bench::harness::{arg, check_csv, flag, machine_by_name, preset_by_name};
 use worksteal::state::State;
 use worksteal::theory::{self, DEFAULT_STEAL_FACTOR};
 use worksteal::{
@@ -31,12 +36,16 @@ use worksteal::{
     Wavefront,
 };
 
+const CSV_PATH: &str = "results/dag_sweep.csv";
+
 /// What distinguishes one sweep row besides the (algorithm, threads) cell.
 struct Point<'a> {
     /// Workload label for the CSV and the table.
     workload: &'a str,
     /// Sequential task/node count (conservation target).
     expected: u64,
+    /// Dependency-cell adds the workload publishes (0 for a tree).
+    edges: u64,
     /// Critical-path length `D` for the steal bound.
     depth: u64,
 }
@@ -77,6 +86,7 @@ fn sweep<G: TaskGen>(
     let t_virtual = report.makespan_ns as f64 / 1e9;
     let mnps = report.nodes_per_sec() / 1e6;
     let working = report.state_fraction(State::Working);
+    let bound_util = summary.successful_steals as f64 / summary.bound.max(1) as f64;
     println!(
         "{:<12} {:<16} {:>4} {:>2} {:>9} {:>8} {:>10.4} {:>9.3} {:>9} {:>9} {:>10} {:>6.1} {:>7.2}",
         point.workload,
@@ -94,22 +104,24 @@ fn sweep<G: TaskGen>(
         t_real
     );
     csv.push_str(&format!(
-        "{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
+        "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
         point.workload,
         alg.label(),
         threads,
         chunk,
         report.total_nodes,
+        point.edges,
         point.depth,
         t_virtual,
         mnps,
         summary.steal_attempts,
         summary.successful_steals,
         summary.bound,
+        bound_util,
         working,
         t_real
     ));
-    summary.successful_steals as f64 / summary.bound.max(1) as f64
+    bound_util
 }
 
 /// [`sweep`] for a DAG workload: the conservation target and steal-bound
@@ -123,9 +135,11 @@ fn sweep_dag<G: worksteal::DagGen>(
     workload: &str,
     csv: &mut String,
 ) -> f64 {
+    let dag = gen.dag();
     let point = Point {
         workload,
         expected: gen.n_tasks(),
+        edges: (0..gen.n_tasks()).map(|t| u64::from(dag.in_degree(t))).sum(),
         depth: gen.critical_path_len().expect("DAGs have a closed-form depth"),
     };
     sweep(machine, threads, gen, alg, chunk, &point, csv)
@@ -195,8 +209,8 @@ fn main() {
     );
 
     let mut csv = String::from(
-        "workload,algorithm,threads,chunk,tasks,critical_path,t_virtual_s,mnodes_per_sec,\
-         steal_attempts,successful_steals,steal_bound,working_frac,t_real_s\n",
+        "workload,algorithm,threads,chunk,tasks,edges,critical_path,t_virtual_s,mnodes_per_sec,\
+         steal_attempts,successful_steals,steal_bound,bound_util,working_frac,t_real_s\n",
     );
     let mut worst: f64 = 0.0;
     for &threads in threads_list {
@@ -205,6 +219,7 @@ fn main() {
                 let tree_point = Point {
                     workload: preset.name,
                     expected: preset.expected.nodes,
+                    edges: 0,
                     depth: u64::from(preset.expected.max_depth),
                 };
                 worst = worst.max(sweep(&machine, threads, &tree_gen, alg, k, &tree_point, &mut csv));
@@ -234,6 +249,7 @@ fn main() {
             let pt = Point {
                 workload: pr.name,
                 expected: pr.expected.nodes,
+                edges: 0,
                 depth: u64::from(pr.expected.max_depth),
             };
             sweep(&machine, 8192, &g, Algorithm::DistMem, 8, &pt, &mut csv);
@@ -243,12 +259,12 @@ fn main() {
         println!("smoke run: results/dag_sweep.csv left untouched");
         return;
     }
-    let dir = PathBuf::from("results");
-    if fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join("dag_sweep.csv");
-        match fs::File::create(&path).and_then(|mut f| f.write_all(csv.as_bytes())) {
-            Ok(()) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("warn: cannot write {}: {e}", path.display()),
-        }
+    if flag("--check") {
+        check_csv(CSV_PATH, &csv, 1);
+        return;
+    }
+    match std::fs::create_dir_all("results").and_then(|()| std::fs::write(CSV_PATH, &csv)) {
+        Ok(()) => println!("wrote {CSV_PATH}"),
+        Err(e) => eprintln!("warn: cannot write {CSV_PATH}: {e}"),
     }
 }

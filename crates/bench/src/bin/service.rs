@@ -25,7 +25,7 @@
 //! virtual, so any difference is a schedule change or a stale file).
 
 use pgas::{ArrivalSpec, FaultPlan, MachineModel};
-use uts_bench::harness::flag;
+use uts_bench::harness::{check_csv, flag};
 use uts_tree::TreeSpec;
 use worksteal::{
     run_service_sim, Algorithm, LatencyHistogram, RunConfig, RunReport, ServiceReport, UtsGen,
@@ -171,29 +171,6 @@ fn csv(rows: &[SvcRow]) -> String {
     out
 }
 
-/// `--check`: the recomputed sweep must equal the committed CSV.
-fn check_csv(fresh: &str) {
-    let committed = std::fs::read_to_string(CSV_PATH)
-        .unwrap_or_else(|e| panic!("cannot read {CSV_PATH}: {e}"));
-    if committed == fresh {
-        println!("\n{CSV_PATH} is current ({} rows)", fresh.lines().count() - 1);
-        return;
-    }
-    let line = committed
-        .lines()
-        .zip(fresh.lines())
-        .position(|(a, b)| a != b)
-        .unwrap_or_else(|| committed.lines().count().min(fresh.lines().count()));
-    eprintln!(
-        "{CSV_PATH} is stale (first difference on line {}):\n  committed: {}\n  recomputed: {}\n\
-         regenerate it with `cargo run --release -p uts-bench --bin service`",
-        line + 1,
-        committed.lines().nth(line).unwrap_or("<end of file>"),
-        fresh.lines().nth(line).unwrap_or("<end of file>"),
-    );
-    std::process::exit(1);
-}
-
 fn main() {
     let smoke = flag("--smoke");
     let bundles = [Algorithm::Term, Algorithm::DistMem, Algorithm::MpiWs];
@@ -259,7 +236,7 @@ fn main() {
 
     let fresh = csv(&rows);
     if flag("--check") {
-        check_csv(&fresh);
+        check_csv(CSV_PATH, &fresh, 0);
     } else if !flag("--no-csv") {
         match std::fs::create_dir_all("results").and_then(|()| std::fs::write(CSV_PATH, &fresh)) {
             Ok(()) => println!("\nwrote {CSV_PATH}"),

@@ -171,6 +171,40 @@ pub fn write_csv(name: &str, rows: &[Row]) {
     println!("wrote {}", path.display());
 }
 
+/// `--check` of a sweep binary: the recomputed CSV `fresh` must equal the
+/// committed file at `path`, ignoring each line's last `wall_clock_columns`
+/// fields — host seconds; every other column is virtual, so any difference is
+/// a schedule change or a stale file. Prints the first differing line and
+/// exits 1 on a mismatch.
+pub fn check_csv(path: &str, fresh: &str, wall_clock_columns: usize) {
+    fn virtual_columns(csv: &str, wall_clock_columns: usize) -> Vec<&str> {
+        csv.lines()
+            .map(|l| l.rsplitn(wall_clock_columns + 1, ',').last().unwrap_or(""))
+            .collect()
+    }
+    let committed =
+        fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+    let old = virtual_columns(&committed, wall_clock_columns);
+    let new = virtual_columns(fresh, wall_clock_columns);
+    if old == new {
+        println!("\n{path} is current ({} rows)", new.len() - 1);
+        return;
+    }
+    let line = old
+        .iter()
+        .zip(&new)
+        .position(|(a, b)| a != b)
+        .unwrap_or_else(|| old.len().min(new.len()));
+    eprintln!(
+        "{path} is stale (first difference on line {}):\n  committed: {}\n  recomputed: {}\n\
+         regenerate it by running the same binary without --check",
+        line + 1,
+        old.get(line).unwrap_or(&"<end of file>"),
+        new.get(line).unwrap_or(&"<end of file>"),
+    );
+    std::process::exit(1);
+}
+
 /// Parse `--flag value` style options from argv (tiny, dependency-free).
 pub fn arg<T: std::str::FromStr>(flag: &str, default: T) -> T {
     let args: Vec<String> = std::env::args().collect();

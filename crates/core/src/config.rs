@@ -80,7 +80,9 @@ pub struct RunConfig {
     /// in our implementation)".
     pub release_depth: usize,
     /// For polling implementations (DistMem victim polling, MpiWs): number
-    /// of nodes explored between polls for incoming requests.
+    /// of nodes explored between polls for incoming requests. A node whose
+    /// expansion itself communicated is followed by a poll regardless
+    /// ([`crate::sched::drive`]).
     pub poll_interval: u64,
     /// Seed for the pseudo-random victim probe order.
     pub seed: u64,

@@ -5,9 +5,10 @@
 //!
 //! - The **owner** has complete control of its own stack: it alone moves the
 //!   region counters, so no lock exists on the stack at all. While working
-//!   it polls a *local* request cell every `poll_interval` nodes ("the costs
-//!   are minimal since it only involves a read of a local variable without
-//!   locking").
+//!   it polls a *local* request cell ("the costs are minimal since it only
+//!   involves a read of a local variable without locking") whenever
+//!   [`crate::sched::drive`] says so: every `poll_interval` nodes, and after
+//!   every node whose expansion waited on the network itself.
 //! - A **thief** that sees `work_avail > 0` at a victim CASes its thread id
 //!   into the victim's request cell (our one remote atomic — the paper uses
 //!   a small lock-protected request variable; a CAS is the modern identical-
@@ -74,7 +75,6 @@ const TIMEOUT_BACKOFF_MAX_NS: u64 = 512_000;
 #[derive(Clone, Copy, Debug)]
 pub struct DistMemTransport {
     sp: StealPolicyKind,
-    since_poll: u64,
     /// Exponential backoff across consecutive steal timeouts (hardened mode).
     steal_backoff_ns: u64,
 }
@@ -84,7 +84,6 @@ impl DistMemTransport {
     pub fn new(sp: StealPolicyKind) -> DistMemTransport {
         DistMemTransport {
             sp,
-            since_poll: 0,
             steal_backoff_ns: TIMEOUT_BACKOFF_MIN_NS,
         }
     }
@@ -102,10 +101,6 @@ impl<T: Item, C: Comm<T>> StealTransport<T, C> for DistMemTransport {
         comm.put(comm.my_id(), vars::REQUEST, vars::NO_REQUEST);
     }
 
-    fn on_enter_working(&mut self) {
-        self.since_poll = 0;
-    }
-
     fn refill(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx) -> bool {
         if stack.avail > 0 {
             reacquire(comm, stack, &mut cx.res);
@@ -116,11 +111,7 @@ impl<T: Item, C: Comm<T>> StealTransport<T, C> for DistMemTransport {
     }
 
     fn poll(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx) {
-        self.since_poll += 1;
-        if self.since_poll >= cx.cfg.poll_interval {
-            self.since_poll = 0;
-            service_request(comm, stack, cx.cfg, self.sp, &mut cx.res);
-        }
+        service_request(comm, stack, cx.cfg, self.sp, &mut cx.res);
     }
 
     fn maybe_release(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx) -> bool {

@@ -72,7 +72,6 @@ const TIMEOUT_BACKOFF_MAX_NS: u64 = 512_000;
 #[derive(Clone, Debug)]
 pub struct MpiTransport<T> {
     sp: StealPolicyKind,
-    since_poll: u64,
     /// Responses still outstanding from victims we timed out on.
     pending_responses: usize,
     /// Exponential backoff across consecutive steal timeouts.
@@ -95,7 +94,6 @@ impl<T: Item> MpiTransport<T> {
     pub fn new(sp: StealPolicyKind) -> MpiTransport<T> {
         MpiTransport {
             sp,
-            since_poll: 0,
             pending_responses: 0,
             timeout_backoff: TIMEOUT_BACKOFF_MIN_NS,
             work_sent: 0,
@@ -191,16 +189,8 @@ impl<T: Item, C: Comm<T>> StealTransport<T, C> for MpiTransport<T> {
         self.epoch_of = Some(epoch_of);
     }
 
-    fn on_enter_working(&mut self) {
-        self.since_poll = 0;
-    }
-
     fn poll(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx) {
-        self.since_poll += 1;
-        if self.since_poll >= cx.cfg.poll_interval {
-            self.since_poll = 0;
-            self.service_requests(comm, stack, cx);
-        }
+        self.service_requests(comm, stack, cx);
     }
 
     fn steal(

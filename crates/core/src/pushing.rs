@@ -45,7 +45,6 @@ pub struct PushTransport<T> {
     me: usize,
     n: usize,
     rng: Xorshift,
-    since_poll: u64,
     /// Cumulative PUSH messages sent (for the termination token).
     sent: i64,
     /// Cumulative PUSH messages received (for the termination token).
@@ -67,7 +66,6 @@ impl<T: Item> PushTransport<T> {
             me,
             n,
             rng: Xorshift::new(seed ^ (me as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93)),
-            since_poll: 0,
             sent: 0,
             recv: 0,
             lineage: Lineage::new(),
@@ -120,18 +118,10 @@ impl<T: Item, C: Comm<T>> StealTransport<T, C> for PushTransport<T> {
         self.epoch_of = Some(epoch_of);
     }
 
-    fn on_enter_working(&mut self) {
-        self.since_poll = 0;
-    }
-
     fn poll(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx) {
-        self.since_poll += 1;
-        if self.since_poll >= cx.cfg.poll_interval {
-            self.since_poll = 0;
-            let got = self.absorb(comm, stack, cx);
-            self.recv += got;
-            self.lineage.service(comm, stack, cx, self.epoch_of);
-        }
+        let got = self.absorb(comm, stack, cx);
+        self.recv += got;
+        self.lineage.service(comm, stack, cx, self.epoch_of);
     }
 
     fn maybe_release(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx) -> bool {

@@ -183,17 +183,16 @@ pub trait StealTransport<T: Item, C: Comm<T>> {
     /// death and need no per-transfer accounting.
     fn arm_service(&mut self, _epoch_of: fn(&T) -> u32) {}
 
-    /// Called at each (re-)entry of the Working state (resets poll counters).
-    fn on_enter_working(&mut self) {}
-
     /// The local region drained: try to move work back from the shared
     /// region. Returns `true` if the local region is nonempty again.
     fn refill(&mut self, _comm: &mut C, _stack: &mut DfsStack<T>, _cx: &mut Cx) -> bool {
         false
     }
 
-    /// Per-node progress hook in the working loop (periodic request
-    /// servicing / mailbox absorption, driven by `cfg.poll_interval`).
+    /// Service now: answer the pending steal request, absorb the mailbox.
+    /// *When* is [`drive`]'s decision, not the transport's — every
+    /// `cfg.poll_interval` nodes of the working loop, and after any expansion
+    /// that itself communicated.
     fn poll(&mut self, _comm: &mut C, _stack: &mut DfsStack<T>, _cx: &mut Cx) {}
 
     /// Release surplus work if the local region is deep enough. Returns
@@ -330,7 +329,7 @@ where
     'outer: loop {
         // ------------------------------------------------- Working (Fig. 1)
         cx.enter(comm, State::Working);
-        transport.on_enter_working();
+        let mut since_poll = 0;
         let mut died = false;
         loop {
             if crash {
@@ -360,12 +359,26 @@ where
             // Workloads with shared readiness state (task DAGs) publish it
             // inside expand_in, before the produced tasks are pushed and
             // before maybe_release can migrate them — tree workloads expand
-            // purely, leaving the comm-op stream bit-identical.
+            // purely, leaving the comm-op stream bit-identical. Publishing
+            // is seen as an atomic issued: deciding which completion made a
+            // task ready takes a read-modify-write, and one counter compare
+            // per node is what a 100 ns native tree node can afford.
+            let atomics_before = comm.stats().atomics;
             gen.expand_in(comm, &node, &mut scratch);
+            let communicated = comm.stats().atomics != atomics_before;
             td.on_expand(comm, &node, scratch.len(), &mut cx);
             stack.push_all(&scratch);
             comm.work(gen.work_units(&node));
-            transport.poll(comm, &mut stack, &mut cx);
+            // §3.3.3: the owner looks at its own request cell between nodes
+            // because that read is free next to the work it interleaves with
+            // — every `poll_interval` nodes when a node is a few hundred
+            // nanoseconds of hashing, after every node that waited on the
+            // network itself.
+            since_poll += 1;
+            if since_poll >= cfg.poll_interval || communicated {
+                since_poll = 0;
+                transport.poll(comm, &mut stack, &mut cx);
+            }
             if transport.maybe_release(comm, &mut stack, &mut cx) {
                 td.on_release(comm);
             }

@@ -35,6 +35,11 @@ pub trait TaskGen: Sync {
     /// produced tasks are pushed (the driver pushes `out` only after this
     /// returns), preserving the publish-before-migration discipline — a
     /// task's readiness is globally visible before the task can be stolen.
+    /// An expansion that issues an atomic ([`Comm::add`], [`Comm::add_many`],
+    /// [`Comm::cas`] — what deciding "this completion made the task ready"
+    /// takes) is followed by a transport poll ([`crate::sched::drive`]): its
+    /// owner has just waited on the network and answers pending steal
+    /// requests before the next task.
     fn expand_in<C: Comm<Self::Task>>(
         &self,
         comm: &mut C,

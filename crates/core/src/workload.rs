@@ -17,10 +17,11 @@
 //! - Every task `t` owns a **count-up cell** in the global address space
 //!   (rank `t mod p`, slot [`crate::vars::DAG_BASE`]` + t div p`), starting
 //!   at its zero-initialised value.
-//! - Completing a task fetch-adds `+1` into each successor's cell via
-//!   [`Comm::add`] — inside the expansion hook, *before* the driver pushes
-//!   anything, so the decrement is published before any produced task can
-//!   migrate (the PR-7 publish-before-migration discipline).
+//! - Completing a task fetch-adds `+1` into each successor's cell — one
+//!   split-phase batch, [`Comm::add_many`], that returns when the last add
+//!   has — inside the expansion hook, *before* the driver pushes anything,
+//!   so the decrement is published before any produced task can migrate
+//!   (the PR-7 publish-before-migration discipline).
 //! - The add whose returned previous value makes the counter reach the
 //!   successor's in-degree — exactly one add can, the counter is monotonic —
 //!   emits the successor as a "child" of the completing task. Tasks
@@ -515,7 +516,9 @@ impl<G: DagGen> TaskGen for DagWorkload<G> {
     }
 
     /// The parallel path: publish one fetch-add per successor into its
-    /// count-up cell and emit the successors whose counter crossed their
+    /// count-up cell — all of them as one split-phase batch
+    /// ([`Comm::add_many`]), so a task's round trips overlap instead of
+    /// queueing — and emit the successors whose counter crossed their
     /// in-degree. All shared state goes through [`Comm`] — see the module
     /// docs for why host atomics would break conductor bit-identity.
     fn expand_in<C: Comm<u64>>(&self, comm: &mut C, task: &u64, out: &mut Vec<u64>) -> u32 {
@@ -523,9 +526,14 @@ impl<G: DagGen> TaskGen for DagWorkload<G> {
         let before = out.len();
         let mut succ = Vec::new();
         self.gen.successors(*task, &mut succ);
-        for &s in &succ {
-            let prev = comm.add((s % p) as usize, vars::DAG_BASE + (s / p) as usize, 1);
-            if prev + 1 == i64::from(self.gen.in_degree(s)) {
+        let cells: Vec<(usize, usize)> = succ
+            .iter()
+            .map(|&s| ((s % p) as usize, vars::DAG_BASE + (s / p) as usize))
+            .collect();
+        let mut prev = Vec::with_capacity(cells.len());
+        comm.add_many(&cells, 1, &mut prev);
+        for (&s, &seen) in succ.iter().zip(&prev) {
+            if seen + 1 == i64::from(self.gen.in_degree(s)) {
                 out.push(s);
             }
         }

@@ -147,6 +147,32 @@ pub trait Comm<T: Item>: Send {
     fn cas(&mut self, thread: usize, var: usize, expected: i64, new: i64) -> i64;
     /// Atomic fetch-add on a scalar cell; returns the previous value.
     fn add(&mut self, thread: usize, var: usize, delta: i64) -> i64;
+    /// Split-phase fetch-add of `delta` on every `(thread, var)` cell of
+    /// `cells`: all members are issued before the caller waits for any, and
+    /// the call returns once the last has completed, having appended each
+    /// member's previous value to `prev` in the order of `cells`. Every member
+    /// is an atomic [`Comm::add`] of its own — nothing is atomic about the
+    /// batch — so whatever holds for `cells.len()` separate adds by one
+    /// thread, except their order among themselves, holds for the batch.
+    ///
+    /// The default is the loop of [`Comm::add`], which is what the native
+    /// backend keeps: its adds are host instructions and there is no latency
+    /// to overlap. The simulator prices the overlap from constants the
+    /// [`MachineModel`] already has. With `t0` the caller's clock, member `i`
+    /// is *issued* at `t0 + Σ_{j<i} min(msg_overhead_ns, cost_j)` — the
+    /// model's one sender-side software overhead
+    /// ([`MachineModel::msg_overhead_ns`]), capped by what the member would
+    /// have cost as a blocking `add` (`cost_j` =
+    /// [`MachineModel::atomic_cost`]) — and *lands* `cost_i` later. Members
+    /// commit in landing order, ties in issue order, and the caller resumes at
+    /// the last landing. A batch of one therefore **is** `add`, and under a
+    /// model whose overhead is not below its atomic costs a batch is the loop,
+    /// bit for bit.
+    fn add_many(&mut self, cells: &[(usize, usize)], delta: i64, prev: &mut Vec<i64>) {
+        for &(thread, var) in cells {
+            prev.push(self.add(thread, var, delta));
+        }
+    }
 
     /// Attempt to acquire a lock; `false` if already held.
     fn try_lock(&mut self, thread: usize, lock: usize) -> bool;

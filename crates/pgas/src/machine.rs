@@ -59,6 +59,10 @@ pub struct MachineModel {
     /// Cost charged by `poll()` (the `bupc_poll()` progress hook).
     pub poll_ns: u64,
     /// Software overhead on the sender of a point-to-point message (MPI).
+    /// As the model's one sender-side cost of handing an operation to the
+    /// network it is also the gap between issuing two members of a
+    /// split-phase batch ([`crate::Comm::add_many`]), capped by the member's
+    /// own blocking cost.
     pub msg_overhead_ns: u64,
     /// One-way small-message latency (MPI).
     pub msg_latency_ns: u64,

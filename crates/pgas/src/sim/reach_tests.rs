@@ -1,6 +1,6 @@
 //! The reach window and the packed ready queue, held against the reference
-//! conductor: seeded random programs over every [`Comm`] method, and
-//! hand-placed operations at the window's edges.
+//! conductor: seeded random programs over every [`Comm`] method, split-phase
+//! batches included, and hand-placed operations at the window's edges.
 
 use super::*;
 use crate::arrival::HashStream;
@@ -44,10 +44,11 @@ fn fold(xs: impl IntoIterator<Item = u64>) -> i64 {
 /// naming the issuer's own, on three cells, two locks and two tags so that
 /// threads collide. Returns every value it observed, in order.
 ///
-/// The draws do not depend on what the thread observes, with one exception
-/// (it only unlocks what it locked), so both conductors run the same program
-/// as long as they agree. Areas only ever shrink to four items and only by
-/// their owner's hand, so no racing read or truncate can go out of range.
+/// The draws do not depend on what the thread observes, with two exceptions
+/// (it only unlocks what it locked, and only truncates an area of four items
+/// or more), so both conductors run the same program as long as they agree.
+/// Areas only ever shrink to exactly four items, from at least four and only
+/// by their owner's hand, so no racing read or truncate can go out of range.
 fn program(c: &mut SimComm<u64>, seed: u64) -> Vec<i64> {
     let (me, n) = (c.my_id(), c.n_threads());
     let mut rng = HashStream::new(seed ^ (me as u64 + 1).wrapping_mul(0xA24B_AED4_963E_E407));
@@ -62,7 +63,7 @@ fn program(c: &mut SimComm<u64>, seed: u64) -> Vec<i64> {
         };
         let var = below(&mut rng, 3);
         let tag = [None, Some(1), Some(2)][below(&mut rng, 3)];
-        match below(&mut rng, 16) {
+        match below(&mut rng, 17) {
             0 => seen.push(c.get(th, var)),
             1 => c.put(th, var, below(&mut rng, 4) as i64),
             2 => seen.push(c.cas(
@@ -96,8 +97,9 @@ fn program(c: &mut SimComm<u64>, seed: u64) -> Vec<i64> {
                 c.area_write(th, below(&mut rng, 5), &src[..1 + below(&mut rng, 3)]);
             }
             9 => {
-                let len = c.area_len(me).min(4);
-                c.area_truncate(me, len);
+                if c.area_len(me) >= 4 {
+                    c.area_truncate(me, 4);
+                }
             }
             10 => {
                 let payload = [rng.next_u64(), rng.next_u64()];
@@ -120,6 +122,14 @@ fn program(c: &mut SimComm<u64>, seed: u64) -> Vec<i64> {
             }),
             13 => c.poll(),
             14 => c.work(below(&mut rng, 4) as u64),
+            // A split-phase batch over any mix of own, same-node and remote
+            // cells, the same one twice included.
+            15 => {
+                let cells: Vec<(usize, usize)> = (0..2 + below(&mut rng, 5))
+                    .map(|_| (below(&mut rng, n), below(&mut rng, 3)))
+                    .collect();
+                c.add_many(&cells, 1, &mut seen);
+            }
             // Multiples of 10 ns, like most model costs, so that exact clock
             // ties — where only the thread id orders two operations — happen.
             _ => c.advance_idle(10 * below(&mut rng, 40) as u64),
@@ -162,16 +172,24 @@ fn assert_same(fast: &SimReport<Vec<i64>>, reference: &SimReport<Vec<i64>>, labe
 /// substrate, and fast mode on OS threads (the fallback of every platform
 /// without fibers), must match the reference conductor bit for bit.
 ///
-/// Checked against four mutations of the rule (`SimComm::reaches`,
-/// `Inbound::admits`), one at a time. The horizon widened by 400 ns, inbound
-/// writes ignored, and inbound reads ignored for own writes each fail within
-/// the first 25 seeds on every machine below. `<=` for the strict `<` only
-/// shows when an own operation lands exactly on the horizon, a thread with a
-/// smaller id lands its cheapest foreign operation on the same cell in the
-/// same nanosecond, and the two do not commute: random programs get there on
-/// smp alone (seed 34), so `foreign_write_at_the_reach_horizon` places that
-/// case by hand — as the other hand-placed cases below each fail under at
-/// least one of the four.
+/// Checked against five mutations of the rule (`SimComm::reaches`,
+/// `Inbound::admits`, the count in `SimComm::add_many`), one at a time. The
+/// horizon widened by 400 ns, inbound writes ignored, and inbound reads
+/// ignored for own writes each fail within the first 30 seeds on every
+/// machine below. `<=` for the strict `<` only shows when an own operation
+/// lands exactly on the horizon, a thread with a smaller id lands its cheapest
+/// foreign operation on the same cell in the same nanosecond, and the two do
+/// not commute: random programs get there on smp alone (seed 255), so
+/// `foreign_write_at_the_reach_horizon` places that case by hand. *Batch
+/// members counted in `inbound` one at a time, as each parks* — not all of
+/// them when the batch is issued — only shows where two members land less
+/// than the reach apart, which takes a model whose atomics outlast its send
+/// overhead: the inverted machine gets there at seed 0 (40 ns between issues,
+/// 60 to 180 ns to land: members overtake and tie), the four presets in no
+/// seed — kittyhawk and topsail need a ten-member batch to land a same-node
+/// add that close behind a remote one, and on altix and smp a batch is the
+/// loop — so `later_batch_member_closes_the_window` places it by hand. Every
+/// other hand-placed case below fails under at least one of the five, too.
 fn random_programs_agree(machine: MachineModel) {
     let mut reach_ops = 0;
     let mut handoffs = 0;
@@ -234,15 +252,15 @@ fn random_programs_agree_on_an_inverted_machine() {
     random_programs_agree(m);
 }
 
-/// Run a two-thread kittyhawk program (threads 0 and 1 share a node: own
-/// reference 60 ns, foreign reference 250 ns = the reach) under both
-/// conductors, require them equal, and return the fast run.
-fn two_threads<F>(machine: MachineModel, f: F) -> SimReport<i64>
+/// Run a `p`-thread program under both conductors, require them equal, and
+/// return the fast run. (On kittyhawk threads 0 and 1 share a node: own
+/// reference 60 ns, foreign reference 250 ns = the reach.)
+fn both_conductors<F>(machine: MachineModel, p: usize, f: F) -> SimReport<i64>
 where
     F: Fn(&mut SimComm<u64>) -> i64 + Sync,
 {
     let run = |lookahead: bool| {
-        SimCluster::<u64>::new(machine.clone(), 2, SpaceConfig::default())
+        SimCluster::<u64>::new(machine.clone(), p, SpaceConfig::default())
             .with_lookahead(lookahead)
             .run(&f)
     };
@@ -268,7 +286,7 @@ fn foreign_write_at_the_reach_horizon() {
     );
     for (a, b) in [(0, 1), (1, 0)] {
         for d in [-1i64, 0, 1] {
-            let fast = two_threads(m.clone(), |c| {
+            let fast = both_conductors(m.clone(), 2, |c| {
                 if c.my_id() == a {
                     c.put(a, 1, 0); // 60
                     c.advance_idle(380);
@@ -312,7 +330,7 @@ fn message_arrives_inside_a_polling_run() {
         (10, 100, 20)
     );
     for (a, b) in [(0, 1), (1, 0)] {
-        let fast = two_threads(m.clone(), |c| {
+        let fast = both_conductors(m.clone(), 2, |c| {
             if c.my_id() == a {
                 let mut polls = 1;
                 while !c.has_msg(Some(5)) {
@@ -344,7 +362,7 @@ fn own_try_lock_yields_to_a_parked_foreign_one() {
     let m = MachineModel::kittyhawk();
     assert_eq!((m.lock_cost(0, 0), m.lock_cost(1, 0)), (180, 750));
     for (a, b) in [(0, 1), (1, 0)] {
-        let fast = two_threads(m.clone(), |c| {
+        let fast = both_conductors(m.clone(), 2, |c| {
             if c.my_id() == a {
                 c.put(a, 1, 0); // 60
                 c.advance_idle(380);
@@ -368,7 +386,7 @@ fn own_try_lock_yields_to_a_parked_foreign_one() {
 #[test]
 fn own_put_yields_to_a_parked_foreign_get() {
     for (a, b) in [(0, 1), (1, 0)] {
-        let fast = two_threads(MachineModel::kittyhawk(), |c| {
+        let fast = both_conductors(MachineModel::kittyhawk(), 2, |c| {
             if c.my_id() == a {
                 c.put(a, 1, 0); // 60
                 c.advance_idle(380);
@@ -385,6 +403,58 @@ fn own_put_yields_to_a_parked_foreign_get() {
         assert_eq!(fast.results[b], 0, "a = {a}");
         assert_eq!(fast.final_scalar(a, 0), 9, "a = {a}");
         assert_eq!(fast.conductor[a].reach_ops, u64::from(a == 0), "a = {a}");
+    }
+}
+
+/// A later member of a batch closes the window while its thread is parked on
+/// an earlier one. On topsail (8 threads per node, so thread 8 is remote;
+/// issue gap 1400 ns capped by the member's cost) `b`'s batch at 0 ns is seven
+/// remote adds, issued at 0, 1400, … 8400 and landing 11000 ns later each, two
+/// same-node adds on idle thread 2, issued at 9800 and 10240 and landing at
+/// 10240 and 10680, and one on `a`'s cell 0, issued at 10680 and landing at
+/// 11120 — 120 ns, less than the reach, after the first remote member, on
+/// which `b` is parked with key 11000 when `a` reads its own cell at 11120 + d,
+/// inside the window of that key. The read must see the add exactly when the
+/// add's `(11120, b)` precedes it.
+#[test]
+fn later_batch_member_closes_the_window() {
+    let m = MachineModel::topsail();
+    assert_eq!(
+        (
+            m.ref_cost(0, 0),
+            m.atomic_cost(1, 0),
+            m.atomic_cost(1, 8),
+            m.msg_overhead_ns,
+            m.min_foreign_cost()
+        ),
+        (60, 440, 11_000, 1400, 220)
+    );
+    for (a, b) in [(0, 1), (1, 0)] {
+        for d in [-1i64, 0, 1] {
+            let fast = both_conductors(m.clone(), 9, |c| {
+                if c.my_id() == a {
+                    c.advance_idle(10_740);
+                    c.get(a, 1); // 10800: b is parked on its first remote member next
+                    c.advance_idle((260 + d) as u64);
+                    c.get(a, 0) // 11120 + d
+                } else if c.my_id() == b {
+                    let mut cells: Vec<(usize, usize)> = (0..7).map(|var| (8, var)).collect();
+                    cells.extend([(2, 0), (2, 1), (a, 0)]);
+                    let mut prev = Vec::new();
+                    c.add_many(&cells, 1, &mut prev);
+                    assert_eq!(prev, [0; 10]);
+                    0
+                } else {
+                    0
+                }
+            });
+            let label = format!("a = {a}, d = {d}");
+            assert_eq!(fast.clocks[a], (11_120 + d) as u64, "{label}");
+            assert_eq!(fast.clocks[b], 8400 + 11_000, "{label}");
+            let add_first = (11_120, b) < ((11_120 + d) as u64, a);
+            assert_eq!(fast.results[a], i64::from(add_first), "{label}");
+            assert_eq!(fast.conductor[a].reach_ops, 0, "{label}");
+        }
     }
 }
 
@@ -438,3 +508,4 @@ fn packed_keys_order_like_tuples() {
         }
     }
 }
+

@@ -99,4 +99,10 @@ echo "== results/service.csv is current =="
 # chaos_smoke.sh has just built the binary; the sweep takes under 10 s.
 ./target/release/service --check
 
+echo "== results/dag_sweep.csv is current =="
+# The same for the E18 sweep (≈15 s): every column but the last, wall-clock
+# one must equal a recomputation, and every recomputed row passes conservation
+# and the O(p·D) steal bound or the binary aborts.
+./target/release/dag_sweep --check
+
 echo "CI OK"

@@ -14,8 +14,9 @@
 //!
 //! The matrix covers batch (UTS trees, on every machine preset — the reach
 //! window's width is a cost ratio), service mode, crash faults, membership
-//! faults, all three DAG families, and a conflict-storm stress case of raw
-//! cross-thread put/get chains. The reference conductor pays a kernel round
+//! faults, all three DAG families plus a wide layered DAG at p=64 (overlapping
+//! split-phase batches), and a conflict-storm stress case of raw cross-thread
+//! put/get chains. The reference conductor pays a kernel round
 //! trip per operation, so the big legs are sized by what it can finish; the
 //! random programs of `crates/pgas/src/sim/reach_tests.rs` are the sharper
 //! oracle per second spent.
@@ -111,13 +112,13 @@ fn matrix_over(machine: &MachineModel, preset: &Preset, threads: usize) {
 /// DAG workloads route every dependency decrement through `Comm::add`, so
 /// "which predecessor's add crossed the in-degree" must conduct identically
 /// in both modes — bit-identical reports *including* the count-up cells
-/// in the final memory image.
+/// in the final memory image. Returns the fiber run.
 fn assert_dag_equivalent<G: worksteal::DagGen>(
     gen: &DagWorkload<G>,
     name: &str,
     alg: Algorithm,
     threads: usize,
-) {
+) -> SimReport<ThreadResult> {
     let run = |lookahead: bool| -> SimReport<ThreadResult> {
         let cfg = RunConfig::new(alg, 2);
         let cluster: SimCluster<u64> = SimCluster::new(
@@ -134,6 +135,7 @@ fn assert_dag_equivalent<G: worksteal::DagGen>(
     assert_sim_identical(&fiber, &reference, &label);
     let total: u64 = fiber.results.iter().map(|r| r.nodes).sum();
     assert_eq!(total, gen.n_tasks(), "{label}: tasks lost or duplicated");
+    fiber
 }
 
 #[test]
@@ -153,6 +155,22 @@ fn all_algorithms_dag_workloads_16_threads() {
         assert_dag_equivalent(&fj, "fork-join", alg, 16);
         assert_dag_equivalent(&wf, "wavefront", alg, 16);
         assert_dag_equivalent(&rl, "random-layered", alg, 16);
+    }
+}
+
+/// The benchmark's `dag_layered` shape, shortened to what the reference
+/// conductor finishes: 256-wide layers on 64 threads (16 kittyhawk nodes), so
+/// a task's ≈ 21 dependency adds are one split-phase batch over mostly remote
+/// cells whose members overlap, land out of issue order and interleave with
+/// other ranks' batches on the same cells — through the one-sided transport
+/// whose owner polls after every such expansion, and the message one.
+#[test]
+fn wide_layered_dag_64_threads() {
+    let rl = DagWorkload::new(RandomLayered::new(5, 256, 80, 11));
+    for alg in [Algorithm::DistMem, Algorithm::MpiWs] {
+        let fiber = assert_dag_equivalent(&rl, "wide-layered", alg, 64);
+        let steals: u64 = fiber.results.iter().map(|r| r.steals_ok).sum();
+        assert!(steals > 64, "{}: {steals} steals moved nothing much", alg.label());
     }
 }
 

@@ -4,7 +4,10 @@
 
 use pgas::MachineModel;
 use uts_dlb::tree::presets;
-use uts_dlb::worksteal::{run_native, run_sim, Algorithm, RunConfig, UtsGen};
+use uts_dlb::worksteal::theory::{self, DEFAULT_STEAL_FACTOR};
+use uts_dlb::worksteal::{
+    run_native, run_sim, Algorithm, DagWorkload, RandomLayered, RunConfig, TaskGen, UtsGen,
+};
 
 #[test]
 fn all_algorithms_conserve_natively() {
@@ -49,4 +52,23 @@ fn sim_native_logical_agreement() {
     let native = run_native(MachineModel::smp(), 3, &gen, &cfg)
         .expect("fault-free config runs natively");
     assert_eq!(sim.total_nodes, native.total_nodes);
+}
+
+/// A DAG on real atomics: the native backend keeps the default
+/// `Comm::add_many`, the loop of host fetch-adds, so this is the crossing
+/// rule ("the add that returns in-degree − 1 emits the task") against real
+/// concurrency — every task runs exactly once, under every transport, and the
+/// run satisfies the same theory checks as a simulated one.
+#[test]
+fn native_dag_conserves_exactly() {
+    let dag = DagWorkload::new(RandomLayered::new(8, 24, 200, 5));
+    let depth = dag.critical_path_len().expect("DAGs know their depth");
+    for alg in [Algorithm::Term, Algorithm::DistMem, Algorithm::MpiWs] {
+        let cfg = RunConfig::new(alg, 1);
+        let report = run_native(MachineModel::smp(), 4, &dag, &cfg)
+            .expect("fault-free config runs natively");
+        assert_eq!(report.total_nodes, dag.n_tasks(), "{} native", alg.label());
+        theory::check_run(&report, dag.n_tasks(), depth, DEFAULT_STEAL_FACTOR, false)
+            .unwrap_or_else(|e| panic!("{} native: {e}", alg.label()));
+    }
 }
