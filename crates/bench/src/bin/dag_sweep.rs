@@ -28,12 +28,11 @@
 use std::time::Instant;
 
 use pgas::MachineModel;
-use uts_bench::harness::{arg, check_csv, flag, machine_by_name, preset_by_name};
+use uts_bench::harness::{arg, check_csv, flag, machine_by_name, preset_by_name, sim_config};
 use worksteal::state::State;
 use worksteal::theory::{self, DEFAULT_STEAL_FACTOR};
 use worksteal::{
-    run_sim, Algorithm, DagWorkload, ForkJoin, RandomLayered, RunConfig, TaskGen, UtsGen,
-    Wavefront,
+    run_sim, Algorithm, DagWorkload, ForkJoin, RandomLayered, TaskGen, UtsGen, Wavefront,
 };
 
 const CSV_PATH: &str = "results/dag_sweep.csv";
@@ -62,10 +61,7 @@ fn sweep<G: TaskGen>(
     point: &Point,
     csv: &mut String,
 ) -> f64 {
-    let mut cfg = RunConfig::new(alg, chunk).with_env_chaos();
-    if std::env::var("UTS_SIM_REFERENCE").is_ok_and(|v| v == "1") {
-        cfg.sim_lookahead = false;
-    }
+    let cfg = sim_config(alg, chunk);
     let t0 = Instant::now();
     let report = run_sim(machine.clone(), threads, gen, &cfg);
     let t_real = t0.elapsed().as_secs_f64();

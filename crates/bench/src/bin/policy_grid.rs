@@ -16,11 +16,9 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use uts_bench::harness::{arg, machine_by_name, preset_by_name};
+use uts_bench::harness::{arg, machine_by_name, preset_by_name, sim_config};
 use worksteal::state::State;
-use worksteal::{
-    run_sim, Algorithm, RunConfig, StealPolicyKind, TransportKind, UtsGen, VictimPolicy,
-};
+use worksteal::{run_sim, Algorithm, StealPolicyKind, TransportKind, UtsGen, VictimPolicy};
 
 fn main() {
     let tree: String = arg("--tree", "l".to_string());
@@ -63,10 +61,7 @@ fn main() {
         debug_assert_ne!(alg.bundle().transport, TransportKind::MpiMsg);
         for vp in victims {
             for sp in steals {
-                let mut cfg = RunConfig::new(alg, chunk).with_env_chaos();
-                if std::env::var("UTS_SIM_REFERENCE").is_ok_and(|v| v == "1") {
-                    cfg.sim_lookahead = false;
-                }
+                let mut cfg = sim_config(alg, chunk);
                 cfg.victim_policy = Some(vp);
                 cfg.steal_policy = Some(sp);
                 let t0 = Instant::now();

@@ -23,8 +23,9 @@
 //! - `--expect-distinct <nodes>`: fail unless `total - duplicates` matches
 //!   (the conservation-with-multiplicity check for crash-faulted runs)
 //!
-//! The config passes through [`RunConfig::with_env_chaos`], so `UTS_CHAOS_*`
-//! / `UTS_STEAL_TIMEOUT_NS` environment overrides fault-inject any run —
+//! The config comes from [`uts_bench::harness::sim_config`], so `UTS_CHAOS_*`
+//! / `UTS_STEAL_TIMEOUT_NS` environment overrides fault-inject any run and
+//! `UTS_SIM_REFERENCE=1` selects the reference conductor —
 //! the chaos soak prints violations as a paste-ready env prefix for this
 //! binary (crash plans need the default sim backend; `--native` refuses
 //! them with a typed error).
@@ -33,8 +34,9 @@
 //! `uts_cli -t 0 -b 2000 -q 0.499999995 -m 2 -r 0 -c 8 -T 1024`
 
 use pgas::MachineModel;
+use uts_bench::harness::sim_config;
 use uts_tree::{GeoShape, TreeSpec};
-use worksteal::{run_native, run_sim, Algorithm, RunConfig, UtsGen};
+use worksteal::{run_native, run_sim, Algorithm, UtsGen};
 
 fn opt<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
     args.windows(2)
@@ -114,7 +116,7 @@ fn main() {
     );
 
     let gen = UtsGen::new(spec);
-    let mut cfg = RunConfig::new(algorithm, chunk).with_env_chaos();
+    let mut cfg = sim_config(algorithm, chunk);
     cfg.poll_interval = interval;
     if cfg.faults.is_active() {
         println!("chaos: {:?}", cfg.faults);

@@ -41,6 +41,19 @@ pub struct Row {
     pub t_real: f64,
 }
 
+/// The run configuration every harness binary starts from. Opt-in chaos:
+/// `UTS_CHAOS_SEED` / `UTS_STEAL_TIMEOUT_NS` fault-inject any binary without
+/// new flags; unset they change nothing. Likewise `UTS_SIM_REFERENCE=1` swaps
+/// in the reference OS-thread conductor (virtual results are bit-identical,
+/// only wall-clock differs).
+pub fn sim_config(algorithm: Algorithm, chunk: usize) -> RunConfig {
+    let mut cfg = RunConfig::new(algorithm, chunk).with_env_chaos();
+    if std::env::var("UTS_SIM_REFERENCE").is_ok_and(|v| v == "1") {
+        cfg.sim_lookahead = false;
+    }
+    cfg
+}
+
 /// Execute one simulated run and distill a [`Row`].
 pub fn measure(
     machine: &MachineModel,
@@ -50,14 +63,7 @@ pub fn measure(
     chunk: usize,
     expected_nodes: u64,
 ) -> Row {
-    // Opt-in chaos: UTS_CHAOS_SEED / UTS_STEAL_TIMEOUT_NS fault-inject any
-    // figure binary without new flags; unset they change nothing. Likewise
-    // UTS_SIM_REFERENCE=1 swaps in the reference OS-thread conductor
-    // (virtual results are bit-identical, only wall-clock differs).
-    let mut cfg = RunConfig::new(algorithm, chunk).with_env_chaos();
-    if std::env::var("UTS_SIM_REFERENCE").is_ok_and(|v| v == "1") {
-        cfg.sim_lookahead = false;
-    }
+    let cfg = sim_config(algorithm, chunk);
     let t0 = Instant::now();
     let report = run_sim(machine.clone(), threads, gen, &cfg);
     let t_real = t0.elapsed().as_secs_f64();

@@ -46,16 +46,11 @@ impl CancelableBarrier {
     }
 
     /// Enter the barrier and spin (remotely) until either every thread has
-    /// arrived (termination) or a release cancels the barrier.
-    pub fn wait<T: Item, C: Comm<T>>(comm: &mut C) -> BarrierOutcome {
-        CancelableBarrier::wait_with(comm, |_| {})
-    }
-
-    /// [`CancelableBarrier::wait`] with a per-spin `service` hook, run after
-    /// the outcome checks of each iteration. Transports whose steal protocol
-    /// needs the victim's participation (the §3.3.3 request/response cells)
-    /// use it to keep denying thieves while parked; for the locked transport
-    /// the hook is a no-op and the spin is the paper's exactly.
+    /// arrived (termination) or a release cancels the barrier. `service` runs
+    /// after the outcome checks of each iteration: transports whose steal
+    /// protocol needs the victim's participation (the §3.3.3 request/response
+    /// cells) use it to keep denying thieves while parked; for the locked
+    /// transport the hook is a no-op and the spin is the paper's exactly.
     pub fn wait_with<T: Item, C: Comm<T>>(
         comm: &mut C,
         mut service: impl FnMut(&mut C),
@@ -169,7 +164,7 @@ mod tests {
     #[test]
     fn cancelable_barrier_terminates_when_all_enter() {
         let n = 6;
-        let report = cluster(n).run(CancelableBarrier::wait);
+        let report = cluster(n).run(|c| CancelableBarrier::wait_with(c, |_| {}));
         assert!(report
             .results
             .iter()
@@ -192,7 +187,7 @@ mod tests {
                 c.advance_idle(1_000_000);
                 let mut outcomes = vec![];
                 loop {
-                    let o = CancelableBarrier::wait(c);
+                    let o = CancelableBarrier::wait_with(c, |_| {});
                     outcomes.push(o);
                     if o == BarrierOutcome::Terminated {
                         return outcomes;
@@ -201,7 +196,7 @@ mod tests {
             } else {
                 let mut outcomes = vec![];
                 loop {
-                    let o = CancelableBarrier::wait(c);
+                    let o = CancelableBarrier::wait_with(c, |_| {});
                     outcomes.push(o);
                     if o == BarrierOutcome::Terminated {
                         return outcomes;

@@ -20,7 +20,7 @@
 //!   offset + amount) and a local reset of the request cell, exactly the
 //!   §3.3.3 budget.
 //!
-//! The grant size comes from the bundle's [`StealPolicy`]: the paper's
+//! The grant size comes from the bundle's [`StealPolicyKind`]: the paper's
 //! `upc-distmem` uses steal-half (§3.3.2 rapid diffusion), and the same
 //! transport serves steal-one or adaptive grants unchanged — the victim
 //! alone sizes the grant, so the thief side is policy-oblivious.
@@ -48,7 +48,6 @@
 //! reset only when a timeout is armed, leaving the paper-faithful op
 //! sequence (and its bit-exact virtual times) untouched otherwise.
 //!
-//! [`StealPolicy`]: crate::sched::policy::StealPolicy
 //! [`RunConfig::steal_timeout_ns`]: crate::config::RunConfig::steal_timeout_ns
 
 use pgas::comm::Item;
@@ -56,27 +55,22 @@ use pgas::Comm;
 
 use crate::config::RunConfig;
 use crate::report::ThreadResult;
-use crate::sched::policy::{StealPolicy, StealPolicyKind};
+use crate::sched::policy::{StealPolicyKind, TimeoutBackoff};
 use crate::sched::{Cx, StealOutcome, StealTransport};
 use crate::stack::DfsStack;
-use crate::trace::TraceLog;
+use crate::trace::{Event, TraceLog};
 use crate::vars;
 use crate::watchdog::Watchdog;
 
 /// Backoff while spinning on our own response cell (local reads).
 const RESPONSE_BACKOFF_NS: u64 = 1_500;
-/// Initial post-timeout backoff before re-probing; doubles per consecutive
-/// timeout up to [`TIMEOUT_BACKOFF_MAX_NS`], resets on a successful steal.
-const TIMEOUT_BACKOFF_MIN_NS: u64 = 4_000;
-/// Cap on the post-timeout exponential backoff.
-const TIMEOUT_BACKOFF_MAX_NS: u64 = 512_000;
 
 /// §3.3.3's lock-less request/response protocol as a [`StealTransport`].
 #[derive(Clone, Copy, Debug)]
 pub struct DistMemTransport {
     sp: StealPolicyKind,
-    /// Exponential backoff across consecutive steal timeouts (hardened mode).
-    steal_backoff_ns: u64,
+    /// Pause across consecutive steal timeouts (hardened mode).
+    steal_backoff: TimeoutBackoff,
 }
 
 impl DistMemTransport {
@@ -84,15 +78,13 @@ impl DistMemTransport {
     pub fn new(sp: StealPolicyKind) -> DistMemTransport {
         DistMemTransport {
             sp,
-            steal_backoff_ns: TIMEOUT_BACKOFF_MIN_NS,
+            steal_backoff: TimeoutBackoff::default(),
         }
     }
 }
 
 impl<T: Item, C: Comm<T>> StealTransport<T, C> for DistMemTransport {
-    const NAME: &'static str = "distmem";
     const PROBES: bool = true;
-    const BARRIER_WATCHDOG: &'static str = "distmem termination barrier";
 
     fn init(&mut self, comm: &mut C, _cx: &mut Cx) {
         // Scalar cells start at 0; the request cell's idle value is -1. Arm
@@ -119,7 +111,7 @@ impl<T: Item, C: Comm<T>> StealTransport<T, C> for DistMemTransport {
             return false;
         }
         release(comm, stack, &mut cx.res);
-        cx.log.release(comm.now());
+        cx.log.emit(Event::Release { t_ns: comm.now() });
         true
     }
 
@@ -147,7 +139,7 @@ impl<T: Item, C: Comm<T>> StealTransport<T, C> for DistMemTransport {
             stack,
             victim,
             cx.cfg,
-            &mut self.steal_backoff_ns,
+            &mut self.steal_backoff,
             &mut cx.res,
             &mut cx.log,
         ) {
@@ -331,7 +323,7 @@ fn steal<T, C>(
     stack: &mut DfsStack<T>,
     victim: usize,
     cfg: &RunConfig,
-    backoff_ns: &mut u64,
+    backoff: &mut TimeoutBackoff,
     res: &mut ThreadResult,
     log: &mut TraceLog,
 ) -> bool
@@ -347,7 +339,7 @@ where
         // Another thief got there first ("If the request is denied ... the
         // thief continues probing other threads").
         res.steals_failed += 1;
-        log.steal_fail(victim, comm.now());
+        log.emit(Event::StealFail { t_ns: comm.now(), victim });
         return false;
     }
     let mut deadline = cfg.steal_timeout_ns.map(|d| comm.now() + d);
@@ -360,7 +352,7 @@ where
             if let Some(dl) = deadline {
                 if comm.now() >= dl {
                     res.steal_timeouts += 1;
-                    log.steal_timeout(victim, comm.now());
+                    log.emit(Event::StealTimeout { t_ns: comm.now(), victim });
                     // Retract: withdraw the request if — and only if — the
                     // victim has not claimed it yet.
                     let seen = comm.cas(victim, vars::REQUEST, me as i64, vars::NO_REQUEST);
@@ -371,10 +363,8 @@ where
                         res.retracts_won += 1;
                         res.steals_failed += 1;
                         res.steal_retries += 1;
-                        log.retract(victim, true, comm.now());
-                        res.timeout_backoff_ns += *backoff_ns;
-                        comm.advance_idle(*backoff_ns);
-                        *backoff_ns = (*backoff_ns * 2).min(TIMEOUT_BACKOFF_MAX_NS);
+                        log.emit(Event::Retract { t_ns: comm.now(), victim, won: true });
+                        backoff.charge(comm, res);
                         return false;
                     }
                     // Lost: the victim claimed the request at an earlier
@@ -382,7 +372,7 @@ where
                     // way to our response cells. Disarm and consume it —
                     // the chunk must be taken exactly once.
                     res.retracts_lost += 1;
-                    log.retract(victim, false, comm.now());
+                    log.emit(Event::Retract { t_ns: comm.now(), victim, won: false });
                     deadline = None;
                 }
             }
@@ -393,7 +383,7 @@ where
         }
         if amt == 0 {
             res.steals_failed += 1;
-            log.steal_fail(victim, comm.now());
+            log.emit(Event::StealFail { t_ns: comm.now(), victim });
             return false;
         }
         let amt = amt as usize;
@@ -405,8 +395,8 @@ where
         stack.push_all(&buf);
         res.steals_ok += 1;
         res.chunks_stolen += amt as u64;
-        log.steal_ok(victim, amt as u64, comm.now());
-        *backoff_ns = TIMEOUT_BACKOFF_MIN_NS;
+        log.emit(Event::StealOk { t_ns: comm.now(), victim, chunks: amt as u64 });
+        *backoff = TimeoutBackoff::default();
         return true;
     }
 }
@@ -449,7 +439,7 @@ mod tests {
                 [stack.local_len() as u64 + stack.avail as u64 * K as u64, 0, 0, 0, 0]
             } else {
                 // Thief: single hardened steal attempt against thread 0.
-                let mut backoff = TIMEOUT_BACKOFF_MIN_NS;
+                let mut backoff = TimeoutBackoff::default();
                 let got = steal(comm, &mut stack, 0, &cfg, &mut backoff, &mut res, &mut log);
                 assert_eq!(
                     got,

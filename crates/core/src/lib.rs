@@ -62,11 +62,10 @@ pub mod workload;
 pub use config::{Algorithm, ConfigError, RunConfig};
 pub use engine::{run_native, run_sim, seq_run, try_run_sim, worker};
 pub use hist::LatencyHistogram;
-pub use probe::{ProbeOrder, VictimSelector};
+pub use probe::ProbeOrder;
 pub use report::{RunReport, ThreadResult};
 pub use sched::{
-    drive, run_bundle, BundleSpec, StealPolicy, StealPolicyKind, TerminationKind, TransportKind,
-    VictimPolicy,
+    drive, run_bundle, BundleSpec, StealPolicyKind, TerminationKind, TransportKind, VictimPolicy,
 };
 pub use service::{run_service_sim, RequestStat, ServiceReport, ServiceWorkload, Stamped};
 pub use taskgen::{SyntheticGen, TaskGen, UtsGen};

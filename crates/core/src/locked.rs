@@ -20,10 +20,10 @@ use pgas::comm::Item;
 use pgas::Comm;
 
 use crate::report::ThreadResult;
-use crate::sched::policy::{StealPolicy, StealPolicyKind};
+use crate::sched::policy::StealPolicyKind;
 use crate::sched::{Cx, StealOutcome, StealTransport};
 use crate::stack::DfsStack;
-use crate::trace::TraceLog;
+use crate::trace::{Event, TraceLog};
 use crate::vars;
 
 /// §3.1's lock-protected shared stack region as a [`StealTransport`]:
@@ -42,9 +42,7 @@ impl LockedTransport {
 }
 
 impl<T: Item, C: Comm<T>> StealTransport<T, C> for LockedTransport {
-    const NAME: &'static str = "locked";
     const PROBES: bool = true;
-    const BARRIER_WATCHDOG: &'static str = "streamlined termination barrier";
 
     fn refill(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx) -> bool {
         reacquire(comm, stack, &mut cx.res)
@@ -55,7 +53,7 @@ impl<T: Item, C: Comm<T>> StealTransport<T, C> for LockedTransport {
             return false;
         }
         release(comm, stack, &mut cx.res);
-        cx.log.release(comm.now());
+        cx.log.emit(Event::Release { t_ns: comm.now() });
         true
     }
 
@@ -227,7 +225,7 @@ where
         // the state has changed" (§3.1).
         comm.unlock(victim, vars::STACK_LOCK);
         res.steals_failed += 1;
-        log.steal_fail(victim, comm.now());
+        log.emit(Event::StealFail { t_ns: comm.now(), victim });
         return false;
     }
     let take = sp.amount(avail as usize);
@@ -246,6 +244,6 @@ where
     stack.push_all(&buf);
     res.steals_ok += 1;
     res.chunks_stolen += take as u64;
-    log.steal_ok(victim, take as u64, comm.now());
+    log.emit(Event::StealOk { t_ns: comm.now(), victim, chunks: take as u64 });
     true
 }

@@ -3,11 +3,11 @@
 //! hierarchical variant from §6.2's future work: probe threads on the same
 //! compute node before going off-node.
 //!
-//! This module is the **only** place victim orders come from: every
-//! transport receives its [`VictimSelector`] from the policy bundle (see
-//! [`crate::sched`]), so there is exactly one xorshift/Fisher–Yates
-//! implementation in the codebase and every algorithm draws from the same
-//! decorrelated per-thread streams.
+//! This module is the **only** place victim orders come from: the driver
+//! receives its [`ProbeOrder`] from the policy bundle (see [`crate::sched`]),
+//! so there is exactly one xorshift/Fisher–Yates implementation in the
+//! codebase and every algorithm draws from the same decorrelated per-thread
+//! streams.
 
 use pgas::{Distance, MachineModel};
 
@@ -51,31 +51,11 @@ impl Xorshift {
     }
 }
 
-/// Chooses which victims a thread probes, and in what order. One of the four
-/// policy axes of the scheduler core (see [`crate::sched`]); the driver and
-/// the termination detectors are generic over this trait, so victim policy
-/// composes with any transport.
-///
-/// A selector holds one cycle at a time: drawing a cycle replaces whatever
-/// was left of the previous one.
-pub trait VictimSelector {
-    /// Draw a fresh probe cycle — every potential victim exactly once — and
-    /// return all of it; [`VictimSelector::next`] then walks it from the top.
-    fn cycle(&mut self) -> &[u32];
-    /// The next victim of the current cycle, drawing a fresh cycle first when
-    /// none is left. `None` only for a rank without victims.
-    fn next(&mut self) -> Option<usize>;
-    /// Drop what is left of the current cycle, so that [`VictimSelector::next`]
-    /// starts with a fresh draw.
-    fn abandon(&mut self);
-    /// A single victim (used while waiting in the barrier, where the paper
-    /// limits each thread to "only inspect one other thread").
-    fn one(&mut self) -> Option<usize>;
-}
-
-/// Produces victim probe orders for one thread. The sole [`VictimSelector`]
-/// implementation: flat and hierarchical orders are the two constructions of
-/// the same generator, so they share one RNG and one shuffle.
+/// Produces victim probe orders for one thread — which victims it probes and
+/// in what order, the closed victim-order axis of [`crate::sched`]. Flat and
+/// hierarchical orders are the two constructions of the same generator, so
+/// they share one RNG and one shuffle. It holds one cycle at a time: drawing
+/// a cycle replaces whatever was left of the previous one.
 ///
 /// A rank's state is one `u32` per victim — the current cycle, refilled in
 /// place by every draw — plus O(1): at p = 8192 that is 32 KB per rank, and a
@@ -89,7 +69,7 @@ pub struct ProbeOrder {
     machine: Option<MachineModel>,
     /// The cycle last drawn (empty before the first draw).
     order: Vec<u32>,
-    /// Index into `order` of the victim [`VictimSelector::next`] returns next.
+    /// Index into `order` of the victim [`ProbeOrder::next`] returns next.
     cursor: usize,
 }
 
@@ -118,7 +98,8 @@ impl ProbeOrder {
         p
     }
 
-    /// A fresh probe cycle: every other thread exactly once.
+    /// Draw a fresh probe cycle — every other thread exactly once — and
+    /// return all of it; [`ProbeOrder::next`] then walks it from the top.
     pub fn cycle(&mut self) -> &[u32] {
         // Every draw shuffles the same starting order: all ranks but `me`,
         // ascending.
@@ -138,7 +119,26 @@ impl ProbeOrder {
         &self.order
     }
 
-    /// A single random victim.
+    /// The next victim of the current cycle, drawing a fresh cycle first when
+    /// none is left. `None` only for a rank without victims.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> Option<usize> {
+        if self.cursor >= self.order.len() {
+            self.cycle();
+        }
+        let v = *self.order.get(self.cursor)?;
+        self.cursor += 1;
+        Some(v as usize)
+    }
+
+    /// Drop what is left of the current cycle, so that [`ProbeOrder::next`]
+    /// starts with a fresh draw.
+    pub fn abandon(&mut self) {
+        self.cursor = self.order.len();
+    }
+
+    /// A single random victim (used while waiting in the barrier, where the
+    /// paper limits each thread to "only inspect one other thread").
     pub fn one(&mut self) -> Option<usize> {
         if self.n == 1 {
             None
@@ -164,29 +164,6 @@ fn stable_partition(xs: &mut [u32], first: &impl Fn(u32) -> bool) -> usize {
     // [a first | mid-a rest | b first | rest] -> [a+b first | rest]
     xs[a..mid + b].rotate_left(mid - a);
     a + b
-}
-
-impl VictimSelector for ProbeOrder {
-    fn cycle(&mut self) -> &[u32] {
-        ProbeOrder::cycle(self)
-    }
-
-    fn next(&mut self) -> Option<usize> {
-        if self.cursor >= self.order.len() {
-            self.cycle();
-        }
-        let v = *self.order.get(self.cursor)?;
-        self.cursor += 1;
-        Some(v as usize)
-    }
-
-    fn abandon(&mut self) {
-        self.cursor = self.order.len();
-    }
-
-    fn one(&mut self) -> Option<usize> {
-        ProbeOrder::one(self)
-    }
 }
 
 #[cfg(test)]

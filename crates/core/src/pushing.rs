@@ -19,9 +19,10 @@ use pgas::comm::Item;
 use pgas::Comm;
 
 use crate::probe::Xorshift;
-use crate::recovery::{Lineage, TAG_ACK};
+use crate::recovery::Lineage;
 use crate::sched::{Cx, StealTransport};
 use crate::stack::DfsStack;
+use crate::trace::Event;
 
 /// Pushed chunk of work.
 pub const TAG_PUSH: i64 = 10;
@@ -32,30 +33,18 @@ const IDLE_BACKOFF_NS: u64 = 2_000;
 /// Randomized work pushing as a [`StealTransport`]: surplus is *sent* by
 /// the working thread to a uniformly random peer; idle threads only absorb.
 ///
-/// Under a crash-fault plan every push is lineage-tracked exactly like an
-/// mpi-ws grant (`docs/faults.md`): the receiver ACKs after marking itself
-/// working, and unacknowledged pushes are re-injected by the sender.
-///
-/// Fenced membership (`docs/faults.md` §8): crash-mode pushes and ACKs
-/// carry the sender's incarnation in `meta[3]`; stale-incarnation traffic
-/// is dropped (counted in `fenced_drops`). A dropped zombie push survives
-/// in the zombie's own lineage copy, which folds back on refence.
+/// Every push goes out and comes in through the transfer ledger
+/// ([`Lineage`]) exactly like an mpi-ws grant, so under a crash-fault plan
+/// (`docs/faults.md` §7–§8) it is lineage-tracked, ACKed after the receiver
+/// marked itself working, re-injected by the sender when unacknowledged, and
+/// fenced by incarnation — none of which this transport sees.
 #[derive(Clone, Debug)]
 pub struct PushTransport<T> {
     me: usize,
     n: usize,
     rng: Xorshift,
-    /// Cumulative PUSH messages sent (for the termination token).
-    sent: i64,
-    /// Cumulative PUSH messages received (for the termination token).
-    recv: i64,
-    /// Sender-side push registry (crash mode only; empty otherwise).
-    lineage: Lineage<T>,
-    /// Whether the run's fault plan has a crash class active.
-    crash: bool,
-    /// Service mode's task→epoch extractor (see
-    /// [`StealTransport::arm_service`]); `None` in batch runs.
-    epoch_of: Option<fn(&T) -> u32>,
+    /// Counts, and under a crash plan tracks, every PUSH message.
+    ledger: Lineage<T>,
 }
 
 impl<T: Item> PushTransport<T> {
@@ -66,39 +55,19 @@ impl<T: Item> PushTransport<T> {
             me,
             n,
             rng: Xorshift::new(seed ^ (me as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93)),
-            sent: 0,
-            recv: 0,
-            lineage: Lineage::new(),
-            crash: false,
-            epoch_of: None,
+            ledger: Lineage::default(),
         }
     }
 
     /// Pull every pushed chunk out of the mailbox onto the stack; returns
-    /// how many chunks arrived. In crash mode each chunk is acknowledged
-    /// after the working marker is published (working-before-ACK).
-    fn absorb<C: Comm<T>>(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx) -> i64 {
-        let mut got = 0i64;
-        while let Some(m) = comm.try_recv(Some(TAG_PUSH)) {
-            if self.crash {
-                if !cx.recovery.admit(m.src, m.meta[3]) {
-                    // A fenced incarnation's push: drop it unconsumed and
-                    // un-ACKed — the zombie's lineage copy keeps the nodes
-                    // alive and folds back when it refences.
-                    cx.res.fenced_drops += 1;
-                    continue;
-                }
-                cx.recovery.publish_working(comm);
-                // Absorb-before-ACK (service mode): the pushed items go on
-                // our per-epoch books before the sender may close its own.
-                if let Some(ep) = self.epoch_of {
-                    cx.svc.bump_items(comm, &m.payload, ep, 1);
-                }
-                comm.send(m.src, TAG_ACK, [m.meta[0], 0, 0, cx.recovery.incarnation()], &[]);
-            }
-            cx.log.steal_ok(m.src, 1, comm.now());
+    /// whether any arrived.
+    fn absorb<C: Comm<T>>(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx) -> bool {
+        let mut got = false;
+        while let Some(m) = cx.recovery.try_recv(comm, &[TAG_PUSH]) {
+            self.ledger.accept(comm, cx, &m);
+            cx.log.emit(Event::StealOk { t_ns: comm.now(), victim: m.src, chunks: 1 });
             stack.push_all(&m.payload);
-            got += 1;
+            got = true;
             cx.res.chunks_stolen += 1; // "received" chunks, for uniform reporting
         }
         got
@@ -106,22 +75,16 @@ impl<T: Item> PushTransport<T> {
 }
 
 impl<T: Item, C: Comm<T>> StealTransport<T, C> for PushTransport<T> {
-    const NAME: &'static str = "push-random";
     const STEALS: bool = false;
     const IDLE_BACKOFF_NS: u64 = IDLE_BACKOFF_NS;
 
-    fn init(&mut self, _comm: &mut C, cx: &mut Cx) {
-        self.crash = cx.recovery.active;
-    }
-
-    fn arm_service(&mut self, epoch_of: fn(&T) -> u32) {
-        self.epoch_of = Some(epoch_of);
+    fn ledger(&mut self) -> Option<&mut Lineage<T>> {
+        Some(&mut self.ledger)
     }
 
     fn poll(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx) {
-        let got = self.absorb(comm, stack, cx);
-        self.recv += got;
-        self.lineage.service(comm, stack, cx, self.epoch_of);
+        self.absorb(comm, stack, cx);
+        self.ledger.service(comm, stack, cx);
     }
 
     fn maybe_release(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx) -> bool {
@@ -134,7 +97,7 @@ impl<T: Item, C: Comm<T>> StealTransport<T, C> for PushTransport<T> {
         if target >= self.me {
             target += 1;
         }
-        if self.crash && cx.recovery.is_gone(target) {
+        if cx.recovery.is_gone(target) {
             // Never push at a confirmed-dead or evicted rank (the chunk
             // would orphan until the re-injection timeout); keep the nodes
             // and retry the next time the release condition holds. The rng
@@ -142,40 +105,23 @@ impl<T: Item, C: Comm<T>> StealTransport<T, C> for PushTransport<T> {
             return false;
         }
         let chunk = stack.take_bottom_chunk();
-        let meta = if self.crash {
-            let id = self.lineage.open(comm, target, &chunk);
-            [id as i64, 0, 0, cx.recovery.incarnation()]
-        } else {
-            [0; 4]
-        };
-        comm.send(target, TAG_PUSH, meta, &chunk);
-        self.sent += 1;
+        self.ledger.grant(comm, &cx.recovery, target, TAG_PUSH, &chunk);
         cx.res.releases += 1;
-        cx.log.release(comm.now());
+        cx.log.emit(Event::Release { t_ns: comm.now() });
         true
     }
 
     fn idle_service(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx) {
-        self.lineage.service(comm, stack, cx, self.epoch_of);
+        self.ledger.service(comm, stack, cx);
     }
 
     fn absorb_pending(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx) -> bool {
-        let got = self.absorb(comm, stack, cx);
-        self.recv += got;
-        got > 0
-    }
-
-    fn ring_counts(&self) -> (i64, i64) {
-        (self.sent, self.recv)
-    }
-
-    fn inflight(&self) -> usize {
-        self.lineage.len()
+        self.absorb(comm, stack, cx)
     }
 
     fn deathbed(&mut self, _comm: &mut C, stack: &mut DfsStack<T>, _cx: &mut Cx) {
         // Unacknowledged pushes ride the spill (see MpiTransport::deathbed).
-        self.lineage.drain_into(stack);
+        self.ledger.drain_into(stack);
     }
 
     fn finish(&mut self, comm: &mut C, _stack: &mut DfsStack<T>, _cx: &mut Cx) {

@@ -43,10 +43,11 @@
 //! multiset in [`crate::report::RunReport`]).
 
 use pgas::comm::Item;
-use pgas::{Comm, FaultPlan};
+use pgas::{Comm, FaultPlan, Msg};
 
 use crate::sched::Cx;
 use crate::stack::DfsStack;
+use crate::trace::Event;
 use crate::vars;
 
 /// Receipt acknowledgement for a lineage-tracked grant (message
@@ -74,13 +75,6 @@ pub const EVICT_TIMEOUT_NS: u64 = 300_000;
 /// assemble a quorum.
 pub const fn quorum(n: usize) -> usize {
     n / 2 + 1
-}
-
-/// Cheap mixing hash for lineage fingerprints (registry metadata only).
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Per-rank crash-recovery state, carried in [`crate::sched::Cx`]. Inert
@@ -135,6 +129,8 @@ pub struct Recovery {
     pub evictions: u64,
     /// Times this rank re-entered as a new incarnation (report counter).
     pub rejoins: u64,
+    /// Zombie messages [`Recovery::try_recv`] dropped (report counter).
+    pub fenced_drops: u64,
 }
 
 impl Recovery {
@@ -166,6 +162,7 @@ impl Recovery {
             restart_at: if active { faults.restart_time(me, n) } else { None },
             evictions: 0,
             rejoins: 0,
+            fenced_drops: 0,
         }
     }
 
@@ -198,15 +195,30 @@ impl Recovery {
         self.fenced
     }
 
-    /// This rank's current incarnation (stamped into crash-mode messages).
+    /// This rank's current incarnation.
     pub fn incarnation(&self) -> i64 {
         self.inc
     }
 
-    /// Is a message from `src` stamped with incarnation `inc` admissible,
-    /// or stale traffic from an evicted tenant that fencing must drop?
-    pub fn admit(&self, src: usize, inc: i64) -> bool {
-        !self.active || inc >= self.inc_floor[src]
+    /// The fenced envelope, outbound (docs/faults.md §8): the `meta` of a
+    /// two-sided transport's message — `id`, and our incarnation in `meta[3]`.
+    pub fn stamp(&self, id: i64) -> [i64; 4] {
+        [id, 0, 0, self.inc]
+    }
+
+    /// The fenced envelope, inbound: the earliest message of the first of
+    /// `tags` that has one. A message stamped below its sender's admission
+    /// floor is an evicted tenant's: it is dropped unconsumed and un-ACKed (a
+    /// zombie's grant survives in its own lineage copy and folds back when it
+    /// refences), counted, and the search restarts from `tags[0]`.
+    pub fn try_recv<T: Item, C: Comm<T>>(&mut self, comm: &mut C, tags: &[i64]) -> Option<Msg<T>> {
+        loop {
+            let m = tags.iter().find_map(|&tag| comm.try_recv(Some(tag)))?;
+            if !self.active || m.meta[3] >= self.inc_floor[m.src] {
+                return Some(m);
+            }
+            self.fenced_drops += 1;
+        }
     }
 
     /// Next eviction this rank executed whose shared region still awaits
@@ -628,9 +640,6 @@ pub struct Grant<T> {
     pub thief: usize,
     /// Items in the grant.
     pub items: u64,
-    /// Fingerprint of (donor, thief, id, size) — registry metadata for
-    /// traces and diagnostics.
-    pub fingerprint: u64,
     /// Virtual send time (re-injection deadline base).
     pub sent_at: u64,
     payload: Vec<T>,
@@ -643,22 +652,58 @@ impl<T> Grant<T> {
     }
 }
 
-/// Donor-side registry of in-flight grants for the message transports
-/// (crash mode only). Holds a payload copy per grant so an unacknowledged
-/// chunk can be re-injected; publishes its open-entry count through the
-/// donor's `LIN_OUT` cell so quiescence waits for every grant to settle.
+/// The transfer ledger of a two-sided transport: every work-carrying message
+/// goes out through [`Lineage::grant`] and comes in through
+/// [`Lineage::accept`], which keep the `sent`/`recv` counts the token ring
+/// reads. Under a crash plan — only then does it issue operations of its
+/// own — it is also the donor-side registry of in-flight grants: a payload
+/// copy per grant so an unacknowledged chunk can be re-injected, its
+/// open-entry count published through the donor's `LIN_OUT` cell so
+/// quiescence waits for every grant to settle.
 #[derive(Clone, Debug, Default)]
 pub struct Lineage<T> {
     next_id: u64,
     open: Vec<Grant<T>>,
+    sent: i64,
+    recv: i64,
+    /// Service mode's task→epoch extractor (`docs/service.md`), so absorbed
+    /// and ACK-closed payloads go on the per-epoch books; `None` in batch runs.
+    pub epoch_of: Option<fn(&T) -> u32>,
 }
 
 impl<T: Item> Lineage<T> {
-    /// Empty registry.
-    pub fn new() -> Lineage<T> {
-        Lineage {
-            next_id: 0,
-            open: Vec::new(),
+    /// Cumulative (sent, received) transfer counts, for the token ring.
+    pub fn counts(&self) -> (i64, i64) {
+        (self.sent, self.recv)
+    }
+
+    /// Counted send of `payload` to `dst`. Under a crash plan,
+    /// grant-before-send: the lineage entry (and the `LIN_OUT` marker it
+    /// raises) exists before the message can, and its id rides in `meta[0]`.
+    pub fn grant<C: Comm<T>>(
+        &mut self,
+        comm: &mut C,
+        rec: &Recovery,
+        dst: usize,
+        tag: i64,
+        payload: &[T],
+    ) {
+        let id = if rec.active { self.open(comm, dst, payload) } else { 0 };
+        comm.send(dst, tag, rec.stamp(id as i64), payload);
+        self.sent += 1;
+    }
+
+    /// Counted receive of transfer `m`. Under a crash plan, working- and
+    /// absorb-before-ACK — the donor's `−items` can only follow our `+items`,
+    /// the ordering both quiescence scans' soundness rests on.
+    pub fn accept<C: Comm<T>>(&mut self, comm: &mut C, cx: &mut Cx, m: &Msg<T>) {
+        self.recv += 1;
+        if cx.recovery.active {
+            cx.recovery.publish_working(comm);
+            if let Some(ep) = self.epoch_of {
+                cx.svc.bump_items(comm, &m.payload, ep, 1);
+            }
+            comm.send(m.src, TAG_ACK, cx.recovery.stamp(m.meta[0]), &[]);
         }
     }
 
@@ -685,9 +730,6 @@ impl<T: Item> Lineage<T> {
             id,
             thief,
             items: payload.len() as u64,
-            fingerprint: mix(
-                (me as u64) << 48 | (thief as u64) << 32 | id << 8 | payload.len() as u64 & 0xFF,
-            ),
             sent_at: comm.now(),
             payload: payload.to_vec(),
         });
@@ -741,40 +783,25 @@ impl<T: Item> Lineage<T> {
         recovered
     }
 
-    /// The donor's periodic duty on a message transport (no-op outside
-    /// crash mode): close every grant whose [`TAG_ACK`] arrived — ignoring
-    /// ACKs from a fenced incarnation, whose grant stays open and
-    /// re-injects (duplicates are multiplicity-safe) — then re-inject the
-    /// overdue ones. `epoch_of` is service mode's task→epoch extractor: the
-    /// thief published its `+items` before its ACK could be sent, so
-    /// settling the donor's `−items` at the close can only overcount in
-    /// between, never undercount.
-    pub fn service<C: Comm<T>>(
-        &mut self,
-        comm: &mut C,
-        stack: &mut DfsStack<T>,
-        cx: &mut Cx,
-        epoch_of: Option<fn(&T) -> u32>,
-    ) {
+    /// The donor's periodic duty (no-op outside crash mode): close every
+    /// grant whose [`TAG_ACK`] arrived — a fenced incarnation's is dropped,
+    /// its grant stays open and re-injects (duplicates are multiplicity-safe)
+    /// — then re-inject the overdue ones. Service mode settles the donor's
+    /// `−items` at the close, after the thief's `+items`: the books can only
+    /// overcount in between, never undercount.
+    pub fn service<C: Comm<T>>(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx) {
         if !cx.recovery.active {
             return;
         }
-        while let Some(m) = comm.try_recv(Some(TAG_ACK)) {
-            if !cx.recovery.admit(m.src, m.meta[3]) {
-                cx.res.fenced_drops += 1;
-                continue;
-            }
-            if let Some(grant) = self.ack(comm, m.meta[0] as u64) {
-                if let Some(ep) = epoch_of {
-                    cx.svc.bump_items(comm, grant.payload(), ep, -1);
-                }
+        while let Some(m) = cx.recovery.try_recv(comm, &[TAG_ACK]) {
+            if let (Some(grant), Some(ep)) = (self.ack(comm, m.meta[0] as u64), self.epoch_of) {
+                cx.svc.bump_items(comm, grant.payload(), ep, -1);
             }
         }
         let items = self.reinject_due(comm, stack, &mut cx.recovery);
         if items > 0 {
             cx.res.recovered_nodes += items;
-            let now = comm.now();
-            cx.log.reinject(items, now);
+            cx.log.emit(Event::Reinject { t_ns: comm.now(), items });
         }
     }
 
@@ -898,31 +925,84 @@ mod tests {
         assert_eq!(results[0][1] + results[2][1], 2, "the spill was not adopted exactly once");
     }
 
-    /// Lineage: an unacknowledged grant re-injects after the timeout; an
-    /// acknowledged one never does; duplicate ACKs are ignored.
+    /// Rank 0 fences rank 1's incarnation 0: of rank 1's two messages the one
+    /// stamped below the floor is dropped and counted, the one sent after it
+    /// rejoined at the floor is delivered.
+    #[test]
+    fn envelope_drops_traffic_below_the_floor() {
+        let plan = FaultPlan::crashy(3);
+        let cluster: SimCluster<u64> =
+            SimCluster::new(MachineModel::smp(), 2, crate::vars::space_config());
+        let report = cluster.run(|comm| {
+            let mut rec = Recovery::new(comm.my_id(), 2, &plan);
+            if comm.my_id() == 1 {
+                comm.send(0, 9, rec.stamp(70), &[]);
+                comm.advance_idle(SCAN_INTERVAL_NS);
+                rec.rejoin(comm, false);
+                comm.send(0, 9, rec.stamp(71), &[]);
+                return [0; 3];
+            }
+            comm.put(1, vars::EVICTED, 1);
+            rec.scan(comm);
+            comm.advance_idle(4 * SCAN_INTERVAL_NS);
+            let m = rec.try_recv(comm, &[8, 9]).expect("the at-floor message");
+            assert!(rec.try_recv(comm, &[8, 9]).is_none());
+            [m.meta[0], m.meta[3], rec.fenced_drops as i64]
+        });
+        assert_eq!(report.results[0], [71, 1, 1]);
+    }
+
+    /// The ledger: a `grant` → `accept` → ACK → close round trip, batch and
+    /// with an epoch extractor armed; then an unacknowledged grant re-injects
+    /// after the timeout, an acknowledged one never does, duplicate ACKs are
+    /// ignored.
     #[test]
     fn lineage_reinjects_unacked_grants_once() {
         let plan = FaultPlan::crashy(3);
+        let cfg = crate::RunConfig::default();
         let cluster: SimCluster<u64> =
             SimCluster::new(MachineModel::smp(), 2, crate::vars::space_config());
         let results = cluster
             .run(|comm| {
                 let me = comm.my_id();
+                let mut cx = Cx::new(&cfg, comm.now());
+                cx.recovery = Recovery::new(me, 2, &plan);
+                let mut stack: DfsStack<u64> = DfsStack::new(2);
+                for epoch_of in [None, Some((|t| *t as u32) as fn(&u64) -> u32)] {
+                    let mut lin = Lineage { epoch_of, ..Lineage::default() };
+                    if me == 0 {
+                        lin.grant(comm, &cx.recovery, 1, 2, &[1, 2]);
+                        assert_eq!((lin.counts(), comm.get(0, vars::LIN_OUT)), ((1, 0), 1));
+                        while !lin.is_empty() {
+                            comm.advance_idle(1_000);
+                            lin.service(comm, &mut stack, &mut cx);
+                        }
+                        assert_eq!((lin.counts(), comm.get(0, vars::LIN_OUT)), ((1, 0), 0));
+                    } else {
+                        let m = loop {
+                            comm.advance_idle(1_000);
+                            if let Some(m) = cx.recovery.try_recv(comm, &[2]) {
+                                break m;
+                            }
+                        };
+                        lin.accept(comm, &mut cx, &m);
+                        assert_eq!((lin.counts(), m.meta[0], m.payload), ((0, 1), 1, vec![1, 2]));
+                    }
+                }
+                assert!(stack.is_local_empty(), "an ACKed grant must not re-inject");
                 if me != 0 {
                     return [0, 0];
                 }
-                let mut rec = Recovery::new(0, 2, &plan);
-                let mut stack: DfsStack<u64> = DfsStack::new(2);
-                let mut lin: Lineage<u64> = Lineage::new();
+                let mut lin: Lineage<u64> = Lineage::default();
                 let acked = lin.open(comm, 1, &[1, 2]);
                 let lost = lin.open(comm, 1, &[3, 4, 5]);
                 assert_eq!(lin.len(), 2);
                 let closed = lin.ack(comm, acked).expect("first ACK closes");
                 assert_eq!(closed.payload(), &[1, 2]);
                 assert!(lin.ack(comm, acked).is_none(), "duplicate ACK ignored");
-                assert_eq!(lin.reinject_due(comm, &mut stack, &mut rec), 0);
+                assert_eq!(lin.reinject_due(comm, &mut stack, &mut cx.recovery), 0);
                 comm.advance_idle(REINJECT_TIMEOUT_NS + 1);
-                assert_eq!(lin.reinject_due(comm, &mut stack, &mut rec), 3);
+                assert_eq!(lin.reinject_due(comm, &mut stack, &mut cx.recovery), 3);
                 assert!(lin.is_empty());
                 assert!(lin.ack(comm, lost).is_none(), "re-injected grant is closed");
                 [stack.local_len() as u64, comm.get(0, vars::LIN_OUT) as u64]

@@ -1,21 +1,21 @@
 //! The policy-based scheduler core.
 //!
-//! The paper's refinement chain (§3.1 → §3.3.3) is a sequence of orthogonal
-//! policy swaps — termination style, steal amount, stack synchronisation
-//! discipline, victim order — so this module factors the worker into exactly
-//! those axes:
+//! The paper's refinement chain (§3.1 → §3.3.3) swaps two pieces of code —
+//! the termination detector and the stack synchronisation discipline — and
+//! turns two parameters — steal amount and victim order — so this module
+//! factors the worker into two open axes (traits) and two closed ones (enums):
 //!
-//! | Axis | Trait | Implementations |
-//! |------|-------|-----------------|
-//! | victim order | [`VictimSelector`] | flat random, hierarchical same-node-first ([`crate::probe`]) |
-//! | steal amount | [`StealPolicy`](policy::StealPolicy) | one, half, adaptive-by-depth ([`policy`]) |
-//! | termination | [`TerminationDetector`] | cancelable barrier, streamlined tri-state, counting token ring ([`termination`]) |
-//! | transport | [`StealTransport`] | locked shared region, CAS request/response, mpisim messages, work pushing |
+//! | Axis | Type | Implementations |
+//! |------|------|-----------------|
+//! | transport | trait [`StealTransport`] | locked shared region, CAS request/response, mpisim messages, work pushing |
+//! | termination | trait [`TerminationDetector`] | cancelable barrier, streamlined tri-state, counting token ring ([`termination`]); service mode's epoch detector |
+//! | steal amount | enum [`StealPolicyKind`] | one, half, adaptive-by-depth ([`policy`]) |
+//! | victim order | enum [`VictimPolicy`] | flat random, hierarchical same-node-first — two constructions of one [`ProbeOrder`] |
 //!
 //! [`drive`] is the single generic worker: the Figure-1 state machine,
 //! per-state time accounting, trace emission, and the working loop
 //! (pop/expand/push, periodic polling, release checks) live here **once**,
-//! parameterized by the four policies — it is the only function that enters
+//! parameterized by the two traits — it is the only function that enters
 //! [`State::Working`]. Each of the seven [`Algorithm`] variants is a named
 //! policy bundle ([`bundle`]), resolved by [`bundle::run_bundle`] — and
 //! because the axes are independent, non-paper combinations (hierarchical
@@ -41,17 +41,17 @@ use pgas::comm::Item;
 use pgas::Comm;
 
 use crate::config::RunConfig;
-use crate::probe::VictimSelector;
-use crate::recovery::Recovery;
+use crate::probe::ProbeOrder;
+use crate::recovery::{Lineage, Recovery};
 use crate::report::ThreadResult;
 use crate::service::SvcAccount;
 use crate::stack::DfsStack;
 use crate::state::{State, StateClock};
 use crate::taskgen::TaskGen;
-use crate::trace::TraceLog;
+use crate::trace::{Event, TraceLog};
 
 pub use bundle::{run_bundle, BundleSpec, TerminationKind, TransportKind};
-pub use policy::{StealPolicy, StealPolicyKind, VictimPolicy};
+pub use policy::{StealPolicyKind, VictimPolicy};
 pub use termination::{CancelableTerm, RingTerm, StreamlinedTerm, TerminationDetector};
 use termination::idle_discover;
 
@@ -98,7 +98,7 @@ impl<'a> Cx<'a> {
     pub fn enter<T: Item, C: Comm<T>>(&mut self, comm: &mut C, state: State) {
         let now = comm.now();
         self.clock.transition(state, now);
-        self.log.enter(state, now);
+        self.log.emit(Event::Enter { t_ns: now, state });
     }
 
     /// Close the books: final state interval, comm statistics, trace events.
@@ -111,6 +111,7 @@ impl<'a> Cx<'a> {
         res.events = self.log.into_events();
         res.evictions = self.recovery.evictions;
         res.rejoins = self.recovery.rejoins;
+        res.fenced_drops = self.recovery.fenced_drops;
         res.svc_stale_bumps = self.svc.stale_bumps;
         res
     }
@@ -148,14 +149,11 @@ pub enum StealOutcome {
 /// vs §3.2 vs §3.3.3 algorithmic difference.
 ///
 /// Every method has a no-op default so each transport implements only the
-/// hooks its protocol uses; the defaults are what the message transports
-/// (which have no shared-region counters to maintain) want. The generic
+/// hooks its protocol uses. The generic
 /// driver and the [`TerminationDetector`]s call these hooks at exactly the
 /// points the original monolithic loops performed the corresponding
 /// operations, which is what makes policy composition preserve op sequences.
 pub trait StealTransport<T: Item, C: Comm<T>> {
-    /// Short transport name (for labels and diagnostics).
-    const NAME: &'static str;
     /// Whether idle threads actively steal. `false` only for work *pushing*,
     /// where idle threads park in termination detection and wait for chunks
     /// to land in their mailbox.
@@ -168,20 +166,20 @@ pub trait StealTransport<T: Item, C: Comm<T>> {
     /// Backoff charged between idle termination-protocol iterations
     /// (token-ring transports).
     const IDLE_BACKOFF_NS: u64 = 0;
-    /// Watchdog label for the streamlined termination barrier loop.
-    const BARRIER_WATCHDOG: &'static str = "termination barrier";
 
     /// One-time protocol setup before the root task is pushed (e.g. arming
     /// the distmem request cell).
     fn init(&mut self, _comm: &mut C, _cx: &mut Cx) {}
 
-    /// Service mode is starting: its detector hands the transport an extractor
-    /// mapping a task to its submission epoch, so crash-mode transfer
-    /// accounting (grant absorption, ACK-closed lineage) can attribute moved
-    /// items to epochs (see `docs/service.md`). Default no-op: the
-    /// shared-region transports move items exactly once even across rank
-    /// death and need no per-transfer accounting.
-    fn arm_service(&mut self, _epoch_of: fn(&T) -> u32) {}
+    /// A two-sided transport's transfer ledger ([`Lineage`]): the counting
+    /// token ring reads its sent/received counts, crash-mode termination
+    /// waits for its open grants, and service mode arms it with the
+    /// task→epoch extractor. `None` for the shared-region transports, which
+    /// move items exactly once even across rank death and keep no
+    /// per-transfer accounting.
+    fn ledger(&mut self) -> Option<&mut Lineage<T>> {
+        None
+    }
 
     /// The local region drained: try to move work back from the shared
     /// region. Returns `true` if the local region is nonempty again.
@@ -210,7 +208,7 @@ pub trait StealTransport<T: Item, C: Comm<T>> {
     /// stealable surplus, 0 = working without surplus, negative = out of
     /// work). Only called on [`StealTransport::PROBES`] transports.
     fn probe(&mut self, _comm: &mut C, _victim: usize) -> i64 {
-        unimplemented!("transport `{}` does not probe victims", Self::NAME)
+        unimplemented!("this transport does not probe victims")
     }
 
     /// Execute one steal against `victim` (the victim advertised work or a
@@ -222,7 +220,7 @@ pub trait StealTransport<T: Item, C: Comm<T>> {
         _victim: usize,
         _cx: &mut Cx,
     ) -> StealOutcome {
-        unimplemented!("transport `{}` does not steal", Self::NAME)
+        unimplemented!("this transport does not steal")
     }
 
     /// A steal returned [`StealOutcome::TimedOut`]: charge and escalate the
@@ -242,12 +240,6 @@ pub trait StealTransport<T: Item, C: Comm<T>> {
     /// Work was just acquired through the termination detector's discovery
     /// phase: re-advertise as working (clear the out-of-work marker).
     fn got_work(&mut self, _comm: &mut C) {}
-
-    /// Cumulative (sent, received) transfer-message counts for the counting
-    /// token ring. Only meaningful for message transports.
-    fn ring_counts(&self) -> (i64, i64) {
-        (0, 0)
-    }
 
     /// This rank's scheduled crash arrived (crash-fault runs only): fold
     /// every node the protocol still holds responsibility for — shared-region
@@ -277,41 +269,32 @@ pub trait StealTransport<T: Item, C: Comm<T>> {
         0
     }
 
-    /// Open lineage grants whose payloads only this rank still holds.
-    /// Crash-mode termination must not let a rank exit while this is
-    /// nonzero (a fenced zombie's re-released work could otherwise be lost
-    /// in a mailbox no one drains); pure local read, no comm operations.
-    fn inflight(&self) -> usize {
-        0
-    }
-
     /// Post-termination teardown (drain mailboxes, conservation asserts),
     /// before the state clock takes its final reading.
     fn finish(&mut self, _comm: &mut C, _stack: &mut DfsStack<T>, _cx: &mut Cx) {}
 }
 
 /// The single generic worker driver: the paper's Figure-1 state machine
-/// parameterized by transport, termination detector, and victim selector
-/// (the steal-amount policy lives inside the transport, where grant sizing
-/// happens).
+/// parameterized by transport and termination detector, given this rank's
+/// victim order (the steal-amount policy lives inside the transport, where
+/// grant sizing happens).
 ///
 /// Custom harnesses can call this directly with hand-built policies; the
 /// seven paper/extension algorithms go through [`bundle::run_bundle`], and
 /// service mode through [`crate::service::run_service_sim`].
-pub fn drive<G, C, ST, TD, VS>(
+pub fn drive<G, C, ST, TD>(
     comm: &mut C,
     gen: &G,
     cfg: &RunConfig,
     mut transport: ST,
     mut td: TD,
-    mut victims: VS,
+    mut victims: ProbeOrder,
 ) -> ThreadResult
 where
     G: TaskGen,
     C: Comm<G::Task>,
     ST: StealTransport<G::Task, C>,
     TD: TerminationDetector<G::Task, C>,
-    VS: VictimSelector,
 {
     let me = comm.my_id();
     let mut stack: DfsStack<G::Task> = DfsStack::new(cfg.chunk_size);
@@ -410,8 +393,7 @@ where
         transport.deathbed(comm, &mut stack, &mut cx);
         let spilled = cx.recovery.spill_and_die(comm, &mut stack);
         cx.res.died = true;
-        let now = comm.now();
-        cx.log.death(spilled, now);
+        cx.log.emit(Event::Death { t_ns: comm.now(), items: spilled });
         let Some(at) = cx.recovery.restart_at() else {
             return cx.into_result(comm);
         };
@@ -424,8 +406,8 @@ where
         }
         let items = cx.recovery.restart(comm, &mut stack);
         cx.res.recovered_nodes += items;
-        let now = comm.now();
-        cx.log.rejoin(cx.recovery.incarnation(), items, now);
+        let incarnation = cx.recovery.incarnation();
+        cx.log.emit(Event::Rejoin { t_ns: comm.now(), incarnation, items });
     }
 
     transport.finish(comm, &mut stack, &mut cx);
@@ -451,6 +433,6 @@ pub(crate) fn refence<T, C, ST>(
     if !stack.is_local_empty() {
         transport.got_work(comm);
     }
-    let now = comm.now();
-    cx.log.rejoin(cx.recovery.incarnation(), 0, now);
+    let incarnation = cx.recovery.incarnation();
+    cx.log.emit(Event::Rejoin { t_ns: comm.now(), incarnation, items: 0 });
 }

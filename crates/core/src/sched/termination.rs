@@ -33,10 +33,11 @@ use mpisim::TokenRing;
 use crate::barrier::{
     BarrierOutcome, CancelableBarrier, TerminationBarrier, BARRIER_BACKOFF_NS,
 };
-use crate::probe::VictimSelector;
+use crate::probe::ProbeOrder;
 use crate::recovery::CRASH_IDLE_BACKOFF_NS;
 use crate::stack::DfsStack;
 use crate::state::State;
+use crate::trace::Event;
 use crate::watchdog::Watchdog;
 
 use super::{Cx, Discovery, StealOutcome, StealTransport};
@@ -71,8 +72,7 @@ fn recover<T: Item, C: Comm<T>, ST: StealTransport<T, C>>(
     while let Some(victim) = cx.recovery.take_scavenge() {
         let items = transport.scavenge(comm, stack, victim, cx);
         cx.res.scavenged_nodes += items;
-        let now = comm.now();
-        cx.log.evict(victim, items, now);
+        cx.log.emit(Event::Evict { t_ns: comm.now(), victim, items });
         if items > 0 {
             // Working-before-unguard (see crate::recovery).
             cx.recovery.publish_working(comm);
@@ -85,8 +85,7 @@ fn recover<T: Item, C: Comm<T>, ST: StealTransport<T, C>>(
     }
     if let Some((dead, items)) = cx.recovery.try_adopt(comm, stack) {
         cx.res.recovered_nodes += items;
-        let now = comm.now();
-        cx.log.adopt(dead, items, now);
+        cx.log.emit(Event::Adopt { t_ns: comm.now(), dead, items });
         transport.got_work(comm);
         return true;
     }
@@ -97,11 +96,11 @@ fn recover<T: Item, C: Comm<T>, ST: StealTransport<T, C>>(
 /// stealing, stays responsive to requests and interleaves the crash-recovery
 /// duties; `td`'s idle hooks say when it may stop, what else it owes each
 /// iteration and how it paces itself.
-pub(crate) fn idle_discover<T, C, ST, VS, TD>(
+pub(crate) fn idle_discover<T, C, ST, TD>(
     comm: &mut C,
     stack: &mut DfsStack<T>,
     transport: &mut ST,
-    victims: &mut VS,
+    victims: &mut ProbeOrder,
     cx: &mut Cx,
     td: &mut TD,
 ) -> Discovery
@@ -109,7 +108,6 @@ where
     T: Item,
     C: Comm<T>,
     ST: StealTransport<T, C>,
-    VS: VictimSelector,
     TD: TerminationDetector<T, C> + ?Sized,
 {
     cx.enter(comm, State::Searching);
@@ -214,7 +212,8 @@ where
         if recover(comm, stack, transport, cx) {
             return Discovery::GotWork;
         }
-        if td.done_after_recovery(comm, transport.inflight(), cx) {
+        let inflight = transport.ledger().map_or(0, |l| l.len());
+        if td.done_after_recovery(comm, inflight, cx) {
             return Discovery::Terminated;
         }
         backoff = if saw_work { base } else { (backoff * 2).min(cap) };
@@ -276,7 +275,8 @@ pub trait TerminationDetector<T: Item, C: Comm<T>> {
     }
 
     /// [`idle_discover`]'s exit check after the recovery duties found
-    /// nothing to take over; `inflight` is [`StealTransport::inflight`]. The
+    /// nothing to take over; `inflight` counts the open grants of the
+    /// transport's [`StealTransport::ledger`]. The
     /// default is crash-mode batch termination, the same for all three paper
     /// detectors: rank 0 runs the double scan and broadcasts, everyone else
     /// watches its `TERM` cell.
@@ -299,18 +299,14 @@ pub trait TerminationDetector<T: Item, C: Comm<T>> {
     /// `stack`. The paper's detectors each run their own protocol here; the
     /// default is [`idle_discover`], which is also what [`super::drive`]
     /// runs in their place under a crash plan.
-    fn discover<ST, VS>(
+    fn discover<ST: StealTransport<T, C>>(
         &mut self,
         comm: &mut C,
         stack: &mut DfsStack<T>,
         transport: &mut ST,
-        victims: &mut VS,
+        victims: &mut ProbeOrder,
         cx: &mut Cx,
-    ) -> Discovery
-    where
-        ST: StealTransport<T, C>,
-        VS: VictimSelector,
-    {
+    ) -> Discovery {
         idle_discover(comm, stack, transport, victims, cx, self)
     }
 }
@@ -329,18 +325,17 @@ enum Sweep {
 /// One probe cycle over every victim: examine advertised work levels without
 /// locking (§3.1), steal where surplus shows, and keep the transport's
 /// protocol responsive between probes.
-fn sweep<T, C, ST, VS>(
+fn sweep<T, C, ST>(
     comm: &mut C,
     stack: &mut DfsStack<T>,
     transport: &mut ST,
-    victims: &mut VS,
+    victims: &mut ProbeOrder,
     cx: &mut Cx,
 ) -> Sweep
 where
     T: Item,
     C: Comm<T>,
     ST: StealTransport<T, C>,
-    VS: VictimSelector,
 {
     let mut all_out = true;
     for &v in victims.cycle() {
@@ -371,23 +366,22 @@ where
 /// only inspects one other thread to avoid overwhelming the remaining
 /// working threads"), leave the barrier to steal when one shows work.
 /// Returns `true` on termination, `false` if we left with stolen work.
-fn barrier_wait<T, C, ST, VS>(
+fn barrier_wait<T, C, ST>(
     comm: &mut C,
     stack: &mut DfsStack<T>,
     transport: &mut ST,
-    victims: &mut VS,
+    victims: &mut ProbeOrder,
     cx: &mut Cx,
 ) -> bool
 where
     T: Item,
     C: Comm<T>,
     ST: StealTransport<T, C>,
-    VS: VictimSelector,
 {
     if TerminationBarrier::enter(comm) {
         TerminationBarrier::announce_root(comm);
     }
-    let mut dog = Watchdog::new(ST::BARRIER_WATCHDOG);
+    let mut dog = Watchdog::new("termination barrier");
     loop {
         dog.tick();
         if TerminationBarrier::term_seen(comm) {
@@ -425,18 +419,14 @@ impl<T: Item, C: Comm<T>> TerminationDetector<T, C> for CancelableTerm {
         CancelableBarrier::cancel(comm);
     }
 
-    fn discover<ST, VS>(
+    fn discover<ST: StealTransport<T, C>>(
         &mut self,
         comm: &mut C,
         stack: &mut DfsStack<T>,
         transport: &mut ST,
-        victims: &mut VS,
+        victims: &mut ProbeOrder,
         cx: &mut Cx,
-    ) -> Discovery
-    where
-        ST: StealTransport<T, C>,
-        VS: VictimSelector,
-    {
+    ) -> Discovery {
         cx.enter(comm, State::Searching);
         loop {
             if let Sweep::Stole = sweep(comm, stack, transport, victims, cx) {
@@ -461,18 +451,14 @@ impl<T: Item, C: Comm<T>> TerminationDetector<T, C> for CancelableTerm {
 pub struct StreamlinedTerm;
 
 impl<T: Item, C: Comm<T>> TerminationDetector<T, C> for StreamlinedTerm {
-    fn discover<ST, VS>(
+    fn discover<ST: StealTransport<T, C>>(
         &mut self,
         comm: &mut C,
         stack: &mut DfsStack<T>,
         transport: &mut ST,
-        victims: &mut VS,
+        victims: &mut ProbeOrder,
         cx: &mut Cx,
-    ) -> Discovery
-    where
-        ST: StealTransport<T, C>,
-        VS: VictimSelector,
-    {
+    ) -> Discovery {
         cx.enter(comm, State::Searching);
         loop {
             match sweep(comm, stack, transport, victims, cx) {
@@ -518,19 +504,20 @@ impl RingTerm {
     }
 }
 
+/// The cumulative (sent, received) transfer counts the token carries.
+fn ring_counts<T: Item, C: Comm<T>, ST: StealTransport<T, C>>(transport: &mut ST) -> (i64, i64) {
+    transport.ledger().map_or((0, 0), |l| l.counts())
+}
+
 impl<T: Item, C: Comm<T>> TerminationDetector<T, C> for RingTerm {
-    fn discover<ST, VS>(
+    fn discover<ST: StealTransport<T, C>>(
         &mut self,
         comm: &mut C,
         stack: &mut DfsStack<T>,
         transport: &mut ST,
-        victims: &mut VS,
+        victims: &mut ProbeOrder,
         cx: &mut Cx,
-    ) -> Discovery
-    where
-        ST: StealTransport<T, C>,
-        VS: VictimSelector,
-    {
+    ) -> Discovery {
         if !ST::STEALS {
             // Work pushing: idle threads have no initiative — park in
             // Terminating, absorbing pushed chunks between ring steps.
@@ -539,7 +526,7 @@ impl<T: Item, C: Comm<T>> TerminationDetector<T, C> for RingTerm {
                 if transport.absorb_pending(comm, stack, cx) {
                     return Discovery::GotWork;
                 }
-                let (sent, recv) = transport.ring_counts();
+                let (sent, recv) = ring_counts(transport);
                 if self.ring.step(comm, sent, recv) {
                     return Discovery::Terminated;
                 }
@@ -563,7 +550,7 @@ impl<T: Item, C: Comm<T>> TerminationDetector<T, C> for RingTerm {
             let Some(v) = victims.next() else {
                 // Solo rank: nothing to steal from; go straight to the ring.
                 cx.enter(comm, State::Terminating);
-                let (sent, recv) = transport.ring_counts();
+                let (sent, recv) = ring_counts(transport);
                 if self.ring.step(comm, sent, recv) {
                     return Discovery::Terminated;
                 }
@@ -590,7 +577,7 @@ impl<T: Item, C: Comm<T>> TerminationDetector<T, C> for RingTerm {
                         // ring must not step again (the token is retired).
                         return Discovery::Terminated;
                     }
-                    let (sent, recv) = transport.ring_counts();
+                    let (sent, recv) = ring_counts(transport);
                     if self.ring.step(comm, sent, recv) {
                         return Discovery::Terminated;
                     }

@@ -609,7 +609,9 @@ where
         cx: &mut Cx,
     ) -> bool {
         cx.svc.activate(comm.my_id(), self.scanner.board);
-        transport.arm_service(|t| t.epoch);
+        if let Some(ledger) = transport.ledger() {
+            ledger.epoch_of = Some(|t| t.epoch);
+        }
         false
     }
 

@@ -80,12 +80,6 @@ impl<T: Item> DfsStack<T> {
         self.local.pop_back()
     }
 
-    /// The node the next [`DfsStack::pop`] would return, without removing
-    /// it (ready-queue tests assert priority ordering through this).
-    pub fn peek(&self) -> Option<&T> {
-        self.local.back()
-    }
-
     /// Remove and return the `k` *oldest* local nodes for a release.
     /// Panics if fewer than `k` are present.
     pub fn take_bottom_chunk(&mut self) -> Vec<T> {
@@ -105,31 +99,16 @@ impl<T: Item> DfsStack<T> {
         (self.base + self.avail - 1) * self.k
     }
 
-    /// Item offset of the oldest shared chunk (where steals are served).
-    pub fn steal_offset(&self) -> usize {
-        (self.base) * self.k
-    }
-
     /// Grant `chunks` to a thief from the bottom of the shared region,
     /// returning the item offset of the granted block. Updates mirrors only;
     /// the caller publishes the new counters as its variant requires.
     pub fn grant(&mut self, chunks: usize) -> usize {
         assert!(chunks > 0 && chunks <= self.avail, "invalid grant");
-        let offset = self.steal_offset();
+        let offset = self.base * self.k; // steals are served oldest chunk first
         self.base += chunks;
         self.avail -= chunks;
         self.granted += chunks as u64;
         offset
-    }
-
-    /// How many chunks a steal-half policy grants: half (rounded down) when
-    /// more than one chunk is available, otherwise whatever is there (§3.3.2).
-    pub fn steal_half_amount(avail: usize) -> usize {
-        if avail > 1 {
-            avail / 2
-        } else {
-            avail
-        }
     }
 
     /// Should the owner release? (§3.1: local depth at least `release_depth`.)
@@ -189,7 +168,6 @@ mod tests {
         s.avail = 3;
         s.base = 2;
         assert_eq!(s.release_offset(), (2 + 3) * 4);
-        assert_eq!(s.steal_offset(), 2 * 4);
         assert_eq!(s.top_chunk_offset(), (2 + 3 - 1) * 4);
     }
 
@@ -213,15 +191,6 @@ mod tests {
         let mut s: DfsStack<u32> = DfsStack::new(2);
         s.avail = 1;
         s.grant(2);
-    }
-
-    #[test]
-    fn steal_half_policy() {
-        assert_eq!(DfsStack::<u32>::steal_half_amount(0), 0);
-        assert_eq!(DfsStack::<u32>::steal_half_amount(1), 1);
-        assert_eq!(DfsStack::<u32>::steal_half_amount(2), 1);
-        assert_eq!(DfsStack::<u32>::steal_half_amount(7), 3);
-        assert_eq!(DfsStack::<u32>::steal_half_amount(8), 4);
     }
 
     #[test]

@@ -130,99 +130,11 @@ impl TraceLog {
         }
     }
 
-    /// Record a state entry.
+    /// Record `event` — the one way into the log.
     #[inline]
-    pub fn enter(&mut self, state: State, t_ns: u64) {
+    pub fn emit(&mut self, event: Event) {
         if self.enabled {
-            self.events.push(Event::Enter { t_ns, state });
-        }
-    }
-
-    /// Record a successful steal.
-    #[inline]
-    pub fn steal_ok(&mut self, victim: usize, chunks: u64, t_ns: u64) {
-        if self.enabled {
-            self.events.push(Event::StealOk {
-                t_ns,
-                victim,
-                chunks,
-            });
-        }
-    }
-
-    /// Record a failed steal.
-    #[inline]
-    pub fn steal_fail(&mut self, victim: usize, t_ns: u64) {
-        if self.enabled {
-            self.events.push(Event::StealFail { t_ns, victim });
-        }
-    }
-
-    /// Record a release.
-    #[inline]
-    pub fn release(&mut self, t_ns: u64) {
-        if self.enabled {
-            self.events.push(Event::Release { t_ns });
-        }
-    }
-
-    /// Record a steal-request timeout.
-    #[inline]
-    pub fn steal_timeout(&mut self, victim: usize, t_ns: u64) {
-        if self.enabled {
-            self.events.push(Event::StealTimeout { t_ns, victim });
-        }
-    }
-
-    /// Record a timeout retract and its outcome.
-    #[inline]
-    pub fn retract(&mut self, victim: usize, won: bool, t_ns: u64) {
-        if self.enabled {
-            self.events.push(Event::Retract { t_ns, victim, won });
-        }
-    }
-
-    /// Record this rank's death and spill size.
-    #[inline]
-    pub fn death(&mut self, items: u64, t_ns: u64) {
-        if self.enabled {
-            self.events.push(Event::Death { t_ns, items });
-        }
-    }
-
-    /// Record an adoption of `dead`'s spill.
-    #[inline]
-    pub fn adopt(&mut self, dead: usize, items: u64, t_ns: u64) {
-        if self.enabled {
-            self.events.push(Event::Adopt { t_ns, dead, items });
-        }
-    }
-
-    /// Record a lineage re-injection.
-    #[inline]
-    pub fn reinject(&mut self, items: u64, t_ns: u64) {
-        if self.enabled {
-            self.events.push(Event::Reinject { t_ns, items });
-        }
-    }
-
-    /// Record a quorum eviction this rank executed.
-    #[inline]
-    pub fn evict(&mut self, victim: usize, items: u64, t_ns: u64) {
-        if self.enabled {
-            self.events.push(Event::Evict { t_ns, victim, items });
-        }
-    }
-
-    /// Record this rank's re-entry as incarnation `incarnation`.
-    #[inline]
-    pub fn rejoin(&mut self, incarnation: i64, items: u64, t_ns: u64) {
-        if self.enabled {
-            self.events.push(Event::Rejoin {
-                t_ns,
-                incarnation,
-                items,
-            });
+            self.events.push(event);
         }
     }
 
@@ -399,64 +311,6 @@ pub fn render_timeline(per_thread: &[Vec<Event>], makespan_ns: u64, width: usize
     out
 }
 
-/// Render the steal matrix as an ASCII heat map (rows = thieves, columns =
-/// victims, intensity by steal count). For wide matrices, threads are
-/// aggregated into `buckets × buckets` cells.
-pub fn render_steal_matrix(m: &StealMatrix, buckets: usize) -> String {
-    let n = m.n();
-    let b = buckets.min(n).max(1);
-    let mut agg = vec![0u64; b * b];
-    for thief in 0..n {
-        for victim in 0..n {
-            let c = m.get(thief, victim);
-            if c > 0 {
-                agg[(thief * b / n) * b + (victim * b / n)] += c;
-            }
-        }
-    }
-    let max = agg.iter().copied().max().unwrap_or(0);
-    let shades = [' ', '.', ':', '-', '=', '+', '*', '#', '%', '@'];
-    let mut out = String::new();
-    out.push_str("thief\\victim ->\n");
-    for row in 0..b {
-        for col in 0..b {
-            let v = agg[row * b + col];
-            let idx = if max == 0 {
-                0
-            } else {
-                ((v as f64 / max as f64) * (shades.len() - 1) as f64).round() as usize
-            };
-            out.push(shades[idx]);
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Render the diffusion curve: fraction of threads that have held work, in
-/// `width` time buckets across `[0, makespan_ns]`, one character row
-/// (0-9 deciles, '#' for all).
-pub fn render_diffusion_curve(d: &Diffusion, makespan_ns: u64, width: usize) -> String {
-    let n = d.first_work_ns.len().max(1);
-    let mut curve = String::with_capacity(width);
-    for b in 0..width {
-        let t = makespan_ns as u128 * (b as u128 + 1) / width as u128;
-        let have = d
-            .first_work_ns
-            .iter()
-            .flatten()
-            .filter(|&&f| (f as u128) <= t)
-            .count();
-        let frac = have as f64 / n as f64;
-        curve.push(if frac >= 1.0 {
-            '#'
-        } else {
-            char::from_digit((frac * 10.0) as u32, 10).unwrap_or('?')
-        });
-    }
-    curve
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,18 +322,18 @@ mod tests {
     #[test]
     fn disabled_log_records_nothing() {
         let mut log = TraceLog::new(false);
-        log.enter(State::Working, 0);
-        log.steal_ok(1, 2, 5);
-        log.release(9);
+        log.emit(enter(0, State::Working));
+        log.emit(Event::StealOk { t_ns: 5, victim: 1, chunks: 2 });
+        log.emit(Event::Release { t_ns: 9 });
         assert!(log.into_events().is_empty());
     }
 
     #[test]
     fn enabled_log_records_in_order() {
         let mut log = TraceLog::new(true);
-        log.enter(State::Working, 0);
-        log.steal_fail(3, 4);
-        log.steal_ok(2, 1, 7);
+        log.emit(enter(0, State::Working));
+        log.emit(Event::StealFail { t_ns: 4, victim: 3 });
+        log.emit(Event::StealOk { t_ns: 7, victim: 2, chunks: 1 });
         let events = log.into_events();
         assert_eq!(events.len(), 3);
         assert_eq!(events[2], Event::StealOk { t_ns: 7, victim: 2, chunks: 1 });
@@ -556,49 +410,5 @@ mod tests {
         let logs = vec![vec![enter(0, State::Working)]];
         let s = render_timeline(&logs, 0, 8);
         assert_eq!(s.lines().count(), 1);
-    }
-
-    #[test]
-    fn steal_matrix_heatmap_shape() {
-        let logs = vec![
-            vec![],
-            vec![Event::StealOk { t_ns: 1, victim: 0, chunks: 1 }],
-            vec![Event::StealOk { t_ns: 2, victim: 1, chunks: 1 }],
-            vec![],
-        ];
-        let m = StealMatrix::new(&logs);
-        let s = render_steal_matrix(&m, 4);
-        // Header + 4 rows.
-        assert_eq!(s.lines().count(), 5);
-        assert!(s.contains('@'), "max cell should be darkest: {s}");
-        // Aggregated rendering never panics on empty matrices.
-        let empty = StealMatrix::new(&[vec![], vec![]]);
-        let s = render_steal_matrix(&empty, 8);
-        assert_eq!(s.lines().count(), 3);
-    }
-
-    #[test]
-    fn diffusion_curve_monotone_and_saturates() {
-        let d = Diffusion {
-            first_work_ns: vec![Some(0), Some(50), Some(90), None],
-            t50_ns: Some(50),
-            t90_ns: Some(90),
-            t100_ns: None,
-        };
-        let c = render_diffusion_curve(&d, 100, 10);
-        assert_eq!(c.len(), 10);
-        // Monotone nondecreasing deciles; never reaches '#' (one starved).
-        let vals: Vec<u32> = c.chars().map(|ch| ch.to_digit(10).unwrap()).collect();
-        assert!(vals.windows(2).all(|w| w[0] <= w[1]), "{c}");
-        assert!(!c.contains('#'));
-        // Full coverage shows '#'.
-        let d2 = Diffusion {
-            first_work_ns: vec![Some(0), Some(10)],
-            t50_ns: Some(0),
-            t90_ns: Some(10),
-            t100_ns: Some(10),
-        };
-        let c2 = render_diffusion_curve(&d2, 100, 5);
-        assert!(c2.ends_with('#'), "{c2}");
     }
 }

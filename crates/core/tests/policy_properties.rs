@@ -6,9 +6,7 @@
 use pgas::{Distance, MachineModel};
 use proptest::prelude::*;
 use worksteal::probe::ProbeOrder;
-use worksteal::{
-    run_sim, Algorithm, RunConfig, StealPolicy, StealPolicyKind, UtsGen, VictimPolicy,
-};
+use worksteal::{run_sim, Algorithm, RunConfig, StealPolicyKind, UtsGen, VictimPolicy};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]

@@ -137,10 +137,10 @@ proptest! {
         }
     }
 
-    /// steal_half_amount is within [0, avail] and halves when avail > 1.
+    /// The steal-half amount is within [0, avail] and halves when avail > 1.
     #[test]
     fn steal_half_bounds(avail in 0usize..10_000) {
-        let g = DfsStack::<u32>::steal_half_amount(avail);
+        let g = worksteal::StealPolicyKind::Half.amount(avail);
         prop_assert!(g <= avail);
         if avail > 1 {
             prop_assert_eq!(g, avail / 2);

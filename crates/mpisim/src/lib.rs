@@ -84,11 +84,6 @@ impl TokenRing {
         }
     }
 
-    /// Has this rank already observed global termination?
-    pub fn is_terminated(&self) -> bool {
-        self.terminated
-    }
-
     /// Idle-time protocol step. `work_sent` / `work_recv` are this rank's
     /// *cumulative* counts of work-transfer messages. Returns `true` on
     /// global termination.
@@ -358,7 +353,7 @@ mod more_tests {
         }
     }
 
-    /// is_terminated latches and step stays true afterwards.
+    /// Termination latches: step stays true afterwards.
     #[test]
     fn termination_latches() {
         let cluster: SimCluster<u64> =
@@ -368,20 +363,12 @@ mod more_tests {
             while !ring.step(c, 0, 0) {
                 c.poll();
             }
-            assert!(ring.is_terminated());
             // Further steps are idempotent.
             assert!(ring.step(c, 0, 0));
             ring.rounds
         });
         // Rank 0 needed at least two completed rounds to declare.
         assert!(report.results[0] >= 2, "{:?}", report.results);
-    }
-
-    /// New rings start untriggered.
-    #[test]
-    fn fresh_ring_is_not_terminated() {
-        let ring = TokenRing::new(0, 4);
-        assert!(!ring.is_terminated());
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Tree-based collective operations over [`Comm`].
 //!
 //! The UPC UTS implementation combines per-thread node counts with
-//! `upc_all_reduce` once the search terminates; UPC programs also lean on
-//! `upc_barrier`. These collectives provide the same facilities over the
-//! substrate's one-sided operations, with the usual O(log n) critical path:
-//! values combine up a binary tree rooted at thread 0 and the result
-//! broadcasts back down the same tree.
+//! `upc_all_reduce` once the search terminates. These collectives provide
+//! the same facility over the substrate's one-sided operations, with the
+//! usual O(log n) critical path: values combine up a binary tree rooted at
+//! thread 0 and the result broadcasts back down the same tree.
 //!
 //! All operations are *generation-stamped*: a [`Collectives`] handle carries
 //! a per-thread call counter, so the same cells can be reused across any
@@ -16,7 +15,7 @@ use crate::comm::{Comm, Item};
 
 /// Per-thread handle for collective operations.
 ///
-/// Uses six consecutive scalar cells starting at `base` in every thread's
+/// Uses four consecutive scalar cells starting at `base` in every thread's
 /// partition; the caller guarantees those cells are not used for anything
 /// else. All threads must construct with the same `base` and issue the same
 /// sequence of collective calls.
@@ -31,11 +30,9 @@ const PARTIAL: usize = 0; // value being reduced (this thread's subtree sum)
 const READY: usize = 1; // generation stamp: PARTIAL is valid
 const RESULT: usize = 2; // broadcast result
 const RESULT_READY: usize = 3; // generation stamp: RESULT is valid
-const BARRIER_ARRIVE: usize = 4; // generation stamp: subtree has arrived
-const BARRIER_RELEASE: usize = 5; // generation stamp: barrier released
 
 /// Number of scalar cells [`Collectives`] reserves per thread.
-pub const COLLECTIVE_CELLS: usize = 6;
+pub const COLLECTIVE_CELLS: usize = 4;
 
 /// Backoff between spin iterations while waiting on a flag cell.
 const SPIN_BACKOFF_NS: u64 = 1_000;
@@ -127,47 +124,6 @@ impl Collectives {
             total
         }
     }
-
-    /// Broadcast `value` from thread 0 to everyone.
-    pub fn broadcast<T: Item, C: Comm<T>>(&mut self, comm: &mut C, value: i64) -> i64 {
-        self.generation += 1;
-        let gen = self.generation;
-        let me = comm.my_id();
-        if me == 0 {
-            comm.put(0, self.base + RESULT, value);
-            comm.put(0, self.base + RESULT_READY, gen);
-            value
-        } else {
-            let p = parent(me);
-            self.wait_flag(comm, p, RESULT_READY, gen);
-            let v = comm.get(p, self.base + RESULT);
-            comm.put(me, self.base + RESULT, v);
-            comm.put(me, self.base + RESULT_READY, gen);
-            v
-        }
-    }
-
-    /// Full barrier (`upc_barrier`): arrive up the tree, release down it.
-    pub fn barrier<T: Item, C: Comm<T>>(&mut self, comm: &mut C) {
-        self.generation += 1;
-        let gen = self.generation;
-        let me = comm.my_id();
-        let n = comm.n_threads();
-        let (l, r) = children(me, n);
-
-        for c in [l, r].into_iter().flatten() {
-            self.wait_flag(comm, c, BARRIER_ARRIVE, gen);
-        }
-        comm.put(me, self.base + BARRIER_ARRIVE, gen);
-
-        if me == 0 {
-            comm.put(0, self.base + BARRIER_RELEASE, gen);
-        } else {
-            let p = parent(me);
-            self.wait_flag(comm, p, BARRIER_RELEASE, gen);
-            comm.put(me, self.base + BARRIER_RELEASE, gen);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -236,50 +192,17 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_from_root() {
-        let n = 12;
-        let cluster: SimCluster<u64> = SimCluster::new(MachineModel::topsail(), n, cfg());
-        let report = cluster.run(|c| {
-            let mut coll = Collectives::new(0);
-            coll.broadcast(c, if c.my_id() == 0 { 777 } else { -1 })
-        });
-        assert!(report.results.iter().all(|&r| r == 777));
-    }
-
-    #[test]
-    fn barrier_separates_phases() {
-        // Every thread bumps a counter before the barrier; after the
-        // barrier, everyone must observe the full count.
-        let n = 8;
-        let cluster: SimCluster<u64> = SimCluster::new(MachineModel::smp(), n, cfg());
-        let report = cluster.run(|c| {
-            let mut coll = Collectives::new(0);
-            c.add(0, COLLECTIVE_CELLS, 1); // scratch cell beyond the block
-            coll.barrier(c);
-            c.get(0, COLLECTIVE_CELLS)
-        });
-        assert!(
-            report.results.iter().all(|&r| r == n as i64),
-            "{:?}",
-            report.results
-        );
-    }
-
-    #[test]
     fn mixed_sequence_stays_consistent() {
         let n = 6;
         let cluster: SimCluster<u64> = SimCluster::new(MachineModel::kittyhawk(), n, cfg());
         let report = cluster.run(|c| {
             let mut coll = Collectives::new(0);
             let a = coll.all_reduce_sum(c, 1);
-            coll.barrier(c);
-            let b = coll.broadcast(c, a * 10);
             let m = coll.all_reduce_max(c, c.my_id() as i64);
-            (a, b, m)
+            (a, m)
         });
-        for &(a, b, m) in &report.results {
+        for &(a, m) in &report.results {
             assert_eq!(a, n as i64);
-            assert_eq!(b, n as i64 * 10);
             assert_eq!(m, n as i64 - 1);
         }
     }

@@ -604,7 +604,7 @@ mod tests {
             let p = FaultPlan::crashy(seed);
             if let Some(victim) = p.killed_rank(8) {
                 deaths += 1;
-                assert!(victim >= 1 && victim < 8);
+                assert!((1..8).contains(&victim));
                 let t = p.kill_time(victim, 8).expect("victim has a kill time");
                 assert!(t >= p.kill_min_ns && t < p.kill_min_ns + p.kill_span_ns);
                 // Everyone else survives.

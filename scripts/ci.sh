@@ -10,31 +10,33 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test -q =="
-cargo test -q
-
-echo "== SHA-1 kernels =="
-# The root package's tests above do not include the member crates' own: run
-# the ones that call each SHA-1 kernel directly and check `Node::child` /
-# `Node::children` against the streaming definition.
-cargo test -q -p uts-sha1 -p uts-tree
-# Then print which kernel this log's numbers came from, beside the host's
+echo "== cargo test -q --workspace =="
+# Tier-1's `cargo test -q` runs the root package only; the member crates' own
+# unit and integration tests (SHA-1 kernels, the fiber arena and conductors,
+# worksteal's crates/core/tests/*.rs, mpisim, the bench harness) run nowhere
+# else.
+cargo test -q --workspace
+# Print which SHA-1 kernel this log's numbers came from, beside the host's
 # `sha` detection; the test fails if the dispatch fell back to the portable
 # kernel on a host that has the SHA extensions.
 cargo test -q -p uts-sha1 -- --nocapture selected_kernel
 
-echo "== pgas unit tests (fiber arena, conductors) =="
-# Same reason: the stack-arena, guard-page and conductor unit tests live in
-# the member crate.
-cargo test -q -p pgas
-
-echo "== scheduler core + mpisim unit and integration tests =="
-# Same again: worksteal's unit tests, crates/core/tests/*.rs and mpisim's
-# run nowhere else.
-cargo test -q -p worksteal -p mpisim
+echo "== sched shape =="
 # One worker driver: sched::drive is the only function that enters Working.
 [ "$(grep -rF 'cx.enter(comm, State::Working)' crates/core/src | wc -l)" -eq 1 ] ||
   { echo "more than one function enters State::Working under crates/core/src" >&2; exit 1; }
+# Victim order and steal amount are closed axes: enums, not traits.
+if grep -rnE 'VictimSelector|trait StealPolicy' crates/; then
+  echo "the victim-order / steal-amount axes grew a trait again" >&2; exit 1
+fi
+# Crash mode stays out of the message transports: it lives in the transfer
+# ledger (recovery::Lineage) and the fenced envelope (recovery::Recovery),
+# whose inbound half is the only place a message is dropped.
+if grep -nE 'crash:|incarnation\(\)' crates/core/src/mpi_ws.rs crates/core/src/pushing.rs; then
+  echo "a message transport knows about crash mode again" >&2; exit 1
+fi
+[ "$(grep -rF 'fenced_drops += 1' crates/core/src | wc -l)" -eq 1 ] ||
+  { echo "fenced traffic must be dropped in exactly one place under crates/core/src" >&2; exit 1; }
 
 echo "== SAFETY comments (crates/pgas/src) =="
 # Every `unsafe {` block and `unsafe impl` in the crate that owns the fiber
@@ -62,8 +64,8 @@ echo "== bench/ build + tests =="
 cargo build --release --offline --manifest-path bench/Cargo.toml
 cargo test --release --offline --manifest-path bench/Cargo.toml
 
-echo "== cargo clippy --workspace -- -D warnings =="
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== doc drift =="
 # Every design note must be reachable from the README, and every concrete

@@ -8,7 +8,6 @@ cd "$(dirname "$0")/.."
 cargo build --release -p uts-bench -p uts-viz
 mkdir -p results/logs
 B=./target/release
-run() { echo "== $1"; shift; "$@" 2>&1 | tee "results/logs/$1.log" >/dev/null; }
 
 $B/table_seq        | tee results/logs/table_seq.log
 $B/fig3             | tee results/logs/fig3.log
@@ -21,6 +20,9 @@ $B/diffusion        > results/logs/diffusion.log
 $B/poll_sweep       > results/logs/poll_sweep.log
 $B/tree_family      > results/logs/tree_family.log
 $B/model_check      > results/logs/model_check.log
+$B/policy_grid      > results/logs/policy_grid.log
+$B/dag_sweep        > results/logs/dag_sweep.log
+$B/service          > results/logs/service.log
 $B/fig4             > results/logs/fig4.log
 $B/fig5             > results/logs/fig5.log
 $B/fig6 --tree l    > results/logs/fig6_l.log

@@ -263,8 +263,8 @@ fn membership_plan(i: u64) -> FaultPlan {
     let mut p = FaultPlan {
         loss_per_mille: 10 + (r % 30) as u32,
         dup_per_mille: 10 + ((r >> 8) % 30) as u32,
-        kill_per_mille: if i % 2 == 0 { 1000 } else { 0 },
-        restart_after_ns: if i % 3 == 0 { 0 } else { 250_000 },
+        kill_per_mille: if i.is_multiple_of(2) { 1000 } else { 0 },
+        restart_after_ns: if i.is_multiple_of(3) { 0 } else { 250_000 },
         ..FaultPlan::partitioned(r)
     };
     p.partition_per_mille = 1000; // every plan carries a (healing) partition
