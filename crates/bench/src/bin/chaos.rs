@@ -42,7 +42,7 @@
 use std::time::Instant;
 
 use pgas::{ArrivalSpec, FaultPlan};
-use uts_bench::harness::{arg, machine_by_name, preset_by_name};
+use uts_bench::harness::{algorithm_name, arg, machine_by_name, preset_by_name};
 use uts_tree::{TreeKind, TreeSpec};
 use worksteal::{run_service_sim, run_sim, seq_run, Algorithm, RunConfig, UtsGen};
 
@@ -149,20 +149,12 @@ impl MembershipKnobs {
             // subset; the printed FaultPlan still replays via run_sim.
             _ => format!("<non-binomial preset: {:?}>", spec),
         };
-        let alg_flag = match alg {
-            Algorithm::SharedMem => "sharedmem",
-            Algorithm::Term => "term",
-            Algorithm::TermRapdif => "rapdif",
-            Algorithm::DistMem => "distmem",
-            Algorithm::MpiWs => "mpi",
-            Algorithm::Hier => "hier",
-            Algorithm::Pushing => "push",
-        };
         format!(
             "{} cargo run --release -p uts-bench --bin uts_cli -- \
-             {tree} -c 8 -T {threads} -A {alg_flag} -M {machine} \
+             {tree} -c 8 -T {threads} -A {} -M {machine} \
              --expect-distinct {expect}",
-            self.env(timeout_ns)
+            self.env(timeout_ns),
+            algorithm_name(alg)
         )
     }
 }

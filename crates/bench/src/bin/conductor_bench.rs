@@ -10,7 +10,7 @@
 //! Usage:
 //!   cargo run --release -p uts-bench --bin conductor_bench
 //!     [--tree m] [--threads 256] [--machine kittyhawk] [--alg distmem]
-//!     [--chunk 8] [--repeats 3] [--out BENCH_conductor.json] [--smoke]
+//!     [--chunk 8] [--repeats 3] [--smoke]
 //!
 //! The default point is the Figure-4 configuration (T-M, 256 threads,
 //! kittyhawk, upc-distmem, k=8). `--smoke` switches to a seconds-scale
@@ -23,21 +23,8 @@ use std::time::Instant;
 
 use pgas::sim::{SimCluster, SimReport};
 use pgas::MachineModel;
-use uts_bench::harness::{arg, flag, machine_by_name, preset_by_name};
-use worksteal::{vars, worker, Algorithm, RunConfig, TaskGen, ThreadResult, UtsGen};
-
-fn alg_by_name(name: &str) -> Algorithm {
-    match name {
-        "sharedmem" => Algorithm::SharedMem,
-        "term" => Algorithm::Term,
-        "rapdif" => Algorithm::TermRapdif,
-        "distmem" => Algorithm::DistMem,
-        "mpi" => Algorithm::MpiWs,
-        "hier" => Algorithm::Hier,
-        "pushing" => Algorithm::Pushing,
-        other => panic!("unknown algorithm '{other}' (sharedmem|term|rapdif|distmem|mpi|hier|pushing)"),
-    }
-}
+use uts_bench::harness::{algorithm_by_name, arg, flag, machine_by_name, preset_by_name};
+use worksteal::{vars, worker, RunConfig, TaskGen, ThreadResult, UtsGen};
 
 fn run_once(
     machine: &MachineModel,
@@ -85,12 +72,11 @@ fn main() {
     let alg_name: String = arg("--alg", "distmem".to_string());
     let chunk: usize = arg("--chunk", 8);
     let repeats: usize = arg("--repeats", if smoke { 3 } else { 1 });
-    let out: String = arg("--out", "BENCH_conductor.json".to_string());
 
     let machine = machine_by_name(&machine_name);
     let preset = preset_by_name(&tree);
     let gen = UtsGen::new(preset.spec);
-    let alg = alg_by_name(&alg_name);
+    let alg = algorithm_by_name(&alg_name);
     let cfg = RunConfig::new(alg, chunk);
 
     println!(
@@ -147,25 +133,4 @@ fn main() {
         "  fiber stacks: deepest high-water mark {} bytes (measured, page granular; 0 = no fibers on this target)",
         cond.stack_peak_bytes,
     );
-
-    let json = format!(
-        "{{\n  \"machine\": \"{}\",\n  \"tree\": \"{}\",\n  \"threads\": {},\n  \"algorithm\": \"{}\",\n  \"chunk\": {},\n  \"nodes\": {},\n  \"t_virtual_s\": {},\n  \"steals\": {},\n  \"t_fast_s\": {},\n  \"t_slow_s\": {},\n  \"speedup_fast_over_slow\": {},\n  \"conductor_ops\": {},\n  \"fast_fraction\": {}\n}}\n",
-        machine.name,
-        preset.name,
-        threads,
-        alg.label(),
-        chunk,
-        nodes,
-        fast.makespan_ns as f64 / 1e9,
-        steals,
-        t_fast,
-        t_slow,
-        speedup,
-        cond.total_ops(),
-        cond.fast_fraction(),
-    );
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("warn: cannot write {out}: {e}"),
-    }
 }

@@ -8,9 +8,10 @@
 //! conservation before it is written. A violated bound aborts the run:
 //! the CSV never contains a row the theory harness rejected.
 //!
-//! Usage:
-//!   cargo run --release -p uts-bench --bin dag_sweep
-//!     [--tree s] [--chunk 4] [--machine kittyhawk] [--smoke] [--check]
+//! Usage: `cargo run --release -p uts-bench --bin dag_sweep [--smoke] [--check]`
+//! (Kitty Hawk, T-S baseline — T-tiny under `--smoke` — k ∈ {1, 4}; like the
+//! `exp` entries the sweep takes no parameters, so the committed CSV is a
+//! function of this file).
 //!
 //! Columns beyond the obvious: `edges` is the number of dependency-cell adds
 //! the workload publishes through `Comm` (the sum of its in-degrees; 0 for a
@@ -28,14 +29,16 @@
 use std::time::Instant;
 
 use pgas::MachineModel;
-use uts_bench::harness::{arg, check_csv, flag, machine_by_name, preset_by_name, sim_config};
+use uts_bench::harness::{flag, sim_config, Sink};
+use uts_tree::presets;
 use worksteal::state::State;
 use worksteal::theory::{self, DEFAULT_STEAL_FACTOR};
 use worksteal::{
     run_sim, Algorithm, DagWorkload, ForkJoin, RandomLayered, TaskGen, UtsGen, Wavefront,
 };
 
-const CSV_PATH: &str = "results/dag_sweep.csv";
+const HEADER: &str = "workload,algorithm,threads,chunk,tasks,edges,critical_path,t_virtual_s,\
+    mnodes_per_sec,steal_attempts,successful_steals,steal_bound,bound_util,working_frac,t_real_s";
 
 /// What distinguishes one sweep row besides the (algorithm, threads) cell.
 struct Point<'a> {
@@ -59,7 +62,7 @@ fn sweep<G: TaskGen>(
     alg: Algorithm,
     chunk: usize,
     point: &Point,
-    csv: &mut String,
+    csv: &mut Vec<String>,
 ) -> f64 {
     let cfg = sim_config(alg, chunk);
     let t0 = Instant::now();
@@ -99,8 +102,8 @@ fn sweep<G: TaskGen>(
         100.0 * working,
         t_real
     );
-    csv.push_str(&format!(
-        "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
+    csv.push(format!(
+        "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
         point.workload,
         alg.label(),
         threads,
@@ -129,7 +132,7 @@ fn sweep_dag<G: worksteal::DagGen>(
     alg: Algorithm,
     chunk: usize,
     workload: &str,
-    csv: &mut String,
+    csv: &mut Vec<String>,
 ) -> f64 {
     let dag = gen.dag();
     let point = Point {
@@ -146,12 +149,9 @@ fn main() {
     // Chunk matters doubly for DAGs: a release needs local depth >= 2k, and
     // narrow-frontier DAGs (wavefront: <= 2 successors per task) never reach
     // it for k > 1 — the sweep runs k=1 and k=4 to expose exactly that.
-    let chunk: usize = arg("--chunk", 0);
-    let chunks: Vec<usize> = if chunk == 0 { vec![1, 4] } else { vec![chunk] };
-    let machine_name: String = arg("--machine", "kittyhawk".to_string());
-    let machine = machine_by_name(&machine_name);
-    let tree: String = arg("--tree", if smoke { "tiny" } else { "s" }.to_string());
-    let preset = preset_by_name(&tree);
+    let chunks = [1usize, 4];
+    let machine = MachineModel::kittyhawk();
+    let preset = if smoke { presets::t_tiny() } else { presets::t_s() };
     let tree_gen = UtsGen::new(preset.spec);
 
     // One bundle per transport, plus hierarchical victims on distmem.
@@ -204,13 +204,10 @@ fn main() {
         "real(s)"
     );
 
-    let mut csv = String::from(
-        "workload,algorithm,threads,chunk,tasks,edges,critical_path,t_virtual_s,mnodes_per_sec,\
-         steal_attempts,successful_steals,steal_bound,bound_util,working_frac,t_real_s\n",
-    );
+    let mut csv = Vec::new();
     let mut worst: f64 = 0.0;
     for &threads in threads_list {
-        for &k in &chunks {
+        for k in chunks {
             for alg in algs {
                 let tree_point = Point {
                     workload: preset.name,
@@ -240,7 +237,7 @@ fn main() {
         // victim (see E19).
         if flag("--p8192") {
             println!("p=8192 smoke cell:");
-            let pr = preset_by_name("s");
+            let pr = presets::t_s();
             let g = UtsGen::new(pr.spec);
             let pt = Point {
                 workload: pr.name,
@@ -255,12 +252,8 @@ fn main() {
         println!("smoke run: results/dag_sweep.csv left untouched");
         return;
     }
-    if flag("--check") {
-        check_csv(CSV_PATH, &csv, 1);
-        return;
-    }
-    match std::fs::create_dir_all("results").and_then(|()| std::fs::write(CSV_PATH, &csv)) {
-        Ok(()) => println!("wrote {CSV_PATH}"),
-        Err(e) => eprintln!("warn: cannot write {CSV_PATH}: {e}"),
+    if let Err(stale) = Sink::from_args(flag("--check")).emit("dag_sweep", HEADER, &csv, 1) {
+        eprintln!("{stale}");
+        std::process::exit(1);
     }
 }

@@ -19,19 +19,20 @@
 //!    is a verified run.
 //!
 //! Run with: `cargo run --release -p uts-bench --bin service`
-//! (`--smoke` for the CI-sized subset; `--no-csv` to leave the file alone).
+//! (`--smoke` for the CI-sized subset, which leaves the file alone).
 //! Writes `results/service.csv`; `--check` recomputes the sweep and compares
 //! it with the committed file byte for byte instead (every column is
 //! virtual, so any difference is a schedule change or a stale file).
 
 use pgas::{ArrivalSpec, FaultPlan, MachineModel};
-use uts_bench::harness::{check_csv, flag};
+use uts_bench::harness::{flag, Sink};
 use uts_tree::TreeSpec;
 use worksteal::{
     run_service_sim, Algorithm, LatencyHistogram, RunConfig, RunReport, ServiceReport, UtsGen,
 };
 
-const CSV_PATH: &str = "results/service.csv";
+const HEADER: &str = "bundle,process,rate_per_s,threads,requests,deferred,nodes,dup_nodes,deaths,\
+    evictions,makespan_ms,p50_us,p99_us,exec_p99_us,detect_p99_us,mean_us,max_us,faults";
 
 /// Requests per fault-free or `seeded` row: the smallest count whose p99
 /// has ten samples beyond it.
@@ -137,15 +138,10 @@ fn print_rows(title: &str, rows: &[SvcRow]) {
     }
 }
 
-fn csv(rows: &[SvcRow]) -> String {
-    use std::fmt::Write;
-    let mut out = String::from(
-        "bundle,process,rate_per_s,threads,requests,deferred,nodes,dup_nodes,deaths,evictions,\
-         makespan_ms,p50_us,p99_us,exec_p99_us,detect_p99_us,mean_us,max_us,faults\n",
-    );
+fn csv(rows: &[SvcRow]) -> Vec<String> {
+    let mut out = Vec::new();
     for r in rows {
-        writeln!(
-            out,
+        out.push(format!(
             "{},{},{},{},{},{},{},{},{},{},{:.4},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{}",
             r.bundle,
             r.process,
@@ -165,8 +161,7 @@ fn csv(rows: &[SvcRow]) -> String {
             r.mean_us,
             r.max_us,
             r.faults
-        )
-        .expect("writing to a String");
+        ));
     }
     out
 }
@@ -234,13 +229,8 @@ fn main() {
     print_rows("chaos under load (10k/s, p=64)", &chaos_rows);
     rows.extend(chaos_rows);
 
-    let fresh = csv(&rows);
-    if flag("--check") {
-        check_csv(CSV_PATH, &fresh, 0);
-    } else if !flag("--no-csv") {
-        match std::fs::create_dir_all("results").and_then(|()| std::fs::write(CSV_PATH, &fresh)) {
-            Ok(()) => println!("\nwrote {CSV_PATH}"),
-            Err(e) => eprintln!("warn: cannot write {CSV_PATH}: {e}"),
-        }
+    if let Err(stale) = Sink::from_args(flag("--check")).emit("service", HEADER, &csv(&rows), 0) {
+        eprintln!("{stale}");
+        std::process::exit(1);
     }
 }

@@ -33,10 +33,9 @@
 //! Example (the paper's 10.6-billion-node tree — bring a cluster budget):
 //! `uts_cli -t 0 -b 2000 -q 0.499999995 -m 2 -r 0 -c 8 -T 1024`
 
-use pgas::MachineModel;
-use uts_bench::harness::sim_config;
+use uts_bench::harness::{algorithm_by_name, machine_by_name, sim_config};
 use uts_tree::{GeoShape, TreeSpec};
-use worksteal::{run_native, run_sim, Algorithm, UtsGen};
+use worksteal::{run_native, run_sim, UtsGen};
 
 fn opt<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
     args.windows(2)
@@ -82,29 +81,8 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let algorithm = match alg_name.as_str() {
-        "sharedmem" => Algorithm::SharedMem,
-        "term" => Algorithm::Term,
-        "rapdif" => Algorithm::TermRapdif,
-        "distmem" => Algorithm::DistMem,
-        "mpi" => Algorithm::MpiWs,
-        "hier" => Algorithm::Hier,
-        "push" => Algorithm::Pushing,
-        other => {
-            eprintln!("unknown algorithm '{other}'");
-            std::process::exit(2);
-        }
-    };
-    let machine = match machine_name.as_str() {
-        "kittyhawk" => MachineModel::kittyhawk(),
-        "topsail" => MachineModel::topsail(),
-        "altix" => MachineModel::altix(),
-        "smp" => MachineModel::smp(),
-        other => {
-            eprintln!("unknown machine '{other}'");
-            std::process::exit(2);
-        }
-    };
+    let algorithm = algorithm_by_name(&alg_name);
+    let machine = machine_by_name(&machine_name);
 
     println!("UTS tree: {spec:?}");
     println!(

@@ -2,8 +2,6 @@
 //! result tables, and CSV output under `results/`.
 
 use std::fs;
-use std::io::Write;
-use std::path::PathBuf;
 use std::time::Instant;
 
 use pgas::MachineModel;
@@ -54,33 +52,25 @@ pub fn sim_config(algorithm: Algorithm, chunk: usize) -> RunConfig {
     cfg
 }
 
-/// Execute one simulated run and distill a [`Row`].
+/// Execute one simulated run of `cfg`, with node conservation asserted, and
+/// distill its [`Row`].
 pub fn measure(
     machine: &MachineModel,
     threads: usize,
     gen: &UtsGen,
-    algorithm: Algorithm,
-    chunk: usize,
+    cfg: &RunConfig,
     expected_nodes: u64,
-) -> Row {
-    let cfg = sim_config(algorithm, chunk);
+) -> (RunReport, Row) {
     let t0 = Instant::now();
-    let report = run_sim(machine.clone(), threads, gen, &cfg);
+    let report = run_sim(machine.clone(), threads, gen, cfg);
     let t_real = t0.elapsed().as_secs_f64();
     assert_eq!(
-        report.total_nodes,
-        expected_nodes,
+        report.total_nodes, expected_nodes,
         "node conservation violated: {} p={} k={}",
-        algorithm.label(),
-        threads,
-        chunk
+        report.label, threads, cfg.chunk_size
     );
-    row_from_report(&report, machine.seq_rate(), t_real)
-}
-
-/// Distill a [`Row`] from an existing report.
-pub fn row_from_report(report: &RunReport, seq_rate: f64, t_real: f64) -> Row {
-    Row {
+    let seq_rate = machine.seq_rate();
+    let row = Row {
         label: report.label,
         threads: report.threads,
         chunk: report.chunk_size,
@@ -94,121 +84,157 @@ pub fn row_from_report(report: &RunReport, seq_rate: f64, t_real: f64) -> Row {
         working_frac: report.state_fraction(State::Working),
         working_eff: report.working_state_efficiency(),
         t_real,
-    }
-}
-
-/// Print a header + rows as an aligned text table.
-pub fn print_table(title: &str, rows: &[Row]) {
-    println!("\n== {title} ==");
-    println!(
-        "{:<16} {:>6} {:>5} {:>11} {:>10} {:>9} {:>8} {:>6} {:>8} {:>10} {:>7} {:>7} {:>8}",
-        "algorithm",
-        "p",
-        "k",
-        "nodes",
-        "t_virt(s)",
-        "Mnodes/s",
-        "speedup",
-        "eff%",
-        "steals",
-        "steals/s",
-        "work%",
-        "weff%",
-        "real(s)"
-    );
-    for r in rows {
-        println!(
-            "{:<16} {:>6} {:>5} {:>11} {:>10.4} {:>9.3} {:>8.2} {:>6.1} {:>8} {:>10.0} {:>7.1} {:>7.1} {:>8.2}",
-            r.label,
-            r.threads,
-            r.chunk,
-            r.nodes,
-            r.t_virtual,
-            r.mnodes_per_sec,
-            r.speedup,
-            100.0 * r.efficiency,
-            r.steals,
-            r.steals_per_sec,
-            100.0 * r.working_frac,
-            100.0 * r.working_eff,
-            r.t_real
-        );
-    }
-}
-
-/// Write rows to `results/<name>.csv` (best-effort; path printed).
-pub fn write_csv(name: &str, rows: &[Row]) {
-    let dir = PathBuf::from("results");
-    if let Err(e) = fs::create_dir_all(&dir) {
-        eprintln!("warn: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.csv"));
-    let mut out = match fs::File::create(&path) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("warn: cannot write {}: {e}", path.display());
-            return;
-        }
     };
-    let _ = writeln!(
-        out,
-        "algorithm,threads,chunk,nodes,t_virtual_s,mnodes_per_sec,speedup,efficiency,steals,steals_per_sec,working_frac,working_eff,t_real_s"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            r.label,
-            r.threads,
-            r.chunk,
-            r.nodes,
-            r.t_virtual,
-            r.mnodes_per_sec,
-            r.speedup,
-            r.efficiency,
-            r.steals,
-            r.steals_per_sec,
-            r.working_frac,
-            r.working_eff,
-            r.t_real
-        );
-    }
-    println!("wrote {}", path.display());
+    (report, row)
 }
 
-/// `--check` of a sweep binary: the recomputed CSV `fresh` must equal the
-/// committed file at `path`, ignoring each line's last `wall_clock_columns`
-/// fields — host seconds; every other column is virtual, so any difference is
-/// a schedule change or a stale file. Prints the first differing line and
-/// exits 1 on a mismatch.
-pub fn check_csv(path: &str, fresh: &str, wall_clock_columns: usize) {
+impl Row {
+    /// CSV header of [`Row::csv`]; the last column is wall-clock.
+    pub const HEADER: &'static str = "algorithm,threads,chunk,nodes,t_virtual_s,mnodes_per_sec,\
+        speedup,efficiency,steals,steals_per_sec,working_frac,working_eff,t_real_s";
+
+    /// This row as one CSV line, floats at full precision.
+    pub fn csv(&self) -> String {
+        format!(
+            "{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            self.label,
+            self.threads,
+            self.chunk,
+            self.nodes,
+            self.t_virtual,
+            self.mnodes_per_sec,
+            self.speedup,
+            self.efficiency,
+            self.steals,
+            self.steals_per_sec,
+            self.working_frac,
+            self.working_eff,
+            self.t_real
+        )
+    }
+}
+
+/// Print a CSV header + lines as an aligned text table, fractions cut to
+/// four decimals (the CSV keeps full precision).
+pub fn print_table(title: &str, header: &str, rows: &[String]) {
+    let cell = |c: &str| match c.parse::<f64>() {
+        Ok(x) if c.contains('.') => format!("{x:.4}"),
+        _ => c.to_string(),
+    };
+    let lines: Vec<Vec<String>> = std::iter::once(header)
+        .chain(rows.iter().map(String::as_str))
+        .map(|l| l.split(',').map(cell).collect())
+        .collect();
+    let widths: Vec<usize> =
+        (0..lines[0].len()).map(|i| lines.iter().map(|l| l[i].len()).max().unwrap_or(0)).collect();
+    println!("\n== {title} ==");
+    for line in &lines {
+        let cells: Vec<String> = line.iter().zip(&widths).map(|(c, w)| format!("{c:>w$}")).collect();
+        println!("{}", cells.join("  "));
+    }
+}
+
+/// Where two CSVs first differ in a virtual column (lines count from 1;
+/// a missing line reads `<end of file>`).
+#[derive(Debug, PartialEq, Eq)]
+pub struct Stale {
+    /// First differing line.
+    pub line: usize,
+    /// That line's virtual columns in the committed file.
+    pub committed: String,
+    /// The same, recomputed.
+    pub recomputed: String,
+}
+
+/// Compare a recomputed CSV with the committed one, ignoring each line's last
+/// `wall_clock_columns` fields — host seconds; every other column is virtual,
+/// so any difference is a schedule change or a stale file. `Ok` carries the
+/// number of data rows.
+pub fn compare_csv(committed: &str, fresh: &str, wall_clock_columns: usize) -> Result<usize, Stale> {
     fn virtual_columns(csv: &str, wall_clock_columns: usize) -> Vec<&str> {
         csv.lines()
             .map(|l| l.rsplitn(wall_clock_columns + 1, ',').last().unwrap_or(""))
             .collect()
     }
-    let committed =
-        fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let old = virtual_columns(&committed, wall_clock_columns);
+    let old = virtual_columns(committed, wall_clock_columns);
     let new = virtual_columns(fresh, wall_clock_columns);
     if old == new {
-        println!("\n{path} is current ({} rows)", new.len() - 1);
-        return;
+        return Ok(new.len().saturating_sub(1));
     }
     let line = old
         .iter()
         .zip(&new)
         .position(|(a, b)| a != b)
         .unwrap_or_else(|| old.len().min(new.len()));
-    eprintln!(
-        "{path} is stale (first difference on line {}):\n  committed: {}\n  recomputed: {}\n\
-         regenerate it by running the same binary without --check",
-        line + 1,
-        old.get(line).unwrap_or(&"<end of file>"),
-        new.get(line).unwrap_or(&"<end of file>"),
-    );
-    std::process::exit(1);
+    let at = |v: &[&str]| v.get(line).unwrap_or(&"<end of file>").to_string();
+    Err(Stale {
+        line: line + 1,
+        committed: at(&old),
+        recomputed: at(&new),
+    })
+}
+
+/// What a sweep does with the rows it computed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Sink {
+    /// Write `results/<name>.csv`.
+    Write,
+    /// Compare with the committed `results/<name>.csv`; write nothing.
+    Check,
+    /// Neither: the environment injects faults (`UTS_CHAOS_*` /
+    /// `UTS_STEAL_TIMEOUT_NS`), so the numbers are not the committed
+    /// experiment's.
+    Discard,
+}
+
+impl Sink {
+    /// `--check` or not, unless the environment injects faults.
+    pub fn from_args(check: bool) -> Sink {
+        let env = sim_config(Algorithm::DistMem, 8);
+        if env.faults.is_active() || env.steal_timeout_ns.is_some() {
+            Sink::Discard
+        } else if check {
+            Sink::Check
+        } else {
+            Sink::Write
+        }
+    }
+
+    /// The one way rows leave a sweep: write `results/<name>.csv`, or check
+    /// it against a recomputation ([`compare_csv`]), or neither. The error
+    /// names the file and the first stale line.
+    pub fn emit(
+        self,
+        name: &str,
+        header: &str,
+        rows: &[String],
+        wall_clock_columns: usize,
+    ) -> Result<(), String> {
+        let path = format!("results/{name}.csv");
+        let fresh = format!("{header}\n{}\n", rows.join("\n"));
+        match self {
+            Sink::Discard => println!("fault environment: {path} neither written nor checked"),
+            Sink::Write => {
+                fs::create_dir_all("results")
+                    .and_then(|()| fs::write(&path, fresh))
+                    .map_err(|e| format!("cannot write {path}: {e}"))?;
+                println!("wrote {path}");
+            }
+            Sink::Check => {
+                let committed =
+                    fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+                let n = compare_csv(&committed, &fresh, wall_clock_columns).map_err(|s| {
+                    format!(
+                        "{path} is stale (first difference on line {}):\n  committed: {}\n  \
+                         recomputed: {}\nregenerate it by running the same command without --check",
+                        s.line, s.committed, s.recomputed
+                    )
+                })?;
+                println!("{path} is current ({n} rows)");
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Parse `--flag value` style options from argv (tiny, dependency-free).
@@ -253,6 +279,38 @@ pub fn machine_by_name(name: &str) -> MachineModel {
     }
 }
 
+/// The short name every command line takes for an algorithm (`uts_cli -A`,
+/// `conductor_bench --alg`, the chaos soak's repro lines), read both ways.
+const ALGORITHM_NAMES: [(&str, Algorithm); 7] = [
+    ("sharedmem", Algorithm::SharedMem),
+    ("term", Algorithm::Term),
+    ("rapdif", Algorithm::TermRapdif),
+    ("distmem", Algorithm::DistMem),
+    ("mpi", Algorithm::MpiWs),
+    ("hier", Algorithm::Hier),
+    ("push", Algorithm::Pushing),
+];
+
+/// Algorithm by short name or by its paper label ([`Algorithm::label`]).
+pub fn algorithm_by_name(name: &str) -> Algorithm {
+    ALGORITHM_NAMES
+        .iter()
+        .find(|(short, alg)| *short == name || alg.label() == name)
+        .map(|&(_, alg)| alg)
+        .unwrap_or_else(|| {
+            panic!("unknown algorithm '{name}' (sharedmem|term|rapdif|distmem|mpi|hier|push, or a paper label)")
+        })
+}
+
+/// The short name [`algorithm_by_name`] resolves back to `alg`.
+pub fn algorithm_name(alg: Algorithm) -> &'static str {
+    ALGORITHM_NAMES
+        .iter()
+        .find(|(_, a)| *a == alg)
+        .map(|(short, _)| *short)
+        .expect("every Algorithm variant is in ALGORITHM_NAMES")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,7 +320,7 @@ mod tests {
         let p = uts_tree::presets::t_tiny();
         let gen = UtsGen::new(p.spec);
         let m = MachineModel::smp();
-        let row = measure(&m, 2, &gen, Algorithm::DistMem, 2, p.expected.nodes);
+        let (_, row) = measure(&m, 2, &gen, &sim_config(Algorithm::DistMem, 2), p.expected.nodes);
         assert_eq!(row.nodes, p.expected.nodes);
         assert!(row.t_virtual > 0.0);
         assert!(row.mnodes_per_sec > 0.0);
@@ -277,6 +335,47 @@ mod tests {
         for m in ["kittyhawk", "topsail", "altix", "smp"] {
             let _ = machine_by_name(m);
         }
+    }
+
+    #[test]
+    fn algorithm_names_read_both_ways() {
+        for alg in Algorithm::all() {
+            assert_eq!(algorithm_by_name(algorithm_name(alg)), alg);
+            assert_eq!(algorithm_by_name(alg.label()), alg);
+        }
+    }
+
+    const COMMITTED: &str = "algorithm,threads,t_virtual_s,t_real_s\nupc-distmem,256,0.0243,5.45\nmpi-ws,256,0.0295,31.54\n";
+
+    #[test]
+    fn wall_clock_only_difference_passes() {
+        let fresh = COMMITTED.replace("5.45", "7.01").replace("31.54", "0.5");
+        assert_eq!(compare_csv(COMMITTED, &fresh, 1), Ok(2));
+        // With no wall-clock column the same difference is a stale file.
+        assert_eq!(compare_csv(COMMITTED, &fresh, 0).unwrap_err().line, 2);
+    }
+
+    #[test]
+    fn doctored_virtual_column_is_reported_at_its_line() {
+        let fresh = COMMITTED.replace("0.0295", "0.0296");
+        assert_eq!(
+            compare_csv(COMMITTED, &fresh, 1),
+            Err(Stale {
+                line: 3,
+                committed: "mpi-ws,256,0.0295".to_string(),
+                recomputed: "mpi-ws,256,0.0296".to_string(),
+            })
+        );
+    }
+
+    #[test]
+    fn missing_or_extra_row_fails() {
+        let short = COMMITTED.rsplit_once("mpi-ws").unwrap().0;
+        let end = "<end of file>".to_string();
+        let missing = compare_csv(COMMITTED, short, 1).unwrap_err();
+        assert_eq!((missing.line, missing.recomputed), (3, end.clone()));
+        let extra = compare_csv(short, COMMITTED, 1).unwrap_err();
+        assert_eq!((extra.line, extra.committed), (3, end));
     }
 
     #[test]

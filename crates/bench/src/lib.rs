@@ -1,4 +1,6 @@
-//! Shared helpers for the figure-reproduction binaries. See `src/bin/`.
+//! The experiment table behind the `exp` binary and the plumbing every
+//! harness binary shares. See `src/bin/`.
 #![warn(missing_docs)]
 
+pub mod exp;
 pub mod harness;

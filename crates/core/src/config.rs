@@ -75,10 +75,6 @@ pub struct RunConfig {
     /// k represents a tradeoff between load imbalance and communication
     /// costs").
     pub chunk_size: usize,
-    /// Local-region depth that triggers a release. The paper releases "when
-    /// the local region has built up a comfortable stack depth (at least 2k
-    /// in our implementation)".
-    pub release_depth: usize,
     /// For polling implementations (DistMem victim polling, MpiWs): number
     /// of nodes explored between polls for incoming requests. A node whose
     /// expansion itself communicated is followed by a poll regardless
@@ -166,7 +162,6 @@ impl RunConfig {
         RunConfig {
             algorithm,
             chunk_size,
-            release_depth: 2 * chunk_size,
             poll_interval: 8,
             seed: 0x5EED_CAFE,
             trace: false,
@@ -294,12 +289,6 @@ mod tests {
         assert_eq!(Algorithm::TermRapdif.label(), "upc-term-rapdif");
         assert_eq!(Algorithm::DistMem.label(), "upc-distmem");
         assert_eq!(Algorithm::MpiWs.label(), "mpi-ws");
-    }
-
-    #[test]
-    fn default_release_depth_is_twice_chunk() {
-        let cfg = RunConfig::new(Algorithm::Term, 16);
-        assert_eq!(cfg.release_depth, 32);
     }
 
     /// All env-chaos cases in one test: env vars are process-global and the

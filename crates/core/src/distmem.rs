@@ -107,7 +107,7 @@ impl<T: Item, C: Comm<T>> StealTransport<T, C> for DistMemTransport {
     }
 
     fn maybe_release(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx) -> bool {
-        if !stack.should_release(cx.cfg.release_depth) {
+        if !stack.should_release() {
             return false;
         }
         release(comm, stack, &mut cx.res);

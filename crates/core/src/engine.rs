@@ -51,15 +51,13 @@ pub(crate) fn finish_worker<T: Item, C: Comm<T>>(
 /// The E18 guard: auto-clamp the release heuristic when the workload's
 /// ready frontier cannot feed it.
 ///
-/// The paper's release trigger fires at local depth
-/// `max(release_depth, 2k)` — sized for trees, whose DFS frontier grows
-/// with the subtree. A DAG with a bounded ready frontier `F`
+/// The paper's release trigger fires at local depth `2k` — sized for
+/// trees, whose DFS frontier grows with the subtree. A DAG with a bounded ready frontier `F`
 /// ([`TaskGen::frontier_hint`]) narrower than that threshold per thread can
 /// *never* trigger a release: every stack stays below the threshold and the
 /// run silently serialises at k > 1 (the E18 wavefront foot-gun). When the
 /// per-thread frontier share `max(1, F/p)` is below `2k`, clamp the chunk
-/// to half that share and the release depth to twice the clamped chunk, and
-/// warn once (thread 0). Tree workloads hint `None` and are untouched —
+/// to half that share, and warn once (thread 0). Tree workloads hint `None` and are untouched —
 /// their configs, schedules, and CSVs stay bit-identical.
 fn clamp_release_to_frontier<G, C>(comm: &C, gen: &G, cfg: &RunConfig) -> RunConfig
 where
@@ -71,26 +69,23 @@ where
         return cfg;
     };
     let share = (frontier / comm.n_threads() as u64).max(1) as usize;
-    if 2 * cfg.chunk_size <= share && cfg.release_depth <= share {
+    if 2 * cfg.chunk_size <= share {
         return cfg;
     }
     let k = (share / 2).max(1).min(cfg.chunk_size);
-    let depth = (2 * k).min(cfg.release_depth).max(1);
-    if k == cfg.chunk_size && depth == cfg.release_depth {
+    if k == cfg.chunk_size {
         return cfg; // already as small as the clamp would go
     }
     if comm.my_id() == 0 {
         eprintln!(
             "[engine] warning: ready frontier ≤ {frontier} can never reach the \
-             release threshold (k={}, release_depth={}) on {} threads; \
-             clamping to k={k}, release_depth={depth} so work can move",
+             release threshold 2k (k={}) on {} threads; \
+             clamping to k={k} so work can move",
             cfg.chunk_size,
-            cfg.release_depth,
             comm.n_threads(),
         );
     }
     cfg.chunk_size = k;
-    cfg.release_depth = depth;
     cfg
 }
 
@@ -443,7 +438,7 @@ mod tests {
     /// E18 regression: a DAG whose ready frontier is far below the release
     /// threshold must still move work (the clamp in
     /// [`clamp_release_to_frontier`]); pre-clamp such runs silently
-    /// serialised because no stack ever reached `max(release_depth, 2k)`.
+    /// serialised because no stack ever reached `2k`.
     #[test]
     fn narrow_dag_release_clamp_keeps_parallelism() {
         use crate::workload::{DagWorkload, Wavefront};

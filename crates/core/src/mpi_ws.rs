@@ -81,7 +81,7 @@ impl<T: Item> MpiTransport<T> {
 
     /// Answer every queued steal request: chunks of the oldest local nodes
     /// if we hold a comfortable surplus, a denial otherwise. The keep
-    /// threshold is `release_depth.max(2k)`; the policy sizes its grant from
+    /// threshold is `2k`; the policy sizes its grant from
     /// the spare chunks above it, shipped as one message.
     fn service_requests<C>(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx)
     where
@@ -92,7 +92,7 @@ impl<T: Item> MpiTransport<T> {
             if cx.recovery.is_gone(req.src) {
                 continue; // a dead or evicted thief cannot consume a grant
             }
-            let threshold = cx.cfg.release_depth.max(2 * stack.k);
+            let threshold = 2 * stack.k;
             if stack.local_len() >= threshold {
                 let spare = (stack.local_len() - threshold) / stack.k + 1;
                 let give = self.sp.amount(spare).clamp(1, spare);

@@ -90,7 +90,7 @@ impl<T: Item, C: Comm<T>> StealTransport<T, C> for PushTransport<T> {
     fn maybe_release(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx) -> bool {
         // Surplus? Push the oldest chunk at a random peer. The sender pays
         // the cost — the defining anti-"work-first" property.
-        if self.n <= 1 || !stack.should_release(cx.cfg.release_depth) {
+        if self.n <= 1 || !stack.should_release() {
             return false;
         }
         let mut target = self.rng.below(self.n - 1);

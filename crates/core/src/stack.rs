@@ -111,9 +111,10 @@ impl<T: Item> DfsStack<T> {
         offset
     }
 
-    /// Should the owner release? (§3.1: local depth at least `release_depth`.)
-    pub fn should_release(&self, release_depth: usize) -> bool {
-        self.local.len() >= release_depth && self.local.len() >= 2 * self.k
+    /// Should the owner release? §3.1: "when the local region has built up a
+    /// comfortable stack depth (at least 2k in our implementation)".
+    pub fn should_release(&self) -> bool {
+        self.local.len() >= 2 * self.k
     }
 
     /// Can the whole area below `base` be reclaimed? True when nothing is
@@ -194,14 +195,12 @@ mod tests {
     }
 
     #[test]
-    fn should_release_respects_both_bounds() {
+    fn should_release_at_twice_the_chunk_size() {
         let mut s: DfsStack<u32> = DfsStack::new(4);
         s.push_all(&[0; 7]);
-        // 7 < 2k = 8: never release even with a lower configured depth.
-        assert!(!s.should_release(6));
+        assert!(!s.should_release());
         s.push(1);
-        assert!(s.should_release(8));
-        assert!(!s.should_release(9));
+        assert!(s.should_release());
     }
 
     #[test]

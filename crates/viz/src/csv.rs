@@ -1,7 +1,7 @@
 //! Minimal reader for the harness's `results/*.csv` files.
 //!
 //! The format is fixed (comma-separated, one header row, no quoting —
-//! produced by `uts-bench::harness::write_csv`), so a full CSV parser is
+//! produced by `uts-bench::harness::Sink::emit`), so a full CSV parser is
 //! unnecessary.
 
 use std::collections::HashMap;
