@@ -1,10 +1,11 @@
 //! DAG-vs-tree policy sweep with per-row theory checks (EXPERIMENTS.md E18).
 //!
 //! Runs the DAG workload families (`worksteal::workload`) and a binomial
-//! tree baseline through one policy bundle per transport — locked,
-//! one-sided distmem, message passing, plus hierarchical victims — at two
-//! thread counts, and checks **every row** against the steal bound
-//! (`successful_steals ≤ factor · p · D`, arxiv 1706.03184) and
+//! tree baseline through six policy bundles — the locked transport under
+//! both barriers and both steal amounts, one-sided distmem, message passing,
+//! hierarchical victims — at two thread counts, and checks **every row**
+//! against the steal bound (`successful_steals ≤ factor · p · D`, arxiv
+//! 1706.03184) and
 //! conservation before it is written. A violated bound aborts the run:
 //! the CSV never contains a row the theory harness rejected.
 //!
@@ -154,9 +155,12 @@ fn main() {
     let preset = if smoke { presets::t_tiny() } else { presets::t_s() };
     let tree_gen = UtsGen::new(preset.spec);
 
-    // One bundle per transport, plus hierarchical victims on distmem.
+    // Every transport, and on the locked one steal-one × steal-half and
+    // cancelable × streamlined: the bundles a release-policy change can move.
     let algs = [
+        Algorithm::SharedMem,
         Algorithm::Term,
+        Algorithm::TermRapdif,
         Algorithm::DistMem,
         Algorithm::MpiWs,
         Algorithm::Hier,

@@ -23,6 +23,20 @@
 //! one-line configurations instead of new algorithm modules. Service mode
 //! ([`crate::service`]) is a detector swap on the same driver.
 //!
+//! **The release rule.** A transport says *how* a chunk leaves the local
+//! region ([`StealTransport::maybe_release`]); `drive` alone says when and
+//! how many. A rank whose expansions are pure — every tree — moves one chunk
+//! per node once its local region holds 2k (the paper's §3.1 rule, sized for
+//! a 418 ns node). A rank whose most recent expansion waited on the network
+//! (it issued an atomic, the observation the poll rule already makes) moves
+//! **all** its surplus wherever its stack just grew: after that expansion,
+//! and on its next entry to [`State::Working`], before the first task of a
+//! stolen batch is popped. Such a task is tens of microseconds of round
+//! trips, and a burst it emits — or a batch it was granted — would otherwise
+//! leave one chunk per round trip. The detector hears of a burst once
+//! ([`TerminationDetector::on_release`]). EXPERIMENTS.md E18 has the
+//! measurements.
+//!
 //! **Bit-identity contract**: for the seven seed bundles, the sequence of
 //! [`Comm`] operations issued by `drive` is identical, call for call, to the
 //! pre-refactor monolithic loops. On the virtual-time simulator every comm
@@ -193,9 +207,10 @@ pub trait StealTransport<T: Item, C: Comm<T>> {
     /// that itself communicated.
     fn poll(&mut self, _comm: &mut C, _stack: &mut DfsStack<T>, _cx: &mut Cx) {}
 
-    /// Release surplus work if the local region is deep enough. Returns
-    /// `true` if a release happened (the termination detector may need to
-    /// know — the §3.1 cancelable barrier resets on every release).
+    /// Release one chunk of surplus work if the local region is deep enough.
+    /// Returns `true` if a release happened. How often it is asked, and what
+    /// the termination detector hears of it, is [`drive`]'s release rule
+    /// (module docs) — nothing else calls this.
     fn maybe_release(&mut self, _comm: &mut C, _stack: &mut DfsStack<T>, _cx: &mut Cx) -> bool {
         false
     }
@@ -302,6 +317,10 @@ where
     cx.recovery = Recovery::new(me, comm.n_threads(), &cfg.faults);
     let crash = cx.recovery.active;
     let mut scratch: Vec<G::Task> = Vec::new();
+    // This rank's most recent expansion waited on the network (module docs,
+    // "The release rule"). Outlives the working loop: the rule also holds
+    // for the batch a steal lands while the rank is idle.
+    let mut communicated = false;
 
     let seed_root = td.start(comm, &mut transport, &mut cx);
     transport.init(comm, &mut cx);
@@ -312,6 +331,12 @@ where
     'outer: loop {
         // ------------------------------------------------- Working (Fig. 1)
         cx.enter(comm, State::Working);
+        // A steal or an adoption just landed: a rank whose tasks wait on
+        // the network re-advertises the batch before its first task, not
+        // one chunk per round trip behind it.
+        if communicated {
+            release_surplus(comm, &mut stack, &mut transport, &mut td, &mut cx, true);
+        }
         let mut since_poll = 0;
         let mut died = false;
         loop {
@@ -348,7 +373,7 @@ where
             // per node is what a 100 ns native tree node can afford.
             let atomics_before = comm.stats().atomics;
             gen.expand_in(comm, &node, &mut scratch);
-            let communicated = comm.stats().atomics != atomics_before;
+            communicated = comm.stats().atomics != atomics_before;
             td.on_expand(comm, &node, scratch.len(), &mut cx);
             stack.push_all(&scratch);
             comm.work(gen.work_units(&node));
@@ -362,9 +387,7 @@ where
                 since_poll = 0;
                 transport.poll(comm, &mut stack, &mut cx);
             }
-            if transport.maybe_release(comm, &mut stack, &mut cx) {
-                td.on_release(comm);
-            }
+            release_surplus(comm, &mut stack, &mut transport, &mut td, &mut cx, communicated);
         }
 
         if !died {
@@ -412,6 +435,31 @@ where
 
     transport.finish(comm, &mut stack, &mut cx);
     cx.into_result(comm)
+}
+
+/// The release policy, written once: move one surplus chunk to the shared
+/// region (the paper's §3.1 rule, one per node), or — `all`, for a rank whose
+/// tasks wait on the network — every surplus chunk the stack holds. The
+/// detector hears of the burst once: one [`TerminationDetector::on_release`]
+/// wakes every waiter, and the releaser is outside the barrier.
+fn release_surplus<T, C, ST, TD>(
+    comm: &mut C,
+    stack: &mut DfsStack<T>,
+    transport: &mut ST,
+    td: &mut TD,
+    cx: &mut Cx,
+    all: bool,
+) where
+    T: Item,
+    C: Comm<T>,
+    ST: StealTransport<T, C>,
+    TD: TerminationDetector<T, C>,
+{
+    if !transport.maybe_release(comm, stack, cx) {
+        return;
+    }
+    while all && transport.maybe_release(comm, stack, cx) {}
+    td.on_release(comm);
 }
 
 /// A rank observed its own eviction fence: fold everything the old

@@ -37,9 +37,11 @@ pub trait TaskGen: Sync {
     /// task's readiness is globally visible before the task can be stolen.
     /// An expansion that issues an atomic ([`Comm::add`], [`Comm::add_many`],
     /// [`Comm::cas`] — what deciding "this completion made the task ready"
-    /// takes) is followed by a transport poll ([`crate::sched::drive`]): its
-    /// owner has just waited on the network and answers pending steal
-    /// requests before the next task.
+    /// takes) is followed by a transport poll *and by release of all surplus*
+    /// ([`crate::sched::drive`]): its owner has just waited on the network,
+    /// so it answers pending steal requests and advertises every chunk it
+    /// can spare before the next task — and, until a pure expansion follows,
+    /// re-shares a stolen batch before that batch's first task.
     fn expand_in<C: Comm<Self::Task>>(
         &self,
         comm: &mut C,

@@ -3,10 +3,16 @@
 //! reproduce the named algorithms they are supposed to equal — on the
 //! virtual-time simulator, *bit*-equal.
 
-use pgas::{Distance, MachineModel};
+use std::sync::Mutex;
+
+use pgas::{Comm, Distance, MachineModel};
 use proptest::prelude::*;
 use worksteal::probe::ProbeOrder;
-use worksteal::{run_sim, Algorithm, RunConfig, StealPolicyKind, UtsGen, VictimPolicy};
+use worksteal::trace::Event;
+use worksteal::{
+    run_native, run_sim, vars, Algorithm, RunConfig, RunReport, StealPolicyKind, TaskGen, UtsGen,
+    VictimPolicy,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -157,6 +163,210 @@ fn non_paper_bundles_conserve_nodes() {
                     alg.label(),
                     vp.label(),
                     sp.label()
+                );
+            }
+        }
+    }
+}
+
+// ------------------------------------------------------- the release rule
+// `sched::drive`: a rank whose most recent expansion waited on the network
+// releases *all* surplus wherever its stack just grew — after that expansion
+// and on the next entry to `State::Working` — and tells the detector once
+// per burst; a rank whose expansions are pure releases one chunk per node.
+//
+// Recorded mutants (ROADMAP item 11; break `crates/core/src/sched/mod.rs` by
+// hand, run this file, restore):
+//
+// 1. *entry release dropped* — delete the `if communicated { release_surplus(.., true) }`
+//    under `cx.enter(comm, State::Working)`. Trips
+//    `a_stolen_batch_is_reshared_before_its_first_task`:
+//    "upc-term-rapdif fiber: rank 0 re-shared this many of the 2 chunks it
+//    stole at t=64329 before its next task" (`left: 0, right: 1`).
+// 2. *cancel per chunk* — move `td.on_release(comm)` of `release_surplus`
+//    inside the `while`. Trips `a_burst_leaves_in_one_release`:
+//    "upc-sharedmem fiber waits=true: barrier cancels" (`left: 8, right: 1`).
+
+/// A complete `fanout`-ary tree of the given depth whose task is its own
+/// depth. With `waits`, every expansion first issues one `Comm::add` (what a
+/// DAG task's dependency publication looks like to the driver); without, the
+/// expansion is pure, like a UTS node. Either way it then notes what the
+/// rank's partition advertised at that moment — the driver counts a task
+/// (`nodes += 1`) immediately before expanding it, with no operation between.
+struct Fanout {
+    fanout: u64,
+    depth: u64,
+    waits: bool,
+    seen: Mutex<Vec<Seen>>,
+}
+
+/// One expansion, as the generator saw it.
+#[derive(Clone, Copy, Debug)]
+struct Seen {
+    rank: usize,
+    /// `Comm::now()` on entry to the expansion.
+    t_ns: u64,
+    /// The rank's own `WORK_AVAIL`.
+    avail: i64,
+    /// The §3.1 barrier's `CANCEL_EPOCH` (thread 0).
+    cancels: i64,
+}
+
+impl Fanout {
+    fn new(fanout: u64, depth: u64, waits: bool) -> Fanout {
+        Fanout { fanout, depth, waits, seen: Mutex::new(Vec::new()) }
+    }
+
+    fn n_tasks(&self) -> u64 {
+        (0..=self.depth).map(|d| self.fanout.pow(d as u32)).sum()
+    }
+
+    /// Expansions of `rank` in time order.
+    fn seen_by(&self, rank: usize) -> Vec<Seen> {
+        let mut seen: Vec<Seen> =
+            self.seen.lock().unwrap().iter().copied().filter(|s| s.rank == rank).collect();
+        seen.sort_by_key(|s| s.t_ns);
+        seen
+    }
+}
+
+impl TaskGen for Fanout {
+    type Task = u64;
+
+    fn root(&self) -> u64 {
+        0
+    }
+
+    fn expand(&self, task: &u64, out: &mut Vec<u64>) -> u32 {
+        if *task == self.depth {
+            return 0;
+        }
+        out.extend((0..self.fanout).map(|_| task + 1));
+        self.fanout as u32
+    }
+
+    fn expand_in<C: Comm<u64>>(&self, comm: &mut C, task: &u64, out: &mut Vec<u64>) -> u32 {
+        let rank = comm.my_id();
+        let t_ns = comm.now();
+        let avail = comm.get(rank, vars::WORK_AVAIL);
+        let cancels = comm.get(0, vars::CANCEL_EPOCH);
+        self.seen.lock().unwrap().push(Seen { rank, t_ns, avail, cancels });
+        if self.waits {
+            comm.add(rank, vars::DAG_BASE, 1);
+        }
+        self.expand(task, out)
+    }
+
+    fn extra_scalars(&self, _n_threads: usize) -> usize {
+        1
+    }
+}
+
+/// The three substrates the rule must hold on: the fiber conductor, the
+/// reference conductor (`with_lookahead(false)`) and real threads.
+const SUBSTRATES: [&str; 3] = ["fiber", "reference", "native"];
+
+fn run_traced(substrate: &str, threads: usize, gen: &Fanout, alg: Algorithm) -> RunReport {
+    let mut cfg = RunConfig::new(alg, 1);
+    cfg.trace = true;
+    cfg.sim_lookahead = substrate == "fiber";
+    let report = if substrate == "native" {
+        run_native(MachineModel::smp(), threads, gen, &cfg).expect("fault-free config")
+    } else {
+        run_sim(MachineModel::kittyhawk(), threads, gen, &cfg)
+    };
+    assert_eq!(report.total_nodes, gen.n_tasks(), "{} {substrate}: conservation", alg.label());
+    report
+}
+
+/// `Event::Release`s of one rank's log with `from < t_ns <= to`: a release
+/// costs time, and on the simulator nothing separates the last one from the
+/// expansion that follows it.
+fn releases_between(events: &[Event], from: u64, to: u64) -> usize {
+    events
+        .iter()
+        .filter(|e| matches!(e, Event::Release { t_ns } if from < *t_ns && *t_ns <= to))
+        .count()
+}
+
+/// One expansion that waited on the network and emitted m tasks: at k=1 all
+/// m − 1 surplus chunks are advertised before the next task starts, and the
+/// cancelable barrier is reset once for the burst, not once per chunk. The
+/// same expansion without the wait releases one chunk, as every tree does.
+#[test]
+fn a_burst_leaves_in_one_release() {
+    const M: u64 = 9;
+    for substrate in SUBSTRATES {
+        for alg in [Algorithm::SharedMem, Algorithm::Term, Algorithm::DistMem] {
+            for waits in [true, false] {
+                let what = format!("{} {substrate} waits={waits}", alg.label());
+                let gen = Fanout::new(M, 1, waits);
+                let report = run_traced(substrate, 1, &gen, alg);
+                let seen = gen.seen_by(0);
+                let events = &report.per_thread[0].events;
+                assert_eq!(seen.len() as u64, 1 + M, "{what}: expansions");
+                // Between the root's expansion and the first child's.
+                let want = if waits { M - 1 } else { 1 };
+                assert_eq!(seen[1].avail, want as i64, "{what}: advertised chunks");
+                assert_eq!(
+                    releases_between(events, seen[0].t_ns, seen[1].t_ns) as u64,
+                    want,
+                    "{what}: releases"
+                );
+                if alg == Algorithm::SharedMem {
+                    assert_eq!(seen[0].cancels, 0, "{what}: barrier cancels before the root");
+                    assert_eq!(seen[1].cancels, 1, "{what}: barrier cancels");
+                }
+                // A leaf emits nothing: a waiting rank has no surplus left to
+                // move, a pure one keeps releasing one chunk per node.
+                for pair in seen[1..].windows(2) {
+                    let n = releases_between(events, pair[0].t_ns, pair[1].t_ns);
+                    assert!(n <= usize::from(!waits), "{what}: {n} releases after one leaf");
+                }
+            }
+        }
+    }
+}
+
+/// A thief that has waited on the network before and is granted c ≥ 2 chunks
+/// advertises c − 1 of them before it starts its first task; a thief on a
+/// pure workload starts working at once, as every tree thief does. (Real
+/// threads may finish the tree before anyone steals twice, so only the
+/// simulator legs insist that the case occurred.)
+#[test]
+fn a_stolen_batch_is_reshared_before_its_first_task() {
+    const P: usize = 4;
+    for substrate in SUBSTRATES {
+        for alg in [Algorithm::TermRapdif, Algorithm::DistMem] {
+            for waits in [true, false] {
+                let gen = Fanout::new(6, 3, waits);
+                let report = run_traced(substrate, P, &gen, alg);
+                let mut batches = 0;
+                for rank in 0..P {
+                    let seen = gen.seen_by(rank);
+                    let events = &report.per_thread[rank].events;
+                    for e in events {
+                        let &Event::StealOk { t_ns, chunks, .. } = e else { continue };
+                        // A rank that has never expanded has never waited.
+                        if chunks < 2 || seen.first().is_none_or(|s| s.t_ns >= t_ns) {
+                            continue;
+                        }
+                        let Some(next) = seen.iter().find(|s| s.t_ns >= t_ns) else { continue };
+                        batches += 1;
+                        let want = if waits { chunks as usize - 1 } else { 0 };
+                        assert_eq!(
+                            releases_between(events, t_ns, next.t_ns),
+                            want,
+                            "{} {substrate}: rank {rank} re-shared this many of the {chunks} \
+                             chunks it stole at t={t_ns} before its next task",
+                            alg.label()
+                        );
+                    }
+                }
+                assert!(
+                    batches > 0 || substrate == "native",
+                    "{} {substrate} waits={waits}: no thief was granted two chunks",
+                    alg.label()
                 );
             }
         }

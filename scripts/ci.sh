@@ -25,6 +25,11 @@ echo "== sched shape =="
 # One worker driver: sched::drive is the only function that enters Working.
 [ "$(grep -rF 'cx.enter(comm, State::Working)' crates/core/src | wc -l)" -eq 1 ] ||
   { echo "more than one function enters State::Working under crates/core/src" >&2; exit 1; }
+# One release policy, in the driver: a transport says how a chunk is released
+# (`fn maybe_release`), only sched::drive's helper says when and how many.
+if grep -rn '\.maybe_release(' crates/core/src | grep -v '^crates/core/src/sched/mod.rs:'; then
+  echo "maybe_release is called outside crates/core/src/sched/mod.rs" >&2; exit 1
+fi
 # Victim order and steal amount are closed axes: enums, not traits.
 if grep -rnE 'VictimSelector|trait StealPolicy' crates/; then
   echo "the victim-order / steal-amount axes grew a trait again" >&2; exit 1

@@ -14,10 +14,10 @@
 //!
 //! The matrix covers batch (UTS trees, on every machine preset — the reach
 //! window's width is a cost ratio), service mode, crash faults, membership
-//! faults, all three DAG families plus a wide layered DAG at p=64 (overlapping
-//! split-phase batches), and a conflict-storm stress case of raw cross-thread
-//! put/get chains. The reference conductor pays a kernel round
-//! trip per operation, so the big legs are sized by what it can finish; the
+//! faults, all three DAG families plus a wide layered DAG (overlapping
+//! split-phase batches) and a wide fork-join (burst releases) at p=64, and a
+//! conflict-storm stress case of raw cross-thread put/get chains. The
+//! reference conductor pays a kernel round trip per operation, so the big legs are sized by what it can finish; the
 //! random programs of `crates/pgas/src/sim/reach_tests.rs` are the sharper
 //! oracle per second spent.
 
@@ -171,6 +171,31 @@ fn wide_layered_dag_64_threads() {
         let fiber = assert_dag_equivalent(&rl, "wide-layered", alg, 64);
         let steals: u64 = fiber.results.iter().map(|r| r.steals_ok).sum();
         assert!(steals > 64, "{}: {steals} steals moved nothing much", alg.label());
+    }
+}
+
+/// A fork emits its whole diamond in one expansion that waited on the
+/// network, so `drive` releases `width − 1` chunks back to back, cancels the
+/// §3.1 barrier once for all of them, and every steal-half thief re-shares
+/// its batch on entry to the working loop — through the cancelable barrier,
+/// the locked steal-half transport and the lock-less one.
+#[test]
+fn wide_fork_join_64_threads() {
+    let fj = DagWorkload::new(ForkJoin {
+        levels: 3,
+        width: 64,
+        seed: 11,
+    });
+    for alg in [Algorithm::SharedMem, Algorithm::TermRapdif, Algorithm::DistMem] {
+        let fiber = assert_dag_equivalent(&fj, "wide-fork-join", alg, 64);
+        let releases: u64 = fiber.results.iter().map(|r| r.releases).sum();
+        // A fork keeps one task of its burst; only a steal-half thief holds
+        // a batch to re-share.
+        if alg == Algorithm::SharedMem {
+            assert_eq!(releases, 3 * 63, "{}: forks alone release", alg.label());
+        } else {
+            assert!(releases > 3 * 63, "{}: no thief re-shared its batch", alg.label());
+        }
     }
 }
 

@@ -6,7 +6,8 @@ use pgas::MachineModel;
 use uts_dlb::tree::presets;
 use uts_dlb::worksteal::theory::{self, DEFAULT_STEAL_FACTOR};
 use uts_dlb::worksteal::{
-    run_native, run_sim, Algorithm, DagWorkload, RandomLayered, RunConfig, TaskGen, UtsGen,
+    run_native, run_sim, Algorithm, DagGen, DagWorkload, ForkJoin, RandomLayered, RunConfig,
+    TaskGen, UtsGen,
 };
 
 #[test]
@@ -61,14 +62,18 @@ fn sim_native_logical_agreement() {
 /// run satisfies the same theory checks as a simulated one.
 #[test]
 fn native_dag_conserves_exactly() {
-    let dag = DagWorkload::new(RandomLayered::new(8, 24, 200, 5));
-    let depth = dag.critical_path_len().expect("DAGs know their depth");
-    for alg in [Algorithm::Term, Algorithm::DistMem, Algorithm::MpiWs] {
-        let cfg = RunConfig::new(alg, 1);
-        let report = run_native(MachineModel::smp(), 4, &dag, &cfg)
-            .expect("fault-free config runs natively");
-        assert_eq!(report.total_nodes, dag.n_tasks(), "{} native", alg.label());
-        theory::check_run(&report, dag.n_tasks(), depth, DEFAULT_STEAL_FACTOR, false)
-            .unwrap_or_else(|e| panic!("{} native: {e}", alg.label()));
+    fn check<G: DagGen>(dag: &DagWorkload<G>, name: &str) {
+        let depth = dag.critical_path_len().expect("DAGs know their depth");
+        for alg in [Algorithm::Term, Algorithm::DistMem, Algorithm::MpiWs] {
+            let cfg = RunConfig::new(alg, 1);
+            let report = run_native(MachineModel::smp(), 4, dag, &cfg)
+                .expect("fault-free config runs natively");
+            assert_eq!(report.total_nodes, dag.n_tasks(), "{name} {} native", alg.label());
+            theory::check_run(&report, dag.n_tasks(), depth, DEFAULT_STEAL_FACTOR, false)
+                .unwrap_or_else(|e| panic!("{name} {} native: {e}", alg.label()));
+        }
     }
+    check(&DagWorkload::new(RandomLayered::new(8, 24, 200, 5)), "layered");
+    // Bursts of `width`: a fork makes 24 tasks ready in one expansion.
+    check(&DagWorkload::new(ForkJoin { levels: 8, width: 24, seed: 5 }), "fork-join");
 }
