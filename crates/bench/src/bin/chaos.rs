@@ -6,8 +6,11 @@
 //! request timeout armed (see `docs/faults.md`). Each run must count the
 //! tree exactly (checked against a sequential traversal) — the in-band
 //! reduction inside the engine independently cross-checks the same total on
-//! every thread. A run that livelocks trips the virtual-time watchdogs in a
-//! debug build, or the `--budget-s` wall-clock bound here in release.
+//! every thread. A run that livelocks runs out of fuel
+//! ([`pgas::sim::FUEL_NS`]) and panics, in release as in debug builds.
+//! `--budget-s` bounds the sweep, not a run: it is checked between runs, so
+//! it cannot interrupt a hung one, but it fails a sweep that terminates too
+//! slowly.
 //!
 //! Per algorithm the soak reports makespan inflation versus the fault-free
 //! baseline, plus the hardening counters (timeouts, retracts won/lost,
@@ -211,7 +214,7 @@ fn main() {
                 if t0.elapsed().as_secs() > budget_s {
                     eprintln!(
                         "VIOLATION: wall-clock budget {budget_s}s exceeded at \
-                     {} seed {seed} — livelock suspected",
+                     {} seed {seed} — sweep too slow",
                         alg.label()
                     );
                     violations += 1;
@@ -276,7 +279,7 @@ fn main() {
                 if t0.elapsed().as_secs() > budget_s {
                     eprintln!(
                         "VIOLATION: wall-clock budget {budget_s}s exceeded at \
-                     {} crash seed {seed} — livelock suspected",
+                     {} crash seed {seed} — sweep too slow",
                         alg.label()
                     );
                     violations += 1;
@@ -347,7 +350,7 @@ fn main() {
                 if t0.elapsed().as_secs() > budget_s {
                     eprintln!(
                         "VIOLATION: wall-clock budget {budget_s}s exceeded at \
-                         {} membership plan {i} — livelock suspected",
+                         {} membership plan {i} — sweep too slow",
                         alg.label()
                     );
                     violations += 1;
@@ -453,7 +456,7 @@ fn main() {
                 if t0.elapsed().as_secs() > budget_s {
                     eprintln!(
                         "VIOLATION: wall-clock budget {budget_s}s exceeded at \
-                         {} membership service plan {i} — livelock suspected",
+                         {} membership service plan {i} — sweep too slow",
                         alg.label()
                     );
                     violations += 1;

@@ -14,7 +14,6 @@ use pgas::comm::Item;
 use pgas::Comm;
 
 use crate::vars;
-use crate::watchdog::Watchdog;
 
 /// Backoff charged between barrier spin iterations (models the pause a real
 /// implementation inserts between remote flag reads).
@@ -65,9 +64,7 @@ impl CancelableBarrier {
         }
         comm.unlock(0, vars::BARRIER_LOCK);
 
-        let mut dog = Watchdog::new("cancelable barrier wait");
         loop {
-            dog.tick();
             // Remote spinning — "requiring an arbitrary number of remote
             // operations" (§3.1).
             if comm.get(0, vars::TERM) == 1 {

@@ -60,7 +60,6 @@ use crate::sched::{Cx, StealOutcome, StealTransport};
 use crate::stack::DfsStack;
 use crate::trace::{Event, TraceLog};
 use crate::vars;
-use crate::watchdog::Watchdog;
 
 /// Backoff while spinning on our own response cell (local reads).
 const RESPONSE_BACKOFF_NS: u64 = 1_500;
@@ -343,10 +342,8 @@ where
         return false;
     }
     let mut deadline = cfg.steal_timeout_ns.map(|d| comm.now() + d);
-    let mut dog = Watchdog::new("distmem steal response wait");
     // Wait for the victim's answer on our own (local-affinity) cell.
     loop {
-        dog.tick();
         let amt = comm.get(me, vars::RESP_AMT);
         if amt == vars::RESP_PENDING {
             if let Some(dl) = deadline {

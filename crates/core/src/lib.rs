@@ -56,7 +56,6 @@ pub mod taskgen;
 pub mod theory;
 pub mod trace;
 pub mod vars;
-pub mod watchdog;
 pub mod workload;
 
 pub use config::{Algorithm, ConfigError, RunConfig};

@@ -26,7 +26,6 @@ use crate::sched::policy::{StealPolicyKind, TimeoutBackoff};
 use crate::sched::{Cx, StealOutcome, StealTransport};
 use crate::stack::DfsStack;
 use crate::trace::Event;
-use crate::watchdog::Watchdog;
 
 /// Steal request (meta unused).
 pub const TAG_REQ: i64 = 1;
@@ -149,9 +148,7 @@ impl<T: Item, C: Comm<T>> StealTransport<T, C> for MpiTransport<T> {
         // wait forever. A WORK grant cannot race this way because grants
         // are counted by the token.
         let deadline = cx.cfg.steal_timeout_ns.map(|d| comm.now() + d);
-        let mut dog = Watchdog::new("mpi-ws steal response wait");
         loop {
-            dog.tick();
             if let Some(m) = cx.recovery.try_recv(comm, &[TAG_WORK, TAG_NOWORK]) {
                 if m.tag == TAG_WORK {
                     // Work in hand, whether from `victim` or a late grant

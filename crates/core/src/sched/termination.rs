@@ -38,7 +38,6 @@ use crate::recovery::CRASH_IDLE_BACKOFF_NS;
 use crate::stack::DfsStack;
 use crate::state::State;
 use crate::trace::Event;
-use crate::watchdog::Watchdog;
 
 use super::{Cx, Discovery, StealOutcome, StealTransport};
 
@@ -112,7 +111,6 @@ where
 {
     cx.enter(comm, State::Searching);
     cx.recovery.publish_out(comm);
-    let mut dog = Watchdog::new("recovery-aware work discovery");
     let (base, cap) = td.idle_backoff(comm.my_id(), ST::IDLE_BACKOFF_NS);
     let mut backoff = base;
     // Message transports ask one victim per iteration, walking a cycle that
@@ -126,7 +124,6 @@ where
         }
     }
     loop {
-        dog.tick();
         if cx.recovery.kill_due(comm.now()) {
             return Discovery::Died;
         }
@@ -171,7 +168,6 @@ where
                         StealOutcome::TimedOut => transport.after_timeout(comm, cx),
                         StealOutcome::Denied | StealOutcome::TermRaced => {}
                     }
-                    dog.reset();
                 }
                 transport.idle_service(comm, stack, cx);
                 // The detector's periodic duties cannot wait out the sweep
@@ -205,7 +201,6 @@ where
                         }
                         StealOutcome::Denied | StealOutcome::TermRaced => {}
                     }
-                    dog.reset();
                 }
             }
         }
@@ -382,9 +377,7 @@ where
     if TerminationBarrier::enter(comm) {
         TerminationBarrier::announce_root(comm);
     }
-    let mut dog = Watchdog::new("termination barrier");
     loop {
-        dog.tick();
         if TerminationBarrier::term_seen(comm) {
             TerminationBarrier::propagate(comm);
             return true;
@@ -400,8 +393,6 @@ where
                 if TerminationBarrier::enter(comm) {
                     TerminationBarrier::announce_root(comm);
                 }
-                // Seeing (even losing) work is observable progress.
-                dog.reset();
             }
         }
         comm.advance_idle(BARRIER_BACKOFF_NS);

@@ -942,6 +942,15 @@ mod tests {
 
     /// Every bundle shares the one service path: per-epoch conservation,
     /// every request completed, nothing explored twice.
+    ///
+    /// Recorded mutant (ROADMAP item 11; break by hand, run this test,
+    /// restore): *under-registration* — drop the touch-board
+    /// `comm.add(home, cell, bit)` in [`SvcAccount::bump`]. The scan never
+    /// reads an unregistered rank's cell, so an epoch whose work crossed
+    /// ranks never sums to zero and the run livelocks. Fuel ends it on the
+    /// first bundle (`upc-sharedmem`) in about 3 s of debug wall time:
+    /// "out of fuel: thread 0 of 4 did no work from 914935 ns to 34360656265
+    /// ns, after 14012679 operations".
     #[test]
     fn service_conserves_and_completes_every_request() {
         let gen = SyntheticGen {

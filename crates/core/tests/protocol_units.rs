@@ -2,12 +2,15 @@
 //! through small crafted clusters. These pin down behaviours that the
 //! whole-run conservation tests would only catch indirectly.
 
-use pgas::sim::SimCluster;
+use pgas::sim::{SimCluster, SimComm};
 use pgas::{Comm, MachineModel};
 use worksteal::engine::worker;
+use worksteal::locked::LockedTransport;
+use worksteal::mpi_ws::MpiTransport;
+use worksteal::sched::{StealTransport, TerminationDetector};
 use worksteal::taskgen::SyntheticGen;
 use worksteal::vars;
-use worksteal::{Algorithm, RunConfig};
+use worksteal::{drive, Algorithm, ProbeOrder, RunConfig, StealPolicyKind};
 
 fn cluster(n: usize) -> SimCluster<u32> {
     SimCluster::new(MachineModel::kittyhawk(), n, vars::space_config())
@@ -166,4 +169,57 @@ fn worker_embeds_in_custom_cluster() {
     assert_eq!(total, g.size());
     // NO_REQUEST (-1) + 3 votes.
     assert_eq!(report.final_scalar(0, vars::REQUEST), vars::NO_REQUEST + 3);
+}
+
+/// A detector that overrides nothing. Without a crash plan its default idle
+/// loop (`idle_discover` → `done_after_recovery` → the inactive double scan)
+/// has no exit, so once the tree is done every rank spins for good.
+struct NeverDone;
+
+impl<C: Comm<u32>> TerminationDetector<u32, C> for NeverDone {}
+
+/// Drive `gen()` on two ranks with [`NeverDone`] over `transport`: the
+/// livelock must end in the conductor's fuel check, not hang the test.
+fn runs_out_of_fuel<ST>(alg: Algorithm, transport: impl Fn() -> ST + Sync)
+where
+    ST: StealTransport<u32, SimComm<u32>>,
+{
+    // Kitty Hawk with one rank per node and slow local references, so that
+    // a spinning rank burns its fuel in fewer (debug-build) operations.
+    let machine = MachineModel {
+        threads_per_node: 1,
+        local_ref_ns: 2_000,
+        ..MachineModel::kittyhawk()
+    };
+    let cfg = RunConfig::new(alg, 2);
+    let g = gen();
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        SimCluster::new(machine, 2, vars::space_config()).run(|c| {
+            let victims = ProbeOrder::flat(c.my_id(), c.n_threads(), cfg.seed);
+            drive(c, &g, &cfg, transport(), NeverDone, victims)
+        })
+    }));
+    let panic = result.expect_err("a detector that never says done must run out of fuel");
+    let msg = panic
+        .downcast_ref::<String>()
+        .expect("formatted panic message");
+    assert!(
+        msg.starts_with("out of fuel: thread 0 of 2 did no work from "),
+        "{}: {msg}",
+        alg.label()
+    );
+}
+
+/// The probing branch of `idle_discover`.
+#[test]
+fn locked_idle_loop_without_exit_runs_out_of_fuel() {
+    runs_out_of_fuel(Algorithm::Term, || {
+        LockedTransport::new(StealPolicyKind::One)
+    });
+}
+
+/// The blind branch: one steal attempt per iteration.
+#[test]
+fn mpi_ws_idle_loop_without_exit_runs_out_of_fuel() {
+    runs_out_of_fuel(Algorithm::MpiWs, || MpiTransport::new(StealPolicyKind::One));
 }

@@ -45,7 +45,8 @@ const GRAY_SALT: u64 = 0x4E8D_1B06_C7F2_93D5;
 /// Heal time substituted for a partition whose `partition_dur_ns` is 0
 /// ("never heals"). Finite so every run still terminates: the cut-off
 /// minority freezes until this virtual instant (~8.6 virtual seconds),
-/// while the surviving majority evicts it and finishes long before.
+/// while the surviving majority evicts it and finishes long before. A
+/// quarter of the fuel ([`crate::sim::FUEL_NS`]).
 pub const UNHEALED_NS: u64 = 1 << 33;
 
 /// Mix (seed, salt, a, b) into a uniform u64 (splitmix64 finalizer). A pure

@@ -92,7 +92,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::comm::{Comm, Item, OpClass, SpaceConfig};
-use crate::fault::{FaultPlan, MsgFate};
+use crate::fault::{self, FaultPlan, MsgFate};
 #[cfg(pgas_fiber)]
 use crate::fiber::{self, StackArena};
 use crate::machine::MachineModel;
@@ -107,6 +107,13 @@ use crate::stats::{CommStats, ConductorStats};
 /// below each stack, so overflowing one is a SIGSEGV, never a neighbour's
 /// corrupted frames.
 pub const SIM_STACK_SIZE: usize = 512 * 1024;
+
+/// Fuel: the virtual time a simulated thread may spend without doing work
+/// (2^35 ns ≈ 34.4 s). An operation completing later than that after the
+/// thread's last [`Comm::work`] panics "out of fuel", at the same thread and
+/// operation under both conductors. A constant, not a knob: four times the
+/// never-heals partition sentinel [`fault::UNHEALED_NS`] (`docs/faults.md` §5).
+pub const FUEL_NS: u64 = 4 * fault::UNHEALED_NS;
 
 /// Everything a run produces.
 #[derive(Debug)]
@@ -360,6 +367,7 @@ where
         reach_ns,
         local_clock: 0,
         pending_work: 0,
+        worked_until: 0,
         next_min,
         stats: CommStats::default(),
         conductor: ConductorStats::default(),
@@ -581,7 +589,7 @@ impl<T: Item> SimCluster<T> {
         });
 
         let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|scope| {
+        let panic = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
             for (tid, slot) in results.iter_mut().enumerate() {
                 let shared = Arc::clone(&shared);
@@ -608,10 +616,14 @@ impl<T: Item> SimCluster<T> {
                         .expect("spawn simulated thread"),
                 );
             }
-            for h in handles {
-                h.join().expect("simulated thread panicked");
-            }
+            // Join all; re-raise the lowest thread's panic, as fibers do.
+            handles
+                .into_iter()
+                .fold(None, |first, h| first.or(h.join().err()))
         });
+        if let Some(p) = panic {
+            std::panic::resume_unwind(p);
+        }
 
         let inner = shared.mx.lock().unwrap();
         // SAFETY: every simulated thread has been joined; this is the only
@@ -669,6 +681,8 @@ pub struct SimComm<T: Item> {
     local_clock: u64,
     /// Accumulated `work()` nanoseconds not yet folded into the clock.
     pending_work: u64,
+    /// Clock at the end of the last `work()`, where [`FUEL_NS`] counts from.
+    worked_until: u64,
     /// Smallest `(clock, tid)` key waiting in the conductor queue, cached at
     /// the moment we last acquired the baton. Exact while we hold the baton:
     /// only baton-holders push, and we are the unique holder. `None` means
@@ -695,6 +709,7 @@ impl<T: Item> SimComm<T> {
             faults,
             local_clock: 0,
             pending_work: 0,
+            worked_until: 0,
             next_min: None,
             stats: CommStats::default(),
             conductor: ConductorStats::default(),
@@ -805,6 +820,14 @@ impl<T: Item> SimComm<T> {
         }
         self.stats.comm_ns += cost;
         let t = self.local_clock + self.pending_work + cost;
+        assert!(
+            t - self.worked_until <= FUEL_NS,
+            "out of fuel: thread {} of {} did no work from {} ns to {t} ns, after {} operations",
+            self.tid,
+            self.nthreads,
+            self.worked_until,
+            self.conductor.total_ops()
+        );
         self.pending_work = 0;
         self.local_clock = t;
         if self.lookahead {
@@ -934,6 +957,7 @@ impl<T: Item> Comm<T> for SimComm<T> {
         };
         self.pending_work += adj;
         self.stats.work_ns += ns;
+        self.worked_until = self.now();
     }
 
     fn advance_idle(&mut self, ns: u64) {
@@ -1786,7 +1810,7 @@ mod failure_tests {
 
     /// A worker panic must not deadlock the cluster: the baton is handed on
     /// before unwinding, the other threads run to completion, and the panic
-    /// resurfaces from `run` — in both conductor modes.
+    /// resurfaces from `run` with its own payload — in both conductor modes.
     #[test]
     fn worker_panic_does_not_hang_cluster() {
         for lookahead in [true, false] {
@@ -1805,7 +1829,12 @@ mod failure_tests {
                     c.my_id()
                 })
             });
-            assert!(result.is_err(), "panic must propagate (lookahead={lookahead})");
+            let panic = result.expect_err("panic must propagate");
+            assert_eq!(
+                panic.downcast_ref::<&str>(),
+                Some(&"injected failure"),
+                "lookahead={lookahead}"
+            );
         }
     }
 

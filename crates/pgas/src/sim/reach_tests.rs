@@ -458,15 +458,74 @@ fn later_batch_member_closes_the_window() {
     }
 }
 
+/// A thread spinning on a remote cell runs out of fuel, counted from its last
+/// `work()`: both conductors stop it with the same message — same thread,
+/// clock and operation count — while the threads that finished stay finished.
+#[test]
+fn spinning_thread_runs_out_of_fuel_on_both_conductors() {
+    let out_of_fuel = |lookahead: bool| {
+        let result = std::panic::catch_unwind(|| {
+            SimCluster::<u64>::new(MachineModel::kittyhawk(), 4, SpaceConfig::default())
+                .with_lookahead(lookahead)
+                .run(|c| {
+                    if c.my_id() == 2 {
+                        c.work(1000);
+                        // Waits for a flag nobody raises.
+                        while c.get(0, 0) == 0 {
+                            c.advance_idle(1 << 24);
+                        }
+                    } else {
+                        c.add(0, 1, 1);
+                    }
+                })
+        });
+        let panic = result.expect_err("a livelock must run out of fuel");
+        panic
+            .downcast_ref::<String>()
+            .expect("formatted panic message")
+            .clone()
+    };
+    let fast = out_of_fuel(true);
+    let worked = 1000 * MachineModel::kittyhawk().node_ns;
+    let expected = format!("out of fuel: thread 2 of 4 did no work from {worked} ns to ");
+    assert!(fast.starts_with(&expected), "{fast}");
+    assert_eq!(fast, out_of_fuel(false));
+}
+
+/// Fuel bounds the time between two `work()` calls, not the clock: threads
+/// that keep working, each followed by a wait of half the fuel, run to many
+/// times [`FUEL_NS`] on both conductors.
+#[test]
+fn working_threads_run_past_the_fuel() {
+    for lookahead in [true, false] {
+        let report = SimCluster::<u64>::new(MachineModel::smp(), 2, SpaceConfig::default())
+            .with_lookahead(lookahead)
+            .run(|c| {
+                let peer = 1 - c.my_id();
+                for _ in 0..16 {
+                    c.work(1 << 24);
+                    c.advance_idle(FUEL_NS / 2);
+                    c.add(peer, 0, 1);
+                }
+            });
+        assert!(report.makespan_ns > 8 * FUEL_NS, "lookahead={lookahead}");
+        assert_eq!(report.final_scalar(0, 0), 16, "lookahead={lookahead}");
+    }
+}
+
 /// A virtual clock that no longer fits beside the thread id in a queue key
 /// stops the run with the time and p in the message.
 #[cfg(pgas_fiber)]
 #[test]
 fn clock_beyond_the_packed_key_panics() {
+    let one_ns_nodes = MachineModel {
+        node_ns: 1,
+        ..MachineModel::smp()
+    };
     let result = std::panic::catch_unwind(|| {
-        SimCluster::<u64>::new(MachineModel::smp(), 4, SpaceConfig::default()).run(|c| {
+        SimCluster::<u64>::new(one_ns_nodes, 4, SpaceConfig::default()).run(|c| {
             if c.my_id() == 0 {
-                c.advance_idle(1 << 62);
+                c.work(1 << 62);
                 c.add(1, 0, 1);
             }
         })

@@ -12,8 +12,10 @@
 # nonzero on any conservation or termination violation, printing the
 # offending algorithm and full FaultPlan for replay — membership
 # violations come with a paste-ready UTS_CHAOS_* env line for uts_cli. A
-# blown wall-clock budget also fails (livelock). Sized for a tier-1 time
-# budget: the default 50+50+50-schedule sweep completes in a few seconds.
+# livelocked run runs out of fuel and panics (docs/faults.md §5); the
+# wall-clock budget bounds the sweep, failing one that terminates too
+# slowly. Sized for a tier-1 time budget: the default 50+50+50-schedule
+# sweep completes in a few seconds.
 #
 # Extra arguments are passed through to the chaos binary, e.g.:
 #   scripts/chaos_smoke.sh --schedules 200 --tree s --threads 64
@@ -21,9 +23,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 cargo build --release --offline -p uts-bench --bin chaos --bin service --bin dag_sweep
 mkdir -p results/logs
-# Arm the protocol watchdogs even in this release build so a livelocked
-# loop dies with a named panic rather than eating the whole budget.
-UTS_WATCHDOG_RELEASE=1 \
 ./target/release/chaos --schedules 50 --membership-schedules 50 \
   --threads 16 --budget-s 120 \
   "$@" | tee results/logs/chaos_smoke.log
@@ -31,7 +30,6 @@ UTS_WATCHDOG_RELEASE=1 \
 # Service-mode smoke (docs/service.md): a low-rate arrival stream on a
 # locked and a message bundle, fault-free and under a crash plan; asserts
 # every request completes and per-epoch conservation holds.
-UTS_WATCHDOG_RELEASE=1 \
 ./target/release/service --smoke | tee results/logs/service_smoke.log
 
 # DAG-workload smoke (docs/workloads.md, EXPERIMENTS.md E18): shrunken DAG
@@ -39,5 +37,4 @@ UTS_WATCHDOG_RELEASE=1 \
 # the steal-bound and conservation theory checks asserted on every row
 # (the binary panics on any violation). Smoke runs never overwrite
 # results/dag_sweep.csv.
-UTS_WATCHDOG_RELEASE=1 \
 ./target/release/dag_sweep --smoke | tee results/logs/dag_sweep_smoke.log

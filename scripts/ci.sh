@@ -42,6 +42,17 @@ if grep -nE 'crash:|incarnation\(\)' crates/core/src/mpi_ws.rs crates/core/src/p
 fi
 [ "$(grep -rF 'fenced_drops += 1' crates/core/src | wc -l)" -eq 1 ] ||
   { echo "fenced traffic must be dropped in exactly one place under crates/core/src" >&2; exit 1; }
+# One livelock bound: fuel, compared in SimComm::op only — no loop-local
+# watchdog, no env knob. (The bracketed letters keep this file from matching
+# itself; bench/ is frozen and keeps a harmless entry in its env scrub list.)
+if grep -rnE 'Watch[d]og|UTS_WATCH[D]OG' crates scripts tests; then
+  echo "a watchdog came back; fuel (pgas::sim::FUEL_NS) bounds every loop" >&2; exit 1
+fi
+[ "$(grep -rnE '[<>]=? *FUEL_NS|FUEL_NS *[<>]' crates | cut -d: -f1)" = crates/pgas/src/sim.rs ] ||
+  { echo "FUEL_NS must be compared in exactly one place, crates/pgas/src/sim.rs" >&2; exit 1; }
+if grep -rlF 'std::env::var' crates/core/src | grep -vx 'crates/core/src/config.rs'; then
+  echo "std::env::var under crates/core/src outside config.rs" >&2; exit 1
+fi
 
 echo "== SAFETY comments (crates/pgas/src) =="
 # Every `unsafe {` block and `unsafe impl` in the crate that owns the fiber

@@ -2,9 +2,9 @@
 //! across all five paper algorithms must never break node conservation or
 //! termination, and the null plan must be invisible.
 //!
-//! - Every faulted run terminates (watchdogs panic on livelock in debug
-//!   builds, which is how these tests run under tier-1) and counts the tree
-//!   exactly against a sequential traversal.
+//! - Every faulted run terminates (a livelock runs out of fuel and panics,
+//!   docs/faults.md §5) and counts the tree exactly against a sequential
+//!   traversal.
 //! - [`FaultPlan::none()`] reproduces the fault-free run bit-for-bit — same
 //!   makespan, same per-thread counters, same comm stats — in both
 //!   conductor modes, so the fault layer costs nothing when disabled.

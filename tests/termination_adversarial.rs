@@ -61,8 +61,8 @@ fn pushing_adversarial() {
 // Fault-schedule cases (docs/faults.md): the same adversarial grid, but with
 // a deterministic fault plan aimed at a specific protocol weak point. Every
 // run must still terminate (the test completing *is* the termination check —
-// watchdogs panic on livelock in debug builds) with the exact sequential
-// node count.
+// a livelock runs out of fuel and panics) with the exact sequential node
+// count.
 
 fn fault_stress(alg: Algorithm, faults: FaultPlan, timeout_ns: Option<u64>, cases: u64) -> u64 {
     let machine = MachineModel::kittyhawk();
