@@ -25,6 +25,12 @@
 //! offending plan (seed included) so the failure replays with one
 //! `FaultPlan` literal.
 //!
+//! Both sweeps run every plan twice: on the tree, and on a small layered
+//! task DAG (docs/workloads.md), whose ready tasks travel to their owners as
+//! lineage-tracked hand-offs — a lost, duplicated, fenced or orphaned
+//! hand-off must be re-emitted, so the DAG must conserve with multiplicity
+//! too (§2.3 there).
+//!
 //! A third sweep covers the *membership* classes (docs/faults.md §8): for
 //! every seed, a plan mixing a healing network partition, gray stalls,
 //! rank kills, and restarts runs against every paper algorithm in batch
@@ -47,7 +53,10 @@ use std::time::Instant;
 use pgas::{ArrivalSpec, FaultPlan};
 use uts_bench::harness::{algorithm_name, arg, machine_by_name, preset_by_name};
 use uts_tree::{TreeKind, TreeSpec};
-use worksteal::{run_service_sim, run_sim, seq_run, Algorithm, RunConfig, UtsGen};
+use worksteal::{
+    run_service_sim, run_sim, seq_run, Algorithm, DagWorkload, RandomLayered, RunConfig, RunReport,
+    UtsGen,
+};
 
 /// One membership-fault schedule, kept exactly representable as
 /// `UTS_CHAOS_*` environment overrides: [`MembershipKnobs::plan`] mirrors
@@ -178,6 +187,28 @@ fn main() {
     let m = machine_by_name(&machine_name);
     let (seq_nodes, _) = seq_run(&gen);
     assert_eq!(seq_nodes, p.expected.nodes, "preset table is stale");
+    // Six 16-wide layers: about one task per rank per layer at p=16.
+    let dag = DagWorkload::new(RandomLayered::new(6, 16, 150, 7));
+    let dag_tasks = dag.n_tasks();
+    // The DAG half of the crash and membership sweeps, per algorithm:
+    // (deaths, recovered, duplicates, hand-offs).
+    let tally = |acc: &mut [u64; 4], r: &RunReport| {
+        acc[0] += r.deaths as u64;
+        acc[1] += r.recovered_nodes;
+        acc[2] += r.duplicate_nodes;
+        acc[3] += r.handoffs;
+    };
+    let dag_line = |alg: Algorithm, t: [u64; 4]| {
+        println!(
+            "{:<16} layered DAG ({dag_tasks} tasks) deaths {:>3} recovered {:>5} dup {:>5} \
+             hand-offs {:>6}",
+            alg.label(),
+            t[0],
+            t[1],
+            t[2],
+            t[3]
+        );
+    };
 
     println!(
         "chaos soak: {} schedules x {} algorithms, T-{tree} ({} nodes), \
@@ -275,6 +306,7 @@ fn main() {
             let mut dups = 0u64;
             let mut worst_mult = 1u64;
             let mut sum_inflation = 0.0f64;
+            let mut dag_tally = [0u64; 4];
             for seed in 0..crash_schedules {
                 if t0.elapsed().as_secs() > budget_s {
                     eprintln!(
@@ -313,6 +345,24 @@ fn main() {
                 dups += r.duplicate_nodes;
                 worst_mult = worst_mult.max(r.max_multiplicity);
                 sum_inflation += r.makespan_ns as f64 / base.makespan_ns.max(1) as f64;
+                // k=1: the frontier clamp would cut k=8 to it anyway.
+                let dag_cfg = RunConfig {
+                    chunk_size: 1,
+                    ..cfg
+                };
+                let d = run_sim(m.clone(), threads, &dag, &dag_cfg);
+                runs += 1;
+                if d.total_nodes - d.duplicate_nodes != dag_tasks {
+                    eprintln!(
+                        "VIOLATION: {} crash seed {seed}, layered DAG: {} distinct \
+                         tasks run, {dag_tasks} expected — replay with plan {:?}",
+                        alg.label(),
+                        d.total_nodes - d.duplicate_nodes,
+                        cfg.faults
+                    );
+                    violations += 1;
+                }
+                tally(&mut dag_tally, &d);
             }
             println!(
                 "{:<16} deaths {:>3}/{} recovered {:>6} nodes dup {:>6} \
@@ -325,6 +375,7 @@ fn main() {
                 worst_mult,
                 sum_inflation / crash_schedules.max(1) as f64
             );
+            dag_line(alg, dag_tally);
         }
     }
 
@@ -346,6 +397,7 @@ fn main() {
             let mut rejoins = 0u64;
             let mut fenced = 0u64;
             let mut scavenged = 0u64;
+            let mut dag_tally = [0u64; 4];
             for i in 0..membership_schedules {
                 if t0.elapsed().as_secs() > budget_s {
                     eprintln!(
@@ -415,6 +467,43 @@ fn main() {
                 rejoins += r.rejoins;
                 fenced += r.per_thread.iter().map(|t| t.fenced_drops).sum::<u64>();
                 scavenged += r.per_thread.iter().map(|t| t.scavenged_nodes).sum::<u64>();
+                // The same plan on the DAG, every fifth on both conductors.
+                let dag_cfg = RunConfig {
+                    chunk_size: 1,
+                    ..cfg
+                };
+                let d = run_sim(m.clone(), threads, &dag, &dag_cfg);
+                runs += 1;
+                if d.total_nodes - d.duplicate_nodes != dag_tasks {
+                    eprintln!(
+                        "VIOLATION: {} membership plan {i}, layered DAG: {} distinct \
+                         tasks run, {dag_tasks} expected — plan {:?}",
+                        alg.label(),
+                        d.total_nodes - d.duplicate_nodes,
+                        cfg.faults
+                    );
+                    violations += 1;
+                }
+                if i % 5 == 0 {
+                    let ref_cfg = RunConfig {
+                        sim_lookahead: false,
+                        ..dag_cfg
+                    };
+                    let b = run_sim(m.clone(), threads, &dag, &ref_cfg);
+                    runs += 1;
+                    if (b.makespan_ns, b.total_nodes, b.duplicate_nodes, b.handoffs)
+                        != (d.makespan_ns, d.total_nodes, d.duplicate_nodes, d.handoffs)
+                    {
+                        eprintln!(
+                            "VIOLATION: {} membership plan {i}, layered DAG, diverged \
+                             across conductors — plan {:?}",
+                            alg.label(),
+                            cfg.faults
+                        );
+                        violations += 1;
+                    }
+                }
+                tally(&mut dag_tally, &d);
             }
             sweep_evictions += evictions;
             sweep_rejoins += rejoins;
@@ -427,6 +516,7 @@ fn main() {
                 fenced,
                 scavenged
             );
+            dag_line(alg, dag_tally);
         }
         if sweep_evictions == 0 || sweep_rejoins == 0 {
             eprintln!(

@@ -18,9 +18,10 @@
 //! the workload publishes through `Comm` (the sum of its in-degrees; 0 for a
 //! tree, whose tasks are ready when created) and `bound_util` is
 //! `successful_steals / steal_bound`, the share of the O(p·D) bound the row
-//! used. `--check` recomputes the sweep and compares every column but the
-//! wall-clock `t_real_s` with the committed CSV instead of writing it
-//! (`scripts/ci.sh`).
+//! used, and `handoffs` counts the ready tasks sent to the owner of their
+//! dependency cell (`worksteal::sched::placement`; 0 for a tree). `--check`
+//! recomputes the sweep and compares every column but the wall-clock
+//! `t_real_s` with the committed CSV instead of writing it (`scripts/ci.sh`).
 //!
 //! `--smoke` shrinks every workload and runs p=8 only, for CI
 //! (`scripts/chaos_smoke.sh`); smoke runs never overwrite
@@ -39,7 +40,8 @@ use worksteal::{
 };
 
 const HEADER: &str = "workload,algorithm,threads,chunk,tasks,edges,critical_path,t_virtual_s,\
-    mnodes_per_sec,steal_attempts,successful_steals,steal_bound,bound_util,working_frac,t_real_s";
+    mnodes_per_sec,steal_attempts,successful_steals,steal_bound,bound_util,working_frac,handoffs,\
+    t_real_s";
 
 /// What distinguishes one sweep row besides the (algorithm, threads) cell.
 struct Point<'a> {
@@ -88,7 +90,7 @@ fn sweep<G: TaskGen>(
     let working = report.state_fraction(State::Working);
     let bound_util = summary.successful_steals as f64 / summary.bound.max(1) as f64;
     println!(
-        "{:<12} {:<16} {:>4} {:>2} {:>9} {:>8} {:>10.4} {:>9.3} {:>9} {:>9} {:>10} {:>6.1} {:>7.2}",
+        "{:<12} {:<16} {:>4} {:>2} {:>9} {:>8} {:>10.4} {:>9.3} {:>9} {:>9} {:>10} {:>6.1} {:>8} {:>7.2}",
         point.workload,
         alg.label(),
         threads,
@@ -101,10 +103,11 @@ fn sweep<G: TaskGen>(
         summary.successful_steals,
         summary.bound,
         100.0 * working,
+        report.handoffs,
         t_real
     );
     csv.push(format!(
-        "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+        "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
         point.workload,
         alg.label(),
         threads,
@@ -119,6 +122,7 @@ fn sweep<G: TaskGen>(
         summary.bound,
         bound_util,
         working,
+        report.handoffs,
         t_real
     ));
     bound_util
@@ -192,7 +196,7 @@ fn main() {
         if smoke { " (smoke)" } else { "" }
     );
     println!(
-        "{:<12} {:<16} {:>4} {:>2} {:>9} {:>8} {:>10} {:>9} {:>9} {:>9} {:>10} {:>6} {:>7}",
+        "{:<12} {:<16} {:>4} {:>2} {:>9} {:>8} {:>10} {:>9} {:>9} {:>9} {:>10} {:>6} {:>8} {:>7}",
         "workload",
         "algorithm",
         "p",
@@ -205,6 +209,7 @@ fn main() {
         "steals",
         "bound",
         "work%",
+        "handoffs",
         "real(s)"
     );
 

@@ -1,5 +1,6 @@
 //! The experiment table: every figure, table and sweep of EXPERIMENTS.md
-//! (E1–E16) as a named entry of [`TABLE`], run by the `exp` binary.
+//! (E1–E16, and E18's ready-wait probe) as a named entry of [`TABLE`], run
+//! by the `exp` binary.
 //!
 //! An entry takes no parameters. Its tree, machine, thread counts, chunk
 //! sizes and algorithm list are constants beside its grid loop, every run
@@ -13,9 +14,13 @@ use uts_tree::presets::{self, Preset};
 use uts_tree::{seq::dfs_count, GeoShape, TreeSpec};
 use worksteal::model::{fit_alpha, fit_beta, ChunkModel};
 use worksteal::state::State;
-use worksteal::{Algorithm, RunConfig, RunReport, StealPolicyKind, UtsGen, VictimPolicy};
+use worksteal::{
+    run_sim, Algorithm, DagWorkload, RandomLayered, RunConfig, RunReport, StealPolicyKind, UtsGen,
+    VictimPolicy,
+};
 
 use crate::harness::{measure, print_table, sim_config, Row, Sink};
+use crate::ready_wait::ReadyWait;
 
 /// How an entry runs: it only prints, or it also owns `results/<name>.csv`.
 pub enum Run {
@@ -57,6 +62,7 @@ pub const TABLE: &[Entry] = &[
     Entry { name: "tree_family", about: "E13 geometric and hybrid UTS trees", run: Run::Csv(tree_family) },
     Entry { name: "model_check", about: "E15 §2 analytic chunk-size model", run: Run::Print(model_check) },
     Entry { name: "policy_grid", about: "E16 transport × victim order × steal amount", run: Run::Csv(policy_grid) },
+    Entry { name: "ready_wait", about: "E18 DAG ready-to-start waits, every bundle", run: Run::Print(ready_wait) },
     Entry { name: "fig4", about: "E2 Figure 4: chunk-size sweep, 256 threads", run: Run::Csv(fig4) },
     Entry { name: "fig6", about: "E5 Figure 6: Altix shared memory, T-L", run: Run::Csv(fig6) },
     Entry { name: "fig5_xl", about: "E4 Figure 5: scaling to 1024 threads, T-XL", run: Run::Csv(fig5_xl) },
@@ -637,6 +643,39 @@ fn policy_grid(sink: Sink) -> Result<(), String> {
     sink.emit("policy_grid", HEADER, &lines, 1)?;
     println!("best cell: {} at {:.3} Mnodes/s", best.1, best.0);
     Ok(())
+}
+
+/// E18 — where a DAG task's time goes before it runs: the benchmark's
+/// `dag_layered` shape (`RandomLayered(100, 256, 80)` at the library seed,
+/// Kitty Hawk, p=64, k=1) through every bundle, measured by the
+/// [`ReadyWait`] probe, which issues no operation.
+fn ready_wait() {
+    let probe = ReadyWait::new(DagWorkload::new(RandomLayered::new(100, 256, 80, 3)));
+    let n_tasks = probe.inner().n_tasks();
+    let header = "algorithm,makespan_ms,working_frac,steals,handoffs,mean_wait_us,\
+        moved_wait_us,moved_tasks,waiting_tasks,busy_ranks";
+    let rows: Vec<String> = Algorithm::all()
+        .into_iter()
+        .map(|alg| {
+            let report = run_sim(MachineModel::kittyhawk(), 64, &probe, &sim_config(alg, 1));
+            assert_eq!(report.total_nodes, n_tasks, "{}: tasks lost", report.label);
+            let w = probe.waits(report.makespan_ns);
+            format!(
+                "{},{:.3},{:.3},{},{},{:.1},{:.1},{},{:.1},{:.1}",
+                report.label,
+                report.makespan_ns as f64 / 1e6,
+                report.state_fraction(State::Working),
+                report.successful_steals,
+                report.handoffs,
+                w.mean_wait_ns / 1e3,
+                w.mean_moved_wait_ns / 1e3,
+                w.moved,
+                w.waiting,
+                w.busy
+            )
+        })
+        .collect();
+    print_table("ready-to-start waits, dag_layered shape, p=64", header, &rows);
 }
 
 #[cfg(test)]

@@ -4,3 +4,4 @@
 
 pub mod exp;
 pub mod harness;
+pub mod ready_wait;

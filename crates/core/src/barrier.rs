@@ -50,9 +50,11 @@ impl CancelableBarrier {
     /// protocol needs the victim's participation (the §3.3.3 request/response
     /// cells) use it to keep denying thieves while parked; for the locked
     /// transport the hook is a no-op and the spin is the paper's exactly.
+    /// `service` returning `true` means work landed: the thread leaves as on
+    /// a cancel.
     pub fn wait_with<T: Item, C: Comm<T>>(
         comm: &mut C,
-        mut service: impl FnMut(&mut C),
+        mut service: impl FnMut(&mut C) -> bool,
     ) -> BarrierOutcome {
         let n = comm.n_threads() as i64;
         comm.lock(0, vars::BARRIER_LOCK);
@@ -70,14 +72,13 @@ impl CancelableBarrier {
             if comm.get(0, vars::TERM) == 1 {
                 return BarrierOutcome::Terminated;
             }
-            if comm.get(0, vars::CANCEL_EPOCH) != my_epoch {
+            if comm.get(0, vars::CANCEL_EPOCH) != my_epoch || service(comm) {
                 comm.lock(0, vars::BARRIER_LOCK);
                 let c = comm.get(0, vars::BARRIER_COUNT);
                 comm.put(0, vars::BARRIER_COUNT, c - 1);
                 comm.unlock(0, vars::BARRIER_LOCK);
                 return BarrierOutcome::Canceled;
             }
-            service(comm);
             comm.advance_idle(BARRIER_BACKOFF_NS);
         }
     }
@@ -161,7 +162,7 @@ mod tests {
     #[test]
     fn cancelable_barrier_terminates_when_all_enter() {
         let n = 6;
-        let report = cluster(n).run(|c| CancelableBarrier::wait_with(c, |_| {}));
+        let report = cluster(n).run(|c| CancelableBarrier::wait_with(c, |_| false));
         assert!(report
             .results
             .iter()
@@ -184,7 +185,7 @@ mod tests {
                 c.advance_idle(1_000_000);
                 let mut outcomes = vec![];
                 loop {
-                    let o = CancelableBarrier::wait_with(c, |_| {});
+                    let o = CancelableBarrier::wait_with(c, |_| false);
                     outcomes.push(o);
                     if o == BarrierOutcome::Terminated {
                         return outcomes;
@@ -193,7 +194,7 @@ mod tests {
             } else {
                 let mut outcomes = vec![];
                 loop {
-                    let o = CancelableBarrier::wait_with(c, |_| {});
+                    let o = CancelableBarrier::wait_with(c, |_| false);
                     outcomes.push(o);
                     if o == BarrierOutcome::Terminated {
                         return outcomes;

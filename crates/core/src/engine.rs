@@ -279,6 +279,7 @@ pub(crate) fn build_report(
             .map(|t| t.steals_ok + t.steals_failed)
             .sum(),
         successful_steals: per_thread.iter().map(|t| t.steals_ok).sum(),
+        handoffs: per_thread.iter().map(|t| t.handoffs).sum(),
         critical_path_len,
         service: None,
         per_thread,

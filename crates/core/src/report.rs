@@ -24,6 +24,9 @@ pub struct ThreadResult {
     pub chunks_stolen: u64,
     /// Victim probes (work_avail examinations or steal-request messages).
     pub probes: u64,
+    /// Ready tasks this thread handed to their home rank
+    /// (`crate::sched::placement`); always 0 on workloads that do not place.
+    pub handoffs: u64,
     /// Steal requests this thread serviced for others (distmem/mpi).
     pub requests_serviced: u64,
     /// Steal requests abandoned after the virtual-time timeout expired
@@ -108,6 +111,7 @@ impl ThreadResult {
         self.steals_failed += o.steals_failed;
         self.chunks_stolen += o.chunks_stolen;
         self.probes += o.probes;
+        self.handoffs += o.handoffs;
         self.requests_serviced += o.requests_serviced;
         self.steal_timeouts += o.steal_timeouts;
         self.retracts_won += o.retracts_won;
@@ -178,6 +182,9 @@ pub struct RunReport {
     /// equals [`RunReport::total_steals`]; stored as a field so the theory
     /// checks ([`crate::theory`]) and CSV writers read it uniformly.
     pub successful_steals: u64,
+    /// Ready tasks handed to their home rank, summed across threads
+    /// ([`ThreadResult::handoffs`]).
+    pub handoffs: u64,
     /// Critical-path length `D` of the workload (weighted longest
     /// root→sink path), when the generator knows it
     /// ([`crate::taskgen::TaskGen::critical_path_len`]); 0 when unknown.
@@ -323,6 +330,7 @@ mod tests {
             rejoins: 0,
             steal_attempts: 0,
             successful_steals: 0,
+            handoffs: 0,
             critical_path_len: 0,
             service: None,
             per_thread: vec![ThreadResult::default(); threads],

@@ -37,6 +37,15 @@
 //! ([`TerminationDetector::on_release`]). EXPERIMENTS.md E18 has the
 //! measurements.
 //!
+//! **Placement** ([`placement`]). A workload whose tasks have a home rank
+//! ([`TaskGen::PLACED`]) sends each ready task to its owner; the emitter
+//! keeps its own and, when its stack would otherwise be empty, the task it
+//! would pop next. The release rule above is unchanged but for one thing:
+//! such a rank's releases are not announced to the detector. Surplus under
+//! placement is one owner's spare task at a time, and the §3.1 cancel would
+//! wake every parked rank for each one; a parked rank's work now arrives by
+//! hand-off, which wakes it alone.
+//!
 //! **Bit-identity contract**: for the seven seed bundles, the sequence of
 //! [`Comm`] operations issued by `drive` is identical, call for call, to the
 //! pre-refactor monolithic loops. On the virtual-time simulator every comm
@@ -48,6 +57,7 @@
 //! [`Algorithm`]: crate::config::Algorithm
 
 pub mod bundle;
+pub mod placement;
 pub mod policy;
 pub mod termination;
 
@@ -65,6 +75,7 @@ use crate::taskgen::TaskGen;
 use crate::trace::{Event, TraceLog};
 
 pub use bundle::{run_bundle, BundleSpec, TerminationKind, TransportKind};
+use placement::Placement;
 pub use policy::{StealPolicyKind, VictimPolicy};
 pub use termination::{CancelableTerm, RingTerm, StreamlinedTerm, TerminationDetector};
 use termination::idle_discover;
@@ -190,7 +201,8 @@ pub trait StealTransport<T: Item, C: Comm<T>> {
     /// waits for its open grants, and service mode arms it with the
     /// task→epoch extractor. `None` for the shared-region transports, which
     /// move items exactly once even across rank death and keep no
-    /// per-transfer accounting.
+    /// per-transfer accounting ([`placement`] brings one of its own for a
+    /// placing workload's hand-offs).
     fn ledger(&mut self) -> Option<&mut Lineage<T>> {
         None
     }
@@ -301,7 +313,7 @@ pub fn drive<G, C, ST, TD>(
     comm: &mut C,
     gen: &G,
     cfg: &RunConfig,
-    mut transport: ST,
+    transport: ST,
     mut td: TD,
     mut victims: ProbeOrder,
 ) -> ThreadResult
@@ -316,11 +328,14 @@ where
     let mut cx = Cx::new(cfg, comm.now());
     cx.recovery = Recovery::new(me, comm.n_threads(), &cfg.faults);
     let crash = cx.recovery.active;
+    let mut transport = Placement::<ST, G>::new(transport);
     let mut scratch: Vec<G::Task> = Vec::new();
     // This rank's most recent expansion waited on the network (module docs,
     // "The release rule"). Outlives the working loop: the rule also holds
     // for the batch a steal lands while the rank is idle.
     let mut communicated = false;
+    // A placing workload's releases go unannounced (module docs).
+    let announce = !G::PLACED;
 
     let seed_root = td.start(comm, &mut transport, &mut cx);
     transport.init(comm, &mut cx);
@@ -331,11 +346,22 @@ where
     'outer: loop {
         // ------------------------------------------------- Working (Fig. 1)
         cx.enter(comm, State::Working);
+        // Hand-offs taken in while idle: this rank is marked working and out
+        // of any barrier now, so their senders may let go of them.
+        transport.acknowledge(comm);
         // A steal or an adoption just landed: a rank whose tasks wait on
         // the network re-advertises the batch before its first task, not
         // one chunk per round trip behind it.
         if communicated {
-            release_surplus(comm, &mut stack, &mut transport, &mut td, &mut cx, true);
+            release_surplus(
+                comm,
+                &mut stack,
+                &mut transport,
+                &mut td,
+                &mut cx,
+                true,
+                announce,
+            );
         }
         let mut since_poll = 0;
         let mut died = false;
@@ -375,6 +401,10 @@ where
             gen.expand_in(comm, &node, &mut scratch);
             communicated = comm.stats().atomics != atomics_before;
             td.on_expand(comm, &node, scratch.len(), &mut cx);
+            if G::PLACED {
+                let idle = stack.is_local_empty();
+                transport.place(comm, gen, &mut scratch, idle, &mut cx);
+            }
             stack.push_all(&scratch);
             comm.work(gen.work_units(&node));
             // §3.3.3: the owner looks at its own request cell between nodes
@@ -387,7 +417,15 @@ where
                 since_poll = 0;
                 transport.poll(comm, &mut stack, &mut cx);
             }
-            release_surplus(comm, &mut stack, &mut transport, &mut td, &mut cx, communicated);
+            release_surplus(
+                comm,
+                &mut stack,
+                &mut transport,
+                &mut td,
+                &mut cx,
+                communicated,
+                announce,
+            );
         }
 
         if !died {
@@ -441,7 +479,8 @@ where
 /// region (the paper's §3.1 rule, one per node), or — `all`, for a rank whose
 /// tasks wait on the network — every surplus chunk the stack holds. The
 /// detector hears of the burst once: one [`TerminationDetector::on_release`]
-/// wakes every waiter, and the releaser is outside the barrier.
+/// wakes every waiter, and the releaser is outside the barrier — unless
+/// `announce` is off, as it is for a placing workload (module docs).
 fn release_surplus<T, C, ST, TD>(
     comm: &mut C,
     stack: &mut DfsStack<T>,
@@ -449,6 +488,7 @@ fn release_surplus<T, C, ST, TD>(
     td: &mut TD,
     cx: &mut Cx,
     all: bool,
+    announce: bool,
 ) where
     T: Item,
     C: Comm<T>,
@@ -459,7 +499,9 @@ fn release_surplus<T, C, ST, TD>(
         return;
     }
     while all && transport.maybe_release(comm, stack, cx) {}
-    td.on_release(comm);
+    if announce {
+        td.on_release(comm);
+    }
 }
 
 /// A rank observed its own eviction fence: fold everything the old

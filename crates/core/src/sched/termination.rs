@@ -349,6 +349,9 @@ where
             all_out = false; // working, no surplus (§3.3.1 tri-state)
         }
         transport.idle_service(comm, stack, cx);
+        if !stack.is_local_empty() {
+            return Sweep::Stole; // a hand-off landed (sched::placement)
+        }
     }
     if all_out {
         Sweep::AllOut
@@ -383,6 +386,11 @@ where
             return true;
         }
         transport.idle_service(comm, stack, cx);
+        if !stack.is_local_empty() {
+            // A hand-off landed: leave before it may be acknowledged.
+            TerminationBarrier::leave(comm);
+            return false;
+        }
         if let Some(v) = victims.one() {
             cx.res.probes += 1;
             if transport.probe(comm, v) > 0 {
@@ -435,9 +443,15 @@ impl<T: Item, C: Comm<T>> TerminationDetector<T, C> for CancelableTerm {
             // §3.1: enter the barrier after any unsuccessful sweep.
             cx.enter(comm, State::Terminating);
             match CancelableBarrier::wait_with(comm, |c| {
-                transport.idle_service(c, stack, cx)
+                transport.idle_service(c, stack, cx);
+                !stack.is_local_empty()
             }) {
                 BarrierOutcome::Terminated => return Discovery::Terminated,
+                // Left with a hand-off (sched::placement).
+                BarrierOutcome::Canceled if !stack.is_local_empty() => {
+                    transport.got_work(comm);
+                    return Discovery::GotWork;
+                }
                 BarrierOutcome::Canceled => cx.enter(comm, State::Searching),
             }
         }
@@ -522,7 +536,8 @@ impl<T: Item, C: Comm<T>> TerminationDetector<T, C> for RingTerm {
             // Terminating, absorbing pushed chunks between ring steps.
             cx.enter(comm, State::Terminating);
             loop {
-                if transport.absorb_pending(comm, stack, cx) {
+                transport.idle_service(comm, stack, cx);
+                if transport.absorb_pending(comm, stack, cx) || !stack.is_local_empty() {
                     return Discovery::GotWork;
                 }
                 let (sent, recv) = ring_counts(transport);
@@ -542,8 +557,9 @@ impl<T: Item, C: Comm<T>> TerminationDetector<T, C> for RingTerm {
         loop {
             // Deny whatever arrived while we were idle.
             transport.idle_service(comm, stack, cx);
-            // Late grants from timed-out victims are still work in hand.
-            if transport.absorb_pending(comm, stack, cx) {
+            // Late grants from timed-out victims, and hand-offs, are still
+            // work in hand.
+            if transport.absorb_pending(comm, stack, cx) || !stack.is_local_empty() {
                 return Discovery::GotWork;
             }
             let Some(v) = victims.next() else {

@@ -32,7 +32,8 @@ pub trait TaskGen: Sync {
     /// conductors order the updates identically.
     ///
     /// Contract: any comm operation issued here must happen before the
-    /// produced tasks are pushed (the driver pushes `out` only after this
+    /// produced tasks are pushed (the driver pushes `out` — or, for a
+    /// [`TaskGen::PLACED`] workload, hands it to its owners — only after this
     /// returns), preserving the publish-before-migration discipline — a
     /// task's readiness is globally visible before the task can be stolen.
     /// An expansion that issues an atomic ([`Comm::add`], [`Comm::add_many`],
@@ -50,6 +51,19 @@ pub trait TaskGen: Sync {
     ) -> u32 {
         let _ = comm;
         self.expand(task, out)
+    }
+
+    /// Whether tasks have a home rank ([`TaskGen::home`]). A placing
+    /// workload's ready task that is not its emitter's own goes to its home
+    /// rank instead of the emitter's stack — see [`crate::sched::placement`].
+    /// `false` (the default, every tree) issues no operation for it.
+    const PLACED: bool = false;
+
+    /// The rank that owns `task` on `n_threads` ranks. Read only when
+    /// [`TaskGen::PLACED`], so a placing workload — or a wrapper of one —
+    /// must override it; the default panics rather than pick a rank.
+    fn home(&self, _task: &Self::Task, _n_threads: usize) -> usize {
+        unreachable!("a TaskGen::PLACED workload must override TaskGen::home")
     }
 
     /// Virtual work units charged for executing `task` (node-explorations on

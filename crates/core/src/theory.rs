@@ -209,6 +209,7 @@ mod tests {
             rejoins: 0,
             steal_attempts: steals + 3,
             successful_steals: steals,
+            handoffs: 0,
             critical_path_len: 0,
             service: None,
             per_thread: vec![ThreadResult::default(); threads],

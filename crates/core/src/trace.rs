@@ -100,6 +100,16 @@ pub enum Event {
         /// Nodes scavenged from the victim's shared region.
         items: u64,
     },
+    /// Ready tasks whose home is this rank arrived from the rank that made
+    /// them ready (`crate::sched::placement`).
+    HandOff {
+        /// Time they were taken onto the stack.
+        t_ns: u64,
+        /// The sender.
+        from: usize,
+        /// Tasks in the hand-off.
+        items: u64,
+    },
     /// This rank re-entered the membership as a new incarnation (after
     /// observing its own eviction fence, or restarting after a kill).
     Rejoin {

@@ -541,6 +541,14 @@ impl<G: DagGen> TaskGen for DagWorkload<G> {
         (out.len() - before) as u32
     }
 
+    /// A task lives where its count-up cell does: the rank whose add makes
+    /// it ready is rarely that rank, so the task is handed to its owner.
+    const PLACED: bool = true;
+
+    fn home(&self, task: &u64, n_threads: usize) -> usize {
+        (task % n_threads as u64) as usize
+    }
+
     fn work_units(&self, task: &u64) -> u64 {
         self.gen.weight(*task)
     }

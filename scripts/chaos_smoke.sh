@@ -7,7 +7,10 @@
 # with multiplicity, then a membership sweep (docs/faults.md §8: healing
 # partitions, gray stalls, kills, restarts) checked for conservation with
 # multiplicity in batch mode, bit-identity on a reference-conductor
-# subset, and zero lost requests in service mode. Each seeded run must
+# subset, and zero lost requests in service mode. The crash and membership
+# sweeps run every plan on a small layered task DAG too, whose ready tasks
+# travel to their owners as lineage-tracked hand-offs; it must conserve
+# with multiplicity on both conductors. Each seeded run must
 # terminate with the exact sequential node count; the binary exits
 # nonzero on any conservation or termination violation, printing the
 # offending algorithm and full FaultPlan for replay — membership

@@ -1,6 +1,7 @@
 #!/bin/bash
 # Regenerate every experiment in EXPERIMENTS.md: each entry of `exp --list`
-# (E1-E16), then the service and DAG sweeps (E17, E18), then the figures.
+# (E1-E16, E18's ready-wait probe), then the service and DAG sweeps (E17,
+# E18), then the figures.
 # Measured total on a 2-vCPU host: about 2 minutes (the two Figure 5 trees
 # and the Figure 4 sweep are over half of it). Results land in results/*.csv, logs
 # in results/logs/<name>.log, figures in results/figures/. To ask whether the

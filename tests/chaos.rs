@@ -10,6 +10,7 @@
 //!   conductor modes, so the fault layer costs nothing when disabled.
 
 use pgas::{FaultPlan, MachineModel};
+use uts_dlb::worksteal::trace::Event;
 use uts_dlb::worksteal::{
     run_sim, seq_run, Algorithm, DagWorkload, RandomLayered, RunConfig, RunReport, UtsGen,
     Wavefront,
@@ -195,10 +196,15 @@ fn geometric_and_hybrid_trees_conserve_under_crash() {
     }
 }
 
-/// DAG workloads under the crash sweep: each predecessor executes at least
-/// once, so every count-up cell still crosses its in-degree and every task
-/// is emitted — conservation-with-multiplicity holds with the dependency
-/// layer in the loop (docs/workloads.md).
+/// DAG workloads under the crash and membership sweeps: each predecessor
+/// executes at least once, so every count-up cell still crosses its
+/// in-degree and every task is emitted, and every ready task handed to its
+/// owner (`sched::placement`) is a lineage transfer — so a hand-off that is
+/// lost, duplicated, fenced with an evicted owner or orphaned by a death is
+/// re-emitted, and conservation-with-multiplicity holds (docs/workloads.md
+/// §2.3). Vacuity guard: some hand-off is re-injected. On the shared-region
+/// transports a hand-off is the only lineage transfer there is, so every
+/// re-injection they trace is one.
 #[test]
 fn dag_crash_faults_conserve_with_multiplicity() {
     let wf = DagWorkload::new(Wavefront {
@@ -207,10 +213,19 @@ fn dag_crash_faults_conserve_with_multiplicity() {
         seed: 13,
     });
     let rl = DagWorkload::new(RandomLayered::new(5, 8, 200, 11));
-    for alg in Algorithm::paper_set() {
-        for i in 0..4u64 {
+    let plans =
+        (0..4u64).flat_map(|i| [("crash", crash_plan(i)), ("membership", membership_plan(i))]);
+    let mut reinjected = 0u64;
+    for (kind, plan) in plans {
+        for alg in Algorithm::paper_set() {
             let mut cfg = RunConfig::new(alg, 4);
-            cfg.faults = crash_plan(i);
+            cfg.faults = plan;
+            // Membership plans run with a steal timeout, as every membership
+            // test here does; crash plans keep the default (`None`).
+            if kind == "membership" {
+                cfg.steal_timeout_ns = Some(30_000);
+            }
+            cfg.trace = true;
             for (name, report, expect) in [
                 ("wavefront", run_sim(MachineModel::kittyhawk(), 8, &wf, &cfg), wf.n_tasks()),
                 ("layered", run_sim(MachineModel::kittyhawk(), 8, &rl, &cfg), rl.n_tasks()),
@@ -218,15 +233,26 @@ fn dag_crash_faults_conserve_with_multiplicity() {
                 assert_eq!(
                     report.total_nodes - report.duplicate_nodes,
                     expect,
-                    "{name}/{} plan {i} lost tasks: total={} dup={} deaths={}",
+                    "{name}/{}/{kind} plan {:?} lost tasks: total={} dup={} deaths={} evictions={}",
                     alg.label(),
+                    cfg.faults,
                     report.total_nodes,
                     report.duplicate_nodes,
-                    report.deaths
+                    report.deaths,
+                    report.evictions
                 );
+                if alg != Algorithm::MpiWs {
+                    reinjected += report
+                        .per_thread
+                        .iter()
+                        .flat_map(|t| &t.events)
+                        .filter(|e| matches!(e, Event::Reinject { .. }))
+                        .count() as u64;
+                }
             }
         }
     }
+    assert!(reinjected > 0, "no hand-off was ever re-injected");
 }
 
 /// A crash-faulted run — including the death, the adoption, and every

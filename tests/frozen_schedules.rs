@@ -10,8 +10,9 @@
 //! The rows cover every worker path: the seven bundles fault-free, the
 //! timeout/retract paths (`FaultPlan::seeded`), the crash-mode discovery
 //! loops with deaths, lineage re-injection, quorum eviction and rejoin
-//! (`crashy`, `partitioned`), a DAG through `expand_in`, and service mode
-//! (pump, scanners, `SVC_TERM`) with and without crash faults.
+//! (`crashy`, `partitioned`), a DAG through `expand_in` and hand-offs to its
+//! tasks' owners, and service mode (pump, scanners, `SVC_TERM`) with and
+//! without crash faults.
 //!
 //! A deliberate schedule change regenerates the table: run the test, and
 //! paste the `FROZEN` block it prints on mismatch.
@@ -59,7 +60,7 @@ const FROZEN: &[(&str, u64, u64, u64, u64, u64)] = &[
     ("batch-mid/partitioned8/upc-term", 1179464, 6656, 54, 5635, 0),
     ("batch-mid/partitioned8/upc-distmem", 1335434, 9835, 274, 5635, 0),
     ("batch-mid/partitioned8/mpi-ws", 1313054, 2139, 106, 5707, 0),
-    ("batch/none/wavefront/upc-distmem", 88614, 2137, 35, 120, 0),
+    ("batch/none/wavefront/upc-distmem", 89004, 1725, 8, 120, 0),
     ("service/none/upc-term", 1370317, 8372, 53, 1644, 14135598511550185921),
     ("service/none/upc-distmem", 1283810, 6141, 5, 1644, 1020831894268373066),
     ("service/none/mpi-ws", 1588690, 5122, 125, 1644, 3085732314318750932),

@@ -58,13 +58,14 @@ fn sim_native_logical_agreement() {
 /// A DAG on real atomics: the native backend keeps the default
 /// `Comm::add_many`, the loop of host fetch-adds, so this is the crossing
 /// rule ("the add that returns in-degree − 1 emits the task") against real
-/// concurrency — every task runs exactly once, under every transport, and the
-/// run satisfies the same theory checks as a simulated one.
+/// concurrency, and every hand-off to a task's owner and its acknowledgement
+/// crosses a real mailbox — every task runs exactly once, under every
+/// bundle, and the run satisfies the same theory checks as a simulated one.
 #[test]
 fn native_dag_conserves_exactly() {
     fn check<G: DagGen>(dag: &DagWorkload<G>, name: &str) {
         let depth = dag.critical_path_len().expect("DAGs know their depth");
-        for alg in [Algorithm::Term, Algorithm::DistMem, Algorithm::MpiWs] {
+        for alg in Algorithm::all() {
             let cfg = RunConfig::new(alg, 1);
             let report = run_native(MachineModel::smp(), 4, dag, &cfg)
                 .expect("fault-free config runs natively");

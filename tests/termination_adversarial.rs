@@ -1,13 +1,19 @@
 //! Adversarial termination schedules: many random (seed, threads, chunk)
 //! configurations on tiny trees, where termination detection is the entire
 //! run (work runs out almost immediately and the detectors race with
-//! late-arriving steals). Complements `examples/termination_stress.rs`,
-//! which sweeps a larger grid in release mode.
+//! late-arriving steals), plus ready DAG tasks handed to their owners while
+//! those owners enter a barrier or the token ring. Complements
+//! `examples/termination_stress.rs`, which sweeps a larger grid in release
+//! mode.
 
-use pgas::{FaultPlan, MachineModel};
+use pgas::{Comm, FaultPlan, MachineModel};
 use uts_dlb::tree::TreeSpec;
 use uts_dlb::worksteal::service::SVC_SCAN_INTERVAL_NS;
-use uts_dlb::worksteal::{run_service_sim, run_sim, seq_run, Algorithm, RunConfig, UtsGen};
+use uts_dlb::worksteal::state::State;
+use uts_dlb::worksteal::trace::Event;
+use uts_dlb::worksteal::{
+    run_service_sim, run_sim, seq_run, Algorithm, RunConfig, TaskGen, UtsGen,
+};
 
 fn stress(alg: Algorithm, machine: &MachineModel, cases: u64) {
     for i in 0..cases {
@@ -311,5 +317,131 @@ fn stalled_registration_never_declares_an_epoch_early_service() {
     assert!(
         stalled_ns > 600 * 3 * SVC_SCAN_INTERVAL_NS,
         "the stall plan barely bit: {stalled_ns} ns over 600 runs"
+    );
+}
+
+/// A placed workload small enough to aim (`sched::placement`). The root, on
+/// rank 0, waits `delay_ns` and then makes one task ready for every rank;
+/// the task of rank `r` makes one ready for `r` and one for `r + 1 mod n`, so
+/// a hand-off follows every task but the root, and the last one goes back
+/// to rank 0. A task is `level | home << 8 | serial << 16`.
+struct Relay {
+    n: usize,
+    delay_ns: u64,
+}
+
+impl Relay {
+    fn task(level: u64, home: usize, serial: u64) -> u64 {
+        level | (home as u64) << 8 | serial << 16
+    }
+}
+
+impl TaskGen for Relay {
+    type Task = u64;
+    const PLACED: bool = true;
+
+    fn root(&self) -> u64 {
+        0
+    }
+
+    fn home(&self, task: &u64, n_threads: usize) -> usize {
+        (task >> 8 & 0xFF) as usize % n_threads
+    }
+
+    fn expand(&self, task: &u64, out: &mut Vec<u64>) -> u32 {
+        let (level, home) = (task & 0xFF, (task >> 8 & 0xFF) as usize);
+        match level {
+            0 => out.extend((1..=self.n).map(|r| Relay::task(1, r % self.n, 0))),
+            1 => out.extend([
+                Relay::task(2, home, 2 * home as u64),
+                Relay::task(2, (home + 1) % self.n, 2 * home as u64 + 1),
+            ]),
+            _ => return 0,
+        }
+        if level == 0 {
+            self.n as u32
+        } else {
+            2
+        }
+    }
+
+    fn expand_in<C: Comm<u64>>(&self, comm: &mut C, task: &u64, out: &mut Vec<u64>) -> u32 {
+        if *task == 0 {
+            comm.advance_idle(self.delay_ns);
+        }
+        self.expand(task, out)
+    }
+
+    fn fingerprint(&self, task: &u64) -> u64 {
+        task + 1
+    }
+}
+
+/// The hand-off protocol against the detectors it must not fool
+/// (`sched::placement`): the root's hand-offs are sent at every 2 µs step of
+/// a 240 µs window, across the moment their owners enter the cancelable
+/// barrier (`upc-sharedmem`), the streamlined one (`upc-distmem`) or the
+/// token ring (`mpi-ws`), on p = 2, 3 and 4 ranks that each sit on a node of
+/// their own, so every one-sided access and message crosses the network.
+/// Every run must end (a hang runs out of fuel) having run every task once.
+/// Vacuity guard: some hand-offs must land on a rank parked in a barrier.
+///
+/// Recorded mutants (each broken by hand in `crates/core/src/sched/
+/// placement.rs`, confirmed to fail here, restored), both first failing on
+/// `upc-sharedmem` p=2 at delay 0:
+/// - *The sender publishes out-of-work with a hand-off unacknowledged*
+///   (`Placement::refill` returns `false` without waiting): "upc-sharedmem
+///   p=2 delay 0 ns: tasks lost or run twice", left 3 right 7, in release —
+///   the sender enters the barrier last while its hand-off is in flight, and
+///   the owner sees the termination flag before the task. Debug builds stop
+///   one step earlier, at `Placement::on_out_of_work`'s assertion.
+/// - *The owner acknowledges before it publishes working* (`idle_service`
+///   acknowledges on absorbing): "out of fuel: thread 0 of 2 did no work
+///   from 4254 ns to 34359744774 ns, after 4908636 operations" — the
+///   sender's barrier entry beats the owner's exit, the barrier completes
+///   with the owner still counted, and a hand-off then waits forever on a
+///   rank that has terminated.
+#[test]
+fn handoff_racing_barrier_and_ring_entry() {
+    let machine = MachineModel {
+        threads_per_node: 1,
+        ..MachineModel::kittyhawk()
+    };
+    let mut parked = 0u64;
+    for alg in [Algorithm::SharedMem, Algorithm::DistMem, Algorithm::MpiWs] {
+        for n in 2..=4usize {
+            for step in 0..120u64 {
+                let gen = Relay {
+                    n,
+                    delay_ns: 2_000 * step,
+                };
+                let mut cfg = RunConfig::new(alg, 1);
+                cfg.trace = true;
+                let report = run_sim(machine.clone(), n, &gen, &cfg);
+                let what = format!("{} p={n} delay {} ns", alg.label(), gen.delay_ns);
+                assert_eq!(
+                    report.total_nodes,
+                    3 * n as u64 + 1,
+                    "{what}: tasks lost or run twice"
+                );
+                assert!(report.handoffs > 0, "{what}: nothing was handed off");
+                for r in &report.per_thread {
+                    let mut state = State::Working;
+                    for e in &r.events {
+                        match *e {
+                            Event::Enter { state: s, .. } => state = s,
+                            Event::HandOff { .. } => {
+                                parked += u64::from(state == State::Terminating)
+                            }
+                            _ => {}
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        parked > 0,
+        "no hand-off ever reached a rank inside a barrier"
     );
 }

@@ -66,6 +66,7 @@ fn event_timestamps_monotone_per_thread() {
                 | Event::Adopt { t_ns, .. }
                 | Event::Reinject { t_ns, .. }
                 | Event::Evict { t_ns, .. }
+                | Event::HandOff { t_ns, .. }
                 | Event::Rejoin { t_ns, .. } => *t_ns,
             };
             assert!(t >= last, "event time went backwards");
