@@ -23,7 +23,8 @@ use std::time::Instant;
 
 use pgas::sim::{SimCluster, SimReport};
 use pgas::MachineModel;
-use uts_bench::harness::{algorithm_by_name, arg, flag, machine_by_name, preset_by_name};
+use uts_bench::harness::{arg, flag};
+use worksteal::spec::{algorithm_by_name, machine_by_name, preset_by_name};
 use worksteal::{vars, worker, RunConfig, TaskGen, ThreadResult, UtsGen};
 
 fn run_once(
@@ -73,10 +74,10 @@ fn main() {
     let chunk: usize = arg("--chunk", 8);
     let repeats: usize = arg("--repeats", if smoke { 3 } else { 1 });
 
-    let machine = machine_by_name(&machine_name);
-    let preset = preset_by_name(&tree);
+    let machine = machine_by_name(&machine_name).unwrap_or_else(|e| panic!("{e}"));
+    let preset = preset_by_name(&tree).unwrap_or_else(|e| panic!("{e}"));
     let gen = UtsGen::new(preset.spec);
-    let alg = algorithm_by_name(&alg_name);
+    let alg = algorithm_by_name(&alg_name).unwrap_or_else(|e| panic!("{e}"));
     let cfg = RunConfig::new(alg, chunk);
 
     println!(

@@ -9,10 +9,12 @@
 //!
 //! That is the whole command line: an entry's parameters are constants in
 //! [`uts_bench::exp`], so a committed CSV is a function of the committed
-//! entry. An environment that injects faults (`UTS_CHAOS_*`,
-//! `UTS_STEAL_TIMEOUT_NS`, docs/faults.md) prints tables and neither writes
-//! nor checks; `UTS_SIM_REFERENCE=1 exp --check` is the conductor-equivalence
-//! test over the whole experiment surface.
+//! entry. Every run reads `UTS_OVERRIDE` (`uts_bench::harness`,
+//! docs/faults.md): one that injects faults, e.g.
+//! `UTS_OVERRIDE='faults=seeded(1) timeout=30000'`, prints tables and
+//! neither writes nor checks; `UTS_OVERRIDE='conductor=reference' exp
+//! --check` is the conductor-equivalence test over the whole experiment
+//! surface.
 
 use uts_bench::exp::{Entry, Run, TABLE};
 use uts_bench::harness::Sink;

@@ -22,13 +22,17 @@
 //! (`--smoke` for the CI-sized subset, which leaves the file alone).
 //! Writes `results/service.csv`; `--check` recomputes the sweep and compares
 //! it with the committed file byte for byte instead (every column is
-//! virtual, so any difference is a schedule change or a stale file).
+//! virtual, so any difference is a schedule change or a stale file). Every
+//! run starts from `harness::sim_config`, so `UTS_OVERRIDE` applies as in
+//! any sweep: `conductor=reference` must still pass `--check`, and a fault
+//! plan runs the fault-free rows under it (rows with a plan of their own
+//! keep it) and leaves the file alone.
 
 use pgas::{ArrivalSpec, FaultPlan, MachineModel};
-use uts_bench::harness::{flag, Sink};
+use uts_bench::harness::{flag, sim_config, Sink};
 use uts_tree::TreeSpec;
 use worksteal::{
-    run_service_sim, Algorithm, LatencyHistogram, RunConfig, RunReport, ServiceReport, UtsGen,
+    run_service_sim, Algorithm, LatencyHistogram, RunReport, ServiceReport, UtsGen,
 };
 
 const HEADER: &str = "bundle,process,rate_per_s,threads,requests,deferred,nodes,dup_nodes,deaths,\
@@ -79,8 +83,10 @@ fn run_one(
 ) -> SvcRow {
     // ~80 expected nodes per request: 1 + b0 * 1/(1 - m*q) geometric layers.
     let gen = UtsGen::new(TreeSpec::binomial(101, 8, 2, 0.45));
-    let mut cfg = RunConfig::new(alg, 4);
-    cfg.faults = faults;
+    let mut cfg = sim_config(alg, 4);
+    if faults.is_active() {
+        cfg.faults = faults;
+    }
     let report: RunReport = run_service_sim(MachineModel::kittyhawk(), threads, &gen, &cfg, arrivals);
     let svc: &ServiceReport = report.service.as_ref().expect("service report");
     let (mut exec, mut detect) = (LatencyHistogram::new(), LatencyHistogram::new());
@@ -106,7 +112,7 @@ fn run_one(
         detect_p99_us: us(detect.p99()),
         mean_us: us(svc.hist.mean()),
         max_us: us(svc.hist.max()),
-        faults: fault_label,
+        faults: if cfg.faults == faults { fault_label } else { "override" },
     }
 }
 

@@ -18,100 +18,64 @@
 //! - `-T <threads>`: simulated UPC threads (default 4)
 //! - `-A <alg>`: sharedmem|term|rapdif|distmem|mpi|hier|push (default distmem)
 //! - `-M <machine>`: kittyhawk|topsail|altix|smp (default kittyhawk)
-//! - `--native`: run on real OS threads instead of the simulator
+//! - `--spec '<line>'`: run this run spec (`worksteal::spec`: any workload,
+//!   fault plan, arrival law or conductor) instead of the flags above
+//! - `--native`: run on real OS threads (`conductor=native`)
 //! - `--expect <nodes>`: fail unless the count matches
 //! - `--expect-distinct <nodes>`: fail unless `total - duplicates` matches
 //!   (the conservation-with-multiplicity check for crash-faulted runs)
 //!
-//! The config comes from [`uts_bench::harness::sim_config`], so `UTS_CHAOS_*`
-//! / `UTS_STEAL_TIMEOUT_NS` environment overrides fault-inject any run and
-//! `UTS_SIM_REFERENCE=1` selects the reference conductor —
-//! the chaos soak prints violations as a paste-ready env prefix for this
-//! binary (crash plans need the default sim backend; `--native` refuses
-//! them with a typed error).
+//! The flags build a [`RunSpec`] like any other; the binary prints the line
+//! it runs and reads no environment. The chaos soak prints each violation
+//! as a paste-ready `--spec` line for this binary (crash plans need a
+//! simulated conductor; `--native` refuses them).
 //!
 //! Example (the paper's 10.6-billion-node tree — bring a cluster budget):
 //! `uts_cli -t 0 -b 2000 -q 0.499999995 -m 2 -r 0 -c 8 -T 1024`
 
-use uts_bench::harness::{algorithm_by_name, machine_by_name, sim_config};
-use uts_tree::{GeoShape, TreeSpec};
-use worksteal::{run_native, run_sim, UtsGen};
+use uts_bench::harness::{arg, flag, opt};
+use worksteal::spec::{Conductor, RunSpec};
 
-fn opt<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    args.windows(2)
-        .find(|w| w[0] == flag)
-        .and_then(|w| w[1].parse().ok())
+fn fail(problem: String) -> ! {
+    eprintln!("uts_cli: {problem}");
+    std::process::exit(2)
+}
+
+/// The run the UTS-style flags describe.
+fn from_flags() -> RunSpec {
+    let (seed, b0) = (arg("-r", 0u32), arg("-b", 64.0f64));
+    let tree = match (arg("-t", 0u32), arg("-a", 0usize)) {
+        (0, _) => format!("binomial({seed},{},{},{})", b0 as u32, arg("-m", 2u32), arg("-q", 0.498f64)),
+        (1, shape @ 0..=3) => {
+            let shape = ["fixed", "linear", "expdec", "cyclic"][shape];
+            format!("geometric({seed},{b0},{},{shape})", arg("-d", 10u32))
+        }
+        (1, shape) => fail(format!("unknown geometric shape {shape}")),
+        (t, _) => fail(format!("unknown tree type {t} (0 binomial, 1 geometric)")),
+    };
+    let line = format!(
+        "{} p={} tree={tree} alg={} k={} poll={}",
+        arg("-M", "kittyhawk".to_string()),
+        arg("-T", 4usize),
+        arg("-A", "distmem".to_string()),
+        arg("-c", 8usize),
+        arg("-i", 8u64)
+    );
+    line.parse().unwrap_or_else(|e| fail(e))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let tree_type: u32 = opt(&args, "-t").unwrap_or(0);
-    let seed: u32 = opt(&args, "-r").unwrap_or(0);
-    let b0: f64 = opt(&args, "-b").unwrap_or(64.0);
-    let m: u32 = opt(&args, "-m").unwrap_or(2);
-    let q: f64 = opt(&args, "-q").unwrap_or(0.498);
-    let depth: u32 = opt(&args, "-d").unwrap_or(10);
-    let shape: u32 = opt(&args, "-a").unwrap_or(0);
-    let chunk: usize = opt(&args, "-c").unwrap_or(8);
-    let interval: u64 = opt(&args, "-i").unwrap_or(8);
-    let threads: usize = opt(&args, "-T").unwrap_or(4);
-    let alg_name: String = opt(&args, "-A").unwrap_or_else(|| "distmem".to_string());
-    let machine_name: String = opt(&args, "-M").unwrap_or_else(|| "kittyhawk".to_string());
-    let native = args.iter().any(|a| a == "--native");
-    let expect: Option<u64> = opt(&args, "--expect");
-    let expect_distinct: Option<u64> = opt(&args, "--expect-distinct");
-
-    let spec = match tree_type {
-        0 => TreeSpec::binomial(seed, b0 as u32, m, q),
-        1 => {
-            let shape = match shape {
-                0 => GeoShape::Fixed,
-                1 => GeoShape::Linear,
-                2 => GeoShape::ExpDec,
-                3 => GeoShape::Cyclic,
-                other => {
-                    eprintln!("unknown geometric shape {other}");
-                    std::process::exit(2);
-                }
-            };
-            TreeSpec::geometric(seed, b0, depth, shape)
-        }
-        other => {
-            eprintln!("unknown tree type {other} (0 binomial, 1 geometric)");
-            std::process::exit(2);
-        }
+    let spec = match opt::<String>("--spec") {
+        Some(line) => line.parse().unwrap_or_else(|e| fail(format!("--spec: {e}"))),
+        None => from_flags(),
     };
-    let algorithm = algorithm_by_name(&alg_name);
-    let machine = machine_by_name(&machine_name);
+    let spec = if flag("--native") { RunSpec { conductor: Conductor::Native, ..spec } } else { spec };
+    let expect: Option<u64> = opt("--expect");
+    let expect_distinct: Option<u64> = opt("--expect-distinct");
 
-    println!("UTS tree: {spec:?}");
-    println!(
-        "runner: {} on {} ({} threads, k={chunk}, poll={interval}, backend={})",
-        algorithm.label(),
-        machine.name,
-        threads,
-        if native { "native" } else { "sim" }
-    );
-
-    let gen = UtsGen::new(spec);
-    let mut cfg = sim_config(algorithm, chunk);
-    cfg.poll_interval = interval;
-    if cfg.faults.is_active() {
-        println!("chaos: {:?}", cfg.faults);
-    }
-    let seq_rate = machine.seq_rate();
-    let report = if native {
-        match run_native(machine, threads, &gen, &cfg) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("uts_cli: {e}");
-                std::process::exit(2);
-            }
-        }
-    } else {
-        run_sim(machine, threads, &gen, &cfg)
-    };
-
+    println!("run: {spec}");
+    let seq_rate = spec.machine_model().seq_rate();
+    let report = spec.run();
     println!("{}", report.summary_row(seq_rate));
     let totals = report.totals();
     println!(

@@ -4,7 +4,8 @@
 //!
 //! An entry takes no parameters. Its tree, machine, thread counts, chunk
 //! sizes and algorithm list are constants beside its grid loop, every run
-//! goes through [`sim_config`], and its rows leave through [`Sink::emit`] —
+//! goes through [`sim_config`] (so `UTS_OVERRIDE` may swap the conductor or
+//! inject faults), and its rows leave through [`Sink::emit`] —
 //! so `results/<name>.csv` is a function of the committed entry, and
 //! `exp --check` can say whether the committed file still is. A single point
 //! with other parameters is what `uts_cli` is for.

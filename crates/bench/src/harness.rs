@@ -1,10 +1,21 @@
-//! Shared plumbing for the figure-reproduction binaries: run descriptors,
-//! result tables, and CSV output under `results/`.
+//! Shared plumbing for the figure-reproduction binaries: run configuration,
+//! result tables, CSV output under `results/`, and command-line options.
+//!
+//! The one environment variable the harness reads is `UTS_OVERRIDE`: a
+//! partial run spec (`worksteal::spec`) of `faults=`, `timeout=` and
+//! `conductor=fiber|reference` words applied by [`sim_config`] to every run
+//! of every sweep, e.g. `UTS_OVERRIDE='faults=seeded(1) timeout=30000'` or
+//! `UTS_OVERRIDE='conductor=reference'`. A sweep under an override that
+//! injects faults neither writes nor checks its CSV ([`Sink::from_args`]).
 
+use std::fmt::Display;
 use std::fs;
+use std::str::FromStr;
 use std::time::Instant;
 
 use pgas::MachineModel;
+use uts_tree::presets;
+use worksteal::spec::{Conductor, RunSpec, Workload};
 use worksteal::state::State;
 use worksteal::{run_sim, Algorithm, RunConfig, RunReport, UtsGen};
 
@@ -39,17 +50,46 @@ pub struct Row {
     pub t_real: f64,
 }
 
-/// The run configuration every harness binary starts from. Opt-in chaos:
-/// `UTS_CHAOS_SEED` / `UTS_STEAL_TIMEOUT_NS` fault-inject any binary without
-/// new flags; unset they change nothing. Likewise `UTS_SIM_REFERENCE=1` swaps
-/// in the reference OS-thread conductor (virtual results are bit-identical,
-/// only wall-clock differs).
+/// The keys `UTS_OVERRIDE` may set.
+const OVERRIDE_KEYS: [&str; 3] = ["faults", "timeout", "conductor"];
+
+/// The run configuration every harness binary starts from:
+/// `RunConfig::new` under the environment's `UTS_OVERRIDE`.
+///
+/// # Panics
+///
+/// If `UTS_OVERRIDE` does not parse, or sets a key other than `faults`,
+/// `timeout` and `conductor` (fiber or reference): a chaos run that
+/// silently ran fault-free because of a typo is worse than none.
 pub fn sim_config(algorithm: Algorithm, chunk: usize) -> RunConfig {
-    let mut cfg = RunConfig::new(algorithm, chunk).with_env_chaos();
-    if std::env::var("UTS_SIM_REFERENCE").is_ok_and(|v| v == "1") {
-        cfg.sim_lookahead = false;
+    env_override(&RunConfig::new(algorithm, chunk)).config()
+}
+
+/// `cfg` under the partial run spec `text`: the pure half of
+/// [`sim_config`]. An empty `text` leaves `cfg` as it is; errors name the
+/// key and the value.
+pub fn with_override(text: &str, cfg: RunConfig) -> Result<RunConfig, String> {
+    parse_override(text, &cfg).map(|spec| RunConfig { trace: cfg.trace, ..spec.config() })
+}
+
+/// `text` set on a stand-in run of `cfg`.
+fn parse_override(text: &str, cfg: &RunConfig) -> Result<RunSpec, String> {
+    let foreign = |w: &&str| !OVERRIDE_KEYS.contains(&w.split_once('=').map_or(*w, |(key, _)| key));
+    if let Some(word) = text.split_whitespace().find(foreign) {
+        return Err(format!("{word}: an override sets only faults=, timeout= and conductor="));
     }
-    cfg
+    let spec = RunSpec::new("smp", 1, Workload::Tree(presets::t_tiny().spec), cfg).with(text)?;
+    match spec.conductor {
+        Conductor::Native => Err("conductor=native: an override picks fiber or reference".into()),
+        _ => Ok(spec),
+    }
+}
+
+/// `UTS_OVERRIDE` set on a stand-in run of `cfg`: the one place the
+/// harness reads the environment.
+fn env_override(cfg: &RunConfig) -> RunSpec {
+    let text = std::env::var("UTS_OVERRIDE").unwrap_or_default();
+    parse_override(&text, cfg).unwrap_or_else(|e| panic!("UTS_OVERRIDE='{text}': {e}"))
 }
 
 /// Execute one simulated run of `cfg`, with node conservation asserted, and
@@ -181,17 +221,16 @@ pub enum Sink {
     Write,
     /// Compare with the committed `results/<name>.csv`; write nothing.
     Check,
-    /// Neither: the environment injects faults (`UTS_CHAOS_*` /
-    /// `UTS_STEAL_TIMEOUT_NS`), so the numbers are not the committed
-    /// experiment's.
+    /// Neither: `UTS_OVERRIDE` injects faults or arms the steal timeout, so
+    /// the numbers are not the committed experiment's.
     Discard,
 }
 
 impl Sink {
-    /// `--check` or not, unless the environment injects faults.
+    /// `--check` or not, unless `UTS_OVERRIDE` injects faults.
     pub fn from_args(check: bool) -> Sink {
-        let env = sim_config(Algorithm::DistMem, 8);
-        if env.faults.is_active() || env.steal_timeout_ns.is_some() {
+        let over = env_override(&RunConfig::default());
+        if over.faults.is_active() || over.timeout.is_some() {
             Sink::Discard
         } else if check {
             Sink::Check
@@ -237,17 +276,39 @@ impl Sink {
     }
 }
 
-/// Parse `--flag value` style options from argv (tiny, dependency-free).
-pub fn arg<T: std::str::FromStr>(flag: &str, default: T) -> T {
+/// The value after `flag` in `args`, parsed: `None` when the flag is
+/// absent, an error naming the flag and the value when that is missing or
+/// malformed.
+pub fn parse_flag<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String>
+where
+    T::Err: Display,
+{
+    let Some(at) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let value = args.get(at + 1).ok_or_else(|| format!("{flag} needs a value"))?;
+    value.parse().map(Some).map_err(|e| format!("{flag} {value}: {e}"))
+}
+
+/// `--flag value` from the command line. A missing or malformed value
+/// exits 2, naming the flag and the value.
+pub fn opt<T: FromStr>(flag: &str) -> Option<T>
+where
+    T::Err: Display,
+{
     let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len().saturating_sub(1) {
-        if args[i] == flag {
-            if let Ok(v) = args[i + 1].parse() {
-                return v;
-            }
-        }
-    }
-    default
+    parse_flag(&args, flag).unwrap_or_else(|e| {
+        eprintln!("{}: {e}", args[0]);
+        std::process::exit(2)
+    })
+}
+
+/// [`opt`], or `default` when the flag is absent.
+pub fn arg<T: FromStr>(flag: &str, default: T) -> T
+where
+    T::Err: Display,
+{
+    opt(flag).unwrap_or(default)
 }
 
 /// Is a bare `--flag` present?
@@ -255,65 +316,10 @@ pub fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
 }
 
-/// Look up a preset by name.
-pub fn preset_by_name(name: &str) -> uts_tree::presets::Preset {
-    match name {
-        "tiny" => uts_tree::presets::t_tiny(),
-        "s" => uts_tree::presets::t_s(),
-        "m" => uts_tree::presets::t_m(),
-        "l" => uts_tree::presets::t_l(),
-        "xl" => uts_tree::presets::t_xl(),
-        "xxl" => uts_tree::presets::t_xxl(),
-        other => panic!("unknown tree preset '{other}' (tiny|s|m|l|xl|xxl)"),
-    }
-}
-
-/// Machine model by name.
-pub fn machine_by_name(name: &str) -> MachineModel {
-    match name {
-        "kittyhawk" => MachineModel::kittyhawk(),
-        "topsail" => MachineModel::topsail(),
-        "altix" => MachineModel::altix(),
-        "smp" => MachineModel::smp(),
-        other => panic!("unknown machine '{other}' (kittyhawk|topsail|altix|smp)"),
-    }
-}
-
-/// The short name every command line takes for an algorithm (`uts_cli -A`,
-/// `conductor_bench --alg`, the chaos soak's repro lines), read both ways.
-const ALGORITHM_NAMES: [(&str, Algorithm); 7] = [
-    ("sharedmem", Algorithm::SharedMem),
-    ("term", Algorithm::Term),
-    ("rapdif", Algorithm::TermRapdif),
-    ("distmem", Algorithm::DistMem),
-    ("mpi", Algorithm::MpiWs),
-    ("hier", Algorithm::Hier),
-    ("push", Algorithm::Pushing),
-];
-
-/// Algorithm by short name or by its paper label ([`Algorithm::label`]).
-pub fn algorithm_by_name(name: &str) -> Algorithm {
-    ALGORITHM_NAMES
-        .iter()
-        .find(|(short, alg)| *short == name || alg.label() == name)
-        .map(|&(_, alg)| alg)
-        .unwrap_or_else(|| {
-            panic!("unknown algorithm '{name}' (sharedmem|term|rapdif|distmem|mpi|hier|push, or a paper label)")
-        })
-}
-
-/// The short name [`algorithm_by_name`] resolves back to `alg`.
-pub fn algorithm_name(alg: Algorithm) -> &'static str {
-    ALGORITHM_NAMES
-        .iter()
-        .find(|(_, a)| *a == alg)
-        .map(|(short, _)| *short)
-        .expect("every Algorithm variant is in ALGORITHM_NAMES")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgas::FaultPlan;
 
     #[test]
     fn measure_produces_consistent_row() {
@@ -328,20 +334,47 @@ mod tests {
     }
 
     #[test]
-    fn presets_and_machines_resolve() {
-        for t in ["tiny", "s", "m", "l", "xl"] {
-            let _ = preset_by_name(t);
-        }
-        for m in ["kittyhawk", "topsail", "altix", "smp"] {
-            let _ = machine_by_name(m);
-        }
+    fn flag_values_parse_or_fail_by_name() {
+        let args: Vec<String> = ["chaos", "--schedules", "5O", "--threads", "8", "--tree"].map(String::from).into();
+        assert_eq!(parse_flag::<usize>(&args, "--threads"), Ok(Some(8)));
+        assert_eq!(parse_flag::<u64>(&args, "--budget-s"), Ok(None));
+        let bad = parse_flag::<u64>(&args, "--schedules").unwrap_err();
+        assert!(bad.starts_with("--schedules 5O: "), "{bad}");
+        assert_eq!(parse_flag::<String>(&args, "--tree"), Err("--tree needs a value".into()));
     }
 
     #[test]
-    fn algorithm_names_read_both_ways() {
-        for alg in Algorithm::all() {
-            assert_eq!(algorithm_by_name(algorithm_name(alg)), alg);
-            assert_eq!(algorithm_by_name(alg.label()), alg);
+    fn override_sets_faults_timeout_and_conductor() {
+        let cfg = RunConfig { trace: true, ..RunConfig::new(Algorithm::MpiWs, 3) };
+        let same = with_override("", cfg).unwrap();
+        assert_eq!((same.faults, same.steal_timeout_ns, same.sim_lookahead, same.trace), (FaultPlan::none(), None, true, true));
+        let armed = with_override("faults=seeded(42) timeout=30000", cfg).unwrap();
+        assert_eq!((armed.faults, armed.steal_timeout_ns), (FaultPlan::seeded(42), Some(30_000)));
+        assert!(!with_override("conductor=reference", cfg).unwrap().sim_lookahead);
+        // A rate alone enables a plan; a kill rate borrows crashy()'s window.
+        let kill = with_override("faults=seeded(42),loss=25,kill=400", cfg).unwrap().faults;
+        assert_eq!((kill.loss_per_mille, kill.kill_per_mille), (25, 400));
+        assert_eq!((kill.kill_min_ns, kill.kill_span_ns), (100_000, 2_000_000));
+        assert!(with_override("faults=none,dup=10", cfg).unwrap().faults.crash_active());
+        // Membership rates borrow partitioned()'s windows.
+        let part = FaultPlan::partitioned(0);
+        let m = with_override("faults=none,partition=500,gray=250,restart=200000", cfg).unwrap().faults;
+        assert_eq!((m.partition_per_mille, m.partition_span_ns, m.partition_dur_ns), (500, part.partition_span_ns, 900_000));
+        assert_eq!((m.gray_per_mille, m.gray_stall_ns, m.restart_after_ns), (250, part.gray_stall_ns, 200_000));
+        assert!(m.crash_active());
+        // Malformed values and foreign keys fail, naming the key.
+        for (text, key) in [
+            ("faults=seeded(banana)", "faults="),
+            ("timeout=12ms", "timeout="),
+            ("faults=seeded(1),loss=-3", "loss=-3"),
+            ("faults=crashy(1),kill=1001", "kill=1001"),
+            ("faults=seeded(1),colour=3", "colour"),
+            ("colour=red", "colour=red"),
+            ("conductor=native", "conductor=native"),
+            ("faults=seeded(1) p=4", "p=4"),
+        ] {
+            let e = with_override(text, cfg).unwrap_err();
+            assert!(e.contains(key), "{text}: {e}");
         }
     }
 
@@ -376,11 +409,5 @@ mod tests {
         assert_eq!((missing.line, missing.recomputed), (3, end.clone()));
         let extra = compare_csv(short, COMMITTED, 1).unwrap_err();
         assert_eq!((extra.line, extra.committed), (3, end));
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown tree preset")]
-    fn unknown_preset_panics() {
-        preset_by_name("nope");
     }
 }

@@ -172,104 +172,6 @@ impl RunConfig {
             steal_policy: None,
         }
     }
-
-    /// Apply opt-in chaos overrides from the environment, so any harness can
-    /// be fault-injected without new flags:
-    ///
-    /// - `UTS_CHAOS_SEED=<u64>` installs [`FaultPlan::seeded`] with that seed;
-    /// - `UTS_STEAL_TIMEOUT_NS=<u64>` arms the thief request timeout;
-    /// - `UTS_CHAOS_LOSS_PM=<0..=1000>`, `UTS_CHAOS_DUP_PM=<0..=1000>`, and
-    ///   `UTS_CHAOS_KILL_PM=<0..=1000>` set the crash-class per-mille rates
-    ///   (message loss, duplication, rank death — see `docs/faults.md`) on
-    ///   top of whatever plan is installed, enabling it if necessary. A
-    ///   kill rate set this way gets [`FaultPlan::crashy`]'s death window
-    ///   unless the plan already has one;
-    /// - `UTS_CHAOS_PARTITION_PM=<0..=1000>` and `UTS_CHAOS_GRAY_PM=<0..=1000>`
-    ///   arm the correlated membership faults (network partition, gray
-    ///   stall — `docs/faults.md` §8) the same way, borrowing
-    ///   [`FaultPlan::partitioned`]'s windows when the plan has none;
-    /// - `UTS_CHAOS_RESTART_NS=<u64>` makes killed ranks restart after that
-    ///   virtual-time delay (0 disables restarts).
-    ///
-    /// Unset variables leave the config untouched, keeping fault-free runs
-    /// bit-identical. A *set but malformed* variable panics with the
-    /// offending name and value — a chaos run that silently ran fault-free
-    /// because of a typo is worse than no chaos run at all.
-    ///
-    /// # Panics
-    ///
-    /// If any of the variables above is set to a value that does not parse
-    /// as `u64`, or a `_PM` rate exceeds 1000.
-    pub fn with_env_chaos(mut self) -> RunConfig {
-        if let Some(seed) = parse_env("UTS_CHAOS_SEED") {
-            self.faults = FaultPlan::seeded(seed);
-        }
-        if let Some(ns) = parse_env("UTS_STEAL_TIMEOUT_NS") {
-            self.steal_timeout_ns = Some(ns);
-        }
-        if let Some(pm) = parse_env_pm("UTS_CHAOS_LOSS_PM") {
-            self.faults.loss_per_mille = pm;
-            self.faults.enabled = true;
-        }
-        if let Some(pm) = parse_env_pm("UTS_CHAOS_DUP_PM") {
-            self.faults.dup_per_mille = pm;
-            self.faults.enabled = true;
-        }
-        if let Some(pm) = parse_env_pm("UTS_CHAOS_KILL_PM") {
-            self.faults.kill_per_mille = pm;
-            self.faults.enabled = true;
-            if pm > 0 && self.faults.kill_min_ns == 0 && self.faults.kill_span_ns == 0 {
-                let crashy = FaultPlan::crashy(self.faults.seed);
-                self.faults.kill_min_ns = crashy.kill_min_ns;
-                self.faults.kill_span_ns = crashy.kill_span_ns;
-            }
-        }
-        if let Some(pm) = parse_env_pm("UTS_CHAOS_PARTITION_PM") {
-            self.faults.partition_per_mille = pm;
-            self.faults.enabled = true;
-            if pm > 0 && self.faults.partition_span_ns == 0 {
-                let part = FaultPlan::partitioned(self.faults.seed);
-                self.faults.partition_min_ns = part.partition_min_ns;
-                self.faults.partition_span_ns = part.partition_span_ns;
-                self.faults.partition_dur_ns = part.partition_dur_ns;
-            }
-        }
-        if let Some(pm) = parse_env_pm("UTS_CHAOS_GRAY_PM") {
-            self.faults.gray_per_mille = pm;
-            self.faults.enabled = true;
-            if pm > 0 && self.faults.gray_span_ns == 0 {
-                let part = FaultPlan::partitioned(self.faults.seed);
-                self.faults.gray_min_ns = part.gray_min_ns;
-                self.faults.gray_span_ns = part.gray_span_ns;
-                self.faults.gray_stall_ns = part.gray_stall_ns;
-            }
-        }
-        if let Some(ns) = parse_env("UTS_CHAOS_RESTART_NS") {
-            self.faults.restart_after_ns = ns;
-            self.faults.enabled = true;
-        }
-        self
-    }
-}
-
-fn parse_env(name: &str) -> Option<u64> {
-    let raw = std::env::var(name).ok()?;
-    match raw.trim().parse() {
-        Ok(v) => Some(v),
-        Err(_) => panic!(
-            "{name}={raw:?} is not a valid u64; unset it or fix the value \
-             (chaos overrides refuse to be silently ignored)"
-        ),
-    }
-}
-
-fn parse_env_pm(name: &str) -> Option<u32> {
-    let v = parse_env(name)?;
-    assert!(
-        v <= 1000,
-        "{name}={v} is out of range: per-mille rates must be 0..=1000"
-    );
-    Some(v as u32)
 }
 
 impl Default for RunConfig {
@@ -289,90 +191,6 @@ mod tests {
         assert_eq!(Algorithm::TermRapdif.label(), "upc-term-rapdif");
         assert_eq!(Algorithm::DistMem.label(), "upc-distmem");
         assert_eq!(Algorithm::MpiWs.label(), "mpi-ws");
-    }
-
-    /// All env-chaos cases in one test: env vars are process-global and the
-    /// test harness runs tests on parallel threads, so splitting these up
-    /// would race on the variables.
-    #[test]
-    fn env_chaos_overrides_parse_strictly() {
-        let vars = [
-            "UTS_CHAOS_SEED",
-            "UTS_STEAL_TIMEOUT_NS",
-            "UTS_CHAOS_LOSS_PM",
-            "UTS_CHAOS_DUP_PM",
-            "UTS_CHAOS_KILL_PM",
-            "UTS_CHAOS_PARTITION_PM",
-            "UTS_CHAOS_GRAY_PM",
-            "UTS_CHAOS_RESTART_NS",
-        ];
-        let clear = || {
-            for v in vars {
-                std::env::remove_var(v);
-            }
-        };
-        clear();
-
-        // Unset vars leave the config untouched.
-        let cfg = RunConfig::default().with_env_chaos();
-        assert!(!cfg.faults.is_active());
-        assert_eq!(cfg.steal_timeout_ns, None);
-
-        // Well-formed values install a plan, arm the timeout, and set the
-        // crash rates (which also pick up crashy()'s death window).
-        std::env::set_var("UTS_CHAOS_SEED", "42");
-        std::env::set_var("UTS_STEAL_TIMEOUT_NS", " 30000 ");
-        std::env::set_var("UTS_CHAOS_LOSS_PM", "25");
-        std::env::set_var("UTS_CHAOS_DUP_PM", "0");
-        std::env::set_var("UTS_CHAOS_KILL_PM", "400");
-        let cfg = RunConfig::default().with_env_chaos();
-        assert_eq!(cfg.faults.seed, 42);
-        assert_eq!(cfg.steal_timeout_ns, Some(30_000));
-        assert_eq!(cfg.faults.loss_per_mille, 25);
-        assert_eq!(cfg.faults.dup_per_mille, 0);
-        assert_eq!(cfg.faults.kill_per_mille, 400);
-        assert!(cfg.faults.kill_span_ns > 0, "kill window defaulted");
-        assert!(cfg.faults.crash_active());
-
-        // Crash rates alone enable a plan even without UTS_CHAOS_SEED.
-        clear();
-        std::env::set_var("UTS_CHAOS_DUP_PM", "10");
-        let cfg = RunConfig::default().with_env_chaos();
-        assert!(cfg.faults.crash_active());
-        assert_eq!(cfg.faults.dup_per_mille, 10);
-
-        // Membership faults borrow partitioned()'s windows when armed bare.
-        clear();
-        std::env::set_var("UTS_CHAOS_PARTITION_PM", "500");
-        std::env::set_var("UTS_CHAOS_GRAY_PM", "250");
-        std::env::set_var("UTS_CHAOS_RESTART_NS", "200000");
-        let cfg = RunConfig::default().with_env_chaos();
-        assert!(cfg.faults.crash_active());
-        assert_eq!(cfg.faults.partition_per_mille, 500);
-        assert!(cfg.faults.partition_span_ns > 0, "partition window defaulted");
-        assert!(cfg.faults.partition_dur_ns > 0, "partition heals by default");
-        assert_eq!(cfg.faults.gray_per_mille, 250);
-        assert!(cfg.faults.gray_stall_ns > 0, "gray stall defaulted");
-        assert_eq!(cfg.faults.restart_after_ns, 200_000);
-
-        // Malformed or out-of-range values panic instead of being swallowed.
-        for (var, bad) in [
-            ("UTS_CHAOS_SEED", "banana"),
-            ("UTS_STEAL_TIMEOUT_NS", "12ms"),
-            ("UTS_CHAOS_LOSS_PM", "-3"),
-            ("UTS_CHAOS_KILL_PM", "1001"),
-        ] {
-            clear();
-            std::env::set_var(var, bad);
-            let err = std::panic::catch_unwind(|| RunConfig::default().with_env_chaos())
-                .expect_err("malformed {var} must panic");
-            let msg = err
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
-            assert!(msg.contains(var), "panic names the variable: {msg}");
-        }
-        clear();
     }
 
     #[test]

@@ -50,6 +50,7 @@ pub mod recovery;
 pub mod report;
 pub mod sched;
 pub mod service;
+pub mod spec;
 pub mod stack;
 pub mod state;
 pub mod taskgen;
@@ -67,6 +68,7 @@ pub use sched::{
     drive, run_bundle, BundleSpec, StealPolicyKind, TerminationKind, TransportKind, VictimPolicy,
 };
 pub use service::{run_service_sim, RequestStat, ServiceReport, ServiceWorkload, Stamped};
+pub use spec::RunSpec;
 pub use taskgen::{SyntheticGen, TaskGen, UtsGen};
 pub use theory::{check_run, steal_bound, tree_depth, TheorySummary, TheoryViolation};
 pub use workload::{DagGen, DagWorkload, ForkJoin, RandomLayered, Wavefront};

@@ -189,7 +189,7 @@ pub fn critical_path_dp<G: DagGen>(g: &G) -> u64 {
 /// (the final join is a dedicated sink). Task weights vary deterministically
 /// with the seed so parallel branches are imbalanced, and deeper levels get
 /// higher priority (finish the oldest diamond first).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ForkJoin {
     /// Number of fork-join diamonds in the chain.
     pub levels: u32,
@@ -270,7 +270,7 @@ impl DagGen for ForkJoin {
 /// `(r, c-1)`, the classic dynamic-programming dependence. Parallelism
 /// sweeps in as an anti-diagonal front of width `min(rows, cols)`; the
 /// unweighted critical path is `rows + cols - 1`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Wavefront {
     /// Grid rows.
     pub rows: u32,

@@ -12,9 +12,9 @@
 # travel to their owners as lineage-tracked hand-offs; it must conserve
 # with multiplicity on both conductors. Each seeded run must
 # terminate with the exact sequential node count; the binary exits
-# nonzero on any conservation or termination violation, printing the
-# offending algorithm and full FaultPlan for replay — membership
-# violations come with a paste-ready UTS_CHAOS_* env line for uts_cli. A
+# nonzero on any conservation or termination violation, printing each
+# as a paste-ready `uts_cli --spec '<line>' --expect-distinct N` — the run
+# spec the sweep ran, so the line replays it on either conductor. A
 # livelocked run runs out of fuel and panics (docs/faults.md §5); the
 # wall-clock budget bounds the sweep, failing one that terminates too
 # slowly. Sized for a tier-1 time budget: the default 50+50+50-schedule

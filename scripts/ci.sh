@@ -57,9 +57,22 @@ if grep -rnE 'Watch[d]og|UTS_WATCH[D]OG' crates scripts tests; then
 fi
 [ "$(grep -rnE '[<>]=? *FUEL_NS|FUEL_NS *[<>]' crates | cut -d: -f1)" = crates/pgas/src/sim.rs ] ||
   { echo "FUEL_NS must be compared in exactly one place, crates/pgas/src/sim.rs" >&2; exit 1; }
-if grep -rlF 'std::env::var' crates/core/src | grep -vx 'crates/core/src/config.rs'; then
-  echo "std::env::var under crates/core/src outside config.rs" >&2; exit 1
+# A run is one line of text (worksteal::spec::RunSpec): the library reads no
+# environment, the retired per-knob variables stay gone, and the harness
+# reads its one override, UTS_OVERRIDE, in one place.
+if grep -rlF 'std::env::var' crates/core/src; then
+  echo "std::env::var under crates/core/src: the library reads no environment" >&2; exit 1
 fi
+if grep -rnE 'UTS_CHAO[S]_|UTS_STEAL_TIMEOUT_N[S]|UTS_SIM_REFERENC[E]' crates scripts tests; then
+  echo "a retired UTS_* variable came back; a run takes UTS_OVERRIDE or a spec line" >&2; exit 1
+fi
+[ "$(grep -rnF 'env::var("UTS_OVERRIDE")' crates | cut -d: -f1)" = crates/bench/src/harness.rs ] ||
+  { echo "UTS_OVERRIDE must be read exactly once, in crates/bench/src/harness.rs" >&2; exit 1; }
+# A frozen-table row pastes into uts_cli (a crash row: a kill inside a
+# partition, then a restart).
+cargo build --release --offline -p uts-bench --bin uts_cli
+./target/release/uts_cli --spec 'topsail p=6 tree=binomial(5,64,2,0.49666666666666665) alg=distmem k=4 faults=partitioned(8)' \
+  --expect-distinct 5635
 
 echo "== SAFETY comments (crates/pgas/src) =="
 # Every `unsafe {` block and `unsafe impl` in the crate that owns the fiber

@@ -8,11 +8,14 @@
 //! - [`FaultPlan::none()`] reproduces the fault-free run bit-for-bit — same
 //!   makespan, same per-thread counters, same comm stats — in both
 //!   conductor modes, so the fault layer costs nothing when disabled.
+//! - The repro line the `chaos` soak prints for a run reruns that run.
 
 use pgas::{FaultPlan, MachineModel};
+use uts_bench::chaos::{crash_faults, membership_faults, repro, DAG};
+use uts_dlb::worksteal::spec::{Conductor, Workload};
 use uts_dlb::worksteal::trace::Event;
 use uts_dlb::worksteal::{
-    run_sim, seq_run, Algorithm, DagWorkload, RandomLayered, RunConfig, RunReport, UtsGen,
+    run_sim, seq_run, Algorithm, DagWorkload, RandomLayered, RunConfig, RunReport, RunSpec, UtsGen,
     Wavefront,
 };
 use uts_tree::presets;
@@ -35,35 +38,48 @@ fn random_plan(i: u64) -> FaultPlan {
     }
 }
 
-fn faulted_sweep(preset: uts_tree::presets::Preset, schedules: u64, threads: usize) {
-    let gen = UtsGen::new(preset.spec);
-    let (expect, _) = seq_run(&gen);
-    assert_eq!(expect, preset.expected.nodes);
+/// T-tiny on `p` kittyhawk threads with chunk size `k`.
+fn tiny(alg: Algorithm, p: usize, k: usize) -> RunSpec {
+    RunSpec { alg, ..format!("kittyhawk p={p} tree=tiny alg=distmem k={k}").parse::<RunSpec>().unwrap() }
+}
+
+/// Run `spec`: every node is explored at least once and every
+/// re-exploration is counted, so `total - duplicates == expect`.
+fn assert_conserves(spec: RunSpec, expect: u64) -> RunReport {
+    let r = spec.run();
+    assert_eq!(
+        r.total_nodes - r.duplicate_nodes,
+        expect,
+        "{spec} lost nodes: total={} dup={} deaths={} evictions={} rejoins={}",
+        r.total_nodes,
+        r.duplicate_nodes,
+        r.deaths,
+        r.evictions,
+        r.rejoins
+    );
+    r
+}
+
+fn faulted_sweep(tree: &str, schedules: u64, threads: usize) {
+    let base: RunSpec = format!("kittyhawk p={threads} tree={tree} alg=distmem k=4 timeout=30000").parse().unwrap();
+    let Workload::Tree(spec) = base.workload else { unreachable!("a tree spec") };
+    let (expect, _) = seq_run(&UtsGen::new(spec));
     for alg in Algorithm::paper_set() {
         for i in 0..schedules {
-            let mut cfg = RunConfig::new(alg, 4);
-            cfg.faults = random_plan(i);
-            cfg.steal_timeout_ns = Some(30_000);
-            let report = run_sim(MachineModel::kittyhawk(), threads, &gen, &cfg);
-            assert_eq!(
-                report.total_nodes,
-                expect,
-                "{} schedule {i} ({:?}) lost or duplicated nodes",
-                alg.label(),
-                cfg.faults
-            );
+            let spec = RunSpec { alg, faults: random_plan(i), ..base };
+            assert_eq!(spec.run().total_nodes, expect, "{spec}: lost or duplicated nodes");
         }
     }
 }
 
 #[test]
 fn chaos_t_tiny_all_algorithms() {
-    faulted_sweep(presets::t_tiny(), 8, 8);
+    faulted_sweep("tiny", 8, 8);
 }
 
 #[test]
 fn chaos_t_s_all_algorithms() {
-    faulted_sweep(presets::t_s(), 2, 8);
+    faulted_sweep("s", 2, 8);
 }
 
 /// Field-by-field equality of two reports: virtual results and every
@@ -130,29 +146,11 @@ fn crash_plan(i: u64) -> FaultPlan {
 /// node is accounted as a duplicate, so `total - duplicates == tree size`.
 #[test]
 fn crash_faults_conserve_with_multiplicity() {
-    let p = presets::t_tiny();
-    let gen = UtsGen::new(p.spec);
-    let (expect, _) = seq_run(&gen);
+    let (expect, _) = seq_run(&UtsGen::new(presets::t_tiny().spec));
     for alg in Algorithm::paper_set() {
         for i in 0..6u64 {
-            let mut cfg = RunConfig::new(alg, 4);
-            cfg.faults = crash_plan(i);
-            let report = run_sim(MachineModel::kittyhawk(), 8, &gen, &cfg);
-            assert!(
-                report.deaths <= 1,
-                "{} plan {i}: at most one rank dies per plan",
-                alg.label()
-            );
-            assert_eq!(
-                report.total_nodes - report.duplicate_nodes,
-                expect,
-                "{} plan {i} ({:?}) lost nodes: total={} dup={} deaths={}",
-                alg.label(),
-                cfg.faults,
-                report.total_nodes,
-                report.duplicate_nodes,
-                report.deaths
-            );
+            let report = assert_conserves(RunSpec { faults: crash_plan(i), ..tiny(alg, 8, 4) }, expect);
+            assert!(report.deaths <= 1, "{} plan {i}: at most one rank dies per plan", alg.label());
         }
     }
 }
@@ -162,11 +160,8 @@ fn crash_faults_conserve_with_multiplicity() {
 /// recovery protocol, not of the binomial law every other chaos case uses.
 #[test]
 fn geometric_and_hybrid_trees_conserve_under_crash() {
-    let specs = [
-        ("geometric", TreeSpec::geometric(5, 2.2, 6, GeoShape::ExpDec)),
-        ("hybrid", TreeSpec::hybrid(7, 2.5, 3, 2, 0.45)),
-    ];
-    for (family, mut spec) in specs {
+    let specs = [TreeSpec::geometric(5, 2.2, 6, GeoShape::ExpDec), TreeSpec::hybrid(7, 2.5, 3, 2, 0.45)];
+    for mut spec in specs {
         // Geometric roots draw their child count too, so a seed can yield a
         // single-node tree: scan to the first non-degenerate instance.
         let expect = loop {
@@ -176,21 +171,10 @@ fn geometric_and_hybrid_trees_conserve_under_crash() {
             }
             spec.seed += 100;
         };
-        let gen = UtsGen::new(spec);
         for alg in Algorithm::paper_set() {
             for i in 0..3u64 {
-                let mut cfg = RunConfig::new(alg, 4);
-                cfg.faults = crash_plan(i);
-                let report = run_sim(MachineModel::kittyhawk(), 8, &gen, &cfg);
-                assert_eq!(
-                    report.total_nodes - report.duplicate_nodes,
-                    expect,
-                    "{family}/{} plan {i} lost nodes: total={} dup={} deaths={}",
-                    alg.label(),
-                    report.total_nodes,
-                    report.duplicate_nodes,
-                    report.deaths
-                );
+                let workload = Workload::Tree(spec);
+                assert_conserves(RunSpec { workload, faults: crash_plan(i), ..tiny(alg, 8, 4) }, expect);
             }
         }
     }
@@ -255,29 +239,25 @@ fn dag_crash_faults_conserve_with_multiplicity() {
     assert!(reinjected > 0, "no hand-off was ever re-injected");
 }
 
+/// `spec` on the fiber and on the reference conductor: the same makespan,
+/// deaths, evictions, rejoins, recovery and duplicates, and per thread the
+/// same nodes, death and comm stats.
+fn assert_conductors_agree(spec: RunSpec) {
+    let (a, b) = (spec.run(), RunSpec { conductor: Conductor::Reference, ..spec }.run());
+    let totals = |r: &RunReport| (r.makespan_ns, r.deaths, r.evictions, r.rejoins, r.recovered_nodes, r.duplicate_nodes);
+    assert_eq!(totals(&a), totals(&b), "{spec}");
+    for (t, (x, y)) in a.per_thread.iter().zip(&b.per_thread).enumerate() {
+        assert_eq!((x.nodes, x.died, &x.comm), (y.nodes, y.died, &y.comm), "{spec}: thread {t}");
+    }
+}
+
 /// A crash-faulted run — including the death, the adoption, and every
 /// re-injected grant — is bit-identical across the fast fiber conductor and
 /// the reference OS-thread conductor.
 #[test]
 fn crash_runs_agree_across_conductors() {
-    let p = presets::t_tiny();
-    let gen = UtsGen::new(p.spec);
     for alg in Algorithm::paper_set() {
-        let mut fast = RunConfig::new(alg, 2);
-        fast.faults = crash_plan(3);
-        let mut reference = fast;
-        reference.sim_lookahead = false;
-        let a = run_sim(MachineModel::kittyhawk(), 6, &gen, &fast);
-        let b = run_sim(MachineModel::kittyhawk(), 6, &gen, &reference);
-        assert_eq!(a.makespan_ns, b.makespan_ns, "{}", alg.label());
-        assert_eq!(a.deaths, b.deaths, "{}", alg.label());
-        assert_eq!(a.recovered_nodes, b.recovered_nodes, "{}", alg.label());
-        assert_eq!(a.duplicate_nodes, b.duplicate_nodes, "{}", alg.label());
-        for (t, (x, y)) in a.per_thread.iter().zip(&b.per_thread).enumerate() {
-            assert_eq!(x.nodes, y.nodes, "{} thread {t}", alg.label());
-            assert_eq!(x.died, y.died, "{} thread {t}", alg.label());
-            assert_eq!(x.comm, y.comm, "{} thread {t}", alg.label());
-        }
+        assert_conductors_agree(RunSpec { faults: crash_plan(3), ..tiny(alg, 6, 2) });
     }
 }
 
@@ -304,30 +284,13 @@ fn membership_plan(i: u64) -> FaultPlan {
 /// every node explored at least once, every re-exploration accounted.
 #[test]
 fn membership_faults_conserve_with_multiplicity() {
-    let p = presets::t_tiny();
-    let gen = UtsGen::new(p.spec);
-    let (expect, _) = seq_run(&gen);
+    let (expect, _) = seq_run(&UtsGen::new(presets::t_tiny().spec));
     let mut evictions = 0u64;
     let mut rejoins = 0u64;
     for alg in Algorithm::paper_set() {
         for i in 0..6u64 {
-            let mut cfg = RunConfig::new(alg, 4);
-            cfg.faults = membership_plan(i);
-            cfg.steal_timeout_ns = Some(30_000);
-            let report = run_sim(MachineModel::kittyhawk(), 8, &gen, &cfg);
-            assert_eq!(
-                report.total_nodes - report.duplicate_nodes,
-                expect,
-                "{} plan {i} ({:?}) lost nodes: total={} dup={} deaths={} \
-                 evictions={} rejoins={}",
-                alg.label(),
-                cfg.faults,
-                report.total_nodes,
-                report.duplicate_nodes,
-                report.deaths,
-                report.evictions,
-                report.rejoins
-            );
+            let spec = RunSpec { faults: membership_plan(i), timeout: Some(30_000), ..tiny(alg, 8, 4) };
+            let report = assert_conserves(spec, expect);
             evictions += report.evictions;
             rejoins += report.rejoins;
         }
@@ -341,27 +304,8 @@ fn membership_faults_conserve_with_multiplicity() {
 /// reference OS-thread conductor.
 #[test]
 fn membership_runs_agree_across_conductors() {
-    let p = presets::t_tiny();
-    let gen = UtsGen::new(p.spec);
     for alg in Algorithm::paper_set() {
-        let mut fast = RunConfig::new(alg, 2);
-        fast.faults = membership_plan(1);
-        fast.steal_timeout_ns = Some(30_000);
-        let mut reference = fast;
-        reference.sim_lookahead = false;
-        let a = run_sim(MachineModel::kittyhawk(), 6, &gen, &fast);
-        let b = run_sim(MachineModel::kittyhawk(), 6, &gen, &reference);
-        assert_eq!(a.makespan_ns, b.makespan_ns, "{}", alg.label());
-        assert_eq!(a.deaths, b.deaths, "{}", alg.label());
-        assert_eq!(a.evictions, b.evictions, "{}", alg.label());
-        assert_eq!(a.rejoins, b.rejoins, "{}", alg.label());
-        assert_eq!(a.recovered_nodes, b.recovered_nodes, "{}", alg.label());
-        assert_eq!(a.duplicate_nodes, b.duplicate_nodes, "{}", alg.label());
-        for (t, (x, y)) in a.per_thread.iter().zip(&b.per_thread).enumerate() {
-            assert_eq!(x.nodes, y.nodes, "{} thread {t}", alg.label());
-            assert_eq!(x.died, y.died, "{} thread {t}", alg.label());
-            assert_eq!(x.comm, y.comm, "{} thread {t}", alg.label());
-        }
+        assert_conductors_agree(RunSpec { faults: membership_plan(1), timeout: Some(30_000), ..tiny(alg, 6, 2) });
     }
 }
 
@@ -370,20 +314,36 @@ fn membership_runs_agree_across_conductors() {
 /// every virtual result under an active fault plan.
 #[test]
 fn faulted_runs_agree_across_conductors() {
-    let p = presets::t_tiny();
-    let gen = UtsGen::new(p.spec);
     for alg in Algorithm::paper_set() {
-        let mut fast = RunConfig::new(alg, 2);
-        fast.faults = random_plan(5);
-        fast.steal_timeout_ns = Some(30_000);
-        let mut reference = fast;
-        reference.sim_lookahead = false;
-        let a = run_sim(MachineModel::kittyhawk(), 6, &gen, &fast);
-        let b = run_sim(MachineModel::kittyhawk(), 6, &gen, &reference);
-        assert_eq!(a.makespan_ns, b.makespan_ns, "{}", alg.label());
-        for (t, (x, y)) in a.per_thread.iter().zip(&b.per_thread).enumerate() {
-            assert_eq!(x.nodes, y.nodes, "{} thread {t}", alg.label());
-            assert_eq!(x.comm, y.comm, "{} thread {t}", alg.label());
-        }
+        assert_conductors_agree(RunSpec { faults: random_plan(5), timeout: Some(30_000), ..tiny(alg, 6, 2) });
     }
+}
+
+/// The line `chaos` prints for a run reruns it: for two of its membership
+/// plans (one on its layered DAG) and one of its crash plans, the spec
+/// quoted in the repro command, run on the fiber and on the reference
+/// conductor, gives the soak's own report — makespan, nodes, duplicates,
+/// evictions and hand-offs.
+#[test]
+fn chaos_repro_lines_rerun_their_runs() {
+    let base: RunSpec = "kittyhawk p=16 tree=tiny alg=distmem k=8".parse().unwrap();
+    let membership = |i| RunSpec { timeout: Some(50_000), ..base }.with(&membership_faults(i)).unwrap();
+    let cases = [
+        membership(0),
+        RunSpec { alg: Algorithm::MpiWs, workload: DAG, k: 1, ..membership(1) },
+        RunSpec { alg: Algorithm::Term, faults: crash_faults(3, 1000), ..base },
+    ];
+    let key = |r: &RunReport| (r.makespan_ns, r.total_nodes, r.duplicate_nodes, r.evictions, r.handoffs);
+    let mut exercised = 0;
+    for spec in cases {
+        let own = spec.run();
+        let command = repro(&spec, own.total_nodes - own.duplicate_nodes);
+        let line = command.split('\'').nth(1).expect("a quoted spec line");
+        for conductor in ["fiber", "reference"] {
+            let again: RunSpec = format!("{line} conductor={conductor}").parse().unwrap();
+            assert_eq!(key(&again.run()), key(&own), "{line} conductor={conductor}");
+        }
+        exercised += own.deaths as u64 + own.evictions;
+    }
+    assert!(exercised > 0, "no case killed or evicted a rank");
 }

@@ -23,12 +23,12 @@
 //! oracle per second spent.
 
 use pgas::sim::{SimCluster, SimReport, SIM_STACK_SIZE};
-use pgas::{ArrivalSpec, Comm, FaultPlan, MachineModel};
+use pgas::{Comm, MachineModel};
 use uts_tree::presets::{self, Preset};
-use uts_tree::TreeSpec;
+use worksteal::spec::{Conductor, RunSpec};
 use worksteal::{
-    run_service_sim, run_sim, vars, worker, Algorithm, DagWorkload, ForkJoin, RandomLayered,
-    RunConfig, RunReport, TaskGen, ThreadResult, UtsGen, Wavefront,
+    vars, worker, Algorithm, DagWorkload, ForkJoin, RandomLayered, RunConfig, RunReport, TaskGen,
+    ThreadResult, UtsGen, Wavefront,
 };
 
 fn assert_sim_identical(
@@ -282,26 +282,19 @@ fn assert_report_identical(a: &RunReport, b: &RunReport, label: &str) {
     assert_eq!(a.per_thread, b.per_thread, "{label}: per-thread results diverged");
 }
 
-/// `run` takes the `sim_lookahead` setting: fiber (`true`) vs reference.
-fn assert_two_way<F: Fn(bool) -> RunReport>(run: F, label: &str) {
-    assert_report_identical(&run(true), &run(false), label);
+/// The run `line` names, on the fiber and on the reference conductor.
+fn assert_two_way(line: &str) {
+    let fiber: RunSpec = line.parse().unwrap_or_else(|e| panic!("{line}: {e}"));
+    let reference = RunSpec { conductor: Conductor::Reference, ..fiber };
+    assert_report_identical(&fiber.run(), &reference.run(), line);
 }
 
 /// Service mode: open-loop arrivals, epoch quiescence, per-request
 /// latencies, tail histograms — identical across both conductors.
 #[test]
 fn service_mode_identical_across_conductors() {
-    let gen = UtsGen::new(TreeSpec::binomial(23, 4, 2, 0.4));
-    let arrivals = ArrivalSpec::poisson(41, 8, 25_000.0);
-    for alg in [Algorithm::DistMem, Algorithm::MpiWs] {
-        assert_two_way(
-            |lookahead| {
-                let mut cfg = RunConfig::new(alg, 2);
-                cfg.sim_lookahead = lookahead;
-                run_service_sim(MachineModel::smp(), 4, &gen, &cfg, &arrivals)
-            },
-            &format!("service x {}", alg.label()),
-        );
+    for alg in ["distmem", "mpi"] {
+        assert_two_way(&format!("smp p=4 tree=binomial(23,4,2,0.4) alg={alg} k=2 arrivals=poisson(41,8,25000)"));
     }
 }
 
@@ -310,27 +303,11 @@ fn service_mode_identical_across_conductors() {
 /// modes.
 #[test]
 fn crash_faults_identical_across_conductors() {
-    let p = presets::t_tiny();
-    let gen = UtsGen::new(p.spec);
-    let plan = FaultPlan {
-        loss_per_mille: 40,
-        dup_per_mille: 40,
-        kill_per_mille: 1000,
-        kill_min_ns: 40_000,
-        kill_span_ns: 200_000,
-        ..FaultPlan::crashy(0xC0_FFEE)
-    };
-    for alg in [Algorithm::Term, Algorithm::DistMem] {
-        assert_two_way(
-            |lookahead| {
-                let mut cfg = RunConfig::new(alg, 4);
-                cfg.sim_lookahead = lookahead;
-                cfg.faults = plan;
-                cfg.steal_timeout_ns = Some(30_000);
-                run_sim(MachineModel::kittyhawk(), 8, &gen, &cfg)
-            },
-            &format!("crash x {}", alg.label()),
-        );
+    for alg in ["term", "distmem"] {
+        assert_two_way(&format!(
+            "kittyhawk p=8 tree=tiny alg={alg} k=4 \
+             faults=crashy(12648430),loss=40,dup=40,kill=1000,kill_min=40000,kill_span=200000 timeout=30000"
+        ));
     }
 }
 
@@ -338,29 +315,11 @@ fn crash_faults_identical_across_conductors() {
 /// the fenced-membership protocol replays identically in both modes.
 #[test]
 fn membership_faults_identical_across_conductors() {
-    let p = presets::t_tiny();
-    let gen = UtsGen::new(p.spec);
-    let mut plan = FaultPlan {
-        loss_per_mille: 20,
-        dup_per_mille: 20,
-        kill_per_mille: 1000,
-        restart_after_ns: 250_000,
-        ..FaultPlan::partitioned(0xBAD_CAFE)
-    };
-    plan.partition_per_mille = 1000;
-    plan.partition_min_ns = 40_000;
-    plan.gray_per_mille = 1000;
-    for alg in [Algorithm::DistMem, Algorithm::MpiWs] {
-        assert_two_way(
-            |lookahead| {
-                let mut cfg = RunConfig::new(alg, 4);
-                cfg.sim_lookahead = lookahead;
-                cfg.faults = plan;
-                cfg.steal_timeout_ns = Some(30_000);
-                run_sim(MachineModel::kittyhawk(), 8, &gen, &cfg)
-            },
-            &format!("membership x {}", alg.label()),
-        );
+    for alg in ["distmem", "mpi"] {
+        assert_two_way(&format!(
+            "kittyhawk p=8 tree=tiny alg={alg} k=4 faults=partitioned(195951870),loss=20,dup=20,kill=1000,\
+             partition=1000,partition_min=40000,gray=1000,restart=250000 timeout=30000"
+        ));
     }
 }
 

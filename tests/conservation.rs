@@ -3,82 +3,61 @@
 //! once. Any termination-detection or steal-protocol bug shows up here as a
 //! lost/duplicated node or a hang.
 
-use pgas::MachineModel;
-use uts_dlb::tree::{presets, TreeSpec};
-use uts_dlb::worksteal::{run_sim, seq_run, Algorithm, RunConfig, UtsGen};
+use uts_dlb::worksteal::spec::{algorithm_name, Workload};
+use uts_dlb::worksteal::{seq_run, Algorithm, RunSpec, UtsGen};
 
-fn check_sim(machine: &MachineModel, spec: TreeSpec, threads: usize, k: usize, alg: Algorithm) {
-    let gen = UtsGen::new(spec);
-    let (expect, _) = seq_run(&gen);
-    let cfg = RunConfig::new(alg, k);
-    let report = run_sim(machine.clone(), threads, &gen, &cfg);
-    assert_eq!(
-        report.total_nodes,
-        expect,
-        "{} p={threads} k={k} {spec:?}",
-        alg.label()
-    );
+/// `alg` on `threads` threads of `machine` with chunk size `k` over `tree`
+/// (a spec's `tree=` value) counts every node exactly once.
+fn check_sim(machine: &str, tree: &str, threads: usize, k: usize, alg: Algorithm) {
+    let line = format!("{machine} p={threads} tree={tree} alg={} k={k}", algorithm_name(alg));
+    let spec: RunSpec = line.parse().unwrap();
+    let Workload::Tree(tree) = spec.workload else { unreachable!("a tree") };
+    assert_eq!(spec.run().total_nodes, seq_run(&UtsGen::new(tree)).0, "{line}");
 }
 
 #[test]
 fn paper_algorithms_tiny_tree_thread_grid() {
-    let spec = presets::t_tiny().spec;
-    let m = MachineModel::smp();
     for alg in Algorithm::paper_set() {
         for threads in [1, 2, 4, 9] {
-            check_sim(&m, spec, threads, 2, alg);
+            check_sim("smp", "tiny", threads, 2, alg);
         }
     }
 }
 
 #[test]
 fn extensions_tiny_tree_thread_grid() {
-    let spec = presets::t_tiny().spec;
-    let m = MachineModel::smp();
     for alg in [Algorithm::Hier, Algorithm::Pushing] {
         for threads in [1, 3, 8] {
-            check_sim(&m, spec, threads, 2, alg);
+            check_sim("smp", "tiny", threads, 2, alg);
         }
     }
 }
 
 #[test]
 fn chunk_size_grid() {
-    let spec = presets::t_tiny().spec;
-    let m = MachineModel::kittyhawk();
     for alg in [Algorithm::DistMem, Algorithm::SharedMem, Algorithm::MpiWs] {
         for k in [1, 2, 7, 32] {
-            check_sim(&m, spec, 4, k, alg);
+            check_sim("kittyhawk", "tiny", 4, k, alg);
         }
     }
 }
 
 #[test]
 fn high_latency_machine_models() {
-    let spec = presets::t_tiny().spec;
-    for m in [
-        MachineModel::kittyhawk(),
-        MachineModel::topsail(),
-        MachineModel::altix(),
-    ] {
+    for m in ["kittyhawk", "topsail", "altix"] {
         for alg in [Algorithm::DistMem, Algorithm::Term, Algorithm::MpiWs] {
-            check_sim(&m, spec, 6, 2, alg);
+            check_sim(m, "tiny", 6, 2, alg);
         }
     }
 }
 
 #[test]
 fn degenerate_trees() {
-    let m = MachineModel::smp();
     // Root-only, star, and a two-child root: work may be scarcer than
     // threads; termination must still be detected.
-    for spec in [
-        TreeSpec::binomial(1, 0, 2, 0.9),
-        TreeSpec::binomial(2, 6, 2, 0.0),
-        TreeSpec::binomial(4, 2, 2, 0.45),
-    ] {
+    for tree in ["binomial(1,0,2,0.9)", "binomial(2,6,2,0)", "binomial(4,2,2,0.45)"] {
         for alg in Algorithm::paper_set() {
-            check_sim(&m, spec, 5, 2, alg);
+            check_sim("smp", tree, 5, 2, alg);
         }
     }
 }
@@ -86,10 +65,8 @@ fn degenerate_trees() {
 #[test]
 fn more_threads_than_nodes() {
     // 13-node star on 16 threads: most threads never get work at all.
-    let spec = TreeSpec::binomial(9, 12, 2, 0.0);
-    let m = MachineModel::smp();
     for alg in Algorithm::all() {
-        check_sim(&m, spec, 16, 1, alg);
+        check_sim("smp", "binomial(9,12,2,0)", 16, 1, alg);
     }
 }
 
@@ -97,9 +74,7 @@ fn more_threads_than_nodes() {
 /// deep stacks, compaction, and multi-chunk grants.
 #[test]
 fn t_s_distmem_and_rapdif() {
-    let p = presets::t_s();
-    let m = MachineModel::kittyhawk();
     for alg in [Algorithm::DistMem, Algorithm::TermRapdif] {
-        check_sim(&m, p.spec, 8, 4, alg);
+        check_sim("kittyhawk", "s", 8, 4, alg);
     }
 }

@@ -2,16 +2,15 @@
 //! (virtual makespan, per-thread node counts, steal counts, op statistics).
 //! This is what makes the figure harness reproducible run-to-run.
 
-use pgas::MachineModel;
-use uts_dlb::tree::presets;
-use uts_dlb::worksteal::{run_sim, Algorithm, RunConfig, UtsGen};
+use uts_dlb::worksteal::spec::algorithm_name;
+use uts_dlb::worksteal::{Algorithm, RunReport, RunSpec};
+
+fn run(line: &str) -> RunReport {
+    line.parse::<RunSpec>().unwrap_or_else(|e| panic!("{line}: {e}")).run()
+}
 
 fn fingerprint(alg: Algorithm, seed: u64) -> (u64, Vec<u64>, u64, u64) {
-    let p = presets::t_tiny();
-    let gen = UtsGen::new(p.spec);
-    let mut cfg = RunConfig::new(alg, 2);
-    cfg.seed = seed;
-    let r = run_sim(MachineModel::topsail(), 6, &gen, &cfg);
+    let r = run(&format!("topsail p=6 tree=tiny alg={} k=2 seed={seed}", algorithm_name(alg)));
     (
         r.makespan_ns,
         r.per_thread.iter().map(|t| t.nodes).collect(),
@@ -44,11 +43,8 @@ fn different_seeds_change_schedules() {
 
 #[test]
 fn thread_count_changes_makespan() {
-    let p = presets::t_s();
-    let gen = UtsGen::new(p.spec);
-    let cfg = RunConfig::new(Algorithm::DistMem, 4);
-    let one = run_sim(MachineModel::topsail(), 1, &gen, &cfg);
-    let eight = run_sim(MachineModel::topsail(), 8, &gen, &cfg);
+    let one = run("topsail p=1 tree=s alg=distmem k=4");
+    let eight = run("topsail p=8 tree=s alg=distmem k=4");
     assert_eq!(one.total_nodes, eight.total_nodes);
     assert!(
         eight.makespan_ns * 2 < one.makespan_ns,

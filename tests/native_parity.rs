@@ -5,38 +5,29 @@
 use pgas::MachineModel;
 use uts_dlb::tree::presets;
 use uts_dlb::worksteal::theory::{self, DEFAULT_STEAL_FACTOR};
+use uts_dlb::worksteal::spec::ALGORITHM_NAMES;
 use uts_dlb::worksteal::{
-    run_native, run_sim, Algorithm, DagGen, DagWorkload, ForkJoin, RandomLayered, RunConfig,
-    TaskGen, UtsGen,
+    run_native, Algorithm, DagGen, DagWorkload, ForkJoin, RandomLayered, RunConfig, RunReport, RunSpec, TaskGen,
 };
+
+fn run(line: &str) -> RunReport {
+    line.parse::<RunSpec>().unwrap_or_else(|e| panic!("{line}: {e}")).run()
+}
 
 #[test]
 fn all_algorithms_conserve_natively() {
-    let p = presets::t_tiny();
-    let gen = UtsGen::new(p.spec);
-    for alg in Algorithm::all() {
+    for (alg, _) in ALGORITHM_NAMES {
         for threads in [1usize, 2, 4] {
-            let cfg = RunConfig::new(alg, 2);
-            let report = run_native(MachineModel::smp(), threads, &gen, &cfg)
-                .expect("fault-free config runs natively");
-            assert_eq!(
-                report.total_nodes,
-                p.expected.nodes,
-                "{} p={threads} native",
-                alg.label()
-            );
+            let line = format!("smp p={threads} tree=tiny alg={alg} k=2 conductor=native");
+            assert_eq!(run(&line).total_nodes, presets::t_tiny().expected.nodes, "{line}");
         }
     }
 }
 
 #[test]
 fn native_mid_size_distmem() {
-    let p = presets::t_s();
-    let gen = UtsGen::new(p.spec);
-    let cfg = RunConfig::new(Algorithm::DistMem, 8);
-    let report = run_native(MachineModel::smp(), 4, &gen, &cfg)
-        .expect("fault-free config runs natively");
-    assert_eq!(report.total_nodes, p.expected.nodes);
+    let report = run("smp p=4 tree=s alg=distmem k=8 conductor=native");
+    assert_eq!(report.total_nodes, presets::t_s().expected.nodes);
     // Wall-clock makespan and per-thread clocks must be sane.
     assert!(report.makespan_ns > 0);
     assert_eq!(report.per_thread.len(), 4);
@@ -46,12 +37,8 @@ fn native_mid_size_distmem() {
 /// nodes); their timing domains differ (virtual vs wall).
 #[test]
 fn sim_native_logical_agreement() {
-    let p = presets::t_tiny();
-    let gen = UtsGen::new(p.spec);
-    let cfg = RunConfig::new(Algorithm::Term, 2);
-    let sim = run_sim(MachineModel::smp(), 3, &gen, &cfg);
-    let native = run_native(MachineModel::smp(), 3, &gen, &cfg)
-        .expect("fault-free config runs natively");
+    let sim = run("smp p=3 tree=tiny alg=term k=2");
+    let native = run("smp p=3 tree=tiny alg=term k=2 conductor=native");
     assert_eq!(sim.total_nodes, native.total_nodes);
 }
 

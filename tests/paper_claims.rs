@@ -1,17 +1,17 @@
 //! Qualitative paper claims, asserted as tests. These check *shape*, not
 //! absolute numbers: who uses locks, who wins where, which costs dominate.
 
-use pgas::MachineModel;
 use uts_dlb::tree::presets;
+use uts_dlb::worksteal::spec::algorithm_name;
 use uts_dlb::worksteal::state::State;
-use uts_dlb::worksteal::{run_sim, Algorithm, RunConfig, UtsGen};
+use uts_dlb::worksteal::{Algorithm, RunReport, RunSpec};
 
-fn run(alg: Algorithm, machine: MachineModel, threads: usize, k: usize) -> uts_dlb::worksteal::RunReport {
-    let p = presets::t_s();
-    let gen = UtsGen::new(p.spec);
-    let cfg = RunConfig::new(alg, k);
-    let report = run_sim(machine, threads, &gen, &cfg);
-    assert_eq!(report.total_nodes, p.expected.nodes);
+/// T-S under `alg` on `threads` threads of `machine` with chunk size `k`,
+/// counted exactly.
+fn run(alg: Algorithm, machine: &str, threads: usize, k: usize) -> RunReport {
+    let line = format!("{machine} p={threads} tree=s alg={} k={k}", algorithm_name(alg));
+    let report = line.parse::<RunSpec>().unwrap().run();
+    assert_eq!(report.total_nodes, presets::t_s().expected.nodes, "{line}");
     report
 }
 
@@ -21,7 +21,7 @@ fn run(alg: Algorithm, machine: MachineModel, threads: usize, k: usize) -> uts_d
 #[test]
 fn lockless_claim() {
     for alg in [Algorithm::DistMem, Algorithm::Hier, Algorithm::MpiWs, Algorithm::Pushing] {
-        let totals = run(alg, MachineModel::kittyhawk(), 8, 4).totals();
+        let totals = run(alg, "kittyhawk", 8, 4).totals();
         assert_eq!(
             totals.comm.lock_acquires + totals.comm.lock_failures + totals.comm.unlocks,
             0,
@@ -30,7 +30,7 @@ fn lockless_claim() {
         );
     }
     for alg in [Algorithm::SharedMem, Algorithm::Term, Algorithm::TermRapdif] {
-        let totals = run(alg, MachineModel::kittyhawk(), 8, 4).totals();
+        let totals = run(alg, "kittyhawk", 8, 4).totals();
         assert!(
             totals.comm.lock_acquires > 0,
             "{} is supposed to lock its stack",
@@ -44,7 +44,7 @@ fn lockless_claim() {
 /// bookkeeping writes).
 #[test]
 fn distmem_service_cost_budget() {
-    let report = run(Algorithm::DistMem, MachineModel::kittyhawk(), 8, 4);
+    let report = run(Algorithm::DistMem, "kittyhawk", 8, 4);
     let totals = report.totals();
     assert!(totals.requests_serviced > 0, "no steal traffic at all");
     assert!(
@@ -58,8 +58,8 @@ fn distmem_service_cost_budget() {
 /// strictly more in aggregate on an imbalanced tree.
 #[test]
 fn rapid_diffusion_moves_more_chunks_per_steal() {
-    let one = run(Algorithm::Term, MachineModel::kittyhawk(), 16, 2).totals();
-    let half = run(Algorithm::TermRapdif, MachineModel::kittyhawk(), 16, 2).totals();
+    let one = run(Algorithm::Term, "kittyhawk", 16, 2).totals();
+    let half = run(Algorithm::TermRapdif, "kittyhawk", 16, 2).totals();
     let one_avg = one.chunks_stolen as f64 / one.steals_ok.max(1) as f64;
     let half_avg = half.chunks_stolen as f64 / half.steals_ok.max(1) as f64;
     assert!(
@@ -77,8 +77,8 @@ fn rapid_diffusion_moves_more_chunks_per_steal() {
 /// sizes.
 #[test]
 fn distmem_beats_sharedmem_on_cluster_at_small_chunks() {
-    let distmem = run(Algorithm::DistMem, MachineModel::kittyhawk(), 16, 2);
-    let sharedmem = run(Algorithm::SharedMem, MachineModel::kittyhawk(), 16, 2);
+    let distmem = run(Algorithm::DistMem, "kittyhawk", 16, 2);
+    let sharedmem = run(Algorithm::SharedMem, "kittyhawk", 16, 2);
     assert!(
         distmem.makespan_ns * 2 < sharedmem.makespan_ns,
         "expected ≥2x gap, got distmem {} vs sharedmem {}",
@@ -91,8 +91,8 @@ fn distmem_beats_sharedmem_on_cluster_at_small_chunks() {
 /// are close — within a factor 1.5 of each other at moderate scale.
 #[test]
 fn sharedmem_competitive_on_altix() {
-    let distmem = run(Algorithm::DistMem, MachineModel::altix(), 8, 8);
-    let sharedmem = run(Algorithm::SharedMem, MachineModel::altix(), 8, 8);
+    let distmem = run(Algorithm::DistMem, "altix", 8, 8);
+    let sharedmem = run(Algorithm::SharedMem, "altix", 8, 8);
     let ratio = sharedmem.makespan_ns as f64 / distmem.makespan_ns as f64;
     assert!(
         ratio < 1.5,
@@ -105,7 +105,7 @@ fn sharedmem_competitive_on_altix() {
 /// Working time is high.
 #[test]
 fn working_state_dominates() {
-    let report = run(Algorithm::DistMem, MachineModel::kittyhawk(), 8, 8);
+    let report = run(Algorithm::DistMem, "kittyhawk", 8, 8);
     assert!(
         report.state_fraction(State::Working) > 0.5,
         "working fraction {}",
@@ -122,7 +122,7 @@ fn working_state_dominates() {
 /// moved at least one chunk each; failures don't move anything.
 #[test]
 fn steal_accounting_coherent() {
-    let report = run(Algorithm::DistMem, MachineModel::smp(), 8, 2);
+    let report = run(Algorithm::DistMem, "smp", 8, 2);
     let totals = report.totals();
     assert!(totals.steals_ok > 0);
     assert!(totals.chunks_stolen >= totals.steals_ok);

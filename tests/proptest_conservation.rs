@@ -1,14 +1,16 @@
 //! Property-based conservation: random subcritical trees × random
 //! algorithm/threads/chunk configurations must always match the sequential
 //! count. Complements the fixed-grid tests with shapes nobody hand-picked.
+//! Over the same strategies, a run spec's line reads back bit-equal.
 
 use pgas::sim::SimCluster;
-use pgas::MachineModel;
+use pgas::{ArrivalSpec, FaultPlan, MachineModel};
 use proptest::prelude::*;
-use uts_dlb::tree::{GeoShape, TreeSpec};
+use uts_dlb::tree::{presets, GeoShape, TreeSpec};
+use uts_dlb::worksteal::spec::{Conductor, Workload};
 use uts_dlb::worksteal::{
-    run_sim, seq_run, vars, worker, Algorithm, DagGen, DagWorkload, RandomLayered, RunConfig,
-    UtsGen,
+    run_sim, seq_run, vars, worker, Algorithm, DagGen, DagWorkload, ForkJoin, RandomLayered,
+    RunConfig, RunSpec, StealPolicyKind, UtsGen, VictimPolicy, Wavefront,
 };
 
 fn algorithm_strategy() -> impl Strategy<Value = Algorithm> {
@@ -209,5 +211,78 @@ proptest! {
                 "task {}: count-up cell did not finish at its in-degree", t
             );
         }
+    }
+}
+
+/// A plan as `faults=` writes one: a base, then a rate with or without a
+/// window of its own, and a multiplier.
+fn fault_strategy() -> impl Strategy<Value = FaultPlan> {
+    let base = prop_oneof![
+        Just(FaultPlan::none()),
+        any::<u64>().prop_map(FaultPlan::seeded),
+        any::<u64>().prop_map(FaultPlan::crashy),
+        any::<u64>().prop_map(FaultPlan::partitioned),
+    ];
+    (base, 0u32..1001, 0u64..3_000_000, 0usize..4).prop_map(|(mut f, pm, ns, edit)| {
+        match edit {
+            0 => return f,
+            1 => (f.kill_per_mille, f.kill_span_ns) = (pm, ns),
+            2 => (f.partition_per_mille, f.gray_per_mille, f.gray_stall_ns) = (pm, pm / 2, ns),
+            _ => (f.loss_per_mille, f.lock_mult_x16, f.restart_after_ns) = (pm, pm * 3, ns),
+        }
+        f.enabled = true;
+        f
+    })
+}
+
+fn workload_strategy() -> impl Strategy<Value = Workload> {
+    prop_oneof![
+        tree_spec_strategy().prop_map(Workload::Tree),
+        Just(Workload::Tree(presets::t_s().spec)),
+        (1u32..9, 1u32..9, any::<u64>())
+            .prop_map(|(levels, width, seed)| Workload::ForkJoin(ForkJoin { levels, width, seed })),
+        (1u32..13, 1u32..11, any::<u64>())
+            .prop_map(|(rows, cols, seed)| Workload::Wavefront(Wavefront { rows, cols, seed })),
+        (1u32..7, 1u32..17, 0u32..1001, any::<u64>())
+            .prop_map(|(layers, width, edge_pm, seed)| Workload::Layered { layers, width, edge_pm, seed }),
+    ]
+}
+
+fn run_spec_strategy() -> impl Strategy<Value = RunSpec> {
+    let arrivals = prop_oneof![
+        Just(None),
+        (any::<u64>(), 1usize..2000, 1u64..100_000)
+            .prop_map(|(seed, n, rate)| Some(ArrivalSpec::poisson(seed, n, rate as f64 / 7.0))),
+        (any::<u64>(), 1usize..2000, (1u64..100_000, 1u64..100_000), 1u64..10_000_000).prop_map(
+            |(seed, n, (lo, hi), dwell)| Some(ArrivalSpec::mmpp(seed, n, lo as f64 / 3.0, hi as f64 * 1.5, dwell))
+        ),
+    ];
+    let machine = prop_oneof![Just("kittyhawk"), Just("topsail"), Just("altix"), Just("smp")];
+    let conductor = prop_oneof![Just(Conductor::Fiber), Just(Conductor::Reference), Just(Conductor::Native)];
+    let victims = prop_oneof![Just(None), Just(Some(VictimPolicy::Flat)), Just(Some(VictimPolicy::Hier))];
+    let steal = prop_oneof![Just(None), Just(Some(StealPolicyKind::One)), Just(Some(StealPolicyKind::Adaptive))];
+    let timeout = prop_oneof![Just(None), (1u64..1_000_000).prop_map(Some)];
+    (
+        (machine, workload_strategy(), algorithm_strategy(), (1usize..1025, 1usize..65, 1u64..64, any::<u64>())),
+        (fault_strategy(), timeout, arrivals, conductor),
+        (victims, steal),
+    )
+        .prop_map(|((machine, workload, alg, (p, k, poll, seed)), (faults, timeout, arrivals, conductor), (victims, steal))| {
+            // Only a simulated tree run takes arrivals.
+            let service = matches!(workload, Workload::Tree(_)) && conductor != Conductor::Native;
+            let arrivals = arrivals.filter(|_| service);
+            RunSpec { machine, p, workload, alg, k, poll, seed, victims, steal, faults, timeout, arrivals, conductor }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, max_shrink_iters: 0 })]
+
+    /// `Display` then `FromStr` is the identity on run specs: every
+    /// workload family, fault base and override, arrival law and conductor.
+    #[test]
+    fn run_spec_lines_round_trip(spec in run_spec_strategy()) {
+        let line = spec.to_string();
+        prop_assert_eq!(line.parse::<RunSpec>(), Ok(spec), "{}", line);
     }
 }

@@ -13,48 +13,29 @@
 //! - **Overload**: an arrival burst faster than the admission window drains
 //!   defers injections but never loses a request.
 
-use pgas::{ArrivalSpec, FaultPlan, MachineModel};
-use uts_dlb::worksteal::{run_service_sim, Algorithm, RunConfig, RunReport, UtsGen};
-use uts_tree::TreeSpec;
+use uts_dlb::worksteal::{RunReport, RunSpec};
 
-/// Small per-request trees (~20 nodes expected) keep the sweeps quick.
-fn small_gen() -> UtsGen {
-    UtsGen::new(TreeSpec::binomial(23, 4, 2, 0.4))
-}
-
-fn service_run(
-    alg: Algorithm,
-    threads: usize,
-    arrivals: &ArrivalSpec,
-    faults: FaultPlan,
-    reference: bool,
-) -> RunReport {
-    let mut cfg = RunConfig::new(alg, 2);
-    cfg.faults = faults;
-    cfg.sim_lookahead = !reference;
-    run_service_sim(MachineModel::smp(), threads, &small_gen(), &cfg, arrivals)
+/// A service run on `threads` smp threads, k=2, of small per-request trees
+/// (~20 nodes expected, which keeps the sweeps quick), plus `words` of a
+/// run spec: `arrivals=` and any faults, timeout or conductor.
+fn service_run(alg: &str, threads: usize, words: &str) -> RunReport {
+    let line = format!("smp p={threads} tree=binomial(23,4,2,0.4) alg={alg} k=2 {words}");
+    line.parse::<RunSpec>().unwrap_or_else(|e| panic!("{line}: {e}")).run()
 }
 
 /// The fiber conductor and the reference OS-thread conductor produce the
 /// same service report bit for bit, across transports and arrival shapes.
 #[test]
 fn service_reports_identical_across_conductors() {
-    let poisson = ArrivalSpec::poisson(41, 10, 25_000.0);
-    let mmpp = ArrivalSpec::mmpp(42, 10, 4_000.0, 80_000.0, 200_000);
-    for arrivals in [&poisson, &mmpp] {
-        for alg in [Algorithm::Term, Algorithm::DistMem, Algorithm::MpiWs] {
-            let fast = service_run(alg, 4, arrivals, FaultPlan::none(), false);
-            let reference = service_run(alg, 4, arrivals, FaultPlan::none(), true);
-            assert_eq!(
-                fast.service, reference.service,
-                "{} service report diverged across conductors ({:?})",
-                alg.label(),
-                arrivals.process
-            );
-            assert_eq!(fast.makespan_ns, reference.makespan_ns, "{}", alg.label());
+    for arrivals in ["arrivals=poisson(41,10,25000)", "arrivals=mmpp(42,10,4000,80000,200000)"] {
+        for alg in ["term", "distmem", "mpi"] {
+            let fast = service_run(alg, 4, arrivals);
+            let reference = service_run(alg, 4, &format!("{arrivals} conductor=reference"));
+            assert_eq!(fast.service, reference.service, "{alg} {arrivals}: service report diverged");
+            assert_eq!(fast.makespan_ns, reference.makespan_ns, "{alg} {arrivals}");
             let nf: Vec<u64> = fast.per_thread.iter().map(|t| t.nodes).collect();
             let nr: Vec<u64> = reference.per_thread.iter().map(|t| t.nodes).collect();
-            assert_eq!(nf, nr, "{} per-thread node counts diverged", alg.label());
+            assert_eq!(nf, nr, "{alg} {arrivals}: per-thread node counts diverged");
         }
     }
 }
@@ -67,7 +48,6 @@ fn service_reports_identical_across_conductors() {
 /// produces duplicate explorations.
 #[test]
 fn crash_chaos_service_conserves_every_epoch() {
-    let arrivals = ArrivalSpec::poisson(7, 8, 10_000.0);
     let mut deaths = 0usize;
     let mut dups = 0u64;
     // 40 seeds: duplicates need a lost ACK on one of the few steals these
@@ -75,16 +55,12 @@ fn crash_chaos_service_conserves_every_epoch() {
     for seed in 0..40u64 {
         // Stock crashy loss/dup rates (30‰) rarely hit on these short runs;
         // crank them so the lineage re-injection path actually fires.
-        let plan = FaultPlan {
-            loss_per_mille: 250,
-            dup_per_mille: 250,
-            ..FaultPlan::crashy(seed)
-        };
-        for alg in [Algorithm::DistMem, Algorithm::MpiWs] {
-            let report = service_run(alg, 6, &arrivals, plan, false);
+        let words = format!("faults=crashy({seed}),loss=250,dup=250 arrivals=poisson(7,8,10000)");
+        for alg in ["distmem", "mpi"] {
+            let report = service_run(alg, 6, &words);
             let svc = report.service.as_ref().expect("service report");
-            assert_eq!(svc.requests, 8, "{} seed {seed}", alg.label());
-            assert_eq!(svc.per_request.len(), 8, "{} seed {seed}", alg.label());
+            assert_eq!(svc.requests, 8, "{alg} seed {seed}");
+            assert_eq!(svc.per_request.len(), 8, "{alg} seed {seed}");
             deaths += report.deaths;
             dups += report.duplicate_nodes;
         }
@@ -107,33 +83,19 @@ fn crash_chaos_service_conserves_every_epoch() {
 /// membership machinery at least once.
 #[test]
 fn membership_chaos_service_loses_no_requests() {
-    let arrivals = ArrivalSpec::poisson(13, 8, 12_000.0);
     let mut evictions = 0u64;
     let mut rejoins = 0u64;
     for seed in 0..6u64 {
-        let mut plan = FaultPlan {
-            partition_per_mille: 1000,
-            partition_min_ns: 30_000,
-            partition_span_ns: 120_000,
-            kill_per_mille: if seed % 2 == 0 { 1000 } else { 0 },
-            restart_after_ns: 250_000,
-            ..FaultPlan::partitioned(seed)
-        };
-        plan.gray_per_mille = if seed % 2 == 1 { 1000 } else { 0 };
-        for alg in [Algorithm::DistMem, Algorithm::MpiWs, Algorithm::Pushing] {
-            let mut cfg = RunConfig::new(alg, 2);
-            cfg.faults = plan;
-            cfg.steal_timeout_ns = Some(30_000);
-            let report =
-                run_service_sim(MachineModel::smp(), 6, &small_gen(), &cfg, &arrivals);
+        let (kill, gray) = if seed % 2 == 0 { (1000, 0) } else { (0, 1000) };
+        let words = format!(
+            "faults=partitioned({seed}),kill={kill},partition=1000,partition_min=30000,partition_span=120000,\
+             gray={gray},restart=250000 timeout=30000 arrivals=poisson(13,8,12000)"
+        );
+        for alg in ["distmem", "mpi", "push"] {
+            let report = service_run(alg, 6, &words);
             let svc = report.service.as_ref().expect("service report");
-            assert_eq!(svc.requests, 8, "{} seed {seed}", alg.label());
-            assert_eq!(
-                svc.per_request.len(),
-                8,
-                "{} seed {seed}: lost a request",
-                alg.label()
-            );
+            assert_eq!(svc.requests, 8, "{alg} seed {seed}");
+            assert_eq!(svc.per_request.len(), 8, "{alg} seed {seed}: lost a request");
             evictions += report.evictions;
             rejoins += report.rejoins;
         }
@@ -148,9 +110,8 @@ fn membership_chaos_service_loses_no_requests() {
 /// Crash service runs are deterministic too: same plan, same report.
 #[test]
 fn crash_service_is_deterministic() {
-    let arrivals = ArrivalSpec::poisson(3, 6, 15_000.0);
-    let a = service_run(Algorithm::MpiWs, 5, &arrivals, FaultPlan::crashy(2), false);
-    let b = service_run(Algorithm::MpiWs, 5, &arrivals, FaultPlan::crashy(2), false);
+    let words = "faults=crashy(2) arrivals=poisson(3,6,15000)";
+    let (a, b) = (service_run("mpi", 5, words), service_run("mpi", 5, words));
     assert_eq!(a.service, b.service);
     assert_eq!(a.makespan_ns, b.makespan_ns);
     assert_eq!(a.duplicate_nodes, b.duplicate_nodes);
@@ -164,8 +125,7 @@ fn crash_service_is_deterministic() {
 #[test]
 fn overload_defers_injections_but_loses_nothing() {
     // 2M requests/s nominal: the whole schedule is due instantly.
-    let arrivals = ArrivalSpec::poisson(11, 40, 2_000_000.0);
-    let report = service_run(Algorithm::DistMem, 4, &arrivals, FaultPlan::none(), false);
+    let report = service_run("distmem", 4, "arrivals=poisson(11,40,2000000)");
     let svc = report.service.expect("service report");
     assert_eq!(svc.per_request.len(), 40);
     assert!(
@@ -189,11 +149,9 @@ fn overload_defers_injections_but_loses_nothing() {
 /// injections at p=64 and its p99 is 268 ms.) Virtual numbers: exact.
 #[test]
 fn eight_thousand_per_second_is_served_without_deferral_at_p64_and_p256() {
-    let gen = UtsGen::new(TreeSpec::binomial(101, 8, 2, 0.45));
-    let arrivals = ArrivalSpec::poisson(17, 300, 8_000.0);
-    let cfg = RunConfig::new(Algorithm::DistMem, 4);
     for p in [64, 256] {
-        let report = run_service_sim(MachineModel::kittyhawk(), p, &gen, &cfg, &arrivals);
+        let line = format!("kittyhawk p={p} tree=binomial(101,8,2,0.45) alg=distmem k=4 arrivals=poisson(17,300,8000)");
+        let report = line.parse::<RunSpec>().unwrap().run();
         let svc = report.service.as_ref().expect("service report");
         assert_eq!(svc.per_request.len(), 300, "p={p}");
         assert_eq!(svc.deferred_injections, 0, "p={p}: the window filled");

@@ -9,58 +9,58 @@
 use pgas::{Comm, FaultPlan, MachineModel};
 use uts_dlb::tree::TreeSpec;
 use uts_dlb::worksteal::service::SVC_SCAN_INTERVAL_NS;
+use uts_dlb::worksteal::spec::Workload;
 use uts_dlb::worksteal::state::State;
 use uts_dlb::worksteal::trace::Event;
-use uts_dlb::worksteal::{
-    run_service_sim, run_sim, seq_run, Algorithm, RunConfig, TaskGen, UtsGen,
-};
+use uts_dlb::worksteal::{run_sim, seq_run, Algorithm, RunConfig, RunReport, RunSpec, TaskGen, UtsGen};
 
-fn stress(alg: Algorithm, machine: &MachineModel, cases: u64) {
+/// Case `i` of the adversarial grid, everything varied deterministically
+/// from `i`: a small binomial tree (`b0` 0 gives root-only trees), 2–7
+/// threads, k 1–3, a fresh probe seed.
+fn case(alg: Algorithm, machine: &'static str, i: u64) -> RunSpec {
+    let q = 0.05 + 0.4 * ((i % 7) as f64 / 7.0);
+    let tree = TreeSpec::binomial((i * 7 + 1) as u32, (i % 5) as u32 * 3, 2, q);
+    let cfg = RunConfig { seed: i.wrapping_mul(0x9E37_79B9), ..RunConfig::new(alg, 1 + (i % 3) as usize) };
+    RunSpec::new(machine, 2 + (i % 6) as usize, Workload::Tree(tree), &cfg)
+}
+
+/// Run `spec`, which must count its tree exactly.
+fn run_exact(spec: RunSpec) -> RunReport {
+    let Workload::Tree(tree) = spec.workload else { unreachable!("a tree case") };
+    let (report, (expect, _)) = (spec.run(), seq_run(&UtsGen::new(tree)));
+    assert_eq!(report.total_nodes, expect, "{spec}");
+    report
+}
+
+fn stress(alg: Algorithm, machine: &'static str, cases: u64) {
     for i in 0..cases {
-        // Vary everything deterministically from i.
-        let tree_seed = (i * 7 + 1) as u32;
-        let b0 = (i % 5) as u32 * 3; // includes 0: root-only trees
-        let q = 0.05 + 0.4 * ((i % 7) as f64 / 7.0);
-        let threads = 2 + (i % 6) as usize;
-        let k = 1 + (i % 3) as usize;
-        let spec = TreeSpec::binomial(tree_seed, b0, 2, q);
-        let gen = UtsGen::new(spec);
-        let (expect, _) = seq_run(&gen);
-        let mut cfg = RunConfig::new(alg, k);
-        cfg.seed = i.wrapping_mul(0x9E37_79B9);
-        let report = run_sim(machine.clone(), threads, &gen, &cfg);
-        assert_eq!(
-            report.total_nodes,
-            expect,
-            "{} case {i}: seed={tree_seed} b0={b0} q={q:.2} p={threads} k={k}",
-            alg.label()
-        );
+        run_exact(case(alg, machine, i));
     }
 }
 
 #[test]
 fn distmem_adversarial() {
-    stress(Algorithm::DistMem, &MachineModel::kittyhawk(), 20);
+    stress(Algorithm::DistMem, "kittyhawk", 20);
 }
 
 #[test]
 fn term_adversarial() {
-    stress(Algorithm::Term, &MachineModel::kittyhawk(), 20);
+    stress(Algorithm::Term, "kittyhawk", 20);
 }
 
 #[test]
 fn sharedmem_adversarial() {
-    stress(Algorithm::SharedMem, &MachineModel::smp(), 15);
+    stress(Algorithm::SharedMem, "smp", 15);
 }
 
 #[test]
 fn mpi_ws_adversarial() {
-    stress(Algorithm::MpiWs, &MachineModel::kittyhawk(), 20);
+    stress(Algorithm::MpiWs, "kittyhawk", 20);
 }
 
 #[test]
 fn pushing_adversarial() {
-    stress(Algorithm::Pushing, &MachineModel::smp(), 15);
+    stress(Algorithm::Pushing, "smp", 15);
 }
 
 // ---------------------------------------------------------------------------
@@ -70,33 +70,11 @@ fn pushing_adversarial() {
 // a livelock runs out of fuel and panics) with the exact sequential node
 // count.
 
-fn fault_stress(alg: Algorithm, faults: FaultPlan, timeout_ns: Option<u64>, cases: u64) -> u64 {
-    let machine = MachineModel::kittyhawk();
+fn fault_stress(alg: Algorithm, faults: FaultPlan, timeout: Option<u64>, cases: u64) -> u64 {
     let mut hardening_events = 0u64;
     for i in 0..cases {
-        let tree_seed = (i * 7 + 1) as u32;
-        let b0 = (i % 5) as u32 * 3;
-        let q = 0.05 + 0.4 * ((i % 7) as f64 / 7.0);
-        let threads = 2 + (i % 6) as usize;
-        let k = 1 + (i % 3) as usize;
-        let spec = TreeSpec::binomial(tree_seed, b0, 2, q);
-        let gen = UtsGen::new(spec);
-        let (expect, _) = seq_run(&gen);
-        let mut cfg = RunConfig::new(alg, k);
-        cfg.seed = i.wrapping_mul(0x9E37_79B9);
-        cfg.faults = FaultPlan {
-            seed: faults.seed.wrapping_add(i),
-            ..faults
-        };
-        cfg.steal_timeout_ns = timeout_ns;
-        let report = run_sim(machine.clone(), threads, &gen, &cfg);
-        assert_eq!(
-            report.total_nodes,
-            expect,
-            "{} fault case {i}: seed={tree_seed} b0={b0} q={q:.2} p={threads} k={k}",
-            alg.label()
-        );
-        let t = report.totals();
+        let faults = FaultPlan { seed: faults.seed.wrapping_add(i), ..faults };
+        let t = run_exact(RunSpec { faults, timeout, ..case(alg, "kittyhawk", i) }).totals();
         hardening_events += t.steal_timeouts + t.retracts_won + t.retracts_lost;
     }
     hardening_events
@@ -187,40 +165,21 @@ fn latency_spike_during_termination_probe() {
 /// though termination was declared over its head.
 #[test]
 fn unhealed_partition_terminates_via_quorum_eviction() {
-    let p = uts_tree::presets::t_tiny();
-    let gen = UtsGen::new(p.spec);
-    let (expect, _) = seq_run(&gen);
+    let (expect, _) = seq_run(&UtsGen::new(uts_tree::presets::t_tiny().spec));
     let mut evictions = 0u64;
-    for alg in [
-        Algorithm::Term,
-        Algorithm::DistMem,
-        Algorithm::MpiWs,
-        Algorithm::Pushing,
-    ] {
+    for alg in ["term", "distmem", "mpi", "push"] {
         for i in 0..4u64 {
-            let mut cfg = RunConfig::new(alg, 2);
-            cfg.faults = FaultPlan {
-                partition_per_mille: 1000, // every seed carries a partition
-                partition_min_ns: 20_000,
-                partition_span_ns: 150_000,
-                partition_dur_ns: 0, // never heals
-                kill_per_mille: 0,   // isolate the partition: no deaths
-                ..FaultPlan::partitioned(0x9A27_17E5u64.wrapping_add(i))
-            };
-            cfg.faults.gray_per_mille = 0;
-            cfg.steal_timeout_ns = Some(30_000);
-            let report = run_sim(MachineModel::kittyhawk(), 6, &gen, &cfg);
-            assert_eq!(
-                report.total_nodes - report.duplicate_nodes,
-                expect,
-                "{} case {i}: lost nodes across an un-healed partition \
-                 (total={} dup={} evictions={})",
-                alg.label(),
-                report.total_nodes,
-                report.duplicate_nodes,
-                report.evictions
+            // Every seed carries a partition that never heals, and nobody
+            // dies or stalls: the partition alone.
+            let line = format!(
+                "kittyhawk p=6 tree=tiny alg={alg} k=2 faults=partitioned({}),partition=1000,partition_min=20000,\
+                 partition_span=150000,partition_dur=0,kill=0,gray=0 timeout=30000",
+                0x9A27_17E5u64.wrapping_add(i)
             );
-            assert_eq!(report.deaths, 0, "{} case {i}: nobody dies", alg.label());
+            let report = line.parse::<RunSpec>().unwrap().run();
+            let distinct = report.total_nodes - report.duplicate_nodes;
+            assert_eq!(distinct, expect, "{line}: lost nodes across an un-healed partition");
+            assert_eq!(report.deaths, 0, "{line}: nobody dies");
             evictions += report.evictions;
         }
     }
@@ -244,22 +203,15 @@ fn unhealed_partition_terminates_via_quorum_eviction() {
 /// lifetimes overlapped.
 #[test]
 fn late_grant_crossing_epoch_boundary_service() {
-    let arrivals = pgas::ArrivalSpec::poisson(19, 12, 50_000.0);
-    let gen = UtsGen::new(TreeSpec::binomial(31, 6, 2, 0.42));
     let mut late_grants = 0u64;
     let mut overlaps = 0u64;
     for i in 0..10u64 {
-        let mut cfg = RunConfig::new(Algorithm::MpiWs, 1);
-        cfg.faults = FaultPlan {
-            stall_per_mille: 500,
-            window_ns: 25_000,
-            spike_per_mille: 0,
-            straggler_per_mille: 0,
-            ..FaultPlan::seeded(0xE60C4u64.wrapping_add(i))
-        };
-        cfg.steal_timeout_ns = Some(10_000);
-        let report =
-            uts_dlb::worksteal::run_service_sim(MachineModel::kittyhawk(), 6, &gen, &cfg, &arrivals);
+        let line = format!(
+            "kittyhawk p=6 tree=binomial(31,6,2,0.42) alg=mpi k=1 faults=seeded({}),window=25000,spike=0,stall=500,\
+             straggler=0 timeout=10000 arrivals=poisson(19,12,50000)",
+            0xE60C4u64.wrapping_add(i)
+        );
+        let report = line.parse::<RunSpec>().unwrap().run();
         late_grants += report.totals().steal_timeouts;
         let svc = report.service.expect("service report");
         assert_eq!(svc.per_request.len(), 12, "case {i}: lost a request");
@@ -288,24 +240,20 @@ fn late_grant_crossing_epoch_boundary_service() {
 #[test]
 fn stalled_registration_never_declares_an_epoch_early_service() {
     const REQUESTS: usize = 40;
-    let arrivals = pgas::ArrivalSpec::poisson(23, REQUESTS, 40_000.0);
-    let gen = UtsGen::new(TreeSpec::binomial(31, 6, 2, 0.42));
     let mut registrations = 0u64;
     let mut stalled_ns = 0u64;
     for i in 0..200u64 {
-        for alg in [Algorithm::Term, Algorithm::DistMem, Algorithm::MpiWs] {
-            let mut cfg = RunConfig::new(alg, 1);
-            cfg.faults = FaultPlan {
-                stall_per_mille: 300,
-                window_ns: 3 * SVC_SCAN_INTERVAL_NS,
-                spike_per_mille: 0,
-                straggler_per_mille: 0,
-                ..FaultPlan::seeded(0x70C4_B0A2Du64.wrapping_add(i))
-            };
-            let threads = 3 + (i % 6) as usize;
-            let report = run_service_sim(MachineModel::kittyhawk(), threads, &gen, &cfg, &arrivals);
+        for alg in ["term", "distmem", "mpi"] {
+            let line = format!(
+                "kittyhawk p={} tree=binomial(31,6,2,0.42) alg={alg} k=1 faults=seeded({}),window={},spike=0,stall=300,\
+                 straggler=0 arrivals=poisson(23,{REQUESTS},40000)",
+                3 + i % 6,
+                0x70C4_B0A2Du64.wrapping_add(i),
+                3 * SVC_SCAN_INTERVAL_NS
+            );
+            let report = line.parse::<RunSpec>().unwrap().run();
             let svc = report.service.as_ref().expect("service report");
-            assert_eq!(svc.per_request.len(), REQUESTS, "{} case {i}: lost a request", alg.label());
+            assert_eq!(svc.per_request.len(), REQUESTS, "{line}: lost a request");
             let t = report.totals();
             // Each successful steal moves an epoch's work to a rank that
             // then has to register for it.

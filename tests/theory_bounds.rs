@@ -9,7 +9,7 @@ use pgas::MachineModel;
 use uts_dlb::worksteal::theory::{self, DEFAULT_STEAL_FACTOR};
 use uts_dlb::worksteal::{
     run_sim, seq_run, Algorithm, DagWorkload, ForkJoin, RandomLayered, RunConfig, TaskGen,
-    TheoryViolation, UtsGen, Wavefront,
+    RunSpec, TheoryViolation, UtsGen, Wavefront,
 };
 use uts_tree::presets;
 use uts_tree::spec::{GeoShape, TreeSpec};
@@ -90,9 +90,7 @@ fn dag_families_satisfy_steal_bound_and_conservation() {
 #[test]
 fn broken_bound_trips_the_asserter() {
     let p = presets::t_tiny();
-    let gen = UtsGen::new(p.spec);
-    let cfg = RunConfig::new(Algorithm::DistMem, 2);
-    let report = run_sim(MachineModel::kittyhawk(), 8, &gen, &cfg);
+    let report = "kittyhawk p=8 tree=tiny alg=distmem k=2".parse::<RunSpec>().unwrap().run();
     assert!(
         report.successful_steals > 0,
         "need a run that actually stole to demonstrate the trip"

@@ -2,66 +2,49 @@
 //! paper's binomial trees: geometric (all four depth profiles) and hybrid
 //! shapes too, since the child-count law is opaque to the algorithms.
 
-use pgas::MachineModel;
-use uts_dlb::tree::{GeoShape, TreeSpec};
-use uts_dlb::worksteal::{run_sim, seq_run, Algorithm, RunConfig, UtsGen};
+use uts_dlb::worksteal::spec::Workload;
+use uts_dlb::worksteal::{seq_run, RunSpec, UtsGen};
 
-/// Geometric roots draw their child count too: a given seed can yield a
-/// single-node tree (probability 1/(1+b0)). Scan forward from the given
-/// seed to the first non-degenerate instance before testing.
-fn check(mut spec: TreeSpec, alg: Algorithm, threads: usize) {
+/// Run `smp <words> k=4` and count its tree exactly. Geometric roots draw
+/// their child count too: a given seed can yield a single-node tree
+/// (probability 1/(1+b0)), so the seed first moves forward to the first
+/// non-degenerate instance.
+fn check(words: &str) {
+    let mut spec: RunSpec = format!("smp {words} k=4").parse().unwrap();
+    let Workload::Tree(tree) = &mut spec.workload else { unreachable!("a tree") };
     let expect = loop {
-        let (expect, _) = seq_run(&UtsGen::new(spec));
+        let (expect, _) = seq_run(&UtsGen::new(*tree));
         if expect > 10 {
             break expect;
         }
-        spec.seed += 100;
+        tree.seed += 100;
     };
-    let gen = UtsGen::new(spec);
-    let report = run_sim(MachineModel::smp(), threads, &gen, &RunConfig::new(alg, 4));
-    assert_eq!(report.total_nodes, expect, "{} on {spec:?}", alg.label());
+    assert_eq!(spec.run().total_nodes, expect, "{spec}");
 }
 
 #[test]
 fn geometric_fixed() {
-    check(
-        TreeSpec::geometric(1, 2.0, 8, GeoShape::Fixed),
-        Algorithm::DistMem,
-        4,
-    );
+    check("p=4 tree=geometric(1,2,8,fixed) alg=distmem");
 }
 
 #[test]
 fn geometric_linear() {
-    check(
-        TreeSpec::geometric(2, 4.0, 10, GeoShape::Linear),
-        Algorithm::TermRapdif,
-        4,
-    );
+    check("p=4 tree=geometric(2,4,10,linear) alg=rapdif");
 }
 
 #[test]
 fn geometric_expdec() {
-    check(
-        TreeSpec::geometric(3, 6.0, 12, GeoShape::ExpDec),
-        Algorithm::MpiWs,
-        3,
-    );
+    check("p=3 tree=geometric(3,6,12,expdec) alg=mpi");
 }
 
 #[test]
 fn geometric_cyclic() {
-    check(
-        TreeSpec::geometric(5, 2.0, 4, GeoShape::Cyclic),
-        Algorithm::Term,
-        4,
-    );
+    check("p=4 tree=geometric(5,2,4,cyclic) alg=term");
 }
 
 #[test]
 fn hybrid_tree_all_paper_algorithms() {
-    let spec = TreeSpec::hybrid(4, 3.0, 3, 2, 0.40);
-    for alg in Algorithm::paper_set() {
-        check(spec, alg, 5);
+    for alg in ["sharedmem", "term", "rapdif", "distmem", "mpi"] {
+        check(&format!("p=5 tree=hybrid(4,3,3,2,0.4) alg={alg}"));
     }
 }
