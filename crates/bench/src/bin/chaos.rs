@@ -33,7 +33,7 @@
 //! every seed, a plan mixing a healing network partition, gray stalls,
 //! rank kills, and restarts runs against every paper algorithm in batch
 //! mode (conservation with multiplicity), a subset re-runs on the
-//! reference OS-thread conductor (bit-identity), and the message bundles
+//! reference conductor (bit-identity), and the message bundles
 //! run the same plans in service mode (zero lost requests).
 //!
 //! Every run is a [`RunSpec`] — the command line's spec with some fields
@@ -266,7 +266,7 @@ fn main() {
     if membership_schedules > 0 {
         // Batch membership soak: conservation with multiplicity through
         // partition → quorum eviction → heal → fence rejoin, with every
-        // fifth plan replayed on the reference OS-thread conductor and
+        // fifth plan replayed on the reference conductor and
         // compared bit for bit.
         println!(
             "\nmembership soak: {membership_schedules} plans x {} algorithms \

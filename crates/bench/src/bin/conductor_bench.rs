@@ -5,7 +5,9 @@
 //! reference conductor, wall-clock time is compared, and the virtual results
 //! are asserted bit-identical (makespan, per-thread clocks, steal counts —
 //! the fast path must be invisible in everything but real time; see
-//! `docs/conductor.md`).
+//! `docs/conductor.md`). Both run on the same substrate (fibers on x86-64
+//! Linux, OS threads elsewhere), so the speed-up prices the fast policy's
+//! windows and packed queue alone, not a change of substrate.
 //!
 //! Usage:
 //!   cargo run --release -p uts-bench --bin conductor_bench
@@ -120,8 +122,11 @@ fn main() {
         total.msgs_sent + total.msgs_received,
     );
     let speedup = t_slow / t_fast;
+    let ns_per_op = |t: f64| t * 1e9 / cond.total_ops() as f64;
     println!(
-        "  wall-clock: fast {t_fast:.2}s, slow {t_slow:.2}s -> speedup {speedup:.2}x"
+        "  wall-clock: fast {t_fast:.3}s, slow {t_slow:.3}s -> speedup {speedup:.2}x ({:.0} / {:.0} ns per op)",
+        ns_per_op(t_fast),
+        ns_per_op(t_slow)
     );
     println!(
         "  conductor: {} ops, {:.1}% on the fast path ({} of them by the reach window), {} baton handoffs",

@@ -91,8 +91,8 @@ const FAULT_FIELDS: Table<Field, 21> = [
 pub enum Conductor {
     /// The simulator's fiber conductor (`RunConfig::sim_lookahead` on).
     Fiber,
-    /// The simulator's reference OS-thread conductor: the same virtual
-    /// results, only slower.
+    /// The simulator's reference conductor: the naive policy (no windows) on
+    /// the same substrate, the same virtual results, only slower.
     Reference,
     /// Real OS threads (`run_native`): no crash-class faults, no arrivals.
     Native,

@@ -44,7 +44,7 @@
 //!
 //! Going through [`Comm`] — not host atomics — is what preserves the
 //! conductor bit-identity contract: both the fiber fast path and the
-//! reference OS-thread conductor order comm operations in virtual time, so
+//! reference conductor order comm operations in virtual time, so
 //! "which predecessor's add crossed the threshold" is deterministic.
 //!
 //! Priorities order same-batch emissions (higher priority lands nearer the

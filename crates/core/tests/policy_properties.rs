@@ -262,8 +262,9 @@ impl TaskGen for Fanout {
     }
 }
 
-/// The three substrates the rule must hold on: the fiber conductor, the
-/// reference conductor (`with_lookahead(false)`) and real threads.
+/// The three executions the rule must hold on: the fiber conductor's fast
+/// policy, its naive reference policy (`with_lookahead(false)`, the same
+/// fibers) and real threads.
 const SUBSTRATES: [&str; 3] = ["fiber", "reference", "native"];
 
 fn run_traced(substrate: &str, threads: usize, gen: &Fanout, alg: Algorithm) -> RunReport {

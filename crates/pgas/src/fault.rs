@@ -5,8 +5,8 @@
 //! *inside the cost accounting* of [`crate::sim::SimComm`]: every fault is a
 //! pure function of the plan's seed and the issuing thread's **virtual**
 //! time, so a faulted schedule is exactly as deterministic as a fault-free
-//! one — bit-identical across runs and across both conductors (fast/fiber
-//! and reference OS-thread). No wall-clock time, no shared mutable state,
+//! one — bit-identical across runs and across both conductors (fast and
+//! reference) and both substrates. No wall-clock time, no shared mutable state,
 //! no RNG stream whose consumption order could differ between conductors.
 //!
 //! Four fault classes, mirroring what distributed work-stealing runtimes

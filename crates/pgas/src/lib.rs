@@ -12,7 +12,7 @@
 //!   This is the paper's *shared memory* setting (§4.3): communication is as
 //!   fast as the machine's cache coherence.
 //! - [`sim`]: a deterministic **virtual-time** executor. Every simulated UPC
-//!   thread is a fiber (or, under the reference conductor, an OS thread), but
+//!   thread is a fiber (an OS thread on targets other than x86-64 Linux), but
 //!   exactly one runs at a time and threads are
 //!   scheduled in global virtual-clock order, so execution is sequentially
 //!   consistent in virtual time and fully deterministic. Each operation
@@ -21,7 +21,9 @@
 //!   setting (§4.2) — 2008-era Infiniband latencies, hundreds-to-thousands
 //!   of threads — on a single host. A lookahead fast path keeps the
 //!   scheduling overhead off the simulation's hot loops without changing a
-//!   single virtual result (see `docs/conductor.md`).
+//!   single virtual result; the reference conductor is the same executor
+//!   with that policy switched off, a naive pop-the-minimum per operation
+//!   (see `docs/conductor.md`).
 //!
 //! The global space itself is deliberately simple, shaped by what the
 //! paper's five load balancers need:

@@ -17,25 +17,27 @@
 //!
 //! # Two conductors, one schedule
 //!
-//! The scheduling decision — "pop the least `(clock, tid)` key" — is shared
-//! by two interchangeable execution substrates (see `docs/conductor.md`):
+//! The scheduling decision — "pop the least `(clock, tid)` key" — is made by
+//! two interchangeable *policies* (see `docs/conductor.md`):
 //!
-//! - **Slow / reference mode** ([`SimCluster::with_lookahead`]`(false)`):
-//!   every simulated thread is an OS thread parked on its own [`Condvar`];
-//!   each operation publishes the thread's clock under a global [`Mutex`] and
-//!   hands the baton with a condvar signal. One kernel wake per operation —
-//!   simple, obviously correct, and the baseline the equivalence tests and
+//! - **Reference / naive policy** ([`SimCluster::with_lookahead`]`(false)`):
+//!   every operation pushes its thread's `(clock, tid)` into a tuple-keyed
+//!   queue, pops the minimum and hands the baton over unless it popped
+//!   itself. No window, no cached minimum, no inbound count: simple,
+//!   obviously correct, and the baseline the equivalence tests and
 //!   `conductor_bench` diff against.
-//! - **Fast mode** (the default, on x86-64 Linux): every simulated thread
-//!   is a *fiber* — a user-level stack on a single OS thread. Since the
-//!   conductor admits exactly one thread at a time anyway, nothing is lost
-//!   by giving up kernel parallelism, and a baton handoff shrinks from a
-//!   mutex + condvar + scheduler round-trip (microseconds) to a
-//!   ~15-instruction stack switch (nanoseconds), and its ready queue holds
-//!   one packed `u64` per parked fiber instead of a `(clock, tid)` tuple. The
-//!   context switch and the stack arena live in `fiber.rs`; on every other
-//!   target (`build.rs` holds the rule) fast mode falls back to the OS-thread
-//!   conductor with the two windows below.
+//! - **Fast policy** (the default): the same order, computed with the two
+//!   windows below and, on fibers, a packed `u64` key per parked thread.
+//!
+//! Both run on one *substrate* per target (`build.rs` holds the rule). On
+//! x86-64 Linux every simulated thread is a *fiber* — a user-level stack on
+//! a single OS thread. Since the conductor admits exactly one thread at a
+//! time anyway, nothing is lost by giving up kernel parallelism, and a baton
+//! handoff is a ~15-instruction stack switch (nanoseconds). The context
+//! switch and the stack arena live in `fiber.rs`. On every other target each
+//! simulated thread is an OS thread parked on a condvar (`sim/threads.rs`),
+//! a mutex + condvar + scheduler round trip (microseconds) per handoff;
+//! that substrate is compiled on x86-64 Linux only for this crate's tests.
 //!
 //! # Lookahead fast path
 //!
@@ -86,10 +88,13 @@
 //! a single host: the virtual makespan plays the role of measured wall-clock
 //! time.
 
-use std::cell::UnsafeCell;
+#[cfg(pgas_fiber)]
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::BTreeMap;
+#[cfg(pgas_fiber)]
+use std::collections::BinaryHeap;
+#[cfg(any(not(pgas_fiber), test))]
+use std::sync::Arc;
 
 use crate::comm::{Comm, Item, OpClass, SpaceConfig};
 use crate::fault::{self, FaultPlan, MsgFate};
@@ -98,6 +103,11 @@ use crate::fiber::{self, StackArena};
 use crate::machine::MachineModel;
 use crate::msg::Msg;
 use crate::stats::{CommStats, ConductorStats};
+
+#[cfg(any(not(pgas_fiber), test))]
+mod threads;
+#[cfg(any(not(pgas_fiber), test))]
+use threads::Shared;
 
 /// Stack size for each simulated thread (OS thread or fiber). Workers use
 /// explicit DFS stacks, so half a megabyte is a wide margin over the measured
@@ -161,9 +171,9 @@ impl<R> SimReport<R> {
 
 /// The global memory image.
 ///
-/// Only ever touched by the thread currently holding the baton. In fiber
-/// mode that is trivially single-threaded; in OS-thread mode it lives in an
-/// [`UnsafeCell`] next to (not inside) the conductor mutex, and handoffs
+/// Only ever touched by the thread currently holding the baton. On fibers
+/// that is trivially single-threaded; on OS threads it lives in an
+/// `UnsafeCell` next to (not inside) the conductor mutex, and handoffs
 /// through the mutex provide the happens-before edges that publish one
 /// holder's writes to the next.
 struct Mem<T> {
@@ -228,44 +238,6 @@ impl<T: Item> Mem<T> {
     }
 }
 
-/// Scheduling state of the OS-thread conductor (guarded by the mutex).
-struct Inner {
-    /// Last clock each thread *published* (at registration, slow-path ops,
-    /// and retirement). May lag the thread's private clock while it runs on
-    /// the fast path; authoritative again once the thread parks or retires.
-    clocks: Vec<u64>,
-    /// Threads waiting for the baton, keyed by (virtual clock, tid).
-    queue: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Thread currently holding the baton (executing), if any.
-    chosen: Option<usize>,
-    /// Threads registered so far (scheduling starts when all have).
-    started: usize,
-    /// Threads that have retired.
-    retired: usize,
-    /// Stats deposited by retired threads.
-    final_stats: Vec<Option<CommStats>>,
-    /// Conductor stats deposited by retired threads.
-    final_conductor: Vec<Option<ConductorStats>>,
-}
-
-/// Shared state of the OS-thread conductor.
-struct Shared<T> {
-    mx: Mutex<Inner>,
-    cvs: Vec<Condvar>,
-    mem: UnsafeCell<Mem<T>>,
-    nthreads: usize,
-    machine: MachineModel,
-    lookahead: bool,
-    faults: FaultPlan,
-}
-
-// SAFETY: `mem` is only accessed by the baton holder. The conductor admits
-// exactly one holder at a time (every other thread is parked on its condvar
-// inside `op()`/`register()`), and baton transfer happens through `mx`, whose
-// lock/unlock establishes happens-before between consecutive holders'
-// accesses. All other fields are `Sync` on their own.
-unsafe impl<T: Item> Sync for Shared<T> {}
-
 /// Shared state of the fiber conductor. Everything runs on one OS thread, so
 /// no synchronization exists at all: fibers reach it through a raw pointer
 /// and exactly one fiber (or the host) is live at any instant.
@@ -274,10 +246,14 @@ struct FiberHub<T: Item> {
     machine: MachineModel,
     nthreads: usize,
     faults: FaultPlan,
+    /// The policy: fast (windows, packed keys) or naive (see the module docs).
+    lookahead: bool,
     clocks: Vec<u64>,
-    /// Fibers waiting for the baton, one packed key each.
+    /// Fibers waiting for the baton under the fast policy, one packed key each.
     queue: BinaryHeap<Reverse<u64>>,
     keys: KeyFormat,
+    /// Fibers waiting for the baton under the naive policy.
+    naive: BinaryHeap<Reverse<(u64, usize)>>,
     /// Saved stack pointer of each suspended fiber.
     rsps: Vec<usize>,
     /// Saved stack pointer of the host (resumed when the last fiber retires).
@@ -285,6 +261,18 @@ struct FiberHub<T: Item> {
     mem: Mem<T>,
     final_stats: Vec<Option<CommStats>>,
     final_conductor: Vec<Option<ConductorStats>>,
+}
+
+#[cfg(pgas_fiber)]
+impl<T: Item> FiberHub<T> {
+    /// Take the next baton holder off the policy's ready queue.
+    fn pop(&mut self) -> Option<usize> {
+        if self.lookahead {
+            self.queue.pop().map(|key| self.keys.unpack(key).1)
+        } else {
+            self.naive.pop().map(|Reverse((_, tid))| tid)
+        }
+    }
 }
 
 /// The fiber ready queue's entry for `(clock, tid)`: `clock << tid_bits | tid`
@@ -346,14 +334,15 @@ where
     let hub = ctx.hub;
     // Being switched to for the first time *is* the first baton grant (the
     // host queued every fiber at (0, tid) before starting the earliest), so
-    // cache the queue minimum exactly as the OS-thread register() does.
+    // cache the queue minimum as every later grant does.
     // SAFETY: the hub outlives every fiber and this fiber is the only live
     // context, so the borrow is unique; it ends with this statement.
-    let (nthreads, faults, reach_ns, next_min) = unsafe {
+    let (nthreads, faults, lookahead, reach_ns, next_min) = unsafe {
         let h = &*hub;
         (
             h.nthreads,
             h.faults,
+            h.lookahead,
             h.machine.min_foreign_cost(),
             h.queue.peek().map(|&k| h.keys.unpack(k)),
         )
@@ -363,7 +352,7 @@ where
         tid: ctx.tid,
         nthreads,
         faults,
-        lookahead: true,
+        lookahead,
         reach_ns,
         local_clock: 0,
         pending_work: 0,
@@ -394,8 +383,8 @@ where
             Err(p) => *ctx.panic = Some(p),
         }
         save = &mut h.rsps[ctx.tid] as *mut usize;
-        load = match h.queue.pop() {
-            Some(key) => h.rsps[h.keys.unpack(key).1],
+        load = match h.pop() {
+            Some(next) => h.rsps[next],
             None => h.host_rsp, // last one out resumes the host
         };
     }
@@ -437,10 +426,10 @@ impl<T: Item> SimCluster<T> {
     /// Enable or disable the fast conductor (on by default).
     ///
     /// Both modes produce bit-identical virtual results; disabling selects
-    /// the reference conductor — one OS thread per simulated thread, every
-    /// clock advance published under the mutex, one condvar handoff per
-    /// operation — which the equivalence tests and `conductor_bench` use as
-    /// the baseline schedule.
+    /// the reference conductor — the naive policy on the same substrate:
+    /// every operation queues its thread and pops the minimum, no window —
+    /// which the equivalence tests and `conductor_bench` use as the baseline
+    /// schedule.
     pub fn with_lookahead(mut self, enabled: bool) -> Self {
         self.lookahead = enabled;
         self
@@ -468,15 +457,13 @@ impl<T: Item> SimCluster<T> {
         F: Fn(&mut SimComm<T>) -> R + Sync,
     {
         #[cfg(pgas_fiber)]
-        if self.lookahead {
-            return self.run_fibers(&f);
-        }
+        return self.run_fibers(&f);
+        #[cfg(not(pgas_fiber))]
         self.run_threads(&f)
     }
 
-    /// Fast mode: all simulated threads as fibers on this OS thread. A
-    /// handoff is a user-level stack switch; the lookahead and reach windows
-    /// skip even that.
+    /// All simulated threads as fibers on this OS thread. A handoff is a
+    /// user-level stack switch; the fast policy's windows skip even that.
     #[cfg(pgas_fiber)]
     fn run_fibers<R, F>(self, f: &F) -> SimReport<R>
     where
@@ -488,16 +475,22 @@ impl<T: Item> SimCluster<T> {
             machine: self.machine,
             nthreads: n,
             faults: self.faults,
+            lookahead: self.lookahead,
             clocks: vec![0; n],
             queue: BinaryHeap::with_capacity(n),
             keys: KeyFormat::new(n),
+            naive: BinaryHeap::new(),
             rsps: vec![0; n],
             host_rsp: 0,
             mem: Mem::new(n, &self.cfg),
             final_stats: vec![None; n],
             final_conductor: vec![None; n],
         };
-        hub.queue.extend((0..n).map(|tid| hub.keys.pack(0, tid)));
+        if self.lookahead {
+            hub.queue.extend((0..n).map(|tid| hub.keys.pack(0, tid)));
+        } else {
+            hub.naive.extend((0..n).map(|tid| Reverse((0, tid))));
+        }
         let hub_ptr: *mut FiberHub<T> = &mut hub;
 
         let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
@@ -529,7 +522,7 @@ impl<T: Item> SimCluster<T> {
         }
 
         // Start the earliest fiber; we are resumed when the last one retires.
-        let (_, first) = hub.keys.unpack(hub.queue.pop().expect("nonempty cluster"));
+        let first = hub.pop().expect("nonempty cluster");
         let save: *mut usize = &mut hub.host_rsp;
         let load = hub.rsps[first];
         // SAFETY: `load` is fiber `first`'s freshly initialized context, and
@@ -562,105 +555,21 @@ impl<T: Item> SimCluster<T> {
             scalars: hub.mem.scalars,
         }
     }
-
-    /// Reference mode: one OS thread per simulated thread, condvar handoffs.
-    fn run_threads<R, F>(self, f: &F) -> SimReport<R>
-    where
-        R: Send,
-        F: Fn(&mut SimComm<T>) -> R + Sync,
-    {
-        let n = self.nthreads;
-        let shared = Arc::new(Shared {
-            mx: Mutex::new(Inner {
-                clocks: vec![0; n],
-                queue: BinaryHeap::with_capacity(n),
-                chosen: None,
-                started: 0,
-                retired: 0,
-                final_stats: vec![None; n],
-                final_conductor: vec![None; n],
-            }),
-            cvs: (0..n).map(|_| Condvar::new()).collect(),
-            mem: UnsafeCell::new(Mem::new(n, &self.cfg)),
-            nthreads: n,
-            machine: self.machine,
-            lookahead: self.lookahead,
-            faults: self.faults,
-        });
-
-        let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        let panic = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for (tid, slot) in results.iter_mut().enumerate() {
-                let shared = Arc::clone(&shared);
-                let builder = std::thread::Builder::new()
-                    .stack_size(SIM_STACK_SIZE)
-                    .name(format!("sim-{tid}"));
-                handles.push(
-                    builder
-                        .spawn_scoped(scope, move || {
-                            let mut comm = SimComm::new_threaded(shared, tid);
-                            comm.register();
-                            // Hand the baton onward even if the worker
-                            // panics, so the other simulated threads are not
-                            // left parked forever.
-                            let res = std::panic::catch_unwind(
-                                std::panic::AssertUnwindSafe(|| f(&mut comm)),
-                            );
-                            comm.retire();
-                            match res {
-                                Ok(r) => *slot = Some(r),
-                                Err(p) => std::panic::resume_unwind(p),
-                            }
-                        })
-                        .expect("spawn simulated thread"),
-                );
-            }
-            // Join all; re-raise the lowest thread's panic, as fibers do.
-            handles
-                .into_iter()
-                .fold(None, |first, h| first.or(h.join().err()))
-        });
-        if let Some(p) = panic {
-            std::panic::resume_unwind(p);
-        }
-
-        let inner = shared.mx.lock().unwrap();
-        // SAFETY: every simulated thread has been joined; this is the only
-        // live access to the memory image.
-        let mem = unsafe { &*shared.mem.get() };
-        let makespan_ns = inner.clocks.iter().copied().max().unwrap_or(0);
-        SimReport {
-            results: results.into_iter().map(|r| r.expect("thread result")).collect(),
-            makespan_ns,
-            clocks: inner.clocks.clone(),
-            stats: inner
-                .final_stats
-                .iter()
-                .map(|s| s.clone().expect("retired stats"))
-                .collect(),
-            conductor: inner
-                .final_conductor
-                .iter()
-                .map(|s| s.clone().expect("retired conductor stats"))
-                .collect(),
-            scalars: mem.scalars.clone(),
-        }
-    }
 }
 
-/// Which conductor this handle talks to.
+/// Which substrate this handle talks to.
 enum Backend<T: Item> {
-    /// OS-thread conductor (reference mode, and non-x86-64 fast mode).
+    /// OS-thread substrate (`sim/threads.rs`).
+    #[cfg(any(not(pgas_fiber), test))]
     Threads(Arc<Shared<T>>),
-    /// Fiber conductor: raw pointer to the hub on the host's stack frame,
+    /// Fiber substrate: raw pointer to the hub on the host's stack frame,
     /// which outlives every fiber.
     #[cfg(pgas_fiber)]
     Fiber(*mut FiberHub<T>),
 }
 
-// SAFETY: required by the `Comm: Send` supertrait. In threaded mode the
-// handle is ordinary `Send` data. In fiber mode it holds a raw hub pointer,
+// SAFETY: required by the `Comm: Send` supertrait. On OS threads the
+// handle is ordinary `Send` data. On fibers it holds a raw hub pointer,
 // but the handle is created, used, and abandoned on the single OS thread
 // that owns the hub: workers only ever receive `&mut SimComm` and cannot
 // move the handle out (fields are private and there is no constructor), so
@@ -695,56 +604,6 @@ pub struct SimComm<T: Item> {
 }
 
 impl<T: Item> SimComm<T> {
-    fn new_threaded(shared: Arc<Shared<T>>, tid: usize) -> Self {
-        let nthreads = shared.nthreads;
-        let lookahead = shared.lookahead;
-        let faults = shared.faults;
-        let reach_ns = shared.machine.min_foreign_cost();
-        SimComm {
-            backend: Backend::Threads(shared),
-            tid,
-            nthreads,
-            lookahead,
-            reach_ns,
-            faults,
-            local_clock: 0,
-            pending_work: 0,
-            worked_until: 0,
-            next_min: None,
-            stats: CommStats::default(),
-            conductor: ConductorStats::default(),
-        }
-    }
-
-    /// Hand the baton to the thread with the smallest virtual clock
-    /// (OS-thread conductor).
-    fn dispatch(inner: &mut Inner, cvs: &[Condvar]) {
-        if let Some(Reverse((_, tid))) = inner.queue.pop() {
-            inner.chosen = Some(tid);
-            cvs[tid].notify_one();
-        } else {
-            inner.chosen = None;
-        }
-    }
-
-    /// Enter the scheduled pool and wait for the first baton (OS-thread
-    /// conductor; fibers are pre-queued by the host instead).
-    fn register(&mut self) {
-        let Backend::Threads(ref shared) = self.backend else {
-            unreachable!("register() is only used by the OS-thread conductor");
-        };
-        let mut g = shared.mx.lock().unwrap();
-        g.queue.push(Reverse((0, self.tid)));
-        g.started += 1;
-        if g.started == self.nthreads {
-            Self::dispatch(&mut g, &shared.cvs);
-        }
-        while g.chosen != Some(self.tid) {
-            g = shared.cvs[self.tid].wait(g).unwrap();
-        }
-        self.next_min = g.queue.peek().map(|r| r.0);
-    }
-
     /// The memory image.
     ///
     /// # Safety
@@ -755,6 +614,7 @@ impl<T: Item> SimComm<T> {
             // SAFETY: the baton holder's is the unique live access, and the
             // preceding holder's writes are visible via the mutex handoff
             // that granted us the baton.
+            #[cfg(any(not(pgas_fiber), test))]
             Backend::Threads(s) => unsafe { &mut *s.mem.get() },
             // SAFETY: single OS thread; the baton holder is the only live
             // fiber, and the hub outlives every fiber.
@@ -849,46 +709,50 @@ impl<T: Item> SimComm<T> {
             *unsafe { self.mem() }.inbound[peer].count(access) += 1;
         }
         let mem = match self.backend {
+            #[cfg(any(not(pgas_fiber), test))]
             Backend::Threads(ref shared) => {
-                let mut g = shared.mx.lock().unwrap();
-                g.clocks[self.tid] = t;
-                g.queue.push(Reverse((t, self.tid)));
-                Self::dispatch(&mut g, &shared.cvs);
-                while g.chosen != Some(self.tid) {
-                    g = shared.cvs[self.tid].wait(g).unwrap();
-                }
-                self.next_min = g.queue.peek().map(|r| r.0);
-                drop(g);
-                // SAFETY: `chosen == tid` again — unique access, published by
-                // the mutex release of whichever thread dispatched to us.
+                self.next_min = shared.park(self.tid, t);
+                // SAFETY: we hold the baton again — unique access, published
+                // by the mutex release of whichever thread dispatched to us.
                 unsafe { &mut *shared.mem.get() }
             }
             #[cfg(pgas_fiber)]
             Backend::Fiber(hub) => {
-                // The failed lookahead test has just proved that the queue
-                // minimum precedes `(t, tid)` (fibers always run with
-                // lookahead, and `next_min` is exact while we hold the
-                // baton), so "push ourselves, pop the minimum" is "replace
-                // the root by ourselves": one sift-down. Keys are unique, so
-                // the pop order does not depend on the heap's layout.
                 // SAFETY: exactly one fiber is live at a time, so this
                 // `&mut *hub` is unique; it ends before the switch.
-                let (save, load) = unsafe {
+                let (next, save, load) = unsafe {
                     let h = &mut *hub;
                     h.clocks[self.tid] = t;
-                    let mut root = h.queue.peek_mut().expect("lookahead failed against an empty queue");
-                    let min = std::mem::replace(&mut *root, h.keys.pack(t, self.tid));
-                    drop(root);
-                    let (_, next) = h.keys.unpack(min);
-                    assert_ne!(next, self.tid, "a running fiber was queued");
-                    (&mut h.rsps[self.tid] as *mut usize, h.rsps[next])
+                    let next = if self.lookahead {
+                        // The failed lookahead test has just proved that the
+                        // queue minimum precedes `(t, tid)` (`next_min` is
+                        // exact while we hold the baton), so "push ourselves,
+                        // pop the minimum" is "replace the root by ourselves":
+                        // one sift-down. Keys are unique, so the pop order
+                        // does not depend on the heap's layout.
+                        let mut root = h
+                            .queue
+                            .peek_mut()
+                            .expect("lookahead failed against an empty queue");
+                        let min = std::mem::replace(&mut *root, h.keys.pack(t, self.tid));
+                        drop(root);
+                        let (_, next) = h.keys.unpack(min);
+                        assert_ne!(next, self.tid, "a running fiber was queued");
+                        next
+                    } else {
+                        h.naive.push(Reverse((t, self.tid)));
+                        h.pop().expect("we just queued ourselves")
+                    };
+                    (next, &mut h.rsps[self.tid] as *mut usize, h.rsps[next])
                 };
-                // SAFETY: `load` was saved by the suspended fiber `next`
-                // (or is its initial context); `save` is resumed exactly
-                // once, by whichever fiber later pops our queue entry.
-                unsafe { fiber::switch(save, load) };
-                // SAFETY: we were resumed, so we are the one live fiber again
-                // and the borrow is unique until `eff` returns.
+                if next != self.tid {
+                    // SAFETY: `load` was saved by the suspended fiber `next`
+                    // (or is its initial context); `save` is resumed exactly
+                    // once, by whichever fiber later pops our queue entry.
+                    unsafe { fiber::switch(save, load) };
+                }
+                // SAFETY: we hold the baton again, so we are the one live
+                // fiber and the borrow is unique until `eff` returns.
                 let h = unsafe { &mut *hub };
                 self.next_min = h.queue.peek().map(|&k| h.keys.unpack(k));
                 &mut h.mem
@@ -898,22 +762,6 @@ impl<T: Item> SimComm<T> {
             *mem.inbound[peer].count(access) -= 1;
         }
         eff(mem, t)
-    }
-
-    /// Leave the pool for good, folding in trailing work and publishing the
-    /// final clock (OS-thread conductor; fibers retire in `fiber_entry`).
-    fn retire(&mut self) {
-        let Backend::Threads(ref shared) = self.backend else {
-            unreachable!("retire() is only used by the OS-thread conductor");
-        };
-        self.local_clock += self.pending_work;
-        self.pending_work = 0;
-        let mut g = shared.mx.lock().unwrap();
-        g.clocks[self.tid] = self.local_clock;
-        g.retired += 1;
-        g.final_stats[self.tid] = Some(self.stats.clone());
-        g.final_conductor[self.tid] = Some(self.conductor.clone());
-        Self::dispatch(&mut g, &shared.cvs);
     }
 
     fn size_of_items(n: usize) -> usize {
@@ -932,6 +780,7 @@ impl<T: Item> Comm<T> for SimComm<T> {
 
     fn machine(&self) -> &MachineModel {
         match &self.backend {
+            #[cfg(any(not(pgas_fiber), test))]
             Backend::Threads(s) => &s.machine,
             // SAFETY: the hub outlives every fiber, and `machine` is written
             // only before the first fiber starts.
@@ -1439,27 +1288,30 @@ mod tests {
         assert!(batch.makespan_ns < looped.makespan_ns);
     }
 
-    /// The platform rule of `build.rs`: fast mode runs on fibers exactly on
-    /// x86-64 Linux — where it reports a measured, comfortably small stack
-    /// high-water mark — and on OS threads, which measure none, elsewhere.
+    /// The platform rule of `build.rs`: on x86-64 Linux both policies run on
+    /// fibers — and report a measured, comfortably small stack high-water
+    /// mark — and the OS-thread substrate, compiled there for these tests
+    /// only, measures none; elsewhere it is the one substrate.
     #[test]
     fn fast_mode_substrate_follows_the_platform_rule() {
         assert_eq!(
             cfg!(pgas_fiber),
             cfg!(all(target_arch = "x86_64", target_os = "linux"))
         );
-        let peak = |lookahead: bool| {
-            smp_cluster(4)
-                .with_lookahead(lookahead)
-                .run(|c| c.add(0, 0, 1))
-                .total_conductor()
-                .stack_peak_bytes
-        };
-        assert_eq!(peak(false), 0, "the reference conductor measures no stack");
-        if cfg!(pgas_fiber) {
-            assert!((1..SIM_STACK_SIZE as u64 / 2).contains(&peak(true)));
-        } else {
-            assert_eq!(peak(true), 0, "fast mode must fall back to OS threads");
+        let peak = |report: SimReport<i64>| report.total_conductor().stack_peak_bytes;
+        for lookahead in [true, false] {
+            let cluster = || smp_cluster(4).with_lookahead(lookahead);
+            let on_threads = peak(cluster().run_threads(&|c: &mut SimComm<u64>| c.add(0, 0, 1)));
+            assert_eq!(on_threads, 0, "the OS-thread substrate measures no stack");
+            let measured = peak(cluster().run(|c| c.add(0, 0, 1)));
+            if cfg!(pgas_fiber) {
+                assert!(
+                    (1..SIM_STACK_SIZE as u64 / 2).contains(&measured),
+                    "lookahead={lookahead}: {measured}"
+                );
+            } else {
+                assert_eq!(measured, 0, "lookahead={lookahead}: no fibers here");
+            }
         }
     }
 
@@ -1700,7 +1552,7 @@ mod tests {
     }
 
     /// A *faulted* schedule is exactly as conductor-independent as a
-    /// fault-free one: fast/fiber and reference OS-thread modes agree on
+    /// fault-free one: the fast and the reference conductor agree on
     /// every modelled quantity, and the plan demonstrably fired.
     #[test]
     fn faulted_run_identical_across_conductors() {

@@ -1,6 +1,7 @@
 //! The reach window and the packed ready queue, held against the reference
-//! conductor: seeded random programs over every [`Comm`] method, split-phase
-//! batches included, and hand-placed operations at the window's edges.
+//! (naive) policy: seeded random programs over every [`Comm`] method,
+//! split-phase batches included, run by both policies on both substrates, and
+//! hand-placed operations at the window's edges.
 
 use super::*;
 use crate::arrival::HashStream;
@@ -168,9 +169,11 @@ fn assert_same(fast: &SimReport<Vec<i64>>, reference: &SimReport<Vec<i64>>, labe
     );
 }
 
-/// Random programs × p ∈ 2..=10 on one machine: fast mode on this platform's
-/// substrate, and fast mode on OS threads (the fallback of every platform
-/// without fibers), must match the reference conductor bit for bit.
+/// Random programs × p ∈ 2..=10 on one machine, each run four ways — the
+/// naive policy (the reference) and the fast one, each on this platform's
+/// substrate and on OS threads (the one substrate of every platform without
+/// fibers) — must agree bit for bit, and the two fast runs must take the same
+/// windows.
 ///
 /// Checked against five mutations of the rule (`SimComm::reaches`,
 /// `Inbound::admits`, the count in `SimComm::add_many`), one at a time. The
@@ -200,14 +203,22 @@ fn random_programs_agree(machine: MachineModel) {
                 .with_lookahead(lookahead)
         };
         let label = format!("{} seed {seed} p {p}", machine.name);
+        let on_threads = |lookahead: bool| {
+            cluster(lookahead).run_threads(&|c: &mut SimComm<u64>| program(c, seed))
+        };
         let reference = cluster(false).run(|c| program(c, seed));
         let fast = cluster(true).run(|c| program(c, seed));
         assert_same(&fast, &reference, &label);
-        let threads = cluster(true).run_threads(&|c: &mut SimComm<u64>| program(c, seed));
+        assert_same(
+            &reference,
+            &on_threads(false),
+            &format!("{label} (naive policy on OS threads)"),
+        );
+        let threads = on_threads(true);
         assert_same(
             &threads,
             &reference,
-            &format!("{label} (fast mode on OS threads)"),
+            &format!("{label} (fast policy on OS threads)"),
         );
         assert_eq!(
             threads.total_conductor().handoffs,

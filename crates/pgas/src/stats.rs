@@ -120,14 +120,14 @@ pub struct ConductorStats {
     /// earliest but that no other thread could precede *there*.
     pub reach_ops: u64,
     /// Operations that went through a full baton handoff (a fiber switch, or
-    /// mutex + schedule + condvar wait under the OS-thread conductor).
+    /// mutex + schedule + condvar wait on the OS-thread substrate).
     pub handoffs: u64,
     /// Fast-path operations by [`OpClass`] histogram index
     /// ([`OpClass::index`]).
     pub fast_by_class: [u64; OpClass::COUNT],
     /// Measured high-water mark of this thread's fiber stack, in bytes (page
     /// granular: its top down to the lowest page the kernel committed for
-    /// it). 0 under the OS-thread conductor, whose stacks are not measured.
+    /// it). 0 on the OS-thread substrate, whose stacks are not measured.
     pub stack_peak_bytes: u64,
 }
 

@@ -68,6 +68,11 @@ if grep -rnE 'UTS_CHAO[S]_|UTS_STEAL_TIMEOUT_N[S]|UTS_SIM_REFERENC[E]' crates sc
 fi
 [ "$(grep -rnF 'env::var("UTS_OVERRIDE")' crates | cut -d: -f1)" = crates/bench/src/harness.rs ] ||
   { echo "UTS_OVERRIDE must be read exactly once, in crates/bench/src/harness.rs" >&2; exit 1; }
+# One substrate per target: the reference conductor is a policy on the
+# fibers, and the OS-thread substrate (the only user of a condvar in the
+# crate) lives in one file, compiled where fibers are not and in pgas's tests.
+[ "$(grep -rlF 'Condvar' crates/pgas/src)" = crates/pgas/src/sim/threads.rs ] ||
+  { echo "Condvar under crates/pgas/src outside crates/pgas/src/sim/threads.rs" >&2; exit 1; }
 # A frozen-table row pastes into uts_cli (a crash row: a kill inside a
 # partition, then a restart).
 cargo build --release --offline -p uts-bench --bin uts_cli
@@ -76,8 +81,8 @@ cargo build --release --offline -p uts-bench --bin uts_cli
 
 echo "== SAFETY comments (crates/pgas/src) =="
 # Every `unsafe {` block and `unsafe impl` in the crate that owns the fiber
-# runtime must have a `// SAFETY:` comment directly above it (attribute lines
-# in between are skipped).
+# runtime, submodules included, must have a `// SAFETY:` comment directly
+# above it (attribute lines in between are skipped).
 awk '
   FNR == 1 { n = 0 }
   { line[++n] = $0 }
@@ -91,7 +96,7 @@ awk '
     if (!ok) { printf "%s:%d: unsafe without a SAFETY comment directly above\n", FILENAME, FNR; bad = 1 }
   }
   END { exit bad }
-' crates/pgas/src/*.rs
+' $(find crates/pgas/src -name '*.rs' | sort)
 
 echo "== bench/ build + tests =="
 # The benchmark is a package of its own, outside the workspace, reaching the
@@ -147,5 +152,13 @@ echo "== every other results/*.csv is current =="
 # minutes on a 2-vCPU host, most of it the two Figure 5 trees.
 cargo build --release --offline -p uts-bench --bin exp
 ./target/release/exp --check
+
+echo "== the same CSVs on the reference conductor =="
+# The oracle is the naive policy on the same fibers, so every committed CSV
+# is checked against it too: no virtual column may move. About 4 m 45 s on
+# a 2-vCPU host, nearly all of it exp.
+UTS_OVERRIDE='conductor=reference' ./target/release/service --check
+UTS_OVERRIDE='conductor=reference' ./target/release/dag_sweep --check
+UTS_OVERRIDE='conductor=reference' ./target/release/exp --check
 
 echo "CI OK"

@@ -253,7 +253,7 @@ fn assert_conductors_agree(spec: RunSpec) {
 
 /// A crash-faulted run — including the death, the adoption, and every
 /// re-injected grant — is bit-identical across the fast fiber conductor and
-/// the reference OS-thread conductor.
+/// the reference conductor.
 #[test]
 fn crash_runs_agree_across_conductors() {
     for alg in Algorithm::paper_set() {
@@ -301,7 +301,7 @@ fn membership_faults_conserve_with_multiplicity() {
 
 /// A membership-faulted run — partition freezes, evictions, fence rejoins,
 /// restarts — is bit-identical across the fast fiber conductor and the
-/// reference OS-thread conductor.
+/// reference conductor.
 #[test]
 fn membership_runs_agree_across_conductors() {
     for alg in Algorithm::paper_set() {
@@ -310,7 +310,7 @@ fn membership_runs_agree_across_conductors() {
 }
 
 /// A *faulted* run is itself deterministic and conductor-independent: the
-/// fast fiber conductor and the reference OS-thread conductor agree on
+/// fast fiber conductor and the reference conductor agree on
 /// every virtual result under an active fault plan.
 #[test]
 fn faulted_runs_agree_across_conductors() {

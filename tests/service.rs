@@ -2,7 +2,7 @@
 //!
 //! - **Conductor identity**: a service run is bit-identical — per-request
 //!   latencies, histograms, per-thread node counts — across the fiber and
-//!   reference OS-thread conductors, for smooth (Poisson) and bursty (MMPP)
+//!   reference conductors, for smooth (Poisson) and bursty (MMPP)
 //!   arrivals alike. This is the acceptance criterion of the service-mode
 //!   issue, and it holds because the arrival schedule is precomputed from
 //!   the spec and everything else advances on the virtual clock.
@@ -23,7 +23,7 @@ fn service_run(alg: &str, threads: usize, words: &str) -> RunReport {
     line.parse::<RunSpec>().unwrap_or_else(|e| panic!("{line}: {e}")).run()
 }
 
-/// The fiber conductor and the reference OS-thread conductor produce the
+/// The fiber conductor and the reference conductor produce the
 /// same service report bit for bit, across transports and arrival shapes.
 #[test]
 fn service_reports_identical_across_conductors() {
