@@ -21,7 +21,7 @@ use worksteal::{
 };
 
 use crate::harness::{measure, print_table, sim_config, Row, Sink};
-use crate::ready_wait::ReadyWait;
+use crate::ready_wait::{Hops, ReadyWait};
 
 /// How an entry runs: it only prints, or it also owns `results/<name>.csv`.
 pub enum Run {
@@ -63,7 +63,7 @@ pub const TABLE: &[Entry] = &[
     Entry { name: "tree_family", about: "E13 geometric and hybrid UTS trees", run: Run::Csv(tree_family) },
     Entry { name: "model_check", about: "E15 §2 analytic chunk-size model", run: Run::Print(model_check) },
     Entry { name: "policy_grid", about: "E16 transport × victim order × steal amount", run: Run::Csv(policy_grid) },
-    Entry { name: "ready_wait", about: "E18 DAG ready-to-start waits, every bundle", run: Run::Print(ready_wait) },
+    Entry { name: "ready_wait", about: "E18 DAG ready-to-start waits and critical paths, every bundle", run: Run::Print(ready_wait) },
     Entry { name: "fig4", about: "E2 Figure 4: chunk-size sweep, 256 threads", run: Run::Csv(fig4) },
     Entry { name: "fig6", about: "E5 Figure 6: Altix shared memory, T-L", run: Run::Csv(fig6) },
     Entry { name: "fig5_xl", about: "E4 Figure 5: scaling to 1024 threads, T-XL", run: Run::Csv(fig5_xl) },
@@ -649,34 +649,62 @@ fn policy_grid(sink: Sink) -> Result<(), String> {
 /// E18 — where a DAG task's time goes before it runs: the benchmark's
 /// `dag_layered` shape (`RandomLayered(100, 256, 80)` at the library seed,
 /// Kitty Hawk, p=64, k=1) through every bundle, measured by the
-/// [`ReadyWait`] probe, which issues no operation.
+/// [`ReadyWait`] probe, which issues no operation. The second table walks
+/// each run's critical path ([`crate::ready_wait::CriticalPath`]): its
+/// expansions, the waits between them split by whether the rank that ran
+/// the next task was inside another expansion, and how each hop moved.
 fn ready_wait() {
     let probe = ReadyWait::new(DagWorkload::new(RandomLayered::new(100, 256, 80, 3)));
     let n_tasks = probe.inner().n_tasks();
     let header = "algorithm,makespan_ms,working_frac,steals,handoffs,mean_wait_us,\
         moved_wait_us,moved_tasks,waiting_tasks,busy_ranks";
-    let rows: Vec<String> = Algorithm::all()
-        .into_iter()
-        .map(|alg| {
-            let report = run_sim(MachineModel::kittyhawk(), 64, &probe, &sim_config(alg, 1));
-            assert_eq!(report.total_nodes, n_tasks, "{}: tasks lost", report.label);
-            let w = probe.waits(report.makespan_ns);
-            format!(
-                "{},{:.3},{:.3},{},{},{:.1},{:.1},{},{:.1},{:.1}",
-                report.label,
-                report.makespan_ns as f64 / 1e6,
-                report.state_fraction(State::Working),
-                report.successful_steals,
-                report.handoffs,
-                w.mean_wait_ns / 1e3,
-                w.mean_moved_wait_ns / 1e3,
-                w.moved,
-                w.waiting,
-                w.busy
-            )
-        })
-        .collect();
+    let path_header = "algorithm,tasks_per_expansion,hops,exec_ms,busy_wait_ms,idle_wait_ms,\
+        tail_ms,stolen,stolen_wait_us,handed_off,handed_off_wait_us,kept,kept_wait_us";
+    let (mut rows, mut paths) = (Vec::new(), Vec::new());
+    for alg in Algorithm::all() {
+        let report = run_sim(MachineModel::kittyhawk(), 64, &probe, &sim_config(alg, 1));
+        assert_eq!(report.total_nodes, n_tasks, "{}: tasks lost", report.label);
+        let w = probe.waits(report.makespan_ns);
+        rows.push(format!(
+            "{},{:.3},{:.3},{},{},{:.1},{:.1},{},{:.1},{:.1}",
+            report.label,
+            report.makespan_ns as f64 / 1e6,
+            report.state_fraction(State::Working),
+            report.successful_steals,
+            report.handoffs,
+            w.mean_wait_ns / 1e3,
+            w.mean_moved_wait_ns / 1e3,
+            w.moved,
+            w.waiting,
+            w.busy
+        ));
+        let c = w.path;
+        assert_eq!(
+            c.head_ns + c.exec_ns + c.busy_wait_ns + c.idle_wait_ns + c.tail_ns,
+            report.makespan_ns,
+            "{}: the critical path does not add up to the makespan",
+            report.label
+        );
+        let mean_us = |h: Hops| h.wait_ns as f64 / h.n.max(1) as f64 / 1e3;
+        paths.push(format!(
+            "{},{:.2},{},{:.3},{:.3},{:.3},{:.3},{},{:.1},{},{:.1},{},{:.1}",
+            report.label,
+            w.batch,
+            c.hops,
+            c.exec_ns as f64 / 1e6,
+            c.busy_wait_ns as f64 / 1e6,
+            c.idle_wait_ns as f64 / 1e6,
+            c.tail_ns as f64 / 1e6,
+            c.stolen.n,
+            mean_us(c.stolen),
+            c.handed_off.n,
+            mean_us(c.handed_off),
+            c.kept.n,
+            mean_us(c.kept)
+        ));
+    }
     print_table("ready-to-start waits, dag_layered shape, p=64", header, &rows);
+    print_table("critical path, dag_layered shape, p=64", path_header, &paths);
 }
 
 #[cfg(test)]

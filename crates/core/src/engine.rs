@@ -437,9 +437,10 @@ mod tests {
     }
 
     /// E18 regression: a DAG whose ready frontier is far below the release
-    /// threshold must still move work (the clamp in
-    /// [`clamp_release_to_frontier`]); pre-clamp such runs silently
-    /// serialised because no stack ever reached `2k`.
+    /// threshold must still move work. Before the clamp in
+    /// [`clamp_release_to_frontier`] such runs silently serialised because
+    /// no stack ever reached `2k`; a placing rank now releases nothing, and
+    /// the work moves by hand-off to the owners of the ready tasks.
     #[test]
     fn narrow_dag_release_clamp_keeps_parallelism() {
         use crate::workload::{DagWorkload, Wavefront};
@@ -453,8 +454,8 @@ mod tests {
         let report = run_sim(MachineModel::smp(), 4, &gen, &cfg);
         assert_eq!(report.total_nodes, gen.n_tasks());
         assert!(
-            report.successful_steals > 0,
-            "narrow DAG ran serial despite the frontier clamp: {report:?}"
+            report.handoffs > 0,
+            "narrow DAG handed no ready task to its owner: {report:?}"
         );
         let busy = report.per_thread.iter().filter(|t| t.nodes > 0).count();
         assert!(busy > 1, "all work stayed on one thread: {report:?}");

@@ -39,12 +39,14 @@
 //!
 //! **Placement** ([`placement`]). A workload whose tasks have a home rank
 //! ([`TaskGen::PLACED`]) sends each ready task to its owner; the emitter
-//! keeps its own and, when its stack would otherwise be empty, the task it
-//! would pop next. The release rule above is unchanged but for one thing:
-//! such a rank's releases are not announced to the detector. Surplus under
-//! placement is one owner's spare task at a time, and the §3.1 cancel would
-//! wake every parked rank for each one; a parked rank's work now arrives by
-//! hand-off, which wakes it alone.
+//! keeps its own and, when it has nothing else, the task it would run next.
+//! Such a rank never releases: its work is its own, so it is never
+//! advertised to one-sided thieves (`mpi-ws` victims still answer requests
+//! from the local region), and the release rule above does not apply. It
+//! expands its whole local region as one batch ([`TaskGen::expand_in`]),
+//! charges the batch's work once, places what it made ready and polls once —
+//! so the dependency round trips of all its ready tasks overlap in one
+//! publication instead of queueing task behind task.
 //!
 //! **Bit-identity contract**: for the seven seed bundles, the sequence of
 //! [`Comm`] operations issued by `drive` is identical, call for call, to the
@@ -329,13 +331,11 @@ where
     cx.recovery = Recovery::new(me, comm.n_threads(), &cfg.faults);
     let crash = cx.recovery.active;
     let mut transport = Placement::<ST, G>::new(transport);
-    let mut scratch: Vec<G::Task> = Vec::new();
+    let (mut batch, mut scratch): (Vec<G::Task>, Vec<G::Task>) = (Vec::new(), Vec::new());
     // This rank's most recent expansion waited on the network (module docs,
     // "The release rule"). Outlives the working loop: the rule also holds
     // for the batch a steal lands while the rank is idle.
     let mut communicated = false;
-    // A placing workload's releases go unannounced (module docs).
-    let announce = !G::PLACED;
 
     let seed_root = td.start(comm, &mut transport, &mut cx);
     transport.init(comm, &mut cx);
@@ -351,17 +351,10 @@ where
         transport.acknowledge(comm);
         // A steal or an adoption just landed: a rank whose tasks wait on
         // the network re-advertises the batch before its first task, not
-        // one chunk per round trip behind it.
-        if communicated {
-            release_surplus(
-                comm,
-                &mut stack,
-                &mut transport,
-                &mut td,
-                &mut cx,
-                true,
-                announce,
-            );
+        // one chunk per round trip behind it — unless it places, and keeps
+        // its work home.
+        if communicated && !G::PLACED {
+            release_surplus(comm, &mut stack, &mut transport, &mut td, &mut cx, true);
         }
         let mut since_poll = 0;
         let mut died = false;
@@ -384,29 +377,36 @@ where
                 }
                 break; // truly out of local work
             }
-            let node = stack.pop().expect("nonempty local region");
-            cx.res.nodes += 1;
+            // A placing rank expands its whole local region as one batch:
+            // its tasks are its own (placement), and their dependency round
+            // trips overlap in one publication instead of queueing one task
+            // behind the other. Every other rank expands one node.
+            batch.clear();
+            batch.push(stack.pop().expect("nonempty local region"));
+            while G::PLACED && !stack.is_local_empty() {
+                batch.extend(stack.pop());
+            }
+            cx.res.nodes += batch.len() as u64;
             if crash {
-                cx.res.explored.push(gen.fingerprint(&node));
+                cx.res.explored.extend(batch.iter().map(|t| gen.fingerprint(t)));
             }
             scratch.clear();
             // Workloads with shared readiness state (task DAGs) publish it
             // inside expand_in, before the produced tasks are pushed and
-            // before maybe_release can migrate them — tree workloads expand
-            // purely, leaving the comm-op stream bit-identical. Publishing
-            // is seen as an atomic issued: deciding which completion made a
-            // task ready takes a read-modify-write, and one counter compare
-            // per node is what a 100 ns native tree node can afford.
+            // before they can migrate — tree workloads expand purely,
+            // leaving the comm-op stream bit-identical. Publishing is seen
+            // as an atomic issued: deciding which completion made a task
+            // ready takes a read-modify-write, and one counter compare per
+            // node is what a 100 ns native tree node can afford.
             let atomics_before = comm.stats().atomics;
-            gen.expand_in(comm, &node, &mut scratch);
+            gen.expand_in(comm, &batch, &mut scratch);
             communicated = comm.stats().atomics != atomics_before;
-            td.on_expand(comm, &node, scratch.len(), &mut cx);
+            td.on_expand(comm, &batch, scratch.len(), &mut cx);
             if G::PLACED {
-                let idle = stack.is_local_empty();
-                transport.place(comm, gen, &mut scratch, idle, &mut cx);
+                transport.place(comm, gen, &mut scratch, &mut cx);
             }
             stack.push_all(&scratch);
-            comm.work(gen.work_units(&node));
+            comm.work(batch.iter().map(|t| gen.work_units(t)).sum());
             // §3.3.3: the owner looks at its own request cell between nodes
             // because that read is free next to the work it interleaves with
             // — every `poll_interval` nodes when a node is a few hundred
@@ -417,15 +417,9 @@ where
                 since_poll = 0;
                 transport.poll(comm, &mut stack, &mut cx);
             }
-            release_surplus(
-                comm,
-                &mut stack,
-                &mut transport,
-                &mut td,
-                &mut cx,
-                communicated,
-                announce,
-            );
+            if !G::PLACED {
+                release_surplus(comm, &mut stack, &mut transport, &mut td, &mut cx, communicated);
+            }
         }
 
         if !died {
@@ -479,8 +473,7 @@ where
 /// region (the paper's §3.1 rule, one per node), or — `all`, for a rank whose
 /// tasks wait on the network — every surplus chunk the stack holds. The
 /// detector hears of the burst once: one [`TerminationDetector::on_release`]
-/// wakes every waiter, and the releaser is outside the barrier — unless
-/// `announce` is off, as it is for a placing workload (module docs).
+/// wakes every waiter, and the releaser is outside the barrier.
 fn release_surplus<T, C, ST, TD>(
     comm: &mut C,
     stack: &mut DfsStack<T>,
@@ -488,7 +481,6 @@ fn release_surplus<T, C, ST, TD>(
     td: &mut TD,
     cx: &mut Cx,
     all: bool,
-    announce: bool,
 ) where
     T: Item,
     C: Comm<T>,
@@ -499,9 +491,7 @@ fn release_surplus<T, C, ST, TD>(
         return;
     }
     while all && transport.maybe_release(comm, stack, cx) {}
-    if announce {
-        td.on_release(comm);
-    }
+    td.on_release(comm);
 }
 
 /// A rank observed its own eviction fence: fold everything the old

@@ -3,13 +3,15 @@
 //! A placing workload ([`TaskGen::PLACED`]) gives every task a home rank
 //! ([`TaskGen::home`]) — for a DAG, the owner of its count-up cell. The rank
 //! whose completion made a task ready keeps it only when the task is its own,
-//! or when it is the task that rank would pop next and its local stack is
-//! otherwise empty (work first: a rank that just emitted work does not go
-//! idle for it). Every other ready task is **handed off**: one message per
+//! or when it keeps none and it is the task that rank would pop next (work
+//! first: a rank that just emitted work does not go idle for it — its local
+//! stack is empty, as [`super::drive`] expands a placing rank's whole local
+//! region at once). Every other ready task is **handed off**: one message per
 //! owner, [`TAG_HANDOFF`], sent by [`Placement::place`] — the one hand-off
-//! send site. Stealing then only corrects imbalance, instead of pulling a
-//! whole layer back out of the two or three ranks that finished the previous
-//! one (docs/workloads.md §2.3).
+//! send site. No layer is pulled back out of the two or three ranks that
+//! finished the previous one by thieves: a placing rank releases nothing
+//! ([`super::drive`]), so only `mpi-ws` victims, which grant from their local
+//! region, still give placed work to thieves (docs/workloads.md §2.3).
 //!
 //! **The invariant.** A handed-off task belongs to its sender until the
 //! owner acknowledges it, and the owner acknowledges only once it is marked
@@ -94,16 +96,9 @@ impl<ST, G: TaskGen> Placement<ST, G> {
     }
 
     /// Hand off every task of `ready` that is not this rank's to keep (module
-    /// docs), leaving the kept ones in `ready` in their order. `idle` says
-    /// whether the local stack is otherwise empty.
-    pub fn place<C>(
-        &mut self,
-        comm: &mut C,
-        gen: &G,
-        ready: &mut Vec<G::Task>,
-        idle: bool,
-        cx: &mut Cx,
-    ) where
+    /// docs), leaving the kept ones in `ready` in their order.
+    pub fn place<C>(&mut self, comm: &mut C, gen: &G, ready: &mut Vec<G::Task>, cx: &mut Cx)
+    where
         C: Comm<G::Task>,
         ST: StealTransport<G::Task, C>,
     {
@@ -117,7 +112,7 @@ impl<ST, G: TaskGen> Placement<ST, G> {
             }
             keep
         });
-        if idle && ready.is_empty() {
+        if ready.is_empty() {
             ready.extend(leaving.pop().map(|(_, t)| t));
         }
         // Stable: each owner's tasks keep their priority order.

@@ -247,9 +247,10 @@ pub trait TerminationDetector<T: Item, C: Comm<T>> {
     /// onto `stack` (service injection); batch detectors do nothing here.
     fn tick(&mut self, _comm: &mut C, _stack: &mut DfsStack<T>, _cx: &mut Cx) {}
 
-    /// `node` was just expanded into `kids` children, none of which is on
-    /// the stack — so none can have migrated — yet.
-    fn on_expand(&mut self, _comm: &mut C, _node: &T, _kids: usize, _cx: &mut Cx) {}
+    /// `tasks` were just expanded into `kids` children, none of which is on
+    /// the stack — so none can have migrated — yet. One task, but for a
+    /// placing workload's batch ([`super::drive`]).
+    fn on_expand(&mut self, _comm: &mut C, _tasks: &[T], _kids: usize, _cx: &mut Cx) {}
 
     /// The owner released surplus — one chunk, or a burst of them
     /// ([`super::drive`]'s release rule); detectors whose protocol must

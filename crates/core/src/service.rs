@@ -622,7 +622,10 @@ where
         self.scanner.tick(comm, cx);
     }
 
-    fn on_expand(&mut self, comm: &mut C, node: &Stamped<G::Task>, kids: usize, cx: &mut Cx) {
+    fn on_expand(&mut self, comm: &mut C, tasks: &[Stamped<G::Task>], kids: usize, cx: &mut Cx) {
+        let [node] = tasks else {
+            unreachable!("a service workload does not place, so it expands one task at a time")
+        };
         // Publish-before-migration: one fused bump (−1 consumed parent,
         // +kids created children, all the same epoch) must be on this
         // rank's cell before any child can be stolen away.

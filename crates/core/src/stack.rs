@@ -18,9 +18,10 @@
 //! stack unchanged as their distributed ready queue — a task is pushed
 //! exactly when its last dependency resolves (the expansion hook emits only
 //! newly-ready successors, highest priority nearest the top), so everything
-//! in the local or shared region is ready by construction and the steal,
-//! release, and termination protocols apply verbatim. Nothing here knows
-//! about dependencies; that is the point.
+//! on it is ready by construction. A DAG places its tasks
+//! (`crate::sched::placement`), so only the local region is used: its rank
+//! never releases, and expands the whole region as one batch. Nothing here
+//! knows about dependencies; that is the point.
 
 use std::collections::VecDeque;
 

@@ -21,15 +21,18 @@ pub trait TaskGen: Sync {
     /// Append `task`'s children onto `out`; return how many were produced.
     fn expand(&self, task: &Self::Task, out: &mut Vec<Self::Task>) -> u32;
 
-    /// Expansion with access to the communication substrate, called by the
-    /// generic driver's working loop in place of [`TaskGen::expand`]. The
-    /// default simply forwards to `expand`, issuing no comm operations —
-    /// which keeps the op stream (and therefore virtual-time results) of
-    /// every tree workload bit-identical to the pre-hook driver. Workloads
-    /// whose readiness is a *shared* property — task DAGs publishing
-    /// dependency-count decrements ([`crate::workload::DagWorkload`]) —
-    /// override this to route that state through [`Comm`], so both
-    /// conductors order the updates identically.
+    /// Expansion of a batch of tasks with access to the communication
+    /// substrate, called by the generic driver's working loop in place of
+    /// [`TaskGen::expand`]. The default expands each task of `tasks` in
+    /// order, issuing no comm operations — which keeps the op stream (and
+    /// therefore virtual-time results) of every tree workload bit-identical
+    /// to the pre-hook driver. Workloads whose readiness is a *shared*
+    /// property — task DAGs publishing dependency-count increments
+    /// ([`crate::workload::DagWorkload`]) — override this to route that state
+    /// through [`Comm`], so both conductors order the updates identically.
+    /// The batch is one task, except for a [`TaskGen::PLACED`] workload,
+    /// whose rank expands its whole local region at once
+    /// ([`crate::sched::drive`]).
     ///
     /// Contract: any comm operation issued here must happen before the
     /// produced tasks are pushed (the driver pushes `out` — or, for a
@@ -38,19 +41,18 @@ pub trait TaskGen: Sync {
     /// task's readiness is globally visible before the task can be stolen.
     /// An expansion that issues an atomic ([`Comm::add`], [`Comm::add_many`],
     /// [`Comm::cas`] — what deciding "this completion made the task ready"
-    /// takes) is followed by a transport poll *and by release of all surplus*
-    /// ([`crate::sched::drive`]): its owner has just waited on the network,
-    /// so it answers pending steal requests and advertises every chunk it
-    /// can spare before the next task — and, until a pure expansion follows,
-    /// re-shares a stolen batch before that batch's first task.
+    /// takes) is followed by a transport poll: its owner has just waited on
+    /// the network, so it answers pending steal requests before the next
+    /// task. A rank that does not place then also releases all its surplus
+    /// (the release rule of [`crate::sched`]).
     fn expand_in<C: Comm<Self::Task>>(
         &self,
         comm: &mut C,
-        task: &Self::Task,
+        tasks: &[Self::Task],
         out: &mut Vec<Self::Task>,
     ) -> u32 {
         let _ = comm;
-        self.expand(task, out)
+        tasks.iter().map(|t| self.expand(t, out)).sum()
     }
 
     /// Whether tasks have a home rank ([`TaskGen::home`]). A placing

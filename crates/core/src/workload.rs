@@ -19,7 +19,8 @@
 //!   at its zero-initialised value.
 //! - Completing a task fetch-adds `+1` into each successor's cell — one
 //!   split-phase batch, [`Comm::add_many`], that returns when the last add
-//!   has — inside the expansion hook, *before* the driver pushes anything,
+//!   has, and covers every task a rank expands together — inside the
+//!   expansion hook, *before* the driver pushes anything,
 //!   so the decrement is published before any produced task can migrate
 //!   (the PR-7 publish-before-migration discipline).
 //! - The add whose returned previous value makes the counter reach the
@@ -515,17 +516,21 @@ impl<G: DagGen> TaskGen for DagWorkload<G> {
         (out.len() - before) as u32
     }
 
-    /// The parallel path: publish one fetch-add per successor into its
-    /// count-up cell — all of them as one split-phase batch
-    /// ([`Comm::add_many`]), so a task's round trips overlap instead of
-    /// queueing — and emit the successors whose counter crossed their
-    /// in-degree. All shared state goes through [`Comm`] — see the module
-    /// docs for why host atomics would break conductor bit-identity.
-    fn expand_in<C: Comm<u64>>(&self, comm: &mut C, task: &u64, out: &mut Vec<u64>) -> u32 {
+    /// The parallel path: publish one fetch-add per successor edge of every
+    /// task of the batch into its count-up cell — all of them as one
+    /// split-phase batch ([`Comm::add_many`]), so the round trips overlap
+    /// instead of queueing — and emit the successors whose counter crossed
+    /// their in-degree. A successor of two tasks of the batch is two members
+    /// of it, and exactly one of them crosses. All shared state goes through
+    /// [`Comm`] — see the module docs for why host atomics would break
+    /// conductor bit-identity.
+    fn expand_in<C: Comm<u64>>(&self, comm: &mut C, tasks: &[u64], out: &mut Vec<u64>) -> u32 {
         let p = comm.n_threads() as u64;
         let before = out.len();
         let mut succ = Vec::new();
-        self.gen.successors(*task, &mut succ);
+        for &t in tasks {
+            self.gen.successors(t, &mut succ);
+        }
         let cells: Vec<(usize, usize)> = succ
             .iter()
             .map(|&s| ((s % p) as usize, vars::DAG_BASE + (s / p) as usize))

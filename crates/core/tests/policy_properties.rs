@@ -245,7 +245,8 @@ impl TaskGen for Fanout {
         self.fanout as u32
     }
 
-    fn expand_in<C: Comm<u64>>(&self, comm: &mut C, task: &u64, out: &mut Vec<u64>) -> u32 {
+    fn expand_in<C: Comm<u64>>(&self, comm: &mut C, tasks: &[u64], out: &mut Vec<u64>) -> u32 {
+        let [task] = tasks else { unreachable!("a workload that does not place expands one task") };
         let rank = comm.my_id();
         let t_ns = comm.now();
         let avail = comm.get(rank, vars::WORK_AVAIL);

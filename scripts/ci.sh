@@ -145,12 +145,18 @@ echo "== results/dag_sweep.csv is current =="
 # and the O(p·D) steal bound or the binary aborts.
 ./target/release/dag_sweep --check
 
+echo "== the E18 ready-wait probe runs =="
+# The committed instrumentation behind E18's ready-wait and critical-path
+# tables (a few seconds): every bundle must run every task, and each run's
+# critical path must add up to its makespan, or the entry panics.
+cargo build --release --offline -p uts-bench --bin exp
+./target/release/exp ready_wait
+
 echo "== every other results/*.csv is current =="
 # The eleven files the experiment table owns (EXPERIMENTS.md E2-E5, E9-E13,
 # E16): `exp --check` recomputes each entry and exits 1, naming file and line,
 # at the first virtual column that differs from the committed CSV. About two
 # minutes on a 2-vCPU host, most of it the two Figure 5 trees.
-cargo build --release --offline -p uts-bench --bin exp
 ./target/release/exp --check
 
 echo "== the same CSVs on the reference conductor =="

@@ -168,24 +168,87 @@ fn all_algorithms_dag_workloads_16_threads() {
 
 /// The benchmark's `dag_layered` shape, shortened to what the reference
 /// conductor finishes: 256-wide layers on 64 threads (16 kittyhawk nodes), so
-/// a task's ≈ 21 dependency adds are one split-phase batch over mostly remote
-/// cells whose members overlap, land out of issue order and interleave with
-/// other ranks' batches on the same cells, and the tasks they make ready
-/// leave in hand-offs to 64 owners — through every bundle: the one-sided
-/// transports, whose owner polls after every such expansion, and the message
-/// ones, whose token ring counts the hand-offs. Every bundle that steals
-/// must also steal here, so the check covers stolen work too (placement
-/// leaves 1–13 steals per run on this shape; EXPERIMENTS.md E18 Finding 5).
+/// a batch's dependency adds are one split-phase publication over mostly
+/// remote cells whose members overlap, land out of issue order and
+/// interleave with other ranks' batches on the same cells, and the tasks
+/// they make ready leave in hand-offs to 64 owners — through every bundle:
+/// the one-sided transports, whose owner polls after every such expansion,
+/// and the message ones, whose token ring counts the hand-offs. A placing
+/// rank releases nothing (`sched::drive`), so no bundle's shared region ever
+/// holds a task and one-sided thieves steal nothing; `mpi-ws` victims still
+/// answer steal requests from their local region, and must have granted
+/// some here, so the check covers stolen work too (EXPERIMENTS.md E18
+/// Finding 6).
 #[test]
 fn wide_layered_dag_64_threads() {
     let rl = DagWorkload::new(RandomLayered::new(5, 256, 80, 11));
     for alg in Algorithm::all() {
         let fiber = assert_dag_equivalent(&rl, "wide-layered", alg, 64);
-        let steals: u64 = fiber.results.iter().map(|r| r.steals_ok).sum();
-        if alg != Algorithm::Pushing {
-            assert!(steals > 0, "{}: nothing was stolen", alg.label());
+        let sum = |f: fn(&ThreadResult) -> u64| -> u64 { fiber.results.iter().map(f).sum() };
+        assert_eq!(sum(|r| r.releases), 0, "{}: placed work was released", alg.label());
+        assert!(sum(|r| r.handoffs) > 0, "{}: nothing was handed off", alg.label());
+        if alg == Algorithm::MpiWs {
+            assert!(sum(|r| r.steals_ok) > 0, "{}: nothing was stolen", alg.label());
         }
     }
+}
+
+/// Placed work stays home (`sched::drive`): on every bundle a DAG run
+/// releases no task to its shared region, so the transports that steal from
+/// it steal nothing, and the ready tasks that move are handed to their
+/// owners. `dag_sweep`'s three p = 8 smoke shapes, on both conductors: there
+/// a rank's local region often holds several ready tasks, the batch a
+/// placing rank expands together.
+#[test]
+fn placed_runs_release_nothing() {
+    let fj = DagWorkload::new(ForkJoin { levels: 6, width: 12, seed: 1 });
+    let wf = DagWorkload::new(Wavefront { rows: 12, cols: 12, seed: 2 });
+    let rl = DagWorkload::new(RandomLayered::new(8, 12, 150, 3));
+    for alg in Algorithm::all() {
+        let runs = [
+            assert_dag_equivalent(&fj, "fork-join", alg, 8),
+            assert_dag_equivalent(&wf, "wavefront", alg, 8),
+            assert_dag_equivalent(&rl, "random-layered", alg, 8),
+        ];
+        for run in runs {
+            let sum = |f: fn(&ThreadResult) -> u64| -> u64 { run.results.iter().map(f).sum() };
+            assert_eq!(sum(|r| r.releases), 0, "{}: placed work was released", alg.label());
+            if alg != Algorithm::MpiWs {
+                assert_eq!(sum(|r| r.steals_ok), 0, "{}: a one-sided steal", alg.label());
+            }
+        }
+    }
+}
+
+/// Tasks that share a successor and run in one batch publish their edges in
+/// one `Comm::add_many`, in which the successor's cell is two members:
+/// exactly one of them crosses the in-degree, so the successor is emitted
+/// once — identically on both conductors. A 2×2 wavefront on one thread:
+/// task 0 readies 1 and 2, and the batch [1, 2] readies 3 once.
+#[test]
+fn dag_batch_emits_a_shared_successor_once() {
+    let wf = DagWorkload::new(Wavefront { rows: 2, cols: 2, seed: 0 });
+    let run = |lookahead: bool| -> SimReport<Vec<Vec<u64>>> {
+        let cluster: SimCluster<u64> =
+            SimCluster::new(MachineModel::kittyhawk(), 1, vars::space_config_for(&wf, 1))
+                .with_lookahead(lookahead);
+        cluster.run(|c| {
+            let mut emitted = Vec::new();
+            for batch in [&[0u64][..], &[1, 2], &[3]] {
+                let mut out = Vec::new();
+                let n = wf.expand_in(c, batch, &mut out);
+                assert_eq!(n as usize, out.len());
+                emitted.push(out);
+            }
+            emitted
+        })
+    };
+    let (reference, fiber) = (run(false), run(true));
+    assert_eq!(fiber.results[0], vec![vec![1, 2], vec![3], vec![]]);
+    assert_eq!(fiber.results, reference.results);
+    assert_eq!(fiber.makespan_ns, reference.makespan_ns);
+    assert_eq!(fiber.scalars, reference.scalars);
+    assert_eq!(fiber.stats, reference.stats);
 }
 
 /// A fork's diamond is 64 tasks on 64 ranks, one per owner: the fork keeps

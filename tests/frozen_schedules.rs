@@ -64,7 +64,7 @@ const FROZEN: &[(&str, u64, u64, u64, u64, u64)] = &[
     ("topsail p=6 tree=binomial(5,64,2,0.49666666666666665) alg=term k=4 faults=partitioned(8)", 1179464, 6656, 54, 5635, 0),
     ("topsail p=6 tree=binomial(5,64,2,0.49666666666666665) alg=distmem k=4 faults=partitioned(8)", 1335434, 9835, 274, 5635, 0),
     ("topsail p=6 tree=binomial(5,64,2,0.49666666666666665) alg=mpi k=4 faults=partitioned(8)", 1313054, 2139, 106, 5707, 0),
-    ("topsail p=6 dag=wavefront(12,10,4) alg=distmem k=2", 89004, 1725, 8, 120, 0),
+    ("topsail p=6 dag=wavefront(12,10,4) alg=distmem k=2", 94780, 1817, 0, 120, 0),
     ("smp p=6 tree=binomial(23,16,2,0.4583333333333333) alg=term k=2 arrivals=poisson(7,10,12000)", 1370317, 8372, 53, 1644, 14135598511550185921),
     ("smp p=6 tree=binomial(23,16,2,0.4583333333333333) alg=distmem k=2 arrivals=poisson(7,10,12000)", 1283810, 6141, 5, 1644, 1020831894268373066),
     ("smp p=6 tree=binomial(23,16,2,0.4583333333333333) alg=mpi k=2 arrivals=poisson(7,10,12000)", 1588690, 5122, 125, 1644, 3085732314318750932),

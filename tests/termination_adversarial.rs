@@ -313,11 +313,11 @@ impl TaskGen for Relay {
         }
     }
 
-    fn expand_in<C: Comm<u64>>(&self, comm: &mut C, task: &u64, out: &mut Vec<u64>) -> u32 {
-        if *task == 0 {
+    fn expand_in<C: Comm<u64>>(&self, comm: &mut C, tasks: &[u64], out: &mut Vec<u64>) -> u32 {
+        if tasks.contains(&0) {
             comm.advance_idle(self.delay_ns);
         }
-        self.expand(task, out)
+        tasks.iter().map(|t| self.expand(t, out)).sum()
     }
 
     fn fingerprint(&self, task: &u64) -> u64 {
