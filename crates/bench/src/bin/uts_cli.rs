@@ -70,6 +70,7 @@ fn main() {
         None => from_flags(),
     };
     let spec = if flag("--native") { RunSpec { conductor: Conductor::Native, ..spec } } else { spec };
+    spec.check().unwrap_or_else(|e| fail(format!("{spec}: {e}")));
     let expect: Option<u64> = opt("--expect");
     let expect_distinct: Option<u64> = opt("--expect-distinct");
 

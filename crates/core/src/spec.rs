@@ -7,7 +7,7 @@ use pgas::{ArrivalProcess, ArrivalSpec, FaultPlan, MachineModel};
 use uts_tree::presets::{self, Preset};
 use uts_tree::{GeoShape, TreeKind, TreeSpec};
 
-use crate::config::{Algorithm, RunConfig};
+use crate::config::{Algorithm, ConfigError, RunConfig};
 use crate::sched::policy::{StealPolicyKind, VictimPolicy};
 use crate::workload::{DagWorkload, ForkJoin, RandomLayered, Wavefront};
 use crate::{run_native, run_service_sim, run_sim, RunReport, TaskGen, UtsGen};
@@ -238,8 +238,8 @@ impl RunSpec {
     ///
     /// # Panics
     ///
-    /// On a spec `FromStr` would reject, or a config the backend refuses
-    /// (crash faults on `conductor=native`), with the line in the message.
+    /// On a spec [`RunSpec::check`] refuses (as `FromStr` does), with the
+    /// line in the message.
     pub fn run(&self) -> RunReport {
         if let Err(e) = self.check() {
             panic!("{self}: {e}");
@@ -265,13 +265,18 @@ impl RunSpec {
         }
     }
 
-    fn check(&self) -> Result<(), String> {
+    /// Whether the backend can run this spec: every line `FromStr` accepts
+    /// passes, and so must a spec edited after parsing (`uts_cli --native`)
+    /// before it runs. The error is the refusal's text.
+    pub fn check(&self) -> Result<(), String> {
         let tree = matches!(self.workload, Workload::Tree(_));
+        let native = self.conductor == Conductor::Native;
         match () {
             _ if self.p == 0 || self.k == 0 => Err("p= and k= must be at least 1".into()),
-            _ if self.arrivals.is_some() && (!tree || self.conductor == Conductor::Native) => {
+            _ if self.arrivals.is_some() && (!tree || native) => {
                 Err("arrivals= needs tree= and a simulated conductor".into())
             }
+            _ if native && self.faults.crash_active() => Err(ConfigError::CrashFaultsAreSimOnly.to_string()),
             _ => Ok(()),
         }
     }
@@ -560,5 +565,17 @@ mod tests {
             let spec: RunSpec = line.parse().unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(spec.to_string(), line);
         }
+    }
+
+    #[test]
+    fn native_runs_refuse_crash_plans() {
+        let crash = "topsail p=2 tree=binomial(5,64,2,0.49666666666666665) alg=distmem k=4 faults=crashy(3)";
+        let sim: RunSpec = crash.parse().expect("a simulated crash run is fine");
+        let refusal = Err(ConfigError::CrashFaultsAreSimOnly.to_string());
+        assert_eq!(RunSpec { conductor: Conductor::Native, ..sim }.check(), refusal);
+        assert_eq!(format!("{crash} conductor=native").parse::<RunSpec>().map(|_| ()), refusal);
+        // Message-level faults have a native analogue.
+        let lossy: RunSpec = "smp p=2 tree=tiny alg=mpi k=2 faults=seeded(3) conductor=native".parse().unwrap();
+        assert_eq!(lossy.check(), Ok(()));
     }
 }

@@ -55,7 +55,6 @@
 //! See `docs/workloads.md` for the design note and [`crate::theory`] for
 //! the steal-bound/conservation checks run against these workloads.
 
-use std::collections::HashMap;
 use std::sync::Mutex;
 
 use pgas::Comm;
@@ -118,16 +117,13 @@ pub fn validate<G: DagGen>(g: &G) -> Result<(), String> {
         return Err("DAG has no tasks".into());
     }
     let mut indeg = vec![0u32; n as usize];
+    // Per id, the last task that listed it, stamped as `t + 1` (0: none
+    // yet): a second listing by the same task is a duplicate edge.
+    let mut last_pred = vec![0u64; n as usize];
     let mut succ = Vec::new();
     for t in 0..n {
         succ.clear();
         g.successors(t, &mut succ);
-        let mut seen = succ.clone();
-        seen.sort_unstable();
-        seen.dedup();
-        if seen.len() != succ.len() {
-            return Err(format!("task {t} lists a duplicate successor edge"));
-        }
         for &s in &succ {
             if s <= t {
                 return Err(format!("edge {t} -> {s} is not strictly forward"));
@@ -135,6 +131,10 @@ pub fn validate<G: DagGen>(g: &G) -> Result<(), String> {
             if s >= n {
                 return Err(format!("edge {t} -> {s} leaves the id range 0..{n}"));
             }
+            if last_pred[s as usize] == t + 1 {
+                return Err(format!("task {t} lists a duplicate successor edge"));
+            }
+            last_pred[s as usize] = t + 1;
             indeg[s as usize] += 1;
         }
     }
@@ -330,15 +330,16 @@ impl DagGen for Wavefront {
 /// source. Every task has a guaranteed predecessor in the previous layer
 /// (reachability), plus extra edges drawn per-mille from the full previous
 /// layer — the seeded generator family for shapes nobody hand-picked.
-/// Edges are precomputed into CSR form at construction, so per-task queries
-/// stay allocation-free and O(degree).
+/// Edges are stored as one `u32` CSR, built a layer at a time, so the DAG
+/// costs what its edges cost and per-task queries stay allocation-free and
+/// O(degree).
 #[derive(Debug)]
 pub struct RandomLayered {
     n: u64,
     /// CSR offsets into `edges`, one per task plus the trailing end.
     succ_off: Vec<u32>,
-    /// Concatenated successor lists.
-    edges: Vec<u64>,
+    /// Concatenated successor lists, each in ascending id order.
+    edges: Vec<u32>,
     indeg: Vec<u32>,
     seed: u64,
     width: u32,
@@ -349,48 +350,75 @@ impl RandomLayered {
     /// Build the DAG: `layers` layers of `width` tasks under a single
     /// source (task 0), with extra previous-layer edges at `edge_pm`
     /// per-mille density, all drawn deterministically from `seed`.
+    ///
+    /// Every edge joins two consecutive layers, so layer `L`'s in-edges are
+    /// exactly layer `L - 1`'s out-edges: each layer's (predecessor,
+    /// target) pairs are drawn in target order, counting-sorted by
+    /// predecessor — stably, so every successor list stays ascending — and
+    /// appended to the CSR. Only one layer's pairs are ever held besides it.
     pub fn new(layers: u32, width: u32, edge_pm: u32, seed: u64) -> RandomLayered {
         assert!(layers > 0 && width > 0, "need at least one layer and task");
         assert!(edge_pm <= 1000, "edge density is per-mille");
         let n = 1 + u64::from(layers) * u64::from(width);
-        // Collect predecessor lists first (the guarantee is per-target),
-        // then transpose into successor CSR.
-        let mut preds: Vec<Vec<u64>> = vec![Vec::new(); n as usize];
-        let id = |layer: u32, slot: u32| 1 + u64::from(layer) * u64::from(width) + u64::from(slot);
-        for layer in 0..layers {
-            for slot in 0..width {
-                let t = id(layer, slot);
-                let p = &mut preds[t as usize];
-                if layer == 0 {
-                    p.push(0);
-                    continue;
+        assert!(n <= u64::from(u32::MAX), "task ids are stored as u32");
+        let (w, pm) = (width as usize, u64::from(edge_pm));
+        // The expected edge count (exact at 0 and 1000 per-mille): the
+        // source's `width`, then per later task its guaranteed predecessor
+        // and `edge_pm` per-mille of the other `width - 1`; 1/64 of slack
+        // keeps a draw somewhat above that from doubling the array.
+        let later = u64::from(layers - 1) * u64::from(width);
+        let expected = u64::from(width) + later + later * (u64::from(width) - 1) * pm / 1000;
+        let mut edges: Vec<u32> = Vec::with_capacity((expected + expected / 64) as usize);
+        let mut succ_off: Vec<u32> = Vec::with_capacity(n as usize + 1);
+        let mut indeg = vec![1u32; n as usize];
+        indeg[0] = 0;
+        // The source feeds all of layer 0, the only predecessor each has.
+        succ_off.push(0);
+        edges.extend(1..=width);
+        // One layer's (predecessor slot, target) pairs, and per slot first
+        // its out-degree, then the cursor of its successor list.
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let mut slot_deg = vec![0u32; w];
+        for layer in 1..layers {
+            let first = 1 + layer * width; // fits: n <= u32::MAX
+            let prev = first - width;
+            let mut kept = 0;
+            for t in first..first + width {
+                // Guaranteed predecessor, plus per-mille extras. Every draw
+                // is a pure function of (seed, t, candidate), so drawing
+                // each candidate and keeping the anchor regardless leaves
+                // the draw loop without a branch.
+                let anchor = (mix(seed ^ u64::from(t)) % u64::from(width)) as u32;
+                let salt = seed ^ (u64::from(t) << 20);
+                pairs.resize(pairs.len().max(kept + w), (0, 0));
+                let before = kept;
+                for (s, deg) in (0..width).zip(slot_deg.iter_mut()) {
+                    let keep = (s == anchor) | (mix(salt ^ u64::from(prev + s)) % 1000 < pm);
+                    pairs[kept] = (s, t);
+                    kept += usize::from(keep);
+                    *deg += u32::from(keep);
                 }
-                // Guaranteed predecessor, then per-mille extras.
-                let anchor = id(layer - 1, (mix(seed ^ t) % u64::from(width)) as u32);
-                p.push(anchor);
-                for s in 0..width {
-                    let cand = id(layer - 1, s);
-                    if cand != anchor && mix(seed ^ (t << 20) ^ cand) % 1000 < u64::from(edge_pm) {
-                        p.push(cand);
-                    }
-                }
+                indeg[t as usize] = (kept - before) as u32;
             }
-        }
-        let mut succ: Vec<Vec<u64>> = vec![Vec::new(); n as usize];
-        let mut indeg = vec![0u32; n as usize];
-        for (t, ps) in preds.iter().enumerate() {
-            indeg[t] = ps.len() as u32;
-            for &p in ps {
-                succ[p as usize].push(t as u64);
+            // Counting sort by predecessor slot, straight into the CSR.
+            let mut at = edges.len();
+            for slot in &mut slot_deg {
+                let off = csr_offset(at);
+                succ_off.push(off);
+                at += *slot as usize;
+                *slot = off;
             }
+            edges.resize(at, 0);
+            for &(s, t) in &pairs[..kept] {
+                let cursor = &mut slot_deg[s as usize];
+                edges[*cursor as usize] = t;
+                *cursor += 1;
+            }
+            slot_deg.fill(0);
         }
-        let mut succ_off = Vec::with_capacity(n as usize + 1);
-        let mut edges = Vec::new();
-        for s in &succ {
-            succ_off.push(edges.len() as u32);
-            edges.extend_from_slice(s);
-        }
-        succ_off.push(edges.len() as u32);
+        // The last layer has no successors.
+        let end = csr_offset(edges.len());
+        succ_off.resize(n as usize + 1, end);
         let mut dag = RandomLayered {
             n,
             succ_off,
@@ -405,6 +433,11 @@ impl RandomLayered {
     }
 }
 
+/// An edge count as a [`RandomLayered`] CSR offset.
+fn csr_offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a layered DAG holds at most u32::MAX edges")
+}
+
 impl DagGen for RandomLayered {
     fn n_tasks(&self) -> u64 {
         self.n
@@ -415,7 +448,7 @@ impl DagGen for RandomLayered {
             self.succ_off[task as usize] as usize,
             self.succ_off[task as usize + 1] as usize,
         );
-        out.extend_from_slice(&self.edges[a..b]);
+        out.extend(self.edges[a..b].iter().map(|&s| u64::from(s)));
     }
 
     fn in_degree(&self, task: u64) -> u32 {
@@ -445,13 +478,13 @@ impl DagGen for RandomLayered {
 #[derive(Debug)]
 pub struct DagWorkload<G: DagGen> {
     gen: G,
-    /// Pending-count state for comm-free host traversals
-    /// ([`TaskGen::expand`], used by `seq_run` and engine pre-checks).
-    /// Parallel runs never touch it — they go through
-    /// [`TaskGen::expand_in`], whose counters live in the global address
-    /// space. Expanding the root resets it, so repeated host traversals of
-    /// the same workload stay independent.
-    host_pending: Mutex<HashMap<u64, u32>>,
+    /// Per-task pending counts for comm-free host traversals
+    /// ([`TaskGen::expand`], used by `seq_run` and engine pre-checks),
+    /// allocated by the first of them. Parallel runs never touch it — they
+    /// go through [`TaskGen::expand_in`], whose counters live in the global
+    /// address space. Expanding the root resets it, so repeated host
+    /// traversals of the same workload stay independent.
+    host_pending: Mutex<Vec<u32>>,
 }
 
 impl<G: DagGen> DagWorkload<G> {
@@ -464,7 +497,7 @@ impl<G: DagGen> DagWorkload<G> {
         }
         DagWorkload {
             gen,
-            host_pending: Mutex::new(HashMap::new()),
+            host_pending: Mutex::new(Vec::new()),
         }
     }
 
@@ -495,18 +528,19 @@ impl<G: DagGen> TaskGen for DagWorkload<G> {
     }
 
     /// Comm-free expansion for host-side traversals: counts dependencies in
-    /// the internal map. Resets the map when the root is expanded, so each
-    /// traversal starts fresh.
+    /// the internal per-task counters. Zeroes them when the root is
+    /// expanded, so each traversal starts fresh.
     fn expand(&self, task: &u64, out: &mut Vec<u64>) -> u32 {
         let mut pend = self.host_pending.lock().expect("host pending poisoned");
-        if *task == 0 {
+        if *task == 0 || pend.is_empty() {
             pend.clear();
+            pend.resize(self.gen.n_tasks() as usize, 0);
         }
         let before = out.len();
         let mut succ = Vec::new();
         self.gen.successors(*task, &mut succ);
         for &s in &succ {
-            let c = pend.entry(s).or_insert(0);
+            let c = &mut pend[s as usize];
             *c += 1;
             if *c == self.gen.in_degree(s) {
                 out.push(s);
@@ -690,6 +724,28 @@ mod tests {
         }
         let err = validate(&WrongDegree).expect_err("degree mismatch must fail");
         assert!(err.contains("in_degree"), "{err}");
+
+        struct Duplicate;
+        impl DagGen for Duplicate {
+            fn n_tasks(&self) -> u64 {
+                3
+            }
+            fn successors(&self, task: u64, out: &mut Vec<u64>) {
+                match task {
+                    0 => out.extend([1, 2]),
+                    1 => out.extend([2, 2]), // 2 listed twice by task 1 only
+                    _ => {}
+                }
+            }
+            fn in_degree(&self, t: u64) -> u32 {
+                [0, 1, 3][t as usize]
+            }
+            fn critical_path(&self) -> u64 {
+                3
+            }
+        }
+        let err = validate(&Duplicate).expect_err("duplicate edge must fail");
+        assert_eq!(err, "task 1 lists a duplicate successor edge");
     }
 
     #[test]

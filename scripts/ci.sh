@@ -73,11 +73,21 @@ fi
 # crate) lives in one file, compiled where fibers are not and in pgas's tests.
 [ "$(grep -rlF 'Condvar' crates/pgas/src)" = crates/pgas/src/sim/threads.rs ] ||
   { echo "Condvar under crates/pgas/src outside crates/pgas/src/sim/threads.rs" >&2; exit 1; }
+# A DAG costs what its edges cost: the layered generator builds one flat CSR,
+# so no per-task vector comes back (tests/dag_footprint.rs gates the heap).
+if grep -nF 'Vec<Vec<' crates/core/src/workload.rs; then
+  echo "a per-task Vec<Vec<..>> came back in crates/core/src/workload.rs" >&2; exit 1
+fi
 # A frozen-table row pastes into uts_cli (a crash row: a kill inside a
 # partition, then a restart).
 cargo build --release --offline -p uts-bench --bin uts_cli
 ./target/release/uts_cli --spec 'topsail p=6 tree=binomial(5,64,2,0.49666666666666665) alg=distmem k=4 faults=partitioned(8)' \
   --expect-distinct 5635
+# The same kind of run on real threads is a config error (exit 2), not a panic.
+status=0
+./target/release/uts_cli --native --spec 'topsail p=2 tree=binomial(5,64,2,0.49666666666666665) alg=distmem k=4 faults=crashy(3)' \
+  >/dev/null 2>&1 || status=$?
+[ "$status" -eq 2 ] || { echo "uts_cli --native with a crash plan exited $status, not 2" >&2; exit 1; }
 
 echo "== SAFETY comments (crates/pgas/src) =="
 # Every `unsafe {` block and `unsafe impl` in the crate that owns the fiber

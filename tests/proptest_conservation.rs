@@ -268,7 +268,12 @@ fn run_spec_strategy() -> impl Strategy<Value = RunSpec> {
         (victims, steal),
     )
         .prop_map(|((machine, workload, alg, (p, k, poll, seed)), (faults, timeout, arrivals, conductor), (victims, steal))| {
-            // Only a simulated tree run takes arrivals.
+            // Only a simulated run takes crash faults, and only a simulated
+            // tree run takes arrivals.
+            let conductor = match conductor {
+                Conductor::Native if faults.crash_active() => Conductor::Fiber,
+                c => c,
+            };
             let service = matches!(workload, Workload::Tree(_)) && conductor != Conductor::Native;
             let arrivals = arrivals.filter(|_| service);
             RunSpec { machine, p, workload, alg, k, poll, seed, victims, steal, faults, timeout, arrivals, conductor }
