@@ -21,7 +21,8 @@
 //! duplication, and a mid-run rank death window runs against every paper
 //! algorithm, and must satisfy conservation **with multiplicity** — every
 //! node explored at least once, every re-exploration accounted in
-//! `duplicate_nodes`.
+//! `duplicate_nodes`. A bundle whose DAG leg saw deaths but recovered no
+//! node is a violation too: the sweep would certify nothing.
 //!
 //! Both sweeps run every plan twice: on the tree, and on a small layered
 //! task DAG (docs/workloads.md), whose ready tasks travel to their owners as
@@ -260,6 +261,12 @@ fn main() {
                 sum_inflation / crash_schedules.max(1) as f64
             );
             dag_line(alg, dag_tally);
+            // A DAG leg that saw deaths but recovered nothing certifies
+            // nothing: adoption was never exercised.
+            if dag_tally[0] > 0 && dag_tally[1] == 0 {
+                let deaths = dag_tally[0];
+                soak.fail(format!("{} layered DAG: {deaths} deaths but 0 nodes recovered", alg.label()));
+            }
         }
     }
 

@@ -1,4 +1,4 @@
-//! Run or check the experiments of EXPERIMENTS.md E1–E16 by name.
+//! Run or check the experiments of EXPERIMENTS.md E1–E19 by name.
 //!
 //! - `exp <name>…` runs the entries and rewrites each one's
 //!   `results/<name>.csv`;
@@ -34,7 +34,7 @@ fn main() {
     if flags.iter().any(|f| f == "--list") {
         for e in TABLE {
             let csv = if e.owns_csv() { format!("results/{}.csv", e.name) } else { "-".to_string() };
-            println!("{:<14} {:<26} {}", e.name, csv, e.about);
+            println!("{:<16} {:<26} {}", e.name, csv, e.about);
         }
         return;
     }

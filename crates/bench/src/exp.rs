@@ -1,26 +1,31 @@
 //! The experiment table: every figure, table and sweep of EXPERIMENTS.md
-//! (E1–E16, and E18's ready-wait probe) as a named entry of [`TABLE`], run
-//! by the `exp` binary.
+//! (E1–E19) as a named entry of [`TABLE`], run by the `exp` binary.
 //!
-//! An entry takes no parameters. Its tree, machine, thread counts, chunk
-//! sizes and algorithm list are constants beside its grid loop, every run
-//! goes through [`sim_config`] (so `UTS_OVERRIDE` may swap the conductor or
-//! inject faults), and its rows leave through [`Sink::emit`] —
-//! so `results/<name>.csv` is a function of the committed entry, and
-//! `exp --check` can say whether the committed file still is. A single point
-//! with other parameters is what `uts_cli` is for.
+//! An entry takes no parameters. Each of its rows is a [`RunSpec`]: a
+//! template beside the entry's grid loop (machine, tree or DAG, arrivals)
+//! plus the axes the entry varies (`p`, `alg`, `k`, `poll`, `victims`,
+//! `steal`, `faults`). Every row runs through [`harness::run`], so
+//! `UTS_OVERRIDE` may swap the conductor or inject faults and a row that
+//! fails its check names the `uts_cli --spec` line that replays it; its
+//! rows leave through [`publish`]. So `results/<name>.csv` is a function of
+//! the committed entry, and `exp --check` can say whether the committed file
+//! still is. A single point with other parameters is what `uts_cli` is for.
 
-use pgas::MachineModel;
+use std::iter;
+
+use pgas::{ArrivalProcess, ArrivalSpec, FaultPlan};
 use uts_tree::presets::{self, Preset};
 use uts_tree::{seq::dfs_count, GeoShape, TreeSpec};
 use worksteal::model::{fit_alpha, fit_beta, ChunkModel};
+use worksteal::spec::{RunSpec, Workload};
 use worksteal::state::State;
+use worksteal::theory::{self, DEFAULT_STEAL_FACTOR};
 use worksteal::{
-    run_sim, Algorithm, DagWorkload, RandomLayered, RunConfig, RunReport, StealPolicyKind, UtsGen,
-    VictimPolicy,
+    run_sim, seq_run, Algorithm, DagGen, DagWorkload, ForkJoin, LatencyHistogram, RandomLayered, RunConfig,
+    RunReport, StealPolicyKind, UtsGen, VictimPolicy, Wavefront,
 };
 
-use crate::harness::{measure, print_table, sim_config, Row, Sink};
+use crate::harness::{self, print_table, Row, Sink};
 use crate::ready_wait::{Hops, ReadyWait};
 
 /// How an entry runs: it only prints, or it also owns `results/<name>.csv`.
@@ -49,7 +54,7 @@ impl Entry {
 }
 
 /// Every experiment, in the order `scripts/run_experiments.sh` runs them
-/// (cheapest first; the two Figure 5 trees last).
+/// (cheapest first; the two Figure 5 trees and the p=8192 cell last).
 pub const TABLE: &[Entry] = &[
     Entry { name: "table_seq", about: "E1 §4.1 sequential rates", run: Run::Print(table_seq) },
     Entry { name: "fig3", about: "Figure 3 label legend", run: Run::Print(fig3) },
@@ -64,46 +69,56 @@ pub const TABLE: &[Entry] = &[
     Entry { name: "model_check", about: "E15 §2 analytic chunk-size model", run: Run::Print(model_check) },
     Entry { name: "policy_grid", about: "E16 transport × victim order × steal amount", run: Run::Csv(policy_grid) },
     Entry { name: "ready_wait", about: "E18 DAG ready-to-start waits and critical paths, every bundle", run: Run::Print(ready_wait) },
+    Entry { name: "service_smoke", about: "E17 CI-sized service runs, fault-free and crashy", run: Run::Print(service_smoke) },
+    Entry { name: "dag_sweep_smoke", about: "E18 CI-sized DAG sweep, theory-checked, p=8", run: Run::Print(dag_sweep_smoke) },
+    Entry { name: "service", about: "E17 service mode: saturation, burstiness, chaos under load", run: Run::Csv(service) },
+    Entry { name: "dag_sweep", about: "E18 DAG families vs a tree, every row theory-checked", run: Run::Csv(dag_sweep) },
     Entry { name: "fig4", about: "E2 Figure 4: chunk-size sweep, 256 threads", run: Run::Csv(fig4) },
     Entry { name: "fig6", about: "E5 Figure 6: Altix shared memory, T-L", run: Run::Csv(fig6) },
     Entry { name: "fig5_xl", about: "E4 Figure 5: scaling to 1024 threads, T-XL", run: Run::Csv(fig5_xl) },
     Entry { name: "fig5_xxl", about: "E4 headline: upc-distmem on T-XXL", run: Run::Csv(fig5_xxl) },
+    Entry { name: "dag_p8192", about: "E19 one theory-checked p=8192 cell (≈ 1 min, ≈ 0.38 GB)", run: Run::Print(dag_p8192) },
 ];
 
-/// A tree on a machine: the fixed half of every grid below.
-struct Bed {
-    machine: MachineModel,
-    gen: UtsGen,
-    nodes: u64,
+/// The template of a tree grid — `tree` on `machine`, one thread of
+/// upc-distmem at k=8 until a point says otherwise — and the node count
+/// every run of it must reach. Prints the grid's heading.
+fn grid(machine: &'static str, tree: Preset) -> (RunSpec, u64) {
+    println!("{} ({} nodes) on {machine}", tree.name, tree.expected.nodes);
+    let template = RunSpec::new(machine, 1, Workload::Tree(tree.spec), &RunConfig::new(Algorithm::DistMem, 8));
+    (template, tree.expected.nodes)
 }
 
-impl Bed {
-    fn new(machine: MachineModel, tree: Preset) -> Bed {
-        println!("{} ({} nodes) on {}", tree.name, tree.expected.nodes, machine.name);
-        Bed { machine, gen: UtsGen::new(tree.spec), nodes: tree.expected.nodes }
-    }
-
-    /// One conservation-checked run of `cfg` on `p` threads.
-    fn report(&self, p: usize, cfg: &RunConfig) -> (RunReport, Row) {
-        let (report, row) = measure(&self.machine, p, &self.gen, cfg, self.nodes);
-        eprintln!(
-            "  {} p={} k={}: {:.2} Mn/s, speedup {:.1} [{:.1}s real]",
-            row.label, p, cfg.chunk_size, row.mnodes_per_sec, row.speedup, row.t_real
-        );
-        (report, row)
-    }
-
-    /// One grid point of a named bundle.
-    fn point(&self, p: usize, alg: Algorithm, k: usize) -> Row {
-        self.report(p, &sim_config(alg, k)).1
-    }
+/// One conservation-checked point of a tree grid.
+fn point(spec: RunSpec, nodes: u64) -> Row {
+    harness::run(spec, nodes, RunSpec::run).measure().1
 }
 
-/// Print `rows` and hand them to the sink as `results/<name>.csv`.
-fn publish(sink: Sink, name: &str, title: &str, rows: &[Row]) -> Result<(), String> {
+/// A tree run with event tracing on, which [`RunSpec::run`] leaves off.
+fn traced(spec: &RunSpec) -> RunReport {
+    let Workload::Tree(tree) = spec.workload else { unreachable!("only tree grids are traced") };
+    run_sim(spec.machine_model(), spec.p, &UtsGen::new(tree), &RunConfig { trace: true, ..spec.config() })
+}
+
+/// Print `rows` as a table and hand them to the sink as
+/// `results/<name>.csv`, whose last `wall_clock_columns` columns are host
+/// seconds: the one way rows leave an entry.
+fn publish(
+    sink: Sink,
+    name: &str,
+    title: &str,
+    header: &str,
+    rows: &[String],
+    wall_clock_columns: usize,
+) -> Result<(), String> {
+    print_table(title, header, rows);
+    sink.emit(name, header, rows, wall_clock_columns)
+}
+
+/// [`publish`] for [`Row`]s.
+fn publish_rows(sink: Sink, name: &str, title: &str, rows: &[Row]) -> Result<(), String> {
     let lines: Vec<String> = rows.iter().map(Row::csv).collect();
-    print_table(title, Row::HEADER, &lines);
-    sink.emit(name, Row::HEADER, &lines, 1)
+    publish(sink, name, title, Row::HEADER, &lines, 1)
 }
 
 /// Best rate of one label over a sweep.
@@ -127,22 +142,16 @@ fn gain(a: f64, b: f64) -> f64 {
 /// this host's *real* SHA-1-limited rate for context.
 fn table_seq() {
     let tree = presets::t_m();
-    let rows: Vec<String> = [
-        (MachineModel::topsail(), 2.10),
-        (MachineModel::kittyhawk(), 2.39),
-        (MachineModel::altix(), 1.12),
-    ]
-    .into_iter()
-    .map(|(machine, paper_rate)| {
-        let bed = Bed::new(machine, tree);
-        format!(
-            "{:<10} {:>14.2} {:>14.2} {:>17.2}",
-            bed.machine.name,
-            paper_rate,
-            bed.machine.seq_rate() / 1e6,
-            bed.point(1, Algorithm::DistMem, 8).mnodes_per_sec
-        )
-    })
+    let rows: Vec<String> = [("topsail", 2.10), ("kittyhawk", 2.39), ("altix", 1.12)]
+        .into_iter()
+        .map(|(machine, paper_rate)| {
+            let (t, nodes) = grid(machine, tree);
+            format!(
+                "{machine:<10} {paper_rate:>14.2} {:>14.2} {:>17.2}",
+                t.machine_model().seq_rate() / 1e6,
+                point(t, nodes).mnodes_per_sec
+            )
+        })
     .collect();
     println!(
         "\n{:<10} {:>14} {:>14} {:>17}\n{}",
@@ -199,7 +208,7 @@ fn fig3() {
 fn fig4(sink: Sink) -> Result<(), String> {
     const THREADS: usize = 256;
     const CHUNKS: [usize; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
-    let bed = Bed::new(MachineModel::kittyhawk(), presets::t_m());
+    let (t, nodes) = grid("kittyhawk", presets::t_m());
     let mut rows = Vec::new();
     for alg in Algorithm::paper_set() {
         for k in CHUNKS {
@@ -208,10 +217,10 @@ fn fig4(sink: Sink) -> Result<(), String> {
             if alg == Algorithm::SharedMem && k == 1 {
                 continue;
             }
-            rows.push(bed.point(THREADS, alg, k));
+            rows.push(point(RunSpec { p: THREADS, alg, k, ..t }, nodes));
         }
     }
-    publish(sink, "fig4", "Figure 4: performance vs chunk size", &rows)?;
+    publish_rows(sink, "fig4", "Figure 4: performance vs chunk size", &rows)?;
 
     let (distmem, term, mpi) =
         (peak(&rows, "upc-distmem"), peak(&rows, "upc-term"), peak(&rows, "mpi-ws"));
@@ -243,14 +252,14 @@ fn fig5(
     threads: &[usize],
     algorithms: &[Algorithm],
 ) -> Result<(), String> {
-    let bed = Bed::new(MachineModel::topsail(), tree);
+    let (t, nodes) = grid("topsail", tree);
     let mut rows = Vec::new();
     for &p in threads {
         for &alg in algorithms {
-            rows.push(bed.point(p, alg, 8));
+            rows.push(point(RunSpec { p, alg, ..t }, nodes));
         }
     }
-    publish(sink, name, "Figure 5: speedup & performance vs processors", &rows)?;
+    publish_rows(sink, name, "Figure 5: speedup & performance vs processors", &rows)?;
 
     let r = rows
         .iter()
@@ -290,14 +299,14 @@ fn fig5_xxl(sink: Sink) -> Result<(), String> {
 /// this platform."
 fn fig6(sink: Sink) -> Result<(), String> {
     const THREADS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
-    let bed = Bed::new(MachineModel::altix(), presets::t_l());
+    let (t, nodes) = grid("altix", presets::t_l());
     let mut rows = Vec::new();
     for p in THREADS {
         for alg in [Algorithm::SharedMem, Algorithm::DistMem, Algorithm::MpiWs] {
-            rows.push(bed.point(p, alg, 8));
+            rows.push(point(RunSpec { p, alg, ..t }, nodes));
         }
     }
-    publish(sink, "fig6", "Figure 6: Altix shared-memory scaling", &rows)?;
+    publish_rows(sink, "fig6", "Figure 6: Altix shared-memory scaling", &rows)?;
 
     let widest = &rows[rows.len() - 3..];
     println!(
@@ -319,9 +328,12 @@ fn fig6(sink: Sink) -> Result<(), String> {
 fn scale_eff(sink: Sink) -> Result<(), String> {
     let rows: Vec<Row> = [presets::t_s(), presets::t_m(), presets::t_l(), presets::t_xl()]
         .into_iter()
-        .map(|tree| Bed::new(MachineModel::topsail(), tree).point(64, Algorithm::DistMem, 8))
+        .map(|tree| {
+            let (t, nodes) = grid("topsail", tree);
+            point(RunSpec { p: 64, ..t }, nodes)
+        })
         .collect();
-    publish(sink, "scale_eff", "Efficiency vs problem size (fixed p)", &rows)
+    publish_rows(sink, "scale_eff", "Efficiency vs problem size (fixed p)", &rows)
 }
 
 /// E3 — §4.2 refinement ablation: "each of the refinements presented in
@@ -331,9 +343,9 @@ fn scale_eff(sink: Sink) -> Result<(), String> {
 /// Kitty Hawk) and reports each step's incremental gain, plus `mpi-ws` for
 /// reference, plus the two extensions.
 fn ablation(sink: Sink) -> Result<(), String> {
-    let bed = Bed::new(MachineModel::kittyhawk(), presets::t_l());
-    let rows: Vec<Row> = Algorithm::all().into_iter().map(|alg| bed.point(256, alg, 8)).collect();
-    publish(sink, "ablation", "Refinement ablation", &rows)?;
+    let (t, nodes) = grid("kittyhawk", presets::t_l());
+    let rows: Vec<Row> = Algorithm::all().into_iter().map(|alg| point(RunSpec { p: 256, alg, ..t }, nodes)).collect();
+    publish_rows(sink, "ablation", "Refinement ablation", &rows)?;
 
     let rate = |i: usize| rows[i].mnodes_per_sec;
     println!("\nincremental refinement gains (rate vs previous step):");
@@ -360,8 +372,8 @@ fn ablation(sink: Sink) -> Result<(), String> {
 /// sequential UTS. ... Outside the working state, overhead time is spent
 /// searching for work, stealing work, or in termination detection."
 fn working_state() {
-    let bed = Bed::new(MachineModel::topsail(), presets::t_l());
-    let (report, _) = bed.report(256, &sim_config(Algorithm::DistMem, 8));
+    let (t, nodes) = grid("topsail", presets::t_l());
+    let (report, _) = harness::run(RunSpec { p: 256, ..t }, nodes, RunSpec::run).measure();
 
     println!("\nfraction of total thread-time per Figure-1 state:");
     for (name, s) in [
@@ -400,18 +412,16 @@ fn working_state() {
 /// random victim selection) with `upc-hier` (same-node victims probed first,
 /// the `bupc_thread_distance` analog) on T-L, 256 threads, k=8, Topsail.
 fn hier(sink: Sink) -> Result<(), String> {
-    let bed = Bed::new(MachineModel::topsail(), presets::t_l());
-    let per_node = bed.machine.threads_per_node;
+    let (t, nodes) = grid("topsail", presets::t_l());
+    let per_node = t.machine_model().threads_per_node;
     let mut rows = Vec::new();
     let mut locality = Vec::new();
     for alg in [Algorithm::DistMem, Algorithm::Hier] {
-        let mut cfg = sim_config(alg, 8);
-        cfg.trace = true;
-        let (report, row) = bed.report(256, &cfg);
+        let (report, row) = harness::run(RunSpec { p: 256, alg, ..t }, nodes, traced).measure();
         locality.push(report.steal_matrix().same_node_fraction(per_node));
         rows.push(row);
     }
-    publish(sink, "hier", "Flat vs hierarchical victim selection", &rows)?;
+    publish_rows(sink, "hier", "Flat vs hierarchical victim selection", &rows)?;
 
     println!("\nsteal locality (fraction of steals staying on a {per_node}-thread node):");
     println!("  upc-distmem {:.1}%   upc-hier {:.1}%", 100.0 * locality[0], 100.0 * locality[1]);
@@ -427,12 +437,12 @@ fn hier(sink: Sink) -> Result<(), String> {
 /// `push-random` rows). The "work-first principle" (§2) predicts stealing
 /// wins: push overhead is paid by loaded threads, steal overhead by idle ones.
 fn pushing(sink: Sink) -> Result<(), String> {
-    let bed = Bed::new(MachineModel::kittyhawk(), presets::t_l());
+    let (t, nodes) = grid("kittyhawk", presets::t_l());
     let rows: Vec<Row> = [Algorithm::DistMem, Algorithm::MpiWs, Algorithm::Pushing]
         .into_iter()
-        .map(|alg| bed.point(256, alg, 8))
+        .map(|alg| point(RunSpec { p: 256, alg, ..t }, nodes))
         .collect();
-    publish(sink, "pushing", "Work stealing vs work pushing", &rows)?;
+    publish_rows(sink, "pushing", "Work stealing vs work pushing", &rows)?;
 
     // The work-first principle in one number: how much of the *working*
     // threads' time each strategy burns on load-balancing traffic.
@@ -455,7 +465,7 @@ fn pushing(sink: Sink) -> Result<(), String> {
 /// distinct victims ("work sources") served steals — steal-one (`upc-term`)
 /// against steal-half (`upc-term-rapdif`, `upc-distmem`).
 fn diffusion() {
-    let bed = Bed::new(MachineModel::kittyhawk(), presets::t_m());
+    let (t, nodes) = grid("kittyhawk", presets::t_m());
     println!(
         "\n{:<16} {:>10} {:>10} {:>10} {:>12} {:>12} {:>10}",
         "algorithm", "t50 (µs)", "t90 (µs)", "t100 (µs)", "steals", "sources", "starved"
@@ -467,9 +477,7 @@ fn diffusion() {
         Algorithm::MpiWs,
         Algorithm::Pushing,
     ] {
-        let mut cfg = sim_config(alg, 8);
-        cfg.trace = true;
-        let (report, _) = bed.report(128, &cfg);
+        let (report, _) = harness::run(RunSpec { p: 128, alg, ..t }, nodes, traced).measure();
         let d = report.diffusion();
         let m = report.steal_matrix();
         let us = |t: Option<u64>| t.map_or("-".to_string(), |ns| format!("{:.1}", ns as f64 / 1e3));
@@ -496,19 +504,17 @@ fn diffusion() {
 /// polling too often taxes the working threads; too rarely, thieves wait on
 /// stale victims.
 fn poll_sweep(sink: Sink) -> Result<(), String> {
-    let bed = Bed::new(MachineModel::kittyhawk(), presets::t_m());
+    let (t, nodes) = grid("kittyhawk", presets::t_m());
     let mut rows = Vec::new();
     for alg in [Algorithm::DistMem, Algorithm::MpiWs] {
         for poll in [1u64, 4, 16, 64, 256, 1024] {
-            let mut cfg = sim_config(alg, 8);
-            cfg.poll_interval = poll;
-            let (_, mut row) = bed.report(128, &cfg);
+            let mut row = point(RunSpec { p: 128, alg, poll, ..t }, nodes);
             // The chunk column carries the poll interval in this CSV.
             row.chunk = poll as usize;
             rows.push(row);
         }
     }
-    publish(sink, "poll_sweep", "Polling interval sweep (chunk column = poll interval)", &rows)
+    publish_rows(sink, "poll_sweep", "Polling interval sweep (chunk column = poll interval)", &rows)
 }
 
 /// E13 — load balancing across the wider UTS tree family (64 threads, k=8,
@@ -532,20 +538,20 @@ fn tree_family(sink: Sink) -> Result<(), String> {
             "\nworkload {name}: max depth {}, max stack {}",
             expected.max_depth, expected.max_stack
         );
-        let bed = Bed::new(MachineModel::topsail(), Preset { name, spec, expected });
+        let (t, nodes) = grid("topsail", Preset { name, spec, expected });
         for alg in [Algorithm::DistMem, Algorithm::MpiWs] {
-            let row = bed.point(64, alg, 8);
+            let row = point(RunSpec { p: 64, alg, ..t }, nodes);
             println!(
                 "  {:<14} eff {:>5.1}%  steals {:>6}  steals/Mnode {:>8.1}",
                 row.label,
                 100.0 * row.efficiency,
                 row.steals,
-                row.steals as f64 / (bed.nodes as f64 / 1e6),
+                row.steals as f64 / (nodes as f64 / 1e6),
             );
             rows.push(row);
         }
     }
-    publish(sink, "tree_family", "Tree family (all workloads)", &rows)
+    publish_rows(sink, "tree_family", "Tree family (all workloads)", &rows)
 }
 
 /// E15 — validate the §2 analytic chunk-size model (`worksteal::model`)
@@ -556,16 +562,16 @@ fn tree_family(sink: Sink) -> Result<(), String> {
 /// reports the predicted optimal k* next to the empirical winner.
 fn model_check() {
     const THREADS: usize = 128;
-    let bed = Bed::new(MachineModel::kittyhawk(), presets::t_m());
-    let (p, n) = (THREADS as f64, bed.nodes as f64);
+    let (t, nodes) = grid("kittyhawk", presets::t_m());
+    let (p, n) = (THREADS as f64, nodes as f64);
     let rows: Vec<Row> = [1usize, 2, 4, 8, 16, 32, 64, 128]
         .into_iter()
-        .map(|k| bed.point(THREADS, Algorithm::DistMem, k))
+        .map(|k| point(RunSpec { p: THREADS, k, ..t }, nodes))
         .collect();
 
     let steal_points: Vec<(usize, u64)> = rows.iter().map(|r| (r.chunk, r.steals)).collect();
-    let alpha = fit_alpha(&steal_points, bed.nodes);
-    let m = &bed.machine;
+    let alpha = fit_alpha(&steal_points, nodes);
+    let m = &t.machine_model();
     let mut model = ChunkModel {
         node_ns: m.node_ns as f64,
         // Request/response round trip plus transfer startup.
@@ -610,17 +616,14 @@ fn model_check() {
 fn policy_grid(sink: Sink) -> Result<(), String> {
     const HEADER: &str = "transport,victims,steal,threads,chunk,nodes,t_virtual_s,mnodes_per_sec,\
         speedup,steals,working_frac,t_real_s";
-    let bed = Bed::new(MachineModel::kittyhawk(), presets::t_l());
+    let (t, nodes) = grid("kittyhawk", presets::t_l());
     let mut lines = Vec::new();
     let mut best = (f64::MIN, String::new());
     // The transport axis rides on the named bundle that carries it.
     for (alg, transport) in [(Algorithm::Term, "locked"), (Algorithm::DistMem, "distmem")] {
         for vp in [VictimPolicy::Flat, VictimPolicy::Hier] {
             for sp in [StealPolicyKind::One, StealPolicyKind::Half, StealPolicyKind::Adaptive] {
-                let mut cfg = sim_config(alg, 8);
-                cfg.victim_policy = Some(vp);
-                cfg.steal_policy = Some(sp);
-                let (_, r) = bed.report(256, &cfg);
+                let r = point(RunSpec { p: 256, alg, victims: Some(vp), steal: Some(sp), ..t }, nodes);
                 let cell = format!("{transport},{},{}", vp.label(), sp.label());
                 lines.push(format!(
                     "{cell},{},{},{},{},{},{},{},{},{}",
@@ -640,8 +643,7 @@ fn policy_grid(sink: Sink) -> Result<(), String> {
             }
         }
     }
-    print_table("Policy grid (streamlined termination)", HEADER, &lines);
-    sink.emit("policy_grid", HEADER, &lines, 1)?;
+    publish(sink, "policy_grid", "Policy grid (streamlined termination)", HEADER, &lines, 1)?;
     println!("best cell: {} at {:.3} Mnodes/s", best.1, best.0);
     Ok(())
 }
@@ -654,16 +656,22 @@ fn policy_grid(sink: Sink) -> Result<(), String> {
 /// expansions, the waits between them split by whether the rank that ran
 /// the next task was inside another expansion, and how each hop moved.
 fn ready_wait() {
+    let dag = Workload::Layered { layers: 100, width: 256, edge_pm: 80, seed: 3 };
     let probe = ReadyWait::new(DagWorkload::new(RandomLayered::new(100, 256, 80, 3)));
     let n_tasks = probe.inner().n_tasks();
+    let template = RunSpec::new("kittyhawk", 64, dag, &RunConfig::new(Algorithm::DistMem, 1));
+    let probed = |s: &RunSpec| run_sim(s.machine_model(), s.p, &probe, &s.config());
     let header = "algorithm,makespan_ms,working_frac,steals,handoffs,mean_wait_us,\
         moved_wait_us,moved_tasks,waiting_tasks,busy_ranks";
     let path_header = "algorithm,tasks_per_expansion,hops,exec_ms,busy_wait_ms,idle_wait_ms,\
         tail_ms,stolen,stolen_wait_us,handed_off,handed_off_wait_us,kept,kept_wait_us";
     let (mut rows, mut paths) = (Vec::new(), Vec::new());
     for alg in Algorithm::all() {
-        let report = run_sim(MachineModel::kittyhawk(), 64, &probe, &sim_config(alg, 1));
-        assert_eq!(report.total_nodes, n_tasks, "{}: tasks lost", report.label);
+        let ran = harness::run(RunSpec { alg, ..template }, n_tasks, probed);
+        let report = &ran.report;
+        if report.total_nodes != n_tasks {
+            ran.fail(format!("{}: {} of {n_tasks} tasks ran", report.label, report.total_nodes));
+        }
         let w = probe.waits(report.makespan_ns);
         rows.push(format!(
             "{},{:.3},{:.3},{},{},{:.1},{:.1},{},{:.1},{:.1}",
@@ -679,12 +687,9 @@ fn ready_wait() {
             w.busy
         ));
         let c = w.path;
-        assert_eq!(
-            c.head_ns + c.exec_ns + c.busy_wait_ns + c.idle_wait_ns + c.tail_ns,
-            report.makespan_ns,
-            "{}: the critical path does not add up to the makespan",
-            report.label
-        );
+        if c.head_ns + c.exec_ns + c.busy_wait_ns + c.idle_wait_ns + c.tail_ns != report.makespan_ns {
+            ran.fail(format!("{}: the critical path does not add up to the makespan", report.label));
+        }
         let mean_us = |h: Hops| h.wait_ns as f64 / h.n.max(1) as f64 / 1e3;
         paths.push(format!(
             "{},{:.2},{},{:.3},{:.3},{:.3},{:.3},{},{:.1},{},{:.1},{},{:.1}",
@@ -707,6 +712,293 @@ fn ready_wait() {
     print_table("critical path, dag_layered shape, p=64", path_header, &paths);
 }
 
+/// The columns of `results/service.csv`, every one virtual.
+const SERVICE_HEADER: &str = "bundle,process,rate_per_s,threads,requests,deferred,nodes,dup_nodes,deaths,\
+    evictions,makespan_ms,p50_us,p99_us,exec_p99_us,detect_p99_us,mean_us,max_us,faults";
+
+/// The three bundles of the service sweep.
+const SERVICE_BUNDLES: [Algorithm; 3] = [Algorithm::Term, Algorithm::DistMem, Algorithm::MpiWs];
+
+/// A service row's template: `arrivals` of ~80-node binomial requests
+/// (1 + b0 · 1/(1 − m·q) geometric layers) on `p` Kitty Hawk threads of
+/// `alg` at k=4.
+fn service_run(alg: Algorithm, p: usize, arrivals: ArrivalSpec) -> RunSpec {
+    let tree = Workload::Tree(TreeSpec::binomial(101, 8, 2, 0.45));
+    RunSpec { arrivals: Some(arrivals), ..RunSpec::new("kittyhawk", p, tree, &RunConfig::new(alg, 4)) }
+}
+
+/// One service row as a line of `results/service.csv`. Its check is the
+/// per-epoch conservation asserted inside `run_service_sim`, and every
+/// request must complete. `exec` is injection → the request's tree executed
+/// in full, `detect` tree executed → a scanner declared the epoch
+/// quiescent; `faults` reads `override` when `UTS_OVERRIDE` replaced the
+/// row's (empty) plan.
+fn service_row(spec: RunSpec) -> String {
+    let (Some(arrivals), Workload::Tree(tree)) = (spec.arrivals, spec.workload) else {
+        unreachable!("a service row is a tree with arrivals")
+    };
+    // Request e runs the tree with its seed moved by e.
+    let nodes = (0..arrivals.n_requests as u32)
+        .map(|e| seq_run(&UtsGen::new(TreeSpec { seed: tree.seed.wrapping_add(e), ..tree })).0)
+        .sum();
+    let ran = harness::run(spec, nodes, RunSpec::run);
+    let (r, svc) = (&ran.report, ran.report.service.as_ref().expect("a service run reports its requests"));
+    if svc.per_request.len() != arrivals.n_requests {
+        ran.fail(format!("{} of {} requests completed", svc.per_request.len(), arrivals.n_requests));
+    }
+    let (mut exec, mut detect) = (LatencyHistogram::new(), LatencyHistogram::new());
+    for q in &svc.per_request {
+        exec.record(q.last_node_ns.saturating_sub(q.injected_ns));
+        detect.record(q.completed_ns - q.last_node_ns);
+    }
+    let process = match arrivals.process {
+        ArrivalProcess::Poisson { .. } => "poisson",
+        ArrivalProcess::Mmpp { .. } => "mmpp",
+    };
+    let faults = match ran.spec.faults {
+        f if f != spec.faults => "override",
+        f if f.crash_active() => "crashy",
+        f if f.is_active() => "seeded",
+        _ => "none",
+    };
+    let us = |ns: u64| ns as f64 / 1_000.0;
+    format!(
+        "{},{process},{},{},{},{},{},{},{},{},{:.4},{:.2},{:.2},{:.2},{:.2},{:.2},{:.2},{faults}",
+        spec.alg.label(),
+        arrivals.process.mean_rate_per_sec(),
+        spec.p,
+        svc.requests,
+        svc.deferred_injections,
+        r.total_nodes,
+        r.duplicate_nodes,
+        r.deaths,
+        r.evictions,
+        r.makespan_ns as f64 / 1e6,
+        us(svc.hist.p50()),
+        us(svc.hist.p99()),
+        us(exec.p99()),
+        us(detect.p99()),
+        us(svc.hist.mean()),
+        us(svc.hist.max()),
+    )
+}
+
+/// E17 — service mode (`docs/service.md`): open-loop arrival rates against
+/// the locked, distmem, and mpi-ws bundles, reporting per-request tail
+/// latency from the epoch-quiescence pipeline. Three blocks:
+///
+/// 1. **Saturation sweep** — Poisson arrivals at increasing rates, p=64 and
+///    p=256. Requests are small (~80-node binomial trees); past the point
+///    where arrivals outpace the admission window (16 slots ÷ the time a
+///    request holds one), injections defer and latency grows with queue
+///    depth. The `exec` / `detect` columns say where a request's time goes.
+/// 2. **Burstiness** — MMPP arrivals alternating a quiet and a hot rate
+///    with (nearly) the long-run mean of the 30k/s Poisson rows, isolating
+///    what bursts alone do to p99.
+/// 3. **Chaos under load** — the same mid-sweep point under a seeded
+///    benign-fault plan and under a crash plan (message loss, duplication,
+///    rank kills), every row a verified run. These rows keep their plans
+///    under an `UTS_OVERRIDE` that sets one.
+///
+/// Every column is virtual, so `exp --check` compares the file byte for
+/// byte.
+fn service(sink: Sink) -> Result<(), String> {
+    // Requests per fault-free or `seeded` row: the smallest count whose p99
+    // has ten samples beyond it.
+    const REQUESTS: usize = 1000;
+    // Requests per `crashy` row: one death at p=64 still sets off an
+    // eviction storm (ROADMAP item 1) that makes longer streams impractical.
+    const CRASHY_REQUESTS: usize = 48;
+    let mut rows = Vec::new();
+    // Block 1: saturation.
+    for (p, rates) in [(64, &[2_000.0, 10_000.0, 30_000.0, 60_000.0][..]), (256, &[10_000.0, 60_000.0][..])] {
+        for &rate in rates {
+            for alg in SERVICE_BUNDLES {
+                rows.push(service_row(service_run(alg, p, ArrivalSpec::poisson(17, REQUESTS, rate))));
+            }
+        }
+    }
+    // Block 2: burstiness. The two states dwell equally long, so the
+    // long-run mean is 31k/s: the 30k/s Poisson rows are the comparison.
+    let mmpp = ArrivalSpec::mmpp(29, REQUESTS, 2_000.0, 60_000.0, 1_000_000);
+    for alg in SERVICE_BUNDLES {
+        rows.push(service_row(service_run(alg, 64, mmpp)));
+    }
+    // Block 3: chaos under load at the mid-sweep point. The stock crashy
+    // plan kills one rank with probability 0.35 hashed from (seed,
+    // nthreads); pinned to 1000‰, the crash row always shows a mid-run death.
+    let crash = FaultPlan { kill_per_mille: 1000, ..FaultPlan::crashy(11) };
+    for alg in SERVICE_BUNDLES {
+        let seeded = service_run(alg, 64, ArrivalSpec::poisson(17, REQUESTS, 10_000.0));
+        rows.push(service_row(RunSpec { faults: FaultPlan::seeded(11), ..seeded }));
+        let crashy = service_run(alg, 64, ArrivalSpec::poisson(17, CRASHY_REQUESTS, 10_000.0));
+        rows.push(service_row(RunSpec { faults: crash, ..crashy }));
+    }
+    let title = "service: saturation (poisson), burstiness (mmpp 2k/60k, 1ms dwell), chaos under load (10k/s, p=64)";
+    publish(sink, "service", title, SERVICE_HEADER, &rows, 0)
+}
+
+/// E17's CI-sized run (`scripts/chaos_smoke.sh`): one low-rate fault-free
+/// row and one crash row on a locked and a message bundle; minutes of
+/// margin on any box.
+fn service_smoke() {
+    let arrivals = ArrivalSpec::poisson(5, 6, 20_000.0);
+    let mut rows = Vec::new();
+    for alg in [Algorithm::Term, Algorithm::MpiWs] {
+        let spec = service_run(alg, 8, arrivals);
+        rows.push(service_row(spec));
+        rows.push(service_row(RunSpec { faults: FaultPlan::crashy(3), ..spec }));
+    }
+    print_table("service smoke", SERVICE_HEADER, &rows);
+    println!("service smoke OK: {} runs, all requests completed", rows.len());
+}
+
+/// The columns of `results/dag_sweep.csv`; the last is wall-clock.
+const DAG_HEADER: &str = "workload,algorithm,threads,chunk,tasks,edges,critical_path,t_virtual_s,\
+    mnodes_per_sec,steal_attempts,successful_steals,steal_bound,bound_util,working_frac,handoffs,\
+    t_real_s";
+
+/// A workload of the DAG sweep and what its rows are checked against.
+struct Shape {
+    /// Workload label for the CSV and the table.
+    label: &'static str,
+    workload: Workload,
+    /// Sequential task/node count (conservation target).
+    tasks: u64,
+    /// Dependency-cell adds the workload publishes (0 for a tree).
+    edges: u64,
+    /// Critical-path length `D` for the steal bound.
+    depth: u64,
+}
+
+impl Shape {
+    fn tree(tree: Preset) -> Shape {
+        let (tasks, depth) = (tree.expected.nodes, u64::from(tree.expected.max_depth));
+        Shape { label: tree.name, workload: Workload::Tree(tree.spec), tasks, edges: 0, depth }
+    }
+
+    fn dag(workload: Workload) -> Shape {
+        fn of(label: &'static str, workload: Workload, dag: &impl DagGen) -> Shape {
+            let edges = (0..dag.n_tasks()).map(|t| u64::from(dag.in_degree(t))).sum();
+            Shape { label, workload, tasks: dag.n_tasks(), edges, depth: dag.critical_path() }
+        }
+        match workload {
+            Workload::ForkJoin(d) => of("fork-join", workload, &d),
+            Workload::Wavefront(d) => of("wavefront", workload, &d),
+            Workload::Layered { layers, width, edge_pm, seed } => {
+                of("layered", workload, &RandomLayered::new(layers, width, edge_pm, seed))
+            }
+            Workload::Tree(_) => unreachable!("a tree's shape is its preset's"),
+        }
+    }
+}
+
+/// One DAG-sweep row of `shape` on `p` Kitty Hawk threads of `alg` at
+/// chunk size `k`, checked against conservation and the steal bound
+/// (`theory::check_run`) before it is returned, with the share of its
+/// bound it used.
+fn dag_row(p: usize, alg: Algorithm, k: usize, shape: &Shape) -> (String, f64) {
+    let spec = RunSpec::new("kittyhawk", p, shape.workload, &RunConfig::new(alg, k));
+    let ran = harness::run(spec, shape.tasks, RunSpec::run);
+    let r = &ran.report;
+    let crash = ran.spec.faults.crash_active();
+    let summary = theory::check_run(r, shape.tasks, shape.depth, DEFAULT_STEAL_FACTOR, crash)
+        .unwrap_or_else(|e| ran.fail(format!("{}/{}/p={p}: {e}", shape.label, alg.label())));
+    let bound_util = summary.successful_steals as f64 / summary.bound.max(1) as f64;
+    let line = format!(
+        "{},{},{p},{k},{},{},{},{},{},{},{},{},{bound_util},{},{},{}",
+        shape.label,
+        alg.label(),
+        r.total_nodes,
+        shape.edges,
+        shape.depth,
+        r.makespan_ns as f64 / 1e9,
+        r.nodes_per_sec() / 1e6,
+        summary.steal_attempts,
+        summary.successful_steals,
+        summary.bound,
+        r.state_fraction(State::Working),
+        r.handoffs,
+        ran.t_real
+    );
+    (line, bound_util)
+}
+
+/// The rows of a DAG sweep: the `tree` baseline and the three `dags`
+/// through the six stealing bundles at k ∈ {1, 4} on each of `threads`.
+/// Every stealing transport runs, and on the locked one steal-one ×
+/// steal-half and cancelable × streamlined: the bundles a release-policy
+/// change can move. Chunk matters doubly for DAGs: a release needs local
+/// depth ≥ 2k, and narrow-frontier DAGs (wavefront: ≤ 2 successors per
+/// task) never reach it for k > 1 — k=1 and k=4 expose exactly that.
+fn dag_grid(tree: Preset, dags: [Workload; 3], threads: &[usize]) -> Vec<String> {
+    println!("DAG sweep: k in [1, 4] on kittyhawk, steal factor {DEFAULT_STEAL_FACTOR}");
+    let shapes: Vec<Shape> = iter::once(Shape::tree(tree)).chain(dags.map(Shape::dag)).collect();
+    let (mut rows, mut worst) = (Vec::new(), 0.0f64);
+    for &p in threads {
+        for k in [1, 4] {
+            for alg in Algorithm::all().into_iter().filter(|&a| a != Algorithm::Pushing) {
+                for shape in &shapes {
+                    let (line, bound_util) = dag_row(p, alg, k, shape);
+                    rows.push(line);
+                    worst = worst.max(bound_util);
+                }
+            }
+        }
+    }
+    println!(
+        "all rows pass conservation and the O(p·D) steal bound; tightest cell used {:.1}% of its bound",
+        100.0 * worst
+    );
+    rows
+}
+
+/// E18 — the DAG workload families (`worksteal::workload`) and a binomial
+/// tree baseline (T-S) through six policy bundles at p ∈ {64, 256}, Kitty
+/// Hawk, **every row** checked against conservation and the steal bound
+/// (`successful_steals ≤ factor · p · D`, arxiv 1706.03184) before it is
+/// written: the CSV never holds a row the theory harness rejected. The DAGs
+/// are sized so each family has real parallelism at p=256 while the sweep
+/// stays interactive.
+///
+/// Columns beyond the obvious: `edges` is the number of dependency-cell
+/// adds the workload publishes through `Comm` (the sum of its in-degrees; 0
+/// for a tree, whose tasks are ready when created), `bound_util` is
+/// `successful_steals / steal_bound`, the share of the O(p·D) bound the row
+/// used, and `handoffs` counts the ready tasks sent to the owner of their
+/// dependency cell (`worksteal::sched::placement`; 0 for a tree).
+fn dag_sweep(sink: Sink) -> Result<(), String> {
+    let dags = [
+        Workload::ForkJoin(ForkJoin { levels: 48, width: 96, seed: 1 }),
+        Workload::Wavefront(Wavefront { rows: 80, cols: 80, seed: 2 }),
+        Workload::Layered { layers: 40, width: 120, edge_pm: 80, seed: 3 },
+    ];
+    let rows = dag_grid(presets::t_s(), dags, &[64, 256]);
+    publish(sink, "dag_sweep", "DAG sweep", DAG_HEADER, &rows, 1)
+}
+
+/// E18's CI-sized sweep (`scripts/chaos_smoke.sh`): every workload shrunk
+/// about 50×, T-tiny as the tree, p=8 only.
+fn dag_sweep_smoke() {
+    let dags = [
+        Workload::ForkJoin(ForkJoin { levels: 6, width: 12, seed: 1 }),
+        Workload::Wavefront(Wavefront { rows: 12, cols: 12, seed: 2 }),
+        Workload::Layered { layers: 8, width: 12, edge_pm: 150, seed: 3 },
+    ];
+    let rows = dag_grid(presets::t_tiny(), dags, &[8]);
+    print_table("DAG sweep smoke", DAG_HEADER, &rows);
+}
+
+/// E19 — the harness at scale: one theory-checked p=8192 cell (≈ 1 min of
+/// wall-clock, ≈ 0.38 GB resident). T-S + upc-distmem + k=8 keeps it
+/// minutes-scale: binomial fan-out (≤ 2 children) diffuses through
+/// steal-half exponentially, where a single wide-fan-out DAG source
+/// serialises its whole frontier through one victim.
+fn dag_p8192() {
+    let (line, _) = dag_row(8192, Algorithm::DistMem, 8, &Shape::tree(presets::t_s()));
+    print_table("p=8192 cell", DAG_HEADER, &[line]);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -725,9 +1017,7 @@ mod tests {
         let owned: BTreeSet<String> = TABLE
             .iter()
             .filter(|e| e.owns_csv())
-            .map(|e| e.name)
-            .chain(["service", "dag_sweep"]) // binaries of their own, same `Sink::emit`
-            .map(|name| format!("{name}.csv"))
+            .map(|e| format!("{}.csv", e.name))
             .collect();
         let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
         let on_disk: BTreeSet<String> = std::fs::read_dir(results)
@@ -736,5 +1026,20 @@ mod tests {
             .filter(|f| f.ends_with(".csv"))
             .collect();
         assert_eq!(owned, on_disk);
+    }
+
+    /// Fails the day a log is committed that no entry (nor the chaos smoke)
+    /// writes any more.
+    #[test]
+    fn every_committed_log_has_an_owner() {
+        let logs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/logs");
+        for f in std::fs::read_dir(logs).expect("results/logs/ is committed") {
+            let name = f.expect("readable directory entry").file_name().into_string().expect("UTF-8 name");
+            let Some(stem) = name.strip_suffix(".log") else { continue };
+            assert!(
+                stem == "chaos_smoke" || TABLE.iter().any(|e| e.name == stem),
+                "results/logs/{name} has no entry that writes it"
+            );
+        }
     }
 }

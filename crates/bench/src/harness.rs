@@ -1,23 +1,28 @@
-//! Shared plumbing for the figure-reproduction binaries: run configuration,
-//! result tables, CSV output under `results/`, and command-line options.
+//! Shared plumbing for the experiment table and the harness binaries: one
+//! run path ([`run`]), result tables, CSV output under `results/`, and
+//! command-line options.
 //!
-//! The one environment variable the harness reads is `UTS_OVERRIDE`: a
-//! partial run spec (`worksteal::spec`) of `faults=`, `timeout=` and
-//! `conductor=fiber|reference` words applied by [`sim_config`] to every run
-//! of every sweep, e.g. `UTS_OVERRIDE='faults=seeded(1) timeout=30000'` or
-//! `UTS_OVERRIDE='conductor=reference'`. A sweep under an override that
-//! injects faults neither writes nor checks its CSV ([`Sink::from_args`]).
+//! Every experiment row is a [`RunSpec`]. The one environment variable the
+//! harness reads is `UTS_OVERRIDE`: a partial run spec of `faults=`,
+//! `timeout=` and `conductor=fiber|reference` words that [`run`] sets on
+//! every row of every sweep, e.g. `UTS_OVERRIDE='faults=seeded(1)
+//! timeout=30000'` or `UTS_OVERRIDE='conductor=reference'`. A sweep under an
+//! override that injects faults neither writes nor checks its CSV
+//! ([`Sink::from_args`]). A row that fails its check panics with the
+//! `uts_cli --spec '<line>'` that replays it ([`Ran::fail`]).
 
 use std::fmt::Display;
 use std::fs;
+use std::panic::{self, AssertUnwindSafe};
 use std::str::FromStr;
 use std::time::Instant;
 
-use pgas::MachineModel;
 use uts_tree::presets;
 use worksteal::spec::{Conductor, RunSpec, Workload};
 use worksteal::state::State;
-use worksteal::{run_sim, Algorithm, RunConfig, RunReport, UtsGen};
+use worksteal::{RunConfig, RunReport};
+
+use crate::chaos::repro;
 
 /// One measured row of a figure/table.
 #[derive(Clone, Debug)]
@@ -53,79 +58,99 @@ pub struct Row {
 /// The keys `UTS_OVERRIDE` may set.
 const OVERRIDE_KEYS: [&str; 3] = ["faults", "timeout", "conductor"];
 
-/// The run configuration every harness binary starts from:
-/// `RunConfig::new` under the environment's `UTS_OVERRIDE`.
+/// `spec` under the partial run spec `text`: the pure half of
+/// [`overridden`]. An empty `text` leaves `spec` as it is, and a row with a
+/// fault plan of its own keeps it; errors name the key and the value.
+pub fn with_override(text: &str, spec: RunSpec) -> Result<RunSpec, String> {
+    let foreign = |w: &&str| !OVERRIDE_KEYS.contains(&w.split_once('=').map_or(*w, |(key, _)| key));
+    if let Some(word) = text.split_whitespace().find(foreign) {
+        return Err(format!("{word}: an override sets only faults=, timeout= and conductor="));
+    }
+    let over = spec.with(text)?;
+    match over.conductor {
+        Conductor::Native => Err("conductor=native: an override picks fiber or reference".into()),
+        _ if spec.faults.is_active() => Ok(RunSpec { faults: spec.faults, ..over }),
+        _ => Ok(over),
+    }
+}
+
+/// `spec` under the environment's `UTS_OVERRIDE`: the one place the harness
+/// reads the environment.
 ///
 /// # Panics
 ///
 /// If `UTS_OVERRIDE` does not parse, or sets a key other than `faults`,
 /// `timeout` and `conductor` (fiber or reference): a chaos run that
 /// silently ran fault-free because of a typo is worse than none.
-pub fn sim_config(algorithm: Algorithm, chunk: usize) -> RunConfig {
-    env_override(&RunConfig::new(algorithm, chunk)).config()
-}
-
-/// `cfg` under the partial run spec `text`: the pure half of
-/// [`sim_config`]. An empty `text` leaves `cfg` as it is; errors name the
-/// key and the value.
-pub fn with_override(text: &str, cfg: RunConfig) -> Result<RunConfig, String> {
-    parse_override(text, &cfg).map(|spec| RunConfig { trace: cfg.trace, ..spec.config() })
-}
-
-/// `text` set on a stand-in run of `cfg`.
-fn parse_override(text: &str, cfg: &RunConfig) -> Result<RunSpec, String> {
-    let foreign = |w: &&str| !OVERRIDE_KEYS.contains(&w.split_once('=').map_or(*w, |(key, _)| key));
-    if let Some(word) = text.split_whitespace().find(foreign) {
-        return Err(format!("{word}: an override sets only faults=, timeout= and conductor="));
-    }
-    let spec = RunSpec::new("smp", 1, Workload::Tree(presets::t_tiny().spec), cfg).with(text)?;
-    match spec.conductor {
-        Conductor::Native => Err("conductor=native: an override picks fiber or reference".into()),
-        _ => Ok(spec),
-    }
-}
-
-/// `UTS_OVERRIDE` set on a stand-in run of `cfg`: the one place the
-/// harness reads the environment.
-fn env_override(cfg: &RunConfig) -> RunSpec {
+pub fn overridden(spec: RunSpec) -> RunSpec {
     let text = std::env::var("UTS_OVERRIDE").unwrap_or_default();
-    parse_override(&text, cfg).unwrap_or_else(|e| panic!("UTS_OVERRIDE='{text}': {e}"))
+    with_override(&text, spec).unwrap_or_else(|e| panic!("UTS_OVERRIDE='{text}': {e}"))
 }
 
-/// Execute one simulated run of `cfg`, with node conservation asserted, and
-/// distill its [`Row`].
-pub fn measure(
-    machine: &MachineModel,
-    threads: usize,
-    gen: &UtsGen,
-    cfg: &RunConfig,
-    expected_nodes: u64,
-) -> (RunReport, Row) {
+/// One run of an experiment row.
+pub struct Ran {
+    /// The row's spec under `UTS_OVERRIDE`: the run that happened.
+    pub spec: RunSpec,
+    /// Distinct nodes (or DAG tasks) the run must explore.
+    pub expect: u64,
+    /// What the run reported.
+    pub report: RunReport,
+    /// Wall-clock seconds the run took (diagnostics).
+    pub t_real: f64,
+}
+
+/// Run `spec` under `UTS_OVERRIDE` by `exec` ([`RunSpec::run`] for every
+/// row but those that trace or probe their run), timed, and print its line.
+/// `expect` is the number of distinct nodes the run must explore; a panic
+/// inside the run (a per-epoch service assert, a run out of fuel) is raised
+/// again with the line that replays it, like every row's own check
+/// ([`Ran::fail`]).
+pub fn run(spec: RunSpec, expect: u64, exec: impl FnOnce(&RunSpec) -> RunReport) -> Ran {
+    let spec = overridden(spec);
     let t0 = Instant::now();
-    let report = run_sim(machine.clone(), threads, gen, cfg);
+    let report = panic::catch_unwind(AssertUnwindSafe(|| exec(&spec))).unwrap_or_else(|e| {
+        let what = e.downcast_ref::<String>().map(String::as_str).or(e.downcast_ref::<&str>().copied());
+        fail(&spec, expect, what.unwrap_or("the run panicked"))
+    });
     let t_real = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        report.total_nodes, expected_nodes,
-        "node conservation violated: {} p={} k={}",
-        report.label, threads, cfg.chunk_size
-    );
-    let seq_rate = machine.seq_rate();
-    let row = Row {
-        label: report.label,
-        threads: report.threads,
-        chunk: report.chunk_size,
-        nodes: report.total_nodes,
-        t_virtual: report.makespan_ns as f64 / 1e9,
-        mnodes_per_sec: report.nodes_per_sec() / 1e6,
-        speedup: report.speedup(seq_rate),
-        efficiency: report.efficiency(seq_rate),
-        steals: report.total_steals(),
-        steals_per_sec: report.steals_per_sec(),
-        working_frac: report.state_fraction(State::Working),
-        working_eff: report.working_state_efficiency(),
-        t_real,
-    };
-    (report, row)
+    eprintln!("  {spec} [{t_real:.1}s real]");
+    Ran { spec, expect, report, t_real }
+}
+
+fn fail(spec: &RunSpec, expect: u64, what: impl Display) -> ! {
+    panic!("{what}\n  replay: {}", repro(spec, expect))
+}
+
+impl Ran {
+    /// Fail this row: `what`, then the paste-ready line that replays it.
+    pub fn fail(&self, what: impl Display) -> ! {
+        fail(&self.spec, self.expect, what)
+    }
+
+    /// The report and its [`Row`], with exact node conservation asserted.
+    pub fn measure(self) -> (RunReport, Row) {
+        let r = &self.report;
+        if r.total_nodes != self.expect {
+            self.fail(format!("node conservation violated: {} nodes, {} expected", r.total_nodes, self.expect));
+        }
+        let seq_rate = self.spec.machine_model().seq_rate();
+        let row = Row {
+            label: r.label,
+            threads: r.threads,
+            chunk: r.chunk_size,
+            nodes: r.total_nodes,
+            t_virtual: r.makespan_ns as f64 / 1e9,
+            mnodes_per_sec: r.nodes_per_sec() / 1e6,
+            speedup: r.speedup(seq_rate),
+            efficiency: r.efficiency(seq_rate),
+            steals: r.total_steals(),
+            steals_per_sec: r.steals_per_sec(),
+            working_frac: r.state_fraction(State::Working),
+            working_eff: r.working_state_efficiency(),
+            t_real: self.t_real,
+        };
+        (self.report, row)
+    }
 }
 
 impl Row {
@@ -227,9 +252,11 @@ pub enum Sink {
 }
 
 impl Sink {
-    /// `--check` or not, unless `UTS_OVERRIDE` injects faults.
+    /// `--check` or not, unless `UTS_OVERRIDE` injects faults into a
+    /// fault-free run.
     pub fn from_args(check: bool) -> Sink {
-        let over = env_override(&RunConfig::default());
+        let clean = RunSpec::new("smp", 1, Workload::Tree(presets::t_tiny().spec), &RunConfig::default());
+        let over = overridden(clean);
         if over.faults.is_active() || over.timeout.is_some() {
             Sink::Discard
         } else if check {
@@ -320,17 +347,33 @@ pub fn flag(name: &str) -> bool {
 mod tests {
     use super::*;
     use pgas::FaultPlan;
+    use worksteal::Algorithm;
+
+    /// T-tiny on two `smp` threads of `alg` at chunk size `k`.
+    fn tiny(alg: Algorithm, k: usize) -> RunSpec {
+        RunSpec::new("smp", 2, Workload::Tree(presets::t_tiny().spec), &RunConfig::new(alg, k))
+    }
 
     #[test]
     fn measure_produces_consistent_row() {
-        let p = uts_tree::presets::t_tiny();
-        let gen = UtsGen::new(p.spec);
-        let m = MachineModel::smp();
-        let (_, row) = measure(&m, 2, &gen, &sim_config(Algorithm::DistMem, 2), p.expected.nodes);
+        let p = presets::t_tiny();
+        let (_, row) = run(tiny(Algorithm::DistMem, 2), p.expected.nodes, RunSpec::run).measure();
         assert_eq!(row.nodes, p.expected.nodes);
         assert!(row.t_virtual > 0.0);
         assert!(row.mnodes_per_sec > 0.0);
         assert!(row.efficiency <= 1.05, "efficiency {e}", e = row.efficiency);
+    }
+
+    #[test]
+    fn a_failing_row_names_its_replay() {
+        let spec = tiny(Algorithm::DistMem, 2);
+        let wrong = presets::t_tiny().expected.nodes + 1;
+        let e = panic::catch_unwind(|| run(spec, wrong, RunSpec::run).measure()).expect_err("a wrong count fails");
+        let msg = e.downcast_ref::<String>().expect("a formatted message");
+        let line = msg.split_once("--spec '").and_then(|(_, rest)| rest.split_once('\'')).map(|(line, _)| line);
+        let line = line.unwrap_or_else(|| panic!("no --spec '<line>' in: {msg}"));
+        assert_eq!(line.parse::<RunSpec>(), Ok(overridden(spec)), "{msg}");
+        assert!(msg.contains(&format!("--expect-distinct {wrong}")), "{msg}");
     }
 
     #[test]
@@ -345,20 +388,24 @@ mod tests {
 
     #[test]
     fn override_sets_faults_timeout_and_conductor() {
-        let cfg = RunConfig { trace: true, ..RunConfig::new(Algorithm::MpiWs, 3) };
-        let same = with_override("", cfg).unwrap();
-        assert_eq!((same.faults, same.steal_timeout_ns, same.sim_lookahead, same.trace), (FaultPlan::none(), None, true, true));
-        let armed = with_override("faults=seeded(42) timeout=30000", cfg).unwrap();
-        assert_eq!((armed.faults, armed.steal_timeout_ns), (FaultPlan::seeded(42), Some(30_000)));
-        assert!(!with_override("conductor=reference", cfg).unwrap().sim_lookahead);
+        let spec = tiny(Algorithm::MpiWs, 3);
+        let same = with_override("", spec).unwrap();
+        assert_eq!((same, same.faults, same.timeout, same.conductor), (spec, FaultPlan::none(), None, Conductor::Fiber));
+        let armed = with_override("faults=seeded(42) timeout=30000", spec).unwrap();
+        assert_eq!((armed.faults, armed.timeout), (FaultPlan::seeded(42), Some(30_000)));
+        assert_eq!(with_override("conductor=reference", spec).unwrap().conductor, Conductor::Reference);
+        // A row with a plan of its own keeps it; the timeout still applies.
+        let own = RunSpec { faults: FaultPlan::seeded(11), ..spec };
+        let kept = with_override("faults=crashy(1) timeout=30000", own).unwrap();
+        assert_eq!((kept.faults, kept.timeout), (FaultPlan::seeded(11), Some(30_000)));
         // A rate alone enables a plan; a kill rate borrows crashy()'s window.
-        let kill = with_override("faults=seeded(42),loss=25,kill=400", cfg).unwrap().faults;
+        let kill = with_override("faults=seeded(42),loss=25,kill=400", spec).unwrap().faults;
         assert_eq!((kill.loss_per_mille, kill.kill_per_mille), (25, 400));
         assert_eq!((kill.kill_min_ns, kill.kill_span_ns), (100_000, 2_000_000));
-        assert!(with_override("faults=none,dup=10", cfg).unwrap().faults.crash_active());
+        assert!(with_override("faults=none,dup=10", spec).unwrap().faults.crash_active());
         // Membership rates borrow partitioned()'s windows.
         let part = FaultPlan::partitioned(0);
-        let m = with_override("faults=none,partition=500,gray=250,restart=200000", cfg).unwrap().faults;
+        let m = with_override("faults=none,partition=500,gray=250,restart=200000", spec).unwrap().faults;
         assert_eq!((m.partition_per_mille, m.partition_span_ns, m.partition_dur_ns), (500, part.partition_span_ns, 900_000));
         assert_eq!((m.gray_per_mille, m.gray_stall_ns, m.restart_after_ns), (250, part.gray_stall_ns, 200_000));
         assert!(m.crash_active());
@@ -373,7 +420,7 @@ mod tests {
             ("conductor=native", "conductor=native"),
             ("faults=seeded(1) p=4", "p=4"),
         ] {
-            let e = with_override(text, cfg).unwrap_err();
+            let e = with_override(text, spec).unwrap_err();
             assert!(e.contains(key), "{text}: {e}");
         }
     }

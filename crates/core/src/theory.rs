@@ -20,7 +20,8 @@
 //!
 //! [`check_run`] applies both to a [`RunReport`] and returns a typed
 //! [`TheoryViolation`] instead of panicking, so harnesses decide whether a
-//! violation is fatal (the `dag_sweep` binary fails its run) or the point
+//! violation is fatal (the `exp dag_sweep` entry fails its run, printing the
+//! line that replays it) or the point
 //! (the deliberately-broken-bound test in `tests/theory_bounds.rs`
 //! demonstrates the asserter actually trips).
 

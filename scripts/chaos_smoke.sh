@@ -24,7 +24,7 @@
 #   scripts/chaos_smoke.sh --schedules 200 --tree s --threads 64
 set -euo pipefail
 cd "$(dirname "$0")/.."
-cargo build --release --offline -p uts-bench --bin chaos --bin service --bin dag_sweep
+cargo build --release --offline -p uts-bench --bin chaos --bin exp
 mkdir -p results/logs
 ./target/release/chaos --schedules 50 --membership-schedules 50 \
   --threads 16 --budget-s 120 \
@@ -33,11 +33,11 @@ mkdir -p results/logs
 # Service-mode smoke (docs/service.md): a low-rate arrival stream on a
 # locked and a message bundle, fault-free and under a crash plan; asserts
 # every request completes and per-epoch conservation holds.
-./target/release/service --smoke | tee results/logs/service_smoke.log
+./target/release/exp service_smoke | tee results/logs/service_smoke.log
 
 # DAG-workload smoke (docs/workloads.md, EXPERIMENTS.md E18): shrunken DAG
 # families plus the tree baseline through one bundle per transport, with
 # the steal-bound and conservation theory checks asserted on every row
-# (the binary panics on any violation). Smoke runs never overwrite
-# results/dag_sweep.csv.
-./target/release/dag_sweep --smoke | tee results/logs/dag_sweep_smoke.log
+# (the entry panics on any violation, naming the line that replays the row).
+# The smoke entries own no CSV.
+./target/release/exp dag_sweep_smoke | tee results/logs/dag_sweep_smoke.log

@@ -78,9 +78,15 @@ fi
 if grep -nF 'Vec<Vec<' crates/core/src/workload.rs; then
   echo "a per-task Vec<Vec<..>> came back in crates/core/src/workload.rs" >&2; exit 1
 fi
+# One experiment table: the sweeps are entries of crates/bench/src/exp.rs, not
+# binaries of their own, and their rows leave through one emit call there.
+[ "$(ls crates/bench/src/bin | tr '\n' ' ')" = "chaos.rs conductor_bench.rs exp.rs uts_cli.rs " ] ||
+  { echo "crates/bench/src/bin holds more than chaos, conductor_bench, exp and uts_cli" >&2; exit 1; }
+[ "$(grep -rlF '.emit(' crates/bench/src)" = crates/bench/src/exp.rs ] ||
+  { echo "rows must leave through Sink::emit in crates/bench/src/exp.rs only" >&2; exit 1; }
 # A frozen-table row pastes into uts_cli (a crash row: a kill inside a
 # partition, then a restart).
-cargo build --release --offline -p uts-bench --bin uts_cli
+cargo build --release --offline -p uts-bench --bin exp --bin chaos --bin uts_cli
 ./target/release/uts_cli --spec 'topsail p=6 tree=binomial(5,64,2,0.49666666666666665) alg=distmem k=4 faults=partitioned(8)' \
   --expect-distinct 5635
 # The same kind of run on real threads is a config error (exit 2), not a panic.
@@ -143,38 +149,27 @@ done
 echo "== chaos smoke (fault, crash and membership sweeps; T-tiny and a DAG) =="
 scripts/chaos_smoke.sh
 
-echo "== results/service.csv is current =="
-# Every column of the E17 sweep is virtual, so the committed CSV must equal a
-# recomputation byte for byte (three rows once sat stale for eight PRs).
-# chaos_smoke.sh has just built the binary; the sweep takes under 10 s.
-./target/release/service --check
-
-echo "== results/dag_sweep.csv is current =="
-# The same for the E18 sweep (≈15 s): every column but the last, wall-clock
-# one must equal a recomputation, and every recomputed row passes conservation
-# and the O(p·D) steal bound or the binary aborts.
-./target/release/dag_sweep --check
-
 echo "== the E18 ready-wait probe runs =="
 # The committed instrumentation behind E18's ready-wait and critical-path
 # tables (a few seconds): every bundle must run every task, and each run's
 # critical path must add up to its makespan, or the entry panics.
-cargo build --release --offline -p uts-bench --bin exp
 ./target/release/exp ready_wait
 
-echo "== every other results/*.csv is current =="
-# The eleven files the experiment table owns (EXPERIMENTS.md E2-E5, E9-E13,
-# E16): `exp --check` recomputes each entry and exits 1, naming file and line,
-# at the first virtual column that differs from the committed CSV. About two
-# minutes on a 2-vCPU host, most of it the two Figure 5 trees.
+echo "== every results/*.csv is current =="
+# The thirteen files the experiment table owns (EXPERIMENTS.md E2-E5, E9-E13,
+# E16-E18): the check recomputes each entry and exits 1, naming file and
+# line, at the first virtual column that differs from the committed CSV
+# (service.csv has no wall-clock column, so it must match byte for byte). Every
+# DAG-sweep row also passes conservation and the O(p·D) steal bound, and every
+# service row per-epoch conservation, or the entry panics with the line that
+# replays the row. About two minutes on a 2-vCPU host, most of it the two
+# Figure 5 trees.
 ./target/release/exp --check
 
 echo "== the same CSVs on the reference conductor =="
 # The oracle is the naive policy on the same fibers, so every committed CSV
-# is checked against it too: no virtual column may move. About 4 m 45 s on
-# a 2-vCPU host, nearly all of it exp.
-UTS_OVERRIDE='conductor=reference' ./target/release/service --check
-UTS_OVERRIDE='conductor=reference' ./target/release/dag_sweep --check
+# is checked against it too: no virtual column may move. About five minutes
+# on a 2-vCPU host.
 UTS_OVERRIDE='conductor=reference' ./target/release/exp --check
 
 echo "CI OK"

@@ -196,7 +196,7 @@ fn wide_layered_dag_64_threads() {
 /// Placed work stays home (`sched::drive`): on every bundle a DAG run
 /// releases no task to its shared region, so the transports that steal from
 /// it steal nothing, and the ready tasks that move are handed to their
-/// owners. `dag_sweep`'s three p = 8 smoke shapes, on both conductors: there
+/// owners. `exp dag_sweep_smoke`'s three p = 8 shapes, on both conductors: there
 /// a rank's local region often holds several ready tasks, the batch a
 /// placing rank expands together.
 #[test]

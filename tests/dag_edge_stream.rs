@@ -59,7 +59,7 @@ const TABLE: [(Shape, [u64; 4]); 14] = [
     // and at ledger seed 1.
     ((100, 256, 80, 3), [0xfac046578aec2197, 0x7804a60718ff20ff, 0x626419ff45b630a0, 502]),
     ((100, 256, 80, LEDGER_SEED_1), [0xaee4df2c0c66de69, 0xdbd38212a5f6a7d4, 0xd7e5d3c3e4442887, 503]),
-    // `dag_sweep`'s two layered shapes.
+    // The layered shapes of `exp dag_sweep` and `exp dag_sweep_smoke`.
     ((40, 120, 80, 3), [0x3127c28c6e55824a, 0x2b22cc9711c74514, 0xc2c287091b329c21, 202]),
     ((8, 12, 150, 3), [0x7a9bcf5e97188254, 0xdac4b48c4a543724, 0x4e64d9868eb516c0, 38]),
     // The test suites' shapes.
