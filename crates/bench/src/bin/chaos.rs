@@ -132,8 +132,8 @@ fn main() {
     let preset = preset_by_name(&tree).expect("the spec line named a preset");
     let (seq_nodes, _) = seq_run(&UtsGen::new(preset.spec));
     assert_eq!(seq_nodes, preset.expected.nodes, "preset table is stale");
-    // The same run on the DAG; k=1: the frontier clamp would cut k=8 to it
-    // anyway.
+    // The same run on the DAG, at k=1: a placing rank never releases, so k
+    // only sizes what an mpi-ws victim grants.
     let dag = |spec: RunSpec| RunSpec { workload: DAG, k: 1, ..spec };
     // The DAG half of the crash and membership sweeps, per algorithm:
     // (deaths, recovered, duplicates, hand-offs).

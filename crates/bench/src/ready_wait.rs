@@ -254,10 +254,6 @@ impl<G: TaskGen> TaskGen for ReadyWait<G> {
         self.inner.critical_path_len()
     }
 
-    fn frontier_hint(&self) -> Option<u64> {
-        self.inner.frontier_hint()
-    }
-
     fn fingerprint(&self, task: &G::Task) -> u64 {
         self.inner.fingerprint(task)
     }

@@ -25,7 +25,6 @@ where
     G: TaskGen,
     C: Comm<G::Task>,
 {
-    let cfg = &clamp_release_to_frontier(comm, gen, cfg);
     let res = crate::sched::run_bundle(comm, gen, cfg);
     finish_worker(comm, cfg, res)
 }
@@ -46,47 +45,6 @@ pub(crate) fn finish_worker<T: Item, C: Comm<T>>(
         Collectives::new(vars::COLL_BASE).all_reduce_sum(comm, res.nodes as i64) as u64
     };
     res
-}
-
-/// The E18 guard: auto-clamp the release heuristic when the workload's
-/// ready frontier cannot feed it.
-///
-/// The paper's release trigger fires at local depth `2k` — sized for
-/// trees, whose DFS frontier grows with the subtree. A DAG with a bounded ready frontier `F`
-/// ([`TaskGen::frontier_hint`]) narrower than that threshold per thread can
-/// *never* trigger a release: every stack stays below the threshold and the
-/// run silently serialises at k > 1 (the E18 wavefront foot-gun). When the
-/// per-thread frontier share `max(1, F/p)` is below `2k`, clamp the chunk
-/// to half that share, and warn once (thread 0). Tree workloads hint `None` and are untouched —
-/// their configs, schedules, and CSVs stay bit-identical.
-fn clamp_release_to_frontier<G, C>(comm: &C, gen: &G, cfg: &RunConfig) -> RunConfig
-where
-    G: TaskGen,
-    C: Comm<G::Task>,
-{
-    let mut cfg = *cfg;
-    let Some(frontier) = gen.frontier_hint() else {
-        return cfg;
-    };
-    let share = (frontier / comm.n_threads() as u64).max(1) as usize;
-    if 2 * cfg.chunk_size <= share {
-        return cfg;
-    }
-    let k = (share / 2).max(1).min(cfg.chunk_size);
-    if k == cfg.chunk_size {
-        return cfg; // already as small as the clamp would go
-    }
-    if comm.my_id() == 0 {
-        eprintln!(
-            "[engine] warning: ready frontier ≤ {frontier} can never reach the \
-             release threshold 2k (k={}) on {} threads; \
-             clamping to k={k} so work can move",
-            cfg.chunk_size,
-            comm.n_threads(),
-        );
-    }
-    cfg.chunk_size = k;
-    cfg
 }
 
 /// Crash-mode fail-fast (see [`crate::taskgen::TaskGen::fingerprint`]):
@@ -437,28 +395,36 @@ mod tests {
     }
 
     /// E18 regression: a DAG whose ready frontier is far below the release
-    /// threshold must still move work. Before the clamp in
-    /// [`clamp_release_to_frontier`] such runs silently serialised because
-    /// no stack ever reached `2k`; a placing rank now releases nothing, and
-    /// the work moves by hand-off to the owners of the ready tasks.
+    /// threshold must still move work. k=8 puts the threshold at 16, but the
+    /// 64×4 wavefront's frontier never exceeds 4, so no stack ever reaches
+    /// it; placement, not a smaller chunk, is what keeps the run parallel:
+    /// a placing rank releases nothing, and the ready tasks move by hand-off
+    /// to their owners on every bundle.
     #[test]
-    fn narrow_dag_release_clamp_keeps_parallelism() {
+    fn narrow_dag_keeps_parallelism_on_every_bundle() {
         use crate::workload::{DagWorkload, Wavefront};
         let gen = DagWorkload::new(Wavefront {
             rows: 64,
             cols: 4,
             seed: 9,
         });
-        // k=8 → release threshold 16, but the frontier never exceeds 4.
-        let cfg = RunConfig::new(Algorithm::DistMem, 8);
-        let report = run_sim(MachineModel::smp(), 4, &gen, &cfg);
-        assert_eq!(report.total_nodes, gen.n_tasks());
-        assert!(
-            report.handoffs > 0,
-            "narrow DAG handed no ready task to its owner: {report:?}"
-        );
-        let busy = report.per_thread.iter().filter(|t| t.nodes > 0).count();
-        assert!(busy > 1, "all work stayed on one thread: {report:?}");
+        for alg in Algorithm::all() {
+            let cfg = RunConfig::new(alg, 8);
+            let report = run_sim(MachineModel::smp(), 4, &gen, &cfg);
+            let what = alg.label();
+            assert_eq!(report.total_nodes, gen.n_tasks(), "{what}");
+            assert!(
+                report.handoffs > 0,
+                "{what}: no ready task went to its owner: {report:?}"
+            );
+            let busy = report.per_thread.iter().filter(|t| t.nodes > 0).count();
+            assert!(
+                busy > 1,
+                "{what}: all work stayed on one thread: {report:?}"
+            );
+            let releases: u64 = report.per_thread.iter().map(|t| t.releases).sum();
+            assert_eq!(releases, 0, "{what}: placed work was released");
+        }
     }
 
     #[test]

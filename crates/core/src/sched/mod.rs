@@ -24,18 +24,12 @@
 //! ([`crate::service`]) is a detector swap on the same driver.
 //!
 //! **The release rule.** A transport says *how* a chunk leaves the local
-//! region ([`StealTransport::maybe_release`]); `drive` alone says when and
-//! how many. A rank whose expansions are pure — every tree — moves one chunk
-//! per node once its local region holds 2k (the paper's §3.1 rule, sized for
-//! a 418 ns node). A rank whose most recent expansion waited on the network
-//! (it issued an atomic, the observation the poll rule already makes) moves
-//! **all** its surplus wherever its stack just grew: after that expansion,
-//! and on its next entry to [`State::Working`], before the first task of a
-//! stolen batch is popped. Such a task is tens of microseconds of round
-//! trips, and a burst it emits — or a batch it was granted — would otherwise
-//! leave one chunk per round trip. The detector hears of a burst once
-//! ([`TerminationDetector::on_release`]). EXPERIMENTS.md E18 has the
-//! measurements.
+//! region ([`StealTransport::maybe_release`]); `drive` alone says when. It
+//! is the paper's §3.1 rule: after every node, a rank whose local region
+//! holds at least 2k moves one chunk of k to its shared region, and the
+//! detector hears of it once ([`TerminationDetector::on_release`]). The
+//! chunk size is the one the run was configured with. A placing rank
+//! never releases (below).
 //!
 //! **Placement** ([`placement`]). A workload whose tasks have a home rank
 //! ([`TaskGen::PLACED`]) sends each ready task to its owner; the emitter
@@ -332,10 +326,6 @@ where
     let crash = cx.recovery.active;
     let mut transport = Placement::<ST, G>::new(transport);
     let (mut batch, mut scratch): (Vec<G::Task>, Vec<G::Task>) = (Vec::new(), Vec::new());
-    // This rank's most recent expansion waited on the network (module docs,
-    // "The release rule"). Outlives the working loop: the rule also holds
-    // for the batch a steal lands while the rank is idle.
-    let mut communicated = false;
 
     let seed_root = td.start(comm, &mut transport, &mut cx);
     transport.init(comm, &mut cx);
@@ -349,13 +339,6 @@ where
         // Hand-offs taken in while idle: this rank is marked working and out
         // of any barrier now, so their senders may let go of them.
         transport.acknowledge(comm);
-        // A steal or an adoption just landed: a rank whose tasks wait on
-        // the network re-advertises the batch before its first task, not
-        // one chunk per round trip behind it — unless it places, and keeps
-        // its work home.
-        if communicated && !G::PLACED {
-            release_surplus(comm, &mut stack, &mut transport, &mut td, &mut cx, true);
-        }
         let mut since_poll = 0;
         let mut died = false;
         loop {
@@ -400,7 +383,7 @@ where
             // node is what a 100 ns native tree node can afford.
             let atomics_before = comm.stats().atomics;
             gen.expand_in(comm, &batch, &mut scratch);
-            communicated = comm.stats().atomics != atomics_before;
+            let communicated = comm.stats().atomics != atomics_before;
             td.on_expand(comm, &batch, scratch.len(), &mut cx);
             if G::PLACED {
                 transport.place(comm, gen, &mut scratch, &mut cx);
@@ -418,7 +401,7 @@ where
                 transport.poll(comm, &mut stack, &mut cx);
             }
             if !G::PLACED {
-                release_surplus(comm, &mut stack, &mut transport, &mut td, &mut cx, communicated);
+                release_surplus(comm, &mut stack, &mut transport, &mut td, &mut cx);
             }
         }
 
@@ -470,28 +453,24 @@ where
 }
 
 /// The release policy, written once: move one surplus chunk to the shared
-/// region (the paper's §3.1 rule, one per node), or — `all`, for a rank whose
-/// tasks wait on the network — every surplus chunk the stack holds. The
-/// detector hears of the burst once: one [`TerminationDetector::on_release`]
-/// wakes every waiter, and the releaser is outside the barrier.
+/// region (the paper's §3.1 rule, asked once per node). The detector hears
+/// of each release once: one [`TerminationDetector::on_release`] wakes every
+/// waiter, and the releaser is outside the barrier.
 fn release_surplus<T, C, ST, TD>(
     comm: &mut C,
     stack: &mut DfsStack<T>,
     transport: &mut ST,
     td: &mut TD,
     cx: &mut Cx,
-    all: bool,
 ) where
     T: Item,
     C: Comm<T>,
     ST: StealTransport<T, C>,
     TD: TerminationDetector<T, C>,
 {
-    if !transport.maybe_release(comm, stack, cx) {
-        return;
+    if transport.maybe_release(comm, stack, cx) {
+        td.on_release(comm);
     }
-    while all && transport.maybe_release(comm, stack, cx) {}
-    td.on_release(comm);
 }
 
 /// A rank observed its own eviction fence: fold everything the old

@@ -252,9 +252,9 @@ pub trait TerminationDetector<T: Item, C: Comm<T>> {
     /// placing workload's batch ([`super::drive`]).
     fn on_expand(&mut self, _comm: &mut C, _tasks: &[T], _kids: usize, _cx: &mut Cx) {}
 
-    /// The owner released surplus — one chunk, or a burst of them
-    /// ([`super::drive`]'s release rule); detectors whose protocol must
-    /// observe releases (the cancelable barrier) react here.
+    /// The owner released one chunk of surplus ([`super::drive`]'s release
+    /// rule); detectors whose protocol must observe releases (the cancelable
+    /// barrier) react here.
     fn on_release(&mut self, _comm: &mut C) {}
 
     /// [`idle_discover`]'s backoff for rank `me`, as `(base, cap)`: `base`
@@ -410,13 +410,9 @@ where
 
 /// §3.1 cancelable-barrier termination: enter the barrier after *any*
 /// unsuccessful sweep; every release cancels it and sends waiters back out.
-///
-/// A burst of releases ([`super::drive`]'s release rule) is one cancel, not
-/// one per chunk: a cancel is four operations on thread 0's partition, one
-/// bump of the epoch wakes every waiter, and the releaser is itself outside
-/// the barrier, so termination cannot be declared between two chunks of its
-/// burst. A one-chunk release — every release of a tree run — is exactly one
-/// cancel, as in the paper.
+/// A release is one chunk ([`super::drive`]'s release rule), so each chunk
+/// is exactly one cancel, as in the paper: four operations on thread 0's
+/// partition, and one bump of the epoch wakes every waiter.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CancelableTerm;
 

@@ -43,8 +43,7 @@ pub trait TaskGen: Sync {
     /// [`Comm::cas`] — what deciding "this completion made the task ready"
     /// takes) is followed by a transport poll: its owner has just waited on
     /// the network, so it answers pending steal requests before the next
-    /// task. A rank that does not place then also releases all its surplus
-    /// (the release rule of [`crate::sched`]).
+    /// task.
     fn expand_in<C: Comm<Self::Task>>(
         &self,
         comm: &mut C,
@@ -89,19 +88,6 @@ pub trait TaskGen: Sync {
     /// knows it in closed form. `None` (the default) means "not known";
     /// [`crate::theory::tree_depth`] can compute it by host traversal.
     fn critical_path_len(&self) -> Option<u64> {
-        None
-    }
-
-    /// Upper bound on how many tasks can ever be ready simultaneously (the
-    /// maximum width of the ready frontier), when the generator knows one.
-    /// `None` (the default) means "unbounded / unknown" — correct for trees,
-    /// whose DFS frontier grows with the subtree. The engine uses this to
-    /// auto-clamp the release heuristic: with the paper's depth ≥ 2k release
-    /// trigger, a workload whose per-thread frontier share stays below 2k
-    /// would never release and silently run serial (the E18 wavefront
-    /// foot-gun) — see [`crate::engine::worker`]. Purely a tuning hint:
-    /// conservation and bit-identity never depend on it.
-    fn frontier_hint(&self) -> Option<u64> {
         None
     }
 

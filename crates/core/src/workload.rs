@@ -96,15 +96,6 @@ pub trait DagGen: Sync {
     /// Weighted critical-path length: the maximum total weight along any
     /// source→sink path (the depth `D` of the O(p·D) steal bound).
     fn critical_path(&self) -> u64;
-
-    /// Upper bound on the ready frontier (how many tasks can be ready at
-    /// once), when the generator knows one in closed form. Feeds
-    /// [`TaskGen::frontier_hint`] through [`DagWorkload`] so the engine can
-    /// clamp the release heuristic for narrow DAGs (the E18 foot-gun).
-    /// `None` (the default) disables the clamp.
-    fn max_frontier(&self) -> Option<u64> {
-        None
-    }
 }
 
 /// Host-side structural check of a [`DagGen`]: edges go strictly forward to
@@ -260,11 +251,6 @@ impl DagGen for ForkJoin {
         }
         d + self.weight(u64::from(self.levels) * stride)
     }
-
-    fn max_frontier(&self) -> Option<u64> {
-        // At most one diamond's parallel tasks are ready at a time.
-        Some(u64::from(self.width))
-    }
 }
 
 /// A stencil/wavefront grid: task `(r, c)` depends on `(r-1, c)` and
@@ -318,12 +304,6 @@ impl DagGen for Wavefront {
         // generic helper runs — but over (r, c) directly, in closed layout.
         critical_path_dp(self)
     }
-
-    fn max_frontier(&self) -> Option<u64> {
-        // The anti-diagonal front is at most min(rows, cols) wide — the E18
-        // narrow-DAG case when that is small against p·2k.
-        Some(u64::from(self.rows.min(self.cols)))
-    }
 }
 
 /// A random layered DAG: `layers` layers of `width` tasks over a dedicated
@@ -342,7 +322,6 @@ pub struct RandomLayered {
     edges: Vec<u32>,
     indeg: Vec<u32>,
     seed: u64,
-    width: u32,
     critical: u64,
 }
 
@@ -425,7 +404,6 @@ impl RandomLayered {
             edges,
             indeg,
             seed,
-            width,
             critical: 0,
         };
         dag.critical = critical_path_dp(&dag);
@@ -461,11 +439,6 @@ impl DagGen for RandomLayered {
 
     fn critical_path(&self) -> u64 {
         self.critical
-    }
-
-    fn max_frontier(&self) -> Option<u64> {
-        // Tasks become ready at most a layer at a time.
-        Some(self.n.min(u64::from(self.width)))
     }
 }
 
@@ -598,10 +571,6 @@ impl<G: DagGen> TaskGen for DagWorkload<G> {
 
     fn critical_path_len(&self) -> Option<u64> {
         Some(self.gen.critical_path())
-    }
-
-    fn frontier_hint(&self) -> Option<u64> {
-        self.gen.max_frontier()
     }
 
     /// `id + 1`: injective by construction (ids are unique), nonzero so the

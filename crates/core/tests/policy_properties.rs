@@ -170,33 +170,39 @@ fn non_paper_bundles_conserve_nodes() {
 }
 
 // ------------------------------------------------------- the release rule
-// `sched::drive`: a rank whose most recent expansion waited on the network
-// releases *all* surplus wherever its stack just grew — after that expansion
-// and on the next entry to `State::Working` — and tells the detector once
-// per burst; a rank whose expansions are pure releases one chunk per node.
+// `sched::drive`: after every node, a rank whose local region holds 2k moves
+// one chunk of k to its shared region and tells the detector once (§3.1).
+// Nothing else releases: a stolen batch is not re-shared before its first
+// task, and a placing workload (the DAGs) never releases at all.
 //
 // Recorded mutants (ROADMAP item 11; break `crates/core/src/sched/mod.rs` by
 // hand, run this file, restore):
 //
-// 1. *entry release dropped* — delete the `if communicated { release_surplus(.., true) }`
-//    under `cx.enter(comm, State::Working)`. Trips
-//    `a_stolen_batch_is_reshared_before_its_first_task`:
-//    "upc-term-rapdif fiber: rank 0 re-shared this many of the 2 chunks it
-//    stole at t=64329 before its next task" (`left: 0, right: 1`).
-// 2. *cancel per chunk* — move `td.on_release(comm)` of `release_surplus`
-//    inside the `while`. Trips `a_burst_leaves_in_one_release`:
-//    "upc-sharedmem fiber waits=true: barrier cancels" (`left: 8, right: 1`).
+// 1. *release drains the surplus* — in `release_surplus`, follow the first
+//    `maybe_release` with `while transport.maybe_release(comm, stack, cx) {}`.
+//    Trips `one_chunk_per_node_and_one_cancel_per_release`:
+//    "upc-sharedmem fiber: advertised chunks" (`left: 8, right: 1`).
+// 2. *cancel dropped* — delete `td.on_release(comm)` from `release_surplus`.
+//    Trips the same test: "upc-sharedmem fiber: barrier cancels"
+//    (`left: 0, right: 1`).
+// 3. *entry re-share* — call `release_surplus` right after
+//    `transport.acknowledge(comm)` on entry to `State::Working`. Trips
+//    `a_stolen_batch_is_not_reshared_before_its_first_task`:
+//    "upc-term-rapdif fiber: rank 0 re-shared some of the 2 chunks it stole
+//    at t=72147 before its next task" (`left: 1, right: 0`).
+//
+// The two mutants recorded here before (*entry release dropped*, *cancel per
+// chunk*) broke the release-all path — the re-share on entry to `Working`
+// and the `while` that moved a burst — which is gone: one release is now one
+// chunk.
 
 /// A complete `fanout`-ary tree of the given depth whose task is its own
-/// depth. With `waits`, every expansion first issues one `Comm::add` (what a
-/// DAG task's dependency publication looks like to the driver); without, the
-/// expansion is pure, like a UTS node. Either way it then notes what the
+/// depth, expanded purely, like a UTS node. Each expansion notes what the
 /// rank's partition advertised at that moment — the driver counts a task
 /// (`nodes += 1`) immediately before expanding it, with no operation between.
 struct Fanout {
     fanout: u64,
     depth: u64,
-    waits: bool,
     seen: Mutex<Vec<Seen>>,
 }
 
@@ -213,8 +219,8 @@ struct Seen {
 }
 
 impl Fanout {
-    fn new(fanout: u64, depth: u64, waits: bool) -> Fanout {
-        Fanout { fanout, depth, waits, seen: Mutex::new(Vec::new()) }
+    fn new(fanout: u64, depth: u64) -> Fanout {
+        Fanout { fanout, depth, seen: Mutex::new(Vec::new()) }
     }
 
     fn n_tasks(&self) -> u64 {
@@ -252,14 +258,7 @@ impl TaskGen for Fanout {
         let avail = comm.get(rank, vars::WORK_AVAIL);
         let cancels = comm.get(0, vars::CANCEL_EPOCH);
         self.seen.lock().unwrap().push(Seen { rank, t_ns, avail, cancels });
-        if self.waits {
-            comm.add(rank, vars::DAG_BASE, 1);
-        }
         self.expand(task, out)
-    }
-
-    fn extra_scalars(&self, _n_threads: usize) -> usize {
-        1
     }
 }
 
@@ -291,86 +290,71 @@ fn releases_between(events: &[Event], from: u64, to: u64) -> usize {
         .count()
 }
 
-/// One expansion that waited on the network and emitted m tasks: at k=1 all
-/// m − 1 surplus chunks are advertised before the next task starts, and the
-/// cancelable barrier is reset once for the burst, not once per chunk. The
-/// same expansion without the wait releases one chunk, as every tree does.
+/// One expansion that emits m tasks at k=1 leaves exactly one chunk before
+/// the next task starts, and resets the cancelable barrier once for it; every
+/// leaf after that releases at most one chunk.
 #[test]
-fn a_burst_leaves_in_one_release() {
+fn one_chunk_per_node_and_one_cancel_per_release() {
     const M: u64 = 9;
     for substrate in SUBSTRATES {
         for alg in [Algorithm::SharedMem, Algorithm::Term, Algorithm::DistMem] {
-            for waits in [true, false] {
-                let what = format!("{} {substrate} waits={waits}", alg.label());
-                let gen = Fanout::new(M, 1, waits);
-                let report = run_traced(substrate, 1, &gen, alg);
-                let seen = gen.seen_by(0);
-                let events = &report.per_thread[0].events;
-                assert_eq!(seen.len() as u64, 1 + M, "{what}: expansions");
-                // Between the root's expansion and the first child's.
-                let want = if waits { M - 1 } else { 1 };
-                assert_eq!(seen[1].avail, want as i64, "{what}: advertised chunks");
-                assert_eq!(
-                    releases_between(events, seen[0].t_ns, seen[1].t_ns) as u64,
-                    want,
-                    "{what}: releases"
-                );
-                if alg == Algorithm::SharedMem {
-                    assert_eq!(seen[0].cancels, 0, "{what}: barrier cancels before the root");
-                    assert_eq!(seen[1].cancels, 1, "{what}: barrier cancels");
-                }
-                // A leaf emits nothing: a waiting rank has no surplus left to
-                // move, a pure one keeps releasing one chunk per node.
-                for pair in seen[1..].windows(2) {
-                    let n = releases_between(events, pair[0].t_ns, pair[1].t_ns);
-                    assert!(n <= usize::from(!waits), "{what}: {n} releases after one leaf");
-                }
+            let what = format!("{} {substrate}", alg.label());
+            let gen = Fanout::new(M, 1);
+            let report = run_traced(substrate, 1, &gen, alg);
+            let seen = gen.seen_by(0);
+            let events = &report.per_thread[0].events;
+            assert_eq!(seen.len() as u64, 1 + M, "{what}: expansions");
+            // Between the root's expansion and the first child's.
+            assert_eq!(seen[1].avail, 1, "{what}: advertised chunks");
+            assert_eq!(releases_between(events, seen[0].t_ns, seen[1].t_ns), 1, "{what}: releases");
+            if alg == Algorithm::SharedMem {
+                assert_eq!(seen[0].cancels, 0, "{what}: barrier cancels before the root");
+                assert_eq!(seen[1].cancels, 1, "{what}: barrier cancels");
+            }
+            for pair in seen[1..].windows(2) {
+                let n = releases_between(events, pair[0].t_ns, pair[1].t_ns);
+                assert!(n <= 1, "{what}: {n} releases after one leaf");
             }
         }
     }
 }
 
-/// A thief that has waited on the network before and is granted c ≥ 2 chunks
-/// advertises c − 1 of them before it starts its first task; a thief on a
-/// pure workload starts working at once, as every tree thief does. (Real
-/// threads may finish the tree before anyone steals twice, so only the
-/// simulator legs insist that the case occurred.)
+/// A thief granted c ≥ 2 chunks starts its first task at once: nothing of
+/// the batch is re-shared before it. (Real threads may finish the tree before
+/// anyone steals twice, so only the simulator legs insist that the case
+/// occurred.)
 #[test]
-fn a_stolen_batch_is_reshared_before_its_first_task() {
+fn a_stolen_batch_is_not_reshared_before_its_first_task() {
     const P: usize = 4;
     for substrate in SUBSTRATES {
         for alg in [Algorithm::TermRapdif, Algorithm::DistMem] {
-            for waits in [true, false] {
-                let gen = Fanout::new(6, 3, waits);
-                let report = run_traced(substrate, P, &gen, alg);
-                let mut batches = 0;
-                for rank in 0..P {
-                    let seen = gen.seen_by(rank);
-                    let events = &report.per_thread[rank].events;
-                    for e in events {
-                        let &Event::StealOk { t_ns, chunks, .. } = e else { continue };
-                        // A rank that has never expanded has never waited.
-                        if chunks < 2 || seen.first().is_none_or(|s| s.t_ns >= t_ns) {
-                            continue;
-                        }
-                        let Some(next) = seen.iter().find(|s| s.t_ns >= t_ns) else { continue };
-                        batches += 1;
-                        let want = if waits { chunks as usize - 1 } else { 0 };
-                        assert_eq!(
-                            releases_between(events, t_ns, next.t_ns),
-                            want,
-                            "{} {substrate}: rank {rank} re-shared this many of the {chunks} \
-                             chunks it stole at t={t_ns} before its next task",
-                            alg.label()
-                        );
+            let gen = Fanout::new(6, 3);
+            let report = run_traced(substrate, P, &gen, alg);
+            let mut batches = 0;
+            for rank in 0..P {
+                let seen = gen.seen_by(rank);
+                let events = &report.per_thread[rank].events;
+                for e in events {
+                    let &Event::StealOk { t_ns, chunks, .. } = e else { continue };
+                    if chunks < 2 {
+                        continue;
                     }
+                    let Some(next) = seen.iter().find(|s| s.t_ns >= t_ns) else { continue };
+                    batches += 1;
+                    assert_eq!(
+                        releases_between(events, t_ns, next.t_ns),
+                        0,
+                        "{} {substrate}: rank {rank} re-shared some of the {chunks} chunks it \
+                         stole at t={t_ns} before its next task",
+                        alg.label()
+                    );
                 }
-                assert!(
-                    batches > 0 || substrate == "native",
-                    "{} {substrate} waits={waits}: no thief was granted two chunks",
-                    alg.label()
-                );
             }
+            assert!(
+                batches > 0 || substrate == "native",
+                "{} {substrate}: no thief was granted two chunks",
+                alg.label()
+            );
         }
     }
 }

@@ -26,11 +26,19 @@ echo "== sched shape =="
 [ "$(grep -rF 'cx.enter(comm, State::Working)' crates/core/src | wc -l)" -eq 1 ] ||
   { echo "more than one function enters State::Working under crates/core/src" >&2; exit 1; }
 # One release policy, in the driver: a transport says how a chunk is released
-# (`fn maybe_release`), only sched::drive's helper says when and how many
+# (`fn maybe_release`), only sched::drive's helper says when
 # (the placement wrapper only hands the call on to the transport it wraps).
 if grep -rn '\.maybe_release(' crates/core/src |
   grep -vE '^crates/core/src/sched/mod.rs:|^crates/core/src/sched/placement.rs:.*self\.inner\.maybe_release\('; then
   echo "maybe_release is called outside crates/core/src/sched/mod.rs" >&2; exit 1
+fi
+# One chunk per release decision: the driver asks the transport once per
+# node, and k is the chunk size the run was configured with (no hint from
+# the workload rewrites it).
+[ "$(grep -cF '.maybe_release(' crates/core/src/sched/mod.rs)" -eq 1 ] ||
+  { echo "crates/core/src/sched/mod.rs must call maybe_release exactly once" >&2; exit 1; }
+if grep -rnE 'frontier_hint|max_frontier|clamp_release_to_frontier' crates/; then
+  echo "the frontier clamp came back under crates/" >&2; exit 1
 fi
 # Victim order and steal amount are closed axes: enums, not traits.
 if grep -rnE 'VictimSelector|trait StealPolicy' crates/; then
@@ -146,6 +154,15 @@ for p in $(echo "$paths" | sort -u); do
   fi
 done
 
+echo "== every example runs =="
+# Each file in examples/ is a program with its own asserts (termination_stress
+# is a 700-run conservation grid); all eight take well under a second in
+# release.
+cargo build --release --offline --examples
+for example in examples/*.rs; do
+  ./target/release/examples/"$(basename "$example" .rs)" >/dev/null
+done
+
 echo "== chaos smoke (fault, crash and membership sweeps; T-tiny and a DAG) =="
 scripts/chaos_smoke.sh
 
@@ -171,5 +188,12 @@ echo "== the same CSVs on the reference conductor =="
 # is checked against it too: no virtual column may move. About five minutes
 # on a 2-vCPU host.
 UTS_OVERRIDE='conductor=reference' ./target/release/exp --check
+
+echo "== the figures are current =="
+# render_figs is deterministic, so the committed SVGs must be exactly what
+# the committed CSVs render to.
+cargo build --release --offline -p uts-viz
+./target/release/render_figs >/dev/null
+git diff --exit-code -- results/figures
 
 echo "CI OK"

@@ -3,8 +3,9 @@
 //! run (work runs out almost immediately and the detectors race with
 //! late-arriving steals), plus ready DAG tasks handed to their owners while
 //! those owners enter a barrier or the token ring. Complements
-//! `examples/termination_stress.rs`, which sweeps a larger grid in release
-//! mode.
+//! `examples/termination_stress.rs`, a fixed grid of 700 runs (two machines,
+//! five trees, seven bundles, five thread counts, two chunk sizes) that
+//! `scripts/ci.sh` runs in release mode.
 
 use pgas::{Comm, FaultPlan, MachineModel};
 use uts_dlb::tree::TreeSpec;
