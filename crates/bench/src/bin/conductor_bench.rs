@@ -27,7 +27,7 @@ use pgas::sim::{SimCluster, SimReport};
 use pgas::MachineModel;
 use uts_bench::harness::{arg, flag};
 use worksteal::spec::{algorithm_by_name, machine_by_name, preset_by_name};
-use worksteal::{vars, worker, RunConfig, TaskGen, ThreadResult, UtsGen};
+use worksteal::{vars, worker, Algorithm, RunConfig, TaskGen, ThreadResult, UtsGen};
 
 fn run_once(
     machine: &MachineModel,
@@ -103,13 +103,25 @@ fn main() {
     );
     assert_eq!(fast.clocks, slow.clocks, "virtual clocks diverged");
     assert_eq!(fast.stats, slow.stats, "comm stats diverged");
-    let steals: u64 = fast.results.iter().map(|r| r.steals_ok).sum();
-    let steals_slow: u64 = slow.results.iter().map(|r| r.steals_ok).sum();
-    assert_eq!(steals, steals_slow, "steal counts diverged");
+    assert_eq!(fast.scalars, slow.scalars, "final memory diverged");
+    for (tid, (f, s)) in fast.results.iter().zip(&slow.results).enumerate() {
+        assert_eq!(f, s, "thread {tid}'s worker result diverged");
+    }
     let nodes: u64 = fast.results.iter().map(|r| r.nodes).sum();
     assert_eq!(nodes, preset.expected.nodes, "node conservation violated");
 
     let cond = fast.total_conductor();
+    let slow_cond = slow.total_conductor();
+    assert_eq!(
+        cond.total_ops(),
+        slow_cond.total_ops(),
+        "operation streams differ in length"
+    );
+    assert_eq!(slow_cond.elided_ops, 0, "the reference skipped a mail wait");
+    if alg == Algorithm::MpiWs {
+        // The steal-response wait is the one that declares its pass.
+        assert!(cond.elided_ops > 0, "no mail wait was skipped");
+    }
     let total = fast.total_stats();
     println!(
         "  op mix: {} polls, {} gets, {} puts, {} atomics, {} lock-ops, {} bulk, {} msg-ops",
@@ -129,11 +141,12 @@ fn main() {
         ns_per_op(t_slow)
     );
     println!(
-        "  conductor: {} ops, {:.1}% on the fast path ({} of them by the reach window), {} baton handoffs",
+        "  conductor: {} ops, {:.1}% on the fast path ({} of them by the reach window), {} baton handoffs, {} elided by mail waits",
         cond.total_ops(),
         100.0 * cond.fast_fraction(),
         cond.reach_ops,
         cond.handoffs,
+        cond.elided_ops,
     );
     println!(
         "  fiber stacks: deepest high-water mark {} bytes (measured, page granular; 0 = no fibers on this target)",

@@ -75,9 +75,8 @@ fn main() {
     let expect_distinct: Option<u64> = opt("--expect-distinct");
 
     println!("run: {spec}");
-    let seq_rate = spec.machine_model().seq_rate();
     let report = spec.run();
-    println!("{}", report.summary_row(seq_rate));
+    println!("{}", report.summary_row(spec.modelled_seq_rate()));
     let totals = report.totals();
     println!(
         "releases={} reacquires={} steals_ok={} steals_failed={} chunks={} serviced={}",

@@ -19,7 +19,7 @@
 //! (the surplus beyond the keep-threshold is what's divisible).
 
 use pgas::comm::Item;
-use pgas::{Comm, Msg};
+use pgas::{Comm, MailProbe, Msg};
 
 use crate::recovery::Lineage;
 use crate::sched::policy::{StealPolicyKind, TimeoutBackoff};
@@ -36,6 +36,14 @@ pub const TAG_NOWORK: i64 = 3;
 
 /// Backoff while awaiting a steal response.
 const RESPONSE_BACKOFF_NS: u64 = 2_000;
+/// A pass of the response wait in [`MpiTransport::steal`] that finds
+/// nothing: these probes, in this order, and no other operation.
+const RESPONSE_PASS: [MailProbe; 4] = [
+    MailProbe::TryRecv(TAG_WORK),
+    MailProbe::TryRecv(TAG_NOWORK),
+    MailProbe::HasMsg(mpisim::tags::TERM),
+    MailProbe::TryRecv(TAG_REQ),
+];
 /// Backoff between idle-loop iterations.
 const IDLE_BACKOFF_NS: u64 = 5_000;
 
@@ -81,13 +89,16 @@ impl<T: Item> MpiTransport<T> {
     /// Answer every queued steal request: chunks of the oldest local nodes
     /// if we hold a comfortable surplus, a denial otherwise. The keep
     /// threshold is `2k`; the policy sizes its grant from
-    /// the spare chunks above it, shipped as one message.
-    fn service_requests<C>(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx)
+    /// the spare chunks above it, shipped as one message. Returns whether
+    /// there was a request.
+    fn service_requests<C>(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx) -> bool
     where
         C: Comm<T>,
     {
         self.ledger.service(comm, stack, cx);
+        let mut any = false;
         while let Some(req) = cx.recovery.try_recv(comm, &[TAG_REQ]) {
+            any = true;
             if cx.recovery.is_gone(req.src) {
                 continue; // a dead or evicted thief cannot consume a grant
             }
@@ -106,6 +117,7 @@ impl<T: Item> MpiTransport<T> {
                 comm.send(req.src, TAG_NOWORK, cx.recovery.stamp(0), &[]);
             }
         }
+        any
     }
 
     /// WORK message `m` is work in hand: count and acknowledge it through
@@ -187,8 +199,14 @@ impl<T: Item, C: Comm<T>> StealTransport<T, C> for MpiTransport<T> {
                     return StealOutcome::TimedOut;
                 }
             }
-            self.service_requests(comm, stack, cx);
-            comm.advance_idle(RESPONSE_BACKOFF_NS);
+            // A pass that found nothing is `RESPONSE_PASS`, unless the
+            // deadline check sits in it or crash mode's ledger probes too.
+            let served = self.service_requests(comm, stack, cx);
+            if served || deadline.is_some() || cx.recovery.active {
+                comm.advance_idle(RESPONSE_BACKOFF_NS);
+            } else {
+                comm.idle_for_mail(&RESPONSE_PASS, RESPONSE_BACKOFF_NS);
+            }
         }
     }
 

@@ -292,18 +292,26 @@ impl RunReport {
         StealMatrix::new(&self.event_logs())
     }
 
-    /// One-line summary for harness output.
-    pub fn summary_row(&self, seq_rate: f64) -> String {
+    /// One-line summary for harness output. `seq_rate` is the sequential
+    /// rate on the clock `makespan_ns` was measured on; without one (a native
+    /// run's makespan is host time, and no model rate divides it) the
+    /// speedup and efficiency columns stay blank.
+    pub fn summary_row(&self, seq_rate: Option<f64>) -> String {
+        let (speedup, eff) = match seq_rate {
+            Some(rate) => (
+                format!("{:>8.2}", self.speedup(rate)),
+                format!("{:>5.1}%", 100.0 * self.efficiency(rate)),
+            ),
+            None => (format!("{:>8}", ""), format!("{:>6}", "")),
+        };
         format!(
-            "{:<16} p={:<5} k={:<4} nodes={:<10} t={:>9.4}s rate={:>8.3} Mn/s speedup={:>8.2} eff={:>5.1}% steals={:<7} steals/s={:>9.0}",
+            "{:<16} p={:<5} k={:<4} nodes={:<10} t={:>9.4}s rate={:>8.3} Mn/s speedup={speedup} eff={eff} steals={:<7} steals/s={:>9.0}",
             self.label,
             self.threads,
             self.chunk_size,
             self.total_nodes,
             self.makespan_ns as f64 / 1e9,
             self.nodes_per_sec() / 1e6,
-            self.speedup(seq_rate),
-            100.0 * self.efficiency(seq_rate),
             self.total_steals(),
             self.steals_per_sec(),
         )
@@ -345,6 +353,26 @@ mod tests {
         assert!((r.nodes_per_sec() - 1e7).abs() < 1.0);
         assert!((r.speedup(1e6) - 10.0).abs() < 1e-9);
         assert!((r.efficiency(1e6) - 0.625).abs() < 1e-9);
+    }
+
+    /// A row divides by a sequential rate only on the clock it was measured
+    /// on: without one its speedup and efficiency columns are blank, and
+    /// every other column is where it was.
+    #[test]
+    fn summary_row_leaves_the_ratios_blank_without_a_rate() {
+        let r = report_with(1_000_000, 100_000_000, 16);
+        let modelled = r.summary_row(Some(1e6));
+        assert!(
+            modelled.contains("speedup=   10.00 eff= 62.5% "),
+            "{modelled}"
+        );
+        let blank = r.summary_row(None);
+        assert!(
+            blank.contains("speedup=         eff=       steals="),
+            "{blank}"
+        );
+        assert_eq!(blank.len(), modelled.len(), "{blank}\n{modelled}");
+        assert!(!blank.contains('%'), "{blank}");
     }
 
     #[test]

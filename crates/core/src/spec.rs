@@ -233,6 +233,13 @@ impl RunSpec {
         machine_by_name(self.machine).unwrap_or_else(|e| panic!("{e}"))
     }
 
+    /// The sequential rate a run's speedup divides by: the model's, on the
+    /// simulator, whose makespan is that model's virtual time. A native run's
+    /// makespan is host time, which no model rate divides, so `None`.
+    pub fn modelled_seq_rate(&self) -> Option<f64> {
+        (self.conductor != Conductor::Native).then(|| self.machine_model().seq_rate())
+    }
+
     /// Execute the run: `run_service_sim` with arrivals, else `run_sim` or
     /// `run_native` by conductor, over the tree or the DAG.
     ///
@@ -545,6 +552,20 @@ mod tests {
             assert_eq!(algorithm_by_name(algorithm_name(alg)), Ok(alg));
             assert_eq!(algorithm_by_name(alg.label()), Ok(alg));
         }
+    }
+
+    #[test]
+    fn native_runs_have_no_modelled_rate() {
+        let sim: RunSpec = "kittyhawk p=2 tree=tiny alg=distmem k=8".parse().unwrap();
+        assert_eq!(
+            sim.modelled_seq_rate(),
+            Some(MachineModel::kittyhawk().seq_rate())
+        );
+        let native = RunSpec {
+            conductor: Conductor::Native,
+            ..sim
+        };
+        assert_eq!(native.modelled_seq_rate(), None);
     }
 
     #[test]

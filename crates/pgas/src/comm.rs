@@ -92,6 +92,25 @@ impl OpClass {
     }
 }
 
+/// One probe of a mail-waiting loop's pass (see [`Comm::idle_for_mail`]): an
+/// operation on the caller's own mailbox, restricted to one tag.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MailProbe {
+    /// `try_recv(Some(tag))`.
+    TryRecv(i64),
+    /// `has_msg(Some(tag))`.
+    HasMsg(i64),
+}
+
+impl MailProbe {
+    /// The tag this probe looks for.
+    pub fn tag(self) -> i64 {
+        match self {
+            MailProbe::TryRecv(tag) | MailProbe::HasMsg(tag) => tag,
+        }
+    }
+}
+
 /// Shape of each thread's partition of the global space.
 #[derive(Clone, Copy, Debug)]
 pub struct SpaceConfig {
@@ -213,6 +232,23 @@ pub trait Comm<T: Item>: Send {
     /// Receive the earliest delivered message (optionally restricted to
     /// `tag`), if any.
     fn try_recv(&mut self, tag: Option<i64>) -> Option<Msg<T>>;
+
+    /// Idle `idle_ns` between two passes of a loop that waits for mail.
+    ///
+    /// The caller has just run one pass whose only operations were `pass`,
+    /// in order — probes of its own mailbox, one tag each — and every one of
+    /// them found nothing. An implementation may then skip any number of
+    /// further whole passes that would also find nothing, charging each
+    /// exactly what the loop would: the clock, [`CommStats::comm_ns`], and a
+    /// `gets` for every [`MailProbe::HasMsg`]. The caller resumes before the
+    /// first pass that could find something and runs that pass itself.
+    ///
+    /// The default is [`Comm::advance_idle`]; the simulator's fast conductor
+    /// skips (`docs/conductor.md` §3.3).
+    fn idle_for_mail(&mut self, pass: &[MailProbe], idle_ns: u64) {
+        let _ = pass;
+        self.advance_idle(idle_ns);
+    }
 
     /// Counters accumulated by this handle.
     fn stats(&self) -> &CommStats;

@@ -96,7 +96,7 @@ use std::collections::BinaryHeap;
 #[cfg(any(not(pgas_fiber), test))]
 use std::sync::Arc;
 
-use crate::comm::{Comm, Item, OpClass, SpaceConfig};
+use crate::comm::{Comm, Item, MailProbe, OpClass, SpaceConfig};
 use crate::fault::{self, FaultPlan, MsgFate};
 #[cfg(pgas_fiber)]
 use crate::fiber::{self, StackArena};
@@ -104,8 +104,10 @@ use crate::machine::MachineModel;
 use crate::msg::Msg;
 use crate::stats::{CommStats, ConductorStats};
 
+mod mail;
 #[cfg(any(not(pgas_fiber), test))]
 mod threads;
+use mail::MailWaits;
 #[cfg(any(not(pgas_fiber), test))]
 use threads::Shared;
 
@@ -187,6 +189,9 @@ struct Mem<T> {
     /// "Reach window" in the module docs). Scheduling state, not memory — it
     /// lives here because, like the image, only the baton holder touches it.
     inbound: Vec<Inbound>,
+    /// Threads sleeping through a mail wait, beside the ready queue (see
+    /// "Mail waits" in the module docs). Scheduling state too.
+    waits: MailWaits,
 }
 
 /// What an operation does to the partition it names.
@@ -234,6 +239,7 @@ impl<T: Item> Mem<T> {
             mailboxes: (0..nthreads).map(|_| BTreeMap::new()).collect(),
             send_seq: 0,
             inbound: vec![Inbound::default(); nthreads],
+            waits: MailWaits::new(nthreads),
         }
     }
 }
@@ -265,13 +271,25 @@ struct FiberHub<T: Item> {
 
 #[cfg(pgas_fiber)]
 impl<T: Item> FiberHub<T> {
-    /// Take the next baton holder off the policy's ready queue.
+    /// Take the next baton holder off the policy's ready queue, or the
+    /// sleeping waiter whose key precedes all of it, or, with neither left,
+    /// a waiter out of fuel.
     fn pop(&mut self) -> Option<usize> {
         if self.lookahead {
-            self.queue.pop().map(|key| self.keys.unpack(key).1)
+            let (queue, keys) = (&mut self.queue, self.keys);
+            let queued = queue.peek().map(|&key| keys.unpack(key));
+            self.mem
+                .waits
+                .next(queued, || queue.pop().map(|key| keys.unpack(key).1))
         } else {
             self.naive.pop().map(|Reverse((_, tid))| tid)
         }
+    }
+
+    /// The least key of the fast policy's ready queue and sleeping waiters.
+    fn ready_min(&self) -> Option<(u64, usize)> {
+        let queued = self.queue.peek().map(|&key| self.keys.unpack(key));
+        self.mem.waits.ready_min(queued)
     }
 }
 
@@ -337,14 +355,15 @@ where
     // cache the queue minimum as every later grant does.
     // SAFETY: the hub outlives every fiber and this fiber is the only live
     // context, so the borrow is unique; it ends with this statement.
-    let (nthreads, faults, lookahead, reach_ns, next_min) = unsafe {
+    let (nthreads, faults, lookahead, reach_ns, mail_ns, next_min) = unsafe {
         let h = &*hub;
         (
             h.nthreads,
             h.faults,
             h.lookahead,
             h.machine.min_foreign_cost(),
-            h.queue.peek().map(|&k| h.keys.unpack(k)),
+            h.machine.min_msg_arrival_ns(),
+            h.ready_min(),
         )
     };
     let mut comm = SimComm {
@@ -354,6 +373,7 @@ where
         faults,
         lookahead,
         reach_ns,
+        mail_ns,
         local_clock: 0,
         pending_work: 0,
         worked_until: 0,
@@ -584,6 +604,10 @@ pub struct SimComm<T: Item> {
     lookahead: bool,
     /// Width of the reach window: the run's [`MachineModel::min_foreign_cost`].
     reach_ns: u64,
+    /// The least a send takes to arrive: the run's
+    /// [`MachineModel::min_msg_arrival_ns`]. A mail wait whose pass spans as
+    /// much never sleeps.
+    mail_ns: u64,
     /// This thread's virtual clock as of its last operation. Authoritative;
     /// the conductor's `clocks[tid]` is only a published (possibly lagging)
     /// copy.
@@ -725,18 +749,22 @@ impl<T: Item> SimComm<T> {
                     h.clocks[self.tid] = t;
                     let next = if self.lookahead {
                         // The failed lookahead test has just proved that the
-                        // queue minimum precedes `(t, tid)` (`next_min` is
-                        // exact while we hold the baton), so "push ourselves,
-                        // pop the minimum" is "replace the root by ourselves":
-                        // one sift-down. Keys are unique, so the pop order
-                        // does not depend on the heap's layout.
-                        let mut root = h
-                            .queue
-                            .peek_mut()
-                            .expect("lookahead failed against an empty queue");
-                        let min = std::mem::replace(&mut *root, h.keys.pack(t, self.tid));
-                        drop(root);
-                        let (_, next) = h.keys.unpack(min);
+                        // least key, `next_min` (exact while we hold the
+                        // baton), precedes `(t, tid)`. If it is the queue's
+                        // root, "push ourselves, pop the minimum" is "replace
+                        // the root by ourselves": one sift-down. Keys are
+                        // unique, so the pop order does not depend on the
+                        // heap's layout. If not, it is a sleeping mail
+                        // waiter's: queue ourselves and wake it.
+                        let min = self.next_min.expect("lookahead failed without a minimum");
+                        let (keys, me) = (h.keys, self.tid);
+                        let next = if h.queue.peek().is_some_and(|&root| keys.unpack(root) == min) {
+                            *h.queue.peek_mut().expect("just peeked") = keys.pack(t, me);
+                            min.1
+                        } else {
+                            h.queue.push(keys.pack(t, me));
+                            h.mem.waits.pop().expect("the least key sleeps")
+                        };
                         assert_ne!(next, self.tid, "a running fiber was queued");
                         next
                     } else {
@@ -754,7 +782,7 @@ impl<T: Item> SimComm<T> {
                 // SAFETY: we hold the baton again, so we are the one live
                 // fiber and the borrow is unique until `eff` returns.
                 let h = unsafe { &mut *hub };
-                self.next_min = h.queue.peek().map(|&k| h.keys.unpack(k));
+                self.next_min = h.ready_min();
                 &mut h.mem
             }
         };
@@ -1019,9 +1047,9 @@ impl<T: Item> Comm<T> for SimComm<T> {
             }
         }
         let overhead = self.machine().msg_overhead_ns;
-        self.op(OpClass::Message, Access::Send, dst, overhead, move |m, now| {
+        let deliver = move |m: &mut Mem<T>, now: u64| {
             if fate == MsgFate::Lost {
-                return;
+                return None;
             }
             let seq = m.send_seq;
             m.send_seq += 1;
@@ -1035,7 +1063,16 @@ impl<T: Item> Comm<T> for SimComm<T> {
                 m.send_seq += 1;
                 m.mailboxes[dst].insert((now + 2 * flight, seq2), dup);
             }
-        })
+            // A receiver sleeping through a mail wait wakes for the first pass
+            // that can see the message (only fault-free runs sleep).
+            m.waits.rekey(dst, tag, now + flight)
+        };
+        let woken = self.op(OpClass::Message, Access::Send, dst, overhead, deliver);
+        // Its key may now precede every other; we hold the baton, so we are
+        // the one to know.
+        if let Some(key) = woken.filter(|&key| self.next_min.is_none_or(|min| key < min)) {
+            self.next_min = Some(key);
+        }
     }
 
     fn has_msg(&mut self, tag: Option<i64>) -> bool {
@@ -1048,6 +1085,10 @@ impl<T: Item> Comm<T> for SimComm<T> {
                 .take_while(|((arrival, _), _)| *arrival <= now)
                 .any(|(_, msg)| tag.is_none_or(|t| msg.tag == t))
         })
+    }
+
+    fn idle_for_mail(&mut self, pass: &[MailProbe], idle_ns: u64) {
+        self.wait_for_mail(pass, idle_ns);
     }
 
     fn try_recv(&mut self, tag: Option<i64>) -> Option<Msg<T>> {

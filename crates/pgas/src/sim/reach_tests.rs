@@ -1,7 +1,8 @@
-//! The reach window and the packed ready queue, held against the reference
-//! (naive) policy: seeded random programs over every [`Comm`] method,
-//! split-phase batches included, run by both policies on both substrates, and
-//! hand-placed operations at the window's edges.
+//! The reach window, mail waits and the packed ready queue, held against the
+//! reference (naive) policy: seeded random programs over every [`Comm`]
+//! method, split-phase batches and mail waits included, run by both policies
+//! on both substrates, and hand-placed operations at the window's edges and
+//! a sleeper's wake.
 
 use super::*;
 use crate::arrival::HashStream;
@@ -33,6 +34,7 @@ fn inverted() -> MachineModel {
 }
 
 const OPS_PER_THREAD: usize = 200;
+const MAIL_ROUNDS: usize = 4;
 
 fn fold(xs: impl IntoIterator<Item = u64>) -> i64 {
     xs.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, x| {
@@ -40,10 +42,31 @@ fn fold(xs: impl IntoIterator<Item = u64>) -> i64 {
     }) as i64
 }
 
+/// Passes of `pass` — every one that finds nothing followed by
+/// `idle_for_mail(pass, idle_ns)` — until a probe finds something; returns
+/// what it found.
+fn mail_wait(c: &mut SimComm<u64>, pass: &[MailProbe], idle_ns: u64) -> i64 {
+    loop {
+        for &probe in pass {
+            let found = match probe {
+                MailProbe::TryRecv(tag) => c
+                    .try_recv(Some(tag))
+                    .map(|m| fold([m.src as u64, m.tag as u64, m.meta[0] as u64])),
+                MailProbe::HasMsg(tag) => c.has_msg(Some(tag)).then_some(tag),
+            };
+            if let Some(found) = found {
+                return found;
+            }
+        }
+        c.idle_for_mail(pass, idle_ns);
+    }
+}
+
 /// One thread's share of random program `seed`: [`OPS_PER_THREAD`] calls
 /// drawn from every `Comm` method, two thirds of those that name a partition
 /// naming the issuer's own, on three cells, two locks and two tags so that
-/// threads collide. Returns every value it observed, in order.
+/// threads collide, then mail waits. Returns every value it observed, in
+/// order.
 ///
 /// The draws do not depend on what the thread observes, with two exceptions
 /// (it only unlocks what it locked, and only truncates an area of four items
@@ -139,6 +162,29 @@ fn program(c: &mut SimComm<u64>, seed: u64) -> Vec<i64> {
     for (th, lock) in held {
         c.unlock(th, lock);
     }
+    // Mail waits, once every thread is done with the calls above (a count on
+    // thread 0's cell 5), so that no `try_recv(None)` takes a token they
+    // need: [`MAIL_ROUNDS`] rounds of a token of tag 3 to the next thread,
+    // then passes of three probes — the two tags of the sends above, each by a
+    // drawn kind, and a `try_recv` of the token's, in a drawn order — and a
+    // drawn idle after each pass that finds nothing. Round `k` of every thread
+    // ends by the `k`-th token of the thread before it at the latest.
+    c.add(0, 5, 1);
+    while c.get(0, 5) < n as i64 {
+        c.advance_idle(1000);
+    }
+    for _ in 0..MAIL_ROUNDS {
+        c.send((me + 1) % n, 3, [0; 4], &[]);
+        let turn = below(&mut rng, 3);
+        let pass: Vec<MailProbe> = (0..3)
+            .map(|i| match 1 + ((i + turn) % 3) as i64 {
+                3 => MailProbe::TryRecv(3),
+                tag => [MailProbe::TryRecv(tag), MailProbe::HasMsg(tag)][below(&mut rng, 2)],
+            })
+            .collect();
+        let idle = 10 * below(&mut rng, 200) as u64;
+        seen.push(mail_wait(c, &pass, idle));
+    }
     seen
 }
 
@@ -163,9 +209,9 @@ fn assert_same(fast: &SimReport<Vec<i64>>, reference: &SimReport<Vec<i64>>, labe
     );
     assert!(f.reach_ops <= f.fast_ops, "{label}: {f:?}");
     assert_eq!(
-        (r.fast_ops, r.reach_ops),
-        (0, 0),
-        "{label}: the reference took a window"
+        (r.fast_ops, r.reach_ops, r.elided_ops),
+        (0, 0, 0),
+        "{label}: the reference took a window or skipped a pass"
     );
 }
 
@@ -173,7 +219,9 @@ fn assert_same(fast: &SimReport<Vec<i64>>, reference: &SimReport<Vec<i64>>, labe
 /// naive policy (the reference) and the fast one, each on this platform's
 /// substrate and on OS threads (the one substrate of every platform without
 /// fibers) — must agree bit for bit, and the two fast runs must take the same
-/// windows.
+/// windows and skip the same mail-wait passes (some on every machine whose
+/// messages take longer to arrive than the program's pass spans, none on the
+/// others).
 ///
 /// Checked against five mutations of the rule (`SimComm::reaches`,
 /// `Inbound::admits`, the count in `SimComm::add_many`), one at a time. The
@@ -196,6 +244,7 @@ fn assert_same(fast: &SimReport<Vec<i64>>, reference: &SimReport<Vec<i64>>, labe
 fn random_programs_agree(machine: MachineModel) {
     let mut reach_ops = 0;
     let mut handoffs = 0;
+    let mut elided_ops = 0;
     for seed in 0..300u64 {
         let p = 2 + (seed % 9) as usize;
         let cluster = |lookahead: bool| {
@@ -220,17 +269,26 @@ fn random_programs_agree(machine: MachineModel) {
             &reference,
             &format!("{label} (fast policy on OS threads)"),
         );
+        let (on_threads, on_fibers) = (threads.total_conductor(), fast.total_conductor());
         assert_eq!(
-            threads.total_conductor().handoffs,
-            fast.total_conductor().handoffs,
+            (on_threads.handoffs, on_threads.elided_ops),
+            (on_fibers.handoffs, on_fibers.elided_ops),
             "{label}: the two substrates took different windows"
         );
-        reach_ops += fast.total_conductor().reach_ops;
-        handoffs += fast.total_conductor().handoffs;
+        reach_ops += on_fibers.reach_ops;
+        handoffs += on_fibers.handoffs;
+        elided_ops += on_fibers.elided_ops;
     }
     assert!(
         reach_ops > 0 && handoffs > 0,
         "{}: {reach_ops} reach ops, {handoffs} handoffs",
+        machine.name
+    );
+    // The program's mail waits pass three probes.
+    assert_eq!(
+        elided_ops > 0,
+        machine.min_msg_arrival_ns() > 3 * machine.local_ref_ns,
+        "{}: {elided_ops} elided ops",
         machine.name
     );
 }
@@ -466,6 +524,209 @@ fn later_batch_member_closes_the_window() {
             assert_eq!(fast.results[a], i64::from(add_first), "{label}");
             assert_eq!(fast.conductor[a].reach_ops, 0, "{label}");
         }
+    }
+}
+
+/// Thread `a` of two waits with passes of `pass` and 1 µs idles, the first
+/// pass starting at 0; the other thread idles `issue` and then sends `a` one
+/// message of tag 5. Both conductors must agree; returns the fast run. (On
+/// kittyhawk threads 0 and 1 share a node: a probe costs 60 ns and an empty
+/// message arrives 1756 ns after its send is issued.)
+fn mail_wait_against_a_send(
+    machine: MachineModel,
+    a: usize,
+    pass: &'static [MailProbe],
+    issue: u64,
+) -> SimReport<i64> {
+    both_conductors(machine, 2, move |c| {
+        if c.my_id() == a {
+            mail_wait(c, pass, 1000)
+        } else {
+            c.advance_idle(issue);
+            c.send(a, 5, [0; 4], &[]);
+            0
+        }
+    })
+}
+
+const TWO_PROBES: &[MailProbe] = &[MailProbe::HasMsg(6), MailProbe::TryRecv(5)];
+
+/// A message arriving exactly as a skipped pass's probe of its tag lands is
+/// seen by that pass, and one arriving 1 ns later by the next. Pass `k`
+/// starts at 1120k and its `try_recv` lands at 1120k + 120; `b`'s send issued
+/// at 1724 + d arrives at 3480 + d, on pass 3's landing for d ≤ 0. `a` sleeps
+/// from 120 ns on and wakes only for that pass, so every pass in between is
+/// skipped, its `has_msg` charged as a get.
+#[test]
+fn arrival_on_a_skipped_probe() {
+    let m = MachineModel::kittyhawk();
+    assert_eq!(
+        (
+            m.local_ref_ns,
+            m.msg_overhead_ns + m.msg_flight_ns(0, 1, 32)
+        ),
+        (60, 1756)
+    );
+    for a in [0, 1] {
+        for d in [-1i64, 0, 1] {
+            let fast = mail_wait_against_a_send(m.clone(), a, TWO_PROBES, (1724 + d) as u64);
+            let label = format!("a = {a}, d = {d}");
+            let found = if d <= 0 { 3 } else { 4 };
+            assert_eq!(fast.clocks[a], 1120 * found + 120, "{label}");
+            assert_eq!(
+                fast.stats[a].gets,
+                found + 1,
+                "{label}: one has_msg per pass"
+            );
+            assert_eq!(fast.conductor[a].elided_ops, 2 * (found - 1), "{label}");
+        }
+    }
+}
+
+/// A message of a tag the pass does not probe (`b`'s tag 7, arriving at
+/// 2256 ns) wakes nothing: `a` sleeps through to the pass that sees the
+/// tag-5 message arriving at 5720 ns, skipping every pass before it, and the
+/// tag-7 message is still in its mailbox afterwards.
+#[test]
+fn an_unprobed_tag_wakes_nothing() {
+    for a in [0, 1] {
+        let fast = both_conductors(MachineModel::kittyhawk(), 2, |c| {
+            if c.my_id() == a {
+                let found = mail_wait(c, TWO_PROBES, 1000);
+                assert!(c.has_msg(Some(7)));
+                found
+            } else {
+                c.advance_idle(500);
+                c.send(a, 7, [0; 4], &[]); // 2000, arrives 2256
+                c.advance_idle(1964);
+                c.send(a, 5, [0; 4], &[]); // 5464, arrives 5720
+                0
+            }
+        });
+        assert_eq!(fast.clocks[a], 5720 + 60, "a = {a}");
+        assert_eq!(fast.conductor[a].elided_ops, 2 * 4, "a = {a}");
+    }
+}
+
+/// A send issued at 90 ns, between the two probes of its receiver's first,
+/// real pass, enters the mailbox at 1590 ns, after the receiver has gone to
+/// sleep, and must wake it all the same, for pass 2 (the message arrives at
+/// 1846 ns). One entering at 2250 ns, in the middle of skipped pass 2, wakes
+/// it for pass 3 (arrival 2506).
+#[test]
+fn a_send_issued_mid_pass_wakes_its_receiver() {
+    for a in [0, 1] {
+        for (issue, found) in [(90, 2), (750, 3)] {
+            let fast = mail_wait_against_a_send(MachineModel::kittyhawk(), a, TWO_PROBES, issue);
+            let label = format!("a = {a}, issue {issue}");
+            assert_eq!(fast.clocks[a], 1120 * found + 120, "{label}");
+            assert_eq!(fast.conductor[a].elided_ops, 2 * (found - 1), "{label}");
+        }
+    }
+}
+
+/// On topsail a message's flight between threads of a node (225 ns) is
+/// shorter than a four-probe pass (240 ns): a message entering the mailbox at
+/// 3730 ns arrives at 3955, which pass 3 — starting at 3720, before the send
+/// is applied — sees with its last probe, at 3960. The receiver wakes for a
+/// pass that began before the send that woke it, and every one of its probes
+/// before the last still finds nothing.
+#[test]
+fn a_wake_can_begin_before_its_send() {
+    const PASS: &[MailProbe] = &[
+        MailProbe::HasMsg(6),
+        MailProbe::HasMsg(7),
+        MailProbe::TryRecv(6),
+        MailProbe::TryRecv(5),
+    ];
+    let m = MachineModel::topsail();
+    assert_eq!(
+        (m.local_ref_ns, m.msg_overhead_ns, m.msg_flight_ns(0, 1, 32)),
+        (60, 1400, 225)
+    );
+    for a in [0, 1] {
+        let fast = mail_wait_against_a_send(m.clone(), a, PASS, 2330);
+        assert_eq!(fast.clocks[a], 1240 * 3 + 240, "a = {a}");
+        assert_eq!(fast.conductor[a].elided_ops, 4 * 2, "a = {a}");
+    }
+}
+
+/// Where a pass spans as long as a message takes to arrive, nothing sleeps:
+/// the inverted machine's empty message arrives 83 ns after its send is
+/// issued, its probes cost 90 ns each.
+#[test]
+fn a_long_pass_takes_the_fallback() {
+    let m = inverted();
+    assert_eq!(m.min_msg_arrival_ns(), 83);
+    for a in [0, 1] {
+        let fast = mail_wait_against_a_send(m.clone(), a, TWO_PROBES, 20_000);
+        assert_eq!(fast.conductor[a].elided_ops, 0, "a = {a}");
+        assert!(fast.stats[a].gets > 10, "a = {a}: {:?}", fast.stats[a]);
+    }
+}
+
+/// A mail wait that nothing ends runs out of fuel inside a skipped stretch:
+/// both conductors stop it at the same thread, clock and operation count.
+#[test]
+fn a_mail_wait_runs_out_of_fuel_on_both_conductors() {
+    let out_of_fuel = |lookahead: bool| {
+        let result = std::panic::catch_unwind(|| {
+            SimCluster::<u64>::new(MachineModel::kittyhawk(), 4, SpaceConfig::default())
+                .with_lookahead(lookahead)
+                .run(|c| {
+                    if c.my_id() == 2 {
+                        c.work(1000);
+                        mail_wait(c, TWO_PROBES, 1 << 24);
+                    } else {
+                        c.add(0, 1, 1);
+                        c.send(2, 8, [0; 4], &[]);
+                    }
+                })
+        });
+        let panic = result.expect_err("a wait nothing ends must run out of fuel");
+        panic
+            .downcast_ref::<String>()
+            .expect("formatted panic message")
+            .clone()
+    };
+    let fast = out_of_fuel(true);
+    let worked = 1000 * MachineModel::kittyhawk().node_ns;
+    let expected = format!("out of fuel: thread 2 of 4 did no work from {worked} ns to ");
+    assert!(fast.starts_with(&expected), "{fast}");
+    assert_eq!(fast, out_of_fuel(false));
+}
+
+/// A message that the pass in which fuel runs out sees before its probe out
+/// of fuel ends the wait like any other, in virtual-time order. `a` worked
+/// until 418,000 ns and waits with 16,801,708 ns idles: the pass starting at
+/// 34,360,156,260 ns lands its `has_msg(6)` at …320, within fuel (…368), and
+/// its `try_recv(5)` at …380, beyond it. `b`'s tag-6 message arrives at …300;
+/// `b` then spins on a flag `a` raises once it has seen the message.
+#[test]
+fn a_message_in_the_pass_out_of_fuel_ends_the_wait() {
+    for a in [0, 1] {
+        let fast = both_conductors(MachineModel::kittyhawk(), 2, |c| {
+            if c.my_id() == a {
+                c.work(1000);
+                let found = mail_wait(c, TWO_PROBES, 16_801_708);
+                c.work(1); // fuel for the put
+                c.put(a, 0, 1);
+                found
+            } else {
+                c.work(82_201_326);
+                c.advance_idle(276);
+                c.send(a, 6, [0; 4], &[]); // 34,360,156,044, arrives …300
+                let mut spins = 0;
+                while c.get(a, 0) == 0 {
+                    c.advance_idle(1000);
+                    spins += 1;
+                }
+                spins
+            }
+        });
+        assert_eq!(fast.results[a], 6, "a = {a}");
+        assert_eq!(fast.clocks[a], 34_360_156_320 + 418 + 60, "a = {a}");
+        assert!(fast.conductor[a].elided_ops > 4000, "a = {a}");
     }
 }
 

@@ -12,9 +12,9 @@
 use std::cell::UnsafeCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use super::{Backend, Mem, SimCluster, SimComm, SimReport, SIM_STACK_SIZE};
+use super::{Backend, MailWaits, Mem, SimCluster, SimComm, SimReport, SIM_STACK_SIZE};
 use crate::comm::Item;
 use crate::fault::FaultPlan;
 use crate::machine::MachineModel;
@@ -146,17 +146,43 @@ impl<T: Item> SimCluster<T> {
 }
 
 impl<T: Item> Shared<T> {
+    /// The sleeping waiters.
+    ///
+    /// # Safety
+    /// As for `SimComm::mem`: the caller holds the baton (or, before the
+    /// first grant, is the last thread to register), and drops the borrow
+    /// before it hands the baton on.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn waits(&self) -> &mut MailWaits {
+        // SAFETY: the caller's contract makes this the unique live access.
+        unsafe { &mut (*self.mem.get()).waits }
+    }
+
     /// Queue `(t, tid)`, hand the baton to the queue minimum and wait until
     /// it comes back; returns the queue minimum left at that moment.
     pub(super) fn park(&self, tid: usize, t: u64) -> Option<(u64, usize)> {
         let mut g = self.mx.lock().unwrap();
         g.clocks[tid] = t;
         g.queue.push(Reverse((t, tid)));
-        SimComm::<T>::dispatch(&mut g, &self.cvs);
+        self.hand_on(g, tid)
+    }
+
+    /// Hand the baton on without queueing `tid`, which sleeps in the image's
+    /// mail waits, and wait until a holder wakes it; returns the queue
+    /// minimum left at that moment.
+    pub(super) fn sleep(&self, tid: usize) -> Option<(u64, usize)> {
+        self.hand_on(self.mx.lock().unwrap(), tid)
+    }
+
+    fn hand_on(&self, mut g: MutexGuard<'_, Inner>, tid: usize) -> Option<(u64, usize)> {
+        // SAFETY: `tid` holds the baton until `dispatch` grants it onward.
+        SimComm::<T>::dispatch(&mut g, &self.cvs, unsafe { self.waits() });
         while g.chosen != Some(tid) {
             g = self.cvs[tid].wait(g).unwrap();
         }
-        g.queue.peek().map(|r| r.0)
+        let queued = g.queue.peek().map(|r| r.0);
+        // SAFETY: `tid` holds the baton again.
+        unsafe { self.waits() }.ready_min(queued)
     }
 }
 
@@ -166,12 +192,14 @@ impl<T: Item> SimComm<T> {
         let lookahead = shared.lookahead;
         let faults = shared.faults;
         let reach_ns = shared.machine.min_foreign_cost();
+        let mail_ns = shared.machine.min_msg_arrival_ns();
         SimComm {
             backend: Backend::Threads(shared),
             tid,
             nthreads,
             lookahead,
             reach_ns,
+            mail_ns,
             faults,
             local_clock: 0,
             pending_work: 0,
@@ -182,13 +210,15 @@ impl<T: Item> SimComm<T> {
         }
     }
 
-    /// Hand the baton to the thread with the smallest virtual clock.
-    fn dispatch(inner: &mut Inner, cvs: &[Condvar]) {
-        if let Some(Reverse((_, tid))) = inner.queue.pop() {
-            inner.chosen = Some(tid);
+    /// Hand the baton to the thread with the smallest key, queued or
+    /// sleeping in a mail wait, or with neither left to a waiter out of fuel.
+    fn dispatch(inner: &mut Inner, cvs: &[Condvar], waits: &mut MailWaits) {
+        let queue = &mut inner.queue;
+        let queued = queue.peek().map(|r| r.0);
+        let next = waits.next(queued, || queue.pop().map(|Reverse((_, tid))| tid));
+        inner.chosen = next;
+        if let Some(tid) = next {
             cvs[tid].notify_one();
-        } else {
-            inner.chosen = None;
         }
     }
 
@@ -199,7 +229,9 @@ impl<T: Item> SimComm<T> {
         g.queue.push(Reverse((0, self.tid)));
         g.started += 1;
         if g.started == self.nthreads {
-            Self::dispatch(&mut g, &shared.cvs);
+            // SAFETY: every other thread waits here for the first grant, so
+            // nothing else touches the image.
+            Self::dispatch(&mut g, &shared.cvs, unsafe { shared.waits() });
         }
         while g.chosen != Some(self.tid) {
             g = shared.cvs[self.tid].wait(g).unwrap();
@@ -217,6 +249,7 @@ impl<T: Item> SimComm<T> {
         g.retired += 1;
         g.final_stats[self.tid] = Some(self.stats.clone());
         g.final_conductor[self.tid] = Some(self.conductor.clone());
-        Self::dispatch(&mut g, &shared.cvs);
+        // SAFETY: we hold the baton until this grants it onward.
+        Self::dispatch(&mut g, &shared.cvs, unsafe { shared.waits() });
     }
 }

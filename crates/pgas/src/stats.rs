@@ -104,10 +104,11 @@ impl CommStats {
 /// Harness-side counters for the virtual-time conductor's scheduling of one
 /// simulated thread (see `docs/conductor.md`).
 ///
-/// `fast_ops + handoffs` equals the number of priced operations the thread
-/// issued; the split tells you how much real-machine synchronization the
-/// simulation needed, and `reach_ops` how much of the fast path is owed to the
-/// reach window. These counters describe the simulator itself — they are
+/// `fast_ops + handoffs + elided_ops` equals the number of priced operations
+/// the thread's program issued; the split tells you how much real-machine
+/// synchronization the simulation needed, `reach_ops` how much of the fast
+/// path is owed to the reach window, and `elided_ops` how many operations a
+/// mail wait skipped outright. These counters describe the simulator itself — they are
 /// identical in *meaning* but not in *value* across lookahead on/off runs,
 /// which is why they live outside [`CommStats`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -122,6 +123,10 @@ pub struct ConductorStats {
     /// Operations that went through a full baton handoff (a fiber switch, or
     /// mutex + schedule + condvar wait on the OS-thread substrate).
     pub handoffs: u64,
+    /// Mailbox probes of skipped passes of a mail wait
+    /// ([`crate::Comm::idle_for_mail`]): priced and charged like the loop's
+    /// own, but never conducted, because none of them could find anything.
+    pub elided_ops: u64,
     /// Fast-path operations by [`OpClass`] histogram index
     /// ([`OpClass::index`]).
     pub fast_by_class: [u64; OpClass::COUNT],
@@ -134,11 +139,12 @@ pub struct ConductorStats {
 impl ConductorStats {
     /// Total priced operations conducted for this thread.
     pub fn total_ops(&self) -> u64 {
-        self.fast_ops + self.handoffs
+        self.fast_ops + self.handoffs + self.elided_ops
     }
 
-    /// Fraction of operations that avoided a baton handoff (0.0 when no
-    /// operations were issued).
+    /// Fraction of operations applied on the fast path (0.0 when no
+    /// operations were issued). Elided operations count in the denominator
+    /// only: they were not conducted at all.
     pub fn fast_fraction(&self) -> f64 {
         let total = self.total_ops();
         if total == 0 {
@@ -154,6 +160,7 @@ impl ConductorStats {
         self.fast_ops += other.fast_ops;
         self.reach_ops += other.reach_ops;
         self.handoffs += other.handoffs;
+        self.elided_ops += other.elided_ops;
         for (a, b) in self.fast_by_class.iter_mut().zip(other.fast_by_class) {
             *a += b;
         }
@@ -171,6 +178,7 @@ mod tests {
             fast_ops: 3,
             reach_ops: 2,
             handoffs: 1,
+            elided_ops: 4,
             fast_by_class: [3, 0, 0, 0, 0, 0],
             stack_peak_bytes: 8192,
         };
@@ -178,15 +186,17 @@ mod tests {
             fast_ops: 1,
             reach_ops: 1,
             handoffs: 1,
+            elided_ops: 2,
             fast_by_class: [0, 1, 0, 0, 0, 0],
             stack_peak_bytes: 12288,
         };
         a.merge(&b);
-        assert_eq!(a.total_ops(), 6);
+        assert_eq!(a.total_ops(), 12, "elided operations are operations");
+        assert_eq!(a.elided_ops, 6);
         assert_eq!(a.reach_ops, 3);
         assert_eq!(a.stack_peak_bytes, 12288, "the deepest thread's, not a sum");
         assert_eq!(a.fast_by_class, [3, 1, 0, 0, 0, 0]);
-        assert!((a.fast_fraction() - 4.0 / 6.0).abs() < 1e-12);
+        assert!((a.fast_fraction() - 4.0 / 12.0).abs() < 1e-12);
         assert_eq!(ConductorStats::default().fast_fraction(), 0.0);
         for (i, c) in OpClass::all().into_iter().enumerate() {
             assert_eq!(c.index(), i);

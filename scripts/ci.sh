@@ -94,7 +94,7 @@ fi
   { echo "rows must leave through Sink::emit in crates/bench/src/exp.rs only" >&2; exit 1; }
 # A frozen-table row pastes into uts_cli (a crash row: a kill inside a
 # partition, then a restart).
-cargo build --release --offline -p uts-bench --bin exp --bin chaos --bin uts_cli
+cargo build --release --offline -p uts-bench --bin exp --bin chaos --bin uts_cli --bin conductor_bench
 ./target/release/uts_cli --spec 'topsail p=6 tree=binomial(5,64,2,0.49666666666666665) alg=distmem k=4 faults=partitioned(8)' \
   --expect-distinct 5635
 # The same kind of run on real threads is a config error (exit 2), not a panic.
@@ -102,6 +102,11 @@ status=0
 ./target/release/uts_cli --native --spec 'topsail p=2 tree=binomial(5,64,2,0.49666666666666665) alg=distmem k=4 faults=crashy(3)' \
   >/dev/null 2>&1 || status=$?
 [ "$status" -eq 2 ] || { echo "uts_cli --native with a crash plan exited $status, not 2" >&2; exit 1; }
+
+# Mail waits (docs/conductor.md §3.3): the mpi-ws smoke point on both
+# conductors, every virtual quantity asserted equal with the steal-response
+# waits skipped (about 0.3 s).
+./target/release/conductor_bench --smoke --alg mpi >/dev/null
 
 echo "== SAFETY comments (crates/pgas/src) =="
 # Every `unsafe {` block and `unsafe impl` in the crate that owns the fiber

@@ -92,19 +92,30 @@ fn assert_equivalent(machine: &MachineModel, preset: &Preset, alg: Algorithm, th
     assert_sim_identical(&fiber, &reference, &label);
 
     // Sanity on the knobs themselves: the reference mode never takes either
-    // window, the fiber mode must actually exercise its fast path — and the
-    // two protocols built on polling one's own partition (the lock-less
-    // request cell, the mailbox) its reach window.
+    // window nor skips a pass, the fiber mode must actually exercise its fast
+    // path — the two protocols built on polling one's own partition (the
+    // lock-less request cell, the mailbox) its reach window, and mpi-ws, whose
+    // steal-response wait declares its pass, its mail waits.
     let (reference, fiber) = (reference.total_conductor(), fiber.total_conductor());
     assert_eq!(
-        (reference.fast_ops, reference.reach_ops),
-        (0, 0),
+        (
+            reference.fast_ops,
+            reference.reach_ops,
+            reference.elided_ops
+        ),
+        (0, 0, 0),
         "{label}: reference mode still fast-pathed"
     );
     assert!(fiber.fast_ops > 0, "{label}: fiber fast path never engaged");
     if matches!(alg, Algorithm::DistMem | Algorithm::MpiWs) {
         assert!(fiber.reach_ops > 0, "{label}: reach window never engaged");
     }
+    assert_eq!(
+        fiber.elided_ops > 0,
+        alg == Algorithm::MpiWs,
+        "{label}: {} operations elided by mail waits",
+        fiber.elided_ops
+    );
 }
 
 fn matrix_over(machine: &MachineModel, preset: &Preset, threads: usize) {
