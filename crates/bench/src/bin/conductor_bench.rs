@@ -118,9 +118,18 @@ fn main() {
         "operation streams differ in length"
     );
     assert_eq!(slow_cond.elided_ops, 0, "the reference skipped a mail wait");
+    assert_eq!(slow_cond.cycle_ops, 0, "the reference ran a probe cycle");
     if alg == Algorithm::MpiWs {
         // The steal-response wait is the one that declares its pass.
         assert!(cond.elided_ops > 0, "no mail wait was skipped");
+    }
+    // A searching upc-distmem thief sweeps with probe cycles, which the fast
+    // conductor runs itself on fibers (measured stacks: 0 on OS threads).
+    if alg == Algorithm::DistMem && cond.stack_peak_bytes > 0 {
+        assert!(
+            cond.cycle_ops > 0,
+            "no probe-cycle read was applied by the conductor"
+        );
     }
     let total = fast.total_stats();
     println!(
@@ -141,12 +150,13 @@ fn main() {
         ns_per_op(t_slow)
     );
     println!(
-        "  conductor: {} ops, {:.1}% on the fast path ({} of them by the reach window), {} baton handoffs, {} elided by mail waits",
+        "  conductor: {} ops, {:.1}% on the fast path ({} of them by the reach window), {} baton handoffs, {} elided by mail waits, {} applied for parked probe cycles",
         cond.total_ops(),
         100.0 * cond.fast_fraction(),
         cond.reach_ops,
         cond.handoffs,
         cond.elided_ops,
+        cond.cycle_ops,
     );
     println!(
         "  fiber stacks: deepest high-water mark {} bytes (measured, page granular; 0 = no fibers on this target)",

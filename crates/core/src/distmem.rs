@@ -56,7 +56,7 @@ use pgas::Comm;
 use crate::config::RunConfig;
 use crate::report::ThreadResult;
 use crate::sched::policy::{StealPolicyKind, TimeoutBackoff};
-use crate::sched::{Cx, StealOutcome, StealTransport};
+use crate::sched::{Cx, StealOutcome, StealTransport, SweepService};
 use crate::stack::DfsStack;
 use crate::trace::{Event, TraceLog};
 use crate::vars;
@@ -83,7 +83,12 @@ impl DistMemTransport {
 }
 
 impl<T: Item, C: Comm<T>> StealTransport<T, C> for DistMemTransport {
-    const PROBES: bool = true;
+    /// Between probes a searching thief reads its own request cell and acts
+    /// only on a pending request.
+    const SWEEP: SweepService = SweepService::Read {
+        var: vars::REQUEST,
+        quiet: vars::NO_REQUEST,
+    };
 
     fn init(&mut self, comm: &mut C, _cx: &mut Cx) {
         // Scalar cells start at 0; the request cell's idle value is -1. Arm
@@ -122,10 +127,6 @@ impl<T: Item, C: Comm<T>> StealTransport<T, C> for DistMemTransport {
         comm.put(comm.my_id(), vars::WORK_AVAIL, vars::OUT_OF_WORK);
     }
 
-    fn probe(&mut self, comm: &mut C, victim: usize) -> i64 {
-        comm.get(victim, vars::WORK_AVAIL)
-    }
-
     fn steal(
         &mut self,
         comm: &mut C,
@@ -151,7 +152,11 @@ impl<T: Item, C: Comm<T>> StealTransport<T, C> for DistMemTransport {
     fn idle_service(&mut self, comm: &mut C, _stack: &mut DfsStack<T>, cx: &mut Cx) {
         // Keep the protocol responsive while we wander: deny thieves that
         // CASed us on a stale read.
-        deny_request(comm, cx.cfg, &mut cx.res);
+        deny_request(comm, cx.cfg);
+    }
+
+    fn serve(&mut self, comm: &mut C, _stack: &mut DfsStack<T>, cx: &mut Cx, req: i64) {
+        deny_read(comm, cx.cfg, req);
     }
 
     fn got_work(&mut self, comm: &mut C) {
@@ -165,7 +170,7 @@ impl<T: Item, C: Comm<T>> StealTransport<T, C> for DistMemTransport {
         // into the local deque, and retire the tri-state marker. Granted
         // chunks below `base` stay in the area for their thieves' one-sided
         // copies; the spill appends past them.
-        deny_request(comm, cx.cfg, &mut cx.res);
+        deny_request(comm, cx.cfg);
         while stack.avail > 0 {
             reacquire(comm, stack, &mut cx.res);
         }
@@ -226,8 +231,17 @@ where
     T: Item,
     C: Comm<T>,
 {
+    let req = comm.get(comm.my_id(), vars::REQUEST); // local read
+    claim_read(comm, cfg, req)
+}
+
+/// [`claim_request`] after its read of the request cell returned `req`.
+fn claim_read<T, C>(comm: &mut C, cfg: &RunConfig, req: i64) -> Option<usize>
+where
+    T: Item,
+    C: Comm<T>,
+{
     let me = comm.my_id();
-    let req = comm.get(me, vars::REQUEST); // local read
     if req == vars::NO_REQUEST {
         return None;
     }
@@ -279,18 +293,27 @@ fn service_request<T, C>(
 
 /// Deny a pending request outright (used when we have nothing to give and
 /// are not in the Working state).
-fn deny_request<T, C>(comm: &mut C, cfg: &RunConfig, res: &mut ThreadResult)
+fn deny_request<T, C>(comm: &mut C, cfg: &RunConfig)
+where
+    T: Item,
+    C: Comm<T>,
+{
+    let req = comm.get(comm.my_id(), vars::REQUEST); // local read
+    deny_read(comm, cfg, req);
+}
+
+/// [`deny_request`] after its read of the request cell returned `req`.
+fn deny_read<T, C>(comm: &mut C, cfg: &RunConfig, req: i64)
 where
     T: Item,
     C: Comm<T>,
 {
     let me = comm.my_id();
-    if let Some(thief) = claim_request(comm, cfg) {
+    if let Some(thief) = claim_read(comm, cfg, req) {
         comm.put(thief, vars::RESP_AMT, 0);
         if cfg.steal_timeout_ns.is_none() {
             comm.put(me, vars::REQUEST, vars::NO_REQUEST);
         }
-        let _ = res;
     }
 }
 
@@ -374,7 +397,7 @@ where
                 }
             }
             // Stay responsive to thieves that CASed us on a stale read.
-            deny_request(comm, cfg, res);
+            deny_request(comm, cfg);
             comm.advance_idle(RESPONSE_BACKOFF_NS);
             continue;
         }

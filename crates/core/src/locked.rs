@@ -21,7 +21,7 @@ use pgas::Comm;
 
 use crate::report::ThreadResult;
 use crate::sched::policy::StealPolicyKind;
-use crate::sched::{Cx, StealOutcome, StealTransport};
+use crate::sched::{Cx, StealOutcome, StealTransport, SweepService};
 use crate::stack::DfsStack;
 use crate::trace::{Event, TraceLog};
 use crate::vars;
@@ -42,7 +42,9 @@ impl LockedTransport {
 }
 
 impl<T: Item, C: Comm<T>> StealTransport<T, C> for LockedTransport {
-    const PROBES: bool = true;
+    /// §3.1: "the count of available work on a stack is examined without
+    /// locking", and a searching thief has nothing to answer between probes.
+    const SWEEP: SweepService = SweepService::Quiet;
 
     fn refill(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx) -> bool {
         reacquire(comm, stack, &mut cx.res)
@@ -59,12 +61,6 @@ impl<T: Item, C: Comm<T>> StealTransport<T, C> for LockedTransport {
 
     fn on_out_of_work(&mut self, comm: &mut C, _stack: &mut DfsStack<T>, _cx: &mut Cx) {
         set_out_of_work(comm, comm.my_id());
-    }
-
-    fn probe(&mut self, comm: &mut C, victim: usize) -> i64 {
-        // §3.1: "the count of available work on a stack is examined without
-        // locking".
-        comm.get(victim, vars::WORK_AVAIL)
     }
 
     fn steal(

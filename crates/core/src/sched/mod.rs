@@ -165,6 +165,44 @@ pub enum StealOutcome {
     TimedOut,
 }
 
+/// What a thief's probe sweep issues between two victim probes: a
+/// transport's [`StealTransport::idle_service`] as data, so that the sweep
+/// can hand a whole probe cycle to [`Comm::probe_cycle`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SweepService {
+    /// No probing: thieves ask blindly (the message transports).
+    Blind,
+    /// Probes, and the idle service issues nothing (locked).
+    Quiet,
+    /// Probes, and the idle service reads own cell `var` and acts — by
+    /// [`StealTransport::serve`] — only on a value other than `quiet`
+    /// (distmem's request cell).
+    Read {
+        /// The own cell read after each probe.
+        var: usize,
+        /// The value on which the service issues nothing more.
+        quiet: i64,
+    },
+    /// Probes, and the idle service is some other sequence, called after
+    /// every probe (a placing workload's settling and absorbing hand-offs).
+    Opaque,
+}
+
+impl SweepService {
+    /// Whether thieves read a victim's work level before stealing.
+    pub const fn probes(self) -> bool {
+        !matches!(self, SweepService::Blind)
+    }
+
+    /// The own read of a [`Comm::probe_cycle`], if the service is one.
+    pub const fn own(self) -> Option<(usize, i64)> {
+        match self {
+            SweepService::Read { var, quiet } => Some((var, quiet)),
+            _ => None,
+        }
+    }
+}
+
 /// How a worker moves work and requests between threads — the
 /// synchronisation discipline of the shared stack region, which is the §3.1
 /// vs §3.2 vs §3.3.3 algorithmic difference.
@@ -179,11 +217,14 @@ pub trait StealTransport<T: Item, C: Comm<T>> {
     /// where idle threads park in termination detection and wait for chunks
     /// to land in their mailbox.
     const STEALS: bool = true;
-    /// Whether a thief reads the victim's advertised work level
-    /// ([`StealTransport::probe`]) before committing to a steal. `true` for
-    /// the shared-region transports, which the barrier detectors need;
-    /// `false` for the message transports, whose thieves can only ask.
-    const PROBES: bool = false;
+    /// Whether a thief reads the victim's advertised work level (its
+    /// `WORK_AVAIL` cell, §3.3.1 tri-state: positive = stealable surplus, 0 =
+    /// working without surplus, negative = out of work) before committing to
+    /// a steal, and what the idle service between two such probes issues
+    /// ([`SweepService`]). Probing is for the shared-region transports,
+    /// which the barrier detectors need; the message transports' thieves can
+    /// only ask.
+    const SWEEP: SweepService = SweepService::Blind;
     /// Backoff charged between idle termination-protocol iterations
     /// (token-ring transports).
     const IDLE_BACKOFF_NS: u64 = 0;
@@ -227,13 +268,6 @@ pub trait StealTransport<T: Item, C: Comm<T>> {
     /// answer any straggler request, reclaim dead area space.
     fn on_out_of_work(&mut self, _comm: &mut C, _stack: &mut DfsStack<T>, _cx: &mut Cx) {}
 
-    /// Read `victim`'s advertised work level (§3.3.1 tri-state: positive =
-    /// stealable surplus, 0 = working without surplus, negative = out of
-    /// work). Only called on [`StealTransport::PROBES`] transports.
-    fn probe(&mut self, _comm: &mut C, _victim: usize) -> i64 {
-        unimplemented!("this transport does not probe victims")
-    }
-
     /// Execute one steal against `victim` (the victim advertised work or a
     /// request is warranted). Chunks land on `stack` on success.
     fn steal(
@@ -253,6 +287,11 @@ pub trait StealTransport<T: Item, C: Comm<T>> {
     /// Stay responsive while idle: deny or service steal requests that
     /// arrive while this thread is searching or parked in a barrier.
     fn idle_service(&mut self, _comm: &mut C, _stack: &mut DfsStack<T>, _cx: &mut Cx) {}
+
+    /// Finish an idle service of [`SweepService::Read`] whose read of the
+    /// own cell has already returned `value`, other than the quiet one:
+    /// [`StealTransport::idle_service`] without its first read.
+    fn serve(&mut self, _comm: &mut C, _stack: &mut DfsStack<T>, _cx: &mut Cx, _value: i64) {}
 
     /// Absorb work that arrived asynchronously (pushed chunks, late grants
     /// from timed-out victims). Returns `true` if work is now in hand.

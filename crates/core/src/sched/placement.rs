@@ -47,7 +47,7 @@ use crate::stack::DfsStack;
 use crate::taskgen::TaskGen;
 use crate::trace::Event;
 
-use super::{Cx, StealOutcome, StealTransport};
+use super::{Cx, StealOutcome, StealTransport, SweepService};
 
 /// Ready tasks handed to their home rank; the payload is the tasks.
 pub const TAG_HANDOFF: i64 = 20;
@@ -189,7 +189,13 @@ where
     ST: StealTransport<T, C>,
 {
     const STEALS: bool = ST::STEALS;
-    const PROBES: bool = ST::PROBES;
+    /// A placing rank's idle service also settles and absorbs hand-offs, so
+    /// its sweep calls it after every probe.
+    const SWEEP: SweepService = match ST::SWEEP {
+        SweepService::Blind => SweepService::Blind,
+        _ if G::PLACED => SweepService::Opaque,
+        inner => inner,
+    };
     const IDLE_BACKOFF_NS: u64 = ST::IDLE_BACKOFF_NS;
 
     fn init(&mut self, comm: &mut C, cx: &mut Cx) {
@@ -250,10 +256,6 @@ where
         self.inner.on_out_of_work(comm, stack, cx);
     }
 
-    fn probe(&mut self, comm: &mut C, victim: usize) -> i64 {
-        self.inner.probe(comm, victim)
-    }
-
     fn steal(
         &mut self,
         comm: &mut C,
@@ -279,6 +281,12 @@ where
             self.settle(comm, stack, cx);
             self.absorb(comm, stack, cx);
         }
+    }
+
+    /// Reached only where the inner description is forwarded, without
+    /// placement.
+    fn serve(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx, value: i64) {
+        self.inner.serve(comm, stack, cx, value);
     }
 
     fn absorb_pending(&mut self, comm: &mut C, stack: &mut DfsStack<T>, cx: &mut Cx) -> bool {

@@ -38,8 +38,9 @@ use crate::recovery::CRASH_IDLE_BACKOFF_NS;
 use crate::stack::DfsStack;
 use crate::state::State;
 use crate::trace::Event;
+use crate::vars;
 
-use super::{Cx, Discovery, StealOutcome, StealTransport};
+use super::{Cx, Discovery, StealOutcome, StealTransport, SweepService};
 
 /// The crash-recovery duties of an idle rank (no-op without a crash plan):
 /// heartbeat (with the piggybacked self-fence check), membership scan (death
@@ -115,7 +116,7 @@ where
     let mut backoff = base;
     // Message transports ask one victim per iteration, walking a cycle that
     // outlives the iteration but not this idle episode.
-    let blind = ST::STEALS && !ST::PROBES;
+    let blind = ST::STEALS && !ST::SWEEP.probes();
     if blind {
         if TD::EAGER_CYCLE {
             victims.cycle();
@@ -138,7 +139,7 @@ where
             return Discovery::Terminated;
         }
         let mut saw_work = false;
-        if ST::PROBES {
+        if ST::SWEEP.probes() {
             // Sweep the live victims, stealing where surplus shows — each
             // steal wrapped in a `LIN_OUT` guard so quiescence can never
             // slip between the victim's counter update and the thief's
@@ -149,7 +150,7 @@ where
                     continue;
                 }
                 cx.res.probes += 1;
-                if transport.probe(comm, v) > 0 {
+                if comm.get(v, vars::WORK_AVAIL) > 0 {
                     saw_work = true;
                     cx.enter(comm, State::Stealing);
                     cx.recovery.guard_begin(comm);
@@ -322,6 +323,13 @@ enum Sweep {
 /// One probe cycle over every victim: examine advertised work levels without
 /// locking (§3.1), steal where surplus shows, and keep the transport's
 /// protocol responsive between probes.
+///
+/// Where the idle service between probes is data ([`SweepService`]), the
+/// cycle's reads — each victim's `WORK_AVAIL` and the service's own read
+/// after it — are one [`Comm::probe_cycle`], and the sweep acts only at the
+/// read that stops it: a steal at a victim showing surplus, the rest of the
+/// service at a pending request. A placing workload's service is not data,
+/// and runs after every probe.
 fn sweep<T, C, ST>(
     comm: &mut C,
     stack: &mut DfsStack<T>,
@@ -335,23 +343,54 @@ where
     ST: StealTransport<T, C>,
 {
     let mut all_out = true;
-    for &v in victims.cycle() {
-        let v = v as usize;
-        cx.res.probes += 1;
-        let avail = transport.probe(comm, v);
-        if avail > 0 {
-            cx.enter(comm, State::Stealing);
-            if transport.steal(comm, stack, v, cx) == StealOutcome::Got {
-                return Sweep::Stole;
+    let victims = victims.cycle();
+    if matches!(ST::SWEEP, SweepService::Opaque) {
+        for &v in victims {
+            let v = v as usize;
+            cx.res.probes += 1;
+            let avail = comm.get(v, vars::WORK_AVAIL);
+            if avail > 0 {
+                cx.enter(comm, State::Stealing);
+                if transport.steal(comm, stack, v, cx) == StealOutcome::Got {
+                    return Sweep::Stole;
+                }
+                cx.enter(comm, State::Searching);
+                all_out = false; // it had work a moment ago
+            } else if avail == 0 {
+                all_out = false; // working, no surplus (§3.3.1 tri-state)
             }
-            cx.enter(comm, State::Searching);
-            all_out = false; // it had work a moment ago
-        } else if avail == 0 {
-            all_out = false; // working, no surplus (§3.3.1 tri-state)
+            transport.idle_service(comm, stack, cx);
+            if !stack.is_local_empty() {
+                return Sweep::Stole; // a hand-off landed (sched::placement)
+            }
         }
-        transport.idle_service(comm, stack, cx);
-        if !stack.is_local_empty() {
-            return Sweep::Stole; // a hand-off landed (sched::placement)
+    } else {
+        let own = ST::SWEEP.own();
+        // Read `step·i` probes victim `i`; with an own read, the one after it
+        // is the service's.
+        let step = 1 + usize::from(own.is_some());
+        let mut start = 0;
+        loop {
+            let cycle = comm.probe_cycle(victims, start, vars::WORK_AVAIL, own);
+            let end = start + cycle.reads;
+            cx.res.probes += (end.div_ceil(step) - start.div_ceil(step)) as u64;
+            // A victim working without surplus (§3.3.1 tri-state).
+            all_out &= !cycle.saw_zero;
+            let Some((read, value)) = cycle.stop else {
+                break;
+            };
+            if read % step == 0 {
+                cx.enter(comm, State::Stealing);
+                let v = victims[read / step] as usize;
+                if transport.steal(comm, stack, v, cx) == StealOutcome::Got {
+                    return Sweep::Stole;
+                }
+                cx.enter(comm, State::Searching);
+                all_out = false; // it had work a moment ago
+            } else {
+                transport.serve(comm, stack, cx, value);
+            }
+            start = read + 1;
         }
     }
     if all_out {
@@ -394,7 +433,7 @@ where
         }
         if let Some(v) = victims.one() {
             cx.res.probes += 1;
-            if transport.probe(comm, v) > 0 {
+            if comm.get(v, vars::WORK_AVAIL) > 0 {
                 TerminationBarrier::leave(comm);
                 if transport.steal(comm, stack, v, cx) == StealOutcome::Got {
                     return false;

@@ -111,6 +111,65 @@ impl MailProbe {
     }
 }
 
+/// What a [`Comm::probe_cycle`] issued and saw.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Cycle {
+    /// Reads issued, from the cycle's `start` on.
+    pub reads: usize,
+    /// Whether a victim read returned 0.
+    pub saw_zero: bool,
+    /// The read the cycle stopped at, numbered like `start`, and its value;
+    /// `None` when every read through the last was issued.
+    pub stop: Option<(usize, i64)>,
+}
+
+/// Read `r` of a probe cycle (numbered as [`Comm::probe_cycle`] says): the
+/// cell it reads and whether it is the issuer's own one.
+pub(crate) fn cycle_cell(
+    victims: &[u32],
+    var: usize,
+    own: Option<(usize, i64)>,
+    me: usize,
+    r: usize,
+) -> (usize, usize, bool) {
+    match own {
+        Some((own_var, _)) if r % 2 == 1 => (me, own_var, true),
+        Some(_) => (victims[r / 2] as usize, var, false),
+        None => (victims[r] as usize, var, false),
+    }
+}
+
+/// The loop of [`Comm::get`] that [`Comm::probe_cycle`] is: its default, and
+/// what the simulator falls back on.
+pub(crate) fn probe_loop<T: Item, C: Comm<T> + ?Sized>(
+    comm: &mut C,
+    victims: &[u32],
+    start: usize,
+    var: usize,
+    own: Option<(usize, i64)>,
+) -> Cycle {
+    let me = comm.my_id();
+    let reads = victims.len() << usize::from(own.is_some());
+    let mut cycle = Cycle::default();
+    for r in start..reads {
+        let (thread, cell, is_own) = cycle_cell(victims, var, own, me, r);
+        let value = comm.get(thread, cell);
+        cycle.reads += 1;
+        let stops = match own {
+            Some((_, quiet)) if is_own => value != quiet,
+            _ => {
+                cycle.saw_zero |= value == 0;
+                value > 0
+            }
+        };
+        if stops {
+            cycle.stop = Some((r, value));
+            break;
+        }
+    }
+    cycle
+}
+
 /// Shape of each thread's partition of the global space.
 #[derive(Clone, Copy, Debug)]
 pub struct SpaceConfig {
@@ -248,6 +307,29 @@ pub trait Comm<T: Item>: Send {
     fn idle_for_mail(&mut self, pass: &[MailProbe], idle_ns: u64) {
         let _ = pass;
         self.advance_idle(idle_ns);
+    }
+
+    /// A searching thief's probe cycle (§3.1, §3.3.1): read cell `var` of
+    /// each of `victims` in turn and, when `own = Some((own_var, quiet))`,
+    /// the caller's own cell `own_var` after each. Read `2i` is then victim
+    /// `i`'s and read `2i + 1` the own read after it; without `own`, read `i`
+    /// is victim `i`'s. The cycle issues the reads from `start` on and stops
+    /// at the first victim value above 0 or the first own value other than
+    /// `quiet`, so that a caller acts on that read and resumes at the one
+    /// after it.
+    ///
+    /// The default is the loop of [`Comm::get`], bit for bit. The simulator's
+    /// fast conductor applies a parked read of the cycle, and those after it
+    /// that its windows admit, without resuming the caller
+    /// (`docs/conductor.md` §3.4); its schedule is the loop's.
+    fn probe_cycle(
+        &mut self,
+        victims: &[u32],
+        start: usize,
+        var: usize,
+        own: Option<(usize, i64)>,
+    ) -> Cycle {
+        probe_loop(self, victims, start, var, own)
     }
 
     /// Counters accumulated by this handle.

@@ -65,7 +65,7 @@ pub mod stats;
 
 pub use arrival::{ArrivalProcess, ArrivalSpec};
 pub use collectives::Collectives;
-pub use comm::{Comm, MailProbe, OpClass, SpaceConfig};
+pub use comm::{Comm, Cycle, MailProbe, OpClass, SpaceConfig};
 pub use fault::FaultPlan;
 pub use machine::{Distance, MachineModel};
 pub use msg::Msg;

@@ -84,6 +84,11 @@
 //! sends are ordered against each other, not per partition. The reference
 //! conductor takes neither window.
 //!
+//! Two idle loops cost less still: a mail wait sleeps until a message could
+//! end it (`sim/mail.rs`), and on fibers a probe cycle that has to wait is
+//! run by the conductor, read by read, without resuming its thread
+//! (`sim/cycle.rs`).
+//!
 //! This is how the paper's 256-1024-thread cluster experiments (§4.2) run on
 //! a single host: the virtual makespan plays the role of measured wall-clock
 //! time.
@@ -96,7 +101,7 @@ use std::collections::BinaryHeap;
 #[cfg(any(not(pgas_fiber), test))]
 use std::sync::Arc;
 
-use crate::comm::{Comm, Item, MailProbe, OpClass, SpaceConfig};
+use crate::comm::{self, Comm, Cycle, Item, MailProbe, OpClass, SpaceConfig};
 use crate::fault::{self, FaultPlan, MsgFate};
 #[cfg(pgas_fiber)]
 use crate::fiber::{self, StackArena};
@@ -104,9 +109,13 @@ use crate::machine::MachineModel;
 use crate::msg::Msg;
 use crate::stats::{CommStats, ConductorStats};
 
+#[cfg(pgas_fiber)]
+mod cycle;
 mod mail;
 #[cfg(any(not(pgas_fiber), test))]
 mod threads;
+#[cfg(pgas_fiber)]
+use cycle::Parked;
 use mail::MailWaits;
 #[cfg(any(not(pgas_fiber), test))]
 use threads::Shared;
@@ -230,6 +239,33 @@ impl Inbound {
     }
 }
 
+/// The fast policy's two windows (module docs): may an operation of `tid`
+/// that completes at `t` on `peer`'s partition keep the baton against the
+/// queue minimum `next_min`? `Some(false)` if it precedes that minimum (the
+/// lookahead window), `Some(true)` if only the reach window admits it — an
+/// operation on `tid`'s own partition, not a send, strictly inside the
+/// horizon, and `admits()` that nothing parked there conflicts with it —
+/// and `None` if it must wait for the baton.
+fn window(
+    next_min: Option<(u64, usize)>,
+    tid: usize,
+    t: u64,
+    peer: usize,
+    access: Access,
+    reach_ns: u64,
+    admits: impl FnOnce() -> bool,
+) -> Option<bool> {
+    let Some((min_clock, min_tid)) = next_min else {
+        return Some(false);
+    };
+    if (t, tid) < (min_clock, min_tid) {
+        return Some(false);
+    }
+    // Strictly: at `min_clock + reach_ns` a thread with a smaller id could
+    // commit on our partition first.
+    (peer == tid && access != Access::Send && t < min_clock + reach_ns && admits()).then_some(true)
+}
+
 impl<T: Item> Mem<T> {
     fn new(nthreads: usize, cfg: &SpaceConfig) -> Self {
         Mem {
@@ -254,12 +290,18 @@ struct FiberHub<T: Item> {
     faults: FaultPlan,
     /// The policy: fast (windows, packed keys) or naive (see the module docs).
     lookahead: bool,
+    /// Width of the reach window, for the probe cycles the hub runs.
+    reach_ns: u64,
     clocks: Vec<u64>,
     /// Fibers waiting for the baton under the fast policy, one packed key each.
     queue: BinaryHeap<Reverse<u64>>,
     keys: KeyFormat,
     /// Fibers waiting for the baton under the naive policy.
     naive: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Each thread's probe cycle, while the conductor runs it
+    /// (`sim/cycle.rs`), and how many threads are parked in one.
+    cycles: Vec<Parked>,
+    cycling: usize,
     /// Saved stack pointer of each suspended fiber.
     rsps: Vec<usize>,
     /// Saved stack pointer of the host (resumed when the last fiber retires).
@@ -273,9 +315,10 @@ struct FiberHub<T: Item> {
 impl<T: Item> FiberHub<T> {
     /// Take the next baton holder off the policy's ready queue, or the
     /// sleeping waiter whose key precedes all of it, or, with neither left,
-    /// a waiter out of fuel.
+    /// a waiter out of fuel — running the probe cycles of the threads parked
+    /// in one on the way ([`FiberHub::grant`]).
     fn pop(&mut self) -> Option<usize> {
-        if self.lookahead {
+        let next = if self.lookahead {
             let (queue, keys) = (&mut self.queue, self.keys);
             let queued = queue.peek().map(|&key| keys.unpack(key));
             self.mem
@@ -283,7 +326,32 @@ impl<T: Item> FiberHub<T> {
                 .next(queued, || queue.pop().map(|key| keys.unpack(key).1))
         } else {
             self.naive.pop().map(|Reverse((_, tid))| tid)
-        }
+        };
+        self.grant(next)
+    }
+
+    /// Under the fast policy, queue `tid` at `t` and take the least key off
+    /// the queue: `min`, which `tid`'s failed lookahead test has just proved
+    /// precedes `(t, tid)` (exact while `tid` holds the baton). If it is the
+    /// queue's root, "push, pop the minimum" is "replace the root": one
+    /// sift-down. Keys are unique, so the pop order does not depend on the
+    /// heap's layout. If not, it is a sleeping mail waiter's: queue `tid` and
+    /// wake it. Inline, like [`KeyFormat::pack`]: every handoff of `op` takes
+    /// it, and as a call it cost a service run a few per cent of host time.
+    #[inline(always)]
+    fn requeue(&mut self, tid: usize, t: u64, min: (u64, usize)) -> usize {
+        self.clocks[tid] = t;
+        let keys = self.keys;
+        let root = self.queue.peek().map(|&root| keys.unpack(root));
+        let next = if root == Some(min) {
+            *self.queue.peek_mut().expect("just peeked") = keys.pack(t, tid);
+            min.1
+        } else {
+            self.queue.push(keys.pack(t, tid));
+            self.mem.waits.pop().expect("the least key sleeps")
+        };
+        assert_ne!(next, tid, "a running fiber was queued");
+        next
     }
 
     /// The least key of the fast policy's ready queue and sleeping waiters.
@@ -313,10 +381,16 @@ impl KeyFormat {
         }
     }
 
+    /// Whether `clock` fits the bits the key leaves it.
+    fn fits(self, clock: u64) -> bool {
+        clock.leading_zeros() >= self.tid_bits
+    }
+
     /// A clock too large for the bits left to it panics; it never wraps.
+    #[inline(always)]
     fn pack(self, clock: u64, tid: usize) -> Reverse<u64> {
         assert!(
-            clock.leading_zeros() >= self.tid_bits,
+            self.fits(clock),
             "virtual time {clock} ns does not fit the ready queue's {}-bit clock at p = {}",
             u64::BITS - self.tid_bits,
             self.nthreads
@@ -491,15 +565,19 @@ impl<T: Item> SimCluster<T> {
         F: Fn(&mut SimComm<T>) -> R + Sync,
     {
         let n = self.nthreads;
+        let reach_ns = self.machine.min_foreign_cost();
         let mut hub = FiberHub {
             machine: self.machine,
             nthreads: n,
             faults: self.faults,
             lookahead: self.lookahead,
+            reach_ns,
             clocks: vec![0; n],
             queue: BinaryHeap::with_capacity(n),
             keys: KeyFormat::new(n),
             naive: BinaryHeap::new(),
+            cycles: vec![Parked::IDLE; n],
+            cycling: 0,
             rsps: vec![0; n],
             host_rsp: 0,
             mem: Mem::new(n, &self.cfg),
@@ -647,22 +725,6 @@ impl<T: Item> SimComm<T> {
         }
     }
 
-    /// The reach window (module docs): may this operation, which completes
-    /// at `t` — not before the queue minimum — be applied now all the same?
-    fn reaches(&mut self, access: Access, peer: usize, t: u64) -> bool {
-        let Some((min_clock, _)) = self.next_min else {
-            return false;
-        };
-        // Strictly: at `min_clock + reach_ns` a thread with a smaller id
-        // could commit on our partition first.
-        if peer != self.tid || access == Access::Send || t >= min_clock + self.reach_ns {
-            return false;
-        }
-        let me = self.tid;
-        // SAFETY: `op` runs with the baton held; the borrow ends here.
-        unsafe { self.mem() }.inbound[me].admits(access)
-    }
-
     /// Advance our clock by `cost` (plus pending work) and apply `eff` to the
     /// global memory once no operation that could precede it on the partition
     /// it touches is outstanding. `peer` is the thread whose partition that is
@@ -705,7 +767,7 @@ impl<T: Item> SimComm<T> {
         self.stats.comm_ns += cost;
         let t = self.local_clock + self.pending_work + cost;
         assert!(
-            t - self.worked_until <= FUEL_NS,
+            self.fueled(t),
             "out of fuel: thread {} of {} did no work from {} ns to {t} ns, after {} operations",
             self.tid,
             self.nthreads,
@@ -715,10 +777,13 @@ impl<T: Item> SimComm<T> {
         self.pending_work = 0;
         self.local_clock = t;
         if self.lookahead {
-            let earliest = self.next_min.is_none_or(|min| (t, self.tid) < min);
-            if earliest || self.reaches(access, peer, t) {
+            let (me, next_min, reach_ns) = (self.tid, self.next_min, self.reach_ns);
+            // SAFETY: `op` runs with the baton held; the borrow ends with the
+            // closure.
+            let own = || unsafe { self.mem() }.inbound[me].admits(access);
+            if let Some(reach) = window(next_min, me, t, peer, access, reach_ns, own) {
                 self.conductor.fast_ops += 1;
-                self.conductor.reach_ops += u64::from(!earliest);
+                self.conductor.reach_ops += u64::from(reach);
                 self.conductor.fast_by_class[class.index()] += 1;
                 // SAFETY: we hold the baton and keep it.
                 return eff(unsafe { self.mem() }, t);
@@ -746,28 +811,14 @@ impl<T: Item> SimComm<T> {
                 // `&mut *hub` is unique; it ends before the switch.
                 let (next, save, load) = unsafe {
                     let h = &mut *hub;
-                    h.clocks[self.tid] = t;
                     let next = if self.lookahead {
-                        // The failed lookahead test has just proved that the
-                        // least key, `next_min` (exact while we hold the
-                        // baton), precedes `(t, tid)`. If it is the queue's
-                        // root, "push ourselves, pop the minimum" is "replace
-                        // the root by ourselves": one sift-down. Keys are
-                        // unique, so the pop order does not depend on the
-                        // heap's layout. If not, it is a sleeping mail
-                        // waiter's: queue ourselves and wake it.
                         let min = self.next_min.expect("lookahead failed without a minimum");
-                        let (keys, me) = (h.keys, self.tid);
-                        let next = if h.queue.peek().is_some_and(|&root| keys.unpack(root) == min) {
-                            *h.queue.peek_mut().expect("just peeked") = keys.pack(t, me);
-                            min.1
-                        } else {
-                            h.queue.push(keys.pack(t, me));
-                            h.mem.waits.pop().expect("the least key sleeps")
-                        };
-                        assert_ne!(next, self.tid, "a running fiber was queued");
-                        next
+                        let next = h.requeue(self.tid, t, min);
+                        // Popping a thread parked in a probe cycle runs the
+                        // cycle, which may end with our own key the least.
+                        h.grant(Some(next)).expect("we just queued ourselves")
                     } else {
+                        h.clocks[self.tid] = t;
                         h.naive.push(Reverse((t, self.tid)));
                         h.pop().expect("we just queued ourselves")
                     };
@@ -790,6 +841,12 @@ impl<T: Item> SimComm<T> {
             *mem.inbound[peer].count(access) -= 1;
         }
         eff(mem, t)
+    }
+
+    /// Whether an operation of this thread completing at `t` is within
+    /// fuel: the one place [`FUEL_NS`] is compared.
+    fn fueled(&self, t: u64) -> bool {
+        t - self.worked_until <= FUEL_NS
     }
 
     fn size_of_items(n: usize) -> usize {
@@ -1089,6 +1146,20 @@ impl<T: Item> Comm<T> for SimComm<T> {
 
     fn idle_for_mail(&mut self, pass: &[MailProbe], idle_ns: u64) {
         self.wait_for_mail(pass, idle_ns);
+    }
+
+    fn probe_cycle(
+        &mut self,
+        victims: &[u32],
+        start: usize,
+        var: usize,
+        own: Option<(usize, i64)>,
+    ) -> Cycle {
+        #[cfg(pgas_fiber)]
+        if let Some(cycle) = self.conduct_cycle(victims, start, var, own) {
+            return cycle;
+        }
+        comm::probe_loop(self, victims, start, var, own)
     }
 
     fn try_recv(&mut self, tag: Option<i64>) -> Option<Msg<T>> {

@@ -266,15 +266,19 @@ impl<T: Item> SimComm<T> {
             Backend::Fiber(hub) => {
                 // SAFETY: exactly one fiber is live at a time, so this
                 // `&mut *hub` is unique; it ends before the switch.
-                let (save, load) = unsafe {
+                let (next, save, load) = unsafe {
                     let h = &mut *hub;
                     let next = h.pop().expect("a sleeper's key follows the ready minimum");
-                    (&mut h.rsps[me] as *mut usize, h.rsps[next])
+                    (next, &mut h.rsps[me] as *mut usize, h.rsps[next])
                 };
-                // SAFETY: `load` was saved by the suspended fiber just popped
-                // (or is its initial context); `save` is resumed exactly once,
-                // by whichever fiber wakes us from `Mem::waits`.
-                unsafe { crate::fiber::switch(save, load) };
+                // Probe cycles run on the way may leave our own key the least.
+                if next != me {
+                    // SAFETY: `load` was saved by the suspended fiber just
+                    // popped (or is its initial context); `save` is resumed
+                    // exactly once, by whichever fiber wakes us from
+                    // `Mem::waits`.
+                    unsafe { crate::fiber::switch(save, load) };
+                }
                 // SAFETY: we hold the baton again.
                 self.next_min = unsafe { (*hub).ready_min() };
             }

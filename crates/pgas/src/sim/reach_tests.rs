@@ -1,8 +1,8 @@
-//! The reach window, mail waits and the packed ready queue, held against the
-//! reference (naive) policy: seeded random programs over every [`Comm`]
-//! method, split-phase batches and mail waits included, run by both policies
-//! on both substrates, and hand-placed operations at the window's edges and
-//! a sleeper's wake.
+//! The reach window, mail waits, probe cycles and the packed ready queue,
+//! held against the reference (naive) policy: seeded random programs over
+//! every [`Comm`] method, split-phase batches, mail waits and probe cycles
+//! included, run by both policies on both substrates, and hand-placed
+//! operations at the window's edges, a sleeper's wake and a parked cycle.
 
 use super::*;
 use crate::arrival::HashStream;
@@ -35,6 +35,11 @@ fn inverted() -> MachineModel {
 
 const OPS_PER_THREAD: usize = 200;
 const MAIL_ROUNDS: usize = 4;
+const CYCLE_ROUNDS: usize = 6;
+/// The cells the probe-cycle phase probes and raises: a victim's work level
+/// and the owner's request cell, quiet at 0. No other phase touches them.
+const PROBED: usize = 6;
+const OWN: usize = 7;
 
 fn fold(xs: impl IntoIterator<Item = u64>) -> i64 {
     xs.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, x| {
@@ -62,11 +67,36 @@ fn mail_wait(c: &mut SimComm<u64>, pass: &[MailProbe], idle_ns: u64) -> i64 {
     }
 }
 
+/// A probe cycle from `start`, acting at every stop as a sweep does — the own
+/// request cell reset at an own stop — and resuming after it; returns what
+/// each call saw, folded.
+fn probe_sweep(c: &mut SimComm<u64>, victims: &[u32], mut start: usize, own: bool) -> i64 {
+    let own = own.then_some((OWN, 0));
+    let mut seen = Vec::new();
+    loop {
+        let cycle = c.probe_cycle(victims, start, PROBED, own);
+        let (read, value) = cycle.stop.unwrap_or((usize::MAX, 0));
+        seen.extend([
+            cycle.reads as u64,
+            cycle.saw_zero as u64,
+            read as u64,
+            value as u64,
+        ]);
+        let Some((read, _)) = cycle.stop else {
+            return fold(seen);
+        };
+        if own.is_some() && read % 2 == 1 {
+            c.put(c.my_id(), OWN, 0);
+        }
+        start = read + 1;
+    }
+}
+
 /// One thread's share of random program `seed`: [`OPS_PER_THREAD`] calls
 /// drawn from every `Comm` method, two thirds of those that name a partition
 /// naming the issuer's own, on three cells, two locks and two tags so that
-/// threads collide, then mail waits. Returns every value it observed, in
-/// order.
+/// threads collide, then mail waits, then probe cycles. Returns every value
+/// it observed, in order.
 ///
 /// The draws do not depend on what the thread observes, with two exceptions
 /// (it only unlocks what it locked, and only truncates an area of four items
@@ -185,6 +215,23 @@ fn program(c: &mut SimComm<u64>, seed: u64) -> Vec<i64> {
         let idle = 10 * below(&mut rng, 200) as u64;
         seen.push(mail_wait(c, &pass, idle));
     }
+    // Probe cycles over drawn victims — repeats and the caller itself
+    // included — from a drawn start, with or without own reads, while every
+    // thread sets its own work level to -1, 0 or 1 and raises other threads'
+    // request cells.
+    for _ in 0..CYCLE_ROUNDS {
+        match below(&mut rng, 3) {
+            0 => c.put(me, PROBED, below(&mut rng, 3) as i64 - 1),
+            1 => c.put(below(&mut rng, n), OWN, 1),
+            _ => c.advance_idle(10 * below(&mut rng, 40) as u64),
+        }
+        let victims: Vec<u32> = (0..1 + below(&mut rng, 2 * n))
+            .map(|_| below(&mut rng, n) as u32)
+            .collect();
+        let own = below(&mut rng, 2) == 1;
+        let start = below(&mut rng, victims.len() << usize::from(own));
+        seen.push(probe_sweep(c, &victims, start, own));
+    }
     seen
 }
 
@@ -209,9 +256,9 @@ fn assert_same(fast: &SimReport<Vec<i64>>, reference: &SimReport<Vec<i64>>, labe
     );
     assert!(f.reach_ops <= f.fast_ops, "{label}: {f:?}");
     assert_eq!(
-        (r.fast_ops, r.reach_ops, r.elided_ops),
-        (0, 0, 0),
-        "{label}: the reference took a window or skipped a pass"
+        (r.fast_ops, r.reach_ops, r.elided_ops, r.cycle_ops),
+        (0, 0, 0, 0),
+        "{label}: the reference took a window, skipped a pass or ran a cycle"
     );
 }
 
@@ -221,16 +268,16 @@ fn assert_same(fast: &SimReport<Vec<i64>>, reference: &SimReport<Vec<i64>>, labe
 /// fibers) — must agree bit for bit, and the two fast runs must take the same
 /// windows and skip the same mail-wait passes (some on every machine whose
 /// messages take longer to arrive than the program's pass spans, none on the
-/// others).
+/// others), although only fibers run probe cycles in the conductor.
 ///
-/// Checked against five mutations of the rule (`SimComm::reaches`,
-/// `Inbound::admits`, the count in `SimComm::add_many`), one at a time. The
-/// horizon widened by 400 ns, inbound writes ignored, and inbound reads
-/// ignored for own writes each fail within the first 30 seeds on every
-/// machine below. `<=` for the strict `<` only shows when an own operation
-/// lands exactly on the horizon, a thread with a smaller id lands its cheapest
-/// foreign operation on the same cell in the same nanosecond, and the two do
-/// not commute: random programs get there on smp alone (seed 255), so
+/// Checked against five mutations of the rule (`window`, `Inbound::admits`,
+/// the count in `SimComm::add_many`), one at a time. The horizon widened by
+/// 400 ns, inbound writes ignored, and inbound reads ignored for own writes
+/// each fail within the first 30 seeds on every machine below. `<=` for the
+/// strict `<` only shows when an own operation lands exactly on the horizon,
+/// a thread with a smaller id lands its cheapest foreign operation on the
+/// same cell in the same nanosecond, and the two do not commute: random
+/// programs get there on smp alone (seed 227), so
 /// `foreign_write_at_the_reach_horizon` places that case by hand. *Batch
 /// members counted in `inbound` one at a time, as each parks* — not all of
 /// them when the batch is issued — only shows where two members land less
@@ -245,6 +292,7 @@ fn random_programs_agree(machine: MachineModel) {
     let mut reach_ops = 0;
     let mut handoffs = 0;
     let mut elided_ops = 0;
+    let mut cycle_ops = 0;
     for seed in 0..300u64 {
         let p = 2 + (seed % 9) as usize;
         let cluster = |lookahead: bool| {
@@ -275,13 +323,22 @@ fn random_programs_agree(machine: MachineModel) {
             (on_fibers.handoffs, on_fibers.elided_ops),
             "{label}: the two substrates took different windows"
         );
+        assert_eq!(on_threads.cycle_ops, 0, "{label}: OS threads ran a cycle");
         reach_ops += on_fibers.reach_ops;
         handoffs += on_fibers.handoffs;
         elided_ops += on_fibers.elided_ops;
+        cycle_ops += on_fibers.cycle_ops;
     }
     assert!(
         reach_ops > 0 && handoffs > 0,
         "{}: {reach_ops} reach ops, {handoffs} handoffs",
+        machine.name
+    );
+    // Fibers park cycles; without them the loop of `get` runs.
+    assert_eq!(
+        cycle_ops > 0,
+        cfg!(pgas_fiber),
+        "{}: {cycle_ops} cycle ops",
         machine.name
     );
     // The program's mail waits pass three probes.
@@ -525,6 +582,140 @@ fn later_batch_member_closes_the_window() {
             assert_eq!(fast.conductor[a].reach_ops, 0, "{label}");
         }
     }
+}
+
+/// `a` sweeps `b` six times with its own request cell read after each probe
+/// — a probe of `b` costs 250 ns on kittyhawk, an own read 60, so the own
+/// reads land at 310, 620, … 1860 ns — while `b` raises that cell at
+/// 1240 + d, tying the fourth own read at d = 0. The cycle stops at the own
+/// read that first sees the write, at both conductors, and the fast one
+/// applies some of the reads while `a` stays parked.
+#[test]
+fn an_own_write_mid_cycle_stops_it_at_that_read() {
+    for (a, b) in [(0, 1), (1, 0)] {
+        for d in [-1i64, 0, 1] {
+            let fast = both_conductors(MachineModel::kittyhawk(), 2, |c| {
+                if c.my_id() == a {
+                    let cycle = c.probe_cycle(&[b as u32; 6], 0, PROBED, Some((OWN, 0)));
+                    assert_eq!(cycle.stop.map(|(_, value)| value), Some(1));
+                    cycle.stop.map_or(-1, |(read, _)| read as i64)
+                } else {
+                    c.advance_idle((990 + d) as u64);
+                    c.put(a, OWN, 1); // 1240 + d
+                    0
+                }
+            });
+            let label = format!("a = {a}, d = {d}");
+            let read = if (1240 + d, b) < (1240, a) { 7 } else { 9 };
+            assert_eq!(fast.results[a], read, "{label}");
+            assert_eq!(fast.clocks[a], 310 * (read as u64 + 1) / 2, "{label}");
+            assert!(
+                fast.conductor[a].cycle_ops > 0,
+                "{label}: {:?}",
+                fast.conductor[a]
+            );
+        }
+    }
+}
+
+/// After a stop the caller acts and resumes at the read after it: `a`'s own
+/// stop at read 7 (1240 ns, `b`'s write at 1239), a reset of the request
+/// cell, a victim stop at read 10 (1860 ns, `b`'s work level raised at
+/// 1700), and the last own read, quiet.
+#[test]
+fn a_cycle_resumes_after_a_stop() {
+    for (a, b) in [(0, 1), (1, 0)] {
+        let fast = both_conductors(MachineModel::kittyhawk(), 2, |c| {
+            if c.my_id() == a {
+                let (victims, own) = ([b as u32; 6], Some((OWN, 0)));
+                let first = c.probe_cycle(&victims, 0, PROBED, own);
+                let stop = |read, value| Some((read, value));
+                assert_eq!(
+                    (first.reads, first.saw_zero, first.stop),
+                    (8, true, stop(7, 1))
+                );
+                c.put(a, OWN, 0); // 1300
+                let second = c.probe_cycle(&victims, 8, PROBED, own);
+                assert_eq!(
+                    (second.reads, second.saw_zero, second.stop),
+                    (3, true, stop(10, 1))
+                );
+                let last = c.probe_cycle(&victims, 11, PROBED, own);
+                assert_eq!((last.reads, last.saw_zero, last.stop), (1, false, None));
+                c.now() as i64
+            } else {
+                c.advance_idle(989);
+                c.put(a, OWN, 1); // 1239
+                c.advance_idle(401);
+                c.put(b, PROBED, 1); // 1700
+                0
+            }
+        });
+        assert_eq!(fast.results[a], 1920, "a = {a}");
+        assert_eq!(fast.stats[a].gets, 12, "a = {a}");
+        assert!(
+            fast.conductor[a].cycle_ops > 0,
+            "a = {a}: {:?}",
+            fast.conductor[a]
+        );
+    }
+}
+
+/// A cycle parked on a read of `b`'s work level at 1000 ns counts on `b`'s
+/// partition: `b`'s own write of that cell at 1100 ns, inside its reach
+/// window, must wait for it, and `a` reads the old value.
+#[test]
+fn a_parked_cycle_read_holds_off_its_victims_own_write() {
+    for (a, b) in [(0, 1), (1, 0)] {
+        let fast = both_conductors(MachineModel::kittyhawk(), 2, |c| {
+            if c.my_id() == a {
+                c.advance_idle(750);
+                let cycle = c.probe_cycle(&[b as u32], 0, PROBED, None); // 1000
+                assert_eq!((cycle.reads, cycle.saw_zero, cycle.stop), (1, true, None));
+                0
+            } else {
+                c.put(b, 1, 0); // 60
+                c.advance_idle(380);
+                c.get(b, 1); // 500: lets a run up to its park at 1000
+                c.advance_idle(540);
+                c.put(b, PROBED, 1); // 1100
+                0
+            }
+        });
+        assert_eq!((fast.clocks[a], fast.clocks[b]), (1000, 1100), "a = {a}");
+        assert_eq!(fast.conductor[b].reach_ops, u64::from(b == 0), "a = {a}");
+    }
+}
+
+/// A cycle whose reads would run out of fuel takes the loop, which stops it
+/// where the reference does: same thread, clock and operation count.
+#[test]
+fn a_cycle_out_of_fuel_panics_on_both_conductors() {
+    let out_of_fuel = |lookahead: bool| {
+        let result = std::panic::catch_unwind(|| {
+            SimCluster::<u64>::new(MachineModel::kittyhawk(), 4, SpaceConfig::default())
+                .with_lookahead(lookahead)
+                .run(|c| {
+                    if c.my_id() == 2 {
+                        c.work(1000);
+                        c.advance_idle(FUEL_NS - 1000);
+                        c.probe_cycle(&[0, 1, 3, 0, 1, 3], 0, PROBED, Some((OWN, 0)));
+                    } else {
+                        c.add(0, 1, 1);
+                    }
+                })
+        });
+        let panic = result.expect_err("a cycle past the fuel must run out of it");
+        panic
+            .downcast_ref::<String>()
+            .expect("formatted panic message")
+            .clone()
+    };
+    let fast = out_of_fuel(true);
+    let worked = 1000 * MachineModel::kittyhawk().node_ns;
+    let expected = format!("out of fuel: thread 2 of 4 did no work from {worked} ns to ");
+    assert!(fast.starts_with(&expected), "{fast}");
+    assert_eq!(fast, out_of_fuel(false));
 }
 
 /// Thread `a` of two waits with passes of `pass` and 1 µs idles, the first

@@ -108,7 +108,9 @@ impl CommStats {
 /// the thread's program issued; the split tells you how much real-machine
 /// synchronization the simulation needed, `reach_ops` how much of the fast
 /// path is owed to the reach window, and `elided_ops` how many operations a
-/// mail wait skipped outright. These counters describe the simulator itself — they are
+/// mail wait skipped outright; `cycle_ops` how many of the conducted reads
+/// the conductor applied for a thread parked in a probe cycle without
+/// resuming it. These counters describe the simulator itself — they are
 /// identical in *meaning* but not in *value* across lookahead on/off runs,
 /// which is why they live outside [`CommStats`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -127,6 +129,12 @@ pub struct ConductorStats {
     /// ([`crate::Comm::idle_for_mail`]): priced and charged like the loop's
     /// own, but never conducted, because none of them could find anything.
     pub elided_ops: u64,
+    /// Reads of a [`crate::Comm::probe_cycle`] that the conductor applied
+    /// while the thread stayed parked — the one it parked on and every later
+    /// one of the same cycle. A subset of `fast_ops + handoffs`, so
+    /// [`ConductorStats::total_ops`] does not count them again; 0 under the
+    /// reference conductor.
+    pub cycle_ops: u64,
     /// Fast-path operations by [`OpClass`] histogram index
     /// ([`OpClass::index`]).
     pub fast_by_class: [u64; OpClass::COUNT],
@@ -161,6 +169,7 @@ impl ConductorStats {
         self.reach_ops += other.reach_ops;
         self.handoffs += other.handoffs;
         self.elided_ops += other.elided_ops;
+        self.cycle_ops += other.cycle_ops;
         for (a, b) in self.fast_by_class.iter_mut().zip(other.fast_by_class) {
             *a += b;
         }
@@ -179,6 +188,7 @@ mod tests {
             reach_ops: 2,
             handoffs: 1,
             elided_ops: 4,
+            cycle_ops: 2,
             fast_by_class: [3, 0, 0, 0, 0, 0],
             stack_peak_bytes: 8192,
         };
@@ -187,12 +197,14 @@ mod tests {
             reach_ops: 1,
             handoffs: 1,
             elided_ops: 2,
+            cycle_ops: 1,
             fast_by_class: [0, 1, 0, 0, 0, 0],
             stack_peak_bytes: 12288,
         };
         a.merge(&b);
         assert_eq!(a.total_ops(), 12, "elided operations are operations");
         assert_eq!(a.elided_ops, 6);
+        assert_eq!(a.cycle_ops, 3, "cycle operations are already counted");
         assert_eq!(a.reach_ops, 3);
         assert_eq!(a.stack_peak_bytes, 12288, "the deepest thread's, not a sum");
         assert_eq!(a.fast_by_class, [3, 1, 0, 0, 0, 0]);

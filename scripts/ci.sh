@@ -107,6 +107,9 @@ status=0
 # conductors, every virtual quantity asserted equal with the steal-response
 # waits skipped (about 0.3 s).
 ./target/release/conductor_bench --smoke --alg mpi >/dev/null
+# Probe cycles (§3.4): the upc-distmem smoke point, the whole report equal to
+# the reference's with some cycle reads applied by the conductor.
+./target/release/conductor_bench --smoke --alg distmem >/dev/null
 
 echo "== SAFETY comments (crates/pgas/src) =="
 # Every `unsafe {` block and `unsafe impl` in the crate that owns the fiber

@@ -26,7 +26,7 @@
 //! without fibers) are the sharper oracle per second spent.
 
 use pgas::sim::{SimCluster, SimReport, SIM_STACK_SIZE};
-use pgas::{Comm, MachineModel};
+use pgas::{Comm, ConductorStats, MachineModel};
 use uts_tree::presets::{self, Preset};
 use worksteal::spec::{Conductor, RunSpec};
 use worksteal::{
@@ -79,7 +79,13 @@ fn run_mode(
     cluster.run(move |c| worker(c, &gen, &cfg))
 }
 
-fn assert_equivalent(machine: &MachineModel, preset: &Preset, alg: Algorithm, threads: usize) {
+/// Returns the fast run's conductor counters.
+fn assert_equivalent(
+    machine: &MachineModel,
+    preset: &Preset,
+    alg: Algorithm,
+    threads: usize,
+) -> ConductorStats {
     let reference = run_mode(machine, preset, alg, threads, false);
     let fiber = run_mode(machine, preset, alg, threads, true);
     let label = format!(
@@ -116,6 +122,11 @@ fn assert_equivalent(machine: &MachineModel, preset: &Preset, alg: Algorithm, th
         "{label}: {} operations elided by mail waits",
         fiber.elided_ops
     );
+    assert_eq!(
+        reference.cycle_ops, 0,
+        "{label}: the reference ran a probe cycle"
+    );
+    fiber
 }
 
 fn matrix_over(machine: &MachineModel, preset: &Preset, threads: usize) {
@@ -331,6 +342,27 @@ fn all_algorithms_small_64_threads() {
 #[test]
 fn all_algorithms_small_256_threads() {
     matrix_over(&MachineModel::kittyhawk(), &presets::t_s(), 256);
+}
+
+/// The paper's widest point, p = 1,024 on topsail, where searching thieves'
+/// probe cycles park densest (`docs/conductor.md` §3.4): on fibers the fast
+/// conductor must apply some of upc-distmem's cycle reads itself, and every
+/// bundle must still match the reference. About 85 s in a debug build on a
+/// 2-vCPU host, three quarters of it mpi-ws (42 M operations).
+#[test]
+fn all_algorithms_tiny_1024_threads() {
+    let machine = MachineModel::topsail();
+    for alg in Algorithm::all() {
+        let fiber = assert_equivalent(&machine, &presets::t_tiny(), alg, 1024);
+        // Measured stacks: fibers, not OS threads, which run no cycle.
+        if fiber.stack_peak_bytes > 0 && alg == Algorithm::DistMem {
+            assert!(
+                fiber.cycle_ops > 0,
+                "{}: no probe cycle parked",
+                alg.label()
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------- RunReport
