@@ -124,8 +124,8 @@ fn main() {
         assert!(cond.elided_ops > 0, "no mail wait was skipped");
     }
     // A searching upc-distmem thief sweeps with probe cycles, which the fast
-    // conductor runs itself on fibers (measured stacks: 0 on OS threads).
-    if alg == Algorithm::DistMem && cond.stack_peak_bytes > 0 {
+    // conductor runs itself on either substrate.
+    if alg == Algorithm::DistMem {
         assert!(
             cond.cycle_ops > 0,
             "no probe-cycle read was applied by the conductor"

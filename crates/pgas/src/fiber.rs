@@ -4,7 +4,8 @@
 //!
 //! # Unsafe contract
 //!
-//! Everything here serves one caller, `sim::SimCluster::run_fibers`, and is
+//! Everything here serves one caller, the fiber substrate `sim/fibers.rs`
+//! (`SimCluster::run_fibers` and the `pass` every handoff takes), and is
 //! sound only under the discipline that caller keeps:
 //!
 //! - **One OS thread, one live context.** The host and all fibers of a run

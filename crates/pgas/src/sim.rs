@@ -27,17 +27,22 @@
 //!   obviously correct, and the baseline the equivalence tests and
 //!   `conductor_bench` diff against.
 //! - **Fast policy** (the default): the same order, computed with the two
-//!   windows below and, on fibers, a packed `u64` key per parked thread.
+//!   windows below and a packed `u64` key per parked thread.
 //!
-//! Both run on one *substrate* per target (`build.rs` holds the rule). On
-//! x86-64 Linux every simulated thread is a *fiber* — a user-level stack on
-//! a single OS thread. Since the conductor admits exactly one thread at a
-//! time anyway, nothing is lost by giving up kernel parallelism, and a baton
-//! handoff is a ~15-instruction stack switch (nanoseconds). The context
-//! switch and the stack arena live in `fiber.rs`. On every other target each
-//! simulated thread is an OS thread parked on a condvar (`sim/threads.rs`),
-//! a mutex + condvar + scheduler round trip (microseconds) per handoff;
-//! that substrate is compiled on x86-64 Linux only for this crate's tests.
+//! Both policies are one scheduler, the hub (`sim/hub.rs`): the ready
+//! queues, the pops and every thread's start and retirement. This file holds
+//! the memory image, the pricing of every operation (`op`) and the [`Comm`]
+//! impl. A *substrate* only switches the baton holder to the next one, and
+//! each target has one (`build.rs` holds the rule). On x86-64 Linux every
+//! simulated thread is a *fiber* — a user-level stack on a single OS thread
+//! (`sim/fibers.rs`; the context switch and the stack arena live in
+//! `fiber.rs`). Since the conductor admits exactly one thread at a time
+//! anyway, nothing is lost by giving up kernel parallelism, and a baton
+//! handoff is a ~15-instruction stack switch (nanoseconds). On every other
+//! target each simulated thread is an OS thread waiting on a condvar
+//! (`sim/threads.rs`), a mutex + condvar + scheduler round trip
+//! (microseconds) per handoff; that substrate is compiled on x86-64 Linux
+//! only for this crate's tests.
 //!
 //! # Lookahead fast path
 //!
@@ -85,40 +90,30 @@
 //! conductor takes neither window.
 //!
 //! Two idle loops cost less still: a mail wait sleeps until a message could
-//! end it (`sim/mail.rs`), and on fibers a probe cycle that has to wait is
-//! run by the conductor, read by read, without resuming its thread
-//! (`sim/cycle.rs`).
+//! end it (`sim/mail.rs`), and a probe cycle that has to wait is run by the
+//! conductor, read by read, without resuming its thread (`sim/cycle.rs`).
 //!
 //! This is how the paper's 256-1024-thread cluster experiments (§4.2) run on
 //! a single host: the virtual makespan plays the role of measured wall-clock
 //! time.
 
-#[cfg(pgas_fiber)]
-use std::cmp::Reverse;
 use std::collections::BTreeMap;
-#[cfg(pgas_fiber)]
-use std::collections::BinaryHeap;
-#[cfg(any(not(pgas_fiber), test))]
-use std::sync::Arc;
 
 use crate::comm::{self, Comm, Cycle, Item, MailProbe, OpClass, SpaceConfig};
 use crate::fault::{self, FaultPlan, MsgFate};
-#[cfg(pgas_fiber)]
-use crate::fiber::{self, StackArena};
 use crate::machine::MachineModel;
 use crate::msg::Msg;
 use crate::stats::{CommStats, ConductorStats};
 
-#[cfg(pgas_fiber)]
 mod cycle;
+#[cfg(pgas_fiber)]
+mod fibers;
+mod hub;
 mod mail;
 #[cfg(any(not(pgas_fiber), test))]
 mod threads;
-#[cfg(pgas_fiber)]
-use cycle::Parked;
+use hub::Hub;
 use mail::MailWaits;
-#[cfg(any(not(pgas_fiber), test))]
-use threads::Shared;
 
 /// Stack size for each simulated thread (OS thread or fiber). Workers use
 /// explicit DFS stacks, so half a megabyte is a wide margin over the measured
@@ -182,10 +177,9 @@ impl<R> SimReport<R> {
 
 /// The global memory image.
 ///
-/// Only ever touched by the thread currently holding the baton. On fibers
-/// that is trivially single-threaded; on OS threads it lives in an
-/// `UnsafeCell` next to (not inside) the conductor mutex, and handoffs
-/// through the mutex provide the happens-before edges that publish one
+/// Only ever touched by the thread currently holding the baton, in the hub.
+/// On fibers that is trivially single-threaded; on OS threads the
+/// handover's mutex provides the happens-before edges that publish one
 /// holder's writes to the next.
 struct Mem<T> {
     scalars: Vec<Vec<i64>>,
@@ -280,215 +274,6 @@ impl<T: Item> Mem<T> {
     }
 }
 
-/// Shared state of the fiber conductor. Everything runs on one OS thread, so
-/// no synchronization exists at all: fibers reach it through a raw pointer
-/// and exactly one fiber (or the host) is live at any instant.
-#[cfg(pgas_fiber)]
-struct FiberHub<T: Item> {
-    machine: MachineModel,
-    nthreads: usize,
-    faults: FaultPlan,
-    /// The policy: fast (windows, packed keys) or naive (see the module docs).
-    lookahead: bool,
-    /// Width of the reach window, for the probe cycles the hub runs.
-    reach_ns: u64,
-    clocks: Vec<u64>,
-    /// Fibers waiting for the baton under the fast policy, one packed key each.
-    queue: BinaryHeap<Reverse<u64>>,
-    keys: KeyFormat,
-    /// Fibers waiting for the baton under the naive policy.
-    naive: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Each thread's probe cycle, while the conductor runs it
-    /// (`sim/cycle.rs`), and how many threads are parked in one.
-    cycles: Vec<Parked>,
-    cycling: usize,
-    /// Saved stack pointer of each suspended fiber.
-    rsps: Vec<usize>,
-    /// Saved stack pointer of the host (resumed when the last fiber retires).
-    host_rsp: usize,
-    mem: Mem<T>,
-    final_stats: Vec<Option<CommStats>>,
-    final_conductor: Vec<Option<ConductorStats>>,
-}
-
-#[cfg(pgas_fiber)]
-impl<T: Item> FiberHub<T> {
-    /// Take the next baton holder off the policy's ready queue, or the
-    /// sleeping waiter whose key precedes all of it, or, with neither left,
-    /// a waiter out of fuel — running the probe cycles of the threads parked
-    /// in one on the way ([`FiberHub::grant`]).
-    fn pop(&mut self) -> Option<usize> {
-        let next = if self.lookahead {
-            let (queue, keys) = (&mut self.queue, self.keys);
-            let queued = queue.peek().map(|&key| keys.unpack(key));
-            self.mem
-                .waits
-                .next(queued, || queue.pop().map(|key| keys.unpack(key).1))
-        } else {
-            self.naive.pop().map(|Reverse((_, tid))| tid)
-        };
-        self.grant(next)
-    }
-
-    /// Under the fast policy, queue `tid` at `t` and take the least key off
-    /// the queue: `min`, which `tid`'s failed lookahead test has just proved
-    /// precedes `(t, tid)` (exact while `tid` holds the baton). If it is the
-    /// queue's root, "push, pop the minimum" is "replace the root": one
-    /// sift-down. Keys are unique, so the pop order does not depend on the
-    /// heap's layout. If not, it is a sleeping mail waiter's: queue `tid` and
-    /// wake it. Inline, like [`KeyFormat::pack`]: every handoff of `op` takes
-    /// it, and as a call it cost a service run a few per cent of host time.
-    #[inline(always)]
-    fn requeue(&mut self, tid: usize, t: u64, min: (u64, usize)) -> usize {
-        self.clocks[tid] = t;
-        let keys = self.keys;
-        let root = self.queue.peek().map(|&root| keys.unpack(root));
-        let next = if root == Some(min) {
-            *self.queue.peek_mut().expect("just peeked") = keys.pack(t, tid);
-            min.1
-        } else {
-            self.queue.push(keys.pack(t, tid));
-            self.mem.waits.pop().expect("the least key sleeps")
-        };
-        assert_ne!(next, tid, "a running fiber was queued");
-        next
-    }
-
-    /// The least key of the fast policy's ready queue and sleeping waiters.
-    fn ready_min(&self) -> Option<(u64, usize)> {
-        let queued = self.queue.peek().map(|&key| self.keys.unpack(key));
-        self.mem.waits.ready_min(queued)
-    }
-}
-
-/// The fiber ready queue's entry for `(clock, tid)`: `clock << tid_bits | tid`
-/// with `tid_bits = bits(p - 1)`, so that integer order *is* the
-/// lexicographic `(clock, tid)` order — half the bytes of the tuple and one
-/// compare per heap level.
-#[cfg(pgas_fiber)]
-#[derive(Clone, Copy)]
-struct KeyFormat {
-    nthreads: usize,
-    tid_bits: u32,
-}
-
-#[cfg(pgas_fiber)]
-impl KeyFormat {
-    fn new(nthreads: usize) -> Self {
-        KeyFormat {
-            nthreads,
-            tid_bits: usize::BITS - (nthreads - 1).leading_zeros(),
-        }
-    }
-
-    /// Whether `clock` fits the bits the key leaves it.
-    fn fits(self, clock: u64) -> bool {
-        clock.leading_zeros() >= self.tid_bits
-    }
-
-    /// A clock too large for the bits left to it panics; it never wraps.
-    #[inline(always)]
-    fn pack(self, clock: u64, tid: usize) -> Reverse<u64> {
-        assert!(
-            self.fits(clock),
-            "virtual time {clock} ns does not fit the ready queue's {}-bit clock at p = {}",
-            u64::BITS - self.tid_bits,
-            self.nthreads
-        );
-        Reverse(clock << self.tid_bits | tid as u64)
-    }
-
-    fn unpack(self, Reverse(key): Reverse<u64>) -> (u64, usize) {
-        (key >> self.tid_bits, (key & ((1 << self.tid_bits) - 1)) as usize)
-    }
-}
-
-/// Per-fiber launch record; lives in a host-owned Vec with a stable address.
-#[cfg(pgas_fiber)]
-struct LaunchCtx<T: Item, R, F> {
-    hub: *mut FiberHub<T>,
-    tid: usize,
-    f: *const F,
-    result: *mut Option<R>,
-    panic: *mut Option<Box<dyn std::any::Any + Send>>,
-}
-
-/// Fiber body: run the worker, deposit results, hand the baton on, vanish.
-#[cfg(pgas_fiber)]
-extern "C" fn fiber_entry<T, R, F>(arg: usize) -> !
-where
-    T: Item,
-    F: Fn(&mut SimComm<T>) -> R,
-{
-    // SAFETY: `arg` is the address `run_fibers` planted for this fiber: its
-    // `LaunchCtx`, alive and unmodified in a host-owned Vec for the whole run.
-    let ctx = unsafe { &*(arg as *const LaunchCtx<T, R, F>) };
-    let hub = ctx.hub;
-    // Being switched to for the first time *is* the first baton grant (the
-    // host queued every fiber at (0, tid) before starting the earliest), so
-    // cache the queue minimum as every later grant does.
-    // SAFETY: the hub outlives every fiber and this fiber is the only live
-    // context, so the borrow is unique; it ends with this statement.
-    let (nthreads, faults, lookahead, reach_ns, mail_ns, next_min) = unsafe {
-        let h = &*hub;
-        (
-            h.nthreads,
-            h.faults,
-            h.lookahead,
-            h.machine.min_foreign_cost(),
-            h.machine.min_msg_arrival_ns(),
-            h.ready_min(),
-        )
-    };
-    let mut comm = SimComm {
-        backend: Backend::Fiber(hub),
-        tid: ctx.tid,
-        nthreads,
-        faults,
-        lookahead,
-        reach_ns,
-        mail_ns,
-        local_clock: 0,
-        pending_work: 0,
-        worked_until: 0,
-        next_min,
-        stats: CommStats::default(),
-        conductor: ConductorStats::default(),
-    };
-    // SAFETY: `ctx.f` points at the worker closure `run_fibers` borrows for
-    // the whole run.
-    let f = unsafe { &*ctx.f };
-    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
-    // Retire: fold trailing work, publish, and hand the baton on even if the
-    // worker panicked, so the other simulated threads are not left suspended.
-    comm.local_clock += comm.pending_work;
-    let save;
-    let load;
-    // SAFETY: only live context, so `&mut *hub` is unique; `ctx.result` and
-    // `ctx.panic` point at this fiber's own slots in host-owned Vecs that
-    // nothing else touches until the host is resumed.
-    unsafe {
-        let h = &mut *hub;
-        h.clocks[ctx.tid] = comm.local_clock;
-        h.final_stats[ctx.tid] = Some(comm.stats.clone());
-        h.final_conductor[ctx.tid] = Some(comm.conductor.clone());
-        match res {
-            Ok(r) => *ctx.result = Some(r),
-            Err(p) => *ctx.panic = Some(p),
-        }
-        save = &mut h.rsps[ctx.tid] as *mut usize;
-        load = match h.pop() {
-            Some(next) => h.rsps[next],
-            None => h.host_rsp, // last one out resumes the host
-        };
-    }
-    // SAFETY: `load` is a suspended fiber's saved context (or the host's),
-    // taken from the queue entry just popped and so resumed exactly once; our
-    // own context saved at `save` is never loaded again (we left the queue).
-    unsafe { fiber::switch(save, load) };
-    unreachable!("retired simulated thread resumed");
-}
-
 /// A virtual cluster: construct, then [`SimCluster::run`] a worker closure on
 /// every simulated thread.
 pub struct SimCluster<T: Item> {
@@ -503,8 +288,8 @@ pub struct SimCluster<T: Item> {
 impl<T: Item> SimCluster<T> {
     /// Create a cluster of `nthreads` simulated UPC threads over `machine`.
     ///
-    /// The fast conductor (fibers + lookahead) is enabled by default; see
-    /// [`SimCluster::with_lookahead`].
+    /// The fast conductor (the lookahead and reach windows) is enabled by
+    /// default; see [`SimCluster::with_lookahead`].
     pub fn new(machine: MachineModel, nthreads: usize, cfg: SpaceConfig) -> Self {
         assert!(nthreads > 0, "need at least one thread");
         SimCluster {
@@ -555,128 +340,50 @@ impl<T: Item> SimCluster<T> {
         #[cfg(not(pgas_fiber))]
         self.run_threads(&f)
     }
+}
 
-    /// All simulated threads as fibers on this OS thread. A handoff is a
-    /// user-level stack switch; the fast policy's windows skip even that.
+/// How the baton holder suspends itself and resumes the next one: all that
+/// differs between the substrates. Which one is next, the hub decides.
+#[derive(Clone, Copy)]
+enum Switch {
+    /// The run's fiber contexts (`sim/fibers.rs`).
     #[cfg(pgas_fiber)]
-    fn run_fibers<R, F>(self, f: &F) -> SimReport<R>
-    where
-        R: Send,
-        F: Fn(&mut SimComm<T>) -> R + Sync,
-    {
-        let n = self.nthreads;
-        let reach_ns = self.machine.min_foreign_cost();
-        let mut hub = FiberHub {
-            machine: self.machine,
-            nthreads: n,
-            faults: self.faults,
-            lookahead: self.lookahead,
-            reach_ns,
-            clocks: vec![0; n],
-            queue: BinaryHeap::with_capacity(n),
-            keys: KeyFormat::new(n),
-            naive: BinaryHeap::new(),
-            cycles: vec![Parked::IDLE; n],
-            cycling: 0,
-            rsps: vec![0; n],
-            host_rsp: 0,
-            mem: Mem::new(n, &self.cfg),
-            final_stats: vec![None; n],
-            final_conductor: vec![None; n],
-        };
-        if self.lookahead {
-            hub.queue.extend((0..n).map(|tid| hub.keys.pack(0, tid)));
-        } else {
-            hub.naive.extend((0..n).map(|tid| Reverse((0, tid))));
-        }
-        let hub_ptr: *mut FiberHub<T> = &mut hub;
+    Fiber(*mut usize),
+    /// The run's condvar handover (`sim/threads.rs`).
+    #[cfg(any(not(pgas_fiber), test))]
+    Thread(*const threads::Handover),
+}
 
-        let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        let mut panics: Vec<Option<Box<dyn std::any::Any + Send>>> = (0..n).map(|_| None).collect();
-        // One reservation for the whole run: pages are committed only where
-        // a fiber touches them and all of it is unmapped when `stacks` drops.
-        let mut stacks = StackArena::new(n, SIM_STACK_SIZE);
-
-        let ctxs: Vec<LaunchCtx<T, R, F>> = (0..n)
-            .map(|tid| LaunchCtx {
-                hub: hub_ptr,
-                tid,
-                f,
-                result: &mut results[tid],
-                panic: &mut panics[tid],
-            })
-            .collect();
-        for (tid, ctx) in ctxs.iter().enumerate() {
-            // SAFETY: fresh stack in an arena dropped only after the run,
-            // entry never returns (it switches away for good at retirement),
-            // ctxs outlives every fiber.
-            hub.rsps[tid] = unsafe {
-                fiber::init_stack(
-                    stacks.stack(tid),
-                    fiber_entry::<T, R, F>,
-                    ctx as *const _ as usize,
-                )
-            };
-        }
-
-        // Start the earliest fiber; we are resumed when the last one retires.
-        let first = hub.pop().expect("nonempty cluster");
-        let save: *mut usize = &mut hub.host_rsp;
-        let load = hub.rsps[first];
-        // SAFETY: `load` is fiber `first`'s freshly initialized context, and
-        // the retirement chain resumes `save` exactly once.
-        unsafe { fiber::switch(save, load) };
-
-        // Every fiber has retired; read how deep each stack got while the
-        // arena still holds its pages.
-        for (conductor, peak) in hub.final_conductor.iter_mut().zip(stacks.peak_bytes()) {
-            conductor.as_mut().expect("retired conductor stats").stack_peak_bytes = peak as u64;
-        }
-        if let Some(p) = panics.into_iter().flatten().next() {
-            std::panic::resume_unwind(p);
-        }
-        let makespan_ns = hub.clocks.iter().copied().max().unwrap_or(0);
-        SimReport {
-            results: results.into_iter().map(|r| r.expect("thread result")).collect(),
-            makespan_ns,
-            clocks: hub.clocks,
-            stats: hub
-                .final_stats
-                .into_iter()
-                .map(|s| s.expect("retired stats"))
-                .collect(),
-            conductor: hub
-                .final_conductor
-                .into_iter()
-                .map(|s| s.expect("retired conductor stats"))
-                .collect(),
-            scalars: hub.mem.scalars,
+impl Switch {
+    /// Resume `next` — with none left, the host (on OS threads, nobody) —
+    /// and suspend `me`, which holds the baton, until it is resumed in turn;
+    /// without `me` the caller retires and is never resumed.
+    #[inline(always)]
+    fn pass(self, me: Option<usize>, next: Option<usize>) {
+        match self {
+            // SAFETY: only the baton holder passes it, and `next` was just
+            // taken off the hub, so nothing else loads its context.
+            #[cfg(pgas_fiber)]
+            Switch::Fiber(contexts) => unsafe { fibers::pass(contexts, me, next) },
+            // SAFETY: the handover outlives every simulated thread.
+            #[cfg(any(not(pgas_fiber), test))]
+            Switch::Thread(handover) => unsafe { &*handover }.pass(me, next),
         }
     }
 }
 
-/// Which substrate this handle talks to.
-enum Backend<T: Item> {
-    /// OS-thread substrate (`sim/threads.rs`).
-    #[cfg(any(not(pgas_fiber), test))]
-    Threads(Arc<Shared<T>>),
-    /// Fiber substrate: raw pointer to the hub on the host's stack frame,
-    /// which outlives every fiber.
-    #[cfg(pgas_fiber)]
-    Fiber(*mut FiberHub<T>),
-}
-
-// SAFETY: required by the `Comm: Send` supertrait. On OS threads the
-// handle is ordinary `Send` data. On fibers it holds a raw hub pointer,
-// but the handle is created, used, and abandoned on the single OS thread
-// that owns the hub: workers only ever receive `&mut SimComm` and cannot
-// move the handle out (fields are private and there is no constructor), so
-// it never actually crosses threads.
+// SAFETY: required by the `Comm: Send` supertrait. The handle holds a raw
+// pointer to the hub, but it is created, used and
+// abandoned on the stack of one simulated thread: workers only ever receive
+// `&mut SimComm` and cannot move the handle out (fields are private and there
+// is no constructor), so it never actually crosses threads.
 unsafe impl<T: Item> Send for SimComm<T> {}
 
 /// Per-thread handle for the simulated cluster. Implements [`Comm`].
 pub struct SimComm<T: Item> {
-    backend: Backend<T>,
+    /// The run's hub, which outlives every simulated thread; dereferenced
+    /// only while this thread holds the baton.
+    hub: *mut Hub<T>,
     tid: usize,
     nthreads: usize,
     lookahead: bool,
@@ -712,17 +419,27 @@ impl<T: Item> SimComm<T> {
     /// The caller holds the baton, and drops the borrow before it hands the
     /// baton on.
     unsafe fn mem(&mut self) -> &mut Mem<T> {
-        match &self.backend {
-            // SAFETY: the baton holder's is the unique live access, and the
-            // preceding holder's writes are visible via the mutex handoff
-            // that granted us the baton.
-            #[cfg(any(not(pgas_fiber), test))]
-            Backend::Threads(s) => unsafe { &mut *s.mem.get() },
-            // SAFETY: single OS thread; the baton holder is the only live
-            // fiber, and the hub outlives every fiber.
-            #[cfg(pgas_fiber)]
-            Backend::Fiber(h) => unsafe { &mut (**h).mem },
+        // SAFETY: the baton holder's is the unique live access, and the
+        // substrate's switch published the preceding holder's writes.
+        unsafe { &mut (*self.hub).mem }
+    }
+
+    /// Hand the baton to `next`, just taken off the hub, unless that is us,
+    /// and return holding it again, with the queue minimum left at that
+    /// moment cached.
+    #[inline(always)]
+    fn hand_to(&mut self, next: usize) -> &mut Mem<T> {
+        if next != self.tid {
+            // SAFETY: we hold the baton until the switch; the copy ends the
+            // borrow.
+            let switch = unsafe { (*self.hub).switch };
+            switch.pass(Some(self.tid), Some(next));
         }
+        // SAFETY: we hold the baton again; the borrow is unique until the
+        // caller hands it on.
+        let h = unsafe { &mut *self.hub };
+        self.next_min = h.ready_min();
+        &mut h.mem
     }
 
     /// Advance our clock by `cost` (plus pending work) and apply `eff` to the
@@ -793,50 +510,17 @@ impl<T: Item> SimComm<T> {
         // While we are parked on another thread's partition, its owner's
         // reach window must know (the reference conductor has no window).
         let inbound = self.lookahead && peer != self.tid;
-        if inbound {
-            // SAFETY: we hold the baton until the handoff below.
-            *unsafe { self.mem() }.inbound[peer].count(access) += 1;
-        }
-        let mem = match self.backend {
-            #[cfg(any(not(pgas_fiber), test))]
-            Backend::Threads(ref shared) => {
-                self.next_min = shared.park(self.tid, t);
-                // SAFETY: we hold the baton again — unique access, published
-                // by the mutex release of whichever thread dispatched to us.
-                unsafe { &mut *shared.mem.get() }
+        // SAFETY: we hold the baton until the handoff below; the borrow ends
+        // with the block.
+        let next = unsafe {
+            let h = &mut *self.hub;
+            if inbound {
+                *h.mem.inbound[peer].count(access) += 1;
             }
-            #[cfg(pgas_fiber)]
-            Backend::Fiber(hub) => {
-                // SAFETY: exactly one fiber is live at a time, so this
-                // `&mut *hub` is unique; it ends before the switch.
-                let (next, save, load) = unsafe {
-                    let h = &mut *hub;
-                    let next = if self.lookahead {
-                        let min = self.next_min.expect("lookahead failed without a minimum");
-                        let next = h.requeue(self.tid, t, min);
-                        // Popping a thread parked in a probe cycle runs the
-                        // cycle, which may end with our own key the least.
-                        h.grant(Some(next)).expect("we just queued ourselves")
-                    } else {
-                        h.clocks[self.tid] = t;
-                        h.naive.push(Reverse((t, self.tid)));
-                        h.pop().expect("we just queued ourselves")
-                    };
-                    (next, &mut h.rsps[self.tid] as *mut usize, h.rsps[next])
-                };
-                if next != self.tid {
-                    // SAFETY: `load` was saved by the suspended fiber `next`
-                    // (or is its initial context); `save` is resumed exactly
-                    // once, by whichever fiber later pops our queue entry.
-                    unsafe { fiber::switch(save, load) };
-                }
-                // SAFETY: we hold the baton again, so we are the one live
-                // fiber and the borrow is unique until `eff` returns.
-                let h = unsafe { &mut *hub };
-                self.next_min = h.ready_min();
-                &mut h.mem
-            }
+            h.hand_off(self.tid, t, self.next_min)
         };
+        // Resumed by whichever holder later pops our key.
+        let mem = self.hand_to(next);
         if inbound {
             *mem.inbound[peer].count(access) -= 1;
         }
@@ -864,14 +548,9 @@ impl<T: Item> Comm<T> for SimComm<T> {
     }
 
     fn machine(&self) -> &MachineModel {
-        match &self.backend {
-            #[cfg(any(not(pgas_fiber), test))]
-            Backend::Threads(s) => &s.machine,
-            // SAFETY: the hub outlives every fiber, and `machine` is written
-            // only before the first fiber starts.
-            #[cfg(pgas_fiber)]
-            Backend::Fiber(h) => unsafe { &(**h).machine },
-        }
+        // SAFETY: worker code runs with the baton held, and `machine` is
+        // written only before the run starts.
+        unsafe { &(*self.hub).machine }
     }
 
     fn now(&self) -> u64 {
@@ -1155,7 +834,6 @@ impl<T: Item> Comm<T> for SimComm<T> {
         var: usize,
         own: Option<(usize, i64)>,
     ) -> Cycle {
-        #[cfg(pgas_fiber)]
         if let Some(cycle) = self.conduct_cycle(victims, start, var, own) {
             return cycle;
         }
@@ -1774,15 +1452,17 @@ mod failure_tests {
 
     /// A worker panic must not deadlock the cluster: the baton is handed on
     /// before unwinding, the other threads run to completion, and the panic
-    /// resurfaces from `run` with its own payload — in both conductor modes.
+    /// resurfaces from `run` with its own payload — in both conductor modes,
+    /// on fibers and on OS threads.
     #[test]
     fn worker_panic_does_not_hang_cluster() {
-        for lookahead in [true, false] {
+        let runs = [(true, false), (false, false), (true, true), (false, true)];
+        for (lookahead, on_threads) in runs {
             let result = std::panic::catch_unwind(|| {
                 let cluster: SimCluster<u64> =
                     SimCluster::new(MachineModel::smp(), 4, SpaceConfig::default())
                         .with_lookahead(lookahead);
-                cluster.run(|c| {
+                let worker = |c: &mut SimComm<u64>| {
                     if c.my_id() == 2 {
                         panic!("injected failure");
                     }
@@ -1791,13 +1471,18 @@ mod failure_tests {
                         c.add(0, 0, 1);
                     }
                     c.my_id()
-                })
+                };
+                if on_threads {
+                    cluster.run_threads(&worker)
+                } else {
+                    cluster.run(worker)
+                }
             });
             let panic = result.expect_err("panic must propagate");
             assert_eq!(
                 panic.downcast_ref::<&str>(),
                 Some(&"injected failure"),
-                "lookahead={lookahead}"
+                "lookahead={lookahead} on_threads={on_threads}"
             );
         }
     }

@@ -1,6 +1,7 @@
-//! Probe cycles (`docs/conductor.md` §3.4): under the fast policy on fibers, a
-//! thread whose [`Comm::probe_cycle`] read has to wait for the baton parks
-//! together with the rest of its cycle, in a [`Parked`] record of the hub.
+//! Probe cycles (`docs/conductor.md` §3.4): under the fast policy, on either
+//! substrate, a thread whose [`Comm::probe_cycle`] read has to wait for the
+//! baton parks together with the rest of its cycle, in a [`Parked`] record of
+//! the hub.
 //! Whoever pops its key applies that read, and every later read of the cycle
 //! that the lookahead or the reach window admits, without switching to the
 //! thread's stack; a read that has to wait again re-queues the thread. The
@@ -14,9 +15,8 @@
 //! same keys, with the same fast/handoff split, as the loop of `get`; only the
 //! resume onto a cold stack is gone.
 
-use super::{window, Access, Backend, FiberHub, SimComm};
+use super::{window, Access, Hub, SimComm};
 use crate::comm::{cycle_cell, Comm, Cycle, Item, OpClass};
-use crate::fiber;
 
 /// `Parked::own_var` of a cycle without own reads.
 const NO_OWN: u32 = u32::MAX;
@@ -45,7 +45,7 @@ pub(super) struct Parked {
     reach: u32,
     saw_zero: bool,
     /// Whether the thread is queued on read `at`, for the conductor to apply.
-    parked: bool,
+    pub(super) parked: bool,
 }
 
 const _: () = assert!(std::mem::size_of::<Parked>() == 64);
@@ -83,7 +83,7 @@ impl Parked {
     }
 }
 
-impl<T: Item> FiberHub<T> {
+impl<T: Item> Hub<T> {
     /// Apply read `at` of `tid`'s cycle; whether the cycle ends with it.
     fn apply(&mut self, tid: usize) -> bool {
         let rec = &mut self.cycles[tid];
@@ -128,7 +128,7 @@ impl<T: Item> FiberHub<T> {
     /// `tid`'s read on `peer` waits: count it inbound there, queue `tid` at
     /// its completion, and take the next baton holder off the queue (`min`,
     /// `tid`'s queue minimum, precedes it).
-    fn park(&mut self, tid: usize, peer: usize, min: (u64, usize)) -> usize {
+    pub(super) fn park(&mut self, tid: usize, peer: usize, min: (u64, usize)) -> usize {
         let rec = &mut self.cycles[tid];
         self.cycling += usize::from(!rec.parked);
         rec.parked = true;
@@ -140,52 +140,32 @@ impl<T: Item> FiberHub<T> {
         self.requeue(tid, t, min)
     }
 
-    /// The next baton holder, from `next` just taken off the queue: a thread
-    /// parked in a probe cycle has its reads applied here until the cycle
-    /// ends — then it is the one — or it parks again, and the next is taken.
-    /// Inline, as every handoff takes it: most runs park no cycle at all, and
-    /// their pops read no record.
-    #[inline(always)]
-    pub(super) fn grant(&mut self, next: Option<usize>) -> Option<usize> {
-        match next {
-            Some(tid) if self.cycling > 0 && self.cycles[tid].parked => Some(self.run_cycles(tid)),
-            _ => next,
+    /// Resume `tid`'s parked cycle, which holds the baton with the queue
+    /// minimum `next_min` left: apply the read it waited for and every later
+    /// one the windows admit; returns the partition of the next read that has
+    /// to wait, or `None` once the cycle ends.
+    pub(super) fn resume_cycle(
+        &mut self,
+        tid: usize,
+        next_min: Option<(u64, usize)>,
+    ) -> Option<usize> {
+        let (peer, _, _) = self.cycles[tid].cell(tid);
+        if peer != tid {
+            *self.mem.inbound[peer].count(Access::Read) -= 1;
         }
-    }
-
-    /// [`FiberHub::grant`] from `tid`, parked in a probe cycle.
-    #[inline(never)]
-    fn run_cycles(&mut self, mut tid: usize) -> usize {
-        while self.cycling > 0 && self.cycles[tid].parked {
-            // `tid` holds the baton now: what it would see on resuming.
-            let next_min = self.ready_min();
-            let (peer, _, _) = self.cycles[tid].cell(tid);
-            if peer != tid {
-                *self.mem.inbound[peer].count(Access::Read) -= 1;
-            }
-            let waits = if self.apply(tid) {
-                None
-            } else {
-                self.advance(tid, next_min)
-            };
-            let Some(peer) = waits else {
-                self.cycles[tid].parked = false;
-                self.cycling -= 1;
-                break;
-            };
-            let min = next_min.expect("a read that waits has a queue minimum");
-            tid = self.park(tid, peer, min);
+        if self.apply(tid) {
+            None
+        } else {
+            self.advance(tid, next_min)
         }
-        tid
     }
 }
 
 impl<T: Item> SimComm<T> {
-    /// [`Comm::probe_cycle`] on fibers under the fast policy: `None` where
-    /// the loop of `get` runs instead — the reference policy, an active
-    /// fault plan, and a cycle whose last read could run out of fuel (or out
-    /// of the queue key's clock bits), which the loop stops where the
-    /// reference does.
+    /// [`Comm::probe_cycle`] under the fast policy: `None` where the loop of
+    /// `get` runs instead — the reference policy, an active fault plan, and
+    /// a cycle whose last read could run out of fuel (or out of the queue
+    /// key's clock bits), which the loop stops where the reference does.
     pub(super) fn conduct_cycle(
         &mut self,
         victims: &[u32],
@@ -193,13 +173,6 @@ impl<T: Item> SimComm<T> {
         var: usize,
         own: Option<(usize, i64)>,
     ) -> Option<Cycle> {
-        // The OS-thread substrate is compiled beside fibers in tests only.
-        #[allow(clippy::infallible_destructuring_match)]
-        let hub = match self.backend {
-            Backend::Fiber(hub) => hub,
-            #[cfg(test)]
-            Backend::Threads(_) => return None,
-        };
         let reads = victims.len() << usize::from(own.is_some());
         if !self.lookahead || self.faults.is_active() || start >= reads {
             return None;
@@ -208,9 +181,8 @@ impl<T: Item> SimComm<T> {
         let unit = m.local_ref_ns.max(m.same_node_ref_ns).max(m.remote_ref_ns);
         let clock = self.now();
         let last = clock + (reads - start) as u64 * unit;
-        // SAFETY: the hub outlives every fiber; `keys` is written only before
-        // the first one starts.
-        if !self.fueled(last) || !unsafe { (*hub).keys }.fits(last) {
+        // SAFETY: we hold the baton; the borrow ends with the copy.
+        if !self.fueled(last) || !unsafe { (*self.hub).keys }.fits(last) {
             return None;
         }
         let me = self.tid;
@@ -221,10 +193,10 @@ impl<T: Item> SimComm<T> {
         );
         let cell = |var: usize| u32::try_from(var).expect("cell index fits u32");
         let (own_var, quiet) = own.map_or((NO_OWN, 0), |(var, quiet)| (cell(var), quiet));
-        // SAFETY: exactly one fiber is live at a time, so this `&mut *hub` is
-        // unique; it ends before the switch.
+        // SAFETY: we hold the baton until the handoff below; the borrow ends
+        // with the block.
         let parked = unsafe {
-            let h = &mut *hub;
+            let h = &mut *self.hub;
             h.cycles[me] = Parked {
                 victims: victims.as_ptr(),
                 len: victims.len() as u32,
@@ -242,28 +214,17 @@ impl<T: Item> SimComm<T> {
                     .expect("a read that waits has a queue minimum");
                 let next = h.park(me, peer, min);
                 let next = h.grant(Some(next)).expect("we just queued ourselves");
-                (
-                    applied_here,
-                    next,
-                    &mut h.rsps[me] as *mut usize,
-                    h.rsps[next],
-                )
+                (applied_here, next)
             })
         };
         let mut cycle_ops_from = None;
-        if let Some((applied_here, next, save, load)) = parked {
+        if let Some((applied_here, next)) = parked {
             cycle_ops_from = Some(applied_here);
-            if next != me {
-                // SAFETY: `load` was saved by the suspended fiber `next` (or is
-                // its initial context); `save` is resumed exactly once, by
-                // whichever fiber ends our cycle.
-                unsafe { fiber::switch(save, load) };
-            }
-            // SAFETY: we hold the baton again.
-            self.next_min = unsafe { (*hub).ready_min() };
+            // Resumed by whichever holder ends our cycle.
+            self.hand_to(next);
         }
         // SAFETY: we hold the baton; the borrow ends with the copy.
-        let rec = unsafe { (&(*hub).cycles)[me] };
+        let rec = unsafe { (&(*self.hub).cycles)[me] };
         let end = rec.at as usize;
         let stop = (end < reads).then_some((end, rec.value));
         let issued = end + usize::from(stop.is_some()) - start;

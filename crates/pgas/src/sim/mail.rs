@@ -15,7 +15,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use super::{Backend, SimComm, FUEL_NS};
+use super::{SimComm, FUEL_NS};
 use crate::comm::{Comm, Item, MailProbe};
 use crate::msg::Msg;
 
@@ -257,33 +257,15 @@ impl<T: Item> SimComm<T> {
     /// return the start of the pass we are woken for.
     fn sleep(&mut self, wake: u64, by_mail: bool) -> u64 {
         let me = self.tid;
-        // SAFETY: we hold the baton until the handoff below.
-        unsafe { self.mem() }.waits.sleep(me, wake, by_mail);
-        match self.backend {
-            #[cfg(any(not(pgas_fiber), test))]
-            Backend::Threads(ref shared) => self.next_min = shared.sleep(me),
-            #[cfg(pgas_fiber)]
-            Backend::Fiber(hub) => {
-                // SAFETY: exactly one fiber is live at a time, so this
-                // `&mut *hub` is unique; it ends before the switch.
-                let (next, save, load) = unsafe {
-                    let h = &mut *hub;
-                    let next = h.pop().expect("a sleeper's key follows the ready minimum");
-                    (next, &mut h.rsps[me] as *mut usize, h.rsps[next])
-                };
-                // Probe cycles run on the way may leave our own key the least.
-                if next != me {
-                    // SAFETY: `load` was saved by the suspended fiber just
-                    // popped (or is its initial context); `save` is resumed
-                    // exactly once, by whichever fiber wakes us from
-                    // `Mem::waits`.
-                    unsafe { crate::fiber::switch(save, load) };
-                }
-                // SAFETY: we hold the baton again.
-                self.next_min = unsafe { (*hub).ready_min() };
-            }
-        }
-        // SAFETY: we hold the baton again.
-        unsafe { self.mem() }.waits.woken(me)
+        // SAFETY: we hold the baton until the handoff below; the borrow ends
+        // with the block.
+        let next = unsafe {
+            let h = &mut *self.hub;
+            h.mem.waits.sleep(me, wake, by_mail);
+            h.pop().expect("a sleeper's key follows the ready minimum")
+        };
+        // Probe cycles run on the way may leave our own key the least; if
+        // not, whoever wakes us from `Mem::waits` resumes us.
+        self.hand_to(next).waits.woken(me)
     }
 }

@@ -4,6 +4,7 @@
 //! included, run by both policies on both substrates, and hand-placed
 //! operations at the window's edges, a sleeper's wake and a parked cycle.
 
+use super::hub::KeyFormat;
 use super::*;
 use crate::arrival::HashStream;
 
@@ -262,13 +263,25 @@ fn assert_same(fast: &SimReport<Vec<i64>>, reference: &SimReport<Vec<i64>>, labe
     );
 }
 
+/// Each thread's conductor statistics but the stack's high-water mark, which
+/// only fibers measure.
+fn unmeasured(report: &SimReport<Vec<i64>>) -> Vec<ConductorStats> {
+    let unmeasured = |c: &ConductorStats| ConductorStats {
+        stack_peak_bytes: 0,
+        ..c.clone()
+    };
+    report.conductor.iter().map(unmeasured).collect()
+}
+
 /// Random programs × p ∈ 2..=10 on one machine, each run four ways — the
 /// naive policy (the reference) and the fast one, each on this platform's
 /// substrate and on OS threads (the one substrate of every platform without
-/// fibers) — must agree bit for bit, and the two fast runs must take the same
-/// windows and skip the same mail-wait passes (some on every machine whose
-/// messages take longer to arrive than the program's pass spans, none on the
-/// others), although only fibers run probe cycles in the conductor.
+/// fibers) — must agree bit for bit, and the two runs of each policy must
+/// count the same in every conductor statistic but the stack's high-water
+/// mark: one hub schedules both substrates, so they take the same windows,
+/// skip the same mail-wait passes (some on every machine whose messages take
+/// longer to arrive than the program's pass spans, none on the others) and
+/// run the same probe cycles in the conductor (some on every machine).
 ///
 /// Checked against five mutations of the rule (`window`, `Inbound::admits`,
 /// the count in `SimComm::add_many`), one at a time. The horizon widened by
@@ -306,39 +319,27 @@ fn random_programs_agree(machine: MachineModel) {
         let reference = cluster(false).run(|c| program(c, seed));
         let fast = cluster(true).run(|c| program(c, seed));
         assert_same(&fast, &reference, &label);
-        assert_same(
-            &reference,
-            &on_threads(false),
-            &format!("{label} (naive policy on OS threads)"),
-        );
-        let threads = on_threads(true);
-        assert_same(
-            &threads,
-            &reference,
-            &format!("{label} (fast policy on OS threads)"),
-        );
-        let (on_threads, on_fibers) = (threads.total_conductor(), fast.total_conductor());
-        assert_eq!(
-            (on_threads.handoffs, on_threads.elided_ops),
-            (on_fibers.handoffs, on_fibers.elided_ops),
-            "{label}: the two substrates took different windows"
-        );
-        assert_eq!(on_threads.cycle_ops, 0, "{label}: OS threads ran a cycle");
+        for (report, threads, policy) in [
+            (&reference, on_threads(false), "naive"),
+            (&fast, on_threads(true), "fast"),
+        ] {
+            let label = format!("{label} ({policy} policy on OS threads)");
+            assert_same(&threads, &reference, &label);
+            assert_eq!(
+                unmeasured(report),
+                unmeasured(&threads),
+                "{label}: the two substrates were conducted differently"
+            );
+        }
+        let on_fibers = fast.total_conductor();
         reach_ops += on_fibers.reach_ops;
         handoffs += on_fibers.handoffs;
         elided_ops += on_fibers.elided_ops;
         cycle_ops += on_fibers.cycle_ops;
     }
     assert!(
-        reach_ops > 0 && handoffs > 0,
-        "{}: {reach_ops} reach ops, {handoffs} handoffs",
-        machine.name
-    );
-    // Fibers park cycles; without them the loop of `get` runs.
-    assert_eq!(
-        cycle_ops > 0,
-        cfg!(pgas_fiber),
-        "{}: {cycle_ops} cycle ops",
+        reach_ops > 0 && handoffs > 0 && cycle_ops > 0,
+        "{}: {reach_ops} reach ops, {handoffs} handoffs, {cycle_ops} cycle ops",
         machine.name
     );
     // The program's mail waits pass three probes.
@@ -688,22 +689,29 @@ fn a_parked_cycle_read_holds_off_its_victims_own_write() {
 }
 
 /// A cycle whose reads would run out of fuel takes the loop, which stops it
-/// where the reference does: same thread, clock and operation count.
+/// where the reference does: same thread, clock and operation count, on
+/// fibers and on OS threads alike (one retirement path carries the panic).
 #[test]
 fn a_cycle_out_of_fuel_panics_on_both_conductors() {
-    let out_of_fuel = |lookahead: bool| {
+    let out_of_fuel = |lookahead: bool, on_threads: bool| {
         let result = std::panic::catch_unwind(|| {
-            SimCluster::<u64>::new(MachineModel::kittyhawk(), 4, SpaceConfig::default())
-                .with_lookahead(lookahead)
-                .run(|c| {
-                    if c.my_id() == 2 {
-                        c.work(1000);
-                        c.advance_idle(FUEL_NS - 1000);
-                        c.probe_cycle(&[0, 1, 3, 0, 1, 3], 0, PROBED, Some((OWN, 0)));
-                    } else {
-                        c.add(0, 1, 1);
-                    }
-                })
+            let cluster =
+                SimCluster::<u64>::new(MachineModel::kittyhawk(), 4, SpaceConfig::default())
+                    .with_lookahead(lookahead);
+            let worker = |c: &mut SimComm<u64>| {
+                if c.my_id() == 2 {
+                    c.work(1000);
+                    c.advance_idle(FUEL_NS - 1000);
+                    c.probe_cycle(&[0, 1, 3, 0, 1, 3], 0, PROBED, Some((OWN, 0)));
+                } else {
+                    c.add(0, 1, 1);
+                }
+            };
+            if on_threads {
+                cluster.run_threads(&worker)
+            } else {
+                cluster.run(worker)
+            }
         });
         let panic = result.expect_err("a cycle past the fuel must run out of it");
         panic
@@ -711,11 +719,17 @@ fn a_cycle_out_of_fuel_panics_on_both_conductors() {
             .expect("formatted panic message")
             .clone()
     };
-    let fast = out_of_fuel(true);
+    let fast = out_of_fuel(true, false);
     let worked = 1000 * MachineModel::kittyhawk().node_ns;
     let expected = format!("out of fuel: thread 2 of 4 did no work from {worked} ns to ");
     assert!(fast.starts_with(&expected), "{fast}");
-    assert_eq!(fast, out_of_fuel(false));
+    for (lookahead, on_threads) in [(false, false), (true, true), (false, true)] {
+        assert_eq!(
+            fast,
+            out_of_fuel(lookahead, on_threads),
+            "lookahead={lookahead} on_threads={on_threads}"
+        );
+    }
 }
 
 /// Thread `a` of two waits with passes of `pass` and 1 µs idles, the first
@@ -978,7 +992,6 @@ fn working_threads_run_past_the_fuel() {
 
 /// A virtual clock that no longer fits beside the thread id in a queue key
 /// stops the run with the time and p in the message.
-#[cfg(pgas_fiber)]
 #[test]
 fn clock_beyond_the_packed_key_panics() {
     let one_ns_nodes = MachineModel {
@@ -1005,7 +1018,6 @@ fn clock_beyond_the_packed_key_panics() {
 
 /// Packed keys keep the `(clock, tid)` order at every thread count, solo
 /// runs (no tid bits at all) included.
-#[cfg(pgas_fiber)]
 #[test]
 fn packed_keys_order_like_tuples() {
     for p in [1usize, 2, 3, 8, 9, 1024, 8192] {
@@ -1030,4 +1042,3 @@ fn packed_keys_order_like_tuples() {
         }
     }
 }
-

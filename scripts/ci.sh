@@ -81,6 +81,10 @@ fi
 # crate) lives in one file, compiled where fibers are not and in pgas's tests.
 [ "$(grep -rlF 'Condvar' crates/pgas/src)" = crates/pgas/src/sim/threads.rs ] ||
   { echo "Condvar under crates/pgas/src outside crates/pgas/src/sim/threads.rs" >&2; exit 1; }
+# One scheduler for both substrates: who runs next is decided in the hub, the
+# one place a ready queue lives; a substrate only switches.
+[ "$(grep -rlF 'BinaryHeap' crates/pgas/src)" = crates/pgas/src/sim/hub.rs ] ||
+  { echo "BinaryHeap under crates/pgas/src outside crates/pgas/src/sim/hub.rs" >&2; exit 1; }
 # A DAG costs what its edges cost: the layered generator builds one flat CSR,
 # so no per-task vector comes back (tests/dag_footprint.rs gates the heap).
 if grep -nF 'Vec<Vec<' crates/core/src/workload.rs; then
