@@ -1,4 +1,5 @@
-//! Run or check the experiments of EXPERIMENTS.md E1–E19 by name.
+//! Run or check the experiments of EXPERIMENTS.md by name: E1–E19, the
+//! chaos soaks and the conductor bench.
 //!
 //! - `exp <name>…` runs the entries and rewrites each one's
 //!   `results/<name>.csv`;

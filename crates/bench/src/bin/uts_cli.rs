@@ -1,5 +1,9 @@
-//! A UTS-style command-line front end, mirroring the reference benchmark's
-//! flags so published parameter sets paste straight in.
+//! A UTS-style command-line front end: the reference benchmark's flags and
+//! its binomial law. The trees are not yet UTS's own: the root hash, the 31
+//! bits a node draws and the binomial cut-off each depart from the
+//! reference generator, and the geometric law further (ROADMAP item 20), so
+//! a published parameter set runs a tree of the same law, not the published
+//! tree.
 //!
 //! Canonical UTS flags supported (subset relevant to binomial/geometric
 //! trees and this implementation):
@@ -26,11 +30,12 @@
 //!   (the conservation-with-multiplicity check for crash-faulted runs)
 //!
 //! The flags build a [`RunSpec`] like any other; the binary prints the line
-//! it runs and reads no environment. The chaos soak prints each violation
-//! as a paste-ready `--spec` line for this binary (crash plans need a
+//! it runs and reads no environment. Every `exp` row that fails its check
+//! prints a paste-ready `--spec` line for this binary (crash plans need a
 //! simulated conductor; `--native` refuses them).
 //!
-//! Example (the paper's 10.6-billion-node tree — bring a cluster budget):
+//! Example: the paper's §4.1 parameters (10.6 billion nodes under UTS's
+//! generator) give a 15,867,985-node tree here:
 //! `uts_cli -t 0 -b 2000 -q 0.499999995 -m 2 -r 0 -c 8 -T 1024`
 
 use uts_bench::harness::{arg, flag, opt};

@@ -1,5 +1,6 @@
-//! The fault plans of the `chaos` soak and the repro line it prints, shared
-//! with `tests/chaos.rs`, which checks that a printed line reruns the
+//! The fault plans of the chaos soaks (the `chaos_smoke` and `chaos_kill`
+//! entries of [`crate::exp`]) and the repro line every failing row prints,
+//! shared with `tests/chaos.rs`, which checks that a printed line reruns the
 //! soak's own run on both conductors.
 
 use pgas::FaultPlan;

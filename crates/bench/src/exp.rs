@@ -1,5 +1,6 @@
 //! The experiment table: every figure, table and sweep of EXPERIMENTS.md
-//! (E1–E19) as a named entry of [`TABLE`], run by the `exp` binary.
+//! (E1–E19), the chaos soaks and the conductor bench as a named entry of
+//! [`TABLE`], run by the `exp` binary.
 //!
 //! An entry takes no parameters. Each of its rows is a [`RunSpec`]: a
 //! template beside the entry's grid loop (machine, tree or DAG, arrivals)
@@ -12,20 +13,23 @@
 //! still is. A single point with other parameters is what `uts_cli` is for.
 
 use std::iter;
+use std::time::Instant;
 
+use pgas::sim::{SimCluster, SimReport};
 use pgas::{ArrivalProcess, ArrivalSpec, FaultPlan};
 use uts_tree::presets::{self, Preset};
 use uts_tree::{seq::dfs_count, GeoShape, TreeSpec};
 use worksteal::model::{fit_alpha, fit_beta, ChunkModel};
-use worksteal::spec::{RunSpec, Workload};
+use worksteal::spec::{Conductor, RunSpec, Workload};
 use worksteal::state::State;
 use worksteal::theory::{self, DEFAULT_STEAL_FACTOR};
 use worksteal::{
-    run_sim, seq_run, Algorithm, DagGen, DagWorkload, ForkJoin, LatencyHistogram, RandomLayered, RunConfig,
-    RunReport, StealPolicyKind, UtsGen, VictimPolicy, Wavefront,
+    run_sim, seq_run, vars, worker, Algorithm, DagGen, DagWorkload, ForkJoin, LatencyHistogram, RandomLayered,
+    RunConfig, RunReport, StealPolicyKind, ThreadResult, UtsGen, VictimPolicy, Wavefront,
 };
 
-use crate::harness::{self, print_table, Row, Sink};
+use crate::chaos::{crash_faults, membership_faults, DAG, DAG_TASKS};
+use crate::harness::{self, print_table, Ran, Row, Sink};
 use crate::ready_wait::{Hops, ReadyWait};
 
 /// How an entry runs: it only prints, or it also owns `results/<name>.csv`.
@@ -54,7 +58,8 @@ impl Entry {
 }
 
 /// Every experiment, in the order `scripts/run_experiments.sh` runs them
-/// (cheapest first; the two Figure 5 trees and the p=8192 cell last).
+/// (cheapest first; the two Figure 5 trees, the p=8192 cell and the
+/// kill-rate sweep last).
 pub const TABLE: &[Entry] = &[
     Entry { name: "table_seq", about: "E1 §4.1 sequential rates", run: Run::Print(table_seq) },
     Entry { name: "fig3", about: "Figure 3 label legend", run: Run::Print(fig3) },
@@ -71,6 +76,8 @@ pub const TABLE: &[Entry] = &[
     Entry { name: "ready_wait", about: "E18 DAG ready-to-start waits and critical paths, every bundle", run: Run::Print(ready_wait) },
     Entry { name: "service_smoke", about: "E17 CI-sized service runs, fault-free and crashy", run: Run::Print(service_smoke) },
     Entry { name: "dag_sweep_smoke", about: "E18 CI-sized DAG sweep, theory-checked, p=8", run: Run::Print(dag_sweep_smoke) },
+    Entry { name: "chaos_smoke", about: "CI-sized chaos soak: seeded, crash and membership plans, p=16", run: Run::Print(chaos_smoke) },
+    Entry { name: "conductor", about: "harness cost: the ledger's sim points on both conductor policies", run: Run::Print(conductor) },
     Entry { name: "service", about: "E17 service mode: saturation, burstiness, chaos under load", run: Run::Csv(service) },
     Entry { name: "dag_sweep", about: "E18 DAG families vs a tree, every row theory-checked", run: Run::Csv(dag_sweep) },
     Entry { name: "fig4", about: "E2 Figure 4: chunk-size sweep, 256 threads", run: Run::Csv(fig4) },
@@ -78,6 +85,7 @@ pub const TABLE: &[Entry] = &[
     Entry { name: "fig5_xl", about: "E4 Figure 5: scaling to 1024 threads, T-XL", run: Run::Csv(fig5_xl) },
     Entry { name: "fig5_xxl", about: "E4 headline: upc-distmem on T-XXL", run: Run::Csv(fig5_xxl) },
     Entry { name: "dag_p8192", about: "E19 one theory-checked p=8192 cell (≈ 1 min, ≈ 0.38 GB)", run: Run::Print(dag_p8192) },
+    Entry { name: "chaos_kill", about: "crash soak at kill 0, 350 and 1000 per mille, T-S, p=256", run: Run::Print(chaos_kill) },
 ];
 
 /// The template of a tree grid — `tree` on `machine`, one thread of
@@ -727,6 +735,12 @@ fn service_run(alg: Algorithm, p: usize, arrivals: ArrivalSpec) -> RunSpec {
     RunSpec { arrivals: Some(arrivals), ..RunSpec::new("kittyhawk", p, tree, &RunConfig::new(alg, 4)) }
 }
 
+/// The nodes of `requests` service requests: request e runs `tree` with its
+/// seed moved by e.
+fn service_nodes(tree: TreeSpec, requests: usize) -> u64 {
+    (0..requests as u32).map(|e| seq_run(&UtsGen::new(TreeSpec { seed: tree.seed.wrapping_add(e), ..tree })).0).sum()
+}
+
 /// One service row as a line of `results/service.csv`. Its check is the
 /// per-epoch conservation asserted inside `run_service_sim`, and every
 /// request must complete. `exec` is injection → the request's tree executed
@@ -737,11 +751,7 @@ fn service_row(spec: RunSpec) -> String {
     let (Some(arrivals), Workload::Tree(tree)) = (spec.arrivals, spec.workload) else {
         unreachable!("a service row is a tree with arrivals")
     };
-    // Request e runs the tree with its seed moved by e.
-    let nodes = (0..arrivals.n_requests as u32)
-        .map(|e| seq_run(&UtsGen::new(TreeSpec { seed: tree.seed.wrapping_add(e), ..tree })).0)
-        .sum();
-    let ran = harness::run(spec, nodes, RunSpec::run);
+    let ran = harness::run(spec, service_nodes(tree, arrivals.n_requests), RunSpec::run);
     let (r, svc) = (&ran.report, ran.report.service.as_ref().expect("a service run reports its requests"));
     if svc.per_request.len() != arrivals.n_requests {
         ran.fail(format!("{} of {} requests completed", svc.per_request.len(), arrivals.n_requests));
@@ -838,7 +848,7 @@ fn service(sink: Sink) -> Result<(), String> {
     publish(sink, "service", title, SERVICE_HEADER, &rows, 0)
 }
 
-/// E17's CI-sized run (`scripts/chaos_smoke.sh`): one low-rate fault-free
+/// E17's CI-sized run (`scripts/ci.sh`): one low-rate fault-free
 /// row and one crash row on a locked and a message bundle; minutes of
 /// margin on any box.
 fn service_smoke() {
@@ -977,7 +987,7 @@ fn dag_sweep(sink: Sink) -> Result<(), String> {
     publish(sink, "dag_sweep", "DAG sweep", DAG_HEADER, &rows, 1)
 }
 
-/// E18's CI-sized sweep (`scripts/chaos_smoke.sh`): every workload shrunk
+/// E18's CI-sized sweep (`scripts/ci.sh`): every workload shrunk
 /// about 50×, T-tiny as the tree, p=8 only.
 fn dag_sweep_smoke() {
     let dags = [
@@ -987,6 +997,313 @@ fn dag_sweep_smoke() {
     ];
     let rows = dag_grid(presets::t_tiny(), dags, &[8]);
     print_table("DAG sweep smoke", DAG_HEADER, &rows);
+}
+
+/// A chaos soak (docs/faults.md): plans of each fault class swept across
+/// the five paper algorithms on `tree`, `p` Kitty Hawk threads. Every run
+/// must conserve with multiplicity (`total − duplicates` is the tree's
+/// size; [`Ran::distinct`]), and the first that does not fails the soak
+/// with the line that replays it. Makespan inflation is against each
+/// algorithm's fault-free baseline, which must count the tree exactly.
+struct Soak {
+    tree: Preset,
+    p: usize,
+    /// Seeded benign-fault plans per algorithm, with the steal timeout armed.
+    seeded: u64,
+    /// Crash-plan rates (‰ chance that a rank dies): [`CRASH_PLANS`] plans
+    /// per algorithm at each, run on the tree and on the layered [`DAG`],
+    /// which must recover some node wherever a rank died.
+    kill_pm: &'static [u32],
+    /// Membership plans per algorithm: healing partitions, gray stalls,
+    /// kills and restarts, on the tree and the DAG, every fifth replayed on
+    /// the reference conductor; then on three bundles in service mode,
+    /// where every request must complete.
+    membership: u64,
+    /// Wall-clock bound of the sweep, checked between runs: fuel ends a
+    /// hung run, the budget a sweep that ends too slowly.
+    budget_s: u64,
+}
+
+/// Crash plans per algorithm at each rate of [`Soak::kill_pm`].
+const CRASH_PLANS: u64 = 50;
+
+/// The CI-sized soak (`scripts/ci.sh`).
+fn chaos_smoke() {
+    let kill_pm = &[350];
+    soak(Soak { tree: presets::t_tiny(), p: 16, seeded: 50, kill_pm, membership: 50, budget_s: 120 });
+}
+
+/// The crash sweep at three kill rates, T-S on 256 threads
+/// (EXPERIMENTS.md §"Crash soak and kill-rate sweep").
+fn chaos_kill() {
+    let kill_pm = &[0, 350, 1000];
+    soak(Soak { tree: presets::t_s(), p: 256, seeded: 0, kill_pm, membership: 0, budget_s: 600 });
+}
+
+fn soak(s: Soak) {
+    // The steal timeout of the seeded and membership plans.
+    const TIMEOUT_NS: u64 = 50_000;
+    let paper = Algorithm::paper_set();
+    let base = RunSpec::new("kittyhawk", s.p, Workload::Tree(s.tree.spec), &RunConfig::new(Algorithm::DistMem, 8));
+    let armed = RunSpec { timeout: Some(TIMEOUT_NS), ..base };
+    let nodes = seq_run(&UtsGen::new(s.tree.spec)).0;
+    assert_eq!(nodes, s.tree.expected.nodes, "preset table is stale");
+    println!(
+        "chaos soak: {} schedules x {} algorithms, {} ({nodes} nodes), kittyhawk, p={}, timeout={TIMEOUT_NS}ns",
+        s.seeded,
+        paper.len(),
+        s.tree.name,
+        s.p
+    );
+    let (t0, mut runs) = (Instant::now(), 0u64);
+    let mut run = |spec: RunSpec, expect: u64| {
+        assert!(t0.elapsed().as_secs() <= s.budget_s, "wall-clock budget {}s exceeded before {spec}", s.budget_s);
+        runs += 1;
+        harness::run(spec, expect, RunSpec::run).distinct()
+    };
+    let baseline = |spec: RunSpec| harness::run(spec, nodes, RunSpec::run).measure().0.makespan_ns.max(1) as f64;
+    // The DAG leg, at k=1: a placing rank never releases, so k only sizes
+    // what an mpi-ws victim grants.
+    let dag = |spec: RunSpec| RunSpec { workload: DAG, k: 1, ..spec };
+    // An algorithm's DAG legs: deaths, recovered, duplicates, hand-offs.
+    let tally = |acc: &mut [u64; 4], r: &RunReport| {
+        for (a, x) in acc.iter_mut().zip([r.deaths as u64, r.recovered_nodes, r.duplicate_nodes, r.handoffs]) {
+            *a += x;
+        }
+    };
+    let dag_line = |alg: Algorithm, [deaths, recovered, dup, handoffs]: [u64; 4]| {
+        println!(
+            "{:<16} layered DAG ({DAG_TASKS} tasks) deaths {deaths:>3} recovered {recovered:>5} dup {dup:>5} \
+             hand-offs {handoffs:>6}",
+            alg.label()
+        );
+    };
+
+    for alg in paper.into_iter().filter(|_| s.seeded > 0) {
+        let clean = RunSpec { alg, ..armed };
+        let base_ns = baseline(clean);
+        let (mut worst, mut sum, mut t) = (0.0f64, 0.0, ThreadResult::default());
+        for seed in 0..s.seeded {
+            let r = run(RunSpec { faults: FaultPlan::seeded(seed), ..clean }, nodes).report;
+            let inflation = r.makespan_ns as f64 / base_ns;
+            (worst, sum) = (worst.max(inflation), sum + inflation);
+            t.merge(&r.totals());
+        }
+        println!(
+            "{:<16} inflation mean {:>5.2}x worst {:>5.2}x | timeouts {:>5} \
+             retracts {:>4}W/{:<4}L retries {:>5} backoff {:>7}us",
+            alg.label(),
+            sum / s.seeded as f64,
+            worst,
+            t.steal_timeouts,
+            t.retracts_won,
+            t.retracts_lost,
+            t.steal_retries,
+            t.timeout_backoff_ns / 1_000
+        );
+    }
+
+    for &kill in s.kill_pm {
+        println!(
+            "\ncrash soak: {} crash plans x {} algorithms (loss+dup, kill {kill}\u{2030}, conservation with \
+             multiplicity)",
+            CRASH_PLANS,
+            paper.len()
+        );
+        for alg in paper {
+            // No timeout armed: crash runs arm their own.
+            let base_ns = baseline(RunSpec { alg, ..base });
+            let (mut deaths, mut recovered, mut dups, mut worst, mut sum) = (0, 0, 0, 1, 0.0);
+            let mut dags = [0u64; 4];
+            for seed in 0..CRASH_PLANS {
+                let spec = RunSpec { alg, faults: crash_faults(seed, kill), ..base };
+                let r = run(spec, nodes).report;
+                (deaths, recovered) = (deaths + r.deaths, recovered + r.recovered_nodes);
+                (dups, worst) = (dups + r.duplicate_nodes, r.max_multiplicity.max(worst));
+                sum += r.makespan_ns as f64 / base_ns;
+                tally(&mut dags, &run(dag(spec), DAG_TASKS).report);
+            }
+            println!(
+                "{:<16} deaths {deaths:>3}/{} recovered {recovered:>6} nodes dup {dups:>6} \
+                 worst-multiplicity {worst} inflation mean {:>5.2}x",
+                alg.label(),
+                CRASH_PLANS,
+                sum / CRASH_PLANS as f64
+            );
+            dag_line(alg, dags);
+            // A DAG leg that saw deaths but recovered nothing never
+            // exercised adoption: it certifies nothing.
+            let label = alg.label();
+            assert!(dags[0] == 0 || dags[1] > 0, "{label} layered DAG: {} deaths but 0 nodes recovered", dags[0]);
+        }
+    }
+
+    if s.membership > 0 {
+        println!(
+            "\nmembership soak: {} plans x {} algorithms (healing partitions, gray stalls, kills, restarts; every 5th \
+             plan replayed on the reference conductor)",
+            s.membership,
+            paper.len()
+        );
+        let mut sweep = ThreadResult::default();
+        for alg in paper {
+            let (mut t, mut dags) = (ThreadResult::default(), [0u64; 4]);
+            for i in 0..s.membership {
+                let spec = RunSpec { alg, ..armed }.with(&membership_faults(i)).expect("a well-formed plan");
+                let (tree, on_dag) = (run(spec, nodes), run(dag(spec), DAG_TASKS));
+                if i % 5 == 0 {
+                    agree(&tree, &mut run);
+                    agree(&on_dag, &mut run);
+                }
+                t.merge(&tree.report.totals());
+                tally(&mut dags, &on_dag.report);
+            }
+            println!(
+                "{:<16} evictions {:>4} rejoins {:>4} fenced-drops {:>6} scavenged {:>5} nodes",
+                alg.label(),
+                t.evictions,
+                t.rejoins,
+                t.fenced_drops,
+                t.scavenged_nodes
+            );
+            dag_line(alg, dags);
+            sweep.merge(&t);
+        }
+        assert!(
+            sweep.evictions > 0 && sweep.rejoins > 0,
+            "membership sweep never exercised the machinery (evictions={} rejoins={}) — the plans are too tame to \
+             certify anything",
+            sweep.evictions,
+            sweep.rejoins
+        );
+
+        // The same plans against the open-loop service on the message
+        // bundles: `run_service_sim` asserts per-epoch conservation, and no
+        // request may be lost through partition, eviction, heal and rejoin.
+        let (requests, svc_tree) = (8, TreeSpec::binomial(23, 4, 2, 0.4));
+        let svc_nodes = service_nodes(svc_tree, requests);
+        println!(
+            "\nmembership service soak: {} plans x 3 bundles, {requests} requests each (zero lost requests)",
+            s.membership
+        );
+        for alg in [Algorithm::DistMem, Algorithm::MpiWs, Algorithm::Pushing] {
+            let (mut evictions, mut rejoins, mut worst_p99) = (0, 0, 0);
+            for i in 0..s.membership {
+                let arrivals = Some(ArrivalSpec::poisson(13 + i, requests, 12_000.0));
+                let spec = RunSpec { p: 8, workload: Workload::Tree(svc_tree), alg, k: 2, arrivals, ..armed };
+                let ran = run(spec.with(&membership_faults(i)).expect("a well-formed plan"), svc_nodes);
+                let svc = ran.report.service.as_ref().expect("a service run reports its requests");
+                if svc.requests != requests || svc.per_request.len() != requests {
+                    ran.fail(format!("{} of {requests} requests completed", svc.per_request.len()));
+                }
+                (evictions, rejoins) = (evictions + ran.report.evictions, rejoins + ran.report.rejoins);
+                worst_p99 = worst_p99.max(svc.hist.p99());
+            }
+            println!(
+                "{:<16} evictions {evictions:>4} rejoins {rejoins:>4} worst p99 {:>7}us",
+                alg.label(),
+                worst_p99 / 1_000
+            );
+        }
+    }
+    println!("\n{runs} faulted runs in {:.1}s, 0 violations", t0.elapsed().as_secs_f64());
+}
+
+/// Rerun `ran` on the reference conductor by `run`: the two must agree.
+fn agree(ran: &Ran, run: &mut impl FnMut(RunSpec, u64) -> Ran) {
+    let reference = run(RunSpec { conductor: Conductor::Reference, ..ran.spec }, ran.expect);
+    let key = |r: &RunReport| {
+        (r.makespan_ns, r.total_nodes, r.duplicate_nodes, r.evictions, r.rejoins, r.deaths, r.handoffs)
+    };
+    if key(&reference.report) != key(&ran.report) {
+        reference.fail("diverged across conductors (fast vs reference)");
+    }
+}
+
+/// A tree run with the conductor's own counts, which [`RunSpec::run`] folds
+/// away.
+fn conducted(spec: &RunSpec) -> SimReport<ThreadResult> {
+    let Workload::Tree(tree) = spec.workload else { unreachable!("the conductor points are trees") };
+    let (gen, cfg) = (UtsGen::new(tree), spec.config());
+    SimCluster::new(spec.machine_model(), spec.p, vars::space_config())
+        .with_lookahead(cfg.sim_lookahead)
+        .with_faults(cfg.faults)
+        .run(|c| worker(c, &gen, &cfg))
+}
+
+/// Harness cost (EXPERIMENTS.md §"Harness cost"): the benchmark ledger's
+/// three simulated tree points — `sim_fig4_distmem`, `sim_fig4_mpiws`,
+/// `sim_wide` — each run by the fast and by the reference policy on the
+/// same fibers (docs/conductor.md). Everything virtual must be equal:
+/// makespan, clocks, comm stats, final memory, every worker result and the
+/// length of the operation stream. The reference skips no mail wait and
+/// runs no probe cycle; the fast policy skips some waits on mpi-ws and
+/// applies some probe-cycle reads on upc-distmem. Prints each point's op
+/// mix, conductor counts and host seconds per policy.
+fn conductor() {
+    for (machine, tree, p, alg) in [
+        ("kittyhawk", presets::t_m(), 256, Algorithm::DistMem),
+        ("kittyhawk", presets::t_m(), 256, Algorithm::MpiWs),
+        ("topsail", presets::t_s(), 1024, Algorithm::DistMem),
+    ] {
+        let (t, nodes) = grid(machine, tree);
+        let spec = RunSpec { p, alg, ..t };
+        println!("{spec}");
+        let runs = [Conductor::Fiber, Conductor::Reference]
+            .map(|conductor| harness::run(RunSpec { conductor, ..spec }, nodes, conducted));
+        for ran in &runs {
+            let c = ran.report.total_conductor();
+            let naive = ran.spec.conductor == Conductor::Reference;
+            let fast = !naive && !ran.spec.faults.is_active();
+            let broken = [
+                (ran.report.results.iter().map(|r| r.nodes).sum::<u64>() != nodes, "node conservation violated"),
+                (naive && c.elided_ops > 0, "the reference skipped a mail wait"),
+                (naive && c.cycle_ops > 0, "the reference ran a probe cycle"),
+                // A fault plan (`UTS_OVERRIDE`) turns both off.
+                (fast && alg == Algorithm::MpiWs && c.elided_ops == 0, "no mail wait was skipped"),
+                (fast && alg == Algorithm::DistMem && c.cycle_ops == 0, "no probe-cycle read was applied"),
+            ];
+            if let Some((_, what)) = broken.into_iter().find(|b| b.0) {
+                ran.fail(what);
+            }
+        }
+        let [fast, reference] = &runs;
+        let (f, r, c) = (&fast.report, &reference.report, fast.report.total_conductor());
+        let diverged = [
+            (f.makespan_ns != r.makespan_ns, "virtual makespan"),
+            (f.clocks != r.clocks, "virtual clocks"),
+            (f.stats != r.stats, "comm stats"),
+            (f.scalars != r.scalars, "final memory"),
+            (f.results != r.results, "worker results"),
+            (c.total_ops() != r.total_conductor().total_ops(), "operation stream length"),
+        ];
+        if let Some((_, what)) = diverged.into_iter().find(|d| d.0) {
+            reference.fail(format!("{what} diverged between the fast and the reference policy"));
+        }
+        let m = f.total_stats();
+        println!(
+            "  op mix: {} polls, {} gets, {} puts, {} atomics, {} lock-ops, {} bulk, {} msg-ops",
+            m.polls,
+            m.gets,
+            m.puts,
+            m.atomics,
+            m.lock_acquires + m.lock_failures + m.unlocks,
+            m.bulk_ops,
+            m.msgs_sent + m.msgs_received
+        );
+        println!(
+            "  conductor: {} ops, {:.1}% on the fast path ({} by the reach window), {} handoffs, {} elided by mail \
+             waits, {} applied for parked probe cycles, deepest fiber stack {} B",
+            c.total_ops(),
+            100.0 * c.fast_fraction(),
+            c.reach_ops,
+            c.handoffs,
+            c.elided_ops,
+            c.cycle_ops,
+            c.stack_peak_bytes
+        );
+        println!("  host: fast {:.3} s, reference {:.3} s", fast.t_real, reference.t_real);
+    }
 }
 
 /// E19 — the harness at scale: one theory-checked p=8192 cell (≈ 1 min of
@@ -1028,8 +1345,7 @@ mod tests {
         assert_eq!(owned, on_disk);
     }
 
-    /// Fails the day a log is committed that no entry (nor the chaos smoke)
-    /// writes any more.
+    /// Fails the day a log is committed that no entry writes any more.
     #[test]
     fn every_committed_log_has_an_owner() {
         let logs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/logs");
@@ -1037,7 +1353,7 @@ mod tests {
             let name = f.expect("readable directory entry").file_name().into_string().expect("UTF-8 name");
             let Some(stem) = name.strip_suffix(".log") else { continue };
             assert!(
-                stem == "chaos_smoke" || TABLE.iter().any(|e| e.name == stem),
+                TABLE.iter().any(|e| e.name == stem),
                 "results/logs/{name} has no entry that writes it"
             );
         }

@@ -1,6 +1,6 @@
-//! Shared plumbing for the experiment table and the harness binaries: one
-//! run path ([`run`]), result tables, CSV output under `results/`, and
-//! command-line options.
+//! Shared plumbing for the experiment table and `uts_cli`: one run path
+//! ([`run`]), result tables, CSV output under `results/`, and command-line
+//! options.
 //!
 //! Every experiment row is a [`RunSpec`]. The one environment variable the
 //! harness reads is `UTS_OVERRIDE`: a partial run spec of `faults=`,
@@ -87,25 +87,26 @@ pub fn overridden(spec: RunSpec) -> RunSpec {
     with_override(&text, spec).unwrap_or_else(|e| panic!("UTS_OVERRIDE='{text}': {e}"))
 }
 
-/// One run of an experiment row.
-pub struct Ran {
+/// One run of an experiment row: by default what [`RunSpec::run`] reports.
+pub struct Ran<R = RunReport> {
     /// The row's spec under `UTS_OVERRIDE`: the run that happened.
     pub spec: RunSpec,
     /// Distinct nodes (or DAG tasks) the run must explore.
     pub expect: u64,
     /// What the run reported.
-    pub report: RunReport,
+    pub report: R,
     /// Wall-clock seconds the run took (diagnostics).
     pub t_real: f64,
 }
 
 /// Run `spec` under `UTS_OVERRIDE` by `exec` ([`RunSpec::run`] for every
-/// row but those that trace or probe their run), timed, and print its line.
-/// `expect` is the number of distinct nodes the run must explore; a panic
+/// row but those that trace or probe their run, or read its conductor's
+/// counts), timed, and print its line. `expect` is the number of distinct
+/// nodes the run must explore; a panic
 /// inside the run (a per-epoch service assert, a run out of fuel) is raised
 /// again with the line that replays it, like every row's own check
 /// ([`Ran::fail`]).
-pub fn run(spec: RunSpec, expect: u64, exec: impl FnOnce(&RunSpec) -> RunReport) -> Ran {
+pub fn run<R>(spec: RunSpec, expect: u64, exec: impl FnOnce(&RunSpec) -> R) -> Ran<R> {
     let spec = overridden(spec);
     let t0 = Instant::now();
     let report = panic::catch_unwind(AssertUnwindSafe(|| exec(&spec))).unwrap_or_else(|e| {
@@ -121,10 +122,22 @@ fn fail(spec: &RunSpec, expect: u64, what: impl Display) -> ! {
     panic!("{what}\n  replay: {}", repro(spec, expect))
 }
 
-impl Ran {
+impl<R> Ran<R> {
     /// Fail this row: `what`, then the paste-ready line that replays it.
     pub fn fail(&self, what: impl Display) -> ! {
         fail(&self.spec, self.expect, what)
+    }
+}
+
+impl Ran {
+    /// This run, with conservation with multiplicity asserted: `total −
+    /// duplicates` is the expected count (`uts_cli --expect-distinct`).
+    pub fn distinct(self) -> Ran {
+        let distinct = self.report.total_nodes - self.report.duplicate_nodes;
+        if distinct != self.expect {
+            self.fail(format!("{distinct} distinct nodes explored, {} expected", self.expect));
+        }
+        self
     }
 
     /// The report and its [`Row`], with exact node conservation asserted.
@@ -364,26 +377,34 @@ mod tests {
         assert!(row.efficiency <= 1.05, "efficiency {e}", e = row.efficiency);
     }
 
+    /// A row that fails its check, exact or with multiplicity, names the
+    /// `uts_cli` line that replays it.
     #[test]
     fn a_failing_row_names_its_replay() {
-        let spec = tiny(Algorithm::DistMem, 2);
         let wrong = presets::t_tiny().expected.nodes + 1;
-        let e = panic::catch_unwind(|| run(spec, wrong, RunSpec::run).measure()).expect_err("a wrong count fails");
-        let msg = e.downcast_ref::<String>().expect("a formatted message");
-        let line = msg.split_once("--spec '").and_then(|(_, rest)| rest.split_once('\'')).map(|(line, _)| line);
-        let line = line.unwrap_or_else(|| panic!("no --spec '<line>' in: {msg}"));
-        assert_eq!(line.parse::<RunSpec>(), Ok(overridden(spec)), "{msg}");
-        assert!(msg.contains(&format!("--expect-distinct {wrong}")), "{msg}");
+        let crash = RunSpec { faults: FaultPlan::crashy(3), ..tiny(Algorithm::MpiWs, 2) };
+        let rows: [(RunSpec, fn(Ran)); 2] = [
+            (tiny(Algorithm::DistMem, 2), |ran| drop(ran.measure())),
+            (crash, |ran| drop(ran.distinct())),
+        ];
+        for (spec, check) in rows {
+            let e = panic::catch_unwind(|| check(run(spec, wrong, RunSpec::run))).expect_err("a wrong count fails");
+            let msg = e.downcast_ref::<String>().expect("a formatted message");
+            let line = msg.split_once("--spec '").and_then(|(_, rest)| rest.split_once('\'')).map(|(line, _)| line);
+            let line = line.unwrap_or_else(|| panic!("no --spec '<line>' in: {msg}"));
+            assert_eq!(line.parse::<RunSpec>(), Ok(overridden(spec)), "{msg}");
+            assert!(msg.contains(&format!("--expect-distinct {wrong}")), "{msg}");
+        }
     }
 
     #[test]
     fn flag_values_parse_or_fail_by_name() {
-        let args: Vec<String> = ["chaos", "--schedules", "5O", "--threads", "8", "--tree"].map(String::from).into();
-        assert_eq!(parse_flag::<usize>(&args, "--threads"), Ok(Some(8)));
-        assert_eq!(parse_flag::<u64>(&args, "--budget-s"), Ok(None));
-        let bad = parse_flag::<u64>(&args, "--schedules").unwrap_err();
-        assert!(bad.starts_with("--schedules 5O: "), "{bad}");
-        assert_eq!(parse_flag::<String>(&args, "--tree"), Err("--tree needs a value".into()));
+        let args: Vec<String> = ["uts_cli", "-T", "5O", "-c", "8", "--spec"].map(String::from).into();
+        assert_eq!(parse_flag::<usize>(&args, "-c"), Ok(Some(8)));
+        assert_eq!(parse_flag::<u64>(&args, "--expect"), Ok(None));
+        let bad = parse_flag::<usize>(&args, "-T").unwrap_err();
+        assert!(bad.starts_with("-T 5O: "), "{bad}");
+        assert_eq!(parse_flag::<String>(&args, "--spec"), Err("--spec needs a value".into()));
     }
 
     #[test]

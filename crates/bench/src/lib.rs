@@ -1,5 +1,5 @@
-//! The experiment table behind the `exp` binary and the plumbing every
-//! harness binary shares. See `src/bin/`.
+//! The experiment table behind the `exp` binary and the plumbing it shares
+//! with `uts_cli`. See `src/bin/`.
 #![warn(missing_docs)]
 
 pub mod chaos;

@@ -16,7 +16,7 @@ use crate::{run_native, run_service_sim, run_sim, RunReport, TaskGen, UtsGen};
 type Table<T, const N: usize> = [(&'static str, T); N];
 
 /// The short name every command line takes for an algorithm (`alg=`,
-/// `uts_cli -A`, `conductor_bench --alg`), read both ways.
+/// `uts_cli -A`), read both ways.
 pub const ALGORITHM_NAMES: Table<Algorithm, 7> = [
     ("sharedmem", Algorithm::SharedMem),
     ("term", Algorithm::Term),

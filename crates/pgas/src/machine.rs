@@ -229,22 +229,7 @@ impl MachineModel {
     /// One-way latency of a message of `bytes` from `from` to `to` (time from
     /// send to availability at the receiver), excluding sender overhead.
     pub fn msg_flight_ns(&self, from: usize, to: usize, bytes: usize) -> u64 {
-        self.flight_at(self.distance(from, to), bytes)
-    }
-
-    /// The least time from issuing a send to its arrival at *another*
-    /// thread: the sender overhead plus the flight of an empty message
-    /// (its 32-byte envelope, [`crate::Msg::wire_bytes`]) at the nearer
-    /// foreign distance. The sim conductor's mail waits rest on it
-    /// (`docs/conductor.md` §3.3): a message sent at `t` cannot end a wait
-    /// before `t + min_msg_arrival_ns()`.
-    pub fn min_msg_arrival_ns(&self) -> u64 {
-        let flight = |d| self.flight_at(d, 32);
-        self.msg_overhead_ns + flight(Distance::SameNode).min(flight(Distance::Remote))
-    }
-
-    fn flight_at(&self, distance: Distance, bytes: usize) -> u64 {
-        match distance {
+        match self.distance(from, to) {
             Distance::Local => self.local_ref_ns,
             Distance::SameNode => {
                 self.same_node_ref_ns + (bytes as f64 * self.msg_ns_per_byte * 0.25) as u64
@@ -367,33 +352,6 @@ mod tests {
             }
             assert_eq!(m.distance(0, 1), Distance::SameNode);
             assert_eq!(m.distance(0, 1000) == Distance::Remote, m.name != "smp");
-        }
-    }
-
-    /// No message to another thread arrives sooner after its send is issued
-    /// than `min_msg_arrival_ns` says, whatever its size: the sim conductor's
-    /// mail waits would wake too late otherwise.
-    #[test]
-    fn min_msg_arrival_is_a_lower_bound_on_every_preset() {
-        let presets = [
-            MachineModel::kittyhawk(),
-            MachineModel::topsail(),
-            MachineModel::altix(),
-            MachineModel::smp(),
-        ];
-        for (m, want) in presets.iter().zip([1756, 1625, 2504, 120]) {
-            let floor = m.min_msg_arrival_ns();
-            assert_eq!(floor, want, "{}", m.name);
-            for to in [1, 1000] {
-                for bytes in [32, 56, 32 + 24 * 64] {
-                    let arrival = m.msg_overhead_ns + m.msg_flight_ns(0, to, bytes);
-                    assert!(
-                        arrival >= floor,
-                        "{} -> thread {to}, {bytes} B: {arrival}",
-                        m.name
-                    );
-                }
-            }
         }
     }
 

@@ -24,8 +24,8 @@
 //!   every operation pushes its thread's `(clock, tid)` into a tuple-keyed
 //!   queue, pops the minimum and hands the baton over unless it popped
 //!   itself. No window, no cached minimum, no inbound count: simple,
-//!   obviously correct, and the baseline the equivalence tests and
-//!   `conductor_bench` diff against.
+//!   obviously correct, and the baseline the equivalence tests and the
+//!   conductor bench (`exp conductor`) diff against.
 //! - **Fast policy** (the default): the same order, computed with the two
 //!   windows below and a packed `u64` key per parked thread.
 //!
@@ -307,7 +307,7 @@ impl<T: Item> SimCluster<T> {
     /// Both modes produce bit-identical virtual results; disabling selects
     /// the reference conductor — the naive policy on the same substrate:
     /// every operation queues its thread and pops the minimum, no window —
-    /// which the equivalence tests and `conductor_bench` use as the baseline
+    /// which the equivalence tests and `exp conductor` use as the baseline
     /// schedule.
     pub fn with_lookahead(mut self, enabled: bool) -> Self {
         self.lookahead = enabled;
@@ -389,10 +389,6 @@ pub struct SimComm<T: Item> {
     lookahead: bool,
     /// Width of the reach window: the run's [`MachineModel::min_foreign_cost`].
     reach_ns: u64,
-    /// The least a send takes to arrive: the run's
-    /// [`MachineModel::min_msg_arrival_ns`]. A mail wait whose pass spans as
-    /// much never sleeps.
-    mail_ns: u64,
     /// This thread's virtual clock as of its last operation. Authoritative;
     /// the conductor's `clocks[tid]` is only a published (possibly lagging)
     /// copy.

@@ -234,7 +234,6 @@ impl<T: Item> SimComm<T> {
                 nthreads: h.nthreads,
                 lookahead: h.lookahead,
                 reach_ns: h.reach_ns,
-                mail_ns: h.machine.min_msg_arrival_ns(),
                 faults: h.faults,
                 local_clock: 0,
                 pending_work: 0,

@@ -209,11 +209,9 @@ impl<T: Item> SimComm<T> {
     pub(super) fn wait_for_mail(&mut self, pass: &[MailProbe], idle_ns: u64) {
         let probe_ns = self.machine().local_ref_ns;
         let span = pass.len() as u64 * probe_ns;
-        // A woken pass starts after the send that wakes it was issued only
-        // while a pass spans less than a message takes to arrive (§3.3). The
-        // reference conductor never skips, nor does a fault plan's run, whose
-        // prices depend on the moment.
-        if !self.lookahead || self.faults.is_active() || pass.is_empty() || self.mail_ns <= span {
+        // The reference conductor never skips, nor does a fault plan's run,
+        // whose prices depend on the moment.
+        if !self.lookahead || self.faults.is_active() || pass.is_empty() {
             return self.advance_idle(idle_ns);
         }
         let me = self.tid;

@@ -90,15 +90,16 @@ fi
 if grep -nF 'Vec<Vec<' crates/core/src/workload.rs; then
   echo "a per-task Vec<Vec<..>> came back in crates/core/src/workload.rs" >&2; exit 1
 fi
-# One experiment table: the sweeps are entries of crates/bench/src/exp.rs, not
-# binaries of their own, and their rows leave through one emit call there.
-[ "$(ls crates/bench/src/bin | tr '\n' ' ')" = "chaos.rs conductor_bench.rs exp.rs uts_cli.rs " ] ||
-  { echo "crates/bench/src/bin holds more than chaos, conductor_bench, exp and uts_cli" >&2; exit 1; }
+# One experiment table: every run the repo makes (the sweeps, the chaos soaks,
+# the conductor bench) is an entry of crates/bench/src/exp.rs, not a binary of
+# its own, and rows leave through one emit call there.
+[ "$(ls crates/bench/src/bin | tr '\n' ' ')" = "exp.rs uts_cli.rs " ] ||
+  { echo "crates/bench/src/bin holds more than exp and uts_cli" >&2; exit 1; }
 [ "$(grep -rlF '.emit(' crates/bench/src)" = crates/bench/src/exp.rs ] ||
   { echo "rows must leave through Sink::emit in crates/bench/src/exp.rs only" >&2; exit 1; }
 # A frozen-table row pastes into uts_cli (a crash row: a kill inside a
 # partition, then a restart).
-cargo build --release --offline -p uts-bench --bin exp --bin chaos --bin uts_cli --bin conductor_bench
+cargo build --release --offline -p uts-bench --bin exp --bin uts_cli
 ./target/release/uts_cli --spec 'topsail p=6 tree=binomial(5,64,2,0.49666666666666665) alg=distmem k=4 faults=partitioned(8)' \
   --expect-distinct 5635
 # The same kind of run on real threads is a config error (exit 2), not a panic.
@@ -107,13 +108,11 @@ status=0
   >/dev/null 2>&1 || status=$?
 [ "$status" -eq 2 ] || { echo "uts_cli --native with a crash plan exited $status, not 2" >&2; exit 1; }
 
-# Mail waits (docs/conductor.md §3.3): the mpi-ws smoke point on both
-# conductors, every virtual quantity asserted equal with the steal-response
-# waits skipped (about 0.3 s).
-./target/release/conductor_bench --smoke --alg mpi >/dev/null
-# Probe cycles (§3.4): the upc-distmem smoke point, the whole report equal to
-# the reference's with some cycle reads applied by the conductor.
-./target/release/conductor_bench --smoke --alg distmem >/dev/null
+# The conductor bench (docs/conductor.md §6): the benchmark ledger's three sim
+# points on both policies, every virtual quantity asserted equal, with mail
+# waits skipped on mpi-ws (§3.3) and probe-cycle reads applied by the
+# conductor on upc-distmem (§3.4). About 6 s on a 2-vCPU host.
+./target/release/exp conductor >/dev/null
 
 echo "== SAFETY comments (crates/pgas/src) =="
 # Every `unsafe {` block and `unsafe impl` in the crate that owns the fiber
@@ -175,8 +174,16 @@ for example in examples/*.rs; do
   ./target/release/examples/"$(basename "$example" .rs)" >/dev/null
 done
 
-echo "== chaos smoke (fault, crash and membership sweeps; T-tiny and a DAG) =="
-scripts/chaos_smoke.sh
+echo "== chaos, service and DAG smokes =="
+# The chaos soak (docs/faults.md): seeded, crash and membership plans across
+# the five paper algorithms on T-tiny and a small layered DAG, every run
+# conserving with multiplicity; the service smoke (docs/service.md); the DAG
+# smoke (docs/workloads.md), every row theory-checked. Each fails at its first
+# violation, naming the `uts_cli --spec` line that replays it.
+mkdir -p results/logs
+for name in chaos_smoke service_smoke dag_sweep_smoke; do
+  ./target/release/exp "$name" | tee "results/logs/$name.log"
+done
 
 echo "== the E18 ready-wait probe runs =="
 # The committed instrumentation behind E18's ready-wait and critical-path

@@ -8,7 +8,8 @@
 //! - [`FaultPlan::none()`] reproduces the fault-free run bit-for-bit — same
 //!   makespan, same per-thread counters, same comm stats — in both
 //!   conductor modes, so the fault layer costs nothing when disabled.
-//! - The repro line the `chaos` soak prints for a run reruns that run.
+//! - The repro line the `chaos_smoke` entry of `exp` prints for a run reruns
+//!   that run.
 
 use pgas::{FaultPlan, MachineModel};
 use uts_bench::chaos::{crash_faults, membership_faults, repro, DAG};
@@ -319,11 +320,11 @@ fn faulted_runs_agree_across_conductors() {
     }
 }
 
-/// The line `chaos` prints for a run reruns it: for two of its membership
-/// plans (one on its layered DAG) and one of its crash plans, the spec
-/// quoted in the repro command, run on the fiber and on the reference
-/// conductor, gives the soak's own report — makespan, nodes, duplicates,
-/// evictions and hand-offs.
+/// The line the `chaos_smoke` entry prints for a run reruns it: for two of
+/// its membership plans (one on its layered DAG) and one of its crash
+/// plans, the spec quoted in the repro command, run on the fiber and on the
+/// reference conductor, gives the soak's own report — makespan, nodes,
+/// duplicates, evictions and hand-offs.
 #[test]
 fn chaos_repro_lines_rerun_their_runs() {
     let base: RunSpec = "kittyhawk p=16 tree=tiny alg=distmem k=8".parse().unwrap();

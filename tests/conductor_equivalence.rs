@@ -334,8 +334,8 @@ fn all_algorithms_small_64_threads() {
     matrix_over(&MachineModel::kittyhawk(), &presets::t_s(), 64);
 }
 
-/// The Fig. 4 thread count, which otherwise only the off-CI
-/// `conductor_bench` compares across conductors, for all seven bundles. With
+/// The Fig. 4 thread count, at which otherwise only `exp conductor` compares
+/// the conductors, on two bundles; here all seven. With
 /// the reference on fibers the leg takes about 28 s in a debug build on a
 /// 2-vCPU host; mpi-ws (4.7 M operations) and upc-sharedmem (5.2 M) are the
 /// big ones.
