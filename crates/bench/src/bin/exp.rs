@@ -2,10 +2,12 @@
 //! chaos soaks and the conductor bench.
 //!
 //! - `exp <name>…` runs the entries and rewrites each one's
-//!   `results/<name>.csv`;
+//!   `results/<name>.csv` and the figures drawn from it
+//!   (`results/figures/*.svg`);
 //! - `exp --check [<name>…]` recomputes them (default: every entry that owns
-//!   a CSV) and exits 1 at the first committed file whose virtual columns
-//!   differ, naming file and line; it writes nothing;
+//!   a CSV) and exits 1 at the first committed CSV whose virtual columns
+//!   differ, naming file and line, or figure that differs by a byte; it
+//!   writes nothing;
 //! - `exp --list` prints the table.
 //!
 //! That is the whole command line: an entry's parameters are constants in

@@ -25,9 +25,8 @@
 //! - `--spec '<line>'`: run this run spec (`worksteal::spec`: any workload,
 //!   fault plan, arrival law or conductor) instead of the flags above
 //! - `--native`: run on real OS threads (`conductor=native`)
-//! - `--expect <nodes>`: fail unless the count matches
-//! - `--expect-distinct <nodes>`: fail unless `total - duplicates` matches
-//!   (the conservation-with-multiplicity check for crash-faulted runs)
+//! - `--expect <nodes>`: fail (exit 1) unless the run conserves `nodes`: exactly,
+//!   or `total - duplicates` under a crash class (`theory::check_conservation`)
 //!
 //! The flags build a [`RunSpec`] like any other; the binary prints the line
 //! it runs and reads no environment. Every `exp` row that fails its check
@@ -40,6 +39,7 @@
 
 use uts_bench::harness::{arg, flag, opt};
 use worksteal::spec::{Conductor, RunSpec};
+use worksteal::theory;
 
 fn fail(problem: String) -> ! {
     eprintln!("uts_cli: {problem}");
@@ -77,7 +77,6 @@ fn main() {
     let spec = if flag("--native") { RunSpec { conductor: Conductor::Native, ..spec } } else { spec };
     spec.check().unwrap_or_else(|e| fail(format!("{spec}: {e}")));
     let expect: Option<u64> = opt("--expect");
-    let expect_distinct: Option<u64> = opt("--expect-distinct");
 
     println!("run: {spec}");
     let report = spec.run();
@@ -94,26 +93,12 @@ fn main() {
     );
 
     if let Some(expect) = expect {
-        if report.total_nodes != expect {
-            eprintln!(
-                "FAIL: counted {} nodes, expected {expect}",
-                report.total_nodes
-            );
-            std::process::exit(1);
-        }
-        println!("count verified: {expect}");
-    }
-    if let Some(expect) = expect_distinct {
-        let distinct = report.total_nodes - report.duplicate_nodes;
-        if distinct != expect {
-            eprintln!(
-                "FAIL: {} distinct nodes (total {} - dup {}), expected {expect}",
-                distinct, report.total_nodes, report.duplicate_nodes
-            );
+        if let Err(violation) = theory::check_conservation(&report, expect, spec.faults.crash_active()) {
+            eprintln!("FAIL: {violation}");
             std::process::exit(1);
         }
         println!(
-            "distinct count verified: {expect} (dup={} deaths={} evictions={} rejoins={})",
+            "count verified: {expect} (dup={} deaths={} evictions={} rejoins={})",
             report.duplicate_nodes, report.deaths, report.evictions, report.rejoins
         );
     }

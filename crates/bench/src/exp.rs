@@ -8,9 +8,10 @@
 //! `steal`, `faults`). Every row runs through [`harness::run`], so
 //! `UTS_OVERRIDE` may swap the conductor or inject faults and a row that
 //! fails its check names the `uts_cli --spec` line that replays it; its
-//! rows leave through [`publish`]. So `results/<name>.csv` is a function of
-//! the committed entry, and `exp --check` can say whether the committed file
-//! still is. A single point with other parameters is what `uts_cli` is for.
+//! rows leave through [`publish`], with the figures drawn from them. So
+//! `results/<name>.csv` and its figures are a function of the committed
+//! entry, and `exp --check` can say whether the committed files still are.
+//! A single point with other parameters is what `uts_cli` is for.
 
 use std::iter;
 use std::time::Instant;
@@ -381,7 +382,7 @@ fn ablation(sink: Sink) -> Result<(), String> {
 /// searching for work, stealing work, or in termination detection."
 fn working_state() {
     let (t, nodes) = grid("topsail", presets::t_l());
-    let (report, _) = harness::run(RunSpec { p: 256, ..t }, nodes, RunSpec::run).measure();
+    let report = harness::run(RunSpec { p: 256, ..t }, nodes, RunSpec::run).measure().0.report;
 
     println!("\nfraction of total thread-time per Figure-1 state:");
     for (name, s) in [
@@ -425,8 +426,8 @@ fn hier(sink: Sink) -> Result<(), String> {
     let mut rows = Vec::new();
     let mut locality = Vec::new();
     for alg in [Algorithm::DistMem, Algorithm::Hier] {
-        let (report, row) = harness::run(RunSpec { p: 256, alg, ..t }, nodes, traced).measure();
-        locality.push(report.steal_matrix().same_node_fraction(per_node));
+        let (ran, row) = harness::run(RunSpec { p: 256, alg, ..t }, nodes, traced).measure();
+        locality.push(ran.report.steal_matrix().same_node_fraction(per_node));
         rows.push(row);
     }
     publish_rows(sink, "hier", "Flat vs hierarchical victim selection", &rows)?;
@@ -485,7 +486,7 @@ fn diffusion() {
         Algorithm::MpiWs,
         Algorithm::Pushing,
     ] {
-        let (report, _) = harness::run(RunSpec { p: 128, alg, ..t }, nodes, traced).measure();
+        let report = harness::run(RunSpec { p: 128, alg, ..t }, nodes, traced).measure().0.report;
         let d = report.diffusion();
         let m = report.steal_matrix();
         let us = |t: Option<u64>| t.map_or("-".to_string(), |ns| format!("{:.1}", ns as f64 / 1e3));
@@ -1001,10 +1002,10 @@ fn dag_sweep_smoke() {
 
 /// A chaos soak (docs/faults.md): plans of each fault class swept across
 /// the five paper algorithms on `tree`, `p` Kitty Hawk threads. Every run
-/// must conserve with multiplicity (`total − duplicates` is the tree's
-/// size; [`Ran::distinct`]), and the first that does not fails the soak
-/// with the line that replays it. Makespan inflation is against each
-/// algorithm's fault-free baseline, which must count the tree exactly.
+/// must conserve ([`Ran::measure`]: with multiplicity under a crash class,
+/// `total − duplicates` is the tree's size; exactly otherwise), and the
+/// first that does not fails the soak with the line that replays it.
+/// Makespan inflation is against each algorithm's fault-free baseline.
 struct Soak {
     tree: Preset,
     p: usize,
@@ -1059,9 +1060,9 @@ fn soak(s: Soak) {
     let mut run = |spec: RunSpec, expect: u64| {
         assert!(t0.elapsed().as_secs() <= s.budget_s, "wall-clock budget {}s exceeded before {spec}", s.budget_s);
         runs += 1;
-        harness::run(spec, expect, RunSpec::run).distinct()
+        harness::run(spec, expect, RunSpec::run).measure().0
     };
-    let baseline = |spec: RunSpec| harness::run(spec, nodes, RunSpec::run).measure().0.makespan_ns.max(1) as f64;
+    let baseline = |spec: RunSpec| harness::run(spec, nodes, RunSpec::run).measure().0.report.makespan_ns.max(1) as f64;
     // The DAG leg, at k=1: a placing rank never releases, so k only sizes
     // what an mpi-ws victim grants.
     let dag = |spec: RunSpec| RunSpec { workload: DAG, k: 1, ..spec };
@@ -1327,6 +1328,16 @@ mod tests {
         assert_eq!(names.len(), TABLE.len());
     }
 
+    /// The files of `results/<dir>` ending in `ext`.
+    fn committed(dir: &str, ext: &str) -> BTreeSet<String> {
+        let dir = format!("{}/../../results/{dir}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_dir(&dir)
+            .unwrap_or_else(|e| panic!("{dir} is committed: {e}"))
+            .map(|f| f.expect("readable directory entry").file_name().into_string().expect("UTF-8 name"))
+            .filter(|f| f.ends_with(ext))
+            .collect()
+    }
+
     /// Fails the day someone commits a CSV nothing regenerates, or deletes one
     /// an entry still owns.
     #[test]
@@ -1336,22 +1347,27 @@ mod tests {
             .filter(|e| e.owns_csv())
             .map(|e| format!("{}.csv", e.name))
             .collect();
-        let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-        let on_disk: BTreeSet<String> = std::fs::read_dir(results)
-            .expect("results/ is committed")
-            .map(|f| f.expect("readable directory entry").file_name().into_string().expect("UTF-8 name"))
-            .filter(|f| f.ends_with(".csv"))
-            .collect();
-        assert_eq!(owned, on_disk);
+        assert_eq!(owned, committed("", ".csv"));
+    }
+
+    /// Every committed figure is drawn by exactly one `(csv, figure)` pair
+    /// of `uts_viz::figures::FIGURES` whose CSV an entry owns, and every
+    /// pair draws a committed figure.
+    #[test]
+    fn every_committed_figure_has_an_owner() {
+        let figures = uts_viz::figures::FIGURES;
+        let owned = |csv: &str| TABLE.iter().any(|e| e.owns_csv() && e.name == csv);
+        assert!(figures.iter().all(|(csv, ..)| owned(csv)), "a figure's CSV has no entry");
+        let drawn: BTreeSet<String> = figures.iter().map(|(_, fig, _)| format!("{fig}.svg")).collect();
+        assert_eq!(drawn.len(), figures.len(), "two pairs draw the same figure");
+        assert_eq!(drawn, committed("figures", ".svg"));
     }
 
     /// Fails the day a log is committed that no entry writes any more.
     #[test]
     fn every_committed_log_has_an_owner() {
-        let logs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/logs");
-        for f in std::fs::read_dir(logs).expect("results/logs/ is committed") {
-            let name = f.expect("readable directory entry").file_name().into_string().expect("UTF-8 name");
-            let Some(stem) = name.strip_suffix(".log") else { continue };
+        for name in committed("logs", ".log") {
+            let stem = name.strip_suffix(".log").expect("a .log name");
             assert!(
                 TABLE.iter().any(|e| e.name == stem),
                 "results/logs/{name} has no entry that writes it"

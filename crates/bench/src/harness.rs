@@ -13,14 +13,16 @@
 
 use std::fmt::Display;
 use std::fs;
+use std::iter;
 use std::panic::{self, AssertUnwindSafe};
+use std::path::Path;
 use std::str::FromStr;
 use std::time::Instant;
 
 use uts_tree::presets;
 use worksteal::spec::{Conductor, RunSpec, Workload};
 use worksteal::state::State;
-use worksteal::{RunConfig, RunReport};
+use worksteal::{theory, RunConfig, RunReport};
 
 use crate::chaos::repro;
 
@@ -130,21 +132,13 @@ impl<R> Ran<R> {
 }
 
 impl Ran {
-    /// This run, with conservation with multiplicity asserted: `total −
-    /// duplicates` is the expected count (`uts_cli --expect-distinct`).
-    pub fn distinct(self) -> Ran {
-        let distinct = self.report.total_nodes - self.report.duplicate_nodes;
-        if distinct != self.expect {
-            self.fail(format!("{distinct} distinct nodes explored, {} expected", self.expect));
-        }
-        self
-    }
-
-    /// The report and its [`Row`], with exact node conservation asserted.
-    pub fn measure(self) -> (RunReport, Row) {
+    /// This run and its [`Row`], with conservation asserted by the rule the
+    /// run's fault plan picks ([`theory::check_conservation`]): an exact
+    /// count without a crash class, with multiplicity under one.
+    pub fn measure(self) -> (Ran, Row) {
         let r = &self.report;
-        if r.total_nodes != self.expect {
-            self.fail(format!("node conservation violated: {} nodes, {} expected", r.total_nodes, self.expect));
+        if let Err(violation) = theory::check_conservation(r, self.expect, self.spec.faults.crash_active()) {
+            self.fail(violation);
         }
         let seq_rate = self.spec.machine_model().seq_rate();
         let row = Row {
@@ -162,7 +156,7 @@ impl Ran {
             working_eff: r.working_state_efficiency(),
             t_real: self.t_real,
         };
-        (self.report, row)
+        (self, row)
     }
 }
 
@@ -255,9 +249,9 @@ pub fn compare_csv(committed: &str, fresh: &str, wall_clock_columns: usize) -> R
 /// What a sweep does with the rows it computed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Sink {
-    /// Write `results/<name>.csv`.
+    /// Write `results/<name>.csv` and its figures.
     Write,
-    /// Compare with the committed `results/<name>.csv`; write nothing.
+    /// Compare with the committed CSV and its figures; write nothing.
     Check,
     /// Neither: `UTS_OVERRIDE` injects faults or arms the steal timeout, so
     /// the numbers are not the committed experiment's.
@@ -279,9 +273,10 @@ impl Sink {
         }
     }
 
-    /// The one way rows leave a sweep: write `results/<name>.csv`, or check
-    /// it against a recomputation ([`compare_csv`]), or neither. The error
-    /// names the file and the first stale line.
+    /// The one way rows leave a sweep: write `results/<name>.csv` and the
+    /// figures `uts_viz::figures` draws from it (`results/figures/*.svg`),
+    /// or check both against a recomputation ([`compare_csv`]; figures byte
+    /// for byte), or neither. The error names the file and the stale line.
     pub fn emit(
         self,
         name: &str,
@@ -289,19 +284,35 @@ impl Sink {
         rows: &[String],
         wall_clock_columns: usize,
     ) -> Result<(), String> {
-        let path = format!("results/{name}.csv");
+        self.emit_under(Path::new(""), name, header, rows, wall_clock_columns)
+    }
+
+    /// [`Sink::emit`] into the `results/` under `root`.
+    fn emit_under(
+        self,
+        root: &Path,
+        name: &str,
+        header: &str,
+        rows: &[String],
+        wall_clock_columns: usize,
+    ) -> Result<(), String> {
+        let results = root.join("results");
+        let csv = results.join(format!("{name}.csv"));
+        let path = csv.display();
         let fresh = format!("{header}\n{}\n", rows.join("\n"));
+        let figures = uts_viz::figures::render(name, &fresh).map_err(|e| format!("{path}: {e}"))?;
+        let figures = figures.into_iter().map(|(fig, svg)| (results.join(format!("figures/{fig}.svg")), svg));
         match self {
             Sink::Discard => println!("fault environment: {path} neither written nor checked"),
             Sink::Write => {
-                fs::create_dir_all("results")
-                    .and_then(|()| fs::write(&path, fresh))
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-                println!("wrote {path}");
+                fs::create_dir_all(results.join("figures")).map_err(|e| format!("cannot write {}: {e}", results.display()))?;
+                for (file, text) in iter::once((csv.clone(), fresh)).chain(figures) {
+                    fs::write(&file, text).map_err(|e| format!("cannot write {}: {e}", file.display()))?;
+                    println!("wrote {}", file.display());
+                }
             }
             Sink::Check => {
-                let committed =
-                    fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+                let committed = fs::read_to_string(&csv).map_err(|e| format!("cannot read {path}: {e}"))?;
                 let n = compare_csv(&committed, &fresh, wall_clock_columns).map_err(|s| {
                     format!(
                         "{path} is stale (first difference on line {}):\n  committed: {}\n  \
@@ -310,6 +321,14 @@ impl Sink {
                     )
                 })?;
                 println!("{path} is current ({n} rows)");
+                for (file, svg) in figures {
+                    let (same, file) = (fs::read(&file).ok() == Some(svg.into_bytes()), file.display());
+                    if !same {
+                        return Err(format!("{file} is stale: missing, or not what the rows of {path} draw\n\
+                                            regenerate it by running the same command without --check"));
+                    }
+                    println!("{file} is current");
+                }
             }
         }
         Ok(())
@@ -377,23 +396,19 @@ mod tests {
         assert!(row.efficiency <= 1.05, "efficiency {e}", e = row.efficiency);
     }
 
-    /// A row that fails its check, exact or with multiplicity, names the
-    /// `uts_cli` line that replays it.
+    /// A row that fails its check, exact or (under a crash plan) with
+    /// multiplicity, names the `uts_cli` line that replays it.
     #[test]
     fn a_failing_row_names_its_replay() {
         let wrong = presets::t_tiny().expected.nodes + 1;
         let crash = RunSpec { faults: FaultPlan::crashy(3), ..tiny(Algorithm::MpiWs, 2) };
-        let rows: [(RunSpec, fn(Ran)); 2] = [
-            (tiny(Algorithm::DistMem, 2), |ran| drop(ran.measure())),
-            (crash, |ran| drop(ran.distinct())),
-        ];
-        for (spec, check) in rows {
-            let e = panic::catch_unwind(|| check(run(spec, wrong, RunSpec::run))).expect_err("a wrong count fails");
+        for spec in [tiny(Algorithm::DistMem, 2), crash] {
+            let e = panic::catch_unwind(|| drop(run(spec, wrong, RunSpec::run).measure())).expect_err("a wrong count fails");
             let msg = e.downcast_ref::<String>().expect("a formatted message");
             let line = msg.split_once("--spec '").and_then(|(_, rest)| rest.split_once('\'')).map(|(line, _)| line);
             let line = line.unwrap_or_else(|| panic!("no --spec '<line>' in: {msg}"));
             assert_eq!(line.parse::<RunSpec>(), Ok(overridden(spec)), "{msg}");
-            assert!(msg.contains(&format!("--expect-distinct {wrong}")), "{msg}");
+            assert!(msg.contains(&format!("--expect {wrong}")), "{msg}");
         }
     }
 
@@ -467,6 +482,24 @@ mod tests {
                 recomputed: "mpi-ws,256,0.0296".to_string(),
             })
         );
+    }
+
+    /// A committed figure that is not what its CSV's rows draw fails the
+    /// check, named, though the CSV itself is current.
+    #[test]
+    fn doctored_figure_is_reported_by_its_file() {
+        let root = std::env::temp_dir().join(format!("uts-sink-{}", std::process::id()));
+        let (header, rows) = COMMITTED.split_once('\n').expect("a header line");
+        let rows: Vec<String> = rows.lines().map(String::from).collect();
+        let emit = |sink: Sink| sink.emit_under(&root, "fig6", header, &rows, 1);
+        emit(Sink::Write).expect("writes the CSV and its figure");
+        emit(Sink::Check).expect("what was just written is current");
+        let svg = root.join("results/figures/fig6_speedup.svg");
+        let doctored = fs::read_to_string(&svg).expect("the figure was written").replace("Figure 6", "Figure 7");
+        fs::write(&svg, doctored).expect("a writable figure");
+        let e = emit(Sink::Check).expect_err("a doctored figure is stale");
+        fs::remove_dir_all(&root).expect("a removable scratch directory");
+        assert!(e.contains("results/figures/fig6_speedup.svg"), "{e}");
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!   `total − duplicates == expected`, and `duplicates == 0` without
 //!   crash faults.
 //!
-//! [`check_run`] applies both to a [`RunReport`] and returns a typed
+//! [`check_run`] applies both to a [`RunReport`], [`check_conservation`]
+//! the second alone (every checked row of the harness, `uts_cli --expect`);
+//! each returns a typed
 //! [`TheoryViolation`] instead of panicking, so harnesses decide whether a
 //! violation is fatal (the `exp dag_sweep` entry fails its run, printing the
 //! line that replays it) or the point
@@ -129,17 +131,12 @@ impl std::fmt::Display for TheoryViolation {
 
 impl std::error::Error for TheoryViolation {}
 
-/// Check one run against the steal bound and conservation. `expected` is
-/// the workload's sequential size; `depth` its critical-path length
-/// (closed-form from the generator, or [`tree_depth`]); `crash` whether the
-/// run's fault plan had a crash class (multiplicity is then allowed).
-pub fn check_run(
-    report: &RunReport,
-    expected: u64,
-    depth: u64,
-    factor: f64,
-    crash: bool,
-) -> Result<TheorySummary, TheoryViolation> {
+/// Check one run for conservation: `expected` is the workload's sequential
+/// size, `crash` whether the run's fault plan had a crash class. Without
+/// one every task runs exactly once (no duplicate, nothing recovered, so
+/// `total == expected`); under one, with multiplicity
+/// (`total − duplicates == expected`).
+pub fn check_conservation(report: &RunReport, expected: u64, crash: bool) -> Result<(), TheoryViolation> {
     if !crash && (report.duplicate_nodes > 0 || report.recovered_nodes > 0) {
         return Err(TheoryViolation::SpuriousRecovery {
             duplicates: report.duplicate_nodes,
@@ -153,6 +150,22 @@ pub fn check_run(
             expected,
         });
     }
+    Ok(())
+}
+
+/// Check one run against the steal bound and conservation
+/// ([`check_conservation`]). `expected` is the workload's sequential size;
+/// `depth` its critical-path length (closed-form from the generator, or
+/// [`tree_depth`]); `crash` whether the run's fault plan had a crash class
+/// (multiplicity is then allowed).
+pub fn check_run(
+    report: &RunReport,
+    expected: u64,
+    depth: u64,
+    factor: f64,
+    crash: bool,
+) -> Result<TheorySummary, TheoryViolation> {
+    check_conservation(report, expected, crash)?;
     let bound = steal_bound(report.threads, depth, factor);
     if report.successful_steals > bound {
         return Err(TheoryViolation::StealBound {

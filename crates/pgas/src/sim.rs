@@ -98,6 +98,7 @@
 //! time.
 
 use std::collections::BTreeMap;
+use std::panic;
 
 use crate::comm::{self, Comm, Cycle, Item, MailProbe, OpClass, SpaceConfig};
 use crate::fault::{self, FaultPlan, MsgFate};
@@ -126,10 +127,15 @@ pub const SIM_STACK_SIZE: usize = 512 * 1024;
 
 /// Fuel: the virtual time a simulated thread may spend without doing work
 /// (2^35 ns ≈ 34.4 s). An operation completing later than that after the
-/// thread's last [`Comm::work`] panics "out of fuel", at the same thread and
-/// operation under both conductors. A constant, not a knob: four times the
+/// thread's last [`Comm::work`] ends the thread "out of fuel", at the same
+/// thread and operation under both conductors, and the run panics with the
+/// lowest such thread's message. A constant, not a knob: four times the
 /// never-heals partition sentinel [`fault::UNHEALED_NS`] (`docs/faults.md` §5).
 pub const FUEL_NS: u64 = 4 * fault::UNHEALED_NS;
+
+/// A thread's run out of fuel: its message, carried to the host without
+/// the panic hook, which the host raises again as a plain panic.
+struct OutOfFuel(String);
 
 /// Everything a run produces.
 #[derive(Debug)]
@@ -479,14 +485,9 @@ impl<T: Item> SimComm<T> {
         }
         self.stats.comm_ns += cost;
         let t = self.local_clock + self.pending_work + cost;
-        assert!(
-            self.fueled(t),
-            "out of fuel: thread {} of {} did no work from {} ns to {t} ns, after {} operations",
-            self.tid,
-            self.nthreads,
-            self.worked_until,
-            self.conductor.total_ops()
-        );
+        if !self.fueled(t) {
+            self.out_of_fuel(t);
+        }
         self.pending_work = 0;
         self.local_clock = t;
         if self.lookahead {
@@ -527,6 +528,21 @@ impl<T: Item> SimComm<T> {
     /// fuel: the one place [`FUEL_NS`] is compared.
     fn fueled(&self, t: u64) -> bool {
         t - self.worked_until <= FUEL_NS
+    }
+
+    /// End this thread's life out of fuel at `t`. Every thread of a
+    /// livelocked run gets here, so the failure unwinds without the panic
+    /// hook; the host re-raises the lowest thread's ([`OutOfFuel`]), once.
+    #[cold]
+    #[inline(never)]
+    fn out_of_fuel(&self, t: u64) -> ! {
+        panic::resume_unwind(Box::new(OutOfFuel(format!(
+            "out of fuel: thread {} of {} did no work from {} ns to {t} ns, after {} operations",
+            self.tid,
+            self.nthreads,
+            self.worked_until,
+            self.conductor.total_ops()
+        ))))
     }
 
     fn size_of_items(n: usize) -> usize {

@@ -21,7 +21,7 @@ use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
 
 use super::cycle::Parked;
-use super::{Mem, SimCluster, SimComm, SimReport, Switch};
+use super::{Mem, OutOfFuel, SimCluster, SimComm, SimReport, Switch};
 use crate::comm::Item;
 use crate::fault::FaultPlan;
 use crate::machine::MachineModel;
@@ -188,10 +188,14 @@ impl<T: Item> Hub<T> {
     /// The report of a run every thread has retired from, with the values the
     /// workers left in `results` and each fiber's stack high-water mark in
     /// `stack_peaks` (none on OS threads). A worker's panic — the lowest
-    /// thread's — is re-raised instead.
+    /// thread's — is re-raised instead: printed here if it ran out of fuel,
+    /// where the hook did not see it, and where it happened otherwise.
     pub(super) fn report<R>(self, results: Vec<Option<R>>, stack_peaks: &[usize]) -> SimReport<R> {
         if let Some(panic) = self.panics.into_iter().flatten().next() {
-            panic::resume_unwind(panic);
+            match panic.downcast::<OutOfFuel>() {
+                Ok(fuel) => panic!("{}", fuel.0),
+                Err(panic) => panic::resume_unwind(panic),
+            }
         }
         let (stats, mut conductor): (Vec<_>, Vec<_>) = self
             .retired

@@ -725,6 +725,51 @@ fn a_cycle_out_of_fuel_panics_on_both_conductors() {
     }
 }
 
+/// Two threads run out of fuel, thread 3 first in virtual time: the run
+/// reports thread 1's, the lowest, on both policies and both substrates.
+#[test]
+fn the_lowest_thread_out_of_fuel_is_the_one_reported() {
+    let out_of_fuel = |lookahead: bool, on_threads: bool| {
+        let result = std::panic::catch_unwind(|| {
+            let cluster =
+                SimCluster::<u64>::new(MachineModel::kittyhawk(), 4, SpaceConfig::default())
+                    .with_lookahead(lookahead);
+            let worker = |c: &mut SimComm<u64>| {
+                match c.my_id() {
+                    1 => {
+                        c.work(1000);
+                        c.advance_idle(FUEL_NS);
+                    }
+                    3 => c.advance_idle(FUEL_NS),
+                    _ => {}
+                }
+                c.add(0, 1, 1);
+            };
+            if on_threads {
+                cluster.run_threads(&worker)
+            } else {
+                cluster.run(worker)
+            }
+        });
+        let panic = result.expect_err("two threads must run out of fuel");
+        panic
+            .downcast_ref::<String>()
+            .expect("formatted panic message")
+            .clone()
+    };
+    let fast = out_of_fuel(true, false);
+    let worked = 1000 * MachineModel::kittyhawk().node_ns;
+    let expected = format!("out of fuel: thread 1 of 4 did no work from {worked} ns to ");
+    assert!(fast.starts_with(&expected), "{fast}");
+    for (lookahead, on_threads) in [(false, false), (true, true), (false, true)] {
+        assert_eq!(
+            fast,
+            out_of_fuel(lookahead, on_threads),
+            "lookahead={lookahead} on_threads={on_threads}"
+        );
+    }
+}
+
 /// Thread `a` of two waits with passes of `pass` and 1 µs idles, the first
 /// pass starting at 0; the other thread idles `issue` and then sends `a` one
 /// message of tag 5. Both conductors must agree; returns the fast run. (On

@@ -1,11 +1,10 @@
-//! Minimal reader for the harness's `results/*.csv` files.
+//! Minimal parser for the text of the harness's `results/*.csv` files.
 //!
 //! The format is fixed (comma-separated, one header row, no quoting —
-//! produced by `uts-bench::harness::Sink::emit`), so a full CSV parser is
-//! unnecessary.
+//! produced by `uts-bench::harness::Sink::emit`, which hands the same text
+//! to [`crate::figures::render`]), so a full CSV parser is unnecessary.
 
 use std::collections::HashMap;
-use std::path::Path;
 
 /// One parsed data row: column name → raw string value.
 #[derive(Clone, Debug)]
@@ -53,12 +52,6 @@ pub fn parse(text: &str) -> Result<Vec<Record>, String> {
         out.push(Record { fields });
     }
     Ok(out)
-}
-
-/// Read and parse a CSV file.
-pub fn read(path: &Path) -> Result<Vec<Record>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    parse(&text)
 }
 
 #[cfg(test)]

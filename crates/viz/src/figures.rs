@@ -1,9 +1,36 @@
-//! Builders mapping harness CSVs to the paper's figures.
+//! Builders mapping harness CSVs to the paper's figures, and [`FIGURES`],
+//! the one table of which CSV draws which figure.
 
 use std::collections::BTreeMap;
 
 use crate::chart::{Chart, Series};
-use crate::csv::Record;
+use crate::csv::{parse, Record};
+
+/// A figure drawn from the rows of one CSV.
+pub type Builder = fn(&[Record]) -> Chart;
+
+/// Every committed figure: `(csv stem, figure name, builder)`, so that
+/// `results/<stem>.csv` draws `results/figures/<name>.svg`. Each builder
+/// reads only virtual columns, so a figure is as reproducible as its CSV.
+pub const FIGURES: &[(&str, &str, Builder)] = &[
+    ("fig4", "fig4_performance", fig4_performance),
+    ("fig4", "fig4_speedup", fig4_speedup),
+    ("fig5_xl", "fig5_speedup", fig5_speedup),
+    ("fig5_xl", "fig5_performance", fig5_performance),
+    ("fig5_xxl", "fig5_xxl_speedup", fig5_speedup),
+    ("fig6", "fig6_speedup", fig6_speedup),
+    ("scale_eff", "scale_eff", scale_eff),
+    ("dag_sweep", "dag_sweep_throughput", dag_sweep_throughput),
+    ("dag_sweep", "dag_sweep_steal_utilisation", dag_sweep_steal_utilisation),
+];
+
+/// The figures of `results/<stem>.csv`, drawn from its text at 760×460:
+/// `(figure name, SVG)`, none for a CSV [`FIGURES`] does not name.
+pub fn render(stem: &str, csv: &str) -> Result<Vec<(&'static str, String)>, String> {
+    let figures: Vec<_> = FIGURES.iter().filter(|f| f.0 == stem).collect();
+    let rows = if figures.is_empty() { Vec::new() } else { parse(csv)? };
+    Ok(figures.iter().map(|&&(_, name, build)| (name, build(&rows).to_svg(760, 460))).collect())
+}
 
 /// Group records into per-algorithm series of (x_col, y_col).
 fn series_by_algorithm(rows: &[Record], x_col: &str, y_col: &str) -> Vec<Series> {
@@ -163,7 +190,6 @@ pub fn scale_eff(rows: &[Record]) -> Chart {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csv::parse;
 
     const SAMPLE: &str = "\
 algorithm,threads,chunk,nodes,mnodes_per_sec,speedup,efficiency
@@ -193,18 +219,12 @@ mpi-ws,256,2,100,51.0,21.3,0.08
 
     #[test]
     fn renders_end_to_end() {
-        let rows = parse(SAMPLE).unwrap();
-        for chart in [
-            fig4_performance(&rows),
-            fig4_speedup(&rows),
-            fig5_speedup(&rows),
-            fig5_performance(&rows),
-            fig6_speedup(&rows),
-            scale_eff(&rows),
-        ] {
-            let svg = chart.to_svg(720, 440);
-            assert!(svg.contains("polyline"), "{}", chart.title);
+        for stem in ["fig4", "fig5_xl", "fig5_xxl", "fig6", "scale_eff"] {
+            for (name, svg) in render(stem, SAMPLE).unwrap() {
+                assert!(svg.contains("polyline"), "{name}");
+            }
         }
+        assert!(render("service", "not,a\ncsv").unwrap().is_empty(), "a CSV with no figure is not parsed");
     }
 
     #[test]

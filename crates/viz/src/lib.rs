@@ -1,9 +1,11 @@
 //! # uts-viz — figure rendering
 //!
 //! The paper's evaluation artifacts are *figures* (speedup and absolute
-//! performance curves). This crate turns the benchmark harness's
-//! `results/*.csv` files back into figures: a small dependency-free SVG
-//! chart renderer plus builders for each reproduced figure.
+//! performance curves). This crate draws them from the text of the
+//! benchmark harness's `results/*.csv` rows: a small dependency-free SVG
+//! chart renderer, builders for each reproduced figure, and the table of
+//! which CSV draws which ([`figures::FIGURES`]), read whenever the harness
+//! writes or checks a CSV (`uts-bench::harness::Sink::emit`).
 //!
 //! ```
 //! use uts_viz::chart::{Chart, Series};

@@ -97,11 +97,13 @@ fi
   { echo "crates/bench/src/bin holds more than exp and uts_cli" >&2; exit 1; }
 [ "$(grep -rlF '.emit(' crates/bench/src)" = crates/bench/src/exp.rs ] ||
   { echo "rows must leave through Sink::emit in crates/bench/src/exp.rs only" >&2; exit 1; }
+# uts-viz is a library: a figure leaves its entry with its CSV (Sink::emit).
+[ ! -e crates/viz/src/bin ] || { echo "crates/viz/src/bin is back: figures leave through Sink::emit" >&2; exit 1; }
 # A frozen-table row pastes into uts_cli (a crash row: a kill inside a
 # partition, then a restart).
 cargo build --release --offline -p uts-bench --bin exp --bin uts_cli
 ./target/release/uts_cli --spec 'topsail p=6 tree=binomial(5,64,2,0.49666666666666665) alg=distmem k=4 faults=partitioned(8)' \
-  --expect-distinct 5635
+  --expect 5635
 # The same kind of run on real threads is a config error (exit 2), not a panic.
 status=0
 ./target/release/uts_cli --native --spec 'topsail p=2 tree=binomial(5,64,2,0.49666666666666665) alg=distmem k=4 faults=crashy(3)' \
@@ -191,28 +193,21 @@ echo "== the E18 ready-wait probe runs =="
 # critical path must add up to its makespan, or the entry panics.
 ./target/release/exp ready_wait
 
-echo "== every results/*.csv is current =="
-# The thirteen files the experiment table owns (EXPERIMENTS.md E2-E5, E9-E13,
-# E16-E18): the check recomputes each entry and exits 1, naming file and
-# line, at the first virtual column that differs from the committed CSV
-# (service.csv has no wall-clock column, so it must match byte for byte). Every
+echo "== every results/*.csv and results/figures/*.svg is current =="
+# The thirteen CSVs the experiment table owns (EXPERIMENTS.md E2-E5, E9-E13,
+# E16-E18) and their nine SVGs: the check recomputes each entry and exits 1,
+# naming the file, at the first virtual column (and its line) or figure byte
+# that differs (service.csv has no wall-clock column: every byte counts). Every
 # DAG-sweep row also passes conservation and the O(p·D) steal bound, and every
 # service row per-epoch conservation, or the entry panics with the line that
 # replays the row. About two minutes on a 2-vCPU host, most of it the two
 # Figure 5 trees.
 ./target/release/exp --check
 
-echo "== the same CSVs on the reference conductor =="
+echo "== the same CSVs and figures on the reference conductor =="
 # The oracle is the naive policy on the same fibers, so every committed CSV
-# is checked against it too: no virtual column may move. About five minutes
-# on a 2-vCPU host.
+# and figure is checked against it too: no virtual column may move. About
+# five minutes on a 2-vCPU host.
 UTS_OVERRIDE='conductor=reference' ./target/release/exp --check
-
-echo "== the figures are current =="
-# render_figs is deterministic, so the committed SVGs must be exactly what
-# the committed CSVs render to.
-cargo build --release --offline -p uts-viz
-./target/release/render_figs >/dev/null
-git diff --exit-code -- results/figures
 
 echo "CI OK"
