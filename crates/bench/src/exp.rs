@@ -1351,11 +1351,11 @@ mod tests {
     }
 
     /// Every committed figure is drawn by exactly one `(csv, figure)` pair
-    /// of `uts_viz::figures::FIGURES` whose CSV an entry owns, and every
+    /// of `crate::viz::figures::FIGURES` whose CSV an entry owns, and every
     /// pair draws a committed figure.
     #[test]
     fn every_committed_figure_has_an_owner() {
-        let figures = uts_viz::figures::FIGURES;
+        let figures = crate::viz::figures::FIGURES;
         let owned = |csv: &str| TABLE.iter().any(|e| e.owns_csv() && e.name == csv);
         assert!(figures.iter().all(|(csv, ..)| owned(csv)), "a figure's CSV has no entry");
         let drawn: BTreeSet<String> = figures.iter().map(|(_, fig, _)| format!("{fig}.svg")).collect();

@@ -274,7 +274,7 @@ impl Sink {
     }
 
     /// The one way rows leave a sweep: write `results/<name>.csv` and the
-    /// figures `uts_viz::figures` draws from it (`results/figures/*.svg`),
+    /// figures `crate::viz::figures` draws from it (`results/figures/*.svg`),
     /// or check both against a recomputation ([`compare_csv`]; figures byte
     /// for byte), or neither. The error names the file and the stale line.
     pub fn emit(
@@ -300,7 +300,7 @@ impl Sink {
         let csv = results.join(format!("{name}.csv"));
         let path = csv.display();
         let fresh = format!("{header}\n{}\n", rows.join("\n"));
-        let figures = uts_viz::figures::render(name, &fresh).map_err(|e| format!("{path}: {e}"))?;
+        let figures = crate::viz::figures::render(name, &fresh).map_err(|e| format!("{path}: {e}"))?;
         let figures = figures.into_iter().map(|(fig, svg)| (results.join(format!("figures/{fig}.svg")), svg));
         match self {
             Sink::Discard => println!("fault environment: {path} neither written nor checked"),

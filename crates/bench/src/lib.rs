@@ -6,3 +6,4 @@ pub mod chaos;
 pub mod exp;
 pub mod harness;
 pub mod ready_wait;
+pub mod viz;

@@ -2,7 +2,7 @@
 //!
 //! The format is fixed (comma-separated, one header row, no quoting —
 //! produced by `uts-bench::harness::Sink::emit`, which hands the same text
-//! to [`crate::figures::render`]), so a full CSV parser is unnecessary.
+//! to [`crate::viz::figures::render`]), so a full CSV parser is unnecessary.
 
 use std::collections::HashMap;
 

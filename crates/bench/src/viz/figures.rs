@@ -3,8 +3,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::chart::{Chart, Series};
-use crate::csv::{parse, Record};
+use crate::viz::chart::{Chart, Series};
+use crate::viz::csv::{parse, Record};
 
 /// A figure drawn from the rows of one CSV.
 pub type Builder = fn(&[Record]) -> Chart;

@@ -1,11 +1,11 @@
 //! `mpi-ws` (§3.2): the message-passing work-stealing baseline of
-//! Dinan et al. (PMEO-PDS'07), reproduced over the [`mpisim`] layer.
+//! Dinan et al. (PMEO-PDS'07), reproduced over [`Comm`]'s mailboxes.
 //!
 //! Stealing is a two-sided message exchange: an idle thread sends a steal
 //! request; working threads poll for requests "at an interval set by a
 //! user-supplied parameter" and answer with a chunk of work or a denial.
 //! Global quiescence is detected with the counting token ring
-//! ([`crate::sched::termination::RingTerm`] over [`mpisim::TokenRing`]).
+//! ([`crate::sched::termination::RingTerm`]).
 //!
 //! Contrast with `upc-distmem`: the victim must assemble and *send* the
 //! chunk (two-sided), whereas UPC lets the thief pull it one-sidedly while
@@ -23,7 +23,8 @@ use pgas::{Comm, MailProbe, Msg};
 
 use crate::recovery::Lineage;
 use crate::sched::policy::{StealPolicyKind, TimeoutBackoff};
-use crate::sched::{Cx, StealOutcome, StealTransport};
+use crate::sched::termination::TERM;
+use crate::sched::{Cx, StealOutcome, StealTransport, SweepService};
 use crate::stack::DfsStack;
 use crate::trace::Event;
 
@@ -41,11 +42,9 @@ const RESPONSE_BACKOFF_NS: u64 = 2_000;
 const RESPONSE_PASS: [MailProbe; 4] = [
     MailProbe::TryRecv(TAG_WORK),
     MailProbe::TryRecv(TAG_NOWORK),
-    MailProbe::HasMsg(mpisim::tags::TERM),
+    MailProbe::HasMsg(TERM),
     MailProbe::TryRecv(TAG_REQ),
 ];
-/// Backoff between idle-loop iterations.
-const IDLE_BACKOFF_NS: u64 = 5_000;
 
 /// §3.2's two-sided request/grant message exchange as a [`StealTransport`].
 ///
@@ -135,7 +134,7 @@ impl<T: Item> MpiTransport<T> {
 }
 
 impl<T: Item, C: Comm<T>> StealTransport<T, C> for MpiTransport<T> {
-    const IDLE_BACKOFF_NS: u64 = IDLE_BACKOFF_NS;
+    const SWEEP: SweepService = SweepService::Blind { backoff_ns: 5_000 };
 
     fn ledger(&mut self) -> Option<&mut Lineage<T>> {
         Some(&mut self.ledger)
@@ -183,7 +182,7 @@ impl<T: Item, C: Comm<T>> StealTransport<T, C> for MpiTransport<T> {
                 cx.log.emit(Event::StealFail { t_ns: comm.now(), victim });
                 return StealOutcome::Denied;
             }
-            if comm.has_msg(Some(mpisim::tags::TERM)) {
+            if comm.has_msg(Some(TERM)) {
                 return StealOutcome::TermRaced;
             }
             if let Some(dl) = deadline {
@@ -270,7 +269,7 @@ impl<T: Item, C: Comm<T>> StealTransport<T, C> for MpiTransport<T> {
         // Late requests may still sit in the mailbox; they are unanswerable
         // and harmless (their senders terminated through the same
         // announcement).
-        mpisim::drain_mailbox(comm);
+        while comm.try_recv(None).is_some() {}
     }
 }
 

@@ -9,26 +9,23 @@
 //! useful work, which is exactly what work stealing avoids — so it makes a
 //! good ablation baseline against the five paper algorithms.
 //!
-//! As a [`StealTransport`] this is the degenerate corner:
-//! [`StealTransport::STEALS`] is `false`, so the token-ring termination
-//! detector never probes or steals — idle threads park, alternating mailbox
-//! absorption with ring steps, until a pushed chunk or the termination
-//! announcement arrives.
+//! As a [`StealTransport`] this is the degenerate corner: its sweep is
+//! [`SweepService::Park`], so the token-ring termination detector never
+//! probes or steals — idle threads park, alternating mailbox absorption
+//! with ring steps, until a pushed chunk or the termination announcement
+//! arrives.
 
 use pgas::comm::Item;
 use pgas::Comm;
 
 use crate::probe::Xorshift;
 use crate::recovery::Lineage;
-use crate::sched::{Cx, StealTransport};
+use crate::sched::{Cx, StealTransport, SweepService};
 use crate::stack::DfsStack;
 use crate::trace::Event;
 
 /// Pushed chunk of work.
 pub const TAG_PUSH: i64 = 10;
-
-/// Idle backoff.
-const IDLE_BACKOFF_NS: u64 = 2_000;
 
 /// Randomized work pushing as a [`StealTransport`]: surplus is *sent* by
 /// the working thread to a uniformly random peer; idle threads only absorb.
@@ -75,8 +72,7 @@ impl<T: Item> PushTransport<T> {
 }
 
 impl<T: Item, C: Comm<T>> StealTransport<T, C> for PushTransport<T> {
-    const STEALS: bool = false;
-    const IDLE_BACKOFF_NS: u64 = IDLE_BACKOFF_NS;
+    const SWEEP: SweepService = SweepService::Park { backoff_ns: 2_000 };
 
     fn ledger(&mut self) -> Option<&mut Lineage<T>> {
         Some(&mut self.ledger)
@@ -125,6 +121,6 @@ impl<T: Item, C: Comm<T>> StealTransport<T, C> for PushTransport<T> {
     }
 
     fn finish(&mut self, comm: &mut C, _stack: &mut DfsStack<T>, _cx: &mut Cx) {
-        mpisim::drain_mailbox(comm);
+        while comm.try_recv(None).is_some() {}
     }
 }

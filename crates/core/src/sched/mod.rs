@@ -7,7 +7,7 @@
 //!
 //! | Axis | Type | Implementations |
 //! |------|------|-----------------|
-//! | transport | trait [`StealTransport`] | locked shared region, CAS request/response, mpisim messages, work pushing |
+//! | transport | trait [`StealTransport`] | locked shared region, CAS request/response, two-sided messages, work pushing |
 //! | termination | trait [`TerminationDetector`] | cancelable barrier, streamlined tri-state, counting token ring ([`termination`]); service mode's epoch detector |
 //! | steal amount | enum [`StealPolicyKind`] | one, half, adaptive-by-depth ([`policy`]) |
 //! | victim order | enum [`VictimPolicy`] | flat random, hierarchical same-node-first — two constructions of one [`ProbeOrder`] |
@@ -165,13 +165,24 @@ pub enum StealOutcome {
     TimedOut,
 }
 
-/// What a thief's probe sweep issues between two victim probes: a
-/// transport's [`StealTransport::idle_service`] as data, so that the sweep
-/// can hand a whole probe cycle to [`Comm::probe_cycle`].
+/// How an idle rank searches: whether it probes, asks blindly or waits, and
+/// what a probe sweep issues between two victim probes — a transport's
+/// [`StealTransport::idle_service`] as data, so that the sweep can hand a
+/// whole probe cycle to [`Comm::probe_cycle`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SweepService {
-    /// No probing: thieves ask blindly (the message transports).
-    Blind,
+    /// No probing: thieves ask blindly (mpi-ws), charging `backoff_ns`
+    /// between idle termination-protocol iterations.
+    Blind {
+        /// The idle backoff.
+        backoff_ns: u64,
+    },
+    /// No stealing at all: idle ranks take no initiative and wait for
+    /// pushed work (push-random), charging `backoff_ns` between ring steps.
+    Park {
+        /// The idle backoff.
+        backoff_ns: u64,
+    },
     /// Probes, and the idle service issues nothing (locked).
     Quiet,
     /// Probes, and the idle service reads own cell `var` and acts — by
@@ -191,7 +202,16 @@ pub enum SweepService {
 impl SweepService {
     /// Whether thieves read a victim's work level before stealing.
     pub const fn probes(self) -> bool {
-        !matches!(self, SweepService::Blind)
+        !matches!(self, SweepService::Blind { .. } | SweepService::Park { .. })
+    }
+
+    /// The backoff charged between idle termination-protocol iterations
+    /// (token-ring transports); 0 for the probing services.
+    pub const fn backoff_ns(self) -> u64 {
+        match self {
+            SweepService::Blind { backoff_ns } | SweepService::Park { backoff_ns } => backoff_ns,
+            _ => 0,
+        }
     }
 
     /// The own read of a [`Comm::probe_cycle`], if the service is one.
@@ -213,21 +233,16 @@ impl SweepService {
 /// points the original monolithic loops performed the corresponding
 /// operations, which is what makes policy composition preserve op sequences.
 pub trait StealTransport<T: Item, C: Comm<T>> {
-    /// Whether idle threads actively steal. `false` only for work *pushing*,
-    /// where idle threads park in termination detection and wait for chunks
-    /// to land in their mailbox.
-    const STEALS: bool = true;
-    /// Whether a thief reads the victim's advertised work level (its
-    /// `WORK_AVAIL` cell, §3.3.1 tri-state: positive = stealable surplus, 0 =
-    /// working without surplus, negative = out of work) before committing to
-    /// a steal, and what the idle service between two such probes issues
-    /// ([`SweepService`]). Probing is for the shared-region transports,
-    /// which the barrier detectors need; the message transports' thieves can
-    /// only ask.
-    const SWEEP: SweepService = SweepService::Blind;
-    /// Backoff charged between idle termination-protocol iterations
-    /// (token-ring transports).
-    const IDLE_BACKOFF_NS: u64 = 0;
+    /// How an idle thread searches ([`SweepService`]): whether a thief reads
+    /// the victim's advertised work level (its `WORK_AVAIL` cell, §3.3.1
+    /// tri-state: positive = stealable surplus, 0 = working without surplus,
+    /// negative = out of work) before committing to a steal, and what the
+    /// idle service between two such probes issues. Probing is for the
+    /// shared-region transports, which the barrier detectors need; the
+    /// message transports' thieves can only ask, and under work *pushing*
+    /// idle threads park in termination detection and wait for chunks to
+    /// land in their mailbox.
+    const SWEEP: SweepService;
 
     /// One-time protocol setup before the root task is pushed (e.g. arming
     /// the distmem request cell).

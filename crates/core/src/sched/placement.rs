@@ -188,15 +188,12 @@ where
     C: Comm<T>,
     ST: StealTransport<T, C>,
 {
-    const STEALS: bool = ST::STEALS;
     /// A placing rank's idle service also settles and absorbs hand-offs, so
-    /// its sweep calls it after every probe.
+    /// its probe sweep calls it after every probe.
     const SWEEP: SweepService = match ST::SWEEP {
-        SweepService::Blind => SweepService::Blind,
-        _ if G::PLACED => SweepService::Opaque,
+        inner if G::PLACED && inner.probes() => SweepService::Opaque,
         inner => inner,
     };
-    const IDLE_BACKOFF_NS: u64 = ST::IDLE_BACKOFF_NS;
 
     fn init(&mut self, comm: &mut C, cx: &mut Cx) {
         self.inner.init(comm, cx);

@@ -26,6 +26,10 @@
 //! line that replays it) or the point
 //! (the deliberately-broken-bound test in `tests/theory_bounds.rs`
 //! demonstrates the asserter actually trips).
+//!
+//! [`makespan_floor_ns`] is a third claim, kept out of [`check_run`] because
+//! a native run's makespan is host time: no simulated run finishes faster
+//! than the model allows (`tests/frozen_schedules.rs` asserts it per row).
 
 use crate::report::RunReport;
 use crate::taskgen::TaskGen;
@@ -44,6 +48,17 @@ pub fn steal_bound(threads: usize, depth: u64, factor: f64) -> u64 {
     } else {
         b.ceil() as u64
     }
+}
+
+/// The model's floor on a simulated run's virtual makespan, from the work
+/// and span terms of Leiserson, Schardl & Suksompong (arxiv 1706.03184):
+/// `max(W·node_ns/p, D·node_ns)` for `work` units `W` and a critical path
+/// of `span` units `D` on `threads` workers, each unit charged `node_ns`.
+/// A host-time makespan (a native run) has no such floor.
+pub fn makespan_floor_ns(work: u64, span: u64, node_ns: u64, threads: usize) -> u64 {
+    work.saturating_mul(node_ns)
+        .div_ceil(threads as u64)
+        .max(span.saturating_mul(node_ns))
 }
 
 /// What [`check_run`] verified, for harness reporting.
@@ -306,5 +321,12 @@ mod tests {
         assert_eq!(steal_bound(usize::MAX, u64::MAX, 1e18), u64::MAX);
         assert_eq!(steal_bound(4, 5, 1.0), 20);
         assert_eq!(steal_bound(4, 0, 8.0), 0);
+    }
+
+    #[test]
+    fn makespan_floor_is_the_larger_term() {
+        assert_eq!(makespan_floor_ns(100, 5, 10, 4), 250); // work-bound
+        assert_eq!(makespan_floor_ns(100, 40, 10, 4), 400); // span-bound
+        assert_eq!(makespan_floor_ns(7, 1, 1, 2), 4); // rounds up
     }
 }

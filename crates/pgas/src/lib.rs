@@ -33,8 +33,9 @@
 //! - per-thread **locks** — `upc_lock_t`,
 //! - a per-thread **item area** (a growable array of `T`) with bulk
 //!   one-sided reads/writes — the shared region of each DFS stack,
-//! - per-thread **mailboxes** carrying typed messages — enough to host an
-//!   MPI-style runtime (see the `mpisim` crate) over the same cost model.
+//! - per-thread **mailboxes** carrying typed messages — MPI's
+//!   send/recv/iprobe over the same cost model (`mpi-ws` and its token ring
+//!   in `worksteal`).
 //!
 //! ```
 //! use pgas::{sim::SimCluster, MachineModel, SpaceConfig, Comm};

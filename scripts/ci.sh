@@ -13,8 +13,8 @@ cargo build --release
 echo "== cargo test -q --workspace =="
 # Tier-1's `cargo test -q` runs the root package only; the member crates' own
 # unit and integration tests (SHA-1 kernels, the fiber arena and conductors,
-# worksteal's crates/core/tests/*.rs, mpisim, the bench harness) run nowhere
-# else.
+# worksteal's crates/core/tests/*.rs and token ring, the bench harness and its
+# figures) run nowhere else.
 cargo test -q --workspace
 # Print which SHA-1 kernel this log's numbers came from, beside the host's
 # `sha` detection; the test fails if the dispatch fell back to the portable
@@ -97,8 +97,15 @@ fi
   { echo "crates/bench/src/bin holds more than exp and uts_cli" >&2; exit 1; }
 [ "$(grep -rlF '.emit(' crates/bench/src)" = crates/bench/src/exp.rs ] ||
   { echo "rows must leave through Sink::emit in crates/bench/src/exp.rs only" >&2; exit 1; }
-# uts-viz is a library: a figure leaves its entry with its CSV (Sink::emit).
-[ ! -e crates/viz/src/bin ] || { echo "crates/viz/src/bin is back: figures leave through Sink::emit" >&2; exit 1; }
+# The token ring is RingTerm's own state (crates/core/src/sched/termination.rs)
+# and the figures a module of the harness that draws them
+# (crates/bench/src/viz.rs): neither comes back as a crate of its own. (The
+# bracketed letters keep this file from matching itself.)
+[ "$(ls crates | tr '\n' ' ')" = "bench core pgas sha1 shims uts " ] ||
+  { echo "crates/ holds more than bench core pgas sha1 shims uts" >&2; exit 1; }
+if grep -rnE 'mpisi[m]|uts[_-]vi[z]' crates scripts tests src examples Cargo.toml; then
+  echo "a folded crate's name came back" >&2; exit 1
+fi
 # A frozen-table row pastes into uts_cli (a crash row: a kill inside a
 # partition, then a restart).
 cargo build --release --offline -p uts-bench --bin exp --bin uts_cli

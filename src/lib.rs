@@ -6,13 +6,11 @@
 //! - [`sha1`] — RFC 3174 SHA-1 (tree-generation substrate)
 //! - [`tree`] — the UTS benchmark trees (binomial / geometric / hybrid)
 //! - [`pgas`] — the UPC-like PGAS substrate (native threads or virtual-time simulation)
-//! - [`mpisim`] — the MPI-like message-passing substrate
 //! - [`worksteal`] — the paper's five load-balancing algorithms and run harness
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the system inventory.
 #![warn(missing_docs)]
 
-pub use mpisim;
 pub use pgas;
 pub use uts_sha1 as sha1;
 pub use uts_tree as tree;

@@ -25,7 +25,9 @@
 //! `uts_cli --spec '<line>'`. A deliberate schedule change regenerates the
 //! table: run the test, and paste the `FROZEN` block it prints on mismatch.
 
-use uts_dlb::worksteal::{RunReport, RunSpec};
+use uts_dlb::worksteal::spec::Workload;
+use uts_dlb::worksteal::theory::makespan_floor_ns;
+use uts_dlb::worksteal::{tree_depth, DagGen, RandomLayered, RunReport, RunSpec, UtsGen};
 
 /// `(spec line, makespan_ns, comm ops, steal attempts, total nodes, fold
 /// of the per-request completed_ns — 0 for batch rows)`.
@@ -100,6 +102,27 @@ fn row<'a>(line: &'a str, r: &RunReport, seen: &mut Exercised) -> Row<'a> {
     (line, r.makespan_ns, ops, r.steal_attempts, r.total_nodes, fold)
 }
 
+/// A DAG's work units (summed task weights) and weighted critical path.
+fn dag_terms<D: DagGen>(dag: &D) -> (u64, u64) {
+    ((0..dag.n_tasks()).map(|t| dag.weight(t)).sum(), dag.critical_path())
+}
+
+/// No batch row finishes faster than the model allows
+/// ([`makespan_floor_ns`]): `W` is the workload's distinct tree nodes or
+/// summed DAG task weights, `D` its critical path.
+fn assert_above_floor(line: &str, spec: &RunSpec, r: &RunReport) {
+    let (work, span) = match spec.workload {
+        Workload::Tree(tree) => (r.total_nodes - r.duplicate_nodes, tree_depth(&UtsGen::new(tree))),
+        Workload::ForkJoin(dag) => dag_terms(&dag),
+        Workload::Wavefront(dag) => dag_terms(&dag),
+        Workload::Layered { layers, width, edge_pm, seed } => {
+            dag_terms(&RandomLayered::new(layers, width, edge_pm, seed))
+        }
+    };
+    let floor = makespan_floor_ns(work, span, spec.machine_model().node_ns, spec.p);
+    assert!(r.makespan_ns >= floor, "{line}: makespan {} ns under the model's floor {floor} ns", r.makespan_ns);
+}
+
 #[test]
 fn schedules_match_the_frozen_table() {
     let mut seen = Exercised::default();
@@ -108,7 +131,11 @@ fn schedules_match_the_frozen_table() {
         .map(|&(line, ..)| {
             let spec: RunSpec = line.parse().unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(spec.to_string(), line, "a row's name is its spec's own line");
-            row(line, &spec.run(), &mut seen)
+            let r = spec.run();
+            if spec.arrivals.is_none() {
+                assert_above_floor(line, &spec, &r);
+            }
+            row(line, &r, &mut seen)
         })
         .collect();
     // The crash rows only freeze something if their plans fire.
