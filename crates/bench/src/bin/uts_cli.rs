@@ -1,20 +1,18 @@
-//! A UTS-style command-line front end: the reference benchmark's flags and
-//! its binomial law. The trees are not yet UTS's own: the root hash, the 31
-//! bits a node draws and the binomial cut-off each depart from the
-//! reference generator, and the geometric law further (ROADMAP item 20), so
-//! a published parameter set runs a tree of the same law, not the published
-//! tree.
+//! A UTS-style command-line front end: the reference benchmark's flags for
+//! its binomial law. It is binomial-only until the generator is UTS's own
+//! (ROADMAP item 20): the root hash, the 31 bits a node draws and the
+//! binomial cut-off each depart from the reference generator, so a
+//! published parameter set runs a tree of the same law, not the published
+//! tree. `-t 0` is accepted because UTS's published parameter lines start
+//! with it; any other tree type exits 2 rather than draw another tree.
 //!
-//! Canonical UTS flags supported (subset relevant to binomial/geometric
-//! trees and this implementation):
+//! Canonical UTS flags supported:
 //!
-//! - `-t <0|1>`: tree type (0 = binomial, 1 = geometric)
+//! - `-t 0`: tree type (binomial, the only one)
 //! - `-r <seed>`: root seed
 //! - `-b <b0>`: root branching factor
-//! - `-m <m>`: binomial non-root branching factor
-//! - `-q <q>`: binomial branching probability
-//! - `-d <depth>`: geometric depth cutoff
-//! - `-a <shape>`: geometric shape (0 fixed, 1 linear, 2 expdec, 3 cyclic)
+//! - `-m <m>`: non-root branching factor
+//! - `-q <q>`: branching probability
 //! - `-c <k>`: chunk size
 //! - `-i <interval>`: polling interval
 //!
@@ -28,18 +26,24 @@
 //! - `--expect <nodes>`: fail (exit 1) unless the run conserves `nodes`: exactly,
 //!   or `total - duplicates` under a crash class (`theory::check_conservation`)
 //!
-//! The flags build a [`RunSpec`] like any other; the binary prints the line
-//! it runs and reads no environment. Every `exp` row that fails its check
-//! prints a paste-ready `--spec` line for this binary (crash plans need a
-//! simulated conductor; `--native` refuses them).
+//! Any other argument exits 2, naming it, and so does a tree or runner
+//! flag beside `--spec`, which would go unread. The flags build a [`RunSpec`]
+//! like any other; the binary prints the line it runs and reads no
+//! environment. Every `exp` row that fails its check prints a paste-ready
+//! `--spec` line for this binary (crash plans need a simulated conductor;
+//! `--native` refuses them).
 //!
 //! Example: the paper's §4.1 parameters (10.6 billion nodes under UTS's
 //! generator) give a 15,867,985-node tree here:
 //! `uts_cli -t 0 -b 2000 -q 0.499999995 -m 2 -r 0 -c 8 -T 1024`
 
-use uts_bench::harness::{arg, flag, opt};
+use uts_bench::harness::{arg, flag, opt, unknown_arg};
 use worksteal::spec::{Conductor, RunSpec};
 use worksteal::theory;
+
+/// The flags that take a value, and the one that does not.
+const VALUED: [&str; 12] = ["-t", "-r", "-b", "-m", "-q", "-c", "-i", "-T", "-A", "-M", "--spec", "--expect"];
+const BARE: [&str; 1] = ["--native"];
 
 fn fail(problem: String) -> ! {
     eprintln!("uts_cli: {problem}");
@@ -48,20 +52,17 @@ fn fail(problem: String) -> ! {
 
 /// The run the UTS-style flags describe.
 fn from_flags() -> RunSpec {
-    let (seed, b0) = (arg("-r", 0u32), arg("-b", 64.0f64));
-    let tree = match (arg("-t", 0u32), arg("-a", 0usize)) {
-        (0, _) => format!("binomial({seed},{},{},{})", b0 as u32, arg("-m", 2u32), arg("-q", 0.498f64)),
-        (1, shape @ 0..=3) => {
-            let shape = ["fixed", "linear", "expdec", "cyclic"][shape];
-            format!("geometric({seed},{b0},{},{shape})", arg("-d", 10u32))
-        }
-        (1, shape) => fail(format!("unknown geometric shape {shape}")),
-        (t, _) => fail(format!("unknown tree type {t} (0 binomial, 1 geometric)")),
-    };
+    if let t @ 1.. = arg("-t", 0u32) {
+        fail(format!("-t {t}: only binomial trees (-t 0) are drawn until the generator is UTS's (ROADMAP item 20)"));
+    }
     let line = format!(
-        "{} p={} tree={tree} alg={} k={} poll={}",
+        "{} p={} tree=binomial({},{},{},{}) alg={} k={} poll={}",
         arg("-M", "kittyhawk".to_string()),
         arg("-T", 4usize),
+        arg("-r", 0u32),
+        arg("-b", 64u32),
+        arg("-m", 2u32),
+        arg("-q", 0.498f64),
         arg("-A", "distmem".to_string()),
         arg("-c", 8usize),
         arg("-i", 8u64)
@@ -70,7 +71,15 @@ fn from_flags() -> RunSpec {
 }
 
 fn main() {
-    let spec = match opt::<String>("--spec") {
+    let args: Vec<String> = std::env::args().collect();
+    let line: Option<String> = opt("--spec");
+    // A spec line is the whole run, so a tree or runner flag beside it would
+    // go unread.
+    let valued: &[&str] = if line.is_some() { &["--spec", "--expect"] } else { &VALUED };
+    if let Some(stray) = unknown_arg(&args, valued, &BARE) {
+        fail(format!("refused argument {stray}: the flags here are {} {}", valued.join(" "), BARE.join(" ")));
+    }
+    let spec = match line {
         Some(line) => line.parse().unwrap_or_else(|e| fail(format!("--spec: {e}"))),
         None => from_flags(),
     };

@@ -19,7 +19,7 @@ use std::time::Instant;
 use pgas::sim::{SimCluster, SimReport};
 use pgas::{ArrivalProcess, ArrivalSpec, FaultPlan};
 use uts_tree::presets::{self, Preset};
-use uts_tree::{seq::dfs_count, GeoShape, TreeSpec};
+use uts_tree::TreeSpec;
 use worksteal::model::{fit_alpha, fit_beta, ChunkModel};
 use worksteal::spec::{Conductor, RunSpec, Workload};
 use worksteal::state::State;
@@ -71,7 +71,6 @@ pub const TABLE: &[Entry] = &[
     Entry { name: "pushing", about: "E10 work pushing vs work stealing", run: Run::Csv(pushing) },
     Entry { name: "diffusion", about: "E14 §3.3.2 work diffusion, traced", run: Run::Print(diffusion) },
     Entry { name: "poll_sweep", about: "E11 polling-interval sensitivity", run: Run::Csv(poll_sweep) },
-    Entry { name: "tree_family", about: "E13 geometric and hybrid UTS trees", run: Run::Csv(tree_family) },
     Entry { name: "model_check", about: "E15 §2 analytic chunk-size model", run: Run::Print(model_check) },
     Entry { name: "policy_grid", about: "E16 transport × victim order × steal amount", run: Run::Csv(policy_grid) },
     Entry { name: "ready_wait", about: "E18 DAG ready-to-start waits and critical paths, every bundle", run: Run::Print(ready_wait) },
@@ -524,43 +523,6 @@ fn poll_sweep(sink: Sink) -> Result<(), String> {
         }
     }
     publish_rows(sink, "poll_sweep", "Polling interval sweep (chunk column = poll interval)", &rows)
-}
-
-/// E13 — load balancing across the wider UTS tree family (64 threads, k=8,
-/// Topsail). The paper evaluates binomial trees only (the hardest case:
-/// scale-free imbalance). The UTS suite also defines geometric and hybrid
-/// shapes; running `upc-distmem` and `mpi-ws` across the family shows the
-/// balancer is law-agnostic and how steal traffic varies with tree shape
-/// (bounded-depth geometric trees are far easier to balance).
-fn tree_family(sink: Sink) -> Result<(), String> {
-    let workloads = [
-        ("binomial(T-S)", presets::t_s().spec),
-        ("geo-fixed", TreeSpec::geometric(7, 3.2, 11, GeoShape::Fixed)),
-        ("geo-linear", TreeSpec::geometric(9, 5.0, 14, GeoShape::Linear)),
-        ("geo-expdec", TreeSpec::geometric(3, 12.0, 18, GeoShape::ExpDec)),
-        ("hybrid", TreeSpec::hybrid(9, 3.0, 7, 2, 0.4995)),
-    ];
-    let mut rows = Vec::new();
-    for (name, spec) in workloads {
-        let expected = dfs_count(&spec);
-        println!(
-            "\nworkload {name}: max depth {}, max stack {}",
-            expected.max_depth, expected.max_stack
-        );
-        let (t, nodes) = grid("topsail", Preset { name, spec, expected });
-        for alg in [Algorithm::DistMem, Algorithm::MpiWs] {
-            let row = point(RunSpec { p: 64, alg, ..t }, nodes);
-            println!(
-                "  {:<14} eff {:>5.1}%  steals {:>6}  steals/Mnode {:>8.1}",
-                row.label,
-                100.0 * row.efficiency,
-                row.steals,
-                row.steals as f64 / (nodes as f64 / 1e6),
-            );
-            rows.push(row);
-        }
-    }
-    publish_rows(sink, "tree_family", "Tree family (all workloads)", &rows)
 }
 
 /// E15 — validate the §2 analytic chunk-size model (`worksteal::model`)
@@ -1240,7 +1202,9 @@ fn conducted(spec: &RunSpec) -> SimReport<ThreadResult> {
 /// length of the operation stream. The reference skips no mail wait and
 /// runs no probe cycle; the fast policy skips some waits on mpi-ws and
 /// applies some probe-cycle reads on upc-distmem. Prints each point's op
-/// mix, conductor counts and host seconds per policy.
+/// mix and conductor counts, then a `host:` line with what depends on the
+/// build and the host: seconds per policy and the deepest fiber stack
+/// (`scripts/ci.sh` compares every other line with the committed log).
 fn conductor() {
     for (machine, tree, p, alg) in [
         ("kittyhawk", presets::t_m(), 256, Algorithm::DistMem),
@@ -1294,16 +1258,18 @@ fn conductor() {
         );
         println!(
             "  conductor: {} ops, {:.1}% on the fast path ({} by the reach window), {} handoffs, {} elided by mail \
-             waits, {} applied for parked probe cycles, deepest fiber stack {} B",
+             waits, {} applied for parked probe cycles",
             c.total_ops(),
             100.0 * c.fast_fraction(),
             c.reach_ops,
             c.handoffs,
             c.elided_ops,
-            c.cycle_ops,
-            c.stack_peak_bytes
+            c.cycle_ops
         );
-        println!("  host: fast {:.3} s, reference {:.3} s", fast.t_real, reference.t_real);
+        println!(
+            "  host: fast {:.3} s, reference {:.3} s, deepest fiber stack {} B",
+            fast.t_real, reference.t_real, c.stack_peak_bytes
+        );
     }
 }
 

@@ -375,6 +375,20 @@ pub fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
 }
 
+/// The first of `args` (after the program name) that is neither a flag of
+/// `valued`, the value after one, nor a flag of `bare`.
+pub fn unknown_arg<'a>(args: &'a [String], valued: &[&str], bare: &[&str]) -> Option<&'a str> {
+    let mut rest = args.iter().skip(1).map(String::as_str);
+    while let Some(a) = rest.next() {
+        if valued.contains(&a) {
+            rest.next();
+        } else if !bare.contains(&a) {
+            return Some(a);
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,6 +434,16 @@ mod tests {
         let bad = parse_flag::<usize>(&args, "-T").unwrap_err();
         assert!(bad.starts_with("-T 5O: "), "{bad}");
         assert_eq!(parse_flag::<String>(&args, "--spec"), Err("--spec needs a value".into()));
+        // An argument that is no flag, nor a flag's value, is named.
+        let (valued, bare) = (["-t", "-b", "-T", "--spec", "--expect"], ["--native"]);
+        for (line, stray) in [
+            ("uts_cli --spec tiny --expcet 5635", Some("--expcet")),
+            ("uts_cli -t 1 -a 3 -b 4", Some("-a")),
+            ("uts_cli -t 0 -b 2000 --native --expect 521241", None),
+        ] {
+            let args: Vec<String> = line.split(' ').map(String::from).collect();
+            assert_eq!(unknown_arg(&args, &valued, &bare), stray, "{line}");
+        }
     }
 
     #[test]

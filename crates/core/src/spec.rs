@@ -40,8 +40,6 @@ const PRESETS: Table<fn() -> Preset, 6> = [
     ("xl", presets::t_xl),
     ("xxl", presets::t_xxl),
 ];
-const SHAPES: Table<GeoShape, 4> =
-    [("fixed", GeoShape::Fixed), ("linear", GeoShape::Linear), ("expdec", GeoShape::ExpDec), ("cyclic", GeoShape::Cyclic)];
 const VICTIMS: Table<VictimPolicy, 2> = [("flat", VictimPolicy::Flat), ("hier", VictimPolicy::Hier)];
 const STEALS: Table<StealPolicyKind, 3> =
     [("one", StealPolicyKind::One), ("half", StealPolicyKind::Half), ("adaptive", StealPolicyKind::Adaptive)];
@@ -123,8 +121,7 @@ pub enum Workload {
 ///
 /// machine  kittyhawk | topsail | altix | smp
 /// tree     tiny | s | m | l | xl | xxl   (uts_tree::presets)
-///          | binomial(seed,b0,m,q) | hybrid(seed,b0,cutoff,m,q)
-///          | geometric(seed,b0,depth,fixed|linear|expdec|cyclic)
+///          | binomial(seed,b0,m,q) | geometric(seed,b0,depth)
 /// dag      forkjoin(levels,width,seed) | wavefront(rows,cols,seed)
 ///          | layered(layers,width,edge_pm,seed)
 /// alg      sharedmem | term | rapdif | distmem | mpi | hier | push, or a paper label
@@ -356,12 +353,7 @@ impl fmt::Display for Workload {
             Workload::Tree(t) => match (PRESETS.iter().find(|(_, p)| p().spec == t), t.kind) {
                 (Some((name, _)), _) => write!(f, "tree={name}"),
                 (_, TreeKind::Binomial { b0, m, q }) => write!(f, "tree=binomial({},{b0},{m},{q})", t.seed),
-                (_, TreeKind::Geometric { b0, gen_mx, shape }) => {
-                    write!(f, "tree=geometric({},{b0},{gen_mx},{})", t.seed, name_of(&SHAPES, shape))
-                }
-                (_, TreeKind::Hybrid { b0, cutoff_depth: c, m, q }) => {
-                    write!(f, "tree=hybrid({},{b0},{c},{m},{q})", t.seed)
-                }
+                (_, TreeKind::Geometric { b0, gen_mx }) => write!(f, "tree=geometric({},{b0},{gen_mx})", t.seed),
             },
             Workload::ForkJoin(d) => write!(f, "dag=forkjoin({},{},{})", d.levels, d.width, d.seed),
             Workload::Wavefront(d) => write!(f, "dag=wavefront({},{},{})", d.rows, d.cols, d.seed),
@@ -428,15 +420,15 @@ fn tree(value: &str) -> Result<TreeSpec, String> {
     let Ok(tree) = call(value) else {
         return lookup(&PRESETS, "tree", value).map(|(_, preset)| preset().spec);
     };
-    let q = |q| float(q, |q| (0.0..=1.0).contains(&q), "a probability");
     Ok(match tree {
-        ("binomial", a) if a.len() == 4 => TreeSpec::binomial(num(a[0])?, num(a[1])?, num(a[2])?, q(a[3])?),
-        ("geometric", a) if a.len() == 4 => {
-            let (b0, shape) = (float(a[1], |b| b > 0.0, "positive")?, lookup(&SHAPES, "shape", a[3])?.1);
-            TreeSpec::geometric(num(a[0])?, b0, num(a[2])?, shape)
+        ("binomial", a) if a.len() == 4 => {
+            let q = float(a[3], |q| (0.0..=1.0).contains(&q), "a probability")?;
+            TreeSpec::binomial(num(a[0])?, num(a[1])?, num(a[2])?, q)
         }
-        ("hybrid", a) if a.len() == 5 => TreeSpec::hybrid(num(a[0])?, num(a[1])?, num(a[2])?, num(a[3])?, q(a[4])?),
-        _ => return Err(format!("unknown tree '{value}' (a preset, or binomial, geometric or hybrid)")),
+        ("geometric", a) if a.len() == 3 => {
+            TreeSpec::geometric(num(a[0])?, float(a[1], |b| b > 0.0, "positive")?, num(a[2])?, GeoShape::Fixed)
+        }
+        _ => return Err(format!("unknown tree '{value}' (a preset, or binomial or geometric)")),
     })
 }
 
@@ -579,7 +571,7 @@ mod tests {
         for line in [
             "topsail p=6 tree=tiny alg=term k=2 faults=crashy(8) timeout=25000",
             "kittyhawk p=1024 tree=binomial(0,2000,2,0.499999995) alg=distmem k=8",
-            "smp p=8 tree=geometric(5,2.2,6,expdec) alg=mpi k=3 poll=4 seed=9 victims=hier steal=adaptive",
+            "smp p=8 tree=geometric(5,2.2,6) alg=mpi k=3 poll=4 seed=9 victims=hier steal=adaptive",
             "altix p=64 dag=layered(6,16,150,7) alg=push k=1 faults=seeded(3),kill=1000,restart=5 conductor=reference",
             "smp p=8 tree=binomial(23,4,2,0.4) alg=mpi k=2 faults=none,loss=3 arrivals=mmpp(29,10,2000,60000.5,1000000)",
         ] {

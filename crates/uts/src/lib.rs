@@ -9,7 +9,8 @@
 //!
 //! This crate provides:
 //! - [`Node`]: the 24-byte task descriptor moved between workers,
-//! - [`TreeSpec`]: binomial / geometric / hybrid child-count laws,
+//! - [`TreeSpec`]: the binomial child-count law (the paper's) and one
+//!   geometric law,
 //! - [`seq`]: the reference sequential depth-first traversal,
 //! - [`presets`]: frozen tree instances (exact sizes verified by tests),
 //! - [`stats`]: imbalance analysis (subtree-size distribution under the root).

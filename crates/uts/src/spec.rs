@@ -6,23 +6,21 @@
 //! 1 the process is just-subcritical, which yields the scale-free, extremely
 //! heavy-tailed subtree-size distribution that defeats static partitioning.
 //!
-//! The geometric and hybrid laws from the wider UTS benchmark suite are
-//! implemented as well so the load balancers can be exercised on differently
-//! shaped state spaces.
+//! One other law is kept: a geometric child count with a fixed expected
+//! branching factor and a depth cutoff. Its draw is not UTS's (ROADMAP item
+//! 20), so it names no UTS sample tree; it gives the tests a law whose root
+//! draws its own child count, and the benchmark its `uts.ns_per_node_seq_geo`
+//! row.
 
 use crate::node::Node;
 
-/// Depth profile of the branching factor for geometric trees.
+/// Depth profile of the branching factor for geometric trees: only the
+/// fixed one is left, and the enum keeps [`TreeSpec::geometric`]'s
+/// signature, which the benchmark calls.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum GeoShape {
     /// Constant expected branching factor `b0` until the depth cutoff.
     Fixed,
-    /// Branching factor decreases linearly to zero at the depth cutoff.
-    Linear,
-    /// Exponential decrease with depth.
-    ExpDec,
-    /// Cyclic: bursts of high branching factor every `gen_mx` levels.
-    Cyclic,
 }
 
 /// The child-count law.
@@ -39,27 +37,12 @@ pub enum TreeKind {
         q: f64,
     },
     /// Number of children drawn from a geometric distribution with expected
-    /// value `b(depth)` given by `shape`; nodes at `depth >= gen_mx` are
-    /// leaves.
+    /// value `b0`; nodes at `depth >= gen_mx` are leaves.
     Geometric {
-        /// Branching-factor scale.
+        /// Expected branching factor.
         b0: f64,
         /// Depth cutoff.
         gen_mx: u32,
-        /// Depth profile.
-        shape: GeoShape,
-    },
-    /// Geometric down to `cutoff_depth`, binomial below: models search spaces
-    /// with a bushy top and unpredictable depths underneath.
-    Hybrid {
-        /// Geometric branching-factor scale for the upper region.
-        b0: f64,
-        /// Depth at which the law switches to binomial.
-        cutoff_depth: u32,
-        /// Binomial `m` below the cutoff.
-        m: u32,
-        /// Binomial `q` below the cutoff.
-        q: f64,
     },
 }
 
@@ -87,26 +70,12 @@ impl TreeSpec {
         }
     }
 
-    /// Geometric tree.
-    pub fn geometric(seed: u32, b0: f64, gen_mx: u32, shape: GeoShape) -> TreeSpec {
+    /// Geometric tree of the one profile there is.
+    pub fn geometric(seed: u32, b0: f64, gen_mx: u32, GeoShape::Fixed: GeoShape) -> TreeSpec {
         assert!(b0 > 0.0);
         TreeSpec {
             seed,
-            kind: TreeKind::Geometric { b0, gen_mx, shape },
-        }
-    }
-
-    /// Hybrid tree: geometric above `cutoff_depth`, binomial below.
-    pub fn hybrid(seed: u32, b0: f64, cutoff_depth: u32, m: u32, q: f64) -> TreeSpec {
-        assert!((0.0..=1.0).contains(&q));
-        TreeSpec {
-            seed,
-            kind: TreeKind::Hybrid {
-                b0,
-                cutoff_depth,
-                m,
-                q,
-            },
+            kind: TreeKind::Geometric { b0, gen_mx },
         }
     }
 
@@ -125,21 +94,7 @@ impl TreeSpec {
                     binomial_children(node, m, q)
                 }
             }
-            TreeKind::Geometric { b0, gen_mx, shape } => {
-                geometric_children(node, b0, gen_mx, shape)
-            }
-            TreeKind::Hybrid {
-                b0,
-                cutoff_depth,
-                m,
-                q,
-            } => {
-                if node.height < cutoff_depth {
-                    geometric_children(node, b0, cutoff_depth, GeoShape::Fixed)
-                } else {
-                    binomial_children(node, m, q)
-                }
-            }
+            TreeKind::Geometric { b0, gen_mx } => geometric_children(node, b0, gen_mx),
         }
     }
 
@@ -176,47 +131,15 @@ fn binomial_children(node: &Node, m: u32, q: f64) -> u32 {
     }
 }
 
-/// Geometric law: child count with expectation `b(depth)`; leaves at and
-/// beyond the depth cutoff.
-fn geometric_children(node: &Node, b0: f64, gen_mx: u32, shape: GeoShape) -> u32 {
-    let d = node.height;
-    let b_i = match shape {
-        GeoShape::Fixed => {
-            if d >= gen_mx {
-                return 0;
-            }
-            b0
-        }
-        GeoShape::Linear => {
-            if d >= gen_mx {
-                return 0;
-            }
-            b0 * (1.0 - d as f64 / gen_mx as f64)
-        }
-        GeoShape::ExpDec => {
-            if d >= gen_mx {
-                return 0;
-            }
-            // Halves every gen_mx/8 levels; same flavour as UTS EXPDEC.
-            b0 * (-(d as f64) * 8.0 * std::f64::consts::LN_2 / gen_mx as f64).exp()
-        }
-        GeoShape::Cyclic => {
-            if d >= 5 * gen_mx {
-                return 0;
-            }
-            if d % gen_mx < gen_mx / 2 {
-                b0
-            } else {
-                b0.powf(1.0 / 3.0)
-            }
-        }
-    };
-    if b_i <= 0.0 {
+/// Geometric law: child count with expectation `b0`; leaves at and beyond
+/// the depth cutoff.
+fn geometric_children(node: &Node, b0: f64, gen_mx: u32) -> u32 {
+    if node.height >= gen_mx {
         return 0;
     }
-    // Draw from a geometric distribution with mean b_i: success probability
-    // p = 1/(1+b_i); children = floor(ln(u) / ln(1-p)).
-    let p = 1.0 / (1.0 + b_i);
+    // Draw from a geometric distribution with mean b0: success probability
+    // p = 1/(1+b0); children = floor(ln(u) / ln(1-p)).
+    let p = 1.0 / (1.0 + b0);
     let u = (node.rand31() as f64 + 1.0) / (1u64 << 31) as f64; // (0, 1]
     let n = (u.ln() / (1.0 - p).ln()).floor();
     (n as u32).min(MAX_GEO_CHILDREN)
@@ -308,33 +231,6 @@ mod tests {
         for i in 0..100 {
             assert!(spec.num_children(&root.child(i)) <= MAX_GEO_CHILDREN);
         }
-    }
-
-    #[test]
-    fn linear_shape_decreases_with_depth() {
-        let spec = TreeSpec::geometric(1, 8.0, 16, GeoShape::Linear);
-        // Average branching at depth 1 should exceed that near the cutoff.
-        let root = spec.root();
-        let shallow: u32 = (0..500).map(|i| spec.num_children(&root.child(i))).sum();
-        let mut deep_node = root;
-        for _ in 0..14 {
-            deep_node = deep_node.child(0);
-        }
-        let deep: u32 = (0..500).map(|i| spec.num_children(&deep_node.child(i))).sum();
-        assert!(shallow > deep, "shallow {shallow} deep {deep}");
-    }
-
-    #[test]
-    fn hybrid_switches_laws() {
-        let spec = TreeSpec::hybrid(2, 3.0, 2, 2, 0.4);
-        let root = spec.root();
-        // Below the cutoff, counts must be 0 or m.
-        let mut n = root;
-        for _ in 0..2 {
-            n = n.child(0);
-        }
-        let c = spec.num_children(&n);
-        assert!(c == 0 || c == 2);
     }
 
     #[test]

@@ -106,22 +106,43 @@ fi
 if grep -rnE 'mpisi[m]|uts[_-]vi[z]' crates scripts tests src examples Cargo.toml; then
   echo "a folded crate's name came back" >&2; exit 1
 fi
+# The tree laws are the binomial law and one geometric profile: the hybrid law
+# and the linear, expdec and cyclic profiles, which never drew UTS's trees,
+# stay deleted (ROADMAP item 20). (The bracketed letters keep this file from
+# matching itself.)
+if grep -rnE 'Hybri[d]|GeoShape::(Linea[r]|ExpDe[c]|Cycli[c])' crates src tests; then
+  echo "a deleted tree law came back" >&2; exit 1
+fi
 # A frozen-table row pastes into uts_cli (a crash row: a kill inside a
 # partition, then a restart).
 cargo build --release --offline -p uts-bench --bin exp --bin uts_cli
 ./target/release/uts_cli --spec 'topsail p=6 tree=binomial(5,64,2,0.49666666666666665) alg=distmem k=4 faults=partitioned(8)' \
   --expect 5635
-# The same kind of run on real threads is a config error (exit 2), not a panic.
-status=0
-./target/release/uts_cli --native --spec 'topsail p=2 tree=binomial(5,64,2,0.49666666666666665) alg=distmem k=4 faults=crashy(3)' \
-  >/dev/null 2>&1 || status=$?
-[ "$status" -eq 2 ] || { echo "uts_cli --native with a crash plan exited $status, not 2" >&2; exit 1; }
+# A run uts_cli cannot honour exits 2, naming the refusal, and does not panic:
+# the same kind of crash run on real threads; UTS's T1 line (a geometric tree:
+# uts_cli draws binomial trees only, ROADMAP item 20); a runner flag beside a
+# spec line, which would go unread. T3's line counts the tree this generator
+# draws for it.
+refused() {
+  status=0
+  ./target/release/uts_cli "$@" >/dev/null 2>&1 || status=$?
+  [ "$status" -eq 2 ] || { echo "uts_cli $* exited $status, not 2" >&2; exit 1; }
+}
+refused --native --spec 'topsail p=2 tree=binomial(5,64,2,0.49666666666666665) alg=distmem k=4 faults=crashy(3)'
+refused -t 1 -a 3 -d 10 -b 4 -r 19
+refused --spec 'smp p=2 tree=tiny alg=distmem k=2' -T 8
+./target/release/uts_cli -t 0 -b 2000 -q 0.124875 -m 8 -r 42 -T 2 --native --expect 521241 >/dev/null
 
 # The conductor bench (docs/conductor.md §6): the benchmark ledger's three sim
 # points on both policies, every virtual quantity asserted equal, with mail
 # waits skipped on mpi-ws (§3.3) and probe-cycle reads applied by the
 # conductor on upc-distmem (§3.4). About 6 s on a 2-vCPU host.
-./target/release/exp conductor >/dev/null
+# Every line but the `host:` lines (seconds and the deepest fiber stack, which
+# depend on the build and the host) must equal the committed log.
+./target/release/exp conductor >target/conductor.log
+if ! diff <(grep -v '^  host: ' results/logs/conductor.log) <(grep -v '^  host: ' target/conductor.log); then
+  echo "exp conductor differs from results/logs/conductor.log beyond its host: lines" >&2; exit 1
+fi
 
 echo "== SAFETY comments (crates/pgas/src) =="
 # Every `unsafe {` block and `unsafe impl` in the crate that owns the fiber
@@ -201,7 +222,7 @@ echo "== the E18 ready-wait probe runs =="
 ./target/release/exp ready_wait
 
 echo "== every results/*.csv and results/figures/*.svg is current =="
-# The thirteen CSVs the experiment table owns (EXPERIMENTS.md E2-E5, E9-E13,
+# The twelve CSVs the experiment table owns (EXPERIMENTS.md E2-E5, E9-E12,
 # E16-E18) and their nine SVGs: the check recomputes each entry and exits 1,
 # naming the file, at the first virtual column (and its line) or figure byte
 # that differs (service.csv has no wall-clock column: every byte counts). Every

@@ -4,7 +4,7 @@
 //! *Scalable Dynamic Load Balancing Using UPC* (ICPP 2008):
 //!
 //! - [`sha1`] — RFC 3174 SHA-1 (tree-generation substrate)
-//! - [`tree`] — the UTS benchmark trees (binomial / geometric / hybrid)
+//! - [`tree`] — the UTS benchmark trees (binomial, and one geometric law)
 //! - [`pgas`] — the UPC-like PGAS substrate (native threads or virtual-time simulation)
 //! - [`worksteal`] — the paper's five load-balancing algorithms and run harness
 //!

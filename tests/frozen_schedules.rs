@@ -7,18 +7,21 @@
 //! the clock, and one stray, missing or reordered op shifts the makespan and
 //! the op totals of some row below.
 //!
-//! The rows cover every worker path: the seven bundles fault-free, the
-//! timeout/retract paths (`seeded`), the crash-mode discovery loops with
-//! deaths, lineage re-injection, quorum eviction and rejoin (`crashy`,
-//! `partitioned`), a DAG through `expand_in` and hand-offs to its tasks'
-//! owners, and service mode (pump, scanners, `SVC_TERM`) with and without
-//! crash faults. At p=6 `crashy(8)` kills rank 2 at 472 µs, `partitioned(2)`
-//! cuts a partition and freezes rank 4, and `partitioned(8)` kills rank 2
-//! inside a partition and restarts it; T-tiny is over (77 µs fault-free)
-//! before most of them begin, so the `binomial(5,64,…)` rows keep ranks busy
-//! across them (no push-random there: under loss/duplication it re-injects
-//! that tree millions of times over — conserved with multiplicity, but
-//! minutes).
+//! The rows cover every worker path: the seven bundles fault-free (`hier` at
+//! p=12, whose ranks span two 8-thread topsail nodes: at p=6 all share one,
+//! and same-node-first order is flat order), one fault-free row near its
+//! makespan floor (p=2, 95 % efficiency, so a run charged for half its nodes
+//! falls under the floor), the timeout/retract paths (`seeded`), the
+//! crash-mode discovery loops with deaths, lineage re-injection, quorum
+//! eviction and rejoin (`crashy`, `partitioned`), a DAG through `expand_in`
+//! and hand-offs to its tasks' owners, and service mode (pump, scanners,
+//! `SVC_TERM`) with and without crash faults. At p=6 `crashy(8)` kills rank
+//! 2 at 472 µs, `partitioned(2)` cuts a partition and freezes rank 4, and
+//! `partitioned(8)` kills rank 2 inside a partition and restarts it; T-tiny
+//! is over (77 µs fault-free) before most of them begin, so the
+//! `binomial(5,64,…)` rows keep ranks busy across them (no push-random
+//! there: under loss/duplication it re-injects that tree millions of times
+//! over — conserved with multiplicity, but minutes).
 //!
 //! Each row is named by its run spec line (`worksteal::spec`), which the
 //! test parses and runs, so a row pastes straight into
@@ -39,8 +42,9 @@ const FROZEN: &[(&str, u64, u64, u64, u64, u64)] = &[
     ("topsail p=6 tree=tiny alg=rapdif k=2", 77070, 1284, 24, 431, 0),
     ("topsail p=6 tree=tiny alg=distmem k=2", 83752, 1293, 57, 431, 0),
     ("topsail p=6 tree=tiny alg=mpi k=2", 189212, 462, 67, 431, 0),
-    ("topsail p=6 tree=tiny alg=hier k=2", 83752, 1293, 57, 431, 0),
     ("topsail p=6 tree=tiny alg=push k=2", 153440, 218, 0, 431, 0),
+    ("topsail p=12 tree=tiny alg=hier k=2", 238116, 2062, 47, 431, 0),
+    ("topsail p=2 tree=binomial(5,64,2,0.49666666666666665) alg=distmem k=4", 1410706, 1642, 5, 5635, 0),
     ("topsail p=6 tree=tiny alg=term k=2 faults=seeded(3) timeout=25000", 127216, 1508, 34, 431, 0),
     ("topsail p=6 tree=tiny alg=distmem k=2 faults=seeded(3) timeout=25000", 103406, 1258, 55, 431, 0),
     ("topsail p=6 tree=tiny alg=mpi k=2 faults=seeded(3) timeout=25000", 603000, 502, 64, 431, 0),

@@ -1,6 +1,6 @@
 //! Steal-bound and conservation theory checks (`worksteal::theory`) as
-//! live assertions over real runs: every workload family — binomial,
-//! geometric, and hybrid trees, plus all three DAG families — must satisfy
+//! live assertions over real runs: every workload family — binomial and
+//! geometric trees, plus all three DAG families — must satisfy
 //! `successful_steals ≤ factor · p · D` and exact conservation on
 //! fault-free runs, and the asserter itself must demonstrably trip when
 //! handed an impossible bound (factor 0 on a run that stole at least once).
@@ -47,22 +47,18 @@ fn tree_families_satisfy_steal_bound_and_conservation() {
         "binomial",
     );
 
-    // Geometric and hybrid: depth measured by host traversal. Scan past
-    // degenerate seeds (a geometric root can draw zero children).
-    for (family, mut spec) in [
-        ("geometric", TreeSpec::geometric(1, 2.0, 6, GeoShape::Fixed)),
-        ("hybrid", TreeSpec::hybrid(4, 3.0, 3, 2, 0.40)),
-    ] {
-        let expect = loop {
-            let (expect, _) = seq_run(&UtsGen::new(spec));
-            if expect > 10 {
-                break expect;
-            }
-            spec.seed += 100;
-        };
-        let gen = UtsGen::new(spec);
-        check_workload(&gen, expect, theory::tree_depth(&gen), family);
-    }
+    // Geometric: depth measured by host traversal. Scan past degenerate
+    // seeds (a geometric root can draw zero children).
+    let mut spec = TreeSpec::geometric(1, 2.0, 6, GeoShape::Fixed);
+    let expect = loop {
+        let (expect, _) = seq_run(&UtsGen::new(spec));
+        if expect > 10 {
+            break expect;
+        }
+        spec.seed += 100;
+    };
+    let gen = UtsGen::new(spec);
+    check_workload(&gen, expect, theory::tree_depth(&gen), "geometric");
 }
 
 #[test]
