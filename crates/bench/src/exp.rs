@@ -19,13 +19,14 @@ use std::time::Instant;
 use pgas::sim::{SimCluster, SimReport};
 use pgas::{ArrivalProcess, ArrivalSpec, FaultPlan};
 use uts_tree::presets::{self, Preset};
+use uts_tree::seq::dfs_count;
 use uts_tree::TreeSpec;
 use worksteal::model::{fit_alpha, fit_beta, ChunkModel};
 use worksteal::spec::{Conductor, RunSpec, Workload};
 use worksteal::state::State;
 use worksteal::theory::{self, DEFAULT_STEAL_FACTOR};
 use worksteal::{
-    run_sim, seq_run, vars, worker, Algorithm, DagGen, DagWorkload, ForkJoin, LatencyHistogram, RandomLayered,
+    run_sim, vars, worker, Algorithm, DagGen, DagWorkload, ForkJoin, LatencyHistogram, RandomLayered,
     RunConfig, RunReport, StealPolicyKind, ThreadResult, UtsGen, VictimPolicy, Wavefront,
 };
 
@@ -170,7 +171,7 @@ fn table_seq() {
         rows.join("\n")
     );
     let t0 = std::time::Instant::now();
-    let (nodes, _) = worksteal::seq_run(&UtsGen::new(tree.spec));
+    let nodes = dfs_count(&tree.spec).nodes;
     let dt = t0.elapsed().as_secs_f64();
     println!(
         "\nthis host's real sequential rate: {:.2} Mnodes/s ({nodes} nodes in {dt:.2}s)",
@@ -701,7 +702,7 @@ fn service_run(alg: Algorithm, p: usize, arrivals: ArrivalSpec) -> RunSpec {
 /// The nodes of `requests` service requests: request e runs `tree` with its
 /// seed moved by e.
 fn service_nodes(tree: TreeSpec, requests: usize) -> u64 {
-    (0..requests as u32).map(|e| seq_run(&UtsGen::new(TreeSpec { seed: tree.seed.wrapping_add(e), ..tree })).0).sum()
+    (0..requests as u32).map(|e| dfs_count(&TreeSpec { seed: tree.seed.wrapping_add(e), ..tree }).nodes).sum()
 }
 
 /// One service row as a line of `results/service.csv`. Its check is the
@@ -1009,7 +1010,7 @@ fn soak(s: Soak) {
     let paper = Algorithm::paper_set();
     let base = RunSpec::new("kittyhawk", s.p, Workload::Tree(s.tree.spec), &RunConfig::new(Algorithm::DistMem, 8));
     let armed = RunSpec { timeout: Some(TIMEOUT_NS), ..base };
-    let nodes = seq_run(&UtsGen::new(s.tree.spec)).0;
+    let nodes = dfs_count(&s.tree.spec).nodes;
     assert_eq!(nodes, s.tree.expected.nodes, "preset table is stale");
     println!(
         "chaos soak: {} schedules x {} algorithms, {} ({nodes} nodes), kittyhawk, p={}, timeout={TIMEOUT_NS}ns",

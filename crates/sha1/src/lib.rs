@@ -4,11 +4,13 @@
 //! trees through repeated SHA-1 evaluation: the 20-byte digest of a parent
 //! node's state concatenated with a child index *is* the child's state. This
 //! crate provides that hash to [`uts-tree`] in two forms: the block function
-//! itself ([`compress`], [`compress_pair`]) for callers whose message is
-//! always exactly one padded block, and the streaming [`Sha1`] built on it.
+//! itself ([`compress`], and [`compress_pair`] and [`compress_x16`] for two
+//! and sixteen independent blocks) for callers whose message is always
+//! exactly one padded block, and the streaming [`Sha1`] built on it.
 //!
-//! Two kernels implement the block function — a portable one and one on the
-//! x86 SHA extensions — and the host's CPU decides which runs
+//! Three kernels implement the block function — a portable one, one on the
+//! x86 SHA extensions, and a sixteen-lane one on AVX-512 for
+//! [`compress_x16`] — and the host's CPU decides which run
 //! ([`selected_kernel`]); digests are bit-identical.
 //!
 //! SHA-1 is cryptographically broken for collision resistance, but UTS only
@@ -29,10 +31,12 @@
 mod engine;
 mod kernel;
 #[cfg(target_arch = "x86_64")]
+mod avx512;
+#[cfg(target_arch = "x86_64")]
 mod shani;
 
 pub use engine::Sha1;
-pub use kernel::{compress, compress_pair, selected_kernel, INIT};
+pub use kernel::{compress, compress_pair, compress_x16, selected_kernel, INIT};
 
 /// A 20-byte SHA-1 digest.
 pub type Digest = [u8; 20];

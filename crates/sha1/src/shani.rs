@@ -1,11 +1,11 @@
 //! The SHA-NI kernel: SHA-1 on the x86 SHA extensions.
 //!
-//! This module is the crate's whole `unsafe` surface. Its one contract: the
-//! `#[target_feature]` function [`lanes`] may run only on a CPU that has the
-//! `sha`, `sse2`, `ssse3` and `sse4.1` features. [`detect`] is the single
-//! place that checks them, and the only way out of this module to the code
-//! that calls `lanes` is the [`Kernel`] value `detect` returns after the
-//! check passed.
+//! This module and `avx512.rs` are the crate's whole `unsafe` surface. This
+//! one's contract: the `#[target_feature]` function [`lanes`] may run only
+//! on a CPU that has the `sha`, `sse2`, `ssse3` and `sse4.1` features.
+//! [`detect`] is the single place that checks them, and the only way out of
+//! this module to the code that calls `lanes` is the [`Kernel`] value
+//! `detect` returns after the check passed.
 
 use crate::kernel::Kernel;
 use core::arch::x86_64::*;
@@ -16,6 +16,8 @@ pub(crate) fn detect() -> Option<&'static Kernel> {
         name: "sha-ni",
         one,
         pair,
+        x16_name: "pairs",
+        x16: |states, blocks| crate::kernel::by_pairs(pair, states, blocks),
     };
     let detected = is_x86_feature_detected!("sha")
         && is_x86_feature_detected!("sse2")

@@ -11,7 +11,8 @@
 //! - [`Node`]: the 24-byte task descriptor moved between workers,
 //! - [`TreeSpec`]: the binomial child-count law (the paper's) and one
 //!   geometric law,
-//! - [`seq`]: the reference sequential depth-first traversal,
+//! - [`seq`]: the reference sequential count (sixteen children per SHA-1
+//!   call) and a depth-first iterator,
 //! - [`presets`]: frozen tree instances (exact sizes verified by tests),
 //! - [`stats`]: imbalance analysis (subtree-size distribution under the root).
 //!

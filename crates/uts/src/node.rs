@@ -5,7 +5,7 @@
 //! other coordination.
 
 use std::ops::Range;
-use uts_sha1::{compress, compress_pair, digest_bytes, Sha1, INIT};
+use uts_sha1::{compress, compress_pair, compress_x16, digest_bytes, Sha1, INIT};
 
 /// One task in the search space.
 ///
@@ -86,6 +86,55 @@ impl Node {
     /// Uniform value in `[0, 1)` derived from [`Node::rand31`].
     pub fn unit(&self) -> f64 {
         self.rand31() as f64 / (1u64 << 31) as f64
+    }
+}
+
+/// Children of any parents, [`Lanes::WIDTH`] to a [`compress_x16`] call:
+/// the sequential walk's SHA-1 lanes. Slot [`Lanes::WIDTH`] is a spare that
+/// is never hashed, so a child may be written one slot past the last lane.
+pub(crate) struct Lanes {
+    blocks: [[u8; 64]; Lanes::WIDTH + 1],
+    heights: [u32; Lanes::WIDTH + 1],
+}
+
+impl Lanes {
+    /// Children per batch.
+    pub(crate) const WIDTH: usize = 16;
+
+    pub(crate) fn new() -> Lanes {
+        Lanes {
+            blocks: [Node::default().child_block(0); Lanes::WIDTH + 1],
+            heights: [0; Lanes::WIDTH + 1],
+        }
+    }
+
+    /// Put child `i` of `parent` in slot `slot` (at most [`Lanes::WIDTH`]).
+    /// Every slot holds a [`Node::child_block`] from the start, so only the
+    /// message `state ‖ i` is rewritten; the padding stays.
+    #[inline]
+    pub(crate) fn put(&mut self, slot: usize, parent: &Node, i: u32) {
+        let block = &mut self.blocks[slot];
+        block[..20].copy_from_slice(&parent.state);
+        block[20..24].copy_from_slice(&i.to_be_bytes());
+        self.heights[slot] = parent.height + 1;
+    }
+
+    /// Hash all the lanes and hand the children in the first `len` to `out`
+    /// with their lane, in lane order.
+    #[inline]
+    pub(crate) fn hash(&self, len: usize, mut out: impl FnMut(usize, Node)) {
+        let mut states = [INIT; Lanes::WIDTH];
+        let (blocks, _spare) = self.blocks.split_first_chunk().expect("WIDTH + 1 slots");
+        compress_x16(&mut states, blocks);
+        for (lane, (state, &height)) in states.iter().zip(&self.heights).take(len).enumerate() {
+            out(
+                lane,
+                Node {
+                    state: digest_bytes(state),
+                    height,
+                },
+            );
+        }
     }
 }
 

@@ -1,10 +1,18 @@
-//! Reference sequential depth-first traversal.
+//! Reference sequential traversal.
 //!
 //! This is the baseline against which every parallel run is validated (node
 //! counts must match exactly) and measured (§4.1 of the paper reports the
 //! sequential exploration rate, which anchors the machine models).
+//!
+//! The counts do not depend on the order nodes are visited in, and neither
+//! does the DFS stack's high-water mark: when a depth-first traversal pops a
+//! node, the entries under it number the sum of the child indices on the
+//! node's path from the root (the path-sum identity, proved on the private
+//! `walk`). So the counting walk does not keep DFS order: it hashes sixteen
+//! children, of whichever parents, per [`uts_sha1::compress_x16`] call.
+//! [`DfsIter`] keeps DFS order, and the tests hold the walk to it.
 
-use crate::node::Node;
+use crate::node::{Lanes, Node};
 use crate::spec::TreeSpec;
 
 /// Result of a sequential traversal.
@@ -16,11 +24,12 @@ pub struct SeqResult {
     pub leaves: u64,
     /// Maximum node height observed.
     pub max_depth: u32,
-    /// High-water mark of the explicit DFS stack.
+    /// High-water mark of the explicit stack of a depth-first traversal
+    /// that pushes each node's children in index order ([`DfsIter`]).
     pub max_stack: usize,
 }
 
-/// Count every node of the tree with an explicit-stack DFS.
+/// Count every node of the tree.
 pub fn dfs_count(spec: &TreeSpec) -> SeqResult {
     dfs_count_bounded(spec, u64::MAX).expect("unbounded traversal cannot exceed the bound")
 }
@@ -28,36 +37,98 @@ pub fn dfs_count(spec: &TreeSpec) -> SeqResult {
 /// Like [`dfs_count`] but aborts (returning `None`) once more than `limit`
 /// nodes have been visited — a guard for possibly-supercritical parameters.
 pub fn dfs_count_bounded(spec: &TreeSpec, limit: u64) -> Option<SeqResult> {
-    let mut stack: Vec<Node> = vec![spec.root()];
     let mut res = SeqResult {
         max_stack: 1,
         ..SeqResult::default()
     };
-    while let Some(node) = stack.pop() {
+    let done = walk(spec, spec.root(), |node, below, k| {
         res.nodes += 1;
-        if res.nodes > limit {
-            return None;
-        }
+        res.leaves += u64::from(k == 0);
         res.max_depth = res.max_depth.max(node.height);
-        // `node` is a copy, so its children go straight onto the stack.
-        if spec.expand_into(&node, &mut stack) == 0 {
-            res.leaves += 1;
-        }
-        res.max_stack = res.max_stack.max(stack.len());
-    }
-    Some(res)
+        res.max_stack = res.max_stack.max(below + k as usize);
+        res.nodes <= limit
+    });
+    done.then_some(res)
 }
 
 /// Count only the subtree rooted at `node` (used by imbalance statistics and
 /// by tests that cross-check partial traversals).
 pub fn dfs_count_subtree(spec: &TreeSpec, node: Node) -> u64 {
-    let mut stack = vec![node];
     let mut count = 0u64;
-    while let Some(n) = stack.pop() {
+    walk(spec, node, |_, _, _| {
         count += 1;
-        spec.expand_into(&n, &mut stack);
-    }
+        true
+    });
     count
+}
+
+/// Visit every node of the subtree under `start` once, in no promised
+/// order, as `visit(node, below, k)`; stop early, returning `false`, when
+/// `visit` does.
+///
+/// `k` is the node's child count. `below` is the sum of the child indices
+/// on the path from `start` to the node — the path-sum identity: in a
+/// depth-first traversal from `start` that pushes each node's children in
+/// index order, exactly `below` entries lie under the node when it is
+/// popped. (Child `i` is pushed onto its `i` elder siblings, on whatever lay
+/// under its parent, and every younger sibling is popped with its whole
+/// subtree before it.) That traversal's stack therefore peaks at the largest
+/// `below + k`, or at 1 before the first pop, whatever order this walk
+/// visits in.
+///
+/// The walk keeps a stack of hashed, unvisited nodes with their `below`. It
+/// pops and visits nodes, queueing the children of each, until sixteen
+/// children are queued, hashes them in one call and pushes them. A parent
+/// whose children span several batches resumes at its next child index.
+/// The stack stays near the depth-first one's: a batch replaces the nodes
+/// it was filled from, and at most sixteen children wait in the lanes.
+pub(crate) fn walk(
+    spec: &TreeSpec,
+    start: Node,
+    mut visit: impl FnMut(&Node, usize, u32) -> bool,
+) -> bool {
+    const WIDTH: usize = Lanes::WIDTH;
+    let mut stack = vec![(start, 0usize)];
+    let mut lanes = Lanes::new();
+    let mut lane_below = [0usize; WIDTH + 1];
+    let mut len = 0;
+    // The last node visited: its `below`, its next unqueued child and its
+    // child count.
+    let (mut parent, mut below, mut next, mut k) = (start, 0usize, 0u32, 0u32);
+    loop {
+        while len < WIDTH {
+            if next < k {
+                lanes.put(len, &parent, next);
+                lane_below[len] = below + next as usize;
+                len += 1;
+                next += 1;
+                continue;
+            }
+            let Some((node, node_below)) = stack.pop() else {
+                break;
+            };
+            (parent, below, k) = (node, node_below, spec.num_children(&node));
+            if !visit(&parent, below, k) {
+                return false;
+            }
+            // Children 0 and 1 go into the next two slots whether they
+            // exist or not, and only those that exist are counted in: most
+            // nodes have 0 or m children by a fair coin, which a branch here
+            // would mispredict half the time. Slot `WIDTH` is the spare.
+            for i in 0..2 {
+                lanes.put(len + i, &parent, i as u32);
+                lane_below[len + i] = below + i;
+            }
+            next = k.min(2).min((WIDTH - len) as u32);
+            len += next as usize;
+        }
+        if len == 0 {
+            return true;
+        }
+        stack.reserve(len);
+        lanes.hash(len, |lane, child| stack.push((child, lane_below[lane])));
+        len = 0;
+    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! trees in this repo are validated against the same kind of yardstick: these
 //! helpers measure how concentrated the work is.
 
-use crate::seq::dfs_count_subtree;
+use crate::seq::{dfs_count_subtree, walk};
 use crate::spec::TreeSpec;
 
 /// Distribution of work across the subtrees rooted at the root's children.
@@ -162,21 +162,20 @@ impl DepthProfile {
 
 /// Measure the depth profile with one sequential traversal.
 pub fn depth_profile(spec: &TreeSpec) -> DepthProfile {
-    let mut stack = vec![spec.root()];
     let mut prof = DepthProfile {
         max_stack: 1,
         ..DepthProfile::default()
     };
-    while let Some(node) = stack.pop() {
+    walk(spec, spec.root(), |node, below, k| {
         let d = node.height as usize;
         if prof.histogram.len() <= d {
             prof.histogram.resize(d + 1, 0);
         }
         prof.histogram[d] += 1;
         prof.total += 1;
-        spec.expand_into(&node, &mut stack);
-        prof.max_stack = prof.max_stack.max(stack.len());
-    }
+        prof.max_stack = prof.max_stack.max(below + k as usize);
+        true
+    });
     prof
 }
 

@@ -16,9 +16,11 @@ echo "== cargo test -q --workspace =="
 # worksteal's crates/core/tests/*.rs and token ring, the bench harness and its
 # figures) run nowhere else.
 cargo test -q --workspace
-# Print which SHA-1 kernel this log's numbers came from, beside the host's
-# `sha` detection; the test fails if the dispatch fell back to the portable
-# kernel on a host that has the SHA extensions.
+# Print which SHA-1 kernels this log's numbers came from — the block kernel
+# and the one behind `compress_x16` (`x16: avx512f` or `x16: pairs`) — beside
+# the host's `sha` and `avx512f` detection; the test fails if the dispatch
+# fell back to the portable kernel on a host that has the SHA extensions, or
+# to pairs on one that has AVX-512.
 cargo test -q -p uts-sha1 -- --nocapture selected_kernel
 
 echo "== sched shape =="
@@ -144,10 +146,11 @@ if ! diff <(grep -v '^  host: ' results/logs/conductor.log) <(grep -v '^  host: 
   echo "exp conductor differs from results/logs/conductor.log beyond its host: lines" >&2; exit 1
 fi
 
-echo "== SAFETY comments (crates/pgas/src) =="
+echo "== SAFETY comments (crates/pgas/src, crates/sha1/src) =="
 # Every `unsafe {` block and `unsafe impl` in the crate that owns the fiber
-# runtime, submodules included, must have a `// SAFETY:` comment directly
-# above it (attribute lines in between are skipped).
+# runtime and in the one that owns the SHA-NI and AVX-512 kernels,
+# submodules included, must have a `// SAFETY:` comment directly above it
+# (attribute lines in between are skipped).
 awk '
   FNR == 1 { n = 0 }
   { line[++n] = $0 }
@@ -161,7 +164,7 @@ awk '
     if (!ok) { printf "%s:%d: unsafe without a SAFETY comment directly above\n", FILENAME, FNR; bad = 1 }
   }
   END { exit bad }
-' $(find crates/pgas/src -name '*.rs' | sort)
+' $(find crates/pgas/src crates/sha1/src -name '*.rs' | sort)
 
 echo "== bench/ build + tests =="
 # The benchmark is a package of its own, outside the workspace, reaching the

@@ -3,8 +3,9 @@
 //! extreme imbalance under the root, scale-free subtree distribution).
 
 use proptest::prelude::*;
+use uts_dlb::tree::seq::{dfs_count, dfs_count_bounded, dfs_count_subtree, DfsIter, SeqResult};
 use uts_dlb::tree::stats::measure_imbalance;
-use uts_dlb::tree::{presets, seq::dfs_count, seq::dfs_count_subtree, TreeSpec};
+use uts_dlb::tree::{presets, GeoShape, TreeSpec};
 
 #[test]
 fn t_s_frozen_size_and_imbalance() {
@@ -96,5 +97,73 @@ proptest! {
     fn generation_deterministic(seed in 0u32..5000) {
         let spec = TreeSpec::binomial(seed, 6, 2, 0.4);
         prop_assert_eq!(dfs_count(&spec), dfs_count(&spec));
+    }
+}
+
+/// The `SeqResult` of a depth-first traversal in DFS order: `DfsIter`'s
+/// nodes, their leaves and depth, and the largest stack it held (1 before
+/// the first step).
+fn dfs_order_result(spec: &TreeSpec) -> SeqResult {
+    let mut it = DfsIter::new(spec);
+    let mut r = SeqResult {
+        max_stack: it.stack_len(),
+        ..SeqResult::default()
+    };
+    while let Some(node) = it.next() {
+        r.nodes += 1;
+        r.leaves += u64::from(spec.num_children(&node) == 0);
+        r.max_depth = r.max_depth.max(node.height);
+        r.max_stack = r.max_stack.max(it.stack_len());
+    }
+    r
+}
+
+/// `dfs_count` visits in batches, not in DFS order; it must still return
+/// exactly what the DFS-order traversal folds, `max_stack` included, and
+/// its bound must fall exactly at the tree's size. A tree larger than
+/// `LIMIT` is skipped; the draws below keep that rare.
+fn check_against_dfs_order(spec: &TreeSpec) {
+    const LIMIT: u64 = 500_000;
+    let Some(batched) = dfs_count_bounded(spec, LIMIT) else {
+        return;
+    };
+    assert_eq!(batched, dfs_order_result(spec), "{spec:?}");
+    assert_eq!(dfs_count(spec), batched, "{spec:?}");
+    assert_eq!(dfs_count_bounded(spec, batched.nodes - 1), None, "{spec:?}");
+    assert_eq!(
+        dfs_count_bounded(spec, batched.nodes),
+        Some(batched),
+        "{spec:?}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Binomial trees from a star (q = 0) to near-critical (m q up to
+    /// 0.999), on roots of 0 to 1000 children and with m of 2, 3 and 5.
+    #[test]
+    fn batched_count_is_the_dfs_order_count(
+        seed in 0u32..100_000,
+        b0 in prop_oneof![Just(0u32), Just(1), Just(2), Just(17), Just(40), Just(1000)],
+        m in prop_oneof![Just(2u32), Just(3), Just(5)],
+        gap_exp in 0u32..1000,
+    ) {
+        // The gap 1 - m q is log-uniform from 1 down to 0.001, so most trees
+        // are deep; a wide root keeps a wider gap, so that the expected
+        // size 1 + b0 / (1 - m q) stays near 50,000 or below.
+        let gap = 10f64.powf(-3.0 * gap_exp as f64 / 1000.0).max(b0 as f64 / 50_000.0);
+        check_against_dfs_order(&TreeSpec::binomial(seed, b0, m, (1.0 - gap) / m as f64));
+    }
+
+    /// Geometric trees: the root draws its own child count, and a node may
+    /// have any number of children up to the cap.
+    #[test]
+    fn batched_count_is_the_dfs_order_count_geometric(
+        seed in 0u32..100_000,
+        b0_tenths in 10u32..40,
+        gen_mx in 1u32..10,
+    ) {
+        check_against_dfs_order(&TreeSpec::geometric(seed, b0_tenths as f64 / 10.0, gen_mx, GeoShape::Fixed));
     }
 }
