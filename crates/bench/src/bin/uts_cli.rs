@@ -18,7 +18,7 @@
 //!
 //! Plus runner options:
 //! - `-T <threads>`: simulated UPC threads (default 4)
-//! - `-A <alg>`: sharedmem|term|rapdif|distmem|mpi|hier|push (default distmem)
+//! - `-A <alg>`: sharedmem|term|rapdif|distmem|mpi|hier (default distmem)
 //! - `-M <machine>`: kittyhawk|topsail|altix|smp (default kittyhawk)
 //! - `--spec '<line>'`: run this run spec (`worksteal::spec`: any workload,
 //!   fault plan, arrival law or conductor) instead of the flags above

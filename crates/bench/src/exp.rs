@@ -69,7 +69,6 @@ pub const TABLE: &[Entry] = &[
     Entry { name: "ablation", about: "E3 §4.2 refinement chain, \"≈ 37 %\"", run: Run::Csv(ablation) },
     Entry { name: "working_state", about: "E7 §6.2 state-time decomposition", run: Run::Print(working_state) },
     Entry { name: "hier", about: "E9 node-local-first victims (§6.2 future work)", run: Run::Csv(hier) },
-    Entry { name: "pushing", about: "E10 work pushing vs work stealing", run: Run::Csv(pushing) },
     Entry { name: "diffusion", about: "E14 §3.3.2 work diffusion, traced", run: Run::Print(diffusion) },
     Entry { name: "poll_sweep", about: "E11 polling-interval sensitivity", run: Run::Csv(poll_sweep) },
     Entry { name: "model_check", about: "E15 §2 analytic chunk-size model", run: Run::Print(model_check) },
@@ -200,12 +199,8 @@ fn fig3() {
         println!("{:<18} {:<72} {}", alg.label(), explanation, details);
     }
     println!("\nextensions in this reproduction (not in the paper's figure):");
-    for (alg, explanation, details) in [
-        (Algorithm::Hier, "upc-distmem with node-local-first victim selection", "Sect. 6.2 (future work)"),
-        (Algorithm::Pushing, "randomized work pushing baseline", "ref. [16] flavour"),
-    ] {
-        println!("{:<18} {explanation:<72} {details}", alg.label());
-    }
+    let explanation = "upc-distmem with node-local-first victim selection";
+    println!("{:<18} {explanation:<72} Sect. 6.2 (future work)", Algorithm::Hier.label());
 }
 
 /// E2 — Figure 4: speedup and absolute performance at different chunk sizes,
@@ -350,7 +345,7 @@ fn scale_eff(sink: Sink) -> Result<(), String> {
 /// improvement is about 37%." Runs the chain `upc-sharedmem → upc-term →
 /// upc-term-rapdif → upc-distmem` at one point (T-L, 256 threads, k=8,
 /// Kitty Hawk) and reports each step's incremental gain, plus `mpi-ws` for
-/// reference, plus the two extensions.
+/// reference, plus the `upc-hier` extension.
 fn ablation(sink: Sink) -> Result<(), String> {
     let (t, nodes) = grid("kittyhawk", presets::t_l());
     let rows: Vec<Row> = Algorithm::all().into_iter().map(|alg| point(RunSpec { p: 256, alg, ..t }, nodes)).collect();
@@ -441,31 +436,6 @@ fn hier(sink: Sink) -> Result<(), String> {
     Ok(())
 }
 
-/// E10 — extension: work *pushing* (paper ref \[16\] flavour) versus work
-/// *stealing* at the ablation's point (its `upc-distmem` / `mpi-ws` /
-/// `push-random` rows). The "work-first principle" (§2) predicts stealing
-/// wins: push overhead is paid by loaded threads, steal overhead by idle ones.
-fn pushing(sink: Sink) -> Result<(), String> {
-    let (t, nodes) = grid("kittyhawk", presets::t_l());
-    let rows: Vec<Row> = [Algorithm::DistMem, Algorithm::MpiWs, Algorithm::Pushing]
-        .into_iter()
-        .map(|alg| point(RunSpec { p: 256, alg, ..t }, nodes))
-        .collect();
-    publish_rows(sink, "pushing", "Work stealing vs work pushing", &rows)?;
-
-    // The work-first principle in one number: how much of the *working*
-    // threads' time each strategy burns on load-balancing traffic.
-    for r in [&rows[0], &rows[2]] {
-        println!(
-            "{:<14} working-state share {:.1}%, working-state efficiency {:.1}%",
-            r.label,
-            100.0 * r.working_frac,
-            100.0 * r.working_eff
-        );
-    }
-    Ok(())
-}
-
 /// E14 — work diffusion (§3.3.2, measured). The paper's rapid-diffusion
 /// argument: letting thieves take *half* the victim's chunks "rapidly
 /// increase\[s\] the number of work sources" and "leads to more rapid
@@ -479,13 +449,7 @@ fn diffusion() {
         "\n{:<16} {:>10} {:>10} {:>10} {:>12} {:>12} {:>10}",
         "algorithm", "t50 (µs)", "t90 (µs)", "t100 (µs)", "steals", "sources", "starved"
     );
-    for alg in [
-        Algorithm::Term,
-        Algorithm::TermRapdif,
-        Algorithm::DistMem,
-        Algorithm::MpiWs,
-        Algorithm::Pushing,
-    ] {
+    for alg in [Algorithm::Term, Algorithm::TermRapdif, Algorithm::DistMem, Algorithm::MpiWs] {
         let report = harness::run(RunSpec { p: 128, alg, ..t }, nodes, traced).measure().0.report;
         let d = report.diffusion();
         let m = report.steal_matrix();
@@ -899,8 +863,8 @@ fn dag_row(p: usize, alg: Algorithm, k: usize, shape: &Shape) -> (String, f64) {
 }
 
 /// The rows of a DAG sweep: the `tree` baseline and the three `dags`
-/// through the six stealing bundles at k ∈ {1, 4} on each of `threads`.
-/// Every stealing transport runs, and on the locked one steal-one ×
+/// through the six bundles at k ∈ {1, 4} on each of `threads`.
+/// Every transport runs, and on the locked one steal-one ×
 /// steal-half and cancelable × streamlined: the bundles a release-policy
 /// change can move. Chunk matters doubly for DAGs: a release needs local
 /// depth ≥ 2k, and narrow-frontier DAGs (wavefront: ≤ 2 successors per
@@ -911,7 +875,7 @@ fn dag_grid(tree: Preset, dags: [Workload; 3], threads: &[usize]) -> Vec<String>
     let (mut rows, mut worst) = (Vec::new(), 0.0f64);
     for &p in threads {
         for k in [1, 4] {
-            for alg in Algorithm::all().into_iter().filter(|&a| a != Algorithm::Pushing) {
+            for alg in Algorithm::all() {
                 for shape in &shapes {
                     let (line, bound_util) = dag_row(p, alg, k, shape);
                     rows.push(line);
@@ -980,7 +944,7 @@ struct Soak {
     kill_pm: &'static [u32],
     /// Membership plans per algorithm: healing partitions, gray stalls,
     /// kills and restarts, on the tree and the DAG, every fifth replayed on
-    /// the reference conductor; then on three bundles in service mode,
+    /// the reference conductor; then on two bundles in service mode,
     /// where every request must complete.
     membership: u64,
     /// Wall-clock bound of the sweep, checked between runs: fuel ends a
@@ -1141,16 +1105,19 @@ fn soak(s: Soak) {
             sweep.rejoins
         );
 
-        // The same plans against the open-loop service on the message
-        // bundles: `run_service_sim` asserts per-epoch conservation, and no
-        // request may be lost through partition, eviction, heal and rejoin.
+        // The same plans against the open-loop service on a one-sided and
+        // the two-sided bundle: `run_service_sim` asserts per-epoch
+        // conservation, and no request may be lost through partition,
+        // eviction, heal and rejoin.
         let (requests, svc_tree) = (8, TreeSpec::binomial(23, 4, 2, 0.4));
         let svc_nodes = service_nodes(svc_tree, requests);
+        let bundles = [Algorithm::DistMem, Algorithm::MpiWs];
         println!(
-            "\nmembership service soak: {} plans x 3 bundles, {requests} requests each (zero lost requests)",
-            s.membership
+            "\nmembership service soak: {} plans x {} bundles, {requests} requests each (zero lost requests)",
+            s.membership,
+            bundles.len()
         );
-        for alg in [Algorithm::DistMem, Algorithm::MpiWs, Algorithm::Pushing] {
+        for alg in bundles {
             let (mut evictions, mut rejoins, mut worst_p99) = (0, 0, 0);
             for i in 0..s.membership {
                 let arrivals = Some(ArrivalSpec::poisson(13 + i, requests, 12_000.0));

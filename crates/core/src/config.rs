@@ -22,9 +22,6 @@ pub enum Algorithm {
     /// Extension (§6.2 future work): DistMem with node-local-first victim
     /// selection (the `bupc_thread_distance()` idea).
     Hier,
-    /// Extension (paper ref \[16\] flavour): randomized work *pushing* —
-    /// loaded threads push surplus chunks to random targets.
-    Pushing,
 }
 
 impl Algorithm {
@@ -37,7 +34,6 @@ impl Algorithm {
             Algorithm::DistMem => "upc-distmem",
             Algorithm::MpiWs => "mpi-ws",
             Algorithm::Hier => "upc-hier",
-            Algorithm::Pushing => "push-random",
         }
     }
 
@@ -53,7 +49,7 @@ impl Algorithm {
     }
 
     /// Every implementation in this crate.
-    pub fn all() -> [Algorithm; 7] {
+    pub fn all() -> [Algorithm; 6] {
         [
             Algorithm::SharedMem,
             Algorithm::Term,
@@ -61,7 +57,6 @@ impl Algorithm {
             Algorithm::DistMem,
             Algorithm::MpiWs,
             Algorithm::Hier,
-            Algorithm::Pushing,
         ]
     }
 }

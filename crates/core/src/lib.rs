@@ -11,10 +11,8 @@
 //! | [`Algorithm::DistMem`]                            | `upc-distmem`     | §3.3.3  |
 //! | [`Algorithm::MpiWs`]                              | `mpi-ws`          | §3.2    |
 //!
-//! plus two extensions: [`Algorithm::Hier`] (the §6.2 future-work idea:
-//! steal within the compute node before probing off-node) and
-//! [`Algorithm::Pushing`] (a randomized work-*pushing* baseline in the
-//! spirit of the paper's reference \[16\]).
+//! plus one extension: [`Algorithm::Hier`] (the §6.2 future-work idea:
+//! steal within the compute node before probing off-node).
 //!
 //! Every worker runs the Figure-1 state machine (Working → Work Discovery →
 //! Work Stealing → Termination Detection) over the [`pgas::Comm`] substrate,
@@ -45,7 +43,6 @@ pub mod locked;
 pub mod model;
 pub mod mpi_ws;
 pub mod probe;
-pub mod pushing;
 pub mod recovery;
 pub mod report;
 pub mod sched;

@@ -21,7 +21,7 @@
 //!   *spill*, publishes `(SPILL_OFF, SPILL_LEN)`, and only then raises
 //!   `DEAD`. Survivors race a CAS on the [`crate::vars::ADOPT`] ticket;
 //!   exactly one wins and re-injects the orphaned subtrees.
-//! - **Lineage**: message transports record every in-flight grant — donor,
+//! - **Lineage**: the message transport records every in-flight grant — donor,
 //!   thief, node count, subtree fingerprint, payload copy — in a
 //!   [`Lineage`] registry. The thief acknowledges receipt (after marking
 //!   itself working); a grant that is never acknowledged (lost WORK message,
@@ -633,7 +633,7 @@ impl Recovery {
 /// One in-flight grant tracked by a donor-side [`Lineage`] registry.
 #[derive(Clone, Debug)]
 pub struct Grant<T> {
-    /// Grant id (carried in the WORK/PUSH message's `meta[0]` and echoed by
+    /// Grant id (carried in the WORK message's `meta[0]` and echoed by
     /// the ACK).
     pub id: u64,
     /// Receiving rank.

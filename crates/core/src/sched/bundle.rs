@@ -10,7 +10,6 @@
 //! | `DistMem`     | flat    | half  | streamlined | distmem   |
 //! | `Hier`        | hier    | half  | streamlined | distmem   |
 //! | `MpiWs`       | flat    | one   | token ring  | mpi-msg   |
-//! | `Pushing`     | —       | —     | token ring  | push-msg  |
 //!
 //! [`RunConfig::victim_policy`] and [`RunConfig::steal_policy`] override the
 //! bundle's victim/steal axes, which is how non-paper combinations
@@ -23,7 +22,6 @@ use crate::config::{Algorithm, RunConfig};
 use crate::distmem::DistMemTransport;
 use crate::locked::LockedTransport;
 use crate::mpi_ws::MpiTransport;
-use crate::pushing::PushTransport;
 use crate::report::ThreadResult;
 use crate::taskgen::TaskGen;
 
@@ -51,8 +49,6 @@ pub enum TransportKind {
     DistMem,
     /// §3.2 two-sided message exchange ([`MpiTransport`]).
     MpiMsg,
-    /// Randomized work pushing ([`PushTransport`]).
-    PushMsg,
 }
 
 /// A fully resolved policy quadruple.
@@ -108,14 +104,6 @@ impl Algorithm {
                 TerminationKind::TokenRing,
                 TransportKind::MpiMsg,
             ),
-            // Pushing ships exactly one chunk to a uniformly random target;
-            // the victim/steal axes are nominal (unused by the transport).
-            Algorithm::Pushing => (
-                VictimPolicy::Flat,
-                StealPolicyKind::One,
-                TerminationKind::TokenRing,
-                TransportKind::PushMsg,
-            ),
         };
         BundleSpec {
             victims,
@@ -148,7 +136,7 @@ impl RunConfig {
 /// paper's wait-forever default would hang.
 pub const CRASH_STEAL_TIMEOUT_NS: u64 = 50_000;
 
-/// The one place the four transports are constructed: run the generic
+/// The one place the three transports are constructed: run the generic
 /// driver with detector `td` over the transport (and with the victim order)
 /// `cfg`'s bundle names. Batch mode passes the bundle's paper detector
 /// ([`run_bundle`]), service mode its epoch detector ([`crate::service`]).
@@ -159,17 +147,12 @@ where
     TD: TerminationDetector<G::Task, C>,
 {
     let spec = cfg.bundle();
-    let me = comm.my_id();
-    let n = comm.n_threads();
-    let victims = spec.victims.build(me, n, cfg.seed, comm.machine());
+    let victims = spec.victims.build(comm.my_id(), comm.n_threads(), cfg.seed, comm.machine());
     let sp = spec.steal;
     match spec.transport {
         TransportKind::Locked => drive(comm, gen, cfg, LockedTransport::new(sp), td, victims),
         TransportKind::DistMem => drive(comm, gen, cfg, DistMemTransport::new(sp), td, victims),
         TransportKind::MpiMsg => drive(comm, gen, cfg, MpiTransport::new(sp), td, victims),
-        TransportKind::PushMsg => {
-            drive(comm, gen, cfg, PushTransport::new(me, n, cfg.seed), td, victims)
-        }
     }
 }
 
@@ -182,7 +165,7 @@ where
 ///
 /// Panics on a bundle whose termination detector cannot run over its
 /// transport: the barriers need the shared `work_avail`/barrier cells the
-/// message transports never publish, and the counting ring needs
+/// message transport never publishes, and the counting ring needs
 /// transfer-message counts the shared-region transports never produce.
 pub fn run_bundle<G, C>(comm: &mut C, gen: &G, cfg: &RunConfig) -> ThreadResult
 where
@@ -195,7 +178,7 @@ where
     }
     let cfg = &armed;
     let spec = cfg.bundle();
-    let messages = matches!(spec.transport, TransportKind::MpiMsg | TransportKind::PushMsg);
+    let messages = spec.transport == TransportKind::MpiMsg;
     assert!(
         messages == (spec.termination == TerminationKind::TokenRing),
         "unsupported policy bundle: {:?} termination cannot run over the {:?} transport",
@@ -231,7 +214,6 @@ mod tests {
             (Algorithm::DistMem, V::Flat, S::Half, D::Streamlined, T::DistMem),
             (Algorithm::Hier, V::Hier, S::Half, D::Streamlined, T::DistMem),
             (Algorithm::MpiWs, V::Flat, S::One, D::TokenRing, T::MpiMsg),
-            (Algorithm::Pushing, V::Flat, S::One, D::TokenRing, T::PushMsg),
         ];
         for (alg, v, s, d, t) in expect {
             let b = alg.bundle();

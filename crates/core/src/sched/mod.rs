@@ -7,7 +7,7 @@
 //!
 //! | Axis | Type | Implementations |
 //! |------|------|-----------------|
-//! | transport | trait [`StealTransport`] | locked shared region, CAS request/response, two-sided messages, work pushing |
+//! | transport | trait [`StealTransport`] | locked shared region, CAS request/response, two-sided messages |
 //! | termination | trait [`TerminationDetector`] | cancelable barrier, streamlined tri-state, counting token ring ([`termination`]); service mode's epoch detector |
 //! | steal amount | enum [`StealPolicyKind`] | one, half, adaptive-by-depth ([`policy`]) |
 //! | victim order | enum [`VictimPolicy`] | flat random, hierarchical same-node-first — two constructions of one [`ProbeOrder`] |
@@ -16,7 +16,7 @@
 //! per-state time accounting, trace emission, and the working loop
 //! (pop/expand/push, periodic polling, release checks) live here **once**,
 //! parameterized by the two traits — it is the only function that enters
-//! [`State::Working`]. Each of the seven [`Algorithm`] variants is a named
+//! [`State::Working`]. Each of the six [`Algorithm`] variants is a named
 //! policy bundle ([`bundle`]), resolved by [`bundle::run_bundle`] — and
 //! because the axes are independent, non-paper combinations (hierarchical
 //! victims on the locked transport, adaptive steal amounts on distmem) are
@@ -42,7 +42,7 @@
 //! so the dependency round trips of all its ready tasks overlap in one
 //! publication instead of queueing task behind task.
 //!
-//! **Bit-identity contract**: for the seven seed bundles, the sequence of
+//! **Bit-identity contract**: for the six seed bundles, the sequence of
 //! [`Comm`] operations issued by `drive` is identical, call for call, to the
 //! pre-refactor monolithic loops. On the virtual-time simulator every comm
 //! op advances the clock, so this is checked end-to-end by regenerating the
@@ -157,7 +157,7 @@ pub enum StealOutcome {
     Got,
     /// The victim denied (no surplus, lost race, or stale probe).
     Denied,
-    /// A termination announcement raced the request (message transports):
+    /// A termination announcement raced the request (message transport):
     /// the victim has already exited and global quiescence is proven.
     TermRaced,
     /// The armed steal timeout expired and the request was retracted
@@ -165,7 +165,7 @@ pub enum StealOutcome {
     TimedOut,
 }
 
-/// How an idle rank searches: whether it probes, asks blindly or waits, and
+/// How an idle rank searches: whether it probes or asks blindly, and
 /// what a probe sweep issues between two victim probes — a transport's
 /// [`StealTransport::idle_service`] as data, so that the sweep can hand a
 /// whole probe cycle to [`Comm::probe_cycle`].
@@ -174,12 +174,6 @@ pub enum SweepService {
     /// No probing: thieves ask blindly (mpi-ws), charging `backoff_ns`
     /// between idle termination-protocol iterations.
     Blind {
-        /// The idle backoff.
-        backoff_ns: u64,
-    },
-    /// No stealing at all: idle ranks take no initiative and wait for
-    /// pushed work (push-random), charging `backoff_ns` between ring steps.
-    Park {
         /// The idle backoff.
         backoff_ns: u64,
     },
@@ -202,14 +196,14 @@ pub enum SweepService {
 impl SweepService {
     /// Whether thieves read a victim's work level before stealing.
     pub const fn probes(self) -> bool {
-        !matches!(self, SweepService::Blind { .. } | SweepService::Park { .. })
+        !matches!(self, SweepService::Blind { .. })
     }
 
     /// The backoff charged between idle termination-protocol iterations
     /// (token-ring transports); 0 for the probing services.
     pub const fn backoff_ns(self) -> u64 {
         match self {
-            SweepService::Blind { backoff_ns } | SweepService::Park { backoff_ns } => backoff_ns,
+            SweepService::Blind { backoff_ns } => backoff_ns,
             _ => 0,
         }
     }
@@ -227,8 +221,8 @@ impl SweepService {
 /// synchronisation discipline of the shared stack region, which is the §3.1
 /// vs §3.2 vs §3.3.3 algorithmic difference.
 ///
-/// Every method has a no-op default so each transport implements only the
-/// hooks its protocol uses. The generic
+/// Every method but [`StealTransport::steal`] has a no-op default, so each
+/// transport implements only the hooks its protocol uses. The generic
 /// driver and the [`TerminationDetector`]s call these hooks at exactly the
 /// points the original monolithic loops performed the corresponding
 /// operations, which is what makes policy composition preserve op sequences.
@@ -239,9 +233,7 @@ pub trait StealTransport<T: Item, C: Comm<T>> {
     /// negative = out of work) before committing to a steal, and what the
     /// idle service between two such probes issues. Probing is for the
     /// shared-region transports, which the barrier detectors need; the
-    /// message transports' thieves can only ask, and under work *pushing*
-    /// idle threads park in termination detection and wait for chunks to
-    /// land in their mailbox.
+    /// message transport's thieves can only ask.
     const SWEEP: SweepService;
 
     /// One-time protocol setup before the root task is pushed (e.g. arming
@@ -284,16 +276,15 @@ pub trait StealTransport<T: Item, C: Comm<T>> {
     fn on_out_of_work(&mut self, _comm: &mut C, _stack: &mut DfsStack<T>, _cx: &mut Cx) {}
 
     /// Execute one steal against `victim` (the victim advertised work or a
-    /// request is warranted). Chunks land on `stack` on success.
+    /// request is warranted). Chunks land on `stack` on success. The one
+    /// hook every transport implements.
     fn steal(
         &mut self,
-        _comm: &mut C,
-        _stack: &mut DfsStack<T>,
-        _victim: usize,
-        _cx: &mut Cx,
-    ) -> StealOutcome {
-        unimplemented!("this transport does not steal")
-    }
+        comm: &mut C,
+        stack: &mut DfsStack<T>,
+        victim: usize,
+        cx: &mut Cx,
+    ) -> StealOutcome;
 
     /// A steal returned [`StealOutcome::TimedOut`]: charge and escalate the
     /// thief-side backoff before re-probing.
@@ -308,8 +299,8 @@ pub trait StealTransport<T: Item, C: Comm<T>> {
     /// [`StealTransport::idle_service`] without its first read.
     fn serve(&mut self, _comm: &mut C, _stack: &mut DfsStack<T>, _cx: &mut Cx, _value: i64) {}
 
-    /// Absorb work that arrived asynchronously (pushed chunks, late grants
-    /// from timed-out victims). Returns `true` if work is now in hand.
+    /// Absorb work that arrived asynchronously (late grants from timed-out
+    /// victims). Returns `true` if work is now in hand.
     fn absorb_pending(&mut self, _comm: &mut C, _stack: &mut DfsStack<T>, _cx: &mut Cx) -> bool {
         false
     }
@@ -357,7 +348,7 @@ pub trait StealTransport<T: Item, C: Comm<T>> {
 /// grant sizing happens).
 ///
 /// Custom harnesses can call this directly with hand-built policies; the
-/// seven paper/extension algorithms go through [`bundle::run_bundle`], and
+/// six paper/extension algorithms go through [`bundle::run_bundle`], and
 /// service mode through [`crate::service::run_service_sim`].
 pub fn drive<G, C, ST, TD>(
     comm: &mut C,

@@ -26,7 +26,7 @@
 //! after an idle service leaves its barrier with it.
 //!
 //! **Under a crash plan** a hand-off is a transfer of the transport's
-//! [`Lineage`] — the message transports' own, or one this layer keeps for the
+//! [`Lineage`] — the message transport's own, or one this layer keeps for the
 //! shared-region transports: grant (a payload copy and the sender's
 //! `LIN_OUT` raised), accept (the owner marks itself working, then ACKs),
 //! close on the ACK, and re-inject when the ACK is overdue or the owner is

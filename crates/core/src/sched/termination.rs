@@ -223,7 +223,7 @@ where
 /// the crash-mode batch answer. Service mode's epoch detector
 /// ([`crate::service`]) is the one that overrides them.
 pub trait TerminationDetector<T: Item, C: Comm<T>> {
-    /// [`idle_discover`], message transports: draw the first victim cycle on
+    /// [`idle_discover`], the message transport: draw the first victim cycle on
     /// entry, or only once a steal needs it. (The draw advances the victim
     /// RNG, so the two are different schedules.)
     const EAGER_CYCLE: bool = true;
@@ -283,7 +283,7 @@ pub trait TerminationDetector<T: Item, C: Comm<T>> {
             cx.recovery.term_seen(comm)
         };
         // A rank may not exit while it alone holds open lineage payloads (a
-        // fenced zombie's pushes to already-exited ranks land in mailboxes no
+        // fenced zombie's grants to already-exited ranks land in mailboxes no
         // one drains); the periodic lineage service re-injects them within
         // REINJECT_TIMEOUT_NS and the next iteration finds the work.
         done && inflight == 0
@@ -537,11 +537,9 @@ pub(crate) const TOKEN: i64 = -100;
 pub(crate) const TERM: i64 = -101;
 
 /// §3.2 counting token ring: termination is proven when the token completes
-/// two clean passes with globally balanced transfer-message counts. With a
-/// stealing transport the detector interleaves one steal attempt per ring
-/// step (Dinan et al.'s structure); with a pushing transport
-/// ([`SweepService::Park`]) idle threads simply alternate mailbox absorption
-/// with ring steps.
+/// two clean passes with globally balanced transfer-message counts. The
+/// detector interleaves one steal attempt per ring step (Dinan et al.'s
+/// structure).
 ///
 /// An idle rank steps the ring with its cumulative counts of *work-transfer*
 /// messages sent and received; a busy rank does not, which parks the token
@@ -674,26 +672,10 @@ impl<T: Item, C: Comm<T>> TerminationDetector<T, C> for RingTerm {
         victims: &mut ProbeOrder,
         cx: &mut Cx,
     ) -> Discovery {
-        if let SweepService::Park { backoff_ns } = ST::SWEEP {
-            // Work pushing: idle threads have no initiative — park in
-            // Terminating, absorbing pushed chunks between ring steps.
-            cx.enter(comm, State::Terminating);
-            loop {
-                transport.idle_service(comm, stack, cx);
-                if transport.absorb_pending(comm, stack, cx) || !stack.is_local_empty() {
-                    return Discovery::GotWork;
-                }
-                if self.step(comm, ring_counts(transport)) {
-                    return Discovery::Terminated;
-                }
-                comm.advance_idle(backoff_ns);
-            }
-        }
-
-        // Stealing transport: one victim per iteration, alternating with
-        // termination-token handling (Dinan et al. interleave the same way):
-        // at large thread counts a full probe sweep between token steps
-        // would park the token for thousands of messages.
+        // One victim per iteration, alternating with termination-token
+        // handling (Dinan et al. interleave the same way): at large thread
+        // counts a full probe sweep between token steps would park the
+        // token for thousands of messages.
         cx.enter(comm, State::Searching);
         victims.cycle();
         loop {

@@ -58,7 +58,7 @@
 //! # One driver, a different detector
 //!
 //! A service worker is [`crate::sched::drive`] — the batch worker, over the
-//! same four transports — with a different termination detector. The
+//! same three transports — with a different termination detector. The
 //! private `EpochTerm` owns rank 0's pump and this rank's scanner and runs
 //! them from the driver's detector hooks: `start` (no root; arm the
 //! accounting), `tick` (pump and scanner: every working- and idle-loop
@@ -314,7 +314,7 @@ impl SvcAccount {
 
     /// Attribute a moved payload to its epochs: one [`SvcAccount::bump`] of
     /// `sign` per item, grouped so each distinct epoch in the payload costs
-    /// one put. Used by the message transports' crash-mode absorb (`+1`
+    /// one put. Used by the message transport's crash-mode absorb (`+1`
     /// before the ACK is sent) and ACK-close (`−1` once the lineage grant
     /// actually closes); no-op outside service mode.
     pub fn bump_items<T: Item, C: Comm<T>>(
@@ -991,20 +991,6 @@ mod tests {
         let b = run_service_sim(MachineModel::smp(), 3, &gen, &cfg, &arrivals);
         assert_eq!(a.service, b.service);
         assert_eq!(a.makespan_ns, b.makespan_ns);
-    }
-
-    #[test]
-    fn pushing_transport_supports_service_mode() {
-        let gen = SyntheticGen {
-            branch: 3,
-            depth: 3,
-        };
-        let cfg = RunConfig::new(Algorithm::Pushing, 2);
-        let arrivals = ArrivalSpec::poisson(5, 4, 50_000.0);
-        let report = run_service_sim(MachineModel::smp(), 3, &gen, &cfg, &arrivals);
-        let svc = report.service.unwrap();
-        assert_eq!(svc.per_request.len(), 4);
-        assert_eq!(report.total_nodes, gen.size() * 4);
     }
 
     /// What a pass costs, by `CommStats::gets` net of the 16 assignment

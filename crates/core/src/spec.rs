@@ -17,14 +17,13 @@ type Table<T, const N: usize> = [(&'static str, T); N];
 
 /// The short name every command line takes for an algorithm (`alg=`,
 /// `uts_cli -A`), read both ways.
-pub const ALGORITHM_NAMES: Table<Algorithm, 7> = [
+pub const ALGORITHM_NAMES: Table<Algorithm, 6> = [
     ("sharedmem", Algorithm::SharedMem),
     ("term", Algorithm::Term),
     ("rapdif", Algorithm::TermRapdif),
     ("distmem", Algorithm::DistMem),
     ("mpi", Algorithm::MpiWs),
     ("hier", Algorithm::Hier),
-    ("push", Algorithm::Pushing),
 ];
 const MACHINES: Table<fn() -> MachineModel, 4> = [
     ("kittyhawk", MachineModel::kittyhawk),
@@ -124,7 +123,7 @@ pub enum Workload {
 ///          | binomial(seed,b0,m,q) | geometric(seed,b0,depth)
 /// dag      forkjoin(levels,width,seed) | wavefront(rows,cols,seed)
 ///          | layered(layers,width,edge_pm,seed)
-/// alg      sharedmem | term | rapdif | distmem | mpi | hier | push, or a paper label
+/// alg      sharedmem | term | rapdif | distmem | mpi | hier, or a paper label
 /// base     none | seeded(seed) | crashy(seed) | partitioned(seed)   (FaultPlan's constructors)
 /// field    window spike spike_mult stall straggler straggler_mult lock_mult loss dup
 ///          kill kill_min kill_span partition partition_min partition_span partition_dur
@@ -564,6 +563,10 @@ mod tests {
     fn unknown_names_list_the_options() {
         let e = preset_by_name("nope").unwrap_err();
         assert!(e.contains("unknown tree preset 'nope'") && e.contains("tiny|s|m"), "{e}");
+        assert_eq!(
+            algorithm_by_name("push").unwrap_err(),
+            "unknown algorithm 'push' (sharedmem|term|rapdif|distmem|mpi|hier)"
+        );
     }
 
     #[test]
@@ -572,7 +575,7 @@ mod tests {
             "topsail p=6 tree=tiny alg=term k=2 faults=crashy(8) timeout=25000",
             "kittyhawk p=1024 tree=binomial(0,2000,2,0.499999995) alg=distmem k=8",
             "smp p=8 tree=geometric(5,2.2,6) alg=mpi k=3 poll=4 seed=9 victims=hier steal=adaptive",
-            "altix p=64 dag=layered(6,16,150,7) alg=push k=1 faults=seeded(3),kill=1000,restart=5 conductor=reference",
+            "altix p=64 dag=layered(6,16,150,7) alg=rapdif k=1 faults=seeded(3),kill=1000,restart=5 conductor=reference",
             "smp p=8 tree=binomial(23,4,2,0.4) alg=mpi k=2 faults=none,loss=3 arrivals=mmpp(29,10,2000,60000.5,1000000)",
         ] {
             let spec: RunSpec = line.parse().unwrap_or_else(|e| panic!("{line}: {e}"));

@@ -40,7 +40,7 @@ pub enum Event {
         /// The targeted thread.
         victim: usize,
     },
-    /// Released one chunk from local to shared region (or pushed it away).
+    /// Released one chunk from local to shared region.
     Release {
         /// Release time.
         t_ns: u64,
@@ -172,7 +172,7 @@ pub struct Diffusion {
 ///
 /// A thread "has work" at its first `Enter { state: Working }` *with actual
 /// exploration following* — thread 0 starts Working by construction, other
-/// threads enter Working only after a successful steal (or received push),
+/// threads enter Working only after a successful steal,
 /// so the first Working entry after a `StealOk` is the arrival of work. For
 /// thread 0 the run start (its first Working entry) counts.
 pub fn diffusion(per_thread: &[Vec<Event>]) -> Diffusion {

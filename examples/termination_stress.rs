@@ -2,8 +2,8 @@
 //!
 //! Termination is the hardest part of asynchronous work stealing to get
 //! right (§3.3.1): detecting "no work anywhere" while chunks may still be
-//! moving. This example hammers all five paper algorithms (plus the two
-//! extensions) with many small adversarial trees — including single-node
+//! moving. This example hammers all five paper algorithms (plus the
+//! `upc-hier` extension) with many small adversarial trees — including single-node
 //! and star-shaped trees, and thread counts exceeding the available work —
 //! asserting exact node conservation every time. A lost or double-counted
 //! node, or a hang, fails the run.

@@ -46,11 +46,11 @@ fi
 if grep -rnE 'VictimSelector|trait StealPolicy' crates/; then
   echo "the victim-order / steal-amount axes grew a trait again" >&2; exit 1
 fi
-# Crash mode stays out of the message transports: it lives in the transfer
+# Crash mode stays out of the message transport: it lives in the transfer
 # ledger (recovery::Lineage) and the fenced envelope (recovery::Recovery),
 # whose inbound half is the only place a message is dropped.
-if grep -nE 'crash:|incarnation\(\)' crates/core/src/mpi_ws.rs crates/core/src/pushing.rs; then
-  echo "a message transport knows about crash mode again" >&2; exit 1
+if grep -nE 'crash:|incarnation\(\)' crates/core/src/mpi_ws.rs; then
+  echo "the message transport knows about crash mode again" >&2; exit 1
 fi
 [ "$(grep -rF 'fenced_drops += 1' crates/core/src | wc -l)" -eq 1 ] ||
   { echo "fenced traffic must be dropped in exactly one place under crates/core/src" >&2; exit 1; }
@@ -115,6 +115,13 @@ fi
 if grep -rnE 'Hybri[d]|GeoShape::(Linea[r]|ExpDe[c]|Cycli[c])' crates src tests; then
   echo "a deleted tree law came back" >&2; exit 1
 fi
+# Every transport steals: the work-pushing transport, whose idle ranks never
+# asked for work, stays deleted with its bundle and its parked sweep.
+# (The bracketed letters keep this file from matching itself.)
+if grep -rnE 'PushTranspor[t]|Algorithm::Pushin[g]|PushMs[g]|SweepService::Par[k]|TAG_PUS[H]' \
+  crates src tests examples; then
+  echo "the work-pushing transport came back" >&2; exit 1
+fi
 # A frozen-table row pastes into uts_cli (a crash row: a kill inside a
 # partition, then a restart).
 cargo build --release --offline -p uts-bench --bin exp --bin uts_cli
@@ -123,16 +130,22 @@ cargo build --release --offline -p uts-bench --bin exp --bin uts_cli
 # A run uts_cli cannot honour exits 2, naming the refusal, and does not panic:
 # the same kind of crash run on real threads; UTS's T1 line (a geometric tree:
 # uts_cli draws binomial trees only, ROADMAP item 20); a runner flag beside a
-# spec line, which would go unread. T3's line counts the tree this generator
-# draws for it.
+# spec line, which would go unread; the retired work-pushing algorithm, which
+# must be named as unknown. T3's line counts the tree this generator draws
+# for it.
 refused() {
   status=0
-  ./target/release/uts_cli "$@" >/dev/null 2>&1 || status=$?
+  refusal=$(./target/release/uts_cli "$@" 2>&1 >/dev/null) || status=$?
   [ "$status" -eq 2 ] || { echo "uts_cli $* exited $status, not 2" >&2; exit 1; }
 }
 refused --native --spec 'topsail p=2 tree=binomial(5,64,2,0.49666666666666665) alg=distmem k=4 faults=crashy(3)'
 refused -t 1 -a 3 -d 10 -b 4 -r 19
 refused --spec 'smp p=2 tree=tiny alg=distmem k=2' -T 8
+refused --spec 'topsail p=6 tree=tiny alg=push k=2'
+case "$refusal" in
+  *"unknown algorithm 'push'"*) ;;
+  *) echo "uts_cli refused alg=push without naming the unknown algorithm: $refusal" >&2; exit 1 ;;
+esac
 ./target/release/uts_cli -t 0 -b 2000 -q 0.124875 -m 8 -r 42 -T 2 --native --expect 521241 >/dev/null
 
 # The conductor bench (docs/conductor.md §6): the benchmark ledger's three sim
@@ -200,7 +213,7 @@ done
 
 echo "== every example runs =="
 # Each file in examples/ is a program with its own asserts (termination_stress
-# is a 700-run conservation grid); all eight take well under a second in
+# is a 600-run conservation grid); all eight take well under a second in
 # release.
 cargo build --release --offline --examples
 for example in examples/*.rs; do
@@ -225,8 +238,8 @@ echo "== the E18 ready-wait probe runs =="
 ./target/release/exp ready_wait
 
 echo "== every results/*.csv and results/figures/*.svg is current =="
-# The twelve CSVs the experiment table owns (EXPERIMENTS.md E2-E5, E9-E12,
-# E16-E18) and their nine SVGs: the check recomputes each entry and exits 1,
+# The eleven CSVs the experiment table owns (EXPERIMENTS.md E2-E5, E9, E11,
+# E12, E16-E18) and their nine SVGs: the check recomputes each entry and exits 1,
 # naming the file, at the first virtual column (and its line) or figure byte
 # that differs (service.csv has no wall-clock column: every byte counts). Every
 # DAG-sweep row also passes conservation and the O(p·D) steal bound, and every

@@ -335,7 +335,7 @@ fn all_algorithms_small_64_threads() {
 }
 
 /// The Fig. 4 thread count, at which otherwise only `exp conductor` compares
-/// the conductors, on two bundles; here all seven. With
+/// the conductors, on two bundles; here all six. With
 /// the reference on fibers the leg takes about 28 s in a debug build on a
 /// 2-vCPU host; mpi-ws (4.7 M operations) and upc-sharedmem (5.2 M) are the
 /// big ones.

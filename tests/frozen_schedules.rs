@@ -7,7 +7,7 @@
 //! the clock, and one stray, missing or reordered op shifts the makespan and
 //! the op totals of some row below.
 //!
-//! The rows cover every worker path: the seven bundles fault-free (`hier` at
+//! The rows cover every worker path: the six bundles fault-free (`hier` at
 //! p=12, whose ranks span two 8-thread topsail nodes: at p=6 all share one,
 //! and same-node-first order is flat order), one fault-free row near its
 //! makespan floor (p=2, 95 % efficiency, so a run charged for half its nodes
@@ -19,9 +19,7 @@
 //! 2 at 472 µs, `partitioned(2)` cuts a partition and freezes rank 4, and
 //! `partitioned(8)` kills rank 2 inside a partition and restarts it; T-tiny
 //! is over (77 µs fault-free) before most of them begin, so the
-//! `binomial(5,64,…)` rows keep ranks busy across them (no push-random
-//! there: under loss/duplication it re-injects that tree millions of times
-//! over — conserved with multiplicity, but minutes).
+//! `binomial(5,64,…)` rows keep ranks busy across them.
 //!
 //! Each row is named by its run spec line (`worksteal::spec`), which the
 //! test parses and runs, so a row pastes straight into
@@ -42,25 +40,20 @@ const FROZEN: &[(&str, u64, u64, u64, u64, u64)] = &[
     ("topsail p=6 tree=tiny alg=rapdif k=2", 77070, 1284, 24, 431, 0),
     ("topsail p=6 tree=tiny alg=distmem k=2", 83752, 1293, 57, 431, 0),
     ("topsail p=6 tree=tiny alg=mpi k=2", 189212, 462, 67, 431, 0),
-    ("topsail p=6 tree=tiny alg=push k=2", 153440, 218, 0, 431, 0),
     ("topsail p=12 tree=tiny alg=hier k=2", 238116, 2062, 47, 431, 0),
     ("topsail p=2 tree=binomial(5,64,2,0.49666666666666665) alg=distmem k=4", 1410706, 1642, 5, 5635, 0),
     ("topsail p=6 tree=tiny alg=term k=2 faults=seeded(3) timeout=25000", 127216, 1508, 34, 431, 0),
     ("topsail p=6 tree=tiny alg=distmem k=2 faults=seeded(3) timeout=25000", 103406, 1258, 55, 431, 0),
     ("topsail p=6 tree=tiny alg=mpi k=2 faults=seeded(3) timeout=25000", 603000, 502, 64, 431, 0),
-    ("topsail p=6 tree=tiny alg=push k=2 faults=seeded(3) timeout=25000", 402100, 206, 0, 431, 0),
     ("topsail p=6 tree=tiny alg=term k=2 faults=crashy(8) timeout=25000", 269822, 2531, 19, 431, 0),
     ("topsail p=6 tree=tiny alg=distmem k=2 faults=crashy(8) timeout=25000", 283578, 3406, 28, 431, 0),
     ("topsail p=6 tree=tiny alg=mpi k=2 faults=crashy(8) timeout=25000", 650600, 2075, 144, 431, 0),
-    ("topsail p=6 tree=tiny alg=push k=2 faults=crashy(8) timeout=25000", 740464, 2444, 0, 439, 0),
     ("topsail p=6 tree=tiny alg=term k=2 faults=partitioned(2) timeout=25000", 1043425, 1744, 25, 431, 0),
     ("topsail p=6 tree=tiny alg=distmem k=2 faults=partitioned(2) timeout=25000", 1043725, 2012, 38, 431, 0),
     ("topsail p=6 tree=tiny alg=mpi k=2 faults=partitioned(2) timeout=25000", 2211379, 2020, 84, 431, 0),
-    ("topsail p=6 tree=tiny alg=push k=2 faults=partitioned(2) timeout=25000", 1606004, 3754, 0, 613, 0),
     ("topsail p=6 tree=tiny alg=term k=2 faults=partitioned(8) timeout=25000", 1128430, 2475, 19, 431, 0),
     ("topsail p=6 tree=tiny alg=distmem k=2 faults=partitioned(8) timeout=25000", 1140130, 3293, 28, 431, 0),
     ("topsail p=6 tree=tiny alg=mpi k=2 faults=partitioned(8) timeout=25000", 1140410, 1873, 106, 431, 0),
-    ("topsail p=6 tree=tiny alg=push k=2 faults=partitioned(8) timeout=25000", 3244600, 3472, 0, 433, 0),
     ("topsail p=6 tree=binomial(5,64,2,0.49666666666666665) alg=term k=4 faults=crashy(8)", 788872, 5087, 80, 5635, 0),
     ("topsail p=6 tree=binomial(5,64,2,0.49666666666666665) alg=distmem k=4 faults=crashy(8)", 702624, 4059, 44, 5635, 0),
     ("topsail p=6 tree=binomial(5,64,2,0.49666666666666665) alg=mpi k=4 faults=crashy(8)", 1258688, 2635, 151, 6157, 0),
@@ -74,15 +67,12 @@ const FROZEN: &[(&str, u64, u64, u64, u64, u64)] = &[
     ("smp p=6 tree=binomial(23,16,2,0.4583333333333333) alg=term k=2 arrivals=poisson(7,10,12000)", 1370317, 8372, 53, 1644, 14135598511550185921),
     ("smp p=6 tree=binomial(23,16,2,0.4583333333333333) alg=distmem k=2 arrivals=poisson(7,10,12000)", 1283810, 6141, 5, 1644, 1020831894268373066),
     ("smp p=6 tree=binomial(23,16,2,0.4583333333333333) alg=mpi k=2 arrivals=poisson(7,10,12000)", 1588690, 5122, 125, 1644, 3085732314318750932),
-    ("smp p=6 tree=binomial(23,16,2,0.4583333333333333) alg=push k=2 arrivals=poisson(7,10,12000)", 1407920, 4582, 0, 1644, 6962938281770954676),
     ("smp p=6 tree=binomial(23,16,2,0.4583333333333333) alg=term k=2 faults=seeded(3) arrivals=poisson(7,10,12000)", 1322400, 7649, 33, 1644, 18371844445120437326),
     ("smp p=6 tree=binomial(23,16,2,0.4583333333333333) alg=distmem k=2 faults=seeded(3) arrivals=poisson(7,10,12000)", 1405650, 6702, 22, 1644, 14117080263579104314),
     ("smp p=6 tree=binomial(23,16,2,0.4583333333333333) alg=mpi k=2 faults=seeded(3) arrivals=poisson(7,10,12000)", 1391810, 4975, 146, 1644, 9465008896437851170),
-    ("smp p=6 tree=binomial(23,16,2,0.4583333333333333) alg=push k=2 faults=seeded(3) arrivals=poisson(7,10,12000)", 1483930, 4572, 0, 1644, 15395488883702057754),
     ("smp p=6 tree=binomial(23,16,2,0.4583333333333333) alg=term k=2 faults=crashy(8) arrivals=poisson(7,10,12000)", 1370983, 9174, 42, 1644, 15169365004599814720),
     ("smp p=6 tree=binomial(23,16,2,0.4583333333333333) alg=distmem k=2 faults=crashy(8) arrivals=poisson(7,10,12000)", 1392060, 7631, 21, 1644, 17103885748649303481),
     ("smp p=6 tree=binomial(23,16,2,0.4583333333333333) alg=mpi k=2 faults=crashy(8) arrivals=poisson(7,10,12000)", 1588860, 5722, 114, 1644, 1275873710790542083),
-    ("smp p=6 tree=binomial(23,16,2,0.4583333333333333) alg=push k=2 faults=crashy(8) arrivals=poisson(7,10,12000)", 2723352, 12769, 0, 2174, 500444604780666763),
 ];
 
 /// Deaths, evictions and rejoins summed over every row's run.

@@ -20,7 +20,7 @@ fn run(alg: Algorithm, machine: &str, threads: usize, k: usize) -> RunReport {
 /// must issue plenty.
 #[test]
 fn lockless_claim() {
-    for alg in [Algorithm::DistMem, Algorithm::Hier, Algorithm::MpiWs, Algorithm::Pushing] {
+    for alg in [Algorithm::DistMem, Algorithm::Hier, Algorithm::MpiWs] {
         let totals = run(alg, "kittyhawk", 8, 4).totals();
         assert_eq!(
             totals.comm.lock_acquires + totals.comm.lock_failures + totals.comm.unlocks,

@@ -21,7 +21,6 @@ fn algorithm_strategy() -> impl Strategy<Value = Algorithm> {
         Just(Algorithm::DistMem),
         Just(Algorithm::MpiWs),
         Just(Algorithm::Hier),
-        Just(Algorithm::Pushing),
     ]
 }
 

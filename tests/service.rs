@@ -91,7 +91,7 @@ fn membership_chaos_service_loses_no_requests() {
             "faults=partitioned({seed}),kill={kill},partition=1000,partition_min=30000,partition_span=120000,\
              gray={gray},restart=250000 timeout=30000 arrivals=poisson(13,8,12000)"
         );
-        for alg in ["distmem", "mpi", "push"] {
+        for alg in ["distmem", "mpi"] {
             let report = service_run(alg, 6, &words);
             let svc = report.service.as_ref().expect("service report");
             assert_eq!(svc.requests, 8, "{alg} seed {seed}");
